@@ -1,11 +1,16 @@
 //! Schedulers: job-level FIFO / Capacity / Fair, and the paper's
 //! query-level SWRD (Smallest Weighted Resource Demand first, §4.3).
 //!
-//! The engine calls [`Scheduler::pick`] once per free container with the
-//! current set of runnable jobs; the scheduler returns which job should
-//! receive the container. A job never has pending maps and pending reduces
-//! at the same time (reduces unlock when the map phase completes), so the
-//! choice of task kind is implied.
+//! Each free container goes to one runnable job. A policy that can express
+//! its whole comparator as a [`PickKey`] ([`Scheduler::key`]) is served from
+//! the engine's pick index once the runnable set is wide: the minimum-key
+//! job wins, at O(log R) upkeep per touched job instead of a scan of all R
+//! runnable jobs. Otherwise (narrow sets, unkeyed policies, degraded or
+//! reference mode) the engine calls [`Scheduler::pick`] once per free
+//! container with the whole runnable set. Both ways choose the same job. A
+//! job never has pending maps and pending reduces at the same time
+//! (reduces unlock when the map phase completes), so the choice of task
+//! kind is implied.
 
 use crate::job::TaskKind;
 use sapred_obs::{JobId, QueryId};
@@ -60,6 +65,24 @@ pub struct TaskChoice {
     pub kind: TaskKind,
 }
 
+/// A policy's whole comparator as a fixed-width lexicographic key: the
+/// runnable job with the smallest key is the one [`Scheduler::pick`]
+/// chooses. Float fields enter through [`f64_key`]; unused trailing slots
+/// are zero.
+pub type PickKey = [u64; 5];
+
+/// Map an `f64` onto a `u64` whose unsigned order is [`f64::total_cmp`]'s
+/// order (`-NaN < -inf < … < -0.0 < +0.0 < … < +inf < NaN`), so float keys
+/// sort inside a [`PickKey`] exactly as the scan compares them.
+pub fn f64_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 /// Scheduling policy.
 pub trait Scheduler {
     /// Human-readable policy name (used in reports).
@@ -76,9 +99,24 @@ pub trait Scheduler {
         let _ = job;
         0.0
     }
+    /// The policy's whole tie-break chain for `job` as a [`PickKey`], or
+    /// `None` (the default) for a policy that has none. With a key, the
+    /// engine keeps the runnable set in a pick index and, on wide sets,
+    /// dispatches the minimum-key job instead of calling
+    /// [`Scheduler::pick`].
+    ///
+    /// Contract: over any runnable set, the minimum key belongs to exactly
+    /// the job `pick` returns. So the key must encode the full comparator
+    /// and end in the `(query, job)` pair, which makes it unique. It may
+    /// depend only on `job`'s own fields, and a policy returns `Some` for
+    /// every job or for none.
+    fn key(&self, job: &RunnableJob) -> Option<PickKey> {
+        let _ = job;
+        None
+    }
 }
 
-fn choice(j: &RunnableJob) -> TaskChoice {
+pub(crate) fn choice(j: &RunnableJob) -> TaskChoice {
     TaskChoice { query: j.query, job: j.job, kind: j.next_kind() }
 }
 
@@ -119,6 +157,10 @@ impl Scheduler for Fifo {
     fn score(&self, job: &RunnableJob) -> f64 {
         job.arrival
     }
+
+    fn key(&self, j: &RunnableJob) -> Option<PickKey> {
+        Some([f64_key(j.arrival), j.query.0 as u64, f64_key(j.submit_time), j.job.0 as u64, 0])
+    }
 }
 
 /// Hadoop Capacity Scheduler (single queue, the paper's configuration):
@@ -140,6 +182,10 @@ impl Scheduler for Hcs {
 
     fn score(&self, job: &RunnableJob) -> f64 {
         job.submit_time
+    }
+
+    fn key(&self, j: &RunnableJob) -> Option<PickKey> {
+        Some([f64_key(j.submit_time), j.query.0 as u64, j.job.0 as u64, 0, 0])
     }
 }
 
@@ -163,6 +209,10 @@ impl Scheduler for Hfs {
 
     fn score(&self, job: &RunnableJob) -> f64 {
         job.running as f64
+    }
+
+    fn key(&self, j: &RunnableJob) -> Option<PickKey> {
+        Some([j.running as u64, f64_key(j.submit_time), j.query.0 as u64, j.job.0 as u64, 0])
     }
 }
 
@@ -194,6 +244,16 @@ impl Scheduler for Swrd {
     fn score(&self, job: &RunnableJob) -> f64 {
         job.query_wrd
     }
+
+    fn key(&self, j: &RunnableJob) -> Option<PickKey> {
+        Some([
+            f64_key(j.query_wrd),
+            f64_key(j.arrival),
+            j.query.0 as u64,
+            f64_key(j.submit_time),
+            j.job.0 as u64,
+        ])
+    }
 }
 
 /// The multi-queue Hadoop Capacity Scheduler: queries are hashed onto
@@ -206,8 +266,9 @@ impl Scheduler for Swrd {
 #[derive(Debug, Clone)]
 pub struct HcsQueues {
     capacities: Vec<f64>,
-    /// Reusable per-queue running-count scratch, one slot per queue.
-    running: Vec<usize>,
+    /// Reusable per-queue running-count scratch, one slot per queue;
+    /// `None` marks a queue with no runnable work in the current pick.
+    running: Vec<Option<usize>>,
     /// Generation stamp per query id: a query was counted this pick iff
     /// its stamp equals `gen`. "Clearing" between picks is the O(1) `gen`
     /// bump below — no per-dispatch buffer wipe, no hash-set allocation.
@@ -223,7 +284,7 @@ impl HcsQueues {
     pub fn new(capacities: Vec<f64>) -> Self {
         assert!(!capacities.is_empty(), "need at least one queue");
         assert!(capacities.iter().all(|&c| c > 0.0), "capacities must be positive");
-        let running = vec![0; capacities.len()];
+        let running = vec![None; capacities.len()];
         Self { capacities, running, seen_gen: Vec::new(), gen: 0 }
     }
 
@@ -245,9 +306,8 @@ impl Scheduler for HcsQueues {
         // a query counts only when its stamp trails the pick's generation,
         // replacing the per-call HashSet allocation with a reusable buffer
         // that clears by bumping `gen`.
-        let n = self.capacities.len();
         self.gen += 1;
-        self.running.iter_mut().for_each(|r| *r = 0);
+        self.running.iter_mut().for_each(|r| *r = None);
         let mut last: Option<usize> = None;
         for r in runnable {
             let q: usize = r.query.into();
@@ -261,17 +321,17 @@ impl Scheduler for HcsQueues {
             if self.seen_gen[q] != self.gen {
                 self.seen_gen[q] = self.gen;
                 let qi = self.queue_of(q);
-                self.running[qi] += r.query_running;
+                *self.running[qi].get_or_insert(0) += r.query_running;
             }
         }
-        // Most under-served queue that has pending work.
-        let best_queue = (0..n)
-            .filter(|&q| runnable.iter().any(|r| self.queue_of(r.query.into()) == q))
-            .min_by(|&a, &b| {
-                let ra = self.running[a] as f64 / self.capacities[a];
-                let rb = self.running[b] as f64 / self.capacities[b];
-                ra.total_cmp(&rb).then(a.cmp(&b))
-            })?;
+        // Most under-served queue that has pending work: every runnable
+        // query was counted above, so a queue has work iff its slot is set.
+        let (best_queue, _) = self
+            .running
+            .iter()
+            .enumerate()
+            .filter_map(|(q, r)| Some((q, (*r)? as f64 / self.capacities[q])))
+            .min_by(|(a, ra), (b, rb)| ra.total_cmp(rb).then(a.cmp(b)))?;
         runnable
             .iter()
             .filter(|r| self.queue_of(r.query.into()) == best_queue)
@@ -314,6 +374,16 @@ impl Scheduler for Srt {
 
     fn score(&self, job: &RunnableJob) -> f64 {
         job.query_time
+    }
+
+    fn key(&self, j: &RunnableJob) -> Option<PickKey> {
+        Some([
+            f64_key(j.query_time),
+            f64_key(j.arrival),
+            j.query.0 as u64,
+            f64_key(j.submit_time),
+            j.job.0 as u64,
+        ])
     }
 }
 
@@ -540,6 +610,9 @@ mod tests {
         fn check<S: Scheduler>(mut s: S, r: &[RunnableJob]) {
             let c = s.pick(r).expect("NaN keys must not panic or empty the pick");
             assert_eq!(c.query, QueryId(1), "{}: NaN sorts after real keys", s.name());
+            if s.key(&r[0]).is_some() {
+                assert_eq!(indexed_pick(&s, r), Some(c), "{}: indexed path disagrees", s.name());
+            }
         }
         check(Fifo, &[poisoned, clean]);
         check(Hcs, &[poisoned, clean]);
@@ -559,7 +632,90 @@ mod tests {
             assert_eq!(Swrd.pick(r).unwrap().query, QueryId(0));
             assert_eq!(Srt.pick(r).unwrap().query, QueryId(0));
             assert_eq!(Fifo.pick(r).unwrap().query, QueryId(0));
+            assert_eq!(indexed_pick(&Swrd, r).unwrap().query, QueryId(0));
+            assert_eq!(indexed_pick(&Srt, r).unwrap().query, QueryId(0));
+            assert_eq!(indexed_pick(&Fifo, r).unwrap().query, QueryId(0));
         }
+    }
+
+    /// What the engine's ordered index dispatches: the minimum-key job.
+    fn indexed_pick<S: Scheduler>(s: &S, runnable: &[RunnableJob]) -> Option<TaskChoice> {
+        runnable.iter().min_by_key(|r| s.key(r).expect("keyed policy")).map(choice)
+    }
+
+    #[test]
+    fn f64_key_orders_like_total_cmp() {
+        let mut xs = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+        ];
+        let mut x = 5u64;
+        for _ in 0..200 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            xs.push(f64::from_bits(x));
+        }
+        for a in &xs {
+            for b in &xs {
+                assert_eq!(
+                    f64_key(*a).cmp(&f64_key(*b)),
+                    a.total_cmp(b),
+                    "{a:e} ({:#x}) vs {b:e} ({:#x})",
+                    a.to_bits(),
+                    b.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn minimum_key_is_the_pick_on_random_sets() {
+        // Few distinct values so primary keys tie often, and every float
+        // edge case (NaN of both signs, ±0.0, ±inf) in every float field.
+        const FLOATS: [f64; 9] =
+            [f64::NAN, -f64::NAN, f64::NEG_INFINITY, -1.0, -0.0, 0.0, 2.5, 7.0, f64::INFINITY];
+        let mut x = 17u64;
+        let mut next = |n: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((x >> 33) % n) as usize
+        };
+        for round in 0..500 {
+            let mut r: Vec<RunnableJob> = Vec::new();
+            for _ in 0..1 + round % 12 {
+                let (q, jb) = (next(5), next(4));
+                if r.iter().any(|e| (e.query, e.job) == (QueryId(q), JobId(jb))) {
+                    continue;
+                }
+                let mut e = job(q, jb, FLOATS[next(9)], FLOATS[next(9)]);
+                e.query_wrd = FLOATS[next(9)];
+                e.query_time = FLOATS[next(9)];
+                e.running = next(3);
+                if next(2) == 0 {
+                    (e.pending_maps, e.pending_reduces) = (0, 1 + next(3));
+                }
+                r.push(e);
+            }
+            fn agree<S: Scheduler>(mut s: S, r: &[RunnableJob], round: usize) {
+                assert_eq!(indexed_pick(&s, r), s.pick(r), "{} round {round}: {r:?}", s.name());
+            }
+            agree(Fifo, &r, round);
+            agree(Hcs, &r, round);
+            agree(Hfs, &r, round);
+            agree(Swrd, &r, round);
+            agree(Srt, &r, round);
+        }
+        assert!(HcsQueues::new(vec![1.0]).key(&job(0, 0, 0.0, 0.0)).is_none());
     }
 
     #[test]

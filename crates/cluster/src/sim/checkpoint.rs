@@ -984,7 +984,7 @@ pub(super) fn decode<S: Scheduler>(
     // the one the snapshotted run was using.
     let names: Vec<std::sync::Arc<str>> =
         queries.iter().map(|q| std::sync::Arc::from(q.name.as_str())).collect();
-    let mut dstate = DispatchState::new(nq, containers);
+    let mut dstate = DispatchState::new(nq, jobs.counts.len(), containers);
     if sim.dispatch != DispatchMode::Reference {
         for qi in 0..nq {
             dstate.resync_query(queries, &jobs, &preds, qi);

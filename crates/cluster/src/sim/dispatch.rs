@@ -1,10 +1,11 @@
-//! The dispatch path: the materialized runnable set, per-query demand
-//! aggregates (WRD / critical path / running counts) derived from live
-//! [`DemandOracle`](super::DemandOracle) predictions, and the
-//! incremental-vs-reference [`DispatchMode`] cross-check machinery.
+//! The dispatch path: the materialized runnable set, the ordered pick
+//! index over it, per-query demand aggregates (WRD / critical path /
+//! running counts) derived from live [`DemandOracle`](super::DemandOracle)
+//! predictions, and the incremental-vs-reference [`DispatchMode`]
+//! cross-check machinery.
 
 use crate::job::{JobPrediction, SimQuery};
-use crate::sched::RunnableJob;
+use crate::sched::{choice, PickKey, RunnableJob, Scheduler, TaskChoice};
 
 use super::state::JobTable;
 use sapred_obs::{JobId, QueryId};
@@ -27,8 +28,10 @@ pub enum DispatchMode {
     Reference,
     /// Run incrementally but re-derive the reference view after every
     /// event and before every scheduler pick, panicking on any
-    /// divergence (including f64 score bits). Used by the cross-check
-    /// tests; roughly as slow as [`Reference`](DispatchMode::Reference).
+    /// divergence (including f64 score bits). A keyed scheduler's indexed
+    /// choice is also checked against its scan ([`Scheduler::pick`]) at
+    /// every decision. Used by the cross-check tests; roughly as slow as
+    /// [`Reference`](DispatchMode::Reference).
     Crosscheck,
 }
 
@@ -48,22 +51,108 @@ pub(super) struct QueryAgg {
 /// [`collect_runnable`] produces) plus per-query aggregates. Updated in
 /// O(affected jobs) on each `Submit`/`TaskDone`/dispatch instead of being
 /// recomputed from every job of every query once per free container.
+///
+/// Beside the set sits the pick index: every runnable job under its
+/// scheduler's [`PickKey`], so a keyed scheduler's choice is the index's
+/// minimum. The mutators only mark the query they touched dirty;
+/// [`reindex`](Self::reindex) re-keys the dirty queries' jobs before a
+/// decision that reads the index.
 pub(super) struct DispatchState {
     pub(super) aggs: Vec<QueryAgg>,
     pub(super) runnable: Vec<RunnableJob>,
     /// Scratch for the critical-path pass (avoids a per-event allocation).
     pub(super) scratch: Vec<f64>,
     pub(super) containers: usize,
+    /// Every runnable job under its current key.
+    index: PickHeap,
+    /// Queries touched since the last `reindex`; `is_dirty` dedupes them.
+    dirty: Vec<usize>,
+    is_dirty: Vec<bool>,
+    /// Cleared for good once the scheduler returns no key: the index is
+    /// dropped and every pick scans.
+    keyed: bool,
 }
 
 impl DispatchState {
-    pub(super) fn new(n_queries: usize, containers: usize) -> Self {
+    pub(super) fn new(n_queries: usize, n_jobs: usize, containers: usize) -> Self {
         Self {
             aggs: vec![QueryAgg::default(); n_queries],
             runnable: Vec::new(),
             scratch: Vec::new(),
             containers,
+            index: PickHeap { entries: Vec::new(), slot: vec![NIL; n_jobs] },
+            dirty: Vec::new(),
+            is_dirty: vec![false; n_queries],
+            keyed: true,
         }
+    }
+
+    /// Queue query `qi`'s jobs for re-keying at the next `reindex`.
+    fn mark(&mut self, qi: usize) {
+        if self.keyed && !self.is_dirty[qi] {
+            self.is_dirty[qi] = true;
+            self.dirty.push(qi);
+        }
+    }
+
+    /// Bring the pick index up to date: re-key every job of each dirty
+    /// query, filing runnable jobs under `key` and dropping the rest —
+    /// O(k log R) for k touched jobs. Returns whether the index is live;
+    /// the first `None` key drops it and makes this return `false` for
+    /// the rest of the run.
+    pub(super) fn reindex(
+        &mut self,
+        jobs: &JobTable,
+        key: impl Fn(&RunnableJob) -> Option<PickKey>,
+    ) -> bool {
+        while let Some(qi) = self.dirty.pop() {
+            self.is_dirty[qi] = false;
+            let start = self.runnable.partition_point(|r| r.query < QueryId(qi));
+            // The query's runnable entries are contiguous and sorted by job,
+            // so one merge walk pairs each job with its entry, if any.
+            let mut live =
+                self.runnable[start..].iter().take_while(|r| r.query == QueryId(qi)).peekable();
+            for (j, i) in jobs.query_range(qi).enumerate() {
+                match live.next_if(|r| r.job == JobId(j)) {
+                    None => self.index.remove(i),
+                    Some(r) => match key(r) {
+                        Some(k) => self.index.set(i, qi, j, k),
+                        None => {
+                            self.keyed = false;
+                            self.index = PickHeap { entries: Vec::new(), slot: Vec::new() };
+                            self.dirty = Vec::new();
+                            return false;
+                        }
+                    },
+                }
+            }
+        }
+        self.keyed
+    }
+
+    /// The choice of the minimum-key runnable job. Valid right after a
+    /// `reindex` that returned `true`.
+    pub(super) fn first(&self) -> Option<TaskChoice> {
+        let top = self.index.entries.first()?;
+        let at = self.position(top.q, top.j).expect("indexed job is runnable");
+        Some(choice(&self.runnable[at]))
+    }
+
+    /// Panic unless the (freshly reindexed) index covers exactly the
+    /// runnable set and its minimum is the choice the scheduler's scan
+    /// makes.
+    pub(super) fn crosscheck_index(&self, scheduler: &mut dyn Scheduler, when: &str) {
+        assert_eq!(
+            self.index.entries.len(),
+            self.runnable.len(),
+            "pick index out of step with the runnable set ({when})"
+        );
+        assert_eq!(
+            self.first(),
+            scheduler.pick(&self.runnable),
+            "indexed choice diverged from {}'s scan ({when})",
+            scheduler.name()
+        );
     }
 
     pub(super) fn position(&self, q: usize, j: usize) -> Result<usize, usize> {
@@ -94,6 +183,7 @@ impl DispatchState {
     /// Copy query `qi`'s aggregates into its runnable entries (contiguous
     /// in the sorted set).
     pub(super) fn sync_entries(&mut self, qi: usize) {
+        self.mark(qi);
         let agg = self.aggs[qi];
         let start = self.runnable.partition_point(|r| r.query < QueryId(qi));
         for r in self.runnable[start..].iter_mut().take_while(|r| r.query == QueryId(qi)) {
@@ -133,6 +223,7 @@ impl DispatchState {
             Ok(_) => unreachable!("job {qi}/{j} already runnable"),
             Err(at) => self.runnable.insert(at, entry),
         }
+        self.mark(qi);
     }
 
     /// A task of `(qi, j)` was dispatched: bump running counts and drop the
@@ -240,6 +331,7 @@ impl DispatchState {
             });
         }
         self.runnable.splice(start..end, entries);
+        self.mark(qi);
     }
 
     /// Drop an abandoned query from the runnable set entirely.
@@ -249,6 +341,7 @@ impl DispatchState {
             start + self.runnable[start..].iter().take_while(|r| r.query == QueryId(qi)).count();
         self.runnable.drain(start..end);
         self.aggs[qi] = QueryAgg::default();
+        self.mark(qi);
     }
 
     /// Panic unless the materialized set matches the from-scratch
@@ -266,6 +359,108 @@ impl DispatchState {
             self.runnable, reference,
             "incremental dispatch state diverged from collect_runnable ({when})"
         );
+    }
+}
+
+/// The narrowest runnable set whose decisions come from the pick index.
+/// Below it a scan is cheaper than re-keying: the scan touches a handful of
+/// entries, while every index update costs a key and a sift. Narrower
+/// decisions scan and leave the touched queries dirty, so the index catches
+/// up at the next wide decision.
+pub(super) const INDEX_MIN_WIDTH: usize = 32;
+
+/// Marks a job with no entry in [`PickHeap`].
+const NIL: usize = usize::MAX;
+
+/// One runnable job in the pick index.
+struct PickEntry {
+    key: PickKey,
+    /// Job-table index (the `slot` it owns).
+    i: usize,
+    q: usize,
+    j: usize,
+}
+
+/// Binary min-heap of runnable jobs by [`PickKey`], with each job's heap
+/// position, so re-keying a job sifts it in place: O(log R) per change and
+/// no allocation once grown. Keys are unique, so the minimum is unique.
+struct PickHeap {
+    entries: Vec<PickEntry>,
+    /// Heap position of each job-table index, or [`NIL`].
+    slot: Vec<usize>,
+}
+
+impl PickHeap {
+    /// File job `i` (= `(q, j)`) under `key`, inserting or re-keying it.
+    fn set(&mut self, i: usize, q: usize, j: usize, key: PickKey) {
+        let at = self.slot[i];
+        if at == NIL {
+            self.entries.push(PickEntry { key, i, q, j });
+            self.sift_up(self.entries.len() - 1);
+        } else if key != self.entries[at].key {
+            let up = key < self.entries[at].key;
+            self.entries[at].key = key;
+            if up {
+                self.sift_up(at);
+            } else {
+                self.sift_down(at);
+            }
+        }
+    }
+
+    /// Drop job `i` from the heap, if it is there.
+    fn remove(&mut self, i: usize) {
+        let at = self.slot[i];
+        if at == NIL {
+            return;
+        }
+        self.slot[i] = NIL;
+        let last = self.entries.pop().expect("a filed job has an entry");
+        if at < self.entries.len() {
+            // The last entry fills the hole and may belong above or below it.
+            self.entries[at] = last;
+            let at = self.sift_up(at);
+            self.sift_down(at);
+        }
+    }
+
+    /// Move the entry at `at` up to its place; returns where it landed.
+    fn sift_up(&mut self, mut at: usize) -> usize {
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if self.entries[parent].key <= self.entries[at].key {
+                break;
+            }
+            self.swap(at, parent);
+            at = parent;
+        }
+        self.slot[self.entries[at].i] = at;
+        at
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        loop {
+            let (l, r) = (2 * at + 1, 2 * at + 2);
+            let mut min = at;
+            if l < self.entries.len() && self.entries[l].key < self.entries[min].key {
+                min = l;
+            }
+            if r < self.entries.len() && self.entries[r].key < self.entries[min].key {
+                min = r;
+            }
+            if min == at {
+                break;
+            }
+            self.swap(at, min);
+            at = min;
+        }
+        self.slot[self.entries[at].i] = at;
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.entries.swap(a, b);
+        self.slot[self.entries[a].i] = a;
+        self.slot[self.entries[b].i] = b;
     }
 }
 

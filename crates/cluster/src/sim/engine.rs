@@ -40,7 +40,9 @@ use std::path::PathBuf;
 use super::admission::{AdmissionConfig, AdmissionStats, ShedPolicy};
 use super::arena::{EventQueue, QueueMode, NIL};
 use super::checkpoint::{self, CheckpointError};
-use super::dispatch::{collect_runnable, query_demand, DispatchMode, DispatchState};
+use super::dispatch::{
+    collect_runnable, query_demand, DispatchMode, DispatchState, INDEX_MIN_WIDTH,
+};
 use super::emit;
 use super::oracle::{DemandOracle, FrozenOracle};
 use super::recovery::{fail_query, Attempt, FaultState};
@@ -490,6 +492,12 @@ impl<S: Scheduler> Simulator<S> {
         let mut counting = CountingSink { inner: sink, prof };
         let sink = &mut counting;
         let mut rs = checkpoint::decode(self, queries, bytes, oracle)?;
+        if self.dispatch == DispatchMode::Crosscheck
+            && !rs.degraded
+            && rs.dstate.reindex(&rs.jobs, |r| self.scheduler.key(r))
+        {
+            rs.dstate.crosscheck_index(&mut self.scheduler, "after restore");
+        }
         emit!(sink, ObsEvent::RunResumed { t: rs.now, events: rs.events_processed });
         match self.drive(queries, &mut rs, sink, oracle, prof, None)? {
             Drive::Finished => Ok(self.finalize(queries, rs, prof)),
@@ -573,7 +581,8 @@ impl<S: Scheduler> Simulator<S> {
         // path depend only on done-task counts, which start at zero, not on
         // submission) so `Submit` handling stays O(1) per job.
         let incremental = self.dispatch != DispatchMode::Reference;
-        let mut dstate = DispatchState::new(queries.len(), self.config.total_containers());
+        let mut dstate =
+            DispatchState::new(queries.len(), jobs.counts.len(), self.config.total_containers());
         if incremental {
             for qi in 0..queries.len() {
                 dstate.refresh_query(queries, &jobs, &preds, qi);
@@ -1311,10 +1320,18 @@ impl<S: Scheduler> Simulator<S> {
                 }
 
                 // Dispatch free containers. Incremental modes read the
-                // maintained runnable view; Reference rebuilds it from scratch
-                // once per free container, exactly as the pre-incremental
+                // maintained runnable view; on a wide view a keyed
+                // scheduler's choice is the top of the pick index (every
+                // view under Crosscheck, which checks it against the scan).
+                // Reference rebuilds the view from scratch once per free
+                // container and scans it, exactly as the pre-incremental
                 // engine did.
                 while !rs.free_slots.is_empty() {
+                    let indexed = incremental
+                        && !rs.degraded
+                        && (rs.dstate.runnable.len() >= INDEX_MIN_WIDTH
+                            || self.dispatch == DispatchMode::Crosscheck)
+                        && rs.dstate.reindex(&rs.jobs, |r| self.scheduler.key(r));
                     let rebuilt;
                     let runnable: &[RunnableJob] = match self.dispatch {
                         DispatchMode::Incremental => &rs.dstate.runnable,
@@ -1335,10 +1352,19 @@ impl<S: Scheduler> Simulator<S> {
                     // In degraded mode (a guarded oracle's trust collapsed),
                     // semantics-blind FIFO replaces the configured policy until
                     // trust recovers past the exit threshold.
-                    let picked = if rs.degraded {
-                        fallback.pick(runnable)
+                    let picked = if indexed {
+                        if self.dispatch == DispatchMode::Crosscheck {
+                            rs.dstate.crosscheck_index(&mut self.scheduler, "before pick");
+                        }
+                        prof.add(Counter::CandidatesExamined, runnable.len().min(1) as u64);
+                        rs.dstate.first()
                     } else {
-                        self.scheduler.pick(runnable)
+                        prof.add(Counter::CandidatesExamined, runnable.len() as u64);
+                        if rs.degraded {
+                            fallback.pick(runnable)
+                        } else {
+                            self.scheduler.pick(runnable)
+                        }
                     };
                     prof.inc(Counter::DispatchDecisions);
                     let Some(c) = picked else {

@@ -296,6 +296,57 @@ fn incremental_matches_reference_for_all_schedulers() {
 }
 
 #[test]
+fn picks_switch_between_scan_and_index_without_changing_the_schedule() {
+    use super::dispatch::INDEX_MIN_WIDTH;
+    use crate::sched::{Hfs, Srt};
+    use sapred_obs::{Event as Ob, RecordingSink};
+    // Two arrival bursts on a four-container cluster: the runnable set
+    // grows past the index threshold, drains below it, then grows again,
+    // so decisions move between the scan and the index, and the index
+    // must catch up on every query touched while the set was narrow.
+    let queries: Vec<SimQuery> = (0..4 * INDEX_MIN_WIDTH)
+        .map(|i| {
+            let burst = if i < 2 * INDEX_MIN_WIDTH { 0.0 } else { 5000.0 };
+            let (name, arrival) = (format!("q{i}"), burst + i as f64 * 0.01);
+            if i % 3 == 0 {
+                chained_query(&name, arrival, 2, 3)
+            } else {
+                simple_query(&name, arrival, 2 + i % 4, 1)
+            }
+        })
+        .collect();
+    let config = ClusterConfig { nodes: 2, containers_per_node: 2, ..Default::default() };
+    fn check<S: Scheduler + Clone>(s: S, queries: &[SimQuery], config: ClusterConfig) {
+        let mut rec_inc = RecordingSink::new();
+        let inc =
+            Simulator::new(config, CostModel::default(), s.clone()).run_with(queries, &mut rec_inc);
+        let mut rec_ref = RecordingSink::new();
+        let refr = Simulator::new(config, CostModel::default(), s)
+            .with_dispatch(DispatchMode::Reference)
+            .run_with(queries, &mut rec_ref);
+        assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
+        assert_eq!(inc.queries, refr.queries);
+        assert_eq!(inc.jobs, refr.jobs);
+        assert_eq!(rec_inc.events, rec_ref.events);
+        let wide: Vec<bool> = rec_inc
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Ob::Decision { queue_depth, .. } => Some(*queue_depth >= INDEX_MIN_WIDTH),
+                _ => None,
+            })
+            .collect();
+        let flips = wide.windows(2).filter(|w| w[0] != w[1]).count();
+        assert!(flips >= 3, "the runnable set must go wide, narrow and wide again");
+    }
+    check(Fifo, &queries, config);
+    check(Hcs, &queries, config);
+    check(Hfs, &queries, config);
+    check(Swrd, &queries, config);
+    check(Srt, &queries, config);
+}
+
+#[test]
 fn crosscheck_mode_verifies_every_event() {
     // Crosscheck re-derives the reference view after every event and
     // before every pick and panics on divergence, so completing at all

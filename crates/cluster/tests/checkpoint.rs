@@ -8,7 +8,10 @@
 //! and at proptest-chosen random ones. A second differential drives the
 //! full robustness stack (tight admission, stress faults, a guarded
 //! poisoned oracle in degraded mode) through the same cut, proving the
-//! oracle/admission state survives the round trip.
+//! oracle/admission state survives the round trip. The golden cells also
+//! run under [`DispatchMode::Crosscheck`], which checks the dispatch view
+//! and the pick index against their references at every decision and
+//! right after the restore.
 //!
 //! The harness also fuzzes the blob itself: every single-byte flip and
 //! every truncation must surface a typed [`CheckpointError`] from resume —
@@ -19,8 +22,8 @@ use sapred_cluster::fault::{FaultPlan, NodeCrash};
 use sapred_cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
 use sapred_cluster::sim::{
-    AdmissionConfig, ClusterConfig, DemandOracle, FrozenOracle, GuardedOracle, RunOutcome,
-    ShedPolicy, SimError, SimReport, Simulator,
+    AdmissionConfig, ClusterConfig, DemandOracle, DispatchMode, FrozenOracle, GuardedOracle,
+    RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
 };
 use sapred_cluster::{CostModel, JobId, QueryId};
 use sapred_obs::profile::{Counter, SpanProfiler};
@@ -108,14 +111,23 @@ fn rendered(events: &[Event]) -> Vec<String> {
     events.iter().filter(|e| !matches!(e, Event::RunResumed { .. })).map(|e| e.to_json()).collect()
 }
 
-/// The uninterrupted run: report, rendered event stream, and the total
-/// number of events the engine processed (the valid snapshot points are
-/// `1..total`).
-fn straight<S: Scheduler>(s: S, faults: Option<FaultPlan>) -> (SimReport, Vec<String>, u64) {
-    let mut sim = Simulator::new(config(), CostModel::default(), s);
+fn build<S: Scheduler>(s: S, faults: Option<FaultPlan>, dispatch: DispatchMode) -> Simulator<S> {
+    let mut sim = Simulator::new(config(), CostModel::default(), s).with_dispatch(dispatch);
     if let Some(plan) = faults {
         sim = sim.with_faults(plan);
     }
+    sim
+}
+
+/// The uninterrupted run: report, rendered event stream, and the total
+/// number of events the engine processed (the valid snapshot points are
+/// `1..total`).
+fn straight<S: Scheduler>(
+    s: S,
+    faults: Option<FaultPlan>,
+    dispatch: DispatchMode,
+) -> (SimReport, Vec<String>, u64) {
+    let mut sim = build(s, faults, dispatch);
     let mut rec = RecordingSink::new();
     let prof = SpanProfiler::new();
     let report = sim.run_profiled(&workload(), &mut rec, &mut FrozenOracle, &prof);
@@ -128,16 +140,10 @@ fn straight<S: Scheduler>(s: S, faults: Option<FaultPlan>) -> (SimReport, Vec<St
 fn snapshot_and_resume<S: Scheduler + Clone>(
     s: S,
     faults: Option<FaultPlan>,
+    dispatch: DispatchMode,
     at: u64,
 ) -> (SimReport, Vec<String>) {
-    let build = |s: S, faults: Option<FaultPlan>| {
-        let mut sim = Simulator::new(config(), CostModel::default(), s);
-        if let Some(plan) = faults {
-            sim = sim.with_faults(plan);
-        }
-        sim
-    };
-    let mut sim = build(s.clone(), faults.clone());
+    let mut sim = build(s.clone(), faults.clone(), dispatch);
     let mut prefix = RecordingSink::new();
     let blob = match sim
         .run_snapshot_after(&workload(), &mut prefix, &mut FrozenOracle, at)
@@ -149,7 +155,7 @@ fn snapshot_and_resume<S: Scheduler + Clone>(
     // The "kill": the original engine, its queue, and its RNG streams are
     // gone. Only the blob crosses the gap.
     drop(sim);
-    let mut sim = build(s, faults);
+    let mut sim = build(s, faults, dispatch);
     let mut suffix = RecordingSink::new();
     let report = sim
         .resume_with_oracle(&workload(), &mut suffix, &mut FrozenOracle, &blob)
@@ -169,18 +175,22 @@ fn deterministic_cuts(total: u64) -> Vec<u64> {
 }
 
 fn check_cell<S: Scheduler + Clone>(s: S, faults: Option<FaultPlan>, name: &str) {
-    let (want_report, want_events, total) = straight(s.clone(), faults.clone());
-    assert!(total > 2, "{name}: run too short to cut ({total} events)");
-    for at in deterministic_cuts(total) {
-        let (report, events) = snapshot_and_resume(s.clone(), faults.clone(), at);
-        assert_eq!(
-            report, want_report,
-            "{name}: report diverged after snapshot/restore at event {at}/{total}"
-        );
-        assert_eq!(
-            events, want_events,
-            "{name}: event stream diverged after snapshot/restore at event {at}/{total}"
-        );
+    for dispatch in [DispatchMode::Incremental, DispatchMode::Crosscheck] {
+        let (want_report, want_events, total) = straight(s.clone(), faults.clone(), dispatch);
+        assert!(total > 2, "{name}: run too short to cut ({total} events)");
+        for at in deterministic_cuts(total) {
+            let (report, events) = snapshot_and_resume(s.clone(), faults.clone(), dispatch, at);
+            assert_eq!(
+                report, want_report,
+                "{name} ({dispatch:?}): report diverged after snapshot/restore at event \
+                 {at}/{total}"
+            );
+            assert_eq!(
+                events, want_events,
+                "{name} ({dispatch:?}): event stream diverged after snapshot/restore at event \
+                 {at}/{total}"
+            );
+        }
     }
 }
 
@@ -338,23 +348,30 @@ fn context_mismatch_is_detected() {
 // Proptest: random schedulers × fault plans × snapshot points, and random
 // multi-byte corruption.
 
-fn run_cell_by_index(idx: usize, faulted: bool, at_frac: f64) {
+fn run_cell_by_index(idx: usize, faulted: bool, crosscheck: bool, at_frac: f64) {
     let faults = if faulted { Some(stress_plan()) } else { None };
-    fn one<S: Scheduler + Clone>(s: S, faults: Option<FaultPlan>, at_frac: f64, name: &str) {
-        let (want_report, want_events, total) = straight(s.clone(), faults.clone());
+    let dispatch = if crosscheck { DispatchMode::Crosscheck } else { DispatchMode::Incremental };
+    fn one<S: Scheduler + Clone>(
+        s: S,
+        faults: Option<FaultPlan>,
+        dispatch: DispatchMode,
+        at_frac: f64,
+        name: &str,
+    ) {
+        let (want_report, want_events, total) = straight(s.clone(), faults.clone(), dispatch);
         let at = ((total - 1) as f64 * at_frac).floor() as u64 + 1;
         let at = at.min(total - 1).max(1);
-        let (report, events) = snapshot_and_resume(s, faults, at);
+        let (report, events) = snapshot_and_resume(s, faults, dispatch, at);
         assert_eq!(report, want_report, "{name}: report diverged at cut {at}/{total}");
         assert_eq!(events, want_events, "{name}: events diverged at cut {at}/{total}");
     }
     match idx % 6 {
-        0 => one(Fifo, faults, at_frac, "FIFO"),
-        1 => one(Hcs, faults, at_frac, "HCS"),
-        2 => one(Hfs, faults, at_frac, "HFS"),
-        3 => one(Swrd, faults, at_frac, "SWRD"),
-        4 => one(Srt, faults, at_frac, "SRT"),
-        _ => one(HcsQueues::new(vec![0.5, 0.5]), faults, at_frac, "HCS-queues"),
+        0 => one(Fifo, faults, dispatch, at_frac, "FIFO"),
+        1 => one(Hcs, faults, dispatch, at_frac, "HCS"),
+        2 => one(Hfs, faults, dispatch, at_frac, "HFS"),
+        3 => one(Swrd, faults, dispatch, at_frac, "SWRD"),
+        4 => one(Srt, faults, dispatch, at_frac, "SRT"),
+        _ => one(HcsQueues::new(vec![0.5, 0.5]), faults, dispatch, at_frac, "HCS-queues"),
     }
 }
 
@@ -365,9 +382,10 @@ proptest! {
     fn random_cut_points_restore_bit_identically(
         idx in 0usize..6,
         faulted in any::<bool>(),
+        crosscheck in any::<bool>(),
         at_frac in 0.0f64..1.0,
     ) {
-        run_cell_by_index(idx, faulted, at_frac);
+        run_cell_by_index(idx, faulted, crosscheck, at_frac);
     }
 
     #[test]

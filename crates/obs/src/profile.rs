@@ -24,7 +24,8 @@ use crate::json::{array, Obj};
 pub enum Counter {
     /// Events popped off the simulator heap.
     EventsProcessed = 0,
-    /// Scheduler pick calls (one per dispatch decision, hit or miss).
+    /// Dispatch decisions: one per free-container pick, hit or miss, from
+    /// the pick index or a scan.
     DispatchDecisions,
     /// Incremental scheduler-view maintenance operations.
     SchedulerViewUpdates,
@@ -58,11 +59,14 @@ pub enum Counter {
     /// Fleet cells skipped on `--resume` because a journal already held
     /// their completed results.
     CellsResumed,
+    /// Runnable jobs a dispatch decision examined: 1 for a pick from the
+    /// pick index, the runnable-set width for a scan.
+    CandidatesExamined,
 }
 
 impl Counter {
     /// Every counter, in stable report order.
-    pub const ALL: [Counter; 13] = [
+    pub const ALL: [Counter; 14] = [
         Counter::EventsProcessed,
         Counter::DispatchDecisions,
         Counter::SchedulerViewUpdates,
@@ -76,6 +80,7 @@ impl Counter {
         Counter::ArenaSlotsRecycled,
         Counter::CheckpointBytes,
         Counter::CellsResumed,
+        Counter::CandidatesExamined,
     ];
 
     /// Stable snake_case label used in JSON reports.
@@ -94,6 +99,7 @@ impl Counter {
             Counter::ArenaSlotsRecycled => "arena_slots_recycled",
             Counter::CheckpointBytes => "checkpoint_bytes",
             Counter::CellsResumed => "cells_resumed",
+            Counter::CandidatesExamined => "candidates_examined",
         }
     }
 }
