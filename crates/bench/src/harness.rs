@@ -30,7 +30,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use sapred_cluster::sched::{Fifo, Swrd};
-use sapred_cluster::sim::{AdmissionConfig, DispatchMode, FrozenOracle, QueueMode, Simulator};
+use sapred_cluster::sim::{AdmissionConfig, DispatchMode, FrozenOracle, Simulator};
 use sapred_cluster::{FaultPlan, NodeCrash};
 use sapred_core::telemetry::record_sim_outcomes_profiled;
 use sapred_core::Pipeline;
@@ -108,12 +108,8 @@ pub enum CellKind {
     },
     /// Event-core scale cell: the dispatch workload grown to 10⁶–10⁷
     /// tasks, FIFO-scheduled so the cost is dominated by the event queue
-    /// and state columns rather than scheduler policy. `queue` selects
-    /// the arena queue, the reference `BinaryHeap`, or the lockstep
-    /// crosscheck, so the suite carries its own before/after pair.
+    /// and state columns rather than scheduler policy.
     Scale {
-        /// Event-queue implementation under test.
-        queue: QueueMode,
         /// Queries in the synthetic workload.
         n_queries: usize,
         /// Jobs per query (chained DAG).
@@ -123,16 +119,14 @@ pub enum CellKind {
         /// Reduce tasks per job.
         reduces: usize,
     },
-    /// The scale cell with crash tolerance on: identical workload and
-    /// queue, plus a periodic `sapred-ckpt/v1` checkpoint of the full
-    /// simulator state every `every` processed events, written atomically
-    /// to a scratch path. Compared against `scale_1e6` it prices the
+    /// The scale cell with crash tolerance on: identical workload, plus a
+    /// periodic `sapred-ckpt/v2` checkpoint of the full simulator state
+    /// every `every` processed events, written atomically to a scratch
+    /// path. Compared against `scale_1e6` it prices the
     /// engine's checkpoint overhead (serialize + fingerprint + staged
     /// write); the `checkpoint_bytes` counter pins the cadence and blob
     /// sizes as part of the determinism check.
     ScaleCheckpoint {
-        /// Event-queue implementation under test.
-        queue: QueueMode,
         /// Queries in the synthetic workload.
         n_queries: usize,
         /// Jobs per query (chained DAG).
@@ -240,14 +234,6 @@ fn mode_label(mode: DispatchMode) -> &'static str {
     }
 }
 
-fn queue_label(queue: QueueMode) -> &'static str {
-    match queue {
-        QueueMode::Arena => "arena",
-        QueueMode::Reference => "reference",
-        QueueMode::Crosscheck => "crosscheck",
-    }
-}
-
 /// Canonical config JSON for a cell (the comparison join key, after name).
 pub fn config_json(kind: &CellKind) -> String {
     match *kind {
@@ -284,17 +270,15 @@ pub fn config_json(kind: &CellKind) -> String {
             .int("train_queries", train_queries as u64)
             .bool("traced", traced)
             .finish(),
-        CellKind::Scale { queue, n_queries, jobs, maps, reduces } => Obj::new()
+        CellKind::Scale { n_queries, jobs, maps, reduces } => Obj::new()
             .str("kind", "scale")
-            .str("queue", queue_label(queue))
             .int("n_queries", n_queries as u64)
             .int("jobs", jobs as u64)
             .int("maps", maps as u64)
             .int("reduces", reduces as u64)
             .finish(),
-        CellKind::ScaleCheckpoint { queue, n_queries, jobs, maps, reduces, every } => Obj::new()
+        CellKind::ScaleCheckpoint { n_queries, jobs, maps, reduces, every } => Obj::new()
             .str("kind", "scale_checkpoint")
-            .str("queue", queue_label(queue))
             .int("n_queries", n_queries as u64)
             .int("jobs", jobs as u64)
             .int("maps", maps as u64)
@@ -405,16 +389,16 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
                 pipe.simulate_profiled(Swrd, queries, &mut NullSink, &mut FrozenOracle, &**prof);
             }
         }
-        CellKind::Scale { queue, n_queries, jobs, maps, reduces } => {
+        CellKind::Scale { n_queries, jobs, maps, reduces } => {
             let queries = dispatch_workload(n_queries, jobs, maps, reduces);
             let mut cluster = fw.cluster;
             cluster.seed = spec.seed;
             // FIFO keeps scheduler policy out of the measurement: at this
             // scale the cost is the event queue and the state columns.
-            let mut sim = Simulator::new(cluster, fw.cost, Fifo).with_queue(queue);
+            let mut sim = Simulator::new(cluster, fw.cost, Fifo);
             sim.run_profiled(&queries, &mut NullSink, &mut FrozenOracle, &**prof);
         }
-        CellKind::ScaleCheckpoint { queue, n_queries, jobs, maps, reduces, every } => {
+        CellKind::ScaleCheckpoint { n_queries, jobs, maps, reduces, every } => {
             let queries = dispatch_workload(n_queries, jobs, maps, reduces);
             let mut cluster = fw.cluster;
             cluster.seed = spec.seed;
@@ -423,9 +407,8 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
                 std::process::id(),
                 spec.seed
             ));
-            let mut sim = Simulator::new(cluster, fw.cost, Fifo)
-                .with_queue(queue)
-                .checkpoint_every_events(every, &path);
+            let mut sim =
+                Simulator::new(cluster, fw.cost, Fifo).checkpoint_every_events(every, &path);
             sim.run_profiled(&queries, &mut NullSink, &mut FrozenOracle, &**prof);
             let _ = std::fs::remove_file(&path);
         }
@@ -628,63 +611,41 @@ pub fn pipeline_suite(quick: bool) -> Vec<CellSpec> {
     ]
 }
 
-/// The scale suite: the event core pushed to 10⁶ and 10⁷ tasks. The
-/// 10⁶ shape runs twice — arena queue and the reference `BinaryHeap` —
-/// so every report carries its own before/after pair; the 10⁷ cell runs
-/// the arena once (a single iteration is minutes of heap churn for the
-/// reference queue and the crosscheck, so only the arena goes that far).
-/// Quick shapes keep the names with ~10³× smaller workloads.
+/// The scale suite: the event core pushed to 10⁶ and 10⁷ tasks, plus the
+/// 10⁶ shape with periodic checkpoints to price crash tolerance. Quick
+/// shapes keep the names with ~10³× smaller workloads.
 pub fn scale_suite(quick: bool) -> Vec<CellSpec> {
-    let small = |queue| {
-        if quick {
-            CellKind::Scale { queue, n_queries: 60, jobs: 3, maps: 20, reduces: 8 }
-        } else {
+    let (small, large, ckpt) = if quick {
+        (
+            CellKind::Scale { n_queries: 60, jobs: 3, maps: 20, reduces: 8 },
+            CellKind::Scale { n_queries: 60, jobs: 3, maps: 40, reduces: 16 },
+            CellKind::ScaleCheckpoint {
+                n_queries: 60,
+                jobs: 3,
+                maps: 20,
+                reduces: 8,
+                every: 5_000,
+            },
+        )
+    } else {
+        (
             // 2000 × 5 × (80 + 20) = 1e6 tasks.
-            CellKind::Scale { queue, n_queries: 2000, jobs: 5, maps: 80, reduces: 20 }
-        }
-    };
-    let large = if quick {
-        CellKind::Scale { queue: QueueMode::Arena, n_queries: 60, jobs: 3, maps: 40, reduces: 16 }
-    } else {
-        // 2000 × 5 × (800 + 200) = 1e7 tasks.
-        CellKind::Scale {
-            queue: QueueMode::Arena,
-            n_queries: 2000,
-            jobs: 5,
-            maps: 800,
-            reduces: 200,
-        }
-    };
-    // The crash-tolerance overhead pair of `scale_1e6`: same workload and
-    // queue, checkpointing the full engine state on a fixed event cadence
-    // (two checkpoints over the ~1e6-event full run).
-    let ckpt = if quick {
-        CellKind::ScaleCheckpoint {
-            queue: QueueMode::Arena,
-            n_queries: 60,
-            jobs: 3,
-            maps: 20,
-            reduces: 8,
-            every: 5_000,
-        }
-    } else {
-        CellKind::ScaleCheckpoint {
-            queue: QueueMode::Arena,
-            n_queries: 2000,
-            jobs: 5,
-            maps: 80,
-            reduces: 20,
-            every: 500_000,
-        }
+            CellKind::Scale { n_queries: 2000, jobs: 5, maps: 80, reduces: 20 },
+            // 2000 × 5 × (800 + 200) = 1e7 tasks.
+            CellKind::Scale { n_queries: 2000, jobs: 5, maps: 800, reduces: 200 },
+            // The 1e6 workload checkpointing the full engine state twice
+            // over its ~1e6 events.
+            CellKind::ScaleCheckpoint {
+                n_queries: 2000,
+                jobs: 5,
+                maps: 80,
+                reduces: 20,
+                every: 500_000,
+            },
+        )
     };
     vec![
-        CellSpec { name: "scale_1e6", kind: small(QueueMode::Arena), iters: 2, seed: 7 },
-        CellSpec {
-            name: "scale_1e6_reference",
-            kind: small(QueueMode::Reference),
-            iters: 2,
-            seed: 7,
-        },
+        CellSpec { name: "scale_1e6", kind: small, iters: 2, seed: 7 },
         CellSpec { name: "scale_1e6_ckpt", kind: ckpt, iters: 2, seed: 7 },
         CellSpec { name: "scale_1e7", kind: large, iters: 1, seed: 7 },
     ]

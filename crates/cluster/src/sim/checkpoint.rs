@@ -2,9 +2,8 @@
 //! mid-run [`Simulator`].
 //!
 //! A checkpoint serializes the *complete* mutable run state — the event
-//! queue (arena slab, freelist, and index heap, or the reference heap's
-//! live events), the struct-of-arrays job/attempt/query state, admission
-//! and fault bookkeeping, both RNG streams, the event sequence counter,
+//! queue's live events, the struct-of-arrays job/attempt/query state,
+//! admission and fault bookkeeping, both RNG streams, the event sequence counter,
 //! and the oracle's opaque state blob — such that restoring it and
 //! finishing the run reproduces the uninterrupted run's report and event
 //! stream bit-for-bit (the golden fixtures and the kill-and-resume
@@ -17,10 +16,10 @@
 //! which produces bit-identical aggregates and runnable entries by
 //! construction.
 //!
-//! ## Format (`sapred-ckpt/v1`)
+//! ## Format (`sapred-ckpt/v2`)
 //!
 //! ```text
-//! magic    b"sapred-ckpt/v1\n"          15 bytes
+//! magic    b"sapred-ckpt/v2\n"          15 bytes
 //! length   payload byte count           u64 LE
 //! checksum FNV-1a 64 of the payload     u64 LE
 //! payload  context fingerprint + state  little-endian, hand-rolled
@@ -28,15 +27,18 @@
 //!
 //! The payload opens with a context fingerprint over everything the
 //! snapshot does **not** carry but correctness depends on: cluster config,
-//! cost model, scheduler name, dispatch/queue modes, fault plan, admission
-//! config, and the full workload shape (task specs included). Restoring
+//! cost model, scheduler name, fault plan, admission config, and the full
+//! workload shape (task specs included). The dispatch mode is left out:
+//! the dispatch view is rebuilt on restore, so a blob written under one
+//! [`DispatchMode`] resumes under any other. Restoring
 //! against a different context fails with
 //! [`CheckpointError::ContextMismatch`] instead of silently diverging.
 //! Every single-byte corruption of a blob is caught: payload flips break
 //! the checksum, header flips break the magic, the length, or the
 //! checksum itself; hand-crafted blobs that *re-checksum* corrupted
-//! payloads are caught by structural validation (freelist/heap walks,
-//! index bounds, poisoned-tag checks).
+//! payloads are caught by structural validation (queued events strictly
+//! ascending by `(time, seq)` with known tags, index bounds). Blobs of an
+//! older format version fail with [`CheckpointError::BadMagic`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -50,21 +52,20 @@ use sapred_obs::QueryId;
 use sapred_plan::JobCategory;
 
 use super::admission::{AdmissionStats, ShedPolicy};
-use super::arena::{EventQueue, NIL};
 use super::dispatch::{DispatchMode, DispatchState};
 use super::engine::{RunState, Simulator};
 use super::oracle::DemandOracle;
-use super::recovery::{Attempt, FaultState};
+use super::queue::EventQueue;
+use super::recovery::{Attempt, FaultState, NIL};
 use super::state::{Event, JobTable, QueryState};
-use super::QueueMode;
 
-/// Magic header of a `sapred-ckpt/v1` checkpoint blob.
-pub(super) const MAGIC: &[u8] = b"sapred-ckpt/v1\n";
+/// Magic header of a `sapred-ckpt/v2` checkpoint blob.
+pub(super) const MAGIC: &[u8] = b"sapred-ckpt/v2\n";
 
 /// Why a checkpoint blob could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The bytes do not start with the `sapred-ckpt/v1` magic header —
+    /// The bytes do not start with the `sapred-ckpt/v2` magic header —
     /// not a checkpoint, or a different format version.
     BadMagic,
     /// The blob ends before the declared payload does (or a field read
@@ -88,7 +89,7 @@ pub enum CheckpointError {
         found: u64,
     },
     /// The payload checksummed clean but failed structural validation
-    /// (corrupted freelist, poisoned slab tag, out-of-range index, …).
+    /// (out-of-order queue records, unknown event tag, out-of-range index, …).
     Corrupt(String),
 }
 
@@ -96,7 +97,7 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::BadMagic => {
-                write!(f, "not a sapred-ckpt/v1 checkpoint (bad magic header)")
+                write!(f, "not a sapred-ckpt/v2 checkpoint (bad magic header)")
             }
             CheckpointError::Truncated => {
                 write!(f, "checkpoint truncated: payload ends before its declared length")
@@ -178,7 +179,7 @@ impl Fnv {
 // Little-endian field writer / checked reader.
 
 /// Byte-oriented little-endian writer the checkpoint payload is built
-/// with. Shared with the arena and oracle serialization code.
+/// with. Shared with the queue and oracle serialization code.
 pub(super) struct Writer {
     out: Vec<u8>,
 }
@@ -349,7 +350,7 @@ fn category_u8(c: JobCategory) -> u8 {
     }
 }
 
-fn kind_u8(k: TaskKind) -> u8 {
+pub(super) fn kind_u8(k: TaskKind) -> u8 {
     match k {
         TaskKind::Map => 0,
         TaskKind::Reduce => 1,
@@ -382,18 +383,8 @@ pub(super) fn context_fingerprint<S: Scheduler>(sim: &Simulator<S>, queries: &[S
     h.f64(sim.cost.contention_coeff);
     h.f64(sim.cost.straggler_prob);
     h.f64(sim.cost.straggler_factor);
-    // Policy and engine modes.
+    // Policy.
     h.str(sim.scheduler.name());
-    h.u8(match sim.dispatch {
-        DispatchMode::Incremental => 0,
-        DispatchMode::Reference => 1,
-        DispatchMode::Crosscheck => 2,
-    });
-    h.u8(match sim.queue {
-        QueueMode::Arena => 0,
-        QueueMode::Reference => 1,
-        QueueMode::Crosscheck => 2,
-    });
     // Fault plan.
     h.f64(sim.faults.task_fail_prob);
     h.usize(sim.faults.max_attempts);
@@ -452,7 +443,7 @@ pub(super) fn context_fingerprint<S: Scheduler>(sim: &Simulator<S>, queries: &[S
 // ---------------------------------------------------------------------
 // Encode.
 
-/// Serialize the complete run state into a framed `sapred-ckpt/v1` blob.
+/// Serialize the complete run state into a framed `sapred-ckpt/v2` blob.
 pub(super) fn encode<S: Scheduler>(
     sim: &Simulator<S>,
     queries: &[SimQuery],
@@ -469,7 +460,7 @@ pub(super) fn encode<S: Scheduler>(
     w.bool(rs.degraded);
     w.u64(rs.rng.state());
     w.u64(rs.fault_rng.state());
-    // Event queue (sequence counter + mode-specific representation).
+    // Event queue (counters + live events in (time, seq) order).
     rs.queue.checkpoint(&mut w);
     // Job table, one record per (query, job) arena slot.
     let total: usize = queries.iter().map(|q| q.jobs.len()).sum();
@@ -649,7 +640,7 @@ fn corrupt(msg: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt(msg.into())
 }
 
-/// Restore a framed `sapred-ckpt/v1` blob into a [`RunState`], rebuilding
+/// Restore a framed `sapred-ckpt/v2` blob into a [`RunState`], rebuilding
 /// the derived state (dispatch aggregates, interned names) and restoring
 /// the oracle's opaque state. Fails with a typed [`CheckpointError`] on
 /// any framing, checksum, context, or structural problem.
@@ -708,7 +699,7 @@ pub(super) fn decode<S: Scheduler>(
     let fault_rng = StdRng::from_state(r.u64()?);
 
     // Event queue.
-    let queue = EventQueue::restore(sim.queue, &mut r)?;
+    let queue = EventQueue::restore(&mut r)?;
 
     // Job table.
     let total: usize = queries.iter().map(|q| q.jobs.len()).sum();
@@ -959,7 +950,7 @@ pub(super) fn decode<S: Scheduler>(
     r.expect_end()?;
 
     // Queued events must reference state that exists.
-    for (_, seq, e) in queue.live_events() {
+    for (seq, e) in queue.live() {
         if seq >= queue.seq() {
             return Err(corrupt("queued event sequence number exceeds the counter"));
         }
@@ -1079,7 +1070,7 @@ mod tests {
             (CheckpointError::Truncated, "truncated"),
             (CheckpointError::ChecksumMismatch { expected: 1, found: 2 }, "checksum"),
             (CheckpointError::ContextMismatch { expected: 1, found: 2 }, "context"),
-            (CheckpointError::Corrupt("freelist cycle".into()), "freelist cycle"),
+            (CheckpointError::Corrupt("queued record 1".into()), "queued record 1"),
         ];
         for (e, needle) in cases {
             assert!(e.to_string().contains(needle), "{e} should mention {needle}");

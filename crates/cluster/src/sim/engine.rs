@@ -38,14 +38,14 @@ use std::fmt;
 use std::path::PathBuf;
 
 use super::admission::{AdmissionConfig, AdmissionStats, ShedPolicy};
-use super::arena::{EventQueue, QueueMode, NIL};
 use super::checkpoint::{self, CheckpointError};
 use super::dispatch::{
     collect_runnable, query_demand, DispatchMode, DispatchState, INDEX_MIN_WIDTH,
 };
 use super::emit;
 use super::oracle::{DemandOracle, FrozenOracle};
-use super::recovery::{fail_query, Attempt, FaultState};
+use super::queue::EventQueue;
+use super::recovery::{fail_query, Attempt, FaultState, NIL};
 use super::report::{assemble_report, SimReport};
 use super::state::{phase_of, Event, JobTable, QueryState};
 use super::ClusterConfig;
@@ -218,9 +218,6 @@ pub struct Simulator<S: Scheduler> {
     pub scheduler: S,
     /// How the runnable view is derived (incremental by default).
     pub dispatch: DispatchMode,
-    /// How the event queue is implemented (arena by default; see
-    /// [`QueueMode`]).
-    pub queue: QueueMode,
     /// The failure schedule to inject ([`FaultPlan::none`] by default —
     /// bit-identical to a fault-free run).
     pub faults: FaultPlan,
@@ -244,7 +241,6 @@ impl<S: Scheduler> Simulator<S> {
             cost,
             scheduler,
             dispatch: DispatchMode::default(),
-            queue: QueueMode::default(),
             faults: FaultPlan::none(),
             admission: AdmissionConfig::disabled(),
             max_events: None,
@@ -256,12 +252,6 @@ impl<S: Scheduler> Simulator<S> {
     /// Same simulator with an explicit [`DispatchMode`].
     pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
         self.dispatch = dispatch;
-        self
-    }
-
-    /// Same simulator with an explicit [`QueueMode`].
-    pub fn with_queue(mut self, queue: QueueMode) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -537,7 +527,7 @@ impl<S: Scheduler> Simulator<S> {
         // nothing from it, leaving the duration stream — and therefore the
         // whole simulation — bit-identical to a fault-free run.
         let fault_rng = StdRng::seed_from_u64(self.faults.seed);
-        let mut queue = EventQueue::new(self.queue);
+        let mut queue = EventQueue::new();
 
         let jobs = JobTable::new(queries.iter().map(|q| q.jobs.len()));
         // Query names, interned once: the per-arrival QueryArrive emission
@@ -1674,13 +1664,8 @@ impl<S: Scheduler> Simulator<S> {
         assert_eq!(rs.free_slots.len(), usable_slots, "containers leaked");
         debug_assert!(rs.fr.attempts.alive.iter().all(|&a| !a), "attempts leaked");
 
-        // Deterministic queue telemetry: ops and recycled are exact event
-        // counts and bytes-peak is a pure function of element counts, so
-        // all three reproduce bit-for-bit across runs and machines.
-        let qstats = rs.queue.stats();
-        prof.add(Counter::EventQueueOps, qstats.ops);
-        prof.record_max(Counter::ArenaBytesPeak, qstats.bytes_peak);
-        prof.add(Counter::ArenaSlotsRecycled, qstats.recycled);
+        // Deterministic queue telemetry: an exact count of pushes + pops.
+        prof.add(Counter::EventQueueOps, rs.queue.ops());
 
         assemble_report(queries, &rs.qstate, &rs.jobs, &rs.fr.stats, rs.admission_stats, rs.now)
     }

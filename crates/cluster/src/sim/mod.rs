@@ -3,10 +3,10 @@
 //! * [`engine`](self) — the event loop ([`Simulator`]),
 //! * `admission` — the bounded pending queue, shed policies, per-query
 //!   deadlines, and resubmission backoff ([`AdmissionConfig`]),
-//! * `arena` — the arena-backed event queue (packed records, `u32`
-//!   handles, slab freelist) behind the [`QueueMode`] seam,
+//! * `queue` — the event queue: a std `BinaryHeap` popped in `(time, seq)`
+//!   order, with its checkpoint codec,
 //! * `checkpoint` — versioned, checksummed engine snapshots
-//!   (`sapred-ckpt/v1`) for suspend/resume ([`CheckpointError`]),
+//!   (`sapred-ckpt/v2`) for suspend/resume ([`CheckpointError`]),
 //! * `state` — the event types and the struct-of-arrays per-query /
 //!   per-job simulation state the other modules operate on,
 //! * `dispatch` — the materialized runnable set and per-query demand
@@ -21,11 +21,11 @@
 //! paths are unchanged by the decomposition.
 
 mod admission;
-mod arena;
 mod checkpoint;
 mod dispatch;
 mod engine;
 mod oracle;
+mod queue;
 mod recovery;
 mod report;
 mod state;
@@ -46,7 +46,6 @@ macro_rules! emit {
 pub(crate) use emit;
 
 pub use admission::{AdmissionConfig, AdmissionStats, ShedPolicy};
-pub use arena::QueueMode;
 pub use checkpoint::CheckpointError;
 pub use dispatch::DispatchMode;
 pub use engine::{RunOutcome, SimError, Simulator};

@@ -7,7 +7,6 @@ use sapred_obs::{Event as ObsEvent, EventSink};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use super::arena::NIL;
 use super::emit;
 use super::state::{phase_of, JobTable, QueryState};
 use super::ClusterConfig;
@@ -64,6 +63,9 @@ pub(super) struct AttemptInfo {
     pub(super) attempt_no: usize,
     pub(super) speculative: bool,
 }
+
+/// "No partner" sentinel of [`AttemptTable::partner`].
+pub(super) const NIL: u32 = u32::MAX;
 
 /// The attempt registry as a struct-of-arrays. It grows monotonically;
 /// heap events reference attempts by index and check `alive` at pop, so

@@ -1264,115 +1264,17 @@ fn profiled_run_counts_faulted_paths() {
     assert!(prof.balanced());
 }
 
-// ---------------------------------------------------------------------
-// Arena event queue vs. the reference BinaryHeap (ISSUE 9 satellite).
-//
-// The engine's only correctness obligation on the queue is the pop
-// *stream*: identical `(time, seq, event)` triples in identical order.
-// The proptest drives both implementations through the same random
-// interleaving of pushes and pops — including the engine's
-// lazy-invalidation pattern, where a popped `TaskDone`/`TaskFailed`
-// may refer to an attempt that was killed after the push — and demands
-// the streams match element-for-element, then drains both to empty.
-
-mod arena_vs_reference {
-    use super::super::arena::{ArenaQueue, RefQueue};
-    use super::super::state::Event;
-    use crate::job::TaskKind;
-    use proptest::prelude::*;
-
-    /// One scripted queue operation. `Push` carries raw integers rather
-    /// than an `Event` so shrinking stays effective (proptest shrinks
-    /// integers well, enums with payloads poorly).
-    #[derive(Debug, Clone)]
-    enum Op {
-        Push { time_8ths: u16, shape: u8, a: u32, b: u32 },
-        Pop,
-    }
-
-    /// Decode the raw push payload into one of the nine event variants.
-    /// Times come quantized to eighths so ties are common and the
-    /// `(time, seq)` tie-break is actually exercised.
-    fn event_of(shape: u8, a: u32, b: u32) -> Event {
-        let (a, b) = (a as usize, b as usize);
-        match shape % 9 {
-            0 => Event::Arrival { q: a },
-            1 => Event::Submit { q: a, j: b },
-            2 => Event::TaskDone { attempt: a },
-            3 => Event::TaskFailed { attempt: a },
-            4 => Event::Retry {
-                q: a,
-                j: b,
-                kind: if shape & 0x10 == 0 { TaskKind::Map } else { TaskKind::Reduce },
-                spec_idx: a ^ b,
-            },
-            5 => Event::NodeDown { crash: a },
-            6 => Event::NodeUp { node: a, epoch: (b as u64) << 21 | a as u64 },
-            7 => Event::DeadlineCheck { q: a },
-            _ => Event::Resubmit { q: a },
-        }
-    }
-
-    /// ~60% pushes, ~40% pops (the vendored `prop_oneof!` has no
-    /// weighted arms, so a selector byte carries the bias).
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        (any::<u8>(), any::<u16>(), any::<u8>(), any::<u32>(), any::<u32>()).prop_map(
-            |(sel, time_8ths, shape, a, b)| {
-                if sel % 5 < 3 {
-                    Op::Push { time_8ths, shape, a, b }
-                } else {
-                    Op::Pop
-                }
-            },
-        )
-    }
-
-    proptest! {
-        #[test]
-        fn pop_streams_match_the_reference_heap(ops in prop::collection::vec(op_strategy(), 0..400)) {
-            let mut arena = ArenaQueue::new();
-            let mut reference = RefQueue::new();
-            let mut seq = 0u64;
-            for op in ops {
-                match op {
-                    Op::Push { time_8ths, shape, a, b } => {
-                        let time = f64::from(time_8ths) / 8.0;
-                        let event = event_of(shape, a, b);
-                        arena.push(time, seq, &event);
-                        reference.push(time, seq, event);
-                        seq += 1;
-                    }
-                    Op::Pop => {
-                        prop_assert_eq!(arena.pop(), reference.pop());
-                    }
-                }
-                prop_assert_eq!(arena.len(), reference.len());
-            }
-            // Drain: whatever interleaving ran, the remainders agree too.
-            loop {
-                let (x, y) = (arena.pop(), reference.pop());
-                prop_assert_eq!(&x, &y);
-                if x.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// 1e6-task smoke test for the arena's memory high-water (ISSUE 9
-/// satellite). The queue holds *scheduled* events, not all tasks: with
-/// 108 containers only ~108 `TaskDone` events plus pending arrivals and
-/// submits are live at once, so the arena's peak should be thousands of
-/// records, not millions. Budget: 1 MiB = 32,768 live 32-byte records,
-/// ~15× the observed peak (~70 KiB) — generous headroom against workload
-/// reshaping, unmistakably failing if the freelist ever stops recycling
-/// (a leak would put the peak near 1e6 × 36 B = 36 MiB).
+/// 1e6-task smoke test that queue memory is bounded by live work, not by
+/// the task count. The queue holds *scheduled* events: one arrival or
+/// submit per unfinished query (each is a single job chain) plus one
+/// `TaskDone` per busy container. So its depth can never exceed
+/// `queries + containers` (2,108 here; the run peaks at 2,106), while a
+/// queue that leaked popped events would grow toward the ~2e6 pushes.
 ///
 /// Runs in release only: a debug-build 1e6-task run takes minutes.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "1e6-task run is release-only; run with --release")]
-fn arena_high_water_stays_under_budget_at_1e6_tasks() {
+fn queue_depth_stays_bounded_by_live_work_at_1e6_tasks() {
     use sapred_obs::profile::{Counter, SpanProfiler};
     use sapred_obs::NullSink;
 
@@ -1386,17 +1288,14 @@ fn arena_high_water_stays_under_budget_at_1e6_tasks() {
     assert_eq!(total_tasks, 1_000_000);
 
     let prof = SpanProfiler::new();
-    let report =
-        sim(Fifo).run_profiled(&queries, &mut NullSink, &mut super::oracle::FrozenOracle, &prof);
+    let mut s = sim(Fifo);
+    let bound = (queries.len() + s.config.total_containers()) as u64;
+    let report = s.run_profiled(&queries, &mut NullSink, &mut super::oracle::FrozenOracle, &prof);
     assert_eq!(report.total_tasks(), 1_000_000);
 
-    const BUDGET_BYTES: u64 = 1 << 20; // 1 MiB, documented above
-    let peak = prof.counter(Counter::ArenaBytesPeak);
-    assert!(peak > 0, "arena peak counter never recorded");
-    assert!(peak <= BUDGET_BYTES, "arena high-water {peak} B exceeds {BUDGET_BYTES} B budget");
-    // The freelist actually recycles: ~1e6 task completions flow through
-    // far fewer slots than events pushed.
-    assert!(prof.counter(Counter::ArenaSlotsRecycled) > 1_000_000);
+    let peak = prof.counter(Counter::QueuePeakDepth);
+    assert!(peak > 0, "queue peak-depth counter never recorded");
+    assert!(peak <= bound, "queue peak depth {peak} exceeds the live-work bound {bound}");
 }
 
 /// Job-chain query with an explicit map/reduce shape (the bench crate's

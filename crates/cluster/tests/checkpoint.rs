@@ -2,7 +2,7 @@
 //!
 //! The contract under test: for every golden fixture (six schedulers,
 //! fault-free and stress-faulted), running to a snapshot point, dropping
-//! the engine, restoring the `sapred-ckpt/v1` blob into a fresh engine,
+//! the engine, restoring the `sapred-ckpt/v2` blob into a fresh engine,
 //! and finishing produces a report and an event stream **bit-identical**
 //! to the uninterrupted run — at deterministically chosen snapshot points
 //! and at proptest-chosen random ones. A second differential drives the
@@ -11,19 +11,22 @@
 //! oracle/admission state survives the round trip. The golden cells also
 //! run under [`DispatchMode::Crosscheck`], which checks the dispatch view
 //! and the pick index against their references at every decision and
-//! right after the restore.
+//! right after the restore. The random cuts draw the resuming engine's
+//! dispatch mode independently of the snapshotting one, so Crosscheck also
+//! verifies the index rebuilt from blobs written under `Incremental`.
 //!
 //! The harness also fuzzes the blob itself: every single-byte flip and
 //! every truncation must surface a typed [`CheckpointError`] from resume —
-//! never a panic, never a silently-wrong run.
+//! never a panic, never a silently-wrong run. Tampered blobs whose
+//! checksum was recomputed must fail structural validation.
 
 use proptest::prelude::*;
 use sapred_cluster::fault::{FaultPlan, NodeCrash};
 use sapred_cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
 use sapred_cluster::sim::{
-    AdmissionConfig, ClusterConfig, DemandOracle, DispatchMode, FrozenOracle, GuardedOracle,
-    RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
+    AdmissionConfig, CheckpointError, ClusterConfig, DemandOracle, DispatchMode, FrozenOracle,
+    GuardedOracle, RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
 };
 use sapred_cluster::{CostModel, JobId, QueryId};
 use sapred_obs::profile::{Counter, SpanProfiler};
@@ -134,13 +137,15 @@ fn straight<S: Scheduler>(
     (report, rendered(&rec.events), prof.counter(Counter::EventsProcessed))
 }
 
-/// The interrupted run: snapshot after `at` events, drop the engine,
-/// restore the blob into a fresh engine + oracle, finish. Returns the
-/// stitched report and event stream (prefix + suffix).
+/// The interrupted run: snapshot after `at` events under `dispatch`, drop
+/// the engine, restore the blob into a fresh engine + oracle running
+/// `resume_dispatch`, finish. Returns the stitched report and event stream
+/// (prefix + suffix).
 fn snapshot_and_resume<S: Scheduler + Clone>(
     s: S,
     faults: Option<FaultPlan>,
     dispatch: DispatchMode,
+    resume_dispatch: DispatchMode,
     at: u64,
 ) -> (SimReport, Vec<String>) {
     let mut sim = build(s.clone(), faults.clone(), dispatch);
@@ -155,7 +160,7 @@ fn snapshot_and_resume<S: Scheduler + Clone>(
     // The "kill": the original engine, its queue, and its RNG streams are
     // gone. Only the blob crosses the gap.
     drop(sim);
-    let mut sim = build(s, faults, dispatch);
+    let mut sim = build(s, faults, resume_dispatch);
     let mut suffix = RecordingSink::new();
     let report = sim
         .resume_with_oracle(&workload(), &mut suffix, &mut FrozenOracle, &blob)
@@ -179,7 +184,8 @@ fn check_cell<S: Scheduler + Clone>(s: S, faults: Option<FaultPlan>, name: &str)
         let (want_report, want_events, total) = straight(s.clone(), faults.clone(), dispatch);
         assert!(total > 2, "{name}: run too short to cut ({total} events)");
         for at in deterministic_cuts(total) {
-            let (report, events) = snapshot_and_resume(s.clone(), faults.clone(), dispatch, at);
+            let (report, events) =
+                snapshot_and_resume(s.clone(), faults.clone(), dispatch, dispatch, at);
             assert_eq!(
                 report, want_report,
                 "{name} ({dispatch:?}): report diverged after snapshot/restore at event \
@@ -344,34 +350,90 @@ fn context_mismatch_is_detected() {
     assert!(err.to_string().contains("context"), "unexpected error: {err}");
 }
 
+/// Frame layout (see `sim/checkpoint.rs`): 15-byte magic, payload length,
+/// payload checksum, then the payload.
+const HEADER: usize = 15 + 8 + 8;
+
+/// Payload bytes before the queue's first record: context fingerprint,
+/// the seven run scalars (now, events, done, active, degraded, two RNG
+/// states), then the queue's seq, ops and record count.
+const FIRST_RECORD: usize = 8 + (8 + 8 + 8 + 8 + 1 + 8 + 8) + 8 + 8 + 8;
+
+/// Serialized bytes per queued event.
+const RECORD: usize = 30;
+
+/// Recompute the payload checksum (FNV-1a 64) after tampering, so only
+/// structural validation stands between the blob and a resumed run.
+fn rechecksum(blob: &mut [u8]) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &blob[HEADER..] {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    blob[HEADER - 8..HEADER].copy_from_slice(&h.to_le_bytes());
+}
+
+#[test]
+fn swapped_queue_records_are_rejected_even_when_rechecksummed() {
+    let mut blob = sample_blob();
+    let count_at = HEADER + FIRST_RECORD - 8;
+    let queued = u64::from_le_bytes(blob[count_at..count_at + 8].try_into().unwrap());
+    assert!(queued >= 2, "fixture needs two queued events, has {queued}");
+    let first = HEADER + FIRST_RECORD;
+    let (a, b) = blob[first..first + 2 * RECORD].split_at_mut(RECORD);
+    a.swap_with_slice(b);
+    rechecksum(&mut blob);
+    match try_restore(&blob) {
+        Err(SimError::Checkpoint(CheckpointError::Corrupt(why))) => {
+            assert!(why.contains("(time, seq) order"), "unexpected reason: {why}")
+        }
+        other => panic!("swapped records must be refused as corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn v1_blobs_fail_on_the_magic_header() {
+    let mut blob = sample_blob();
+    blob[..15].copy_from_slice(b"sapred-ckpt/v1\n");
+    assert!(matches!(try_restore(&blob), Err(SimError::Checkpoint(CheckpointError::BadMagic))));
+}
+
 // ---------------------------------------------------------------------
 // Proptest: random schedulers × fault plans × snapshot points, and random
 // multi-byte corruption.
 
-fn run_cell_by_index(idx: usize, faulted: bool, crosscheck: bool, at_frac: f64) {
+fn run_cell_by_index(
+    idx: usize,
+    faulted: bool,
+    snap_crosscheck: bool,
+    resume_crosscheck: bool,
+    at_frac: f64,
+) {
     let faults = if faulted { Some(stress_plan()) } else { None };
-    let dispatch = if crosscheck { DispatchMode::Crosscheck } else { DispatchMode::Incremental };
+    let mode = |c| if c { DispatchMode::Crosscheck } else { DispatchMode::Incremental };
+    let modes = (mode(snap_crosscheck), mode(resume_crosscheck));
     fn one<S: Scheduler + Clone>(
         s: S,
         faults: Option<FaultPlan>,
-        dispatch: DispatchMode,
+        (dispatch, resume_dispatch): (DispatchMode, DispatchMode),
         at_frac: f64,
         name: &str,
     ) {
         let (want_report, want_events, total) = straight(s.clone(), faults.clone(), dispatch);
         let at = ((total - 1) as f64 * at_frac).floor() as u64 + 1;
         let at = at.min(total - 1).max(1);
-        let (report, events) = snapshot_and_resume(s, faults, dispatch, at);
-        assert_eq!(report, want_report, "{name}: report diverged at cut {at}/{total}");
-        assert_eq!(events, want_events, "{name}: events diverged at cut {at}/{total}");
+        let (report, events) = snapshot_and_resume(s, faults, dispatch, resume_dispatch, at);
+        let cell = format!("{name} ({dispatch:?} -> {resume_dispatch:?})");
+        assert_eq!(report, want_report, "{cell}: report diverged at cut {at}/{total}");
+        assert_eq!(events, want_events, "{cell}: events diverged at cut {at}/{total}");
     }
     match idx % 6 {
-        0 => one(Fifo, faults, dispatch, at_frac, "FIFO"),
-        1 => one(Hcs, faults, dispatch, at_frac, "HCS"),
-        2 => one(Hfs, faults, dispatch, at_frac, "HFS"),
-        3 => one(Swrd, faults, dispatch, at_frac, "SWRD"),
-        4 => one(Srt, faults, dispatch, at_frac, "SRT"),
-        _ => one(HcsQueues::new(vec![0.5, 0.5]), faults, dispatch, at_frac, "HCS-queues"),
+        0 => one(Fifo, faults, modes, at_frac, "FIFO"),
+        1 => one(Hcs, faults, modes, at_frac, "HCS"),
+        2 => one(Hfs, faults, modes, at_frac, "HFS"),
+        3 => one(Swrd, faults, modes, at_frac, "SWRD"),
+        4 => one(Srt, faults, modes, at_frac, "SRT"),
+        _ => one(HcsQueues::new(vec![0.5, 0.5]), faults, modes, at_frac, "HCS-queues"),
     }
 }
 
@@ -382,10 +444,11 @@ proptest! {
     fn random_cut_points_restore_bit_identically(
         idx in 0usize..6,
         faulted in any::<bool>(),
-        crosscheck in any::<bool>(),
+        snap_crosscheck in any::<bool>(),
+        resume_crosscheck in any::<bool>(),
         at_frac in 0.0f64..1.0,
     ) {
-        run_cell_by_index(idx, faulted, crosscheck, at_frac);
+        run_cell_by_index(idx, faulted, snap_crosscheck, resume_crosscheck, at_frac);
     }
 
     #[test]

@@ -14,8 +14,8 @@ use sapred_cluster::fault::{FaultPlan, NodeCrash};
 use sapred_cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
 use sapred_cluster::sim::{
-    AdmissionConfig, ClusterConfig, DemandOracle, FrozenOracle, GuardedOracle, QueueMode,
-    ShedPolicy, SimReport, Simulator,
+    AdmissionConfig, ClusterConfig, DemandOracle, FrozenOracle, GuardedOracle, ShedPolicy,
+    SimReport, Simulator,
 };
 use sapred_cluster::{CostModel, JobId, QueryId};
 use sapred_obs::RecordingSink;
@@ -192,8 +192,8 @@ fn stress_plan() -> FaultPlan {
     }
 }
 
-fn run<S: Scheduler>(sched: S, faults: Option<FaultPlan>, queue: QueueMode) -> (u64, u64) {
-    let mut sim = Simulator::new(config(), CostModel::default(), sched).with_queue(queue);
+fn run<S: Scheduler>(sched: S, faults: Option<FaultPlan>) -> (u64, u64) {
+    let mut sim = Simulator::new(config(), CostModel::default(), sched);
     if let Some(plan) = faults {
         sim = sim.with_faults(plan);
     }
@@ -205,13 +205,8 @@ fn run<S: Scheduler>(sched: S, faults: Option<FaultPlan>, queue: QueueMode) -> (
 /// Like [`run`], but with the full (inert) robustness stack attached: a
 /// disabled admission config and a guarded frozen oracle. Must reproduce
 /// the same fingerprints — the guardrails may not cost one ULP when idle.
-fn run_inert_robustness<S: Scheduler>(
-    sched: S,
-    faults: Option<FaultPlan>,
-    queue: QueueMode,
-) -> (u64, u64) {
+fn run_inert_robustness<S: Scheduler>(sched: S, faults: Option<FaultPlan>) -> (u64, u64) {
     let mut sim = Simulator::new(config(), CostModel::default(), sched)
-        .with_queue(queue)
         .with_admission(AdmissionConfig::disabled());
     if let Some(plan) = faults {
         sim = sim.with_faults(plan);
@@ -232,31 +227,21 @@ struct Pin {
     events: u64,
 }
 
-fn run_named(
-    name: &str,
-    faults: Option<FaultPlan>,
-    inert_robustness: bool,
-    queue: QueueMode,
-) -> (u64, u64) {
-    fn go<S: Scheduler>(
-        s: S,
-        faults: Option<FaultPlan>,
-        inert: bool,
-        queue: QueueMode,
-    ) -> (u64, u64) {
+fn run_named(name: &str, faults: Option<FaultPlan>, inert_robustness: bool) -> (u64, u64) {
+    fn go<S: Scheduler>(s: S, faults: Option<FaultPlan>, inert: bool) -> (u64, u64) {
         if inert {
-            run_inert_robustness(s, faults, queue)
+            run_inert_robustness(s, faults)
         } else {
-            run(s, faults, queue)
+            run(s, faults)
         }
     }
     match name {
-        "FIFO" => go(Fifo, faults, inert_robustness, queue),
-        "HCS" => go(Hcs, faults, inert_robustness, queue),
-        "HFS" => go(Hfs, faults, inert_robustness, queue),
-        "SWRD" => go(Swrd, faults, inert_robustness, queue),
-        "SRT" => go(Srt, faults, inert_robustness, queue),
-        "HCS-queues" => go(HcsQueues::new(vec![0.5, 0.5]), faults, inert_robustness, queue),
+        "FIFO" => go(Fifo, faults, inert_robustness),
+        "HCS" => go(Hcs, faults, inert_robustness),
+        "HFS" => go(Hfs, faults, inert_robustness),
+        "SWRD" => go(Swrd, faults, inert_robustness),
+        "SRT" => go(Srt, faults, inert_robustness),
+        "HCS-queues" => go(HcsQueues::new(vec![0.5, 0.5]), faults, inert_robustness),
         other => panic!("unknown scheduler {other}"),
     }
 }
@@ -266,16 +251,9 @@ fn check(pins: &[Pin], faults: Option<FaultPlan>) {
 }
 
 fn check_mode(pins: &[Pin], faults: Option<FaultPlan>, inert_robustness: bool) {
-    // The default queue is the arena: every plain `check` call already
-    // pins the arena queue against the fingerprints captured from the
-    // pre-arena BinaryHeap engine.
-    check_queue(pins, faults, inert_robustness, QueueMode::default())
-}
-
-fn check_queue(pins: &[Pin], faults: Option<FaultPlan>, inert_robustness: bool, queue: QueueMode) {
     let mut failures = Vec::new();
     for pin in pins {
-        let (report, events) = run_named(pin.name, faults.clone(), inert_robustness, queue);
+        let (report, events) = run_named(pin.name, faults.clone(), inert_robustness);
         if (report, events) != (pin.report, pin.events) {
             failures.push(format!(
                 "{}: report {report:#018x} (pinned {:#018x}), events {events:#018x} \
@@ -318,61 +296,6 @@ fn faulted_reports_and_event_streams_are_bit_identical_to_golden() {
             Pin { name: "HCS-queues", report: 0x52f14c66ec9667ac, events: 0xf0d169b8532b0933 },
         ],
         Some(stress_plan()),
-    );
-}
-
-// ---------------------------------------------------------------------
-// Queue-mode crosscheck: the 12 golden cells re-run with the arena queue
-// and the reference BinaryHeap driven in lockstep, panicking on the first
-// divergence in popped (time, seq, event) — and still matching the pins.
-
-#[test]
-fn crosscheck_queue_reproduces_fault_free_golden() {
-    check_queue(
-        &[
-            Pin { name: "FIFO", report: 0xabbade97005267aa, events: 0xb23c2cfc9fc22c9b },
-            Pin { name: "HCS", report: 0x43681221442434de, events: 0xc8afba2594525dfe },
-            Pin { name: "HFS", report: 0xc7ffc822cdab84e7, events: 0x401aa82e979fba64 },
-            Pin { name: "SWRD", report: 0xa3ea1b4ac7498dfd, events: 0xde08a852b54cf331 },
-            Pin { name: "SRT", report: 0xa3ea1b4ac7498dfd, events: 0x9a67e2f0268a5d78 },
-            Pin { name: "HCS-queues", report: 0x0d5adba6f7a78a9d, events: 0x5e2b9168c3a6f870 },
-        ],
-        None,
-        false,
-        QueueMode::Crosscheck,
-    );
-}
-
-#[test]
-fn crosscheck_queue_reproduces_faulted_golden() {
-    check_queue(
-        &[
-            Pin { name: "FIFO", report: 0xe482ed51d2b1ab54, events: 0x15e87afb37e9eb7b },
-            Pin { name: "HCS", report: 0x7fcb563e59e21c9b, events: 0xfd8c540b49d3b489 },
-            Pin { name: "HFS", report: 0x14908a9ae85f03cc, events: 0x3ccb0c75163d2316 },
-            Pin { name: "SWRD", report: 0xb05f9048145b7627, events: 0x08f700f177e98c51 },
-            Pin { name: "SRT", report: 0xb05f9048145b7627, events: 0x7aa0a0401b121719 },
-            Pin { name: "HCS-queues", report: 0x52f14c66ec9667ac, events: 0xf0d169b8532b0933 },
-        ],
-        Some(stress_plan()),
-        false,
-        QueueMode::Crosscheck,
-    );
-}
-
-/// The explicit reference queue (the retired `BinaryHeap`) also still
-/// reproduces every pin — the seam keeps the executable specification
-/// runnable, not just the crosscheck.
-#[test]
-fn reference_queue_reproduces_faulted_golden() {
-    check_queue(
-        &[
-            Pin { name: "SWRD", report: 0xb05f9048145b7627, events: 0x08f700f177e98c51 },
-            Pin { name: "HCS-queues", report: 0x52f14c66ec9667ac, events: 0xf0d169b8532b0933 },
-        ],
-        Some(stress_plan()),
-        false,
-        QueueMode::Reference,
     );
 }
 

@@ -40,18 +40,9 @@ pub enum Counter {
     /// Fleet cells that panicked or otherwise failed; their coordinates are
     /// recorded in the fleet report instead of a summary.
     FleetCellsFailed,
-    /// Event-queue operations (pushes + pops) across the run — identical
-    /// in every [`QueueMode`], so drift here is a behavior change.
-    ///
-    /// [`QueueMode`]: https://docs.rs/sapred-cluster
+    /// Event-queue operations (pushes + pops) across the run — a pure
+    /// function of the workload, so drift here is a behavior change.
     EventQueueOps,
-    /// Arena event-queue bytes high-water mark (slab records + index heap;
-    /// high-water mark via [`Profiler::record_max`]). Zero under the
-    /// reference `BinaryHeap` queue.
-    ArenaBytesPeak,
-    /// Event-arena slots recycled through the slab freelist (pushes served
-    /// from a previously freed slot rather than slab growth).
-    ArenaSlotsRecycled,
     /// Total serialized checkpoint bytes written by the engine's
     /// `checkpoint_every_events` trigger (and explicit snapshots taken
     /// through a profiled run). Zero when checkpointing is off.
@@ -66,7 +57,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in stable report order.
-    pub const ALL: [Counter; 14] = [
+    pub const ALL: [Counter; 12] = [
         Counter::EventsProcessed,
         Counter::DispatchDecisions,
         Counter::SchedulerViewUpdates,
@@ -76,8 +67,6 @@ impl Counter {
         Counter::FleetCellsRun,
         Counter::FleetCellsFailed,
         Counter::EventQueueOps,
-        Counter::ArenaBytesPeak,
-        Counter::ArenaSlotsRecycled,
         Counter::CheckpointBytes,
         Counter::CellsResumed,
         Counter::CandidatesExamined,
@@ -95,8 +84,6 @@ impl Counter {
             Counter::FleetCellsRun => "fleet_cells_run",
             Counter::FleetCellsFailed => "fleet_cells_failed",
             Counter::EventQueueOps => "event_queue_ops",
-            Counter::ArenaBytesPeak => "arena_bytes_peak",
-            Counter::ArenaSlotsRecycled => "arena_slots_recycled",
             Counter::CheckpointBytes => "checkpoint_bytes",
             Counter::CellsResumed => "cells_resumed",
             Counter::CandidatesExamined => "candidates_examined",
