@@ -9,7 +9,7 @@
 //! replicas are added. One [`FleetGrid`] names each axis once;
 //! [`FleetGrid::coords`] expands the cross product in a fixed order, and
 //! [`run_fleet`] executes the cells on the same panic-isolated claiming
-//! loop the bench harness uses ([`crate::harness::run_claiming`]).
+//! loop the bench harness uses ([`sapred_core::parallel::run_claiming`]).
 //!
 //! # Determinism contract
 //!
@@ -43,13 +43,12 @@
 
 use sapred_cluster::job::SimQuery;
 use sapred_cluster::sched::{Fifo, Hcs, Hfs, Scheduler, Srt, Swrd};
-use sapred_cluster::sim::{
-    AdmissionConfig, CellSummary, FrozenOracle, ShedPolicy, SimReport, Simulator,
-};
+use sapred_cluster::sim::{AdmissionConfig, CellSummary, Run, ShedPolicy, SimReport, Simulator};
 use sapred_cluster::FaultPlan;
+use sapred_core::parallel::{available_threads, panic_message, run_claiming};
 use sapred_obs::json::{array, num, quoted, Obj};
 use sapred_obs::profile::{Counter, Profiler};
-use sapred_obs::{NullSink, SpanProfiler};
+use sapred_obs::SpanProfiler;
 use sapred_plan::ground_truth::execute_dag;
 use sapred_relation::gen::{generate, GenConfig, KeyDist};
 use sapred_selectivity::EstimatorKind;
@@ -57,7 +56,7 @@ use sapred_selectivity::EstimatorKind;
 use std::sync::{Mutex, PoisonError};
 
 use crate::dispatch_workload;
-use crate::harness::{quantile, run_claiming};
+use crate::harness::quantile;
 use crate::journal::{Journal, JournaledCell};
 
 /// Schema tag of the aggregate fleet report.
@@ -117,8 +116,7 @@ impl SchedKind {
 /// With `skew > 0.0` — or whenever a cell's estimator is not the default
 /// histogram path — the fleet instead *percolates* a join-heavy SQL workload
 /// over a small generated database whose join keys follow a Zipf(`skew`)
-/// distribution, so estimator quality feeds the schedule (see
-/// [`percolated_workload`]).
+/// distribution, so estimator quality feeds the schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Number of queries.
@@ -847,7 +845,7 @@ fn simulate<S: Scheduler>(
     let mut sim = Simulator::new(cluster, fw.cost, sched)
         .with_faults(grid.cell_fault_plan(coord))
         .with_admission(grid.cell_admission(coord));
-    sim.run_profiled(&queries, &mut NullSink, &mut FrozenOracle, prof)
+    sim.execute(&queries, Run::new().profiler(prof)).unwrap_or_else(|e| panic!("{e}")).into_report()
 }
 
 /// Run one cell whole on the calling thread, profiled so the fleet can
@@ -877,11 +875,7 @@ fn run_one_cell(grid: &FleetGrid, coord: &FleetCoord) -> (CellSummary, [u64; Cou
 /// Returns the grid's first validation problem without running anything.
 pub fn run_fleet(grid: &FleetGrid, threads: usize) -> Result<FleetReport, String> {
     grid.validate()?;
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    };
+    let threads = if threads == 0 { available_threads() } else { threads };
     let coords = grid.coords();
     let outcomes = run_claiming(coords.len(), threads, |i| run_one_cell(grid, &coords[i]));
     let cells = coords
@@ -928,11 +922,7 @@ pub fn run_fleet_journaled<P: Profiler>(
     prof: &P,
 ) -> Result<FleetReport, String> {
     grid.validate()?;
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    };
+    let threads = if threads == 0 { available_threads() } else { threads };
     let coords = grid.coords();
     let labels: Vec<String> = coords.iter().map(|c| grid.coord_label(c)).collect();
     let journal = if resume {
@@ -979,9 +969,7 @@ pub fn run_fleet_journaled<P: Profiler>(
         }));
         let (result, counters) = match outcome {
             Ok((summary, counters)) => (Ok(summary), counters),
-            Err(payload) => {
-                (Err(crate::harness::panic_message(payload)), [0u64; Counter::ALL.len()])
-            }
+            Err(payload) => (Err(panic_message(payload)), [0u64; Counter::ALL.len()]),
         };
         let cell = JournaledCell {
             cell_seed: grid.cell_seed(&coords[i]),

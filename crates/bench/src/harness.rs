@@ -23,20 +23,18 @@
 //! (config mismatch) rather than producing nonsense deltas.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use sapred_cluster::sched::{Fifo, Swrd};
-use sapred_cluster::sim::{AdmissionConfig, DispatchMode, FrozenOracle, Simulator};
+use sapred_cluster::sim::{AdmissionConfig, DispatchMode, Run, Simulator};
 use sapred_cluster::{FaultPlan, NodeCrash};
-use sapred_core::telemetry::record_sim_outcomes_profiled;
+use sapred_core::parallel::run_claiming;
+use sapred_core::telemetry::record_sim_outcomes;
 use sapred_core::Pipeline;
 use sapred_obs::json::Obj;
 use sapred_obs::profile::Counter;
-use sapred_obs::{MetricsSink, NullSink, SpanProfiler};
+use sapred_obs::{MetricsSink, SpanProfiler};
 use sapred_workload::population::PopulationConfig;
 
 use crate::dispatch_workload;
@@ -335,11 +333,12 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
             let mut cluster = fw.cluster;
             cluster.seed = spec.seed;
             let mut sim = Simulator::new(cluster, fw.cost, Swrd).with_dispatch(mode);
+            let run = Run::new().profiler(&**prof);
             if traced {
                 let mut sink = MetricsSink::new(cluster.total_containers());
-                sim.run_profiled(&queries, &mut sink, &mut FrozenOracle, &**prof);
+                sim.execute(&queries, run.sink(&mut sink)).expect("bench cell runs");
             } else {
-                sim.run_profiled(&queries, &mut NullSink, &mut FrozenOracle, &**prof);
+                sim.execute(&queries, run).expect("bench cell runs");
             }
         }
         CellKind::FaultStress { n_queries, jobs, maps, reduces } => {
@@ -348,7 +347,7 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
             cluster.seed = spec.seed;
             let mut sim =
                 Simulator::new(cluster, fw.cost, Swrd).with_faults(stress_plan(spec.seed));
-            sim.run_profiled(&queries, &mut NullSink, &mut FrozenOracle, &**prof);
+            sim.execute(&queries, Run::new().profiler(&**prof)).expect("bench cell runs");
         }
         CellKind::AdmissionOverload { n_queries, jobs, maps, reduces, queue_cap, deadline } => {
             let queries = dispatch_workload(n_queries, jobs, maps, reduces);
@@ -356,7 +355,7 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
             cluster.seed = spec.seed;
             let admission = AdmissionConfig { queue_cap, deadline, ..AdmissionConfig::default() };
             let mut sim = Simulator::new(cluster, fw.cost, Swrd).with_admission(admission);
-            sim.run_profiled(&queries, &mut NullSink, &mut FrozenOracle, &**prof);
+            sim.execute(&queries, Run::new().profiler(&**prof)).expect("bench cell runs");
         }
         CellKind::PipelineEndToEnd { scale_gb, train_queries, traced } => {
             let mut pipe = Pipeline::with_seed(spec.seed).with_profiler(Rc::clone(prof));
@@ -374,19 +373,17 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
             pipe.train(&population).expect("bench training fits");
             let q = pipe.sim_query("bench", 0.0, &semantics, scale_gb);
             let queries = std::slice::from_ref(&q);
+            let run = Run::new().profiler(&**prof);
             if traced {
                 let mut sink = MetricsSink::new(pipe.framework().cluster.total_containers());
-                let report =
-                    pipe.simulate_profiled(Swrd, queries, &mut sink, &mut FrozenOracle, &**prof);
-                record_sim_outcomes_profiled(
-                    queries,
-                    &report,
-                    &pipe.framework().cluster,
-                    &mut sink,
-                    &**prof,
-                );
+                let report = pipe
+                    .simulate(pipe.simulator(Swrd), queries, run.sink(&mut sink))
+                    .expect("bench simulation runs")
+                    .into_report();
+                let cluster = pipe.framework().cluster;
+                record_sim_outcomes(queries, &report, &cluster, &mut sink, &**prof);
             } else {
-                pipe.simulate_profiled(Swrd, queries, &mut NullSink, &mut FrozenOracle, &**prof);
+                pipe.simulate(pipe.simulator(Swrd), queries, run).expect("bench simulation runs");
             }
         }
         CellKind::Scale { n_queries, jobs, maps, reduces } => {
@@ -396,7 +393,7 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
             // FIFO keeps scheduler policy out of the measurement: at this
             // scale the cost is the event queue and the state columns.
             let mut sim = Simulator::new(cluster, fw.cost, Fifo);
-            sim.run_profiled(&queries, &mut NullSink, &mut FrozenOracle, &**prof);
+            sim.execute(&queries, Run::new().profiler(&**prof)).expect("bench cell runs");
         }
         CellKind::ScaleCheckpoint { n_queries, jobs, maps, reduces, every } => {
             let queries = dispatch_workload(n_queries, jobs, maps, reduces);
@@ -409,7 +406,7 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
             ));
             let mut sim =
                 Simulator::new(cluster, fw.cost, Fifo).checkpoint_every_events(every, &path);
-            sim.run_profiled(&queries, &mut NullSink, &mut FrozenOracle, &**prof);
+            sim.execute(&queries, Run::new().profiler(&**prof)).expect("bench cell runs");
             let _ = std::fs::remove_file(&path);
         }
         CellKind::Fleet {
@@ -687,57 +684,6 @@ pub fn fleet_suite(quick: bool) -> Vec<CellSpec> {
         CellSpec { name: "fleet_parallel", kind: kind(0), iters: 2, seed: 17 },
         CellSpec { name: "fleet_single_thread", kind: kind(1), iters: 2, seed: 17 },
     ]
-}
-
-/// Best-effort panic payload extraction (`panic!` with a `&str` or a
-/// formatted `String` covers every panic in this workspace).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "cell panicked".to_string()
-    }
-}
-
-/// The shared claiming loop behind [`run_suite`] and the fleet runner: `n`
-/// work items claimed from an atomic index by `threads` scoped workers, each
-/// item run panic-isolated, results returned **in item order** regardless of
-/// completion order.
-///
-/// Two properties make one exploding item survivable:
-///
-/// * each worker pushes `(index, outcome)` *before* claiming its next item,
-///   so a later panic can never lose an earlier finished result,
-/// * the item body runs under [`catch_unwind`], so a panic becomes an
-///   `Err(message)` for that index while every other item still runs; lock
-///   poisoning from a panic elsewhere is ignored (the protected `Vec` is
-///   only ever pushed to, never left half-written).
-pub fn run_claiming<T, F>(n: usize, threads: usize, run: F) -> Vec<Result<T, String>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = threads.clamp(1, n.max(1));
-    let next = AtomicUsize::new(0);
-    let results = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| run(i))).map_err(panic_message);
-                results.lock().unwrap_or_else(PoisonError::into_inner).push((i, outcome));
-            });
-        }
-    });
-    let mut indexed = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-    indexed.sort_by_key(|entry: &(usize, Result<T, String>)| entry.0);
-    debug_assert_eq!(indexed.len(), n, "every claimed index must report an outcome");
-    indexed.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// Run a suite's cells across `threads` workers (each cell runs whole on

@@ -2,9 +2,7 @@
 //! schema-valid reports, and the compare classifier (clean / skipped /
 //! drift / regression).
 
-use sapred_bench::harness::{
-    dispatch_suite, fleet_suite, run_cell, run_claiming, run_suite, CellKind, CellSpec,
-};
+use sapred_bench::harness::{dispatch_suite, fleet_suite, run_cell, run_suite, CellKind, CellSpec};
 use sapred_bench::report::{compare, load_report, suite_json, validate_schema, SCHEMA};
 use sapred_cluster::sim::DispatchMode;
 
@@ -144,33 +142,6 @@ fn run_suite_survives_a_panicking_cell() {
     let baseline = validate_schema(&suite_json("dispatch", true, &baseline_cells)).unwrap();
     let cmp = compare(&baseline, &doc, 1e9);
     assert!(cmp.drifts > 0, "failed cell did not surface as drift: {:?}", cmp.lines);
-}
-
-/// The claiming loop isolates panics per item and returns outcomes in item
-/// order at any worker count.
-#[test]
-fn run_claiming_is_panic_isolated_and_ordered() {
-    for threads in [1, 2, 8] {
-        let outcomes = run_claiming(7, threads, |i| {
-            if i % 3 == 1 {
-                panic!("boom at {i}");
-            }
-            i * 10
-        });
-        assert_eq!(outcomes.len(), 7);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            match outcome {
-                Ok(v) => {
-                    assert!(i % 3 != 1);
-                    assert_eq!(*v, i * 10, "outcome out of order at {threads} threads");
-                }
-                Err(msg) => {
-                    assert_eq!(i % 3, 1);
-                    assert_eq!(msg, &format!("boom at {i}"));
-                }
-            }
-        }
-    }
 }
 
 /// The quick fleet suite runs deterministically, reports sims/sec, and its

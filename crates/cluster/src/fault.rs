@@ -136,7 +136,7 @@ impl FaultPlan {
 
     /// Retry delay before attempt `n + 1`, given `n` attempts already used:
     /// capped exponential `backoff_base * 2^(n-1)`. The exponent is clamped
-    /// (see [`capped_exponential`]) so arbitrarily large attempt counts stay
+    /// so arbitrarily large attempt counts stay
     /// finite, non-negative, and monotone until the cap.
     pub fn backoff(&self, attempts_used: usize) -> f64 {
         capped_exponential(self.backoff_base, attempts_used, self.backoff_cap)

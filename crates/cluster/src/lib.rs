@@ -40,5 +40,5 @@ pub use sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
 pub use sim::{
     AdmissionConfig, AdmissionStats, CellSummary, CheckpointError, ClusterConfig, DemandOracle,
     DispatchMode, FrozenOracle, GuardConfig, GuardedOracle, JobStat, QuarantineRecord, QueryStat,
-    RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
+    Run, RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
 };

@@ -21,8 +21,8 @@ pub enum DispatchMode {
     /// [`Crosscheck`]: DispatchMode::Crosscheck
     #[default]
     Incremental,
-    /// The from-scratch reference: rebuild the whole runnable view with
-    /// [`collect_runnable`] once per free container — O(Σ jobs) per
+    /// The from-scratch reference: rebuild the whole runnable view from
+    /// the job table once per free container — O(Σ jobs) per
     /// dispatched task. Kept as the executable specification the
     /// incremental path is checked against, and as the benchmark baseline.
     Reference,

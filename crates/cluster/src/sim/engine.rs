@@ -1,28 +1,25 @@
 //! The event loop: the [`Simulator`] itself, the [`RunState`] holding
-//! everything that changes while it runs, and the run/suspend/resume entry
-//! points layered on the same drive loop.
+//! everything that changes while it runs, and [`Simulator::execute`], the
+//! one run entry point, configured by a [`Run`].
 //!
-//! The engine is split into four phases so a run can be suspended
-//! mid-flight and resumed bit-identically:
+//! `execute` walks every run through the same four phases, so a run can
+//! be suspended mid-flight and resumed bit-identically:
 //!
-//! * `check_inputs` — the validation panics, unchanged from the original
-//!   monolithic loop;
+//! * `check_inputs` — the validation panics;
 //! * `init_run` — builds a fresh [`RunState`] (event queue seeded with
 //!   arrivals and crashes, SoA job table, prediction matrix, dispatch
-//!   aggregates, both RNG streams);
+//!   aggregates, both RNG streams); a resumed run instead decodes a
+//!   `sapred-ckpt/v2` [`super::checkpoint`] blob into one;
 //! * `drive` — the event loop proper. Between events it checks, in order:
-//!   run finished → optional suspension point (for
-//!   [`Simulator::run_snapshot_after`]) → optional periodic checkpoint
-//!   write ([`Simulator::checkpoint_every_events`]) → optional event-budget
-//!   watchdog ([`Simulator::with_max_events`]);
+//!   run finished → optional stop point ([`Run::stop_after`]) → optional
+//!   periodic checkpoint write ([`Simulator::checkpoint_every_events`]) →
+//!   optional event-budget watchdog ([`Simulator::with_max_events`]);
 //! * `finalize` — the end-of-run invariant asserts, queue telemetry, and
-//!   report assembly.
+//!   report assembly; a stopped run encodes its state instead.
 //!
-//! Resume decodes a [`super::checkpoint`] blob back into a [`RunState`]
-//! and re-enters `drive`; the golden fixtures plus the kill-and-resume
-//! differential harness pin that the stitched run (prefix events before
-//! the snapshot + suffix events after restore) is bit-identical to a
-//! straight-through run.
+//! The golden fixtures plus the kill-and-resume differential harness pin
+//! that a stitched run (prefix events before the snapshot + suffix events
+//! after restore) is bit-identical to a straight-through run.
 
 use crate::cost::CostModel;
 use crate::fault::FaultPlan;
@@ -113,10 +110,9 @@ impl<K: EventSink, P: Profiler> EventSink for CountingSink<'_, K, P> {
     }
 }
 
-/// Typed failure from the fallible engine entry points (`try_run*`,
-/// `run_snapshot_after`, `resume_*`). The infallible entry points
-/// ([`Simulator::run`] and friends) panic with this error's message
-/// instead.
+/// Typed failure from [`Simulator::execute`]. The infallible shorthands
+/// ([`Simulator::run`], [`Simulator::run_profiled`]) panic with this
+/// error's message instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The [`Simulator::with_max_events`] watchdog tripped: the run
@@ -153,19 +149,116 @@ impl From<CheckpointError> for SimError {
     }
 }
 
-/// What [`Simulator::run_snapshot_after`] produced.
+/// How a [`Simulator::execute`] run ended.
 ///
-/// One value exists per `run_snapshot_after` call, so the size skew
-/// between the finished-report and checkpoint-blob arms is irrelevant.
+/// One value exists per run, so the size skew between the finished-report
+/// and checkpoint-blob arms is irrelevant.
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
 pub enum RunOutcome {
-    /// The run finished before reaching the requested snapshot point.
+    /// Every query is accounted for.
     Done(SimReport),
-    /// The run was suspended after processing the requested number of
-    /// events; the blob is a framed `sapred-ckpt/v1` checkpoint that
-    /// [`Simulator::resume_with_oracle`] turns back into a finished run.
+    /// The run was suspended after processing its [`Run::stop_after`]
+    /// event count; the blob is a framed `sapred-ckpt/v2` checkpoint that
+    /// [`Run::resume`] turns back into a running engine.
     Snapshot(Vec<u8>),
+}
+
+impl RunOutcome {
+    /// The finished run's report.
+    ///
+    /// # Panics
+    /// Panics on a [`RunOutcome::Snapshot`], which only a run with a
+    /// [`Run::stop_after`] point can produce.
+    pub fn into_report(self) -> SimReport {
+        match self {
+            RunOutcome::Done(report) => report,
+            RunOutcome::Snapshot(_) => panic!("the run was suspended at its stop point"),
+        }
+    }
+}
+
+/// One [`Simulator::execute`] run: its sink, oracle and profiler, where
+/// it starts, and where it stops. [`Run::new`] is a fresh, untraced,
+/// unprofiled run to completion with the [`FrozenOracle`]; each builder
+/// method swaps in one part, and the default [`NullSink`] and
+/// [`NullProfiler`] compile away:
+///
+/// ```
+/// # use sapred_cluster::{ClusterConfig, CostModel, Fifo, Run, Simulator};
+/// # use sapred_obs::{profile::SpanProfiler, RecordingSink};
+/// let mut sim = Simulator::new(ClusterConfig::default(), CostModel::default(), Fifo);
+/// let (mut events, prof) = (RecordingSink::new(), SpanProfiler::new());
+/// let report = sim.execute(&[], Run::new().sink(&mut events).profiler(&prof)).unwrap();
+/// assert!(report.into_report().queries.is_empty());
+/// ```
+pub struct Run<'a, K = NullSink, P = NullProfiler> {
+    sink: K,
+    // `None` runs a local `FrozenOracle`.
+    oracle: Option<&'a mut dyn DemandOracle>,
+    profiler: &'a P,
+    resume: Option<&'a [u8]>,
+    stop_after: Option<u64>,
+}
+
+impl Run<'_> {
+    /// A fresh, untraced, unprofiled run to completion.
+    pub fn new() -> Self {
+        Run {
+            sink: NullSink,
+            oracle: None,
+            profiler: &NullProfiler,
+            resume: None,
+            stop_after: None,
+        }
+    }
+}
+
+impl Default for Run<'_> {
+    fn default() -> Self {
+        Run::new()
+    }
+}
+
+impl<'a, K: EventSink, P: Profiler> Run<'a, K, P> {
+    /// Emit every discrete event to `sink` (pass `&mut sink` to keep it).
+    pub fn sink<K2: EventSink>(self, sink: K2) -> Run<'a, K2, P> {
+        let Run { oracle, profiler, resume, stop_after, .. } = self;
+        Run { sink, oracle, profiler, resume, stop_after }
+    }
+
+    /// Consult `oracle` for per-job demand: once per job up front, again at
+    /// each job's submit, and for every unfinished job whenever
+    /// [`observe_job_done`](DemandOracle::observe_job_done) returns `true`.
+    /// Its mutable state is snapshotted and restored with the engine's.
+    pub fn oracle(mut self, oracle: &'a mut dyn DemandOracle) -> Self {
+        self.oracle = Some(oracle);
+        self
+    }
+
+    /// Count event-loop work (events, dispatch decisions, view updates,
+    /// emitted events, launches, queue peak, checkpoint bytes) and time an
+    /// `"admission_decision"` span per arrival on `profiler`.
+    pub fn profiler<P2: Profiler>(self, profiler: &'a P2) -> Run<'a, K, P2> {
+        let Run { sink, oracle, resume, stop_after, .. } = self;
+        Run { sink, oracle, profiler, resume, stop_after }
+    }
+
+    /// Start from checkpoint bytes written by a run over the same queries,
+    /// configuration (checked by the blob's fingerprint) and oracle type.
+    pub fn resume(mut self, bytes: &'a [u8]) -> Self {
+        self.resume = Some(bytes);
+        self
+    }
+
+    /// Suspend with a [`RunOutcome::Snapshot`] once `events` events have
+    /// been processed since the fresh start (a resumed run counts the
+    /// events before its checkpoint too). The cut sits between events: the
+    /// last one and its dispatch are done, the next has not popped.
+    pub fn stop_after(mut self, events: u64) -> Self {
+        self.stop_after = Some(events);
+        self
+    }
 }
 
 /// How one `drive` call ended (internal).
@@ -269,8 +362,8 @@ impl<S: Scheduler> Simulator<S> {
 
     /// Same simulator with an event-budget watchdog: a run that processes
     /// `limit` events without finishing stops with
-    /// [`SimError::EventBudgetExceeded`] from the `try_*` entry points
-    /// (the infallible ones panic with the same message). This turns a
+    /// [`SimError::EventBudgetExceeded`] from [`Simulator::execute`]
+    /// (the infallible shorthands panic with the same message). This turns a
     /// non-terminating schedule — e.g. a fault plan whose retries can
     /// never exhaust — into a typed error instead of a hang.
     ///
@@ -303,67 +396,72 @@ impl<S: Scheduler> Simulator<S> {
         self
     }
 
-    /// Run all queries to completion and report.
+    /// Run `queries` as `run` describes — the engine's one body. The run
+    /// starts fresh or from [`Run::resume`] bytes (announced with
+    /// [`RunResumed`](sapred_obs::Event::RunResumed)), emits every discrete
+    /// event to the run's sink — lifecycle, task placement, and decision
+    /// records with each candidate's [`Scheduler::score`] — and ends in
+    /// [`RunOutcome::Done`], or in [`RunOutcome::Snapshot`] at its
+    /// [`Run::stop_after`] point. A resumed snapshot finishes with a report
+    /// and event stream bit-identical to an uninterrupted run.
     ///
-    /// Equivalent to [`Simulator::run_with`] with a [`NullSink`]: the
-    /// tracing path compiles away entirely.
-    ///
-    /// # Panics
-    /// Panics if any query fails validation.
-    pub fn run(&mut self, queries: &[SimQuery]) -> SimReport {
-        self.run_with(queries, &mut NullSink)
-    }
-
-    /// Run all queries to completion, emitting every discrete event —
-    /// query/job lifecycle, per-task placement on node·slot, and scheduler
-    /// decision records — to `sink`.
-    ///
-    /// Decision records carry the full candidate list with each candidate's
-    /// policy score ([`Scheduler::score`]); their construction is skipped
-    /// when `sink.enabled()` is false, so a [`NullSink`] run pays nothing.
+    /// # Errors
+    /// [`SimError::Checkpoint`] if the resume bytes do not restore, and
+    /// [`SimError::EventBudgetExceeded`] if the
+    /// [`with_max_events`](Simulator::with_max_events) watchdog trips.
     ///
     /// # Panics
-    /// Panics if any query fails validation.
-    pub fn run_with<K: EventSink>(&mut self, queries: &[SimQuery], sink: &mut K) -> SimReport {
-        self.run_with_oracle(queries, sink, &mut FrozenOracle)
-    }
-
-    /// Run all queries to completion with a live [`DemandOracle`] supplying
-    /// (and, for recalibrating oracles, revising) per-job demand
-    /// predictions, emitting every discrete event to `sink`.
-    ///
-    /// The oracle is consulted once per job up front, once more at each
-    /// job's submit, and — whenever
-    /// [`observe_job_done`](DemandOracle::observe_job_done) returns `true`
-    /// — re-consulted for every unfinished job, with the scheduler's WRD /
-    /// critical-path aggregates refreshed to match. With the default
-    /// [`FrozenOracle`] this is bit-identical to [`Simulator::run_with`].
-    ///
-    /// # Panics
-    /// Panics if any query fails validation.
-    pub fn run_with_oracle<K: EventSink>(
+    /// Panics if any query, the fault plan, or the admission config fails
+    /// validation (invalid inputs are caller bugs, not run outcomes).
+    pub fn execute<K: EventSink, P: Profiler>(
         &mut self,
         queries: &[SimQuery],
-        sink: &mut K,
-        oracle: &mut dyn DemandOracle,
-    ) -> SimReport {
-        self.run_profiled(queries, sink, oracle, &NullProfiler)
+        run: Run<'_, K, P>,
+    ) -> Result<RunOutcome, SimError> {
+        let Run { mut sink, oracle, profiler: prof, resume, stop_after } = run;
+        let mut frozen = FrozenOracle;
+        let oracle: &mut dyn DemandOracle = match oracle {
+            Some(oracle) => oracle,
+            None => &mut frozen,
+        };
+        self.check_inputs(queries);
+        let sink = &mut CountingSink { inner: &mut sink, prof };
+        let mut rs = match resume {
+            None => self.init_run(queries, sink, oracle, prof),
+            Some(bytes) => {
+                let mut rs = checkpoint::decode(self, queries, bytes, oracle)?;
+                if self.dispatch == DispatchMode::Crosscheck
+                    && !rs.degraded
+                    && rs.dstate.reindex(&rs.jobs, |r| self.scheduler.key(r))
+                {
+                    rs.dstate.crosscheck_index(&mut self.scheduler, "after restore");
+                }
+                emit!(sink, ObsEvent::RunResumed { t: rs.now, events: rs.events_processed });
+                rs
+            }
+        };
+        Ok(match self.drive(queries, &mut rs, sink, oracle, prof, stop_after)? {
+            Drive::Finished => RunOutcome::Done(self.finalize(queries, rs, prof)),
+            Drive::Suspended => {
+                RunOutcome::Snapshot(checkpoint::encode(self, queries, &rs, &*oracle))
+            }
+        })
     }
 
-    /// Run all queries to completion with an oracle *and* a [`Profiler`]
-    /// collecting event-loop counters (events processed, dispatch decisions,
-    /// scheduler-view updates, sink-emitted events, tasks launched, peak
-    /// heap depth) plus an `"admission_decision"` span per arrival.
-    ///
-    /// With the default [`NullProfiler`] every instrumentation site is an
-    /// inlined empty body, so [`Simulator::run_with_oracle`] — and
-    /// everything above it — is bit-identical to the un-instrumented
-    /// engine (the golden fixtures pin this).
+    /// [`Simulator::execute`] with the default [`Run`], to completion: the
+    /// plain-run shorthand, which `perfbench/` and many tests call.
     ///
     /// # Panics
-    /// Panics if any query fails validation, or if the
-    /// [`with_max_events`](Simulator::with_max_events) watchdog trips
-    /// (use [`Simulator::try_run_profiled`] for a typed error instead).
+    /// Where `execute` panics or returns an error.
+    pub fn run(&mut self, queries: &[SimQuery]) -> SimReport {
+        self.execute(queries, Run::new()).unwrap_or_else(|e| panic!("{e}")).into_report()
+    }
+
+    /// [`Simulator::execute`] with a sink, an oracle and a profiler. Kept
+    /// only because `perfbench/` calls it.
+    ///
+    /// # Panics
+    /// Where `execute` panics or returns an error.
     pub fn run_profiled<K: EventSink, P: Profiler>(
         &mut self,
         queries: &[SimQuery],
@@ -371,60 +469,15 @@ impl<S: Scheduler> Simulator<S> {
         oracle: &mut dyn DemandOracle,
         prof: &P,
     ) -> SimReport {
-        match self.try_run_profiled(queries, sink, oracle, prof) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
+        let run = Run::new().sink(sink).oracle(oracle).profiler(prof);
+        self.execute(queries, run).unwrap_or_else(|e| panic!("{e}")).into_report()
     }
 
-    /// Fallible [`Simulator::run`]: identical behavior, but a tripped
-    /// [`with_max_events`](Simulator::with_max_events) watchdog returns
-    /// [`SimError::EventBudgetExceeded`] instead of panicking.
+    /// [`Simulator::execute`] with a sink, an oracle and
+    /// [`Run::stop_after`]. Kept only because `perfbench/` calls it.
     ///
-    /// # Panics
-    /// Panics if any query fails validation (invalid inputs are caller
-    /// bugs, not run outcomes).
-    pub fn try_run(&mut self, queries: &[SimQuery]) -> Result<SimReport, SimError> {
-        self.try_run_profiled(queries, &mut NullSink, &mut FrozenOracle, &NullProfiler)
-    }
-
-    /// Fallible [`Simulator::run_profiled`]: identical behavior, but a
-    /// tripped [`with_max_events`](Simulator::with_max_events) watchdog
-    /// returns [`SimError::EventBudgetExceeded`] instead of panicking.
-    ///
-    /// # Panics
-    /// Panics if any query fails validation.
-    pub fn try_run_profiled<K: EventSink, P: Profiler>(
-        &mut self,
-        queries: &[SimQuery],
-        sink: &mut K,
-        oracle: &mut dyn DemandOracle,
-        prof: &P,
-    ) -> Result<SimReport, SimError> {
-        self.check_inputs(queries);
-        let mut counting = CountingSink { inner: sink, prof };
-        let sink = &mut counting;
-        let mut rs = self.init_run(queries, sink, oracle, prof);
-        match self.drive(queries, &mut rs, sink, oracle, prof, None)? {
-            Drive::Finished => Ok(self.finalize(queries, rs, prof)),
-            Drive::Suspended => unreachable!("no suspension point was requested"),
-        }
-    }
-
-    /// Run until `events` events have been processed, then suspend and
-    /// serialize the complete engine state into a framed `sapred-ckpt/v1`
-    /// blob ([`RunOutcome::Snapshot`]). The suspension point sits at the
-    /// event-loop boundary: the `events`-th event and every dispatch it
-    /// triggered are fully processed, and the next event has not popped.
-    /// Restoring the blob with [`Simulator::resume_with_oracle`] (same
-    /// config, workload, and oracle state) and finishing produces a report
-    /// and event stream bit-identical to an uninterrupted run.
-    ///
-    /// Returns [`RunOutcome::Done`] with the finished report if the run
-    /// completes before reaching `events`.
-    ///
-    /// # Panics
-    /// Panics if any query fails validation.
+    /// # Errors
+    /// As `execute`.
     pub fn run_snapshot_after<K: EventSink>(
         &mut self,
         queries: &[SimQuery],
@@ -432,29 +485,14 @@ impl<S: Scheduler> Simulator<S> {
         oracle: &mut dyn DemandOracle,
         events: u64,
     ) -> Result<RunOutcome, SimError> {
-        let prof = &NullProfiler;
-        self.check_inputs(queries);
-        let mut counting = CountingSink { inner: sink, prof };
-        let sink = &mut counting;
-        let mut rs = self.init_run(queries, sink, oracle, prof);
-        match self.drive(queries, &mut rs, sink, oracle, prof, Some(events))? {
-            Drive::Finished => Ok(RunOutcome::Done(self.finalize(queries, rs, prof))),
-            Drive::Suspended => {
-                Ok(RunOutcome::Snapshot(checkpoint::encode(self, queries, &rs, &*oracle)))
-            }
-        }
+        self.execute(queries, Run::new().sink(sink).oracle(oracle).stop_after(events))
     }
 
-    /// Restore a run from `sapred-ckpt/v1` checkpoint bytes and drive it
-    /// to completion. `queries` and the simulator configuration must match
-    /// the snapshotting run (enforced by the blob's context fingerprint),
-    /// and `oracle` must be the same oracle type — its mutable state is
-    /// restored from the blob. Emits
-    /// [`RunResumed`](sapred_obs::Event::RunResumed) before the first
-    /// replayed event.
+    /// [`Simulator::execute`] with a sink, an oracle and [`Run::resume`],
+    /// to completion. Kept only because `perfbench/` calls it.
     ///
-    /// # Panics
-    /// Panics if any query fails validation.
+    /// # Errors
+    /// As `execute`.
     pub fn resume_with_oracle<K: EventSink>(
         &mut self,
         queries: &[SimQuery],
@@ -462,41 +500,12 @@ impl<S: Scheduler> Simulator<S> {
         oracle: &mut dyn DemandOracle,
         bytes: &[u8],
     ) -> Result<SimReport, SimError> {
-        self.resume_profiled(queries, sink, oracle, &NullProfiler, bytes)
+        self.execute(queries, Run::new().sink(sink).oracle(oracle).resume(bytes))
+            .map(RunOutcome::into_report)
     }
 
-    /// [`Simulator::resume_with_oracle`] with a [`Profiler`] attached,
-    /// mirroring [`Simulator::run_profiled`].
-    ///
-    /// # Panics
-    /// Panics if any query fails validation.
-    pub fn resume_profiled<K: EventSink, P: Profiler>(
-        &mut self,
-        queries: &[SimQuery],
-        sink: &mut K,
-        oracle: &mut dyn DemandOracle,
-        prof: &P,
-        bytes: &[u8],
-    ) -> Result<SimReport, SimError> {
-        self.check_inputs(queries);
-        let mut counting = CountingSink { inner: sink, prof };
-        let sink = &mut counting;
-        let mut rs = checkpoint::decode(self, queries, bytes, oracle)?;
-        if self.dispatch == DispatchMode::Crosscheck
-            && !rs.degraded
-            && rs.dstate.reindex(&rs.jobs, |r| self.scheduler.key(r))
-        {
-            rs.dstate.crosscheck_index(&mut self.scheduler, "after restore");
-        }
-        emit!(sink, ObsEvent::RunResumed { t: rs.now, events: rs.events_processed });
-        match self.drive(queries, &mut rs, sink, oracle, prof, None)? {
-            Drive::Finished => Ok(self.finalize(queries, rs, prof)),
-            Drive::Suspended => unreachable!("no suspension point was requested"),
-        }
-    }
-
-    /// The validation panics, shared by every entry point. Invalid inputs
-    /// are caller bugs and stay panics even on the fallible paths.
+    /// The validation panics at the start of every run. Invalid inputs
+    /// are caller bugs, not run outcomes, so they stay panics.
     fn check_inputs(&self, queries: &[SimQuery]) {
         for q in queries {
             if let Err(e) = q.validate() {

@@ -48,7 +48,7 @@ pub(crate) use emit;
 pub use admission::{AdmissionConfig, AdmissionStats, ShedPolicy};
 pub use checkpoint::CheckpointError;
 pub use dispatch::DispatchMode;
-pub use engine::{RunOutcome, SimError, Simulator};
+pub use engine::{Run, RunOutcome, SimError, Simulator};
 pub use oracle::{DemandOracle, FrozenOracle, GuardConfig, GuardedOracle, QuarantineRecord};
 pub use report::{CellSummary, JobStat, QueryStat, SimReport};
 

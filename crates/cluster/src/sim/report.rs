@@ -23,7 +23,7 @@ pub struct QueryStat {
     /// abandoned.
     pub finish: f64,
     /// True when the query was abandoned because one of its tasks
-    /// exhausted [`FaultPlan::max_attempts`]. Always false without faults.
+    /// exhausted [`FaultPlan::max_attempts`](crate::FaultPlan::max_attempts). Always false without faults.
     pub failed: bool,
 }
 

@@ -55,6 +55,16 @@ fn sim<S: Scheduler>(s: S) -> Simulator<S> {
     Simulator::new(ClusterConfig::default(), CostModel::default(), s)
 }
 
+/// Run `sim` to completion, recording every event.
+fn traced<S: Scheduler>(
+    mut sim: Simulator<S>,
+    queries: &[SimQuery],
+) -> (SimReport, sapred_obs::RecordingSink) {
+    let mut rec = sapred_obs::RecordingSink::new();
+    let report = sim.execute(queries, Run::new().sink(&mut rec)).unwrap().into_report();
+    (report, rec)
+}
+
 #[test]
 fn single_query_completes() {
     let r = sim(Fifo).run(&[simple_query("q", 0.0, 8, 2)]);
@@ -173,10 +183,9 @@ fn percentile_interpolates_response_times() {
 
 #[test]
 fn event_stream_is_consistent_with_report() {
-    use sapred_obs::{Event as Ob, RecordingSink};
+    use sapred_obs::Event as Ob;
     let queries = vec![chained_query("a", 0.0, 2, 6), simple_query("b", 2.0, 5, 3)];
-    let mut rec = RecordingSink::new();
-    let report = sim(Fifo).run_with(&queries, &mut rec);
+    let (report, rec) = traced(sim(Fifo), &queries);
 
     let count = |pred: &dyn Fn(&Ob) -> bool| rec.events.iter().filter(|e| pred(e)).count();
     // Task starts and finishes both match the report's task totals.
@@ -206,28 +215,25 @@ fn event_stream_is_consistent_with_report() {
 
 #[test]
 fn null_sink_run_matches_traced_run() {
-    use sapred_obs::RecordingSink;
     let queries = vec![chained_query("a", 0.0, 2, 8), simple_query("b", 3.0, 4, 2)];
     let plain = sim(Swrd).run(&queries);
-    let mut rec = RecordingSink::new();
-    let traced = sim(Swrd).run_with(&queries, &mut rec);
+    let (with_sink, rec) = traced(sim(Swrd), &queries);
     // Tracing must not perturb the simulation.
-    assert_eq!(plain.makespan, traced.makespan);
-    assert_eq!(plain.queries, traced.queries);
-    assert_eq!(plain.jobs, traced.jobs);
+    assert_eq!(plain.makespan, with_sink.makespan);
+    assert_eq!(plain.queries, with_sink.queries);
+    assert_eq!(plain.jobs, with_sink.jobs);
     assert!(!rec.events.is_empty());
 }
 
 #[test]
 fn swrd_decisions_choose_minimal_wrd_candidate() {
-    use sapred_obs::{Event as Ob, RecordingSink};
+    use sapred_obs::Event as Ob;
     let queries = vec![
         chained_query("huge", 0.0, 3, 60),
         simple_query("s1", 0.5, 4, 2),
         simple_query("s2", 0.6, 4, 2),
     ];
-    let mut rec = RecordingSink::new();
-    sim(Swrd).run_with(&queries, &mut rec);
+    let (_, rec) = traced(sim(Swrd), &queries);
     let mut decisions = 0;
     for e in &rec.events {
         if let Ob::Decision { policy, candidates, chosen_query, chosen_job, .. } = e {
@@ -269,12 +275,9 @@ fn mixed_workload() -> Vec<SimQuery> {
 }
 
 fn assert_incremental_matches_reference<S: Scheduler + Clone>(s: S) {
-    use sapred_obs::RecordingSink;
     let queries = mixed_workload();
-    let mut rec_inc = RecordingSink::new();
-    let inc = sim(s.clone()).run_with(&queries, &mut rec_inc);
-    let mut rec_ref = RecordingSink::new();
-    let refr = sim(s).with_dispatch(DispatchMode::Reference).run_with(&queries, &mut rec_ref);
+    let (inc, rec_inc) = traced(sim(s.clone()), &queries);
+    let (refr, rec_ref) = traced(sim(s).with_dispatch(DispatchMode::Reference), &queries);
     // Bit-identical reports: same schedule, same clock, same stats.
     assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
     assert_eq!(inc.queries, refr.queries);
@@ -299,7 +302,7 @@ fn incremental_matches_reference_for_all_schedulers() {
 fn picks_switch_between_scan_and_index_without_changing_the_schedule() {
     use super::dispatch::INDEX_MIN_WIDTH;
     use crate::sched::{Hfs, Srt};
-    use sapred_obs::{Event as Ob, RecordingSink};
+    use sapred_obs::Event as Ob;
     // Two arrival bursts on a four-container cluster: the runnable set
     // grows past the index threshold, drains below it, then grows again,
     // so decisions move between the scan and the index, and the index
@@ -317,13 +320,12 @@ fn picks_switch_between_scan_and_index_without_changing_the_schedule() {
         .collect();
     let config = ClusterConfig { nodes: 2, containers_per_node: 2, ..Default::default() };
     fn check<S: Scheduler + Clone>(s: S, queries: &[SimQuery], config: ClusterConfig) {
-        let mut rec_inc = RecordingSink::new();
-        let inc =
-            Simulator::new(config, CostModel::default(), s.clone()).run_with(queries, &mut rec_inc);
-        let mut rec_ref = RecordingSink::new();
-        let refr = Simulator::new(config, CostModel::default(), s)
-            .with_dispatch(DispatchMode::Reference)
-            .run_with(queries, &mut rec_ref);
+        let (inc, rec_inc) =
+            traced(Simulator::new(config, CostModel::default(), s.clone()), queries);
+        let (refr, rec_ref) = traced(
+            Simulator::new(config, CostModel::default(), s).with_dispatch(DispatchMode::Reference),
+            queries,
+        );
         assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
         assert_eq!(inc.queries, refr.queries);
         assert_eq!(inc.jobs, refr.jobs);
@@ -360,14 +362,13 @@ fn crosscheck_mode_verifies_every_event() {
 
 #[test]
 fn report_task_averages_match_traced_durations_exactly() {
-    use sapred_obs::{Event as Ob, RecordingSink};
+    use sapred_obs::Event as Ob;
     // TaskDone events carry exact f64 duration bits, so the report's
     // per-job task averages must equal the traced durations with zero
     // tolerance (the old millisecond rounding skewed them by up to
     // 0.5 ms per task).
     let queries = mixed_workload();
-    let mut rec = RecordingSink::new();
-    let report = sim(Hcs).run_with(&queries, &mut rec);
+    let (report, rec) = traced(sim(Hcs), &queries);
     for js in &report.jobs {
         let sum_for = |phase: TaskPhase| -> f64 {
             rec.events
@@ -469,12 +470,9 @@ fn zero_fault_plan_pins_prefault_golden_makespans() {
 
 #[test]
 fn inert_plan_is_bit_identical_to_no_plan() {
-    use sapred_obs::RecordingSink;
     let queries = mixed_workload();
-    let mut ra = RecordingSink::new();
-    let a = sim(Swrd).run_with(&queries, &mut ra);
-    let mut rb = RecordingSink::new();
-    let b = sim(Swrd).with_faults(FaultPlan::none()).run_with(&queries, &mut rb);
+    let (a, ra) = traced(sim(Swrd), &queries);
+    let (b, rb) = traced(sim(Swrd).with_faults(FaultPlan::none()), &queries);
     assert_eq!(a, b);
     assert_eq!(ra.events, rb.events);
     assert!(a.faults.is_clean());
@@ -482,13 +480,12 @@ fn inert_plan_is_bit_identical_to_no_plan() {
 
 #[test]
 fn fault_replay_is_bit_identical() {
-    use sapred_obs::RecordingSink;
     let queries = mixed_workload();
     let run = || {
-        let mut rec = RecordingSink::new();
-        let rep = Simulator::new(small_config(), CostModel::default(), Swrd)
-            .with_faults(stress_plan())
-            .run_with(&queries, &mut rec);
+        let (rep, rec) = traced(
+            Simulator::new(small_config(), CostModel::default(), Swrd).with_faults(stress_plan()),
+            &queries,
+        );
         (rep, rec.events)
     };
     let (a, ea) = run();
@@ -522,12 +519,12 @@ fn crosscheck_holds_under_faults_for_all_schedulers() {
 
 #[test]
 fn task_averages_count_only_winning_attempts_under_faults() {
-    use sapred_obs::{Event as Ob, RecordingSink};
+    use sapred_obs::Event as Ob;
     let queries = mixed_workload();
-    let mut rec = RecordingSink::new();
-    let rep = Simulator::new(small_config(), CostModel::default(), Hcs)
-        .with_faults(stress_plan())
-        .run_with(&queries, &mut rec);
+    let (rep, rec) = traced(
+        Simulator::new(small_config(), CostModel::default(), Hcs).with_faults(stress_plan()),
+        &queries,
+    );
     assert!(rep.faults.task_failures > 0, "need failures to regress against");
     // The averages must divide the *traced winning durations* by the
     // completion count, bit-for-bit — failed and killed attempts
@@ -571,7 +568,7 @@ fn task_averages_count_only_winning_attempts_under_faults() {
 
 #[test]
 fn node_crash_requeues_tasks_and_reexecutes_lost_maps() {
-    use sapred_obs::{Event as Ob, RecordingSink};
+    use sapred_obs::Event as Ob;
     // 18 maps on 6 containers run in ~3 waves; crashing node 0 after
     // the first waves completed (but before the reduces finish) must
     // invalidate the finished map output it held.
@@ -580,10 +577,10 @@ fn node_crash_requeues_tasks_and_reexecutes_lost_maps() {
         node_crashes: vec![NodeCrash::transient(0, 45.0, 20.0)],
         ..FaultPlan::default()
     };
-    let mut rec = RecordingSink::new();
-    let rep = Simulator::new(small_config(), CostModel::default(), Fifo)
-        .with_faults(plan)
-        .run_with(&queries, &mut rec);
+    let (rep, rec) = traced(
+        Simulator::new(small_config(), CostModel::default(), Fifo).with_faults(plan),
+        &queries,
+    );
     assert_eq!(rep.faults.node_crashes, 1);
     assert!(rep.faults.lost_maps > 0, "no completed maps were on node 0: {:?}", rep.faults);
     assert!(!rep.queries[0].failed, "transient crash must not fail the query");
@@ -651,7 +648,6 @@ fn exhausted_attempts_fail_query_without_sinking_the_run() {
 
 #[test]
 fn doomed_query_does_not_starve_healthy_neighbors() {
-    use sapred_obs::RecordingSink;
     // Query 0 burns out; query 1 (identical shape, fault-free by
     // plan construction? no — same probability, but generous budget
     // only for its tasks is impossible per-query, so instead check:
@@ -659,10 +655,10 @@ fn doomed_query_does_not_starve_healthy_neighbors() {
     // a doomed one).
     let plan = FaultPlan { task_fail_prob: 1.0, max_attempts: 2, ..FaultPlan::default() };
     let queries = vec![simple_query("doomed", 0.0, 3, 1), simple_query("doomed2", 1.0, 2, 0)];
-    let mut rec = RecordingSink::new();
-    let rep = Simulator::new(small_config(), CostModel::default(), Swrd)
-        .with_faults(plan)
-        .run_with(&queries, &mut rec);
+    let (rep, rec) = traced(
+        Simulator::new(small_config(), CostModel::default(), Swrd).with_faults(plan),
+        &queries,
+    );
     // With p=1.0 both queries fail; the run still drains every event
     // and reports both.
     assert_eq!(rep.faults.failed_queries.len(), 2);
@@ -695,7 +691,7 @@ fn flaky_node_gets_blacklisted_but_never_the_last_one() {
 
 #[test]
 fn speculation_clones_stragglers_and_first_finisher_wins() {
-    use sapred_obs::{Event as Ob, RecordingSink};
+    use sapred_obs::Event as Ob;
     // Heavy straggler noise (30% of tasks run 8× slower) plus an
     // otherwise idle cluster: once a job is nearly done, its laggards
     // get cloned. The clone either wins (speculative_wins) or is
@@ -703,9 +699,7 @@ fn speculation_clones_stragglers_and_first_finisher_wins() {
     let cost = CostModel { straggler_prob: 0.3, straggler_factor: 8.0, ..Default::default() };
     let plan = FaultPlan { speculative: true, spec_fraction: 0.5, ..FaultPlan::default() };
     let queries = vec![simple_query("q", 0.0, 10, 4)];
-    let mut rec = RecordingSink::new();
-    let rep =
-        Simulator::new(small_config(), cost, Fifo).with_faults(plan).run_with(&queries, &mut rec);
+    let (rep, rec) = traced(Simulator::new(small_config(), cost, Fifo).with_faults(plan), &queries);
     assert!(rep.faults.speculative_launches > 0, "{:?}", rep.faults);
     assert!(rep.faults.speculative_wins <= rep.faults.speculative_launches);
     let launches = rec.events.iter().filter(|e| matches!(e, Ob::SpeculativeLaunch { .. })).count();
@@ -768,10 +762,12 @@ impl DemandOracle for CountingOracle {
 fn frozen_oracle_run_is_bit_identical_to_plain_run() {
     use sapred_obs::RecordingSink;
     let queries = mixed_workload();
-    let mut rec_plain = RecordingSink::new();
-    let plain = sim(Swrd).run_with(&queries, &mut rec_plain);
+    let (plain, rec_plain) = traced(sim(Swrd), &queries);
     let mut rec_oracle = RecordingSink::new();
-    let oracled = sim(Swrd).run_with_oracle(&queries, &mut rec_oracle, &mut FrozenOracle);
+    let oracled = sim(Swrd)
+        .execute(&queries, Run::new().sink(&mut rec_oracle).oracle(&mut FrozenOracle))
+        .unwrap()
+        .into_report();
     assert_eq!(plain.makespan.to_bits(), oracled.makespan.to_bits());
     assert_eq!(plain.queries, oracled.queries);
     assert_eq!(plain.jobs, oracled.jobs);
@@ -780,11 +776,10 @@ fn frozen_oracle_run_is_bit_identical_to_plain_run() {
 
 #[test]
 fn oracle_is_consulted_at_start_submit_and_every_completion() {
-    use sapred_obs::NullSink;
     let queries = mixed_workload();
     let total_jobs: usize = queries.iter().map(|q| q.jobs.len()).sum();
     let mut oracle = CountingOracle { predicts: 0, observes: 0, recalibrates: false };
-    sim(Swrd).run_with_oracle(&queries, &mut NullSink, &mut oracle);
+    sim(Swrd).execute(&queries, Run::new().oracle(&mut oracle)).unwrap().into_report();
     assert_eq!(oracle.observes, total_jobs, "one feedback call per completed job");
     // Seeded once per job up front, plus once more at each submit; a
     // non-recalibrating oracle triggers no extra sweeps.
@@ -793,11 +788,10 @@ fn oracle_is_consulted_at_start_submit_and_every_completion() {
 
 #[test]
 fn recalibrating_oracle_triggers_represweeps() {
-    use sapred_obs::NullSink;
     let queries = mixed_workload();
     let total_jobs: usize = queries.iter().map(|q| q.jobs.len()).sum();
     let mut oracle = CountingOracle { predicts: 0, observes: 0, recalibrates: true };
-    sim(Swrd).run_with_oracle(&queries, &mut NullSink, &mut oracle);
+    sim(Swrd).execute(&queries, Run::new().oracle(&mut oracle)).unwrap().into_report();
     assert_eq!(oracle.observes, total_jobs);
     // Each completion now re-consults the oracle for unfinished jobs.
     assert!(
@@ -844,26 +838,29 @@ impl DemandOracle for BlendingOracle {
 
 #[test]
 fn recalibrating_oracle_keeps_incremental_and_reference_in_lockstep() {
-    use sapred_obs::{NullSink, RecordingSink};
+    use sapred_obs::RecordingSink;
     // Crosscheck re-derives the reference runnable view after every event
     // and panics on divergence, so mid-run prediction changes must flow
     // through resync correctly for this to complete at all.
     let queries = mixed_workload();
-    sim(Swrd).with_dispatch(DispatchMode::Crosscheck).run_with_oracle(
-        &queries,
-        &mut NullSink,
-        &mut BlendingOracle::default(),
-    );
+    sim(Swrd)
+        .with_dispatch(DispatchMode::Crosscheck)
+        .execute(&queries, Run::new().oracle(&mut BlendingOracle::default()))
+        .unwrap()
+        .into_report();
 
     // And incremental vs reference stay bit-identical end to end.
     let mut rec_inc = RecordingSink::new();
-    let inc = sim(Swrd).run_with_oracle(&queries, &mut rec_inc, &mut BlendingOracle::default());
+    let inc = sim(Swrd)
+        .execute(&queries, Run::new().sink(&mut rec_inc).oracle(&mut BlendingOracle::default()))
+        .unwrap()
+        .into_report();
     let mut rec_ref = RecordingSink::new();
-    let refr = sim(Swrd).with_dispatch(DispatchMode::Reference).run_with_oracle(
-        &queries,
-        &mut rec_ref,
-        &mut BlendingOracle::default(),
-    );
+    let refr = sim(Swrd)
+        .with_dispatch(DispatchMode::Reference)
+        .execute(&queries, Run::new().sink(&mut rec_ref).oracle(&mut BlendingOracle::default()))
+        .unwrap()
+        .into_report();
     assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
     assert_eq!(inc.queries, refr.queries);
     assert_eq!(rec_inc.events, rec_ref.events);
@@ -871,13 +868,15 @@ fn recalibrating_oracle_keeps_incremental_and_reference_in_lockstep() {
 
 #[test]
 fn recalibrating_oracle_survives_faults() {
-    use sapred_obs::NullSink;
     // Failed queries are skipped by the recalibration sweep; a crashy run
     // with a recalibrating oracle must still complete under Crosscheck.
     let mut s = Simulator::new(small_config(), CostModel::default(), Swrd)
         .with_faults(stress_plan())
         .with_dispatch(DispatchMode::Crosscheck);
-    let r = s.run_with_oracle(&mixed_workload(), &mut NullSink, &mut BlendingOracle::default());
+    let r = s
+        .execute(&mixed_workload(), Run::new().oracle(&mut BlendingOracle::default()))
+        .unwrap()
+        .into_report();
     assert!(r.makespan > 0.0);
 }
 
@@ -894,7 +893,7 @@ fn disabled_admission_reports_clean_stats() {
 
 #[test]
 fn full_queue_rejects_newest_and_rejected_queries_terminate() {
-    use sapred_obs::{Event as Ob, RecordingSink};
+    use sapred_obs::Event as Ob;
     // Cap 1: query `a` occupies the sole admission slot; `b` and `c`
     // arrive while it runs and, with no resubmit budget, are rejected
     // outright under RejectNewest.
@@ -909,10 +908,10 @@ fn full_queue_rejects_newest_and_rejected_queries_terminate() {
         simple_query("b", 0.5, 2, 1),
         simple_query("c", 1.0, 2, 1),
     ];
-    let mut rec = RecordingSink::new();
-    let r = Simulator::new(small_config(), CostModel::default(), Fifo)
-        .with_admission(admission)
-        .run_with(&queries, &mut rec);
+    let (r, rec) = traced(
+        Simulator::new(small_config(), CostModel::default(), Fifo).with_admission(admission),
+        &queries,
+    );
     assert!(!r.queries[0].failed);
     assert!(r.queries[1].failed && r.queries[2].failed);
     assert_eq!(r.admission.queries_shed, 2);
@@ -984,7 +983,9 @@ fn deadline_kills_overrunning_query() {
     let mut rec = RecordingSink::new();
     let r = Simulator::new(small_config(), CostModel::default(), Fifo)
         .with_admission(admission)
-        .run_with(&[simple_query("slow", 0.0, 12, 2)], &mut rec);
+        .execute(&[simple_query("slow", 0.0, 12, 2)], Run::new().sink(&mut rec))
+        .unwrap()
+        .into_report();
     assert!(r.queries[0].failed);
     assert_eq!(r.queries[0].finish, 5.0, "killed exactly at the deadline");
     assert_eq!(r.admission.deadline_misses, vec![QueryId(0)]);
@@ -1007,7 +1008,7 @@ fn deadline_kills_overrunning_query() {
 
 #[test]
 fn shed_query_resubmits_with_backoff_and_eventually_completes() {
-    use sapred_obs::{Event as Ob, RecordingSink};
+    use sapred_obs::Event as Ob;
     // `b` is shed while `a` holds the only slot, waits out its backoff,
     // and is admitted on retry once `a` finished.
     let admission = AdmissionConfig {
@@ -1018,8 +1019,7 @@ fn shed_query_resubmits_with_backoff_and_eventually_completes() {
         ..AdmissionConfig::default()
     };
     let queries = vec![simple_query("a", 0.0, 4, 1), simple_query("b", 0.5, 2, 1)];
-    let mut rec = RecordingSink::new();
-    let r = sim(Fifo).with_admission(admission).run_with(&queries, &mut rec);
+    let (r, rec) = traced(sim(Fifo).with_admission(admission), &queries);
     assert!(!r.queries[0].failed && !r.queries[1].failed);
     assert_eq!(r.admission.queries_shed, 1);
     assert_eq!(r.admission.resubmissions, 1);
@@ -1043,7 +1043,6 @@ fn shed_query_resubmits_with_backoff_and_eventually_completes() {
 
 #[test]
 fn admission_keeps_incremental_and_reference_in_lockstep() {
-    use sapred_obs::RecordingSink;
     // Shedding under ShedLargestWrd consults each candidate's WRD, which
     // must be bitwise identical whether it comes from the incremental
     // aggregates or the from-scratch reference computation.
@@ -1056,15 +1055,16 @@ fn admission_keeps_incremental_and_reference_in_lockstep() {
         resubmit_cap: 40.0,
     };
     let queries = mixed_workload();
-    let mut rec_inc = RecordingSink::new();
-    let inc = Simulator::new(small_config(), CostModel::default(), Swrd)
-        .with_admission(admission)
-        .run_with(&queries, &mut rec_inc);
-    let mut rec_ref = RecordingSink::new();
-    let refr = Simulator::new(small_config(), CostModel::default(), Swrd)
-        .with_admission(admission)
-        .with_dispatch(DispatchMode::Reference)
-        .run_with(&queries, &mut rec_ref);
+    let (inc, rec_inc) = traced(
+        Simulator::new(small_config(), CostModel::default(), Swrd).with_admission(admission),
+        &queries,
+    );
+    let (refr, rec_ref) = traced(
+        Simulator::new(small_config(), CostModel::default(), Swrd)
+            .with_admission(admission)
+            .with_dispatch(DispatchMode::Reference),
+        &queries,
+    );
     assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
     assert_eq!(inc.queries, refr.queries);
     assert_eq!(inc.admission, refr.admission);
@@ -1093,7 +1093,10 @@ fn poisoned_oracle_degrades_scheduling_without_leaking_nan() {
     let queries = mixed_workload();
     let mut oracle = GuardedOracle::new(PoisonOracle);
     let mut rec = RecordingSink::new();
-    let r = sim(Swrd).run_with_oracle(&queries, &mut rec, &mut oracle);
+    let r = sim(Swrd)
+        .execute(&queries, Run::new().sink(&mut rec).oracle(&mut oracle))
+        .unwrap()
+        .into_report();
     // Sustained garbage collapses trust during the up-front seeding, so
     // the whole run schedules in degraded (FIFO) mode.
     let enters = rec.events.iter().filter(|e| matches!(e, Ob::DegradedModeEnter { .. })).count();
@@ -1161,7 +1164,13 @@ fn degraded_mode_recovery_is_surfaced_and_restores_the_scheduler() {
     use sapred_obs::{Event as Ob, RecordingSink};
     let queries = mixed_workload();
     let mut rec = RecordingSink::new();
-    sim(Swrd).run_with_oracle(&queries, &mut rec, &mut ScriptedTrustOracle { observed: 0 });
+    sim(Swrd)
+        .execute(
+            &queries,
+            Run::new().sink(&mut rec).oracle(&mut ScriptedTrustOracle { observed: 0 }),
+        )
+        .unwrap()
+        .into_report();
     let enter = rec
         .events
         .iter()
@@ -1205,14 +1214,13 @@ fn degraded_mode_recovery_is_surfaced_and_restores_the_scheduler() {
 #[test]
 fn profiled_run_is_report_identical_and_counts_hot_paths() {
     use sapred_obs::profile::{Counter, SpanProfiler};
-    use sapred_obs::{NullSink, RecordingSink};
+    use sapred_obs::RecordingSink;
 
     let queries = mixed_workload();
     let baseline = sim(Swrd).run(&queries);
 
     let prof = SpanProfiler::new();
-    let profiled =
-        sim(Swrd).run_profiled(&queries, &mut NullSink, &mut super::oracle::FrozenOracle, &prof);
+    let profiled = sim(Swrd).execute(&queries, Run::new().profiler(&prof)).unwrap().into_report();
     assert_eq!(format!("{baseline:?}"), format!("{profiled:?}"));
 
     let total_tasks: usize =
@@ -1232,14 +1240,16 @@ fn profiled_run_is_report_identical_and_counts_hot_paths() {
     // With an enabled sink the emitted-event counter matches exactly.
     let prof2 = SpanProfiler::new();
     let mut rec = RecordingSink::new();
-    let with_sink =
-        sim(Swrd).run_profiled(&queries, &mut rec, &mut super::oracle::FrozenOracle, &prof2);
+    let with_sink = sim(Swrd)
+        .execute(&queries, Run::new().sink(&mut rec).profiler(&prof2))
+        .unwrap()
+        .into_report();
     assert_eq!(format!("{baseline:?}"), format!("{with_sink:?}"));
     assert_eq!(prof2.counter(Counter::SinkEventsEmitted), rec.events.len() as u64);
 
     // Counters are deterministic: a rerun reproduces them bit-for-bit.
     let prof3 = SpanProfiler::new();
-    sim(Swrd).run_profiled(&queries, &mut NullSink, &mut super::oracle::FrozenOracle, &prof3);
+    sim(Swrd).execute(&queries, Run::new().profiler(&prof3)).unwrap().into_report();
     for c in Counter::ALL {
         assert_eq!(prof.counter(c), prof3.counter(c), "{}", c.label());
     }
@@ -1248,14 +1258,13 @@ fn profiled_run_is_report_identical_and_counts_hot_paths() {
 #[test]
 fn profiled_run_counts_faulted_paths() {
     use sapred_obs::profile::{Counter, SpanProfiler};
-    use sapred_obs::NullSink;
 
     let queries = mixed_workload();
     let prof = SpanProfiler::new();
     let mut s = Simulator::new(small_config(), CostModel::default(), Swrd)
         .with_dispatch(DispatchMode::Incremental)
         .with_faults(stress_plan());
-    let report = s.run_profiled(&queries, &mut NullSink, &mut super::oracle::FrozenOracle, &prof);
+    let report = s.execute(&queries, Run::new().profiler(&prof)).unwrap().into_report();
     // Retries/clones mean more launches than the task count.
     let total_tasks: usize =
         queries.iter().flat_map(|q| &q.jobs).map(|j| j.maps.len() + j.reduces.len()).sum();
@@ -1276,7 +1285,6 @@ fn profiled_run_counts_faulted_paths() {
 #[cfg_attr(debug_assertions, ignore = "1e6-task run is release-only; run with --release")]
 fn queue_depth_stays_bounded_by_live_work_at_1e6_tasks() {
     use sapred_obs::profile::{Counter, SpanProfiler};
-    use sapred_obs::NullSink;
 
     // 2000 queries x 5 jobs x (80 maps + 20 reduces) = 1e6 tasks, the
     // same shape as the bench scale suite's 1e6 cell.
@@ -1290,7 +1298,7 @@ fn queue_depth_stays_bounded_by_live_work_at_1e6_tasks() {
     let prof = SpanProfiler::new();
     let mut s = sim(Fifo);
     let bound = (queries.len() + s.config.total_containers()) as u64;
-    let report = s.run_profiled(&queries, &mut NullSink, &mut super::oracle::FrozenOracle, &prof);
+    let report = s.execute(&queries, Run::new().profiler(&prof)).unwrap().into_report();
     assert_eq!(report.total_tasks(), 1_000_000);
 
     let peak = prof.counter(Counter::QueuePeakDepth);
@@ -1336,7 +1344,10 @@ fn event_budget_watchdog_turns_a_stuck_plan_into_a_typed_error() {
     let mut sim = Simulator::new(small_config(), CostModel::default(), Fifo)
         .with_faults(stuck)
         .with_max_events(5_000);
-    let err = sim.try_run(&[simple_query("stuck", 0.0, 2, 0)]).unwrap_err();
+    let err = sim
+        .execute(&[simple_query("stuck", 0.0, 2, 0)], Run::new())
+        .map(RunOutcome::into_report)
+        .unwrap_err();
     assert_eq!(err, SimError::EventBudgetExceeded { limit: 5_000 });
     let msg = err.to_string();
     assert!(msg.contains("event budget") && msg.contains("5000"), "unhelpful message: {msg}");
@@ -1350,7 +1361,8 @@ fn event_budget_watchdog_is_inert_below_the_limit() {
     let unwatched = Simulator::new(small_config(), CostModel::default(), Swrd).run(&queries);
     let watched = Simulator::new(small_config(), CostModel::default(), Swrd)
         .with_max_events(u64::MAX)
-        .try_run(&queries)
+        .execute(&queries, Run::new())
+        .map(RunOutcome::into_report)
         .expect("a finite run never trips a generous budget");
     assert_eq!(unwatched, watched);
 }

@@ -15,6 +15,9 @@
 //! dispatch mode independently of the snapshotting one, so Crosscheck also
 //! verifies the index rebuilt from blobs written under `Incremental`.
 //!
+//! Both halves of a cut take a profiler, and a resumed run can be cut
+//! again: three stitched segments must match the straight run too.
+//!
 //! The harness also fuzzes the blob itself: every single-byte flip and
 //! every truncation must surface a typed [`CheckpointError`] from resume —
 //! never a panic, never a silently-wrong run. Tampered blobs whose
@@ -26,7 +29,7 @@ use sapred_cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
 use sapred_cluster::sim::{
     AdmissionConfig, CheckpointError, ClusterConfig, DemandOracle, DispatchMode, FrozenOracle,
-    GuardedOracle, RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
+    GuardedOracle, Run, RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
 };
 use sapred_cluster::{CostModel, JobId, QueryId};
 use sapred_obs::profile::{Counter, SpanProfiler};
@@ -133,12 +136,43 @@ fn straight<S: Scheduler>(
     let mut sim = build(s, faults, dispatch);
     let mut rec = RecordingSink::new();
     let prof = SpanProfiler::new();
-    let report = sim.run_profiled(&workload(), &mut rec, &mut FrozenOracle, &prof);
+    let report =
+        sim.execute(&workload(), Run::new().sink(&mut rec).profiler(&prof)).unwrap().into_report();
     (report, rendered(&rec.events), prof.counter(Counter::EventsProcessed))
 }
 
-/// The interrupted run: snapshot after `at` events under `dispatch`, drop
-/// the engine, restore the blob into a fresh engine + oracle running
+/// One segment of a cut run on `sim`, which is dropped at the end — the
+/// "kill": the engine, its queue, and its RNG streams are gone, and only
+/// a snapshot blob crosses the gap. Starts from `from` (or fresh), stops
+/// after `stop` events (or at the end); returns the outcome and the
+/// events.
+fn segment<S: Scheduler>(
+    mut sim: Simulator<S>,
+    oracle: &mut dyn DemandOracle,
+    from: Option<&[u8]>,
+    stop: Option<u64>,
+) -> (RunOutcome, Vec<Event>) {
+    let mut rec = RecordingSink::new();
+    let mut run = Run::new().sink(&mut rec).oracle(oracle);
+    if let Some(bytes) = from {
+        run = run.resume(bytes);
+    }
+    if let Some(events) = stop {
+        run = run.stop_after(events);
+    }
+    let outcome = sim.execute(&workload(), run).expect("segment runs");
+    (outcome, rec.events)
+}
+
+fn expect_snapshot(outcome: RunOutcome, at: u64) -> Vec<u8> {
+    match outcome {
+        RunOutcome::Snapshot(blob) => blob,
+        RunOutcome::Done(_) => panic!("snapshot point {at} was past the end of the run"),
+    }
+}
+
+/// The interrupted run: snapshot after `at` events under `dispatch`,
+/// restore the blob into a fresh engine + oracle running
 /// `resume_dispatch`, finish. Returns the stitched report and event stream
 /// (prefix + suffix).
 fn snapshot_and_resume<S: Scheduler + Clone>(
@@ -148,26 +182,13 @@ fn snapshot_and_resume<S: Scheduler + Clone>(
     resume_dispatch: DispatchMode,
     at: u64,
 ) -> (SimReport, Vec<String>) {
-    let mut sim = build(s.clone(), faults.clone(), dispatch);
-    let mut prefix = RecordingSink::new();
-    let blob = match sim
-        .run_snapshot_after(&workload(), &mut prefix, &mut FrozenOracle, at)
-        .expect("snapshot run failed")
-    {
-        RunOutcome::Snapshot(blob) => blob,
-        RunOutcome::Done(_) => panic!("snapshot point {at} was past the end of the run"),
-    };
-    // The "kill": the original engine, its queue, and its RNG streams are
-    // gone. Only the blob crosses the gap.
-    drop(sim);
-    let mut sim = build(s, faults, resume_dispatch);
-    let mut suffix = RecordingSink::new();
-    let report = sim
-        .resume_with_oracle(&workload(), &mut suffix, &mut FrozenOracle, &blob)
-        .expect("restore failed");
-    let mut events = rendered(&prefix.events);
-    events.extend(rendered(&suffix.events));
-    (report, events)
+    let sim = build(s.clone(), faults.clone(), dispatch);
+    let (outcome, mut events) = segment(sim, &mut FrozenOracle, None, Some(at));
+    let blob = expect_snapshot(outcome, at);
+    let sim = build(s, faults, resume_dispatch);
+    let (outcome, suffix) = segment(sim, &mut FrozenOracle, Some(&blob), None);
+    events.extend(suffix);
+    (outcome.into_report(), rendered(&events))
 }
 
 /// Snapshot points worth pinning deterministically: immediately after the
@@ -220,6 +241,76 @@ fn faulted_goldens_survive_snapshot_and_restore() {
     check_cell(HcsQueues::new(vec![0.5, 0.5]), Some(stress_plan()), "HCS-queues");
 }
 
+/// Two cuts in one run: snapshot at `a`, resume and stop again at `b`,
+/// then resume to the end. A resumed run counts events from the fresh
+/// start, so `b` is absolute; the three stitched segments must match the
+/// straight run bit-for-bit.
+fn check_double_cut<S: Scheduler + Clone>(s: S, faults: Option<FaultPlan>, name: &str) {
+    let dispatch = DispatchMode::Incremental;
+    let (want_report, want_events, total) = straight(s.clone(), faults.clone(), dispatch);
+    let (a, b) = (total / 3, 2 * total / 3);
+    assert!(0 < a && a < b && b < total, "{name}: run too short to cut twice ({total} events)");
+    let sim = || build(s.clone(), faults.clone(), dispatch);
+
+    let (outcome, mut events) = segment(sim(), &mut FrozenOracle, None, Some(a));
+    let blob_a = expect_snapshot(outcome, a);
+    let (outcome, second) = segment(sim(), &mut FrozenOracle, Some(&blob_a), Some(b));
+    let blob_b = expect_snapshot(outcome, b);
+    assert!(
+        matches!(second.first(), Some(Event::RunResumed { events, .. }) if *events == a),
+        "{name}: the second segment must open with a resume marker at event {a}"
+    );
+    events.extend(second);
+    let (outcome, third) = segment(sim(), &mut FrozenOracle, Some(&blob_b), None);
+    events.extend(third);
+    let (report, events) = (outcome.into_report(), rendered(&events));
+    assert_eq!(report, want_report, "{name}: report diverged after cuts at {a} and {b}/{total}");
+    assert_eq!(events, want_events, "{name}: events diverged after cuts at {a} and {b}/{total}");
+}
+
+#[test]
+fn a_resumed_run_can_be_cut_again() {
+    check_double_cut(Fifo, None, "FIFO");
+    check_double_cut(Swrd, None, "SWRD");
+    check_double_cut(Swrd, Some(stress_plan()), "SWRD faulted");
+    check_double_cut(Hfs, Some(stress_plan()), "HFS faulted");
+}
+
+/// A profiler can watch both halves of a cut run, and the work they count
+/// adds up to the straight run's.
+#[test]
+fn profiled_snapshot_and_resume_count_the_straight_run() {
+    let (s, faults, dispatch) = (Swrd, Some(stress_plan()), DispatchMode::Incremental);
+    let straight_prof = SpanProfiler::new();
+    build(s, faults.clone(), dispatch)
+        .execute(&workload(), Run::new().profiler(&straight_prof))
+        .expect("straight run");
+    let total = straight_prof.counter(Counter::EventsProcessed);
+    let at = total / 2;
+
+    let before = SpanProfiler::new();
+    let outcome = build(s, faults.clone(), dispatch)
+        .execute(&workload(), Run::new().profiler(&before).stop_after(at))
+        .expect("snapshot run");
+    let blob = expect_snapshot(outcome, at);
+    let after = SpanProfiler::new();
+    build(s, faults, dispatch)
+        .execute(&workload(), Run::new().profiler(&after).resume(&blob))
+        .expect("resumed run")
+        .into_report();
+
+    assert_eq!(before.counter(Counter::EventsProcessed), at);
+    for c in [Counter::EventsProcessed, Counter::TasksLaunched] {
+        assert_eq!(
+            before.counter(c) + after.counter(c),
+            straight_prof.counter(c),
+            "{} split across the cut does not add up",
+            c.label()
+        );
+    }
+    assert!(before.balanced() && after.balanced());
+}
+
 // ---------------------------------------------------------------------
 // Robustness stack through the cut: admission + faults + a guarded
 // poisoned oracle (degraded mode), exercising the oracle state blob.
@@ -253,7 +344,10 @@ fn degraded_guarded_oracle_and_admission_state_survive_the_cut() {
     let mut rec = RecordingSink::new();
     let prof = SpanProfiler::new();
     let mut oracle = GuardedOracle::new(BrokenOracle);
-    let want = lifecycle_sim().run_profiled(&workload(), &mut rec, &mut oracle, &prof);
+    let want = lifecycle_sim()
+        .execute(&workload(), Run::new().sink(&mut rec).oracle(&mut oracle).profiler(&prof))
+        .unwrap()
+        .into_report();
     let want_events = rendered(&rec.events);
     let total = prof.counter(Counter::EventsProcessed);
     assert!(
@@ -262,28 +356,16 @@ fn degraded_guarded_oracle_and_admission_state_survive_the_cut() {
     );
 
     for at in deterministic_cuts(total) {
-        let mut sim = lifecycle_sim();
-        let mut prefix = RecordingSink::new();
         let mut oracle = GuardedOracle::new(BrokenOracle);
-        let blob = match sim
-            .run_snapshot_after(&workload(), &mut prefix, &mut oracle, at)
-            .expect("snapshot run failed")
-        {
-            RunOutcome::Snapshot(blob) => blob,
-            RunOutcome::Done(_) => panic!("cut {at} past end"),
-        };
-        drop(sim);
+        let (outcome, mut events) = segment(lifecycle_sim(), &mut oracle, None, Some(at));
+        let blob = expect_snapshot(outcome, at);
         drop(oracle);
-        let mut sim = lifecycle_sim();
-        let mut suffix = RecordingSink::new();
         // A *fresh* guard: trust EWMA, drift cells, degraded flag and
         // quarantine counters all come back from the blob.
         let mut oracle = GuardedOracle::new(BrokenOracle);
-        let report = sim
-            .resume_with_oracle(&workload(), &mut suffix, &mut oracle, &blob)
-            .expect("restore failed");
-        let mut events = rendered(&prefix.events);
-        events.extend(rendered(&suffix.events));
+        let (outcome, suffix) = segment(lifecycle_sim(), &mut oracle, Some(&blob), None);
+        events.extend(suffix);
+        let (report, events) = (outcome.into_report(), rendered(&events));
         assert_eq!(report, want, "lifecycle report diverged at cut {at}/{total}");
         assert_eq!(events, want_events, "lifecycle events diverged at cut {at}/{total}");
     }
@@ -294,19 +376,15 @@ fn degraded_guarded_oracle_and_admission_state_survive_the_cut() {
 // panic or a silently-wrong resumed run.
 
 fn sample_blob() -> Vec<u8> {
-    let mut sim = Simulator::new(config(), CostModel::default(), Swrd).with_faults(stress_plan());
-    let mut rec = RecordingSink::new();
+    let sim = Simulator::new(config(), CostModel::default(), Swrd).with_faults(stress_plan());
     // Mid-run cut: the faulted SWRD run processes ~128 events total, so 60
     // lands with plenty of live state (running attempts, pending retries).
-    match sim.run_snapshot_after(&workload(), &mut rec, &mut FrozenOracle, 60).unwrap() {
-        RunOutcome::Snapshot(blob) => blob,
-        RunOutcome::Done(_) => panic!("fixture too short"),
-    }
+    expect_snapshot(segment(sim, &mut FrozenOracle, None, Some(60)).0, 60)
 }
 
 fn try_restore(blob: &[u8]) -> Result<SimReport, SimError> {
     let mut sim = Simulator::new(config(), CostModel::default(), Swrd).with_faults(stress_plan());
-    sim.resume_with_oracle(&workload(), &mut sapred_obs::NullSink, &mut FrozenOracle, blob)
+    sim.execute(&workload(), Run::new().resume(blob)).map(RunOutcome::into_report)
 }
 
 #[test]
@@ -345,7 +423,8 @@ fn context_mismatch_is_detected() {
         Simulator::new(ClusterConfig { seed: 99, ..config() }, CostModel::default(), Swrd)
             .with_faults(stress_plan());
     let err = sim
-        .resume_with_oracle(&workload(), &mut sapred_obs::NullSink, &mut FrozenOracle, &blob)
+        .execute(&workload(), Run::new().resume(&blob))
+        .map(RunOutcome::into_report)
         .expect_err("mismatched config must not restore");
     assert!(err.to_string().contains("context"), "unexpected error: {err}");
 }

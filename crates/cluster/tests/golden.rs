@@ -14,7 +14,7 @@ use sapred_cluster::fault::{FaultPlan, NodeCrash};
 use sapred_cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
 use sapred_cluster::sim::{
-    AdmissionConfig, ClusterConfig, DemandOracle, FrozenOracle, GuardedOracle, ShedPolicy,
+    AdmissionConfig, ClusterConfig, DemandOracle, FrozenOracle, GuardedOracle, Run, ShedPolicy,
     SimReport, Simulator,
 };
 use sapred_cluster::{CostModel, JobId, QueryId};
@@ -198,7 +198,7 @@ fn run<S: Scheduler>(sched: S, faults: Option<FaultPlan>) -> (u64, u64) {
         sim = sim.with_faults(plan);
     }
     let mut rec = RecordingSink::new();
-    let report = sim.run_with(&workload(), &mut rec);
+    let report = sim.execute(&workload(), Run::new().sink(&mut rec)).unwrap().into_report();
     (report_fingerprint(&report), events_fingerprint(&rec.events))
 }
 
@@ -213,7 +213,10 @@ fn run_inert_robustness<S: Scheduler>(sched: S, faults: Option<FaultPlan>) -> (u
     }
     let mut rec = RecordingSink::new();
     let mut oracle = GuardedOracle::new(FrozenOracle);
-    let report = sim.run_with_oracle(&workload(), &mut rec, &mut oracle);
+    let report = sim
+        .execute(&workload(), Run::new().sink(&mut rec).oracle(&mut oracle))
+        .unwrap()
+        .into_report();
     assert!(report.admission.is_clean(), "inert admission must report clean stats");
     assert!(!oracle.degraded(), "a frozen oracle never degrades");
     (report_fingerprint(&report), events_fingerprint(&rec.events))
@@ -366,7 +369,10 @@ fn run_lifecycle_stress() -> (u64, u64, Vec<sapred_obs::Event>) {
         .with_faults(stress_plan());
     let mut rec = RecordingSink::new();
     let mut oracle = GuardedOracle::new(BrokenOracle);
-    let report = sim.run_with_oracle(&workload(), &mut rec, &mut oracle);
+    let report = sim
+        .execute(&workload(), Run::new().sink(&mut rec).oracle(&mut oracle))
+        .unwrap()
+        .into_report();
     (report_fingerprint(&report), events_fingerprint(&rec.events), rec.events)
 }
 

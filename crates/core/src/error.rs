@@ -1,10 +1,11 @@
 //! The framework's unified error type.
 //!
 //! Every fallible seam of the pipeline — query compilation, model
-//! fitting, the training harness, artifact I/O — converges on [`Error`],
+//! fitting, the training harness, simulation runs, artifact I/O — converges on [`Error`],
 //! so callers (the CLI, examples, downstream tools) handle one type and
 //! `?` composes across layers.
 
+use sapred_cluster::SimError;
 use sapred_predict::linalg::FitError;
 use sapred_query::QueryError;
 use std::fmt;
@@ -26,6 +27,9 @@ pub enum Error {
     Training(String),
     /// An operation needed a trained predictor but none was available.
     NotTrained,
+    /// A simulation run failed: its event budget ran out, or its
+    /// checkpoint bytes did not restore.
+    Sim(SimError),
     /// Reading or writing an artifact failed.
     Io {
         /// What was being read or written.
@@ -47,6 +51,7 @@ impl fmt::Display for Error {
             Error::NotTrained => {
                 write!(f, "no trained predictor (call Pipeline::train first)")
             }
+            Error::Sim(e) => write!(f, "simulation: {e}"),
             Error::Io { context, source } => write!(f, "{context}: {source}"),
             Error::Invalid(msg) => write!(f, "{msg}"),
         }
@@ -58,6 +63,7 @@ impl std::error::Error for Error {
         match self {
             Error::Query(e) => Some(e),
             Error::Fit { source, .. } => Some(source),
+            Error::Sim(e) => Some(e),
             Error::Io { source, .. } => Some(source),
             _ => None,
         }
@@ -67,6 +73,12 @@ impl std::error::Error for Error {
 impl From<QueryError> for Error {
     fn from(e: QueryError) -> Self {
         Error::Query(e)
+    }
+}
+
+impl From<SimError> for Error {
+    fn from(e: SimError) -> Self {
+        Error::Sim(e)
     }
 }
 

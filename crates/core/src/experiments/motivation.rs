@@ -128,7 +128,7 @@ pub fn motivation(
         .iter()
         .map(|(name, _, dag, actuals, preds)| {
             let q = build_sim_query(name, 0.0, dag, actuals, preds, &fw.cluster);
-            run_with(fw, Hcs, std::slice::from_ref(&q)).queries[0].response()
+            simulate(fw, Hcs, std::slice::from_ref(&q)).queries[0].response()
         })
         .collect();
 
@@ -141,8 +141,8 @@ pub fn motivation(
             build_sim_query(name, i as f64, dag, actuals, preds, &fw.cluster)
         })
         .collect();
-    let hcs = run_with(fw, Hcs, &mixed);
-    let swrd = predictor.map(|_| run_with(fw, Swrd, &mixed));
+    let hcs = simulate(fw, Hcs, &mixed);
+    let swrd = predictor.map(|_| simulate(fw, Swrd, &mixed));
 
     let rows = specs
         .iter()
@@ -159,7 +159,7 @@ pub fn motivation(
     MotivationReport { rows }
 }
 
-fn run_with<S: Scheduler>(
+fn simulate<S: Scheduler>(
     fw: &Framework,
     sched: S,
     queries: &[SimQuery],

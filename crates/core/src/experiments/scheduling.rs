@@ -3,6 +3,7 @@
 //! extra baseline).
 
 use crate::framework::{Framework, Predictor};
+use crate::parallel::{available_threads, run_claiming};
 use crate::report::{bar_chart, pct, secs, text_table};
 use sapred_cluster::build::build_sim_query;
 use sapred_cluster::job::{JobPrediction, SimQuery};
@@ -115,7 +116,10 @@ pub struct PreparedWorkload {
 }
 
 /// Instantiate a mix and prepare simulator queries (ground-truth execution
-/// parallelized across queries).
+/// parallelized across queries on [`run_claiming`]).
+///
+/// # Panics
+/// Panics, naming the query, if preparing any query panics.
 pub fn prepare_workload(
     mix: &MixSpec,
     pool: &mut DbPool,
@@ -127,23 +131,17 @@ pub fn prepare_workload(
 ) -> PreparedWorkload {
     let workload = generate_mix_workload(mix, pool, mean_gap_s, scale_divisor, seed);
     // Pre-warm already done by generate_mix_workload; process in parallel.
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let chunk = workload.len().div_ceil(threads).max(1);
-    let mut queries: Vec<Option<SimQuery>> = vec![None; workload.len()];
-    let pool_ref = &*pool;
-    crossbeam::thread::scope(|scope| {
-        for (wchunk, qchunk) in workload.chunks(chunk).zip(queries.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
-                for (w, slot) in wchunk.iter().zip(qchunk.iter_mut()) {
-                    *slot = Some(prepare_one(w, pool_ref, fw, predictor));
-                }
-            });
-        }
+    let pool = &*pool;
+    let queries = run_claiming(workload.len(), available_threads(), |i| {
+        prepare_one(&workload[i], pool, fw, predictor)
     })
-    .expect("workload preparation panicked");
+    .into_iter()
+    .enumerate()
+    .map(|(i, q)| q.unwrap_or_else(|msg| panic!("workload query {i} panicked: {msg}")))
+    .collect();
     PreparedWorkload {
         mix_name: mix.name.to_string(),
-        queries: queries.into_iter().map(|q| q.expect("filled")).collect(),
+        queries,
         scales: workload.iter().map(|w| w.input_gb * scale_divisor).collect(),
         scale_divisor,
     }

@@ -22,6 +22,8 @@
 //! * [`oracle`] — live [`DemandOracle`](sapred_cluster::DemandOracle)
 //!   implementations, including the drift-corrected
 //!   [`RecalibratingOracle`];
+//! * [`parallel`] — the one parallel runner: panic-isolated work items
+//!   claimed by scoped worker threads, results in item order;
 //! * [`error`] — the unified [`Error`] every fallible stage returns;
 //! * [`report`] — plain-text table rendering for the bench harness.
 
@@ -29,6 +31,7 @@ pub mod error;
 pub mod experiments;
 pub mod framework;
 pub mod oracle;
+pub mod parallel;
 pub mod pipeline;
 pub mod progress;
 pub mod report;

@@ -10,9 +10,10 @@
 //!    population ([`Pipeline::train`]);
 //! 3. **predict** — per-job/task times, WRD, query response
 //!    (via [`Pipeline::predictor`]);
-//! 4. **simulate** — run workloads on the simulated cluster, optionally
-//!    traced ([`Pipeline::simulate_traced`]) or with a live
-//!    [`DemandOracle`] in the loop ([`Pipeline::simulate_online`]).
+//! 4. **simulate** — run workloads on the simulated cluster
+//!    ([`Pipeline::simulate`]), optionally traced, profiled, under faults
+//!    and admission control, or with a live
+//!    [`DemandOracle`](sapred_cluster::DemandOracle) in the loop.
 //!
 //! Every stage that can fail returns the unified [`Error`], so a driver is
 //! a chain of `?`s. The CLI, all the examples, and the integration tests
@@ -25,7 +26,7 @@ use sapred_cluster::build::build_sim_query;
 use sapred_cluster::cost::CostModel;
 use sapred_cluster::job::{JobPrediction, SimQuery};
 use sapred_cluster::sched::Scheduler;
-use sapred_cluster::{AdmissionConfig, DemandOracle, FaultPlan, SimReport, Simulator};
+use sapred_cluster::{Run, RunOutcome, Simulator};
 use sapred_obs::profile::{Profiler, SpanProfiler};
 use sapred_obs::EventSink;
 use sapred_plan::ground_truth::execute_dag;
@@ -262,140 +263,36 @@ impl Pipeline {
         )
     }
 
-    /// A simulator over this pipeline's cluster and cost model — the
-    /// escape hatch for bespoke setups (fault plans, dispatch modes).
+    /// A simulator over this pipeline's cluster and cost model, for
+    /// [`Pipeline::simulate`]. Chain `with_faults`, `with_admission` or
+    /// `with_dispatch` onto it for a robustness or dispatch setup.
     pub fn simulator<S: Scheduler>(&self, scheduler: S) -> Simulator<S> {
         Simulator::new(self.framework.cluster, self.framework.cost, scheduler)
     }
 
-    /// Run queries to completion under `scheduler`.
-    pub fn simulate<S: Scheduler>(&self, scheduler: S, queries: &[SimQuery]) -> SimReport {
+    /// Run `queries` on `sim` as `run` describes (see
+    /// [`Simulator::execute`]): traced through a sink, with a live
+    /// [`DemandOracle`](sapred_cluster::DemandOracle) in the dispatch loop
+    /// — pair with [`RecalibratingOracle`](crate::oracle::RecalibratingOracle)
+    /// to let completed-job actuals re-rank the remaining work mid-run —
+    /// profiled, resumed, or stopped early. Records a `"simulate"` stage
+    /// span on the pipeline profiler, when one is attached.
+    ///
+    /// # Errors
+    /// [`Error::Invalid`] for a malformed fault plan or admission config,
+    /// checked before the run starts instead of panicking inside the event
+    /// loop, and [`Error::Sim`] if the run itself fails.
+    pub fn simulate<S: Scheduler, K: EventSink, P: Profiler>(
+        &self,
+        mut sim: Simulator<S>,
+        queries: &[SimQuery],
+        run: Run<'_, K, P>,
+    ) -> Result<RunOutcome, Error> {
+        sim.faults.validate(sim.config.nodes).map_err(Error::invalid)?;
+        sim.admission.validate().map_err(Error::invalid)?;
         let prof = self.stage_profiler();
         let _stage = prof.as_ref().map(|p| p.span("simulate"));
-        self.simulator(scheduler).run(queries)
-    }
-
-    /// Run queries, emitting every discrete event to `sink`.
-    pub fn simulate_traced<S: Scheduler, K: EventSink>(
-        &self,
-        scheduler: S,
-        queries: &[SimQuery],
-        sink: &mut K,
-    ) -> SimReport {
-        let prof = self.stage_profiler();
-        let _stage = prof.as_ref().map(|p| p.span("simulate"));
-        self.simulator(scheduler).run_with(queries, sink)
-    }
-
-    /// Run queries with a live [`DemandOracle`] in the dispatch loop: the
-    /// online-capable stage. Pair with
-    /// [`RecalibratingOracle`](crate::oracle::RecalibratingOracle) to let
-    /// completed-job actuals re-rank the remaining work mid-run.
-    pub fn simulate_online<S: Scheduler, K: EventSink>(
-        &self,
-        scheduler: S,
-        queries: &[SimQuery],
-        sink: &mut K,
-        oracle: &mut dyn DemandOracle,
-    ) -> SimReport {
-        let prof = self.stage_profiler();
-        let _stage = prof.as_ref().map(|p| p.span("simulate"));
-        self.simulator(scheduler).run_with_oracle(queries, sink, oracle)
-    }
-
-    /// Like [`Pipeline::simulate_online`], but with a [`Profiler`]
-    /// collecting the event-loop hot-path counters and spans (see
-    /// [`Simulator::run_profiled`]). Records a `"simulate"` stage span on
-    /// the pipeline profiler as well, when one is attached.
-    pub fn simulate_profiled<S: Scheduler, K: EventSink, P: Profiler>(
-        &self,
-        scheduler: S,
-        queries: &[SimQuery],
-        sink: &mut K,
-        oracle: &mut dyn DemandOracle,
-        prof: &P,
-    ) -> SimReport {
-        let stage_prof = self.stage_profiler();
-        let _stage = stage_prof.as_ref().map(|p| p.span("simulate"));
-        self.simulator(scheduler).run_profiled(queries, sink, oracle, prof)
-    }
-
-    /// Run queries under `scheduler` with injected faults.
-    pub fn simulate_with_faults<S: Scheduler>(
-        &self,
-        scheduler: S,
-        plan: FaultPlan,
-        queries: &[SimQuery],
-    ) -> SimReport {
-        let prof = self.stage_profiler();
-        let _stage = prof.as_ref().map(|p| p.span("simulate"));
-        self.simulator(scheduler).with_faults(plan).run(queries)
-    }
-
-    /// Like [`Pipeline::simulate_with_faults`], but a malformed plan
-    /// surfaces as [`Error::Invalid`] *before* the run instead of a panic
-    /// inside the simulator.
-    pub fn try_simulate_with_faults<S: Scheduler>(
-        &self,
-        scheduler: S,
-        plan: FaultPlan,
-        queries: &[SimQuery],
-    ) -> Result<SimReport, Error> {
-        plan.validate(self.framework.cluster.nodes).map_err(Error::invalid)?;
-        let prof = self.stage_profiler();
-        let _stage = prof.as_ref().map(|p| p.span("simulate"));
-        Ok(self.simulator(scheduler).with_faults(plan).run(queries))
-    }
-
-    /// The overload-hardened stage: run queries with admission control
-    /// (bounded queue, shed policy, deadlines, resubmission backoff) and a
-    /// live oracle, under an optional fault plan — the full robustness
-    /// layer in one call. Both configurations are validated up front, so a
-    /// bad knob combination surfaces as [`Error::Invalid`] before the run
-    /// starts instead of a panic inside the event loop.
-    pub fn simulate_admitted<S: Scheduler, K: EventSink>(
-        &self,
-        scheduler: S,
-        plan: FaultPlan,
-        admission: AdmissionConfig,
-        queries: &[SimQuery],
-        sink: &mut K,
-        oracle: &mut dyn DemandOracle,
-    ) -> Result<SimReport, Error> {
-        plan.validate(self.framework.cluster.nodes).map_err(Error::invalid)?;
-        admission.validate().map_err(Error::invalid)?;
-        let prof = self.stage_profiler();
-        let _stage = prof.as_ref().map(|p| p.span("simulate"));
-        Ok(self
-            .simulator(scheduler)
-            .with_faults(plan)
-            .with_admission(admission)
-            .run_with_oracle(queries, sink, oracle))
-    }
-
-    /// Like [`Pipeline::simulate_admitted`], but with a [`Profiler`]
-    /// collecting event-loop counters and admission-decision spans (see
-    /// [`Simulator::run_profiled`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_admitted_profiled<S: Scheduler, K: EventSink, P: Profiler>(
-        &self,
-        scheduler: S,
-        plan: FaultPlan,
-        admission: AdmissionConfig,
-        queries: &[SimQuery],
-        sink: &mut K,
-        oracle: &mut dyn DemandOracle,
-        prof: &P,
-    ) -> Result<SimReport, Error> {
-        plan.validate(self.framework.cluster.nodes).map_err(Error::invalid)?;
-        admission.validate().map_err(Error::invalid)?;
-        let stage_prof = self.stage_profiler();
-        let _stage = stage_prof.as_ref().map(|p| p.span("simulate"));
-        Ok(self
-            .simulator(scheduler)
-            .with_faults(plan)
-            .with_admission(admission)
-            .run_profiled(queries, sink, oracle, prof))
+        Ok(sim.execute(queries, run)?)
     }
 
     /// The ground-truth cost model (for bespoke simulator setups).
@@ -417,34 +314,24 @@ mod tests {
 
     #[test]
     fn malformed_robustness_configs_surface_as_errors() {
+        use sapred_cluster::{AdmissionConfig, FaultPlan};
         let p = Pipeline::new();
         let bad_plan = FaultPlan { task_fail_prob: 2.0, ..FaultPlan::none() };
         assert!(matches!(
-            p.try_simulate_with_faults(Fifo, bad_plan.clone(), &[]),
+            p.simulate(p.simulator(Fifo).with_faults(bad_plan.clone()), &[], Run::new()),
             Err(Error::Invalid(_))
         ));
-        let bad_admission =
-            sapred_cluster::AdmissionConfig { deadline: f64::NAN, ..Default::default() };
+        let bad_admission = AdmissionConfig { deadline: f64::NAN, ..Default::default() };
         let err = p
-            .simulate_admitted(
-                Fifo,
-                FaultPlan::none(),
-                bad_admission,
-                &[],
-                &mut sapred_obs::NullSink,
-                &mut sapred_cluster::FrozenOracle,
-            )
+            .simulate(p.simulator(Fifo).with_admission(bad_admission), &[], Run::new())
             .unwrap_err();
         assert!(err.to_string().contains("deadline"), "{err}");
-        // And the fault plan is checked there too.
+        // And the fault plan is checked alongside a valid admission config.
         assert!(matches!(
-            p.simulate_admitted(
-                Fifo,
-                bad_plan,
-                sapred_cluster::AdmissionConfig::disabled(),
+            p.simulate(
+                p.simulator(Fifo).with_faults(bad_plan).with_admission(AdmissionConfig::disabled()),
                 &[],
-                &mut sapred_obs::NullSink,
-                &mut sapred_cluster::FrozenOracle,
+                Run::new()
             ),
             Err(Error::Invalid(_))
         ));
@@ -452,27 +339,20 @@ mod tests {
 
     #[test]
     fn attached_profiler_records_stage_spans() {
-        use sapred_cluster::FrozenOracle;
         use sapred_obs::profile::Counter;
-        use sapred_obs::NullSink;
 
         let prof = Rc::new(SpanProfiler::new());
         let mut p = Pipeline::with_seed(7).with_profiler(Rc::clone(&prof));
         let semantics =
             p.percolate_sql("t", "SELECT count(*) FROM orders", 0.5).expect("valid query");
         let q = p.sim_query("t", 0.0, &semantics, 0.5);
+        let queries = std::slice::from_ref(&q);
 
-        // Plain simulate records the stage span but no engine counters...
-        p.simulate(Fifo, std::slice::from_ref(&q));
+        // An unprofiled run records the stage span but no engine counters...
+        p.simulate(p.simulator(Fifo), queries, Run::new()).unwrap();
         assert_eq!(prof.counter(Counter::EventsProcessed), 0);
-        // ...while simulate_profiled feeds the same profiler both.
-        p.simulate_profiled(
-            Fifo,
-            std::slice::from_ref(&q),
-            &mut NullSink,
-            &mut FrozenOracle,
-            &*prof,
-        );
+        // ...while a profiled one feeds the same profiler both.
+        p.simulate(p.simulator(Fifo), queries, Run::new().profiler(&*prof)).unwrap();
         assert_eq!(prof.span_stat("percolate").unwrap().count, 1);
         assert_eq!(prof.span_stat("predict").unwrap().count, 1);
         assert_eq!(prof.span_stat("simulate").unwrap().count, 2);
@@ -493,7 +373,10 @@ mod tests {
         assert_eq!(semantics.dag.len(), 1);
         // Untrained: prediction-free sim query still works.
         let q = p.sim_query("t", 0.0, &semantics, 0.5);
-        let report = p.simulate(Fifo, std::slice::from_ref(&q));
+        let report = p
+            .simulate(p.simulator(Fifo), std::slice::from_ref(&q), Run::new())
+            .unwrap()
+            .into_report();
         assert!(report.queries[0].finish > 0.0);
 
         let config = PopulationConfig {

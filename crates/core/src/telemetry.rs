@@ -125,19 +125,10 @@ pub fn record_training_runs<K: EventSink>(
 /// plus submission overheads. Queries prepared *without* a predictor carry
 /// all-zero predictions — the resulting events are still emitted (a drift
 /// tracker will report 100% error, which is accurate).
-pub fn record_sim_outcomes<K: EventSink>(
-    queries: &[SimQuery],
-    report: &SimReport,
-    config: &ClusterConfig,
-    sink: &mut K,
-) -> usize {
-    record_sim_outcomes_profiled(queries, report, config, sink, &sapred_obs::NullProfiler)
-}
-
-/// [`record_sim_outcomes`] with the whole drift pass timed under a
-/// `"drift_pass"` span on `prof`. The unprofiled entry point delegates here
-/// with a [`sapred_obs::NullProfiler`], so the off-path costs nothing.
-pub fn record_sim_outcomes_profiled<K: EventSink, P: Profiler>(
+///
+/// The whole pass is timed under a `"drift_pass"` span on `prof`; pass a
+/// [`sapred_obs::NullProfiler`] to skip the timing at no cost.
+pub fn record_sim_outcomes<K: EventSink, P: Profiler>(
     queries: &[SimQuery],
     report: &SimReport,
     config: &ClusterConfig,
@@ -322,7 +313,13 @@ mod tests {
 
         let report = Simulator::new(fw.cluster, fw.cost, Swrd).run(&prepared.queries);
         let mut drift = DriftTracker::new();
-        let emitted = record_sim_outcomes(&prepared.queries, &report, &fw.cluster, &mut drift);
+        let emitted = record_sim_outcomes(
+            &prepared.queries,
+            &report,
+            &fw.cluster,
+            &mut drift,
+            &sapred_obs::NullProfiler,
+        );
         assert!(emitted > 0);
         // One map + one job observation per job, one per query; reduces
         // only where present.
@@ -334,16 +331,11 @@ mod tests {
         assert!(job_mare < 2.0, "job MARE {job_mare}");
         assert!(drift.aggregate(Quantity::Query).n > 0);
 
-        // The profiled variant emits the same stream and times the pass.
+        // A profiled pass emits the same stream and times the pass.
         let prof = sapred_obs::SpanProfiler::new();
         let mut drift2 = DriftTracker::new();
-        let again = record_sim_outcomes_profiled(
-            &prepared.queries,
-            &report,
-            &fw.cluster,
-            &mut drift2,
-            &prof,
-        );
+        let again =
+            record_sim_outcomes(&prepared.queries, &report, &fw.cluster, &mut drift2, &prof);
         assert_eq!(again, emitted);
         assert_eq!(prof.span_stat("drift_pass").unwrap().count, 1);
         assert!(prof.balanced());

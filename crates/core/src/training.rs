@@ -1,11 +1,12 @@
 //! Training harness (paper §5.1): run a query population on the simulated
 //! cluster — each query alone, as the paper profiles — collect measured job
 //! and task times, and fit the multivariate models on a 3:1 train/test
-//! split. Ground-truth generation parallelizes across queries with
-//! crossbeam scoped threads.
+//! split. Ground-truth generation parallelizes across queries on the
+//! workspace's one parallel runner ([`run_claiming`]).
 
 use crate::error::Error;
 use crate::framework::Framework;
+use crate::parallel::{available_threads, run_claiming};
 use sapred_cluster::build::build_sim_query;
 use sapred_cluster::sched::Fifo;
 use sapred_cluster::sim::{JobStat, Simulator};
@@ -78,13 +79,14 @@ fn run_one(pop: &PopQuery, db: &sapred_relation::gen::Database, fw: &Framework) 
     }
 }
 
-/// Run the whole population (parallel across queries). The pool is
-/// pre-warmed so workers can share immutable database references.
+/// Run the whole population (parallel across queries, on
+/// [`run_claiming`]). The pool is pre-warmed so workers can share
+/// immutable database references.
 ///
 /// # Errors
-/// [`Error::Training`] if the population is empty or a worker panics
-/// (e.g. an unsatisfiable query template); the panic is contained to its
-/// chunk and reported, not propagated.
+/// [`Error::Training`] if the population is empty or a query panics (e.g.
+/// an unsatisfiable query template); the panic is contained to its query
+/// and reported with the query's index, not propagated.
 pub fn run_population(
     pop: &[PopQuery],
     pool: &mut DbPool,
@@ -96,29 +98,15 @@ pub fn run_population(
     for q in pop {
         pool.get(q.scale_gb);
     }
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let mut runs: Vec<Option<QueryRun>> = vec![None; pop.len()];
-    let pool_ref = &*pool;
-    crossbeam::thread::scope(|scope| {
-        for (pop_chunk, out_chunk) in pop
-            .chunks(pop.len().div_ceil(threads).max(1))
-            .zip(runs.chunks_mut(pop.len().div_ceil(threads).max(1)))
-        {
-            scope.spawn(move |_| {
-                for (q, slot) in pop_chunk.iter().zip(out_chunk.iter_mut()) {
-                    let db = pool_ref.peek(q.scale_gb).expect("pool pre-warmed");
-                    *slot = Some(run_one(q, db, fw));
-                }
-            });
-        }
+    let pool = &*pool;
+    run_claiming(pop.len(), available_threads(), |i| {
+        let db = pool.peek(pop[i].scale_gb).expect("pool pre-warmed");
+        run_one(&pop[i], db, fw)
     })
-    .map_err(|_| Error::Training("a population-run worker panicked".into()))?;
-    runs.into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.ok_or_else(|| Error::Training(format!("population query {i} produced no run")))
-        })
-        .collect()
+    .into_iter()
+    .enumerate()
+    .map(|(i, r)| r.map_err(|msg| Error::Training(format!("population query {i} panicked: {msg}"))))
+    .collect()
 }
 
 /// 3:1 train/test split by query id; scale-out queries always land in the

@@ -381,7 +381,7 @@ pub enum Event {
         t: f64,
         /// Events processed so far in this run (the snapshot boundary).
         events: u64,
-        /// Size of the serialized `sapred-ckpt/v1` blob in bytes.
+        /// Size of the serialized `sapred-ckpt/v2` blob in bytes.
         bytes: u64,
     },
     /// The engine was restored from a checkpoint and resumed execution.

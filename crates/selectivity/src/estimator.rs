@@ -22,8 +22,8 @@
 //!   pair, composed along the chain. Deterministic, no sampling.
 //!
 //! Every estimator computes per-join output cardinalities and feeds them
-//! back through the histogram propagation machinery
-//! ([`estimate_dag_sized`]), so `IS`/`FS`/`P` and downstream job estimates
+//! back through the histogram propagation machinery that
+//! [`estimate_dag`] runs, so `IS`/`FS`/`P` and downstream job estimates
 //! keep their §3 shape while the join sizes improve. Joins the new
 //! estimators cannot handle (broadcast joins, non-chain shapes, float keys,
 //! missing tables) silently fall back to the histogram estimate — the seam

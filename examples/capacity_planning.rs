@@ -12,6 +12,7 @@
 //! then validate that choice against the full simulator.
 
 use sapred::cluster::sched::Fifo;
+use sapred::cluster::Run;
 use sapred::core::framework::{Framework, Predictor};
 use sapred::core::Pipeline;
 use sapred::workload::population::PopulationConfig;
@@ -69,7 +70,10 @@ fn main() {
             *pipe.framework_mut() = variant;
             let semantics = pipe.percolate_sql("planning", sql, 50.0).expect("valid");
             let q = pipe.sim_query("planning", 0.0, &semantics, 50.0);
-            let r = pipe.simulate(Fifo, std::slice::from_ref(&q));
+            let r = pipe
+                .simulate(pipe.simulator(Fifo), std::slice::from_ref(&q), Run::new())
+                .expect("simulation runs")
+                .into_report();
             let measured = r.queries[0].response();
             println!(
                 "simulated response on {nodes} nodes: {measured:.1}s ({} the {deadline}s deadline)",

@@ -22,7 +22,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sapred::cluster::{build_sim_query, FaultPlan, NodeCrash, SimQuery, Swrd};
+use sapred::cluster::{build_sim_query, FaultPlan, NodeCrash, Run, SimQuery, Swrd};
 use sapred::core::Pipeline;
 use sapred::plan::ground_truth::execute_dag;
 use sapred_workload::templates::Template;
@@ -106,7 +106,10 @@ fn main() {
             seed,
             ..FaultPlan::default()
         };
-        let report = pipe.simulate_with_faults(Swrd, plan, &queries);
+        let report = pipe
+            .simulate(pipe.simulator(Swrd).with_faults(plan), &queries, Run::new())
+            .expect("sweep fault plan is valid")
+            .into_report();
         let done: Vec<_> = report.queries.iter().filter(|q| !q.failed).collect();
         let avg_resp = done.iter().map(|q| q.response()).sum::<f64>() / done.len().max(1) as f64;
         let fr = &report.faults;

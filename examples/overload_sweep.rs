@@ -26,11 +26,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sapred::cluster::{
-    build_sim_query, AdmissionConfig, ClusterConfig, CostModel, Fifo, FrozenOracle, JobPrediction,
-    Scheduler, ShedPolicy, SimQuery, SimReport, Simulator, Swrd,
+    build_sim_query, AdmissionConfig, ClusterConfig, CostModel, Fifo, JobPrediction, Scheduler,
+    ShedPolicy, SimQuery, SimReport, Simulator, Swrd,
 };
 use sapred::core::Pipeline;
-use sapred::obs::NullSink;
 use sapred::plan::ground_truth::execute_dag;
 use sapred_workload::templates::Template;
 
@@ -97,11 +96,7 @@ fn run<S: Scheduler>(
     admission: AdmissionConfig,
 ) -> SimReport {
     admission.validate().expect("sweep admission config is valid");
-    Simulator::new(contended_cluster(), cost, sched).with_admission(admission).run_with_oracle(
-        queries,
-        &mut NullSink,
-        &mut FrozenOracle,
-    )
+    Simulator::new(contended_cluster(), cost, sched).with_admission(admission).run(queries)
 }
 
 fn main() {

@@ -14,10 +14,11 @@
 //! drift tracker summarizes how far the predictions were off.
 
 use sapred::cluster::sched::Fifo;
+use sapred::cluster::Run;
 use sapred::core::progress::{JobProgress, ProgressEstimator};
 use sapred::core::telemetry::record_sim_outcomes;
 use sapred::core::Pipeline;
-use sapred::obs::{DriftTracker, EventSink, JsonlSink, Quantity, Tee};
+use sapred::obs::{DriftTracker, EventSink, JsonlSink, NullProfiler, Quantity, Tee};
 use sapred::workload::population::PopulationConfig;
 
 fn main() {
@@ -47,7 +48,10 @@ fn main() {
     // event to JSONL and feeding a prediction-drift tracker.
     let events = std::fs::File::create("progress_events.jsonl").expect("create events file");
     let mut sink = Tee::new(JsonlSink::new(std::io::BufWriter::new(events)), DriftTracker::new());
-    let report = pipe.simulate_traced(Fifo, std::slice::from_ref(&sim_q), &mut sink);
+    let report = pipe
+        .simulate(pipe.simulator(Fifo), std::slice::from_ref(&sim_q), Run::new().sink(&mut sink))
+        .expect("simulation runs")
+        .into_report();
     let finish = report.queries[0].finish;
     let mut job_stats = report.jobs.clone();
     job_stats.sort_by(|a, b| a.finish.total_cmp(&b.finish));
@@ -85,6 +89,7 @@ fn main() {
         &report,
         &pipe.framework().cluster,
         &mut sink,
+        &NullProfiler,
     );
     let Tee { a: jsonl, b: drift } = sink;
     let lines = jsonl.lines();

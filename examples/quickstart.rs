@@ -14,6 +14,7 @@
 //! 5. **simulate** it on the 9×12-container cluster to check.
 
 use sapred::cluster::sched::Fifo;
+use sapred::cluster::Run;
 use sapred::core::Pipeline;
 use sapred::plan::ground_truth::execute_dag;
 use sapred::workload::population::PopulationConfig;
@@ -77,7 +78,10 @@ fn main() {
 
     // --- Stage 4: verify on the simulated cluster ------------------------
     let sim_query = pipe.sim_query("quickstart", 0.0, &semantics, 10.0);
-    let report = pipe.simulate(Fifo, std::slice::from_ref(&sim_query));
+    let report = pipe
+        .simulate(pipe.simulator(Fifo), std::slice::from_ref(&sim_query), Run::new())
+        .expect("simulation runs")
+        .into_report();
     let actual = report.queries[0].response();
     println!(
         "\npredicted response: {predicted:.1}s | simulated response: {actual:.1}s \

@@ -15,17 +15,17 @@
 //! sapred motivation [--small GB] [--big GB]                # Figs. 1-2
 //! ```
 
-use sapred::cluster::sched::{Fifo, Hcs, Hfs, Scheduler, Srt, Swrd};
+use sapred::cluster::sched::{Fifo, Hcs, Hfs, Srt, Swrd};
 use sapred::cluster::{
-    AdmissionConfig, DemandOracle, FaultPlan, FrozenOracle, GuardedOracle, ShedPolicy, SimReport,
+    AdmissionConfig, DemandOracle, FrozenOracle, GuardedOracle, Run, ShedPolicy,
 };
 use sapred::core::experiments::accuracy::{job_accuracy, map_task_accuracy, reduce_task_accuracy};
 use sapred::core::experiments::motivation::motivation;
-use sapred::core::experiments::scheduling::{run_schedulers, PreparedWorkload};
-use sapred::core::telemetry::record_sim_outcomes_profiled;
+use sapred::core::experiments::scheduling::run_schedulers;
+use sapred::core::telemetry::record_sim_outcomes;
 use sapred::core::{Error, Pipeline, RecalibratingOracle};
 use sapred::obs::{
-    write_atomic, ChromeTraceSink, Counter, EventSink, JsonlSink, MetricsSink, SpanProfiler, Tee,
+    write_atomic, ChromeTraceSink, Counter, JsonlSink, MetricsSink, SpanProfiler, Tee,
 };
 use sapred::plan::ground_truth::execute_dag;
 use sapred::relation::persist::save_catalog;
@@ -388,48 +388,25 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
         (true, false) => &mut recal,
         (true, true) => &mut guarded_recal,
     };
-    #[allow(clippy::too_many_arguments)]
-    fn run_one<S: Scheduler, K: EventSink>(
-        pipe: &Pipeline,
-        sched: S,
-        prepared: &PreparedWorkload,
-        sink: &mut K,
-        admission: AdmissionConfig,
-        oracle: &mut dyn DemandOracle,
-        prof: &SpanProfiler,
-    ) -> Result<SimReport, Error> {
-        pipe.simulate_admitted_profiled(
-            sched,
-            FaultPlan::none(),
-            admission,
-            &prepared.queries,
-            sink,
-            oracle,
-            prof,
-        )
-    }
     println!("tracing {} queries under {}...", prepared.queries.len(), sched_name.to_uppercase());
-    let report = match sched_name {
-        "swrd" => run_one(&pipe, Swrd, &prepared, &mut sink, admission, &mut *oracle, &prof)?,
-        "hcs" => run_one(&pipe, Hcs, &prepared, &mut sink, admission, &mut *oracle, &prof)?,
-        "hfs" => run_one(&pipe, Hfs, &prepared, &mut sink, admission, &mut *oracle, &prof)?,
-        "fifo" => run_one(&pipe, Fifo, &prepared, &mut sink, admission, &mut *oracle, &prof)?,
-        "srt" => run_one(&pipe, Srt, &prepared, &mut sink, admission, &mut *oracle, &prof)?,
+    let run = Run::new().sink(&mut sink).oracle(&mut *oracle).profiler(&*prof);
+    let queries = &prepared.queries;
+    let outcome = match sched_name {
+        "swrd" => pipe.simulate(pipe.simulator(Swrd).with_admission(admission), queries, run),
+        "hcs" => pipe.simulate(pipe.simulator(Hcs).with_admission(admission), queries, run),
+        "hfs" => pipe.simulate(pipe.simulator(Hfs).with_admission(admission), queries, run),
+        "fifo" => pipe.simulate(pipe.simulator(Fifo).with_admission(admission), queries, run),
+        "srt" => pipe.simulate(pipe.simulator(Srt).with_admission(admission), queries, run),
         other => {
             return Err(Error::invalid(format!(
                 "unknown scheduler `{other}` (expected swrd|hcs|hfs|fifo|srt)"
             )))
         }
     };
+    let report = outcome?.into_report();
     let (trust, degraded) = (oracle.trust(), oracle.degraded());
     // Post-hoc prediction-drift telemetry against the simulated truth.
-    record_sim_outcomes_profiled(
-        &prepared.queries,
-        &report,
-        &pipe.framework().cluster,
-        &mut sink,
-        &*prof,
-    );
+    record_sim_outcomes(&prepared.queries, &report, &pipe.framework().cluster, &mut sink, &*prof);
 
     let Tee { a: jsonl, b: Tee { a: chrome, b: mut metrics } } = sink;
     let lines = jsonl.lines();

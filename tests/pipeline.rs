@@ -7,7 +7,7 @@ use sapred::plan::ground_truth::execute_dag;
 use sapred::relation::gen::{generate, GenConfig, Layout};
 use sapred_cluster::build::build_sim_query;
 use sapred_cluster::sched::Fifo;
-use sapred_cluster::sim::Simulator;
+use sapred_cluster::sim::{Run, Simulator};
 
 const QUERIES: &[&str] = &[
     "SELECT l_partkey FROM lineitem WHERE l_quantity > 45",
@@ -240,7 +240,6 @@ fn pig_and_sql_front_ends_agree() {
 fn pipeline_facade_drives_the_staged_lifecycle() {
     use sapred::cluster::sched::Swrd;
     use sapred::core::{Error, Pipeline, RecalibratingOracle};
-    use sapred::obs::NullSink;
     use sapred::workload::population::PopulationConfig;
 
     let mut pipe = Pipeline::with_seed(11);
@@ -274,19 +273,25 @@ fn pipeline_facade_drives_the_staged_lifecycle() {
     // Stage 4: simulate, then re-simulate with a live oracle in the loop.
     let queries =
         vec![pipe.sim_query("join", 0.0, &join, 1.0), pipe.sim_query("scan", 0.5, &scan, 1.0)];
-    let baseline = pipe.simulate(Swrd, &queries);
+    let baseline = pipe.simulate(pipe.simulator(Swrd), &queries, Run::new()).unwrap().into_report();
     assert_eq!(baseline.queries.len(), 2);
 
     // A frozen predictor behind the oracle seam is bit-identical to the
     // plain run: the seam itself changes nothing.
     let mut frozen = pipe.predictor().expect("trained").clone();
-    let online = pipe.simulate_online(Swrd, &queries, &mut NullSink, &mut frozen);
+    let online = pipe
+        .simulate(pipe.simulator(Swrd), &queries, Run::new().oracle(&mut frozen))
+        .unwrap()
+        .into_report();
     assert_eq!(online, baseline);
 
     // A recalibrating oracle completes and accumulates drift samples from
     // every finished job.
     let mut oracle = RecalibratingOracle::new();
-    let recal = pipe.simulate_online(Swrd, &queries, &mut NullSink, &mut oracle);
+    let recal = pipe
+        .simulate(pipe.simulator(Swrd), &queries, Run::new().oracle(&mut oracle))
+        .unwrap()
+        .into_report();
     assert_eq!(recal.queries.len(), 2);
     // Every job has a map phase with a positive actual, so each finished
     // job contributes at least one drift sample.

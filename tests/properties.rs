@@ -9,7 +9,8 @@ use sapred::cluster::sched::{
     Fifo, Hcs, HcsQueues, Hfs, RunnableJob, Scheduler, Srt, Swrd, TaskChoice,
 };
 use sapred::cluster::sim::{
-    ClusterConfig, DemandOracle, DispatchMode, GuardConfig, GuardedOracle, SimReport, Simulator,
+    ClusterConfig, DemandOracle, DispatchMode, GuardConfig, GuardedOracle, Run, SimReport,
+    Simulator,
 };
 use sapred::cluster::CostModel;
 use sapred::cluster::QueryId;
@@ -70,7 +71,9 @@ fn run_faulted_traced<S: Scheduler>(
     let report = Simulator::new(config, CostModel::default(), s)
         .with_dispatch(DispatchMode::Crosscheck)
         .with_faults(plan.clone())
-        .run_with(queries, &mut sink);
+        .execute(queries, Run::new().sink(&mut sink))
+        .unwrap()
+        .into_report();
     (report, sink.finish().unwrap())
 }
 
@@ -165,7 +168,9 @@ fn run_guarded_traced<S: Scheduler>(
     let report = Simulator::new(config, CostModel::default(), AssertFiniteWrd(s))
         .with_dispatch(mode)
         .with_faults(plan.clone())
-        .run_with_oracle(queries, &mut sink, &mut oracle);
+        .execute(queries, Run::new().sink(&mut sink).oracle(&mut oracle))
+        .unwrap()
+        .into_report();
     (report, sink.finish().unwrap())
 }
 

@@ -5,7 +5,7 @@
 
 use sapred::cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 use sapred::cluster::sched::Swrd;
-use sapred::cluster::sim::{ClusterConfig, Simulator};
+use sapred::cluster::sim::{ClusterConfig, Run, Simulator};
 use sapred::cluster::{CostModel, FaultPlan, JobId, NodeCrash};
 use sapred::obs::json::validate;
 use sapred::obs::{ChromeTraceSink, JsonlSink, MetricsSink, Tee};
@@ -51,7 +51,10 @@ fn exported_artifacts_are_valid_and_consistent_with_report() {
         JsonlSink::new(Vec::new()),
         Tee::new(ChromeTraceSink::new(), MetricsSink::new(config.total_containers())),
     );
-    let report = Simulator::new(config, CostModel::default(), Swrd).run_with(&queries, &mut sink);
+    let report = Simulator::new(config, CostModel::default(), Swrd)
+        .execute(&queries, Run::new().sink(&mut sink))
+        .unwrap()
+        .into_report();
     let Tee { a: jsonl, b: Tee { a: chrome, b: mut metrics } } = sink;
 
     // JSONL: every line is valid JSON, and task start/finish counts match
@@ -158,7 +161,11 @@ fn fault_event_kinds_are_pinned_through_every_exporter() {
         JsonlSink::new(Vec::new()),
         Tee::new(ChromeTraceSink::new(), MetricsSink::new(config.total_containers())),
     );
-    let report = Simulator::new(config, cost, Swrd).with_faults(plan).run_with(&queries, &mut sink);
+    let report = Simulator::new(config, cost, Swrd)
+        .with_faults(plan)
+        .execute(&queries, Run::new().sink(&mut sink))
+        .unwrap()
+        .into_report();
     let Tee { a: jsonl, b: Tee { a: chrome, b: mut metrics } } = sink;
     let fr = report.faults.clone();
     assert!(
