@@ -5,7 +5,7 @@
 //! comparisons of a column against constants, combined with AND/OR. String
 //! literals are lowered to dictionary codes before reaching this layer.
 
-use crate::table::Table;
+use crate::table::{Column, Table};
 
 /// Comparison operator of a simple predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,25 +106,53 @@ impl Predicate {
         Predicate::Or(Box::new(self), Box::new(other))
     }
 
-    /// Evaluate the predicate against row `i` of `table`.
-    pub fn eval(&self, table: &Table, i: usize) -> bool {
+    /// Resolve every column name against `table` once, so evaluation looks
+    /// up no names.
+    ///
+    /// # Panics
+    /// Panics if the predicate names a column `table` lacks, even when the
+    /// table has no rows.
+    pub fn bind<'a>(&self, table: &'a Table) -> BoundPredicate<'a> {
+        self.bind_with(table.rows(), &|name| {
+            table
+                .column(name)
+                .unwrap_or_else(|| panic!("unknown column {name} in {}", table.name()))
+        })
+    }
+
+    /// [`Predicate::bind`] against any `rows`-row set of columns: `column`
+    /// resolves a name (and panics on an unknown one).
+    ///
+    /// # Panics
+    /// Panics if a resolved column does not have `rows` rows.
+    pub(crate) fn bind_with<'a>(
+        &self,
+        rows: usize,
+        column: &dyn Fn(&str) -> &'a Column,
+    ) -> BoundPredicate<'a> {
+        BoundPredicate { node: self.bind_node(rows, column), rows }
+    }
+
+    fn bind_node<'a>(&self, rows: usize, column: &dyn Fn(&str) -> &'a Column) -> Bound<'a> {
+        let resolve = |name: &str| {
+            let col = column(name);
+            assert_eq!(col.len(), rows, "column {name} length mismatch");
+            col
+        };
         match self {
-            Predicate::True => true,
-            Predicate::Cmp { column, op, value } => {
-                let col = table
-                    .column(column)
-                    .unwrap_or_else(|| panic!("unknown column {column} in {}", table.name()));
-                op.eval(col.get_f64(i), *value)
+            Predicate::True => Bound::True,
+            Predicate::Cmp { column: c, op, value } => {
+                Bound::Cmp { column: resolve(c), op: *op, value: *value }
             }
-            Predicate::Between { column, lo, hi } => {
-                let col = table
-                    .column(column)
-                    .unwrap_or_else(|| panic!("unknown column {column} in {}", table.name()));
-                let v = col.get_f64(i);
-                *lo <= v && v <= *hi
+            Predicate::Between { column: c, lo, hi } => {
+                Bound::Between { column: resolve(c), lo: *lo, hi: *hi }
             }
-            Predicate::And(a, b) => a.eval(table, i) && b.eval(table, i),
-            Predicate::Or(a, b) => a.eval(table, i) || b.eval(table, i),
+            Predicate::And(a, b) => {
+                Bound::And(Box::new(a.bind_node(rows, column)), Box::new(b.bind_node(rows, column)))
+            }
+            Predicate::Or(a, b) => {
+                Bound::Or(Box::new(a.bind_node(rows, column)), Box::new(b.bind_node(rows, column)))
+            }
         }
     }
 
@@ -170,11 +198,100 @@ impl std::fmt::Display for Predicate {
     }
 }
 
+/// A [`Predicate`] with its columns resolved, made by [`Predicate::bind`].
+#[derive(Debug, Clone)]
+pub struct BoundPredicate<'a> {
+    node: Bound<'a>,
+    rows: usize,
+}
+
+#[derive(Debug, Clone)]
+enum Bound<'a> {
+    True,
+    Cmp { column: &'a Column, op: CmpOp, value: f64 },
+    Between { column: &'a Column, lo: f64, hi: f64 },
+    And(Box<Bound<'a>>, Box<Bound<'a>>),
+    Or(Box<Bound<'a>>, Box<Bound<'a>>),
+}
+
+impl BoundPredicate<'_> {
+    /// Whether row `i` satisfies the predicate.
+    pub fn eval(&self, i: usize) -> bool {
+        self.node.eval(i)
+    }
+
+    /// Indices of the rows that satisfy the predicate, ascending. Each
+    /// comparison runs over its whole column at once.
+    pub fn selected(&self) -> Vec<usize> {
+        if matches!(self.node, Bound::True) {
+            return (0..self.rows).collect();
+        }
+        let mask = self.node.mask(self.rows);
+        mask.iter().enumerate().filter_map(|(i, &keep)| keep.then_some(i)).collect()
+    }
+}
+
+impl Bound<'_> {
+    fn eval(&self, i: usize) -> bool {
+        match self {
+            Bound::True => true,
+            Bound::Cmp { column, op, value } => op.eval(column.get_f64(i), *value),
+            Bound::Between { column, lo, hi } => {
+                let v = column.get_f64(i);
+                *lo <= v && v <= *hi
+            }
+            Bound::And(a, b) => a.eval(i) && b.eval(i),
+            Bound::Or(a, b) => a.eval(i) || b.eval(i),
+        }
+    }
+
+    /// Every row's outcome; element `i` is [`Bound::eval`] of row `i`.
+    fn mask(&self, rows: usize) -> Vec<bool> {
+        match self {
+            Bound::True => vec![true; rows],
+            Bound::Cmp { column, op, value } => {
+                let c = *value;
+                match op {
+                    CmpOp::Eq => test_each(column, |v| v == c),
+                    CmpOp::Ne => test_each(column, |v| v != c),
+                    CmpOp::Lt => test_each(column, |v| v < c),
+                    CmpOp::Le => test_each(column, |v| v <= c),
+                    CmpOp::Gt => test_each(column, |v| v > c),
+                    CmpOp::Ge => test_each(column, |v| v >= c),
+                }
+            }
+            Bound::Between { column, lo, hi } => {
+                let (lo, hi) = (*lo, *hi);
+                test_each(column, |v| lo <= v && v <= hi)
+            }
+            Bound::And(a, b) => {
+                let mut out = a.mask(rows);
+                out.iter_mut().zip(b.mask(rows)).for_each(|(o, r)| *o &= r);
+                out
+            }
+            Bound::Or(a, b) => {
+                let mut out = a.mask(rows);
+                out.iter_mut().zip(b.mask(rows)).for_each(|(o, r)| *o |= r);
+                out
+            }
+        }
+    }
+}
+
+/// `test` of every value of `column` as an f64, one tight loop per
+/// physical type.
+#[inline]
+fn test_each(column: &Column, test: impl Fn(f64) -> bool) -> Vec<bool> {
+    match column {
+        Column::Int(v) => v.iter().map(|&x| test(x as f64)).collect(),
+        Column::Float(v) => v.iter().map(|&x| test(x)).collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{ColumnDef, DataType, Schema};
-    use crate::table::Column;
 
     fn t() -> Table {
         let schema = Schema::new(vec![
@@ -188,35 +305,43 @@ mod tests {
         )
     }
 
+    /// Row-by-row outcomes of `p` on `t`, checked against `selected`.
+    fn outcomes(p: &Predicate, t: &Table) -> Vec<bool> {
+        let bound = p.bind(t);
+        let rows: Vec<bool> = (0..t.rows()).map(|i| bound.eval(i)).collect();
+        let picked: Vec<usize> = (0..t.rows()).filter(|&i| rows[i]).collect();
+        assert_eq!(bound.selected(), picked);
+        rows
+    }
+
     #[test]
     fn cmp_eval() {
-        let t = t();
         let p = Predicate::cmp("a", CmpOp::Ge, 5.0);
-        assert!(!p.eval(&t, 0));
-        assert!(p.eval(&t, 1));
-        assert!(p.eval(&t, 2));
+        assert_eq!(outcomes(&p, &t()), [false, true, true]);
     }
 
     #[test]
     fn between_is_inclusive() {
-        let t = t();
         let p = Predicate::between("b", 0.1, 0.5);
-        assert!(p.eval(&t, 0));
-        assert!(p.eval(&t, 1));
-        assert!(!p.eval(&t, 2));
+        assert_eq!(outcomes(&p, &t()), [true, true, false]);
     }
 
     #[test]
     fn and_or_combinators() {
         let t = t();
         let p = Predicate::cmp("a", CmpOp::Gt, 2.0).and(Predicate::cmp("b", CmpOp::Lt, 0.9));
-        assert!(!p.eval(&t, 0));
-        assert!(p.eval(&t, 1));
-        assert!(!p.eval(&t, 2));
+        assert_eq!(outcomes(&p, &t), [false, true, false]);
         let q = Predicate::cmp("a", CmpOp::Eq, 1.0).or(Predicate::cmp("a", CmpOp::Eq, 9.0));
-        assert!(q.eval(&t, 0));
-        assert!(!q.eval(&t, 1));
-        assert!(q.eval(&t, 2));
+        assert_eq!(outcomes(&q, &t), [true, false, true]);
+        assert_eq!(outcomes(&Predicate::True, &t), [true, true, true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown column zz in e")]
+    fn binding_an_unknown_column_panics_even_on_an_empty_table() {
+        let schema = Schema::new(vec![ColumnDef::new("a", DataType::Int)]);
+        let empty = Table::new("e", schema, vec![Column::Int(vec![])]);
+        Predicate::cmp("a", CmpOp::Eq, 1.0).and(Predicate::cmp("zz", CmpOp::Eq, 1.0)).bind(&empty);
     }
 
     #[test]

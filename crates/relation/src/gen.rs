@@ -574,7 +574,7 @@ mod tests {
         let code = nation.dict_code("n_name", "CHINA");
         assert!(code >= 0);
         let p = Predicate::cmp("n_name", CmpOp::Ne, code as f64);
-        let kept = (0..nation.rows()).filter(|&i| p.eval(nation, i)).count();
+        let kept = p.bind(nation).selected().len();
         assert_eq!(kept, 24); // 24 of 25 nations survive n_name <> 'CHINA'.
     }
 

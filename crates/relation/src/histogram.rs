@@ -7,8 +7,8 @@
 //! (paper Eq. 5, after Bell et al. '89) can be evaluated directly.
 
 use crate::expr::{CmpOp, Predicate};
+use crate::hash::FastSet;
 use crate::table::Column;
-use std::collections::HashSet;
 
 /// One histogram bucket: `[lo, hi)` (the last bucket is closed on both ends).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -56,22 +56,26 @@ impl Histogram {
         assert!(min <= max, "invalid domain [{min}, {max}]");
         let width = if max > min { (max - min) / n as f64 } else { 1.0 };
         let mut counts = vec![0u64; n];
-        let mut distinct: Vec<HashSet<i64>> = vec![HashSet::new(); n];
+        let mut distinct = vec![0u64; n];
+        // A value always falls in the same bucket, so one set of bit
+        // patterns (exact for float columns too) yields every bucket's
+        // distinct count.
+        let mut seen: FastSet<u64> = FastSet::default();
         let rows = column.len();
         for i in 0..rows {
             let v = column.get_f64(i);
             let b = Self::bucket_index_for(v, min, width, n);
             counts[b] += 1;
-            // Distinct tracking uses the bit pattern of the value so float
-            // columns are handled exactly as well.
-            distinct[b].insert(column.get_f64(i).to_bits() as i64);
+            if seen.insert(v.to_bits()) {
+                distinct[b] += 1;
+            }
         }
         let buckets = (0..n)
             .map(|b| Bucket {
                 lo: min + b as f64 * width,
                 hi: min + (b + 1) as f64 * width,
                 count: counts[b] as f64,
-                distinct: distinct[b].len() as f64,
+                distinct: distinct[b] as f64,
             })
             .collect();
         Self { min, max, width, buckets, total: rows as f64 }
@@ -159,7 +163,7 @@ impl Histogram {
     }
 
     #[inline]
-    fn bucket_index_for(v: f64, min: f64, width: f64, n: usize) -> usize {
+    pub(crate) fn bucket_index_for(v: f64, min: f64, width: f64, n: usize) -> usize {
         let raw = ((v - min) / width).floor();
         (raw.max(0.0) as usize).min(n - 1)
     }

@@ -24,6 +24,7 @@ pub mod dist;
 pub mod exec;
 pub mod expr;
 pub mod gen;
+pub(crate) mod hash;
 pub mod histogram;
 pub mod persist;
 pub mod schema;

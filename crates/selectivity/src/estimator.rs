@@ -33,7 +33,7 @@ use crate::estimate::{estimate_dag, estimate_dag_sized, EstimatorConfig, JobEsti
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sapred_plan::dag::{InputSrc, JobKind, QueryDag, TableInput};
-use sapred_relation::expr::Predicate;
+use sapred_relation::expr::{BoundPredicate, Predicate};
 use sapred_relation::gen::Database;
 use sapred_relation::stats::Catalog;
 use sapred_relation::table::Table;
@@ -297,8 +297,7 @@ fn flatten_join<'a>(dag: &'a QueryDag, job: usize, catalog: &Catalog) -> Option<
 /// A hop prepared for walking: the materialized table, its key index and
 /// the key column of the owning chain table.
 struct PreparedHop<'t> {
-    table: &'t Table,
-    predicate: &'t Predicate,
+    predicate: BoundPredicate<'t>,
     owner: usize,
     owner_keys: &'t [i64],
     index: HashMap<i64, Vec<u32>>,
@@ -326,8 +325,7 @@ impl WalkPlan<'_> {
                     index.entry(k).or_default().push(row as u32);
                 }
                 Some(PreparedHop {
-                    table,
-                    predicate: &self.chain[h + 1].predicate,
+                    predicate: self.chain[h + 1].predicate.bind(table),
                     owner: hop.owner,
                     owner_keys,
                     index,
@@ -350,11 +348,11 @@ impl WalkPlan<'_> {
         if base.rows() == 0 {
             return Some(vec![0.0; n_walks]);
         }
-        let base_pred = &self.chain[0].predicate;
+        let base_pred = self.chain[0].predicate.bind(base);
         let walks = (0..n_walks)
             .map(|i| {
                 let mut rng = StdRng::seed_from_u64(walk_seed(config.sample_seed, job, i));
-                self.one_walk(base, base_pred, &hops, &mut rng)
+                self.one_walk(base, &base_pred, &hops, &mut rng)
             })
             .collect();
         Some(walks)
@@ -367,12 +365,12 @@ impl WalkPlan<'_> {
     fn one_walk(
         &self,
         base: &Table,
-        base_pred: &Predicate,
+        base_pred: &BoundPredicate<'_>,
         hops: &[PreparedHop<'_>],
         rng: &mut StdRng,
     ) -> f64 {
         let row = rng.gen_range(0..base.rows());
-        if !base_pred.eval(base, row) {
+        if !base_pred.eval(row) {
             return 0.0;
         }
         let mut inv_prob = base.rows() as f64;
@@ -384,7 +382,7 @@ impl WalkPlan<'_> {
                 return 0.0;
             };
             let pick = matches[rng.gen_range(0..matches.len())] as usize;
-            if !hop.predicate.eval(hop.table, pick) {
+            if !hop.predicate.eval(pick) {
                 return 0.0;
             }
             inv_prob *= matches.len() as f64;
@@ -403,7 +401,7 @@ impl WalkPlan<'_> {
         let filtered: Vec<f64> = mats
             .iter()
             .zip(&self.chain)
-            .map(|(t, input)| (0..t.rows()).filter(|&i| input.predicate.eval(t, i)).count() as f64)
+            .map(|(t, input)| input.predicate.bind(t).selected().len() as f64)
             .collect();
         let mut n_cur = filtered[0];
         for (h, hop) in self.hops.iter().enumerate() {
@@ -463,10 +461,8 @@ impl KeySketch {
     ) -> Option<KeySketch> {
         let keys = table.column(column)?.as_int()?;
         let mut counts: HashMap<i64, f64> = HashMap::new();
-        for (row, &k) in keys.iter().enumerate() {
-            if predicate.eval(table, row) {
-                *counts.entry(k).or_insert(0.0) += 1.0;
-            }
+        for row in predicate.bind(table).selected() {
+            *counts.entry(keys[row]).or_insert(0.0) += 1.0;
         }
         // Deterministic top-K: by count descending, key ascending.
         let mut all: Vec<(i64, f64)> = counts.into_iter().collect();
