@@ -14,10 +14,10 @@
 //!   baseline is *determinism drift*, a much stronger signal than a
 //!   timing regression,
 //! * **metrics** — wall-clock percentiles and cell-specific rates
-//!   (events/sec, admission-decision latency percentiles, per-stage
-//!   pipeline seconds), which are compared against a threshold.
+//!   (events/sec, admission-decision latency percentiles, sims/sec), which
+//!   are compared against a threshold.
 //!
-//! Suites ([`dispatch_suite`], [`pipeline_suite`]) come in full and
+//! Suites ([`dispatch_suite`], [`fleet_suite`], [`scale_suite`]) come in full and
 //! `--quick` shapes; quick cells keep the full cells' names but smaller
 //! configs, so a quick-vs-full comparison reports each cell as *skipped*
 //! (config mismatch) rather than producing nonsense deltas.
@@ -30,19 +30,16 @@ use sapred_cluster::sched::{Fifo, Swrd};
 use sapred_cluster::sim::{AdmissionConfig, DispatchMode, Run, Simulator};
 use sapred_cluster::{FaultPlan, NodeCrash};
 use sapred_core::parallel::run_claiming;
-use sapred_core::telemetry::record_sim_outcomes;
-use sapred_core::Pipeline;
 use sapred_obs::json::Obj;
 use sapred_obs::profile::Counter;
 use sapred_obs::{MetricsSink, SpanProfiler};
-use sapred_workload::population::PopulationConfig;
 
 use crate::dispatch_workload;
 use crate::fleet::{self, WorkloadSpec};
 
 /// What one benchmark cell runs. All variants are deterministic at a fixed
-/// seed: the dispatch workload is RNG-free, fault injection draws from the
-/// plan's own seeded stream, and the pipeline seeds its data generator.
+/// seed: the dispatch workload is RNG-free, and fault injection and fleet
+/// sweeps draw from their own seeded streams.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CellKind {
     /// Drive the dispatch-heavy simulator on the synthetic chained-DAG
@@ -91,18 +88,6 @@ pub enum CellKind {
         queue_cap: usize,
         /// Per-query completion deadline (seconds of sim time).
         deadline: f64,
-    },
-    /// The full staged lifecycle — percolate → train → predict → simulate
-    /// — on one TPC-H query, reporting per-stage seconds from the
-    /// pipeline's stage spans. `traced` routes the simulation through a
-    /// [`MetricsSink`] and adds the telemetry drift pass.
-    PipelineEndToEnd {
-        /// TPC-H scale (nominal GB) for the benched query.
-        scale_gb: f64,
-        /// Training-population size.
-        train_queries: usize,
-        /// Trace the simulation and run the drift pass.
-        traced: bool,
     },
     /// Event-core scale cell: the dispatch workload grown to 10⁶–10⁷
     /// tasks, FIFO-scheduled so the cost is dominated by the event queue
@@ -262,12 +247,6 @@ pub fn config_json(kind: &CellKind) -> String {
                 .num("deadline", deadline)
                 .finish()
         }
-        CellKind::PipelineEndToEnd { scale_gb, train_queries, traced } => Obj::new()
-            .str("kind", "pipeline_end_to_end")
-            .num("scale_gb", scale_gb)
-            .int("train_queries", train_queries as u64)
-            .bool("traced", traced)
-            .finish(),
         CellKind::Scale { n_queries, jobs, maps, reduces } => Obj::new()
             .str("kind", "scale")
             .int("n_queries", n_queries as u64)
@@ -356,35 +335,6 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
             let admission = AdmissionConfig { queue_cap, deadline, ..AdmissionConfig::default() };
             let mut sim = Simulator::new(cluster, fw.cost, Swrd).with_admission(admission);
             sim.execute(&queries, Run::new().profiler(&**prof)).expect("bench cell runs");
-        }
-        CellKind::PipelineEndToEnd { scale_gb, train_queries, traced } => {
-            let mut pipe = Pipeline::with_seed(spec.seed).with_profiler(Rc::clone(prof));
-            let sql = "SELECT l_partkey, sum(l_extendedprice*l_discount) \
-                       FROM lineitem l JOIN part p ON l.l_partkey = p.p_partkey \
-                       WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01' \
-                       GROUP BY l_partkey";
-            let semantics = pipe.percolate_sql("bench", sql, scale_gb).expect("valid bench query");
-            let population = PopulationConfig {
-                n_queries: train_queries,
-                scales_gb: vec![0.5, 1.0],
-                scale_out_gb: vec![],
-                seed: spec.seed,
-            };
-            pipe.train(&population).expect("bench training fits");
-            let q = pipe.sim_query("bench", 0.0, &semantics, scale_gb);
-            let queries = std::slice::from_ref(&q);
-            let run = Run::new().profiler(&**prof);
-            if traced {
-                let mut sink = MetricsSink::new(pipe.framework().cluster.total_containers());
-                let report = pipe
-                    .simulate(pipe.simulator(Swrd), queries, run.sink(&mut sink))
-                    .expect("bench simulation runs")
-                    .into_report();
-                let cluster = pipe.framework().cluster;
-                record_sim_outcomes(queries, &report, &cluster, &mut sink, &**prof);
-            } else {
-                pipe.simulate(pipe.simulator(Swrd), queries, run).expect("bench simulation runs");
-            }
         }
         CellKind::Scale { n_queries, jobs, maps, reduces } => {
             let queries = dispatch_workload(n_queries, jobs, maps, reduces);
@@ -495,13 +445,6 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
                 }
             }
         }
-        CellKind::PipelineEndToEnd { .. } => {
-            for stage in ["percolate", "train", "predict", "simulate", "drift_pass"] {
-                if let Some(stat) = prof.span_stat(stage) {
-                    metrics.insert(format!("stage_{stage}_s"), stat.total_ns as f64 / 1e9);
-                }
-            }
-        }
         CellKind::Fleet { .. } => {
             let run = counters.get(Counter::FleetCellsRun.label()).copied().unwrap_or(0);
             let failed = counters.get(Counter::FleetCellsFailed.label()).copied().unwrap_or(0);
@@ -589,22 +532,6 @@ pub fn dispatch_suite(quick: bool) -> Vec<CellSpec> {
             iters: 2,
             seed: 13,
         },
-    ]
-}
-
-/// The pipeline suite: end-to-end staged lifecycle wall time, plain and
-/// traced (with the telemetry drift pass).
-pub fn pipeline_suite(quick: bool) -> Vec<CellSpec> {
-    let kind = |traced| {
-        if quick {
-            CellKind::PipelineEndToEnd { scale_gb: 0.5, train_queries: 24, traced }
-        } else {
-            CellKind::PipelineEndToEnd { scale_gb: 2.0, train_queries: 60, traced }
-        }
-    };
-    vec![
-        CellSpec { name: "pipeline_end_to_end", kind: kind(false), iters: 2, seed: 7 },
-        CellSpec { name: "pipeline_traced", kind: kind(true), iters: 2, seed: 7 },
     ]
 }
 

@@ -1,7 +1,7 @@
-//! Shared setup helpers for the benchmark harness. Every bench target
-//! regenerates one table or figure of the paper (see DESIGN.md §5) by
-//! printing the reproduced rows during setup, then times a representative
-//! kernel under Criterion.
+//! The engine's own benchmarks: the deterministic `sapred bench` suites
+//! ([`harness`], [`report`]) and the parallel, journaled fleet sweeps of
+//! `sapred fleet` ([`fleet`], [`journal`]). The paper's tables and figures
+//! come from `sapred reproduce` (`sapred_core::experiments::reproduce`).
 
 pub mod fleet;
 pub mod harness;
@@ -9,45 +9,16 @@ pub mod journal;
 pub mod report;
 
 use sapred_cluster::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
-use sapred_core::framework::{Framework, Predictor};
-use sapred_core::training::{fit_models, run_population, split_train_test, QueryRun};
 use sapred_plan::dag::JobCategory;
-use sapred_workload::pool::DbPool;
-use sapred_workload::population::{generate_population, PopulationConfig};
-
-/// The paper's testbed configuration (9 nodes × 12 containers, 256 MB
-/// blocks, 1 GB per reducer).
-pub fn paper_framework() -> Framework {
-    Framework::new()
-}
-
-/// A training population at the paper's scales (1–100 GB + 150–400 GB
-/// scale-out). `n_queries = 1000` matches §5.1.
-pub fn paper_population(n_queries: usize, seed: u64) -> PopulationConfig {
-    PopulationConfig {
-        n_queries,
-        scales_gb: vec![1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0],
-        scale_out_gb: vec![150.0, 200.0, 400.0],
-        seed,
-    }
-}
-
-/// Everything the accuracy/prediction benches need: the executed runs, the
-/// train/test split indices and a fitted predictor.
-pub struct Trained {
-    pub fw: Framework,
-    pub pool: DbPool,
-    pub runs: Vec<QueryRun>,
-    pub predictor: Predictor,
-}
 
 /// A synthetic dispatch-stress workload: `n_queries` chained-DAG queries of
 /// `jobs_per_query` jobs, each with `maps_per_job` map and `reduces_per_job`
 /// reduce tasks, staggered Poisson-ish arrivals and varied per-job
 /// predictions (so SWRD/SRT rank queries non-trivially). Deterministic —
 /// no RNG — so incremental and reference dispatch runs see the exact same
-/// input. 200/5/80/20 gives the 10⁵-task workload the dispatch-throughput
-/// bench and example use.
+/// input. 200/5/80/20 gives the 10⁵-task workload of the full `dispatch`
+/// suite, whose `dispatch_incremental` and `dispatch_reference` cells run it
+/// in both dispatch modes.
 pub fn dispatch_workload(
     n_queries: usize,
     jobs_per_query: usize,
@@ -81,17 +52,4 @@ pub fn dispatch_workload(
                 .collect(),
         })
         .collect()
-}
-
-/// Run the population and fit models (the full §5.1 pipeline).
-pub fn train(n_queries: usize, seed: u64) -> Trained {
-    let fw = paper_framework();
-    let config = paper_population(n_queries, seed);
-    let mut pool = DbPool::new(seed);
-    let pop = generate_population(&config, &mut pool);
-    let runs = run_population(&pop, &mut pool, &fw).expect("population runs");
-    let (train_set, _) = split_train_test(&runs);
-    let models = fit_models(&train_set, &fw).expect("models fit");
-    let predictor = Predictor::new(models, fw);
-    Trained { fw, pool, runs, predictor }
 }

@@ -90,8 +90,8 @@ impl std::fmt::Display for MotivationReport {
     }
 }
 
-/// Run the motivation experiment. `small_gb`/`big_gb` default to the
-/// paper's 10 GB / 100 GB in the bench; tests pass smaller scales.
+/// Run the motivation experiment. `sapred reproduce` passes the paper's
+/// 10 GB / 100 GB; tests pass smaller scales.
 pub fn motivation(
     pool: &mut DbPool,
     fw: &Framework,

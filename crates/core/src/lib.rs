@@ -11,7 +11,8 @@
 //!   multivariate models with a 3:1 train/test split;
 //! * [`experiments`] — one runner per table/figure of the paper's
 //!   evaluation (motivation Figs. 1–2, accuracy Tables 3–5 + Fig. 6,
-//!   query prediction Fig. 7, scheduling Fig. 8) plus ablations;
+//!   query prediction Fig. 7, scheduling Fig. 8) plus ablations, and
+//!   [`experiments::reproduce`], all of them from one configuration;
 //! * [`progress`] — online progress/ETA estimation from the dynamic WRD
 //!   (remaining task counts), ParaTimer-style;
 //! * [`telemetry`] — bridges model evaluations and simulator outcomes into
@@ -25,7 +26,8 @@
 //! * [`parallel`] — the one parallel runner: panic-isolated work items
 //!   claimed by scoped worker threads, results in item order;
 //! * [`error`] — the unified [`Error`] every fallible stage returns;
-//! * [`report`] — plain-text table rendering for the bench harness.
+//! * [`report`] — plain-text table and chart rendering for the experiment
+//!   reports.
 
 pub mod error;
 pub mod experiments;

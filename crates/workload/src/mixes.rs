@@ -143,7 +143,8 @@ fn quantize_scale(scale: f64) -> f64 {
 /// distribution").
 ///
 /// `scale_divisor` shrinks every bin's GB band (keeping the composition
-/// shape) so unit tests can run the mix at laptop scale; benches pass 1.0.
+/// shape) so unit tests can run the mix at laptop scale; `sapred reproduce`
+/// passes 1.0.
 pub fn generate_mix_workload(
     mix: &MixSpec,
     pool: &mut DbPool,

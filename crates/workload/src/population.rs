@@ -25,7 +25,7 @@ pub struct PopQuery {
 
 /// Population parameters. The paper uses ~1,000 queries (→ 5,647 jobs) at
 /// 1–100 GB with a 3:1 train/test split; the defaults here are a scaled
-/// configuration suitable for unit tests — benches pass larger counts.
+/// configuration suitable for unit tests — `sapred reproduce` passes 1,000.
 #[derive(Debug, Clone)]
 pub struct PopulationConfig {
     /// Number of main-population queries.
@@ -52,7 +52,7 @@ impl Default for PopulationConfig {
 
 impl PopulationConfig {
     /// The paper-scale configuration (~1,000 queries). Heavy: intended for
-    /// release-mode benches.
+    /// release builds.
     pub fn paper_scale() -> Self {
         Self { n_queries: 1000, ..Default::default() }
     }

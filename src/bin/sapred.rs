@@ -11,8 +11,8 @@
 //! sapred simulate   --mix bing|facebook [--gap S] [--divisor D]   # Fig. 8
 //! sapred trace      bing|facebook [--out trace.json] [--events events.jsonl] [--metrics metrics.json]
 //! sapred fleet      [--schedulers CSV] [--fail-probs CSV] [--seeds N] [--out fleet.json]   # grid sweep
-//! sapred bench      [--suite dispatch|pipeline|fleet|scale|all] [--quick] [--compare BENCH.json] [--gate]
-//! sapred motivation [--small GB] [--big GB]                # Figs. 1-2
+//! sapred bench      [--suite dispatch|fleet|scale|all] [--quick] [--compare BENCH.json] [--gate]
+//! sapred reproduce                                         # Figs. 1-2, Tables 2-5, Figs. 6-8, ablations
 //! ```
 
 use sapred::cluster::sched::{Fifo, Hcs, Hfs, Srt, Swrd};
@@ -20,7 +20,7 @@ use sapred::cluster::{
     AdmissionConfig, DemandOracle, FrozenOracle, GuardedOracle, Run, ShedPolicy,
 };
 use sapred::core::experiments::accuracy::{job_accuracy, map_task_accuracy, reduce_task_accuracy};
-use sapred::core::experiments::motivation::motivation;
+use sapred::core::experiments::reproduce::reproduce;
 use sapred::core::experiments::scheduling::run_schedulers;
 use sapred::core::telemetry::record_sim_outcomes;
 use sapred::core::{Error, Pipeline, RecalibratingOracle};
@@ -35,9 +35,7 @@ use sapred::workload::population::PopulationConfig;
 use sapred_bench::fleet::{
     run_fleet, run_fleet_journaled, AdmissionLevel, FaultLevel, FleetGrid, SchedKind, WorkloadSpec,
 };
-use sapred_bench::harness::{
-    dispatch_suite, fleet_suite, pipeline_suite, run_suite, scale_suite, CellResult,
-};
+use sapred_bench::harness::{dispatch_suite, fleet_suite, run_suite, scale_suite, CellResult};
 use sapred_bench::report::{compare, suite_json, validate_schema, Comparison};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -48,34 +46,22 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    // `trace` takes its workload positionally, `bench` has boolean flags,
-    // and `fleet` strips its boolean `--resume` before the value-taking
-    // flag parser runs — so all three parse their own args.
-    let result = if command == "trace" {
-        cmd_trace(&args[1..])
-    } else if command == "bench" {
-        cmd_bench(&args[1..])
-    } else if command == "fleet" {
-        let resume = args[1..].iter().any(|a| a == "--resume");
-        let rest: Vec<String> = args[1..].iter().filter(|a| *a != "--resume").cloned().collect();
-        parse_flags(&rest).and_then(|flags| cmd_fleet(&flags, resume))
-    } else {
-        match parse_flags(&args[1..]) {
-            Ok(flags) => match command.as_str() {
-                "explain" => cmd_explain(&flags),
-                "gather" => cmd_gather(&flags),
-                "train" => cmd_train(&flags),
-                "predict" => cmd_predict(&flags),
-                "simulate" => cmd_simulate(&flags),
-                "motivation" => cmd_motivation(&flags),
-                "help" | "--help" | "-h" => {
-                    println!("{USAGE}");
-                    Ok(())
-                }
-                other => Err(Error::invalid(format!("unknown command `{other}`"))),
-            },
-            Err(e) => Err(e),
+    let rest = &args[1..];
+    let result = match command.as_str() {
+        "explain" => cmd_explain(rest),
+        "gather" => cmd_gather(rest),
+        "train" => cmd_train(rest),
+        "predict" => cmd_predict(rest),
+        "simulate" => cmd_simulate(rest),
+        "reproduce" => cmd_reproduce(rest),
+        "trace" => cmd_trace(rest),
+        "fleet" => cmd_fleet(rest),
+        "bench" => cmd_bench(rest),
+        "help" | "--help" | "-h" => {
+            println!("{USAGE}");
+            Ok(())
         }
+        other => Err(Error::invalid(format!("unknown command `{other}`"))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -107,18 +93,22 @@ USAGE:
                     [--estimators <CSV of histogram|sample|catalog>] [--skews <CSV>]
                     [--threads <N>] [--out <fleet.json>]
                     [--journal <JOURNAL.jsonl>] [--resume]
-  sapred bench      [--suite <dispatch|pipeline|fleet|scale|all>] [--quick] [--iters <N>] [--threads <N>]
+  sapred bench      [--suite <dispatch|fleet|scale|all>] [--quick] [--iters <N>] [--threads <N>]
                     [--out <DIR>] [--compare <BENCH.json>] [--threshold <FRACTION>] [--gate]
                     [--validate <BENCH.json>]... [--compare-files <OLD.json> <NEW.json>]
-  sapred motivation [--small <GB>] [--big <GB>]";
+  sapred reproduce";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, Error> {
+/// Parse `--name value` pairs, rejecting any name not in `accepted`.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<HashMap<String, String>, Error> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(Error::invalid(format!("expected a --flag, found `{key}`")));
         };
+        if !accepted.contains(&name) {
+            return Err(Error::invalid(format!("unknown flag `{key}`")));
+        }
         let value = it.next().ok_or_else(|| Error::invalid(format!("--{name} needs a value")))?;
         flags.insert(name.to_string(), value.clone());
     }
@@ -164,7 +154,8 @@ fn parse_estimator(name: &str) -> Result<EstimatorKind, Error> {
     })
 }
 
-fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), Error> {
+fn cmd_explain(args: &[String]) -> Result<(), Error> {
+    let flags = &parse_flags(args, &["sql", "scale", "seed", "estimator"])?;
     let sql = required(flags, "sql")?;
     let scale = flag_f64(flags, "scale", 10.0)?;
     let seed = flag_usize(flags, "seed", 42)? as u64;
@@ -207,7 +198,8 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), Error> {
     Ok(())
 }
 
-fn cmd_gather(flags: &HashMap<String, String>) -> Result<(), Error> {
+fn cmd_gather(args: &[String]) -> Result<(), Error> {
+    let flags = &parse_flags(args, &["scale", "out", "seed"])?;
     let scale = flag_f64(flags, "scale", 1.0)?;
     let out = required(flags, "out")?;
     let seed = flag_usize(flags, "seed", 42)? as u64;
@@ -231,7 +223,8 @@ fn trained_pipeline(n_queries: usize, seed: u64) -> Result<Pipeline, Error> {
     Ok(pipe)
 }
 
-fn cmd_train(flags: &HashMap<String, String>) -> Result<(), Error> {
+fn cmd_train(args: &[String]) -> Result<(), Error> {
+    let flags = &parse_flags(args, &["queries", "seed"])?;
     let n = flag_usize(flags, "queries", 400)?;
     let seed = flag_usize(flags, "seed", 71)? as u64;
     let mut pipe = Pipeline::with_seed(seed);
@@ -251,7 +244,8 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), Error> {
     Ok(())
 }
 
-fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), Error> {
+fn cmd_predict(args: &[String]) -> Result<(), Error> {
+    let flags = &parse_flags(args, &["sql", "scale", "queries", "estimator"])?;
     let sql = required(flags, "sql")?;
     let scale = flag_f64(flags, "scale", 10.0)?;
     let n = flag_usize(flags, "queries", 150)?;
@@ -284,7 +278,8 @@ fn parse_mix(name: &str) -> Result<MixSpec, Error> {
     }
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), Error> {
+fn cmd_simulate(args: &[String]) -> Result<(), Error> {
+    let flags = &parse_flags(args, &["mix", "gap", "divisor", "queries"])?;
     let mix = parse_mix(required(flags, "mix")?)?;
     let gap = flag_f64(flags, "gap", if mix.name == "bing" { 8.0 } else { 3.0 })?;
     let divisor = flag_f64(flags, "divisor", 1.0)?;
@@ -304,7 +299,26 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
         Some(a) if !a.starts_with("--") => (Some(a.as_str()), &args[1..]),
         _ => (None, args),
     };
-    let flags = parse_flags(rest)?;
+    let flags = parse_flags(
+        rest,
+        &[
+            "mix",
+            "sched",
+            "out",
+            "events",
+            "metrics",
+            "oracle",
+            "gap",
+            "divisor",
+            "queries",
+            "seed",
+            "queue-cap",
+            "deadline",
+            "shed-policy",
+            "guard",
+            "profile",
+        ],
+    )?;
     let mix = match positional {
         Some(name) => parse_mix(name)?,
         None => parse_mix(required(&flags, "mix")?)?,
@@ -577,10 +591,35 @@ fn load_grid_file(path: &str) -> Result<FleetGrid, Error> {
 /// for the same grid at any `--threads` value. With `--journal` every
 /// completed cell is persisted as it finishes, and `--resume` adopts a
 /// previous (possibly killed) sweep's cells instead of re-running them.
-fn cmd_fleet(flags: &HashMap<String, String>, resume: bool) -> Result<(), Error> {
+fn cmd_fleet(args: &[String]) -> Result<(), Error> {
     fn parse_csv(raw: &str) -> impl Iterator<Item = &str> {
         raw.split(',').map(str::trim).filter(|s| !s.is_empty())
     }
+    // `--resume` is the one flag without a value.
+    let resume = args.iter().any(|a| a == "--resume");
+    let rest: Vec<String> = args.iter().filter(|a| *a != "--resume").cloned().collect();
+    let flags = &parse_flags(
+        &rest,
+        &[
+            "grid",
+            "schedulers",
+            "fail-probs",
+            "queue-caps",
+            "deadline",
+            "shed-policy",
+            "seeds",
+            "seed",
+            "queries",
+            "jobs",
+            "maps",
+            "reduces",
+            "estimators",
+            "skews",
+            "threads",
+            "out",
+            "journal",
+        ],
+    )?;
     let threads = flag_usize(flags, "threads", 0)?;
     let out = flags.get("out").map(String::as_str).unwrap_or("fleet.json");
     let journal = flags.get("journal").map(String::as_str);
@@ -840,24 +879,22 @@ fn cmd_bench(args: &[String]) -> Result<(), Error> {
 
     let suites: Vec<(&str, Vec<sapred_bench::harness::CellSpec>)> = match suite.as_str() {
         "dispatch" => vec![("dispatch", dispatch_suite(quick))],
-        "pipeline" => vec![("pipeline", pipeline_suite(quick))],
         "fleet" => vec![("fleet", fleet_suite(quick))],
         "scale" => vec![("scale", scale_suite(quick))],
         "all" => vec![
             ("dispatch", dispatch_suite(quick)),
-            ("pipeline", pipeline_suite(quick)),
             ("fleet", fleet_suite(quick)),
             ("scale", scale_suite(quick)),
         ],
         other => {
             return Err(Error::invalid(format!(
-                "unknown suite `{other}` (expected dispatch|pipeline|fleet|scale|all)"
+                "unknown suite `{other}` (expected dispatch|fleet|scale|all)"
             )))
         }
     };
     if compare_path.is_some() && suites.len() > 1 {
         return Err(Error::invalid(
-            "--compare needs a single suite (add --suite dispatch, pipeline, fleet, or scale)",
+            "--compare needs a single suite (add --suite dispatch, fleet, or scale)",
         ));
     }
 
@@ -925,13 +962,10 @@ fn print_cells(cells: &[CellResult]) {
     }
 }
 
-fn cmd_motivation(flags: &HashMap<String, String>) -> Result<(), Error> {
-    let small = flag_f64(flags, "small", 10.0)?;
-    let big = flag_f64(flags, "big", 100.0)?;
-    let mut pipe = Pipeline::with_seed(2018);
-    let fw = *pipe.framework();
-    let report = motivation(pipe.pool_mut(), &fw, None, small, big);
-    println!("{report}");
-    println!("small-query slowdown under HCS: {:.2}x", report.small_query_slowdown());
+/// `sapred reproduce`: the paper's evaluation on its one configuration.
+fn cmd_reproduce(args: &[String]) -> Result<(), Error> {
+    parse_flags(args, &[])?;
+    eprintln!("reproducing the paper's evaluation (about 20 s in a release build)...");
+    print!("{}", reproduce()?);
     Ok(())
 }
