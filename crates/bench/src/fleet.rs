@@ -47,7 +47,7 @@ use sapred_cluster::sim::{AdmissionConfig, CellSummary, Run, ShedPolicy, SimRepo
 use sapred_cluster::FaultPlan;
 use sapred_core::parallel::{available_threads, panic_message, run_claiming};
 use sapred_obs::json::{array, num, quoted, Obj};
-use sapred_obs::profile::{Counter, Profiler};
+use sapred_obs::profile::{Counter, NullProfiler, Profiler};
 use sapred_obs::SpanProfiler;
 use sapred_plan::ground_truth::execute_dag;
 use sapred_relation::gen::{generate, GenConfig, KeyDist};
@@ -874,28 +874,7 @@ fn run_one_cell(grid: &FleetGrid, coord: &FleetCoord) -> (CellSummary, [u64; Cou
 /// # Errors
 /// Returns the grid's first validation problem without running anything.
 pub fn run_fleet(grid: &FleetGrid, threads: usize) -> Result<FleetReport, String> {
-    grid.validate()?;
-    let threads = if threads == 0 { available_threads() } else { threads };
-    let coords = grid.coords();
-    let outcomes = run_claiming(coords.len(), threads, |i| run_one_cell(grid, &coords[i]));
-    let cells = coords
-        .iter()
-        .zip(outcomes)
-        .map(|(coord, outcome)| {
-            let (outcome, counters) = match outcome {
-                Ok((summary, counters)) => (Ok(summary), counters),
-                Err(msg) => (Err(msg), [0u64; Counter::ALL.len()]),
-            };
-            FleetCell {
-                coord: *coord,
-                label: grid.coord_label(coord),
-                cell_seed: grid.cell_seed(coord),
-                outcome,
-                counters,
-            }
-        })
-        .collect();
-    Ok(FleetReport { grid: grid.clone(), cells })
+    sweep(grid, threads, None, &NullProfiler)
 }
 
 /// [`run_fleet`] with a crash-safe resume journal: every completed cell is
@@ -921,46 +900,65 @@ pub fn run_fleet_journaled<P: Profiler>(
     resume: bool,
     prof: &P,
 ) -> Result<FleetReport, String> {
+    sweep(grid, threads, Some((journal_path, resume)), prof)
+}
+
+/// One cell's outcome and counters, as [`FleetCell`] carries them.
+type CellOutcome = (Result<CellSummary, String>, [u64; Counter::ALL.len()]);
+
+/// The one fleet body behind [`run_fleet`] and [`run_fleet_journaled`]:
+/// validate the grid, adopt the journal's cells (if a journal is given),
+/// run the rest across `threads` workers, journaling each as it completes,
+/// and assemble the cells in grid order.
+fn sweep<P: Profiler>(
+    grid: &FleetGrid,
+    threads: usize,
+    journal: Option<(&std::path::Path, bool)>,
+    prof: &P,
+) -> Result<FleetReport, String> {
     grid.validate()?;
     let threads = if threads == 0 { available_threads() } else { threads };
     let coords = grid.coords();
     let labels: Vec<String> = coords.iter().map(|c| grid.coord_label(c)).collect();
-    let journal = if resume {
-        Journal::load_or_create(journal_path, grid)?
-    } else {
-        Journal::create(journal_path, grid)?
+    let mut outcomes: Vec<Option<CellOutcome>> = vec![None; coords.len()];
+    let journal = match journal {
+        None => None,
+        Some((path, resume)) => {
+            let journal = if resume {
+                Journal::load_or_create(path, grid)?
+            } else {
+                Journal::create(path, grid)?
+            };
+            // Adopt journaled outcomes onto their grid slots.
+            let index_of: std::collections::HashMap<&str, usize> =
+                labels.iter().enumerate().map(|(i, l)| (l.as_str(), i)).collect();
+            for (label, cell) in journal.entries() {
+                let Some(&i) = index_of.get(label.as_str()) else {
+                    return Err(format!(
+                        "journal {} contains cell `{label}` that is not in this grid",
+                        path.display()
+                    ));
+                };
+                if cell.cell_seed != grid.cell_seed(&coords[i]) {
+                    return Err(format!(
+                        "journal {} cell `{label}` was run with seed {} but this grid derives {}",
+                        path.display(),
+                        cell.cell_seed,
+                        grid.cell_seed(&coords[i])
+                    ));
+                }
+                outcomes[i] = Some((cell.outcome.clone(), cell.counters));
+            }
+            let resumed = outcomes.iter().flatten().count();
+            prof.add(Counter::CellsResumed, resumed as u64);
+            Some(Mutex::new(journal))
+        }
     };
 
-    // Adopt journaled outcomes onto their grid slots.
-    type CellOutcome = (Result<CellSummary, String>, [u64; Counter::ALL.len()]);
-    let mut outcomes: Vec<Option<CellOutcome>> = vec![None; coords.len()];
-    let index_of: std::collections::HashMap<&str, usize> =
-        labels.iter().enumerate().map(|(i, l)| (l.as_str(), i)).collect();
-    for (label, cell) in journal.entries() {
-        let Some(&i) = index_of.get(label.as_str()) else {
-            return Err(format!(
-                "journal {} contains cell `{label}` that is not in this grid",
-                journal_path.display()
-            ));
-        };
-        if cell.cell_seed != grid.cell_seed(&coords[i]) {
-            return Err(format!(
-                "journal {} cell `{label}` was run with seed {} but this grid derives {}",
-                journal_path.display(),
-                cell.cell_seed,
-                grid.cell_seed(&coords[i])
-            ));
-        }
-        outcomes[i] = Some((cell.outcome.clone(), cell.counters));
-    }
-    let resumed = outcomes.iter().flatten().count();
-    prof.add(Counter::CellsResumed, resumed as u64);
-
-    // Run the missing cells, journaling each as it completes. Panics are
-    // caught *inside* the closure so a failed cell is still journaled (as
-    // an error) rather than re-run forever on every resume.
+    // Run the missing cells. Panics are caught *inside* the closure so a
+    // failed cell is still journaled (as an error) rather than re-run
+    // forever on every resume.
     let missing: Vec<usize> = (0..coords.len()).filter(|&i| outcomes[i].is_none()).collect();
-    let journal = Mutex::new(journal);
     let journal_err: Mutex<Option<String>> = Mutex::new(None);
     let fresh = run_claiming(missing.len(), threads, |k| {
         let i = missing[k];
@@ -971,15 +969,17 @@ pub fn run_fleet_journaled<P: Profiler>(
             Ok((summary, counters)) => (Ok(summary), counters),
             Err(payload) => (Err(panic_message(payload)), [0u64; Counter::ALL.len()]),
         };
-        let cell = JournaledCell {
-            cell_seed: grid.cell_seed(&coords[i]),
-            outcome: result.clone(),
-            counters,
-        };
-        let recorded =
-            journal.lock().unwrap_or_else(PoisonError::into_inner).record(&labels[i], cell);
-        if let Err(e) = recorded {
-            journal_err.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(e);
+        if let Some(journal) = &journal {
+            let cell = JournaledCell {
+                cell_seed: grid.cell_seed(&coords[i]),
+                outcome: result.clone(),
+                counters,
+            };
+            let recorded =
+                journal.lock().unwrap_or_else(PoisonError::into_inner).record(&labels[i], cell);
+            if let Err(e) = recorded {
+                journal_err.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(e);
+            }
         }
         (result, counters)
     });

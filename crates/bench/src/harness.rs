@@ -27,7 +27,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use sapred_cluster::sched::{Fifo, Swrd};
-use sapred_cluster::sim::{AdmissionConfig, DispatchMode, Run, Simulator};
+use sapred_cluster::sim::{AdmissionConfig, Run, Simulator};
 use sapred_cluster::{FaultPlan, NodeCrash};
 use sapred_core::parallel::run_claiming;
 use sapred_obs::json::Obj;
@@ -46,8 +46,6 @@ pub enum CellKind {
     /// workload (SWRD scheduler). `traced` attaches a
     /// [`MetricsSink`] so the run also pays full event-emission cost.
     Dispatch {
-        /// Incremental vs. from-scratch reference dispatch.
-        mode: DispatchMode,
         /// Queries × jobs × maps × reduces of the synthetic workload.
         n_queries: usize,
         /// Jobs per query (chained DAG).
@@ -209,20 +207,11 @@ impl CellResult {
     }
 }
 
-fn mode_label(mode: DispatchMode) -> &'static str {
-    match mode {
-        DispatchMode::Incremental => "incremental",
-        DispatchMode::Reference => "reference",
-        DispatchMode::Crosscheck => "crosscheck",
-    }
-}
-
 /// Canonical config JSON for a cell (the comparison join key, after name).
 pub fn config_json(kind: &CellKind) -> String {
     match *kind {
-        CellKind::Dispatch { mode, n_queries, jobs, maps, reduces, traced } => Obj::new()
+        CellKind::Dispatch { n_queries, jobs, maps, reduces, traced } => Obj::new()
             .str("kind", "dispatch")
-            .str("mode", mode_label(mode))
             .int("n_queries", n_queries as u64)
             .int("jobs", jobs as u64)
             .int("maps", maps as u64)
@@ -307,11 +296,11 @@ fn stress_plan(seed: u64) -> FaultPlan {
 fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
     let fw = sapred_core::Framework::new();
     match spec.kind {
-        CellKind::Dispatch { mode, n_queries, jobs, maps, reduces, traced } => {
+        CellKind::Dispatch { n_queries, jobs, maps, reduces, traced } => {
             let queries = dispatch_workload(n_queries, jobs, maps, reduces);
             let mut cluster = fw.cluster;
             cluster.seed = spec.seed;
-            let mut sim = Simulator::new(cluster, fw.cost, Swrd).with_dispatch(mode);
+            let mut sim = Simulator::new(cluster, fw.cost, Swrd);
             let run = Run::new().profiler(&**prof);
             if traced {
                 let mut sink = MetricsSink::new(cluster.total_containers());
@@ -471,33 +460,11 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
 /// keeps the cell names but shrinks every dimension.
 pub fn dispatch_suite(quick: bool) -> Vec<CellSpec> {
     let (q, j, m, r, iters) = if quick { (30, 3, 10, 4, 2) } else { (200, 5, 80, 20, 3) };
-    let dispatch = |mode, traced| CellKind::Dispatch {
-        mode,
-        n_queries: q,
-        jobs: j,
-        maps: m,
-        reduces: r,
-        traced,
-    };
+    let dispatch =
+        |traced| CellKind::Dispatch { n_queries: q, jobs: j, maps: m, reduces: r, traced };
     vec![
-        CellSpec {
-            name: "dispatch_incremental",
-            kind: dispatch(DispatchMode::Incremental, false),
-            iters,
-            seed: 7,
-        },
-        CellSpec {
-            name: "dispatch_reference",
-            kind: dispatch(DispatchMode::Reference, false),
-            iters: 2,
-            seed: 7,
-        },
-        CellSpec {
-            name: "dispatch_traced",
-            kind: dispatch(DispatchMode::Incremental, true),
-            iters: 2,
-            seed: 7,
-        },
+        CellSpec { name: "dispatch_incremental", kind: dispatch(false), iters, seed: 7 },
+        CellSpec { name: "dispatch_traced", kind: dispatch(true), iters: 2, seed: 7 },
         CellSpec {
             name: "fault_stress",
             kind: if quick {

@@ -15,10 +15,10 @@ use sapred_plan::dag::JobCategory;
 /// `jobs_per_query` jobs, each with `maps_per_job` map and `reduces_per_job`
 /// reduce tasks, staggered Poisson-ish arrivals and varied per-job
 /// predictions (so SWRD/SRT rank queries non-trivially). Deterministic —
-/// no RNG — so incremental and reference dispatch runs see the exact same
-/// input. 200/5/80/20 gives the 10⁵-task workload of the full `dispatch`
-/// suite, whose `dispatch_incremental` and `dispatch_reference` cells run it
-/// in both dispatch modes.
+/// no RNG — so every run sees the exact same input. 200/5/80/20 gives the
+/// 10⁵-task workload of the full `dispatch` suite, whose
+/// `dispatch_incremental` and `dispatch_traced` cells run it untraced and
+/// traced.
 pub fn dispatch_workload(
     n_queries: usize,
     jobs_per_query: usize,

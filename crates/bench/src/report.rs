@@ -59,7 +59,7 @@ pub fn env_fingerprint() -> String {
     let rustc = command_line("rustc", &["--version"]).unwrap_or_else(|| "unknown".into());
     let commit =
         command_line("git", &["rev-parse", "--short", "HEAD"]).unwrap_or_else(|| "unknown".into());
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = sapred_core::parallel::available_threads();
     Obj::new()
         .str("rustc", &rustc)
         .str("commit", &commit)

@@ -4,20 +4,12 @@
 
 use sapred_bench::harness::{dispatch_suite, fleet_suite, run_cell, run_suite, CellKind, CellSpec};
 use sapred_bench::report::{compare, load_report, suite_json, validate_schema, SCHEMA};
-use sapred_cluster::sim::DispatchMode;
 
 /// A tiny dispatch cell that runs in milliseconds even in debug builds.
 fn tiny_cell() -> CellSpec {
     CellSpec {
         name: "dispatch_incremental",
-        kind: CellKind::Dispatch {
-            mode: DispatchMode::Incremental,
-            n_queries: 6,
-            jobs: 2,
-            maps: 4,
-            reduces: 2,
-            traced: false,
-        },
+        kind: CellKind::Dispatch { n_queries: 6, jobs: 2, maps: 4, reduces: 2, traced: false },
         iters: 2,
         seed: 7,
     }
@@ -90,14 +82,7 @@ fn compare_classifies_regression_drift_and_config_mismatch() {
 
     // Config mismatch (e.g. quick vs. full shapes) is skipped, not judged.
     let mut respec = tiny_cell();
-    respec.kind = CellKind::Dispatch {
-        mode: DispatchMode::Incremental,
-        n_queries: 4,
-        jobs: 2,
-        maps: 4,
-        reduces: 2,
-        traced: false,
-    };
+    respec.kind = CellKind::Dispatch { n_queries: 4, jobs: 2, maps: 4, reduces: 2, traced: false };
     let other = run_cell(&respec);
     let other_doc = validate_schema(&suite_json("dispatch", true, &[other])).unwrap();
     let cmp = compare(&baseline, &other_doc, 1e9);

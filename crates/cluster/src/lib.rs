@@ -39,6 +39,6 @@ pub use sapred_obs::{JobId, NodeId, QueryId};
 pub use sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
 pub use sim::{
     AdmissionConfig, AdmissionStats, CellSummary, CheckpointError, ClusterConfig, DemandOracle,
-    DispatchMode, FrozenOracle, GuardConfig, GuardedOracle, JobStat, QuarantineRecord, QueryStat,
-    Run, RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
+    FrozenOracle, GuardConfig, GuardedOracle, JobStat, QuarantineRecord, QueryStat, Run,
+    RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
 };

@@ -28,9 +28,10 @@
 //! The payload opens with a context fingerprint over everything the
 //! snapshot does **not** carry but correctness depends on: cluster config,
 //! cost model, scheduler name, fault plan, admission config, and the full
-//! workload shape (task specs included). The dispatch mode is left out:
-//! the dispatch view is rebuilt on restore, so a blob written under one
-//! [`DispatchMode`] resumes under any other. Restoring
+//! workload shape (task specs included). Whether the run is
+//! [crosschecked](Simulator::crosschecked) is left out: the dispatch view
+//! is rebuilt on restore, so a blob written by a plain run resumes under a
+//! crosschecked one and the other way round. Restoring
 //! against a different context fails with
 //! [`CheckpointError::ContextMismatch`] instead of silently diverging.
 //! Every single-byte corruption of a blob is caught: payload flips break
@@ -52,7 +53,7 @@ use sapred_obs::QueryId;
 use sapred_plan::JobCategory;
 
 use super::admission::{AdmissionStats, ShedPolicy};
-use super::dispatch::{DispatchMode, DispatchState};
+use super::dispatch::DispatchState;
 use super::engine::{RunState, Simulator};
 use super::oracle::DemandOracle;
 use super::queue::EventQueue;
@@ -976,10 +977,8 @@ pub(super) fn decode<S: Scheduler>(
     let names: Vec<std::sync::Arc<str>> =
         queries.iter().map(|q| std::sync::Arc::from(q.name.as_str())).collect();
     let mut dstate = DispatchState::new(nq, jobs.counts.len(), containers);
-    if sim.dispatch != DispatchMode::Reference {
-        for qi in 0..nq {
-            dstate.resync_query(queries, &jobs, &preds, qi);
-        }
+    for qi in 0..nq {
+        dstate.resync_query(queries, &jobs, &preds, qi);
     }
 
     Ok(RunState {

@@ -1,39 +1,15 @@
 //! The dispatch path: the materialized runnable set, the ordered pick
 //! index over it, per-query demand aggregates (WRD / critical path /
 //! running counts) derived from live [`DemandOracle`](super::DemandOracle)
-//! predictions, and the incremental-vs-reference [`DispatchMode`]
-//! cross-check machinery.
+//! predictions, and the from-scratch [`collect_runnable`] view that
+//! [`Simulator::crosschecked`](super::Simulator::crosschecked) runs check
+//! the maintained state against.
 
 use crate::job::{JobPrediction, SimQuery};
 use crate::sched::{choice, PickKey, RunnableJob, Scheduler, TaskChoice};
 
-use super::state::JobTable;
+use super::state::{JobTable, QueryState};
 use sapred_obs::{JobId, QueryId};
-
-/// How the engine derives the scheduler's runnable view on each dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Materialized scheduling state, updated in O(affected jobs) per
-    /// event. The default; asymptotically faster than [`Reference`] and
-    /// proven behavior-identical to it by [`Crosscheck`] runs.
-    ///
-    /// [`Reference`]: DispatchMode::Reference
-    /// [`Crosscheck`]: DispatchMode::Crosscheck
-    #[default]
-    Incremental,
-    /// The from-scratch reference: rebuild the whole runnable view from
-    /// the job table once per free container — O(Σ jobs) per
-    /// dispatched task. Kept as the executable specification the
-    /// incremental path is checked against, and as the benchmark baseline.
-    Reference,
-    /// Run incrementally but re-derive the reference view after every
-    /// event and before every scheduler pick, panicking on any
-    /// divergence (including f64 score bits). A keyed scheduler's indexed
-    /// choice is also checked against its scan ([`Scheduler::pick`]) at
-    /// every decision. Used by the cross-check tests; roughly as slow as
-    /// [`Reference`](DispatchMode::Reference).
-    Crosscheck,
-}
 
 /// Per-query aggregates the schedulers consume through [`RunnableJob`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -46,9 +22,9 @@ pub(super) struct QueryAgg {
     pub(super) running: usize,
 }
 
-/// Materialized scheduling state for the incremental dispatch path: the
-/// runnable-job set (sorted by `(query, job)`, the same order
-/// [`collect_runnable`] produces) plus per-query aggregates. Updated in
+/// Materialized scheduling state: the runnable-job set (sorted by
+/// `(query, job)`, the same order [`collect_runnable`] produces) plus
+/// per-query aggregates. Updated in
 /// O(affected jobs) on each `Submit`/`TaskDone`/dispatch instead of being
 /// recomputed from every job of every query once per free container.
 ///
@@ -278,9 +254,9 @@ impl DispatchState {
     /// its job states. Fault events (kills, requeues, map claw-backs,
     /// query abandonment) can flip several of the query's jobs in and out
     /// of the runnable set at once, which the single-job update paths
-    /// above don't model; this is the O(its jobs) recovery path. Produces
-    /// exactly the entries [`collect_runnable`] would — same order, same
-    /// aggregate bits — so Crosscheck holds under faults too.
+    /// above don't model; this is the O(its jobs) recovery path. It builds
+    /// the query's aggregates and entries with the helpers
+    /// [`collect_runnable`] uses, so Crosscheck holds under faults too.
     pub(super) fn resync_query(
         &mut self,
         queries: &[SimQuery],
@@ -292,44 +268,13 @@ impl DispatchState {
         if self.scratch.len() < q.jobs.len() {
             self.scratch.resize(q.jobs.len(), 0.0);
         }
-        let (wrd, crit) = query_demand(q, qi, jobs, &preds[qi], self.containers, &mut self.scratch);
-        let base = jobs.query_range(qi).start;
-        let running = q
-            .jobs
-            .iter()
-            .map(|j| {
-                jobs.counts[base + j.id.0].running_maps + jobs.counts[base + j.id.0].running_reduces
-            })
-            .sum();
-        self.aggs[qi] = QueryAgg { wrd, crit, running };
-        let agg = self.aggs[qi];
+        let agg = query_aggregates(q, qi, jobs, &preds[qi], self.containers, &mut self.scratch);
+        self.aggs[qi] = agg;
         let start = self.runnable.partition_point(|r| r.query < QueryId(qi));
         let end =
             start + self.runnable[start..].iter().take_while(|r| r.query == QueryId(qi)).count();
         let mut entries = Vec::new();
-        for j in &q.jobs {
-            let i = base + j.id.0;
-            if !jobs.submitted[i] || jobs.finished[i].is_some() {
-                continue;
-            }
-            let pending_reduces =
-                if jobs.reduces_unlocked[i] { jobs.counts[i].pending_reduces } else { 0 };
-            if jobs.counts[i].pending_maps == 0 && pending_reduces == 0 {
-                continue;
-            }
-            entries.push(RunnableJob {
-                query: QueryId(qi),
-                job: j.id,
-                submit_time: jobs.submit_time[i],
-                arrival: q.arrival,
-                pending_maps: jobs.counts[i].pending_maps,
-                pending_reduces,
-                running: jobs.counts[i].running_maps + jobs.counts[i].running_reduces,
-                query_wrd: agg.wrd,
-                query_time: agg.crit,
-                query_running: agg.running,
-            });
-        }
+        push_runnable(q, qi, jobs, agg, &mut entries);
         self.runnable.splice(start..end, entries);
         self.mark(qi);
     }
@@ -346,12 +291,17 @@ impl DispatchState {
 
     /// Panic unless the materialized set matches the from-scratch
     /// reference bit-for-bit (f64 fields included — the scores recorded in
-    /// obs decision events must be identical, not merely close).
+    /// obs decision events must be identical, not merely close), and unless
+    /// every query that has not failed carries the aggregates a fresh pass
+    /// computes. The second check covers queries with no runnable entry —
+    /// not yet submitted, waiting for admission, or shed into backoff —
+    /// whose WRD the admission shed policy still reads.
     pub(super) fn crosscheck(
         &self,
         queries: &[SimQuery],
         jobs: &JobTable,
         preds: &[Vec<JobPrediction>],
+        qstate: &[QueryState],
         when: &str,
     ) {
         let reference = collect_runnable(queries, jobs, preds, self.containers);
@@ -359,6 +309,20 @@ impl DispatchState {
             self.runnable, reference,
             "incremental dispatch state diverged from collect_runnable ({when})"
         );
+        for (qi, q) in queries.iter().enumerate() {
+            if qstate[qi].failed {
+                continue;
+            }
+            let mut acc = vec![0.0f64; q.jobs.len()];
+            let fresh = query_aggregates(q, qi, jobs, &preds[qi], self.containers, &mut acc);
+            let agg = self.aggs[qi];
+            assert!(
+                agg.wrd.to_bits() == fresh.wrd.to_bits()
+                    && agg.crit.to_bits() == fresh.crit.to_bits()
+                    && agg.running == fresh.running,
+                "query {qi}'s aggregates {agg:?} diverged from {fresh:?} ({when})"
+            );
+        }
     }
 }
 
@@ -475,7 +439,7 @@ impl PickHeap {
 /// `acc` is caller-provided scratch of length ≥ `q.jobs.len()`; every slot
 /// that is read is written first (jobs are topologically ordered with
 /// backward deps), so it needs no clearing between calls.
-pub(super) fn query_demand(
+fn query_demand(
     q: &SimQuery,
     qi: usize,
     jobs: &JobTable,
@@ -515,12 +479,34 @@ pub(super) fn query_demand(
     (wrd, crit)
 }
 
+/// A query's aggregates computed from its job states: [`query_demand`]
+/// plus the running tasks summed over its jobs. `acc` is scratch as for
+/// `query_demand`.
+fn query_aggregates(
+    q: &SimQuery,
+    qi: usize,
+    jobs: &JobTable,
+    preds: &[JobPrediction],
+    containers: usize,
+    acc: &mut [f64],
+) -> QueryAgg {
+    let (wrd, crit) = query_demand(q, qi, jobs, preds, containers, acc);
+    let base = jobs.query_range(qi).start;
+    let running = q
+        .jobs
+        .iter()
+        .map(|j| {
+            jobs.counts[base + j.id.0].running_maps + jobs.counts[base + j.id.0].running_reduces
+        })
+        .sum();
+    QueryAgg { wrd, crit, running }
+}
+
 /// Build the full runnable view from scratch. This is the executable
-/// specification of what schedulers see: O(Σ jobs) per call, called once
-/// per free container under [`DispatchMode::Reference`]. The incremental
-/// path maintains the identical view (same entries, same order, same
-/// aggregate bits) without the rebuild.
-pub(super) fn collect_runnable(
+/// specification of what schedulers see, O(Σ jobs) per call: the
+/// maintained view must equal it (same entries, same order, same aggregate
+/// bits), and [`DispatchState::crosscheck`] is its only caller.
+fn collect_runnable(
     queries: &[SimQuery],
     jobs: &JobTable,
     preds: &[Vec<JobPrediction>],
@@ -529,39 +515,44 @@ pub(super) fn collect_runnable(
     let mut out = Vec::new();
     for (qi, q) in queries.iter().enumerate() {
         let mut acc = vec![0.0f64; q.jobs.len()];
-        let (wrd, crit) = query_demand(q, qi, jobs, &preds[qi], containers, &mut acc);
-        let base = jobs.query_range(qi).start;
-        // Total running tasks of this query (for queue-share accounting).
-        let query_running: usize = q
-            .jobs
-            .iter()
-            .map(|j| {
-                jobs.counts[base + j.id.0].running_maps + jobs.counts[base + j.id.0].running_reduces
-            })
-            .sum();
-        for j in &q.jobs {
-            let i = base + j.id.0;
-            if !jobs.submitted[i] || jobs.finished[i].is_some() {
-                continue;
-            }
-            let pending_reduces =
-                if jobs.reduces_unlocked[i] { jobs.counts[i].pending_reduces } else { 0 };
-            if jobs.counts[i].pending_maps == 0 && pending_reduces == 0 {
-                continue;
-            }
-            out.push(RunnableJob {
-                query: QueryId(qi),
-                job: j.id,
-                submit_time: jobs.submit_time[i],
-                arrival: q.arrival,
-                pending_maps: jobs.counts[i].pending_maps,
-                pending_reduces,
-                running: jobs.counts[i].running_maps + jobs.counts[i].running_reduces,
-                query_wrd: wrd,
-                query_time: crit,
-                query_running,
-            });
-        }
+        let agg = query_aggregates(q, qi, jobs, &preds[qi], containers, &mut acc);
+        push_runnable(q, qi, jobs, agg, &mut out);
     }
     out
+}
+
+/// Append query `qi`'s runnable entries, in job order, to `out`: every
+/// submitted, unfinished job with a map to launch or an unlocked reduce
+/// pending, carrying the query's aggregates `agg`.
+fn push_runnable(
+    q: &SimQuery,
+    qi: usize,
+    jobs: &JobTable,
+    agg: QueryAgg,
+    out: &mut Vec<RunnableJob>,
+) {
+    let base = jobs.query_range(qi).start;
+    for j in &q.jobs {
+        let i = base + j.id.0;
+        if !jobs.submitted[i] || jobs.finished[i].is_some() {
+            continue;
+        }
+        let pending_reduces =
+            if jobs.reduces_unlocked[i] { jobs.counts[i].pending_reduces } else { 0 };
+        if jobs.counts[i].pending_maps == 0 && pending_reduces == 0 {
+            continue;
+        }
+        out.push(RunnableJob {
+            query: QueryId(qi),
+            job: j.id,
+            submit_time: jobs.submit_time[i],
+            arrival: q.arrival,
+            pending_maps: jobs.counts[i].pending_maps,
+            pending_reduces,
+            running: jobs.counts[i].running_maps + jobs.counts[i].running_reduces,
+            query_wrd: agg.wrd,
+            query_time: agg.crit,
+            query_running: agg.running,
+        });
+    }
 }

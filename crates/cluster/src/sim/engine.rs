@@ -36,9 +36,7 @@ use std::path::PathBuf;
 
 use super::admission::{AdmissionConfig, AdmissionStats, ShedPolicy};
 use super::checkpoint::{self, CheckpointError};
-use super::dispatch::{
-    collect_runnable, query_demand, DispatchMode, DispatchState, INDEX_MIN_WIDTH,
-};
+use super::dispatch::{DispatchState, INDEX_MIN_WIDTH};
 use super::emit;
 use super::oracle::{DemandOracle, FrozenOracle};
 use super::queue::EventQueue;
@@ -309,8 +307,6 @@ pub struct Simulator<S: Scheduler> {
     pub cost: CostModel,
     /// The scheduling policy under test.
     pub scheduler: S,
-    /// How the runnable view is derived (incremental by default).
-    pub dispatch: DispatchMode,
     /// The failure schedule to inject ([`FaultPlan::none`] by default —
     /// bit-identical to a fault-free run).
     pub faults: FaultPlan,
@@ -318,6 +314,9 @@ pub struct Simulator<S: Scheduler> {
     /// deadlines, and resubmission backoff
     /// ([`AdmissionConfig::disabled`] by default — provably inert).
     pub admission: AdmissionConfig,
+    // Test oracle: re-derive the runnable view from scratch after every
+    // event and before every pick, panicking on any divergence.
+    crosscheck: bool,
     // Event-budget watchdog (None = unlimited).
     max_events: Option<u64>,
     // Periodic checkpointing: every `ckpt_every` processed events, the
@@ -327,24 +326,31 @@ pub struct Simulator<S: Scheduler> {
 }
 
 impl<S: Scheduler> Simulator<S> {
-    /// Assemble a simulator (incremental dispatch, no faults).
+    /// Assemble a simulator (no faults, no admission control).
     pub fn new(config: ClusterConfig, cost: CostModel, scheduler: S) -> Self {
         Self {
             config,
             cost,
             scheduler,
-            dispatch: DispatchMode::default(),
             faults: FaultPlan::none(),
             admission: AdmissionConfig::disabled(),
+            crosscheck: false,
             max_events: None,
             ckpt_every: None,
             ckpt_path: None,
         }
     }
 
-    /// Same simulator with an explicit [`DispatchMode`].
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
+    /// Same simulator, checked against the from-scratch runnable view: after
+    /// every event and before every pick the engine rebuilds the view from
+    /// the job table and panics unless the maintained one matches it bit for
+    /// bit (f64 score inputs included), and unless every live query's demand
+    /// aggregates match a fresh pass over its jobs. A keyed scheduler's
+    /// indexed choice is also checked against its scan ([`Scheduler::pick`])
+    /// at every decision. A test oracle: O(Σ jobs) per event, and the
+    /// schedule, report and event stream stay those of a plain run.
+    pub fn crosschecked(mut self) -> Self {
+        self.crosscheck = true;
         self
     }
 
@@ -430,7 +436,7 @@ impl<S: Scheduler> Simulator<S> {
             None => self.init_run(queries, sink, oracle, prof),
             Some(bytes) => {
                 let mut rs = checkpoint::decode(self, queries, bytes, oracle)?;
-                if self.dispatch == DispatchMode::Crosscheck
+                if self.crosscheck
                     && !rs.degraded
                     && rs.dstate.reindex(&rs.jobs, |r| self.scheduler.key(r))
                 {
@@ -522,8 +528,8 @@ impl<S: Scheduler> Simulator<S> {
 
     /// Build the [`RunState`] for a fresh run: both RNG streams seeded,
     /// the event queue loaded with arrivals and scheduled crashes, the SoA
-    /// job table and prediction matrix allocated, and the incremental
-    /// dispatch view seeded.
+    /// job table and prediction matrix allocated, and the dispatch view
+    /// seeded.
     fn init_run<K: EventSink, P: Profiler>(
         &mut self,
         queries: &[SimQuery],
@@ -575,18 +581,15 @@ impl<S: Scheduler> Simulator<S> {
         // the guardrails (e.g. an oracle emitting NaNs from the start).
         surface_guard_activity(oracle, sink, 0.0, &mut degraded, Fifo.name());
 
-        // Materialized scheduling state for the incremental dispatch path.
-        // Seed every query's demand aggregates up front (WRD and critical
-        // path depend only on done-task counts, which start at zero, not on
-        // submission) so `Submit` handling stays O(1) per job.
-        let incremental = self.dispatch != DispatchMode::Reference;
+        // Materialized scheduling state. Seed every query's demand
+        // aggregates up front (WRD and critical path depend only on
+        // done-task counts, which start at zero, not on submission) so
+        // `Submit` handling stays O(1) per job.
         let mut dstate =
             DispatchState::new(queries.len(), jobs.counts.len(), self.config.total_containers());
-        if incremental {
-            for qi in 0..queries.len() {
-                dstate.refresh_query(queries, &jobs, &preds, qi);
-                prof.inc(Counter::SchedulerViewUpdates);
-            }
+        for qi in 0..queries.len() {
+            dstate.refresh_query(queries, &jobs, &preds, qi);
+            prof.inc(Counter::SchedulerViewUpdates);
         }
 
         RunState {
@@ -624,7 +627,6 @@ impl<S: Scheduler> Simulator<S> {
         suspend_after: Option<u64>,
     ) -> Result<Drive, SimError> {
         let admission_on = self.admission.is_active();
-        let incremental = self.dispatch != DispatchMode::Reference;
         let mut fallback = Fifo;
 
         while let Some((t, event)) = rs.queue.pop() {
@@ -671,32 +673,10 @@ impl<S: Scheduler> Simulator<S> {
                             // out its resubmission backoff.
                             break 'event;
                         }
-                        // A query's remaining WRD, bitwise identical across
-                        // dispatch modes: the incrementally-maintained aggregate
-                        // where one exists, the from-scratch computation (which
-                        // the aggregate mirrors by construction) under
-                        // Reference dispatch.
-                        let containers = self.config.total_containers();
-                        let wrd_of = |vi: usize,
-                                      jobs: &JobTable,
-                                      preds: &[Vec<JobPrediction>],
-                                      state: &DispatchState|
-                         -> f64 {
-                            if incremental {
-                                state.aggs[vi].wrd
-                            } else {
-                                let mut acc = vec![0.0f64; queries[vi].jobs.len()];
-                                query_demand(
-                                    &queries[vi],
-                                    vi,
-                                    jobs,
-                                    &preds[vi],
-                                    containers,
-                                    &mut acc,
-                                )
-                                .0
-                            }
-                        };
+                        // A query's remaining WRD: the maintained aggregate,
+                        // which Crosscheck holds equal to a from-scratch pass
+                        // for every live query, admitted or not.
+                        let wrd_of = |vi: usize| rs.dstate.aggs[vi].wrd;
                         // Admission decision: `victim` is whoever a full queue
                         // sheds — the newcomer under RejectNewest, or (under
                         // ShedLargestWrd) the waiting admitted query with the
@@ -706,12 +686,12 @@ impl<S: Scheduler> Simulator<S> {
                         if self.admission.queue_cap > 0 && rs.active >= self.admission.queue_cap {
                             victim = Some(q);
                             if self.admission.shed_policy == ShedPolicy::ShedLargestWrd {
-                                let mut best = wrd_of(q, &rs.jobs, &rs.preds, &rs.dstate);
+                                let mut best = wrd_of(q);
                                 for (vi, vs) in rs.qstate.iter().enumerate() {
                                     // Only waiting queries are evictable: once a
                                     // task has launched, sunk work is protected.
                                     if vs.admitted && vs.started.is_none() {
-                                        let w = wrd_of(vi, &rs.jobs, &rs.preds, &rs.dstate);
+                                        let w = wrd_of(vi);
                                         if w > best {
                                             best = w;
                                             victim = Some(vi);
@@ -720,7 +700,7 @@ impl<S: Scheduler> Simulator<S> {
                                 }
                             }
                         }
-                        let shed_wrd = victim.map(|v| wrd_of(v, &rs.jobs, &rs.preds, &rs.dstate));
+                        let shed_wrd = victim.map(wrd_of);
                         if victim != Some(q) {
                             if let Some(v) = victim {
                                 // Evict the incumbent: it launched nothing, so
@@ -732,10 +712,8 @@ impl<S: Scheduler> Simulator<S> {
                                 }
                                 rs.qstate[v].admitted = false;
                                 rs.active -= 1;
-                                if incremental {
-                                    rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, v);
-                                    prof.inc(Counter::SchedulerViewUpdates);
-                                }
+                                rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, v);
+                                prof.inc(Counter::SchedulerViewUpdates);
                             }
                             rs.qstate[q].admitted = true;
                             rs.active += 1;
@@ -820,10 +798,8 @@ impl<S: Scheduler> Simulator<S> {
                                 &mut rs.free_slots,
                                 sink,
                             );
-                            if incremental {
-                                rs.dstate.remove_query(q);
-                                prof.inc(Counter::SchedulerViewUpdates);
-                            }
+                            rs.dstate.remove_query(q);
+                            prof.inc(Counter::SchedulerViewUpdates);
                         } else {
                             // Waiting out a shed backoff: nothing is running.
                             rs.qstate[q].failed = true;
@@ -865,10 +841,8 @@ impl<S: Scheduler> Simulator<S> {
                                 category: job.category,
                             }
                         );
-                        if incremental {
-                            rs.dstate.insert_job(queries, &rs.jobs, q, j);
-                            prof.inc(Counter::SchedulerViewUpdates);
-                        }
+                        rs.dstate.insert_job(queries, &rs.jobs, q, j);
+                        prof.inc(Counter::SchedulerViewUpdates);
                     }
                     Event::TaskDone { attempt } => {
                         if !rs.fr.attempts.alive[attempt] {
@@ -1025,17 +999,15 @@ impl<S: Scheduler> Simulator<S> {
                                     }
                                     // Query `q` refreshes in `on_task_done`
                                     // below; others resync here.
-                                    if changed && incremental && qi2 != q {
+                                    if changed && qi2 != q {
                                         rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, qi2);
                                         prof.inc(Counter::SchedulerViewUpdates);
                                     }
                                 }
                             }
                         }
-                        if incremental {
-                            rs.dstate.on_task_done(queries, &rs.jobs, &rs.preds, q, j);
-                            prof.inc(Counter::SchedulerViewUpdates);
-                        }
+                        rs.dstate.on_task_done(queries, &rs.jobs, &rs.preds, q, j);
+                        prof.inc(Counter::SchedulerViewUpdates);
                     }
                     Event::TaskFailed { attempt } => {
                         if !rs.fr.attempts.alive[attempt] {
@@ -1119,10 +1091,8 @@ impl<S: Scheduler> Simulator<S> {
                                 rs.active -= 1;
                             }
                             rs.done_queries += 1;
-                            if incremental {
-                                rs.dstate.remove_query(a.q);
-                                prof.inc(Counter::SchedulerViewUpdates);
-                            }
+                            rs.dstate.remove_query(a.q);
+                            prof.inc(Counter::SchedulerViewUpdates);
                         }
                         // Blacklist a node that keeps failing tasks — but never
                         // the last usable one (a flaky node beats no node;
@@ -1158,14 +1128,12 @@ impl<S: Scheduler> Simulator<S> {
                                 rs.fr.node_failures[node] = 0;
                             }
                         }
-                        if incremental {
-                            affected.sort_unstable();
-                            affected.dedup();
-                            for &qi in &affected {
-                                if !rs.qstate[qi].failed {
-                                    rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, qi);
-                                    prof.inc(Counter::SchedulerViewUpdates);
-                                }
+                        affected.sort_unstable();
+                        affected.dedup();
+                        for &qi in &affected {
+                            if !rs.qstate[qi].failed {
+                                rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, qi);
+                                prof.inc(Counter::SchedulerViewUpdates);
                             }
                         }
                     }
@@ -1185,10 +1153,8 @@ impl<S: Scheduler> Simulator<S> {
                                 rs.jobs.lists[i].retry_reduces.push(spec_idx);
                             }
                         }
-                        if incremental {
-                            rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, q);
-                            prof.inc(Counter::SchedulerViewUpdates);
-                        }
+                        rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, q);
+                        prof.inc(Counter::SchedulerViewUpdates);
                     }
                     Event::NodeDown { crash } => {
                         let nc = self.faults.node_crashes[crash];
@@ -1284,13 +1250,11 @@ impl<S: Scheduler> Simulator<S> {
                                 },
                             );
                         }
-                        if incremental {
-                            affected.sort_unstable();
-                            affected.dedup();
-                            for &qi in &affected {
-                                rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, qi);
-                                prof.inc(Counter::SchedulerViewUpdates);
-                            }
+                        affected.sort_unstable();
+                        affected.dedup();
+                        for &qi in &affected {
+                            rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, qi);
+                            prof.inc(Counter::SchedulerViewUpdates);
                         }
                     }
                     Event::NodeUp { node, epoch } => {
@@ -1314,45 +1278,33 @@ impl<S: Scheduler> Simulator<S> {
                 // quarantined predictions or moved the trust score across a
                 // hysteresis threshold; surface that before dispatching.
                 surface_guard_activity(oracle, sink, now, &mut rs.degraded, fallback.name());
-                if self.dispatch == DispatchMode::Crosscheck {
-                    rs.dstate.crosscheck(queries, &rs.jobs, &rs.preds, "after event");
+                if self.crosscheck {
+                    rs.dstate.crosscheck(queries, &rs.jobs, &rs.preds, &rs.qstate, "after event");
                 }
 
-                // Dispatch free containers. Incremental modes read the
-                // maintained runnable view; on a wide view a keyed
-                // scheduler's choice is the top of the pick index (every
-                // view under Crosscheck, which checks it against the scan).
-                // Reference rebuilds the view from scratch once per free
-                // container and scans it, exactly as the pre-incremental
-                // engine did.
+                // Dispatch free containers from the maintained runnable view;
+                // on a wide view a keyed scheduler's choice is the top of the
+                // pick index (every view under Crosscheck, which checks it
+                // against the scan).
                 while !rs.free_slots.is_empty() {
-                    let indexed = incremental
-                        && !rs.degraded
-                        && (rs.dstate.runnable.len() >= INDEX_MIN_WIDTH
-                            || self.dispatch == DispatchMode::Crosscheck)
+                    let indexed = !rs.degraded
+                        && (rs.dstate.runnable.len() >= INDEX_MIN_WIDTH || self.crosscheck)
                         && rs.dstate.reindex(&rs.jobs, |r| self.scheduler.key(r));
-                    let rebuilt;
-                    let runnable: &[RunnableJob] = match self.dispatch {
-                        DispatchMode::Incremental => &rs.dstate.runnable,
-                        DispatchMode::Crosscheck => {
-                            rs.dstate.crosscheck(queries, &rs.jobs, &rs.preds, "before pick");
-                            &rs.dstate.runnable
-                        }
-                        DispatchMode::Reference => {
-                            rebuilt = collect_runnable(
-                                queries,
-                                &rs.jobs,
-                                &rs.preds,
-                                self.config.total_containers(),
-                            );
-                            &rebuilt
-                        }
-                    };
+                    if self.crosscheck {
+                        rs.dstate.crosscheck(
+                            queries,
+                            &rs.jobs,
+                            &rs.preds,
+                            &rs.qstate,
+                            "before pick",
+                        );
+                    }
+                    let runnable: &[RunnableJob] = &rs.dstate.runnable;
                     // In degraded mode (a guarded oracle's trust collapsed),
                     // semantics-blind FIFO replaces the configured policy until
                     // trust recovers past the exit threshold.
                     let picked = if indexed {
-                        if self.dispatch == DispatchMode::Crosscheck {
+                        if self.crosscheck {
                             rs.dstate.crosscheck_index(&mut self.scheduler, "before pick");
                         }
                         prof.add(Counter::CandidatesExamined, runnable.len().min(1) as u64);
@@ -1614,10 +1566,8 @@ impl<S: Scheduler> Simulator<S> {
                         }
                         None => rs.queue.push(now + duration, Event::TaskDone { attempt: id }),
                     }
-                    if incremental {
-                        rs.dstate.on_dispatch(&rs.jobs, c.query.into(), c.job.into());
-                        prof.inc(Counter::SchedulerViewUpdates);
-                    }
+                    rs.dstate.on_dispatch(&rs.jobs, c.query.into(), c.job.into());
+                    prof.inc(Counter::SchedulerViewUpdates);
                 }
             }
             if rs.done_queries == queries.len() {

@@ -9,8 +9,9 @@
 //!   (`sapred-ckpt/v2`) for suspend/resume ([`CheckpointError`]),
 //! * `state` — the event types and the struct-of-arrays per-query /
 //!   per-job simulation state the other modules operate on,
-//! * `dispatch` — the materialized runnable set and per-query demand
-//!   aggregates the scheduler consumes ([`DispatchMode`]),
+//! * `dispatch` — the materialized runnable set, its pick index and the
+//!   per-query demand aggregates the scheduler consumes, plus the
+//!   from-scratch view [`Simulator::crosschecked`] runs check them against,
 //! * `oracle` — the [`DemandOracle`] seam: live per-job demand
 //!   predictions consulted at run start / submit / job completion,
 //! * `recovery` — attempt tracking, node crash/blacklist state, and
@@ -47,7 +48,6 @@ pub(crate) use emit;
 
 pub use admission::{AdmissionConfig, AdmissionStats, ShedPolicy};
 pub use checkpoint::CheckpointError;
-pub use dispatch::DispatchMode;
 pub use engine::{Run, RunOutcome, SimError, Simulator};
 pub use oracle::{DemandOracle, FrozenOracle, GuardConfig, GuardedOracle, QuarantineRecord};
 pub use report::{CellSummary, JobStat, QueryStat, SimReport};

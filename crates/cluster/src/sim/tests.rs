@@ -274,17 +274,28 @@ fn mixed_workload() -> Vec<SimQuery> {
     ]
 }
 
+/// Run the simulator `sim` builds plainly and crosschecked, and assert the
+/// two runs agree bit for bit. The crosschecked run panics the moment the
+/// maintained view leaves the from-scratch one; the comparison proves that
+/// checking changes nothing: same schedule, same clock, same stats, and
+/// identical event streams, down to every Decision record's candidate list
+/// and f64 scores.
+fn assert_plain_matches_crosschecked<S: Scheduler>(
+    sim: impl Fn() -> Simulator<S>,
+    queries: &[SimQuery],
+) -> (SimReport, sapred_obs::RecordingSink) {
+    let (plain, rec_plain) = traced(sim(), queries);
+    let (chk, rec_chk) = traced(sim().crosschecked(), queries);
+    assert_eq!(plain.makespan.to_bits(), chk.makespan.to_bits());
+    assert_eq!(plain.queries, chk.queries);
+    assert_eq!(plain.jobs, chk.jobs);
+    assert_eq!(plain.admission, chk.admission);
+    assert_eq!(rec_plain.events, rec_chk.events);
+    (plain, rec_plain)
+}
+
 fn assert_incremental_matches_reference<S: Scheduler + Clone>(s: S) {
-    let queries = mixed_workload();
-    let (inc, rec_inc) = traced(sim(s.clone()), &queries);
-    let (refr, rec_ref) = traced(sim(s).with_dispatch(DispatchMode::Reference), &queries);
-    // Bit-identical reports: same schedule, same clock, same stats.
-    assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
-    assert_eq!(inc.queries, refr.queries);
-    assert_eq!(inc.jobs, refr.jobs);
-    // Identical event streams — including every Decision record's
-    // candidate list and f64 scores.
-    assert_eq!(rec_inc.events, rec_ref.events);
+    assert_plain_matches_crosschecked(|| sim(s.clone()), &mixed_workload());
 }
 
 #[test]
@@ -319,18 +330,15 @@ fn picks_switch_between_scan_and_index_without_changing_the_schedule() {
         })
         .collect();
     let config = ClusterConfig { nodes: 2, containers_per_node: 2, ..Default::default() };
+    // The plain run picks by scan below the threshold and by index above it;
+    // the crosschecked run picks by index at every decision and checks each
+    // choice against the scan.
     fn check<S: Scheduler + Clone>(s: S, queries: &[SimQuery], config: ClusterConfig) {
-        let (inc, rec_inc) =
-            traced(Simulator::new(config, CostModel::default(), s.clone()), queries);
-        let (refr, rec_ref) = traced(
-            Simulator::new(config, CostModel::default(), s).with_dispatch(DispatchMode::Reference),
+        let (_, rec) = assert_plain_matches_crosschecked(
+            || Simulator::new(config, CostModel::default(), s.clone()),
             queries,
         );
-        assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
-        assert_eq!(inc.queries, refr.queries);
-        assert_eq!(inc.jobs, refr.jobs);
-        assert_eq!(rec_inc.events, rec_ref.events);
-        let wide: Vec<bool> = rec_inc
+        let wide: Vec<bool> = rec
             .events
             .iter()
             .filter_map(|e| match e {
@@ -354,10 +362,8 @@ fn crosscheck_mode_verifies_every_event() {
     // before every pick and panics on divergence, so completing at all
     // is the assertion.
     let queries = mixed_workload();
-    sim(Swrd).with_dispatch(DispatchMode::Crosscheck).run(&queries);
-    sim(crate::sched::HcsQueues::new(vec![0.6, 0.4]))
-        .with_dispatch(DispatchMode::Crosscheck)
-        .run(&queries);
+    sim(Swrd).crosschecked().run(&queries);
+    sim(crate::sched::HcsQueues::new(vec![0.6, 0.4])).crosschecked().run(&queries);
 }
 
 #[test]
@@ -504,7 +510,7 @@ fn crosscheck_holds_under_faults_for_all_schedulers() {
     // assertion.
     fn check<S: Scheduler>(s: S) {
         Simulator::new(small_config(), CostModel::default(), s)
-            .with_dispatch(DispatchMode::Crosscheck)
+            .crosschecked()
             .with_faults(stress_plan())
             .run(&mixed_workload());
     }
@@ -841,29 +847,22 @@ fn recalibrating_oracle_keeps_incremental_and_reference_in_lockstep() {
     use sapred_obs::RecordingSink;
     // Crosscheck re-derives the reference runnable view after every event
     // and panics on divergence, so mid-run prediction changes must flow
-    // through resync correctly for this to complete at all.
+    // through resync correctly for the crosschecked run to complete at all;
+    // and it must stay bit-identical to the plain run end to end.
     let queries = mixed_workload();
-    sim(Swrd)
-        .with_dispatch(DispatchMode::Crosscheck)
-        .execute(&queries, Run::new().oracle(&mut BlendingOracle::default()))
-        .unwrap()
-        .into_report();
-
-    // And incremental vs reference stay bit-identical end to end.
-    let mut rec_inc = RecordingSink::new();
-    let inc = sim(Swrd)
-        .execute(&queries, Run::new().sink(&mut rec_inc).oracle(&mut BlendingOracle::default()))
-        .unwrap()
-        .into_report();
-    let mut rec_ref = RecordingSink::new();
-    let refr = sim(Swrd)
-        .with_dispatch(DispatchMode::Reference)
-        .execute(&queries, Run::new().sink(&mut rec_ref).oracle(&mut BlendingOracle::default()))
-        .unwrap()
-        .into_report();
-    assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
-    assert_eq!(inc.queries, refr.queries);
-    assert_eq!(rec_inc.events, rec_ref.events);
+    let run = |mut s: Simulator<Swrd>| {
+        let mut rec = RecordingSink::new();
+        let r = s
+            .execute(&queries, Run::new().sink(&mut rec).oracle(&mut BlendingOracle::default()))
+            .unwrap()
+            .into_report();
+        (r, rec)
+    };
+    let (plain, rec_plain) = run(sim(Swrd));
+    let (chk, rec_chk) = run(sim(Swrd).crosschecked());
+    assert_eq!(plain.makespan.to_bits(), chk.makespan.to_bits());
+    assert_eq!(plain.queries, chk.queries);
+    assert_eq!(rec_plain.events, rec_chk.events);
 }
 
 #[test]
@@ -872,7 +871,7 @@ fn recalibrating_oracle_survives_faults() {
     // with a recalibrating oracle must still complete under Crosscheck.
     let mut s = Simulator::new(small_config(), CostModel::default(), Swrd)
         .with_faults(stress_plan())
-        .with_dispatch(DispatchMode::Crosscheck);
+        .crosschecked();
     let r = s
         .execute(&mixed_workload(), Run::new().oracle(&mut BlendingOracle::default()))
         .unwrap()
@@ -1043,9 +1042,11 @@ fn shed_query_resubmits_with_backoff_and_eventually_completes() {
 
 #[test]
 fn admission_keeps_incremental_and_reference_in_lockstep() {
-    // Shedding under ShedLargestWrd consults each candidate's WRD, which
-    // must be bitwise identical whether it comes from the incremental
-    // aggregates or the from-scratch reference computation.
+    // Shedding under ShedLargestWrd reads the WRD aggregate of queries with
+    // no runnable entry (the newcomer, admitted queries not yet started),
+    // which Crosscheck checks against a from-scratch pass for every live
+    // query after every event; the crosschecked run must also match the
+    // plain one bit for bit.
     let admission = AdmissionConfig {
         queue_cap: 2,
         deadline: 120.0,
@@ -1054,27 +1055,11 @@ fn admission_keeps_incremental_and_reference_in_lockstep() {
         resubmit_base: 20.0,
         resubmit_cap: 40.0,
     };
-    let queries = mixed_workload();
-    let (inc, rec_inc) = traced(
-        Simulator::new(small_config(), CostModel::default(), Swrd).with_admission(admission),
-        &queries,
+    let (report, _) = assert_plain_matches_crosschecked(
+        || Simulator::new(small_config(), CostModel::default(), Swrd).with_admission(admission),
+        &mixed_workload(),
     );
-    let (refr, rec_ref) = traced(
-        Simulator::new(small_config(), CostModel::default(), Swrd)
-            .with_admission(admission)
-            .with_dispatch(DispatchMode::Reference),
-        &queries,
-    );
-    assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
-    assert_eq!(inc.queries, refr.queries);
-    assert_eq!(inc.admission, refr.admission);
-    assert_eq!(rec_inc.events, rec_ref.events);
-    // Crosscheck additionally re-derives the reference view after every
-    // event, so completing at all asserts the eviction resyncs.
-    Simulator::new(small_config(), CostModel::default(), Swrd)
-        .with_admission(admission)
-        .with_dispatch(DispatchMode::Crosscheck)
-        .run(&queries);
+    assert!(report.admission.queries_shed > 0, "the cap must shed");
 }
 
 /// Oracle whose every answer is garbage: NaN map times, negative reduce
@@ -1261,9 +1246,8 @@ fn profiled_run_counts_faulted_paths() {
 
     let queries = mixed_workload();
     let prof = SpanProfiler::new();
-    let mut s = Simulator::new(small_config(), CostModel::default(), Swrd)
-        .with_dispatch(DispatchMode::Incremental)
-        .with_faults(stress_plan());
+    let mut s =
+        Simulator::new(small_config(), CostModel::default(), Swrd).with_faults(stress_plan());
     let report = s.execute(&queries, Run::new().profiler(&prof)).unwrap().into_report();
     // Retries/clones mean more launches than the task count.
     let total_tasks: usize =

@@ -9,11 +9,12 @@
 //! full robustness stack (tight admission, stress faults, a guarded
 //! poisoned oracle in degraded mode) through the same cut, proving the
 //! oracle/admission state survives the round trip. The golden cells also
-//! run under [`DispatchMode::Crosscheck`], which checks the dispatch view
-//! and the pick index against their references at every decision and
-//! right after the restore. The random cuts draw the resuming engine's
-//! dispatch mode independently of the snapshotting one, so Crosscheck also
-//! verifies the index rebuilt from blobs written under `Incremental`.
+//! run [crosschecked](Simulator::crosschecked), which checks the dispatch
+//! view and the pick index against their references at every decision and
+//! right after the restore. The random cuts draw whether the resuming
+//! engine is crosschecked independently of the snapshotting one, so
+//! Crosscheck also verifies the index rebuilt from blobs written by plain
+//! runs.
 //!
 //! Both halves of a cut take a profiler, and a resumed run can be cut
 //! again: three stitched segments must match the straight run too.
@@ -28,8 +29,8 @@ use sapred_cluster::fault::{FaultPlan, NodeCrash};
 use sapred_cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
 use sapred_cluster::sim::{
-    AdmissionConfig, CheckpointError, ClusterConfig, DemandOracle, DispatchMode, FrozenOracle,
-    GuardedOracle, Run, RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
+    AdmissionConfig, CheckpointError, ClusterConfig, DemandOracle, FrozenOracle, GuardedOracle,
+    Run, RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
 };
 use sapred_cluster::{CostModel, JobId, QueryId};
 use sapred_obs::profile::{Counter, SpanProfiler};
@@ -117,8 +118,11 @@ fn rendered(events: &[Event]) -> Vec<String> {
     events.iter().filter(|e| !matches!(e, Event::RunResumed { .. })).map(|e| e.to_json()).collect()
 }
 
-fn build<S: Scheduler>(s: S, faults: Option<FaultPlan>, dispatch: DispatchMode) -> Simulator<S> {
-    let mut sim = Simulator::new(config(), CostModel::default(), s).with_dispatch(dispatch);
+fn build<S: Scheduler>(s: S, faults: Option<FaultPlan>, crosscheck: bool) -> Simulator<S> {
+    let mut sim = Simulator::new(config(), CostModel::default(), s);
+    if crosscheck {
+        sim = sim.crosschecked();
+    }
     if let Some(plan) = faults {
         sim = sim.with_faults(plan);
     }
@@ -131,9 +135,9 @@ fn build<S: Scheduler>(s: S, faults: Option<FaultPlan>, dispatch: DispatchMode) 
 fn straight<S: Scheduler>(
     s: S,
     faults: Option<FaultPlan>,
-    dispatch: DispatchMode,
+    crosscheck: bool,
 ) -> (SimReport, Vec<String>, u64) {
-    let mut sim = build(s, faults, dispatch);
+    let mut sim = build(s, faults, crosscheck);
     let mut rec = RecordingSink::new();
     let prof = SpanProfiler::new();
     let report =
@@ -171,21 +175,21 @@ fn expect_snapshot(outcome: RunOutcome, at: u64) -> Vec<u8> {
     }
 }
 
-/// The interrupted run: snapshot after `at` events under `dispatch`,
-/// restore the blob into a fresh engine + oracle running
-/// `resume_dispatch`, finish. Returns the stitched report and event stream
+/// The interrupted run: snapshot after `at` events (crosschecked if
+/// `crosscheck`), restore the blob into a fresh engine + oracle
+/// (crosschecked if `resume_crosscheck`), finish. Returns the stitched report and event stream
 /// (prefix + suffix).
 fn snapshot_and_resume<S: Scheduler + Clone>(
     s: S,
     faults: Option<FaultPlan>,
-    dispatch: DispatchMode,
-    resume_dispatch: DispatchMode,
+    crosscheck: bool,
+    resume_crosscheck: bool,
     at: u64,
 ) -> (SimReport, Vec<String>) {
-    let sim = build(s.clone(), faults.clone(), dispatch);
+    let sim = build(s.clone(), faults.clone(), crosscheck);
     let (outcome, mut events) = segment(sim, &mut FrozenOracle, None, Some(at));
     let blob = expect_snapshot(outcome, at);
-    let sim = build(s, faults, resume_dispatch);
+    let sim = build(s, faults, resume_crosscheck);
     let (outcome, suffix) = segment(sim, &mut FrozenOracle, Some(&blob), None);
     events.extend(suffix);
     (outcome.into_report(), rendered(&events))
@@ -201,21 +205,21 @@ fn deterministic_cuts(total: u64) -> Vec<u64> {
 }
 
 fn check_cell<S: Scheduler + Clone>(s: S, faults: Option<FaultPlan>, name: &str) {
-    for dispatch in [DispatchMode::Incremental, DispatchMode::Crosscheck] {
-        let (want_report, want_events, total) = straight(s.clone(), faults.clone(), dispatch);
+    for crosscheck in [false, true] {
+        let (want_report, want_events, total) = straight(s.clone(), faults.clone(), crosscheck);
         assert!(total > 2, "{name}: run too short to cut ({total} events)");
         for at in deterministic_cuts(total) {
             let (report, events) =
-                snapshot_and_resume(s.clone(), faults.clone(), dispatch, dispatch, at);
+                snapshot_and_resume(s.clone(), faults.clone(), crosscheck, crosscheck, at);
             assert_eq!(
                 report, want_report,
-                "{name} ({dispatch:?}): report diverged after snapshot/restore at event \
-                 {at}/{total}"
+                "{name} (crosscheck {crosscheck}): report diverged after snapshot/restore at \
+                 event {at}/{total}"
             );
             assert_eq!(
                 events, want_events,
-                "{name} ({dispatch:?}): event stream diverged after snapshot/restore at event \
-                 {at}/{total}"
+                "{name} (crosscheck {crosscheck}): event stream diverged after snapshot/restore \
+                 at event {at}/{total}"
             );
         }
     }
@@ -246,11 +250,10 @@ fn faulted_goldens_survive_snapshot_and_restore() {
 /// start, so `b` is absolute; the three stitched segments must match the
 /// straight run bit-for-bit.
 fn check_double_cut<S: Scheduler + Clone>(s: S, faults: Option<FaultPlan>, name: &str) {
-    let dispatch = DispatchMode::Incremental;
-    let (want_report, want_events, total) = straight(s.clone(), faults.clone(), dispatch);
+    let (want_report, want_events, total) = straight(s.clone(), faults.clone(), false);
     let (a, b) = (total / 3, 2 * total / 3);
     assert!(0 < a && a < b && b < total, "{name}: run too short to cut twice ({total} events)");
-    let sim = || build(s.clone(), faults.clone(), dispatch);
+    let sim = || build(s.clone(), faults.clone(), false);
 
     let (outcome, mut events) = segment(sim(), &mut FrozenOracle, None, Some(a));
     let blob_a = expect_snapshot(outcome, a);
@@ -280,21 +283,21 @@ fn a_resumed_run_can_be_cut_again() {
 /// adds up to the straight run's.
 #[test]
 fn profiled_snapshot_and_resume_count_the_straight_run() {
-    let (s, faults, dispatch) = (Swrd, Some(stress_plan()), DispatchMode::Incremental);
+    let (s, faults) = (Swrd, Some(stress_plan()));
     let straight_prof = SpanProfiler::new();
-    build(s, faults.clone(), dispatch)
+    build(s, faults.clone(), false)
         .execute(&workload(), Run::new().profiler(&straight_prof))
         .expect("straight run");
     let total = straight_prof.counter(Counter::EventsProcessed);
     let at = total / 2;
 
     let before = SpanProfiler::new();
-    let outcome = build(s, faults.clone(), dispatch)
+    let outcome = build(s, faults.clone(), false)
         .execute(&workload(), Run::new().profiler(&before).stop_after(at))
         .expect("snapshot run");
     let blob = expect_snapshot(outcome, at);
     let after = SpanProfiler::new();
-    build(s, faults, dispatch)
+    build(s, faults, false)
         .execute(&workload(), Run::new().profiler(&after).resume(&blob))
         .expect("resumed run")
         .into_report();
@@ -489,20 +492,19 @@ fn run_cell_by_index(
     at_frac: f64,
 ) {
     let faults = if faulted { Some(stress_plan()) } else { None };
-    let mode = |c| if c { DispatchMode::Crosscheck } else { DispatchMode::Incremental };
-    let modes = (mode(snap_crosscheck), mode(resume_crosscheck));
+    let modes = (snap_crosscheck, resume_crosscheck);
     fn one<S: Scheduler + Clone>(
         s: S,
         faults: Option<FaultPlan>,
-        (dispatch, resume_dispatch): (DispatchMode, DispatchMode),
+        (crosscheck, resume_crosscheck): (bool, bool),
         at_frac: f64,
         name: &str,
     ) {
-        let (want_report, want_events, total) = straight(s.clone(), faults.clone(), dispatch);
+        let (want_report, want_events, total) = straight(s.clone(), faults.clone(), crosscheck);
         let at = ((total - 1) as f64 * at_frac).floor() as u64 + 1;
         let at = at.min(total - 1).max(1);
-        let (report, events) = snapshot_and_resume(s, faults, dispatch, resume_dispatch, at);
-        let cell = format!("{name} ({dispatch:?} -> {resume_dispatch:?})");
+        let (report, events) = snapshot_and_resume(s, faults, crosscheck, resume_crosscheck, at);
+        let cell = format!("{name} (crosscheck {crosscheck} -> {resume_crosscheck})");
         assert_eq!(report, want_report, "{cell}: report diverged at cut {at}/{total}");
         assert_eq!(events, want_events, "{cell}: events diverged at cut {at}/{total}");
     }

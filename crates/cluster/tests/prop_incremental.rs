@@ -1,15 +1,16 @@
 //! Property tests for the incremental dispatch state: on random DAG
-//! workloads, the materialized runnable view must equal the from-scratch
-//! [`collect_runnable`] reference after every event and before every pick
-//! ([`DispatchMode::Crosscheck`] asserts exactly that inside the engine),
-//! and a full incremental run must produce a bit-identical report to a
-//! reference run — for every scheduler.
+//! workloads, the materialized runnable view and every live query's demand
+//! aggregates must equal a from-scratch derivation after every event and
+//! before every pick ([`Simulator::crosschecked`] asserts exactly that
+//! inside the engine), and a plain run must produce a report and event
+//! stream bit-identical to the crosschecked run's — for every scheduler.
 
 use proptest::prelude::*;
 use sapred_cluster::{
-    ClusterConfig, CostModel, DispatchMode, FaultPlan, Fifo, Hcs, HcsQueues, Hfs, JobPrediction,
-    NodeCrash, Scheduler, SimJob, SimQuery, Simulator, Srt, Swrd, TaskKind, TaskSpec,
+    ClusterConfig, CostModel, FaultPlan, Fifo, Hcs, HcsQueues, Hfs, JobPrediction, NodeCrash, Run,
+    Scheduler, SimJob, SimQuery, SimReport, Simulator, Srt, Swrd, TaskKind, TaskSpec,
 };
+use sapred_obs::RecordingSink;
 use sapred_plan::dag::JobCategory;
 
 const MB: f64 = 1024.0 * 1024.0;
@@ -76,21 +77,23 @@ fn check_one<S: Scheduler + Clone>(
     queries: &[SimQuery],
     plan: &FaultPlan,
 ) -> Result<(), TestCaseError> {
+    let traced = |mut sim: Simulator<S>| -> (SimReport, RecordingSink) {
+        let mut rec = RecordingSink::new();
+        let report = sim.execute(queries, Run::new().sink(&mut rec)).unwrap().into_report();
+        (report, rec)
+    };
+    let build =
+        || Simulator::new(config(), CostModel::default(), s.clone()).with_faults(plan.clone());
+    let (plain, rec_plain) = traced(build());
     // Crosscheck panics inside the engine the moment the materialized state
-    // diverges from collect_runnable, event by event.
-    let inc = Simulator::new(config(), CostModel::default(), s.clone())
-        .with_dispatch(DispatchMode::Crosscheck)
-        .with_faults(plan.clone())
-        .run(queries);
-    let refr = Simulator::new(config(), CostModel::default(), s)
-        .with_dispatch(DispatchMode::Reference)
-        .with_faults(plan.clone())
-        .run(queries);
-    // And the end-to-end reports agree bit-for-bit.
-    prop_assert_eq!(inc.makespan.to_bits(), refr.makespan.to_bits());
-    prop_assert_eq!(&inc.queries, &refr.queries);
-    prop_assert_eq!(&inc.jobs, &refr.jobs);
-    prop_assert_eq!(&inc.faults, &refr.faults);
+    // diverges from the from-scratch view, event by event.
+    let (chk, rec_chk) = traced(build().crosschecked());
+    // And the plain run is the same run, bit for bit.
+    prop_assert_eq!(plain.makespan.to_bits(), chk.makespan.to_bits());
+    prop_assert_eq!(&plain.queries, &chk.queries);
+    prop_assert_eq!(&plain.jobs, &chk.jobs);
+    prop_assert_eq!(&plain.faults, &chk.faults);
+    prop_assert_eq!(&rec_plain.events, &rec_chk.events);
     Ok(())
 }
 

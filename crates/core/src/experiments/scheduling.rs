@@ -205,10 +205,10 @@ fn run_one_scheduler<S: Scheduler>(
     sched: S,
 ) -> SchedulerOutcome {
     let name = sched.name().to_string();
-    // Default dispatch is DispatchMode::Incremental — proven bit-identical
-    // to the from-scratch reference (cluster's cross-check tests), so the
-    // Fig. 8 numbers are unaffected while full-scale runs dispatch in
-    // O(affected jobs) per event.
+    // Dispatch reads the incrementally maintained view — proven
+    // bit-identical to the from-scratch reference by the cluster's
+    // crosschecked runs — so full-scale runs dispatch in O(affected jobs)
+    // per event.
     let report = Simulator::new(fw.cluster, fw.cost, sched).run(&prepared.queries);
     let small_cut = 10.0;
     let mut small = Vec::new();

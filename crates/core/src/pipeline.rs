@@ -264,8 +264,8 @@ impl Pipeline {
     }
 
     /// A simulator over this pipeline's cluster and cost model, for
-    /// [`Pipeline::simulate`]. Chain `with_faults`, `with_admission` or
-    /// `with_dispatch` onto it for a robustness or dispatch setup.
+    /// [`Pipeline::simulate`]. Chain `with_faults` or `with_admission` onto
+    /// it for a robustness setup.
     pub fn simulator<S: Scheduler>(&self, scheduler: S) -> Simulator<S> {
         Simulator::new(self.framework.cluster, self.framework.cost, scheduler)
     }

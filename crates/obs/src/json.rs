@@ -125,14 +125,7 @@ pub fn array<I: IntoIterator<Item = String>>(items: I) -> String {
 /// # Errors
 /// Returns a message naming the byte offset of the first syntax error.
 pub fn validate(s: &str) -> Result<(), String> {
-    let mut p = Parser { b: s.as_bytes(), i: 0 };
-    p.ws();
-    p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing garbage at byte {}", p.i));
-    }
-    Ok(())
+    parse(s).map(|_| ())
 }
 
 /// A parsed JSON document.
@@ -243,73 +236,12 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => self.string(),
-            b't' => self.literal("true"),
-            b'f' => self.literal("false"),
-            b'n' => self.literal("null"),
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => Err(self.err("unexpected character")),
-        }
-    }
-
     fn literal(&mut self, lit: &str) -> Result<(), String> {
         if self.b[self.i..].starts_with(lit.as_bytes()) {
             self.i += lit.len();
             Ok(())
         } else {
             Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.eat(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.eat(b'[')?;
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
         }
     }
 

@@ -337,16 +337,8 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
     // Overload knobs: a bounded admission queue with a shed policy, per-query
     // deadlines, and the prediction guardrails. All default to off, in which
     // case the run is bit-identical to the pre-admission engine.
-    let shed_policy = match flags.get("shed-policy").map(String::as_str).unwrap_or("reject-newest")
-    {
-        "reject-newest" => ShedPolicy::RejectNewest,
-        "largest-wrd" => ShedPolicy::ShedLargestWrd,
-        other => {
-            return Err(Error::invalid(format!(
-                "unknown shed policy `{other}` (expected reject-newest|largest-wrd)"
-            )))
-        }
-    };
+    let shed_policy =
+        parse_shed_policy(flags.get("shed-policy").map(String::as_str).unwrap_or("reject-newest"))?;
     let admission = AdmissionConfig {
         queue_cap: flag_usize(&flags, "queue-cap", 0)?,
         deadline: flag_f64(&flags, "deadline", f64::INFINITY)?,
@@ -781,7 +773,7 @@ fn cmd_bench(args: &[String]) -> Result<(), Error> {
     let mut suite = "all".to_string();
     let mut quick = false;
     let mut gate = false;
-    let mut threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut threads = sapred::core::parallel::available_threads();
     let mut out_dir = ".".to_string();
     let mut iters_override: Option<usize> = None;
     let mut compare_path: Option<String> = None;

@@ -20,3 +20,17 @@ fn unknown_flags_are_rejected_by_name() {
         assert!(stderr.contains(&format!("unknown flag `{flag}`")), "sapred {args:?}: {stderr}");
     }
 }
+
+#[test]
+fn trace_accepts_every_shed_policy_spelling_fleet_accepts() {
+    // `largest_wrd` is a spelling `fleet` accepts; `trace` must parse it the
+    // same way and fail only on the bad `--guard` value, before any training.
+    let out = Command::new(env!("CARGO_BIN_EXE_sapred"))
+        .args(["trace", "bing", "--shed-policy", "largest_wrd", "--guard", "maybe"])
+        .output()
+        .expect("the sapred binary starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a bad --guard value must fail");
+    assert!(stderr.contains("--guard expects on|off"), "{stderr}");
+    assert!(!stderr.contains("unknown shed policy"), "{stderr}");
+}

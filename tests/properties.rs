@@ -9,8 +9,7 @@ use sapred::cluster::sched::{
     Fifo, Hcs, HcsQueues, Hfs, RunnableJob, Scheduler, Srt, Swrd, TaskChoice,
 };
 use sapred::cluster::sim::{
-    ClusterConfig, DemandOracle, DispatchMode, GuardConfig, GuardedOracle, Run, SimReport,
-    Simulator,
+    ClusterConfig, DemandOracle, GuardConfig, GuardedOracle, Run, SimReport, Simulator,
 };
 use sapred::cluster::CostModel;
 use sapred::cluster::QueryId;
@@ -69,7 +68,7 @@ fn run_faulted_traced<S: Scheduler>(
     let config = ClusterConfig { nodes: 2, containers_per_node: 3, ..ClusterConfig::default() };
     let mut sink = JsonlSink::new(Vec::new());
     let report = Simulator::new(config, CostModel::default(), s)
-        .with_dispatch(DispatchMode::Crosscheck)
+        .crosschecked()
         .with_faults(plan.clone())
         .execute(queries, Run::new().sink(&mut sink))
         .unwrap()
@@ -152,7 +151,8 @@ impl DemandOracle for FlakyOracle {
 }
 
 /// One guarded, fault-injected run with the assert-finite scheduler
-/// wrapper, traced into a JSONL sink for bitwise stream comparison.
+/// wrapper (crosschecked if `crosscheck`), traced into a JSONL sink for
+/// bitwise stream comparison.
 fn run_guarded_traced<S: Scheduler>(
     s: S,
     queries: &[SimQuery],
@@ -160,13 +160,16 @@ fn run_guarded_traced<S: Scheduler>(
     guard: GuardConfig,
     oracle_seed: u64,
     period: u64,
-    mode: DispatchMode,
+    crosscheck: bool,
 ) -> (SimReport, Vec<u8>) {
     let config = ClusterConfig { nodes: 2, containers_per_node: 3, ..ClusterConfig::default() };
     let mut sink = JsonlSink::new(Vec::new());
     let mut oracle = GuardedOracle::with_config(FlakyOracle { seed: oracle_seed, period }, guard);
-    let report = Simulator::new(config, CostModel::default(), AssertFiniteWrd(s))
-        .with_dispatch(mode)
+    let mut sim = Simulator::new(config, CostModel::default(), AssertFiniteWrd(s));
+    if crosscheck {
+        sim = sim.crosschecked();
+    }
+    let report = sim
         .with_faults(plan.clone())
         .execute(queries, Run::new().sink(&mut sink).oracle(&mut oracle))
         .unwrap()
@@ -375,7 +378,7 @@ proptest! {
     ) {
         // Random DAG workloads × random fault plans (transient failures,
         // an optional transient node crash, optional speculation), run
-        // under Crosscheck so the incremental dispatch state is verified
+        // crosschecked so the incremental dispatch state is verified
         // against the reference on every event, and replayed twice: the
         // reports and the full exported event streams must match
         // bit-for-bit for every scheduler.
@@ -489,17 +492,16 @@ proptest! {
             decay,
         };
         let (ri, ei) = run_guarded_traced(
-            Swrd, &queries, &plan, guard, oracle_seed, period, DispatchMode::Incremental);
-        let (rr, er) = run_guarded_traced(
-            Swrd, &queries, &plan, guard, oracle_seed, period, DispatchMode::Reference);
-        prop_assert_eq!(ri.makespan.to_bits(), rr.makespan.to_bits(), "guarded: makespan");
-        prop_assert_eq!(&ri.queries, &rr.queries, "guarded: query stats");
-        prop_assert_eq!(&ri.jobs, &rr.jobs, "guarded: job stats");
-        prop_assert!(ei == er, "guarded: exported event streams diverge across dispatch modes");
-        // Crosscheck re-derives the reference view after every event and
-        // panics on divergence, so completing is itself the assertion.
-        run_guarded_traced(
-            Swrd, &queries, &plan, guard, oracle_seed, period, DispatchMode::Crosscheck);
+            Swrd, &queries, &plan, guard, oracle_seed, period, false);
+        // Crosscheck re-derives the reference view and every live query's
+        // aggregates after every event and panics on divergence; the
+        // checked run must also be the plain run, bit for bit.
+        let (rc, ec) = run_guarded_traced(
+            Swrd, &queries, &plan, guard, oracle_seed, period, true);
+        prop_assert_eq!(ri.makespan.to_bits(), rc.makespan.to_bits(), "guarded: makespan");
+        prop_assert_eq!(&ri.queries, &rc.queries, "guarded: query stats");
+        prop_assert_eq!(&ri.jobs, &rc.jobs, "guarded: job stats");
+        prop_assert!(ei == ec, "guarded: exported event streams diverge under Crosscheck");
         // Every response the run reports is finite.
         for q in &ri.queries {
             prop_assert!(q.response().is_finite(), "non-finite response for {}", q.name);
