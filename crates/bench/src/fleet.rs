@@ -46,7 +46,8 @@ use sapred_cluster::sched::{Fifo, Hcs, Hfs, Scheduler, Srt, Swrd};
 use sapred_cluster::sim::{AdmissionConfig, CellSummary, Run, ShedPolicy, SimReport, Simulator};
 use sapred_cluster::FaultPlan;
 use sapred_core::parallel::{available_threads, panic_message, run_claiming};
-use sapred_obs::json::{array, num, quoted, Obj};
+use sapred_obs::fnv1a;
+use sapred_obs::json::{array, num, quoted, Obj, Value};
 use sapred_obs::profile::{Counter, NullProfiler, Profiler};
 use sapred_obs::SpanProfiler;
 use sapred_plan::ground_truth::execute_dag;
@@ -100,14 +101,10 @@ impl SchedKind {
 
     /// Parse a CLI/grid-file scheduler name.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "swrd" => Ok(SchedKind::Swrd),
-            "hcs" => Ok(SchedKind::Hcs),
-            "hfs" => Ok(SchedKind::Hfs),
-            "fifo" => Ok(SchedKind::Fifo),
-            "srt" => Ok(SchedKind::Srt),
-            other => Err(format!("unknown scheduler `{other}` (expected swrd|hcs|hfs|fifo|srt)")),
-        }
+        SchedKind::ALL
+            .into_iter()
+            .find(|k| k.label() == s)
+            .ok_or_else(|| format!("unknown scheduler `{s}` (expected swrd|hcs|hfs|fifo|srt)"))
     }
 }
 
@@ -248,18 +245,6 @@ pub struct FleetCoord {
     pub seed: usize,
 }
 
-/// 64-bit FNV-1a over `bytes` — the per-cell seed derivation. Dependency-free
-/// and stable across platforms, so a grid reproduces the same cell seeds on
-/// any machine.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 impl FleetGrid {
     /// Number of cells the grid expands into.
     pub fn n_cells(&self) -> usize {
@@ -385,8 +370,97 @@ impl FleetGrid {
             .raw("fault_levels", &array(self.faults.iter().map(|f| num(f.task_fail_prob))))
             .raw("admissions", &admissions)
             .raw("estimators", &array(self.estimators.iter().map(|e| quoted(e.label()))))
-            .raw("seeds", &array(self.seeds.iter().map(|s| format!("{s}"))))
+            // Past 2^53 a JSON reader's f64 would round a bare seed.
+            .raw(
+                "seeds",
+                &array(self.seeds.iter().map(|s| {
+                    if *s > 1 << 53 {
+                        quoted(&s.to_string())
+                    } else {
+                        s.to_string()
+                    }
+                })),
+            )
             .finish()
+    }
+
+    /// Parse the format [`FleetGrid::to_json`] writes, so a previous run's
+    /// `grid` object can be replayed: `workloads` (objects with
+    /// `n_queries`/`jobs`/`maps`/`reduces` and optional `skew`),
+    /// `schedulers` (names), `fault_levels` (failure probabilities),
+    /// `admissions` (objects with `queue_cap`, `deadline` — `null`/absent
+    /// means none — and `shed_policy`), optional `estimators` (names;
+    /// defaults to `["histogram"]`), and `seeds` (numbers, or strings for
+    /// seeds past 2^53).
+    ///
+    /// # Errors
+    /// Returns a message naming the first malformed field.
+    pub fn from_json(text: &str) -> Result<FleetGrid, String> {
+        let doc = sapred_obs::json::parse(text)?;
+        // Each element of array `key` through `f`, errors naming the element.
+        fn each<T>(
+            doc: &Value,
+            key: &str,
+            f: impl Fn(&Value, &str) -> Result<T, String>,
+        ) -> Result<Vec<T>, String> {
+            let items = doc.get(key).and_then(Value::as_arr);
+            let items = items.ok_or(format!("missing array field {key:?}"))?;
+            items.iter().enumerate().map(|(i, v)| f(v, &format!("{key}[{i}]"))).collect()
+        }
+        let whole_num = |v: &Value| v.as_num().filter(|n| n.fract() == 0.0 && *n >= 0.0);
+        let whole = |v: &Value, key: &str, at: &str| {
+            let n = v.get(key).and_then(whole_num);
+            n.map(|n| n as usize).ok_or(format!("{at}: {key:?} must be a whole number"))
+        };
+        // A number, with `null` or absence meaning `default`.
+        let number_or = |v: &Value, key: &str, at: &str, default: f64| match v.get(key) {
+            None | Some(Value::Null) => Ok(default),
+            Some(n) => n.as_num().ok_or(format!("{at}: {key:?} must be a number or null")),
+        };
+        fn name<'a>(v: &'a Value, at: &str) -> Result<&'a str, String> {
+            v.as_str().ok_or(format!("{at} must be a string"))
+        }
+
+        let workloads = each(&doc, "workloads", |w, at| {
+            Ok(WorkloadSpec {
+                n_queries: whole(w, "n_queries", at)?,
+                jobs: whole(w, "jobs", at)?,
+                maps: whole(w, "maps", at)?,
+                reduces: whole(w, "reduces", at)?,
+                skew: number_or(w, "skew", at, 0.0)?,
+            })
+        })?;
+        let schedulers = each(&doc, "schedulers", |s, at| SchedKind::parse(name(s, at)?))?;
+        let faults = each(&doc, "fault_levels", |f, at| {
+            let task_fail_prob = f.as_num().ok_or(format!("{at} must be a number"))?;
+            Ok(FaultLevel { task_fail_prob })
+        })?;
+        let admissions = each(&doc, "admissions", |a, at| {
+            let shed_policy = match a.get("shed_policy") {
+                None => ShedPolicy::default(),
+                Some(v) => ShedPolicy::parse(name(v, &format!("{at}: \"shed_policy\""))?)?,
+            };
+            Ok(AdmissionLevel {
+                queue_cap: whole(a, "queue_cap", at)?,
+                deadline: number_or(a, "deadline", at, f64::INFINITY)?,
+                shed_policy,
+            })
+        })?;
+        let mut estimators = match doc.get("estimators").and_then(Value::as_arr) {
+            Some(_) => each(&doc, "estimators", |e, at| EstimatorKind::parse(name(e, at)?))?,
+            None => Vec::new(),
+        };
+        if estimators.is_empty() {
+            estimators.push(EstimatorKind::Histogram);
+        }
+        let seeds = each(&doc, "seeds", |s, at| {
+            let seed = match s {
+                Value::Str(text) => text.parse::<u64>().ok(),
+                v => whole_num(v).map(|n| n as u64),
+            };
+            seed.ok_or(format!("{at} must be a u64"))
+        })?;
+        Ok(FleetGrid { workloads, schedulers, faults, admissions, estimators, seeds })
     }
 
     /// FNV-1a fingerprint of the canonical grid JSON; the resume journal

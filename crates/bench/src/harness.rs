@@ -205,6 +205,15 @@ impl CellResult {
             error: Some(error),
         }
     }
+
+    /// Why this cell fails the run, if it does: it panicked, or its
+    /// iterations disagreed on a counter.
+    pub fn fault(&self) -> Option<String> {
+        match &self.error {
+            Some(err) => Some(format!("{} failed: {err}", self.name)),
+            None => (!self.deterministic).then(|| format!("{} is non-deterministic", self.name)),
+        }
+    }
 }
 
 /// Canonical config JSON for a cell (the comparison join key, after name).

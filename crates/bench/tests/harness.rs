@@ -2,7 +2,9 @@
 //! schema-valid reports, and the compare classifier (clean / skipped /
 //! drift / regression).
 
-use sapred_bench::harness::{dispatch_suite, fleet_suite, run_cell, run_suite, CellKind, CellSpec};
+use sapred_bench::harness::{
+    dispatch_suite, fleet_suite, run_cell, run_suite, CellKind, CellResult, CellSpec,
+};
 use sapred_bench::report::{compare, load_report, suite_json, validate_schema, SCHEMA};
 
 /// A tiny dispatch cell that runs in milliseconds even in debug builds.
@@ -216,4 +218,18 @@ fn load_report_round_trips_a_valid_report() {
     std::fs::write(&path, suite_json("dispatch", true, &cells)).unwrap();
     let doc = load_report(path.to_str().unwrap()).expect("valid report loads");
     assert_eq!(doc.get("suite").and_then(|v| v.as_str()), Some("dispatch"));
+}
+
+/// `sapred bench` exits nonzero when a cell panicked or was
+/// non-deterministic, naming each such cell; a sound cell names nothing.
+#[test]
+fn failed_and_non_deterministic_cells_fail_the_run() {
+    let failed = CellResult::failed(&tiny_cell(), "boom".into());
+    assert_eq!(failed.fault().as_deref(), Some("dispatch_incremental failed: boom"));
+    let mut flaky = failed.clone();
+    flaky.error = None;
+    assert_eq!(flaky.fault().as_deref(), Some("dispatch_incremental is non-deterministic"));
+    let mut sound = flaky;
+    sound.deterministic = true;
+    assert_eq!(sound.fault(), None);
 }

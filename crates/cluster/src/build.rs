@@ -45,8 +45,7 @@ pub fn build_sim_query(
                 n_maps
             ];
             let reduces = if job.kind.has_reduce() {
-                let n = ((actual.d_med / config.bytes_per_reducer).ceil() as usize)
-                    .clamp(1, config.max_reducers.max(1));
+                let n = config.reducers_for(actual.d_med);
                 vec![
                     TaskSpec {
                         bytes_in: actual.d_med / n as f64,

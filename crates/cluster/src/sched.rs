@@ -1,16 +1,18 @@
 //! Schedulers: job-level FIFO / Capacity / Fair, and the paper's
 //! query-level SWRD (Smallest Weighted Resource Demand first, §4.3).
 //!
-//! Each free container goes to one runnable job. A policy that can express
-//! its whole comparator as a [`PickKey`] ([`Scheduler::key`]) is served from
-//! the engine's pick index once the runnable set is wide: the minimum-key
-//! job wins, at O(log R) upkeep per touched job instead of a scan of all R
-//! runnable jobs. Otherwise (narrow sets, unkeyed policies, degraded or
-//! reference mode) the engine calls [`Scheduler::pick`] once per free
-//! container with the whole runnable set. Both ways choose the same job. A
-//! job never has pending maps and pending reduces at the same time
-//! (reduces unlock when the map phase completes), so the choice of task
-//! kind is implied.
+//! Each free container goes to one runnable job. A built-in policy is a
+//! name and a [`PickKey`] ([`Scheduler::key`]): its whole ordering as one
+//! lexicographic key, smallest first. The trait derives the rest from the
+//! key: [`Scheduler::pick`] takes the minimum-key job and
+//! [`Scheduler::score`] decodes the leading slot. The engine keeps a wide
+//! runnable set in a pick index (O(log R) upkeep per touched job instead of
+//! a scan of all R runnable jobs) and calls `pick` on narrow ones; both
+//! take the same minimum. [`HcsQueues`] ranks a job by its queue's share,
+//! which no per-job key expresses, so it has no key and writes its own
+//! `pick`. A job never has pending maps and pending reduces at the same
+//! time (reduces unlock when the map phase completes), so the choice of
+//! task kind is implied.
 
 use crate::job::TaskKind;
 use sapred_obs::{JobId, QueryId};
@@ -65,15 +67,15 @@ pub struct TaskChoice {
     pub kind: TaskKind,
 }
 
-/// A policy's whole comparator as a fixed-width lexicographic key: the
-/// runnable job with the smallest key is the one [`Scheduler::pick`]
-/// chooses. Float fields enter through [`f64_key`]; unused trailing slots
-/// are zero.
+/// A policy's whole ordering as a fixed-width lexicographic key: the
+/// runnable job with the smallest key wins. Float fields enter through
+/// [`f64_key`]; unused trailing slots are zero.
 pub type PickKey = [u64; 5];
 
 /// Map an `f64` onto a `u64` whose unsigned order is [`f64::total_cmp`]'s
-/// order (`-NaN < -inf < … < -0.0 < +0.0 < … < +inf < NaN`), so float keys
-/// sort inside a [`PickKey`] exactly as the scan compares them.
+/// order (`-NaN < -inf < … < -0.0 < +0.0 < … < +inf < NaN`). A NaN (e.g. a
+/// corrupted prediction percolating into a query's WRD) therefore sorts
+/// after every real number instead of panicking the dispatch loop.
 pub fn f64_key(x: f64) -> u64 {
     let bits = x.to_bits();
     if bits >> 63 == 1 {
@@ -83,33 +85,46 @@ pub fn f64_key(x: f64) -> u64 {
     }
 }
 
+/// The exact inverse of [`f64_key`]: `key_f64(f64_key(x))` has the bits of
+/// `x`, NaN payloads included.
+pub fn key_f64(k: u64) -> f64 {
+    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+}
+
 /// Scheduling policy.
 pub trait Scheduler {
     /// Human-readable policy name (used in reports).
     fn name(&self) -> &'static str;
     /// Choose a job for the next free container, or `None` to leave it idle.
-    fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice>;
+    /// The default takes the runnable job with the minimum
+    /// [`Scheduler::key`].
+    ///
+    /// # Panics
+    /// The default panics on a non-empty set if the policy has no key: a
+    /// policy without a key must override `pick`.
+    fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice> {
+        runnable
+            .iter()
+            .min_by_key(|r| self.key(r).expect("a policy without a key must override pick"))
+            .map(choice)
+    }
     /// The policy's primary ranking score for `job` — **lower wins** for
     /// every built-in policy. Recorded in observability decision events
     /// ([`sapred_obs::Event::Decision`]) so traces show *why* a candidate
-    /// won. Ties are broken by secondary keys inside [`Scheduler::pick`];
-    /// the score only captures the leading key (e.g. the owning query's WRD
-    /// for [`Swrd`]). Defaults to `0.0` for score-free policies.
+    /// won. The default is the leading [`PickKey`] slot decoded by
+    /// [`key_f64`] (e.g. the owning query's WRD for [`Swrd`]); later slots
+    /// break its ties. A policy without a key scores `0.0`.
     fn score(&self, job: &RunnableJob) -> f64 {
-        let _ = job;
-        0.0
+        self.key(job).map_or(0.0, |k| key_f64(k[0]))
     }
-    /// The policy's whole tie-break chain for `job` as a [`PickKey`], or
-    /// `None` (the default) for a policy that has none. With a key, the
-    /// engine keeps the runnable set in a pick index and, on wide sets,
-    /// dispatches the minimum-key job instead of calling
-    /// [`Scheduler::pick`].
+    /// The policy's whole ordering for `job` as a [`PickKey`], or `None`
+    /// (the default) for a policy that has none. With a key, the engine
+    /// keeps the runnable set in a pick index and, on wide sets, dispatches
+    /// the minimum-key job without a scan.
     ///
-    /// Contract: over any runnable set, the minimum key belongs to exactly
-    /// the job `pick` returns. So the key must encode the full comparator
-    /// and end in the `(query, job)` pair, which makes it unique. It may
-    /// depend only on `job`'s own fields, and a policy returns `Some` for
-    /// every job or for none.
+    /// Contract: the key ends in the `(query, job)` pair, which makes it
+    /// unique. It depends only on `job`'s own fields. A policy returns
+    /// `Some` for every job or for none.
     fn key(&self, job: &RunnableJob) -> Option<PickKey> {
         let _ = job;
         None
@@ -118,16 +133,6 @@ pub trait Scheduler {
 
 pub(crate) fn choice(j: &RunnableJob) -> TaskChoice {
     TaskChoice { query: j.query, job: j.job, kind: j.next_kind() }
-}
-
-/// The shared (submit_time, query, job) tie-break chain.
-///
-/// All float keys across the schedulers compare with [`f64::total_cmp`]:
-/// a NaN score (e.g. a corrupted prediction percolating into a query's
-/// WRD) sorts deterministically *after* every real number instead of
-/// panicking the dispatch loop mid-run.
-fn submit_order(a: &RunnableJob, b: &RunnableJob) -> std::cmp::Ordering {
-    a.submit_time.total_cmp(&b.submit_time).then(a.query.cmp(&b.query)).then(a.job.cmp(&b.job))
 }
 
 /// Query-arrival FIFO: containers go to the earliest-arrived query's jobs
@@ -139,23 +144,6 @@ pub struct Fifo;
 impl Scheduler for Fifo {
     fn name(&self) -> &'static str {
         "FIFO"
-    }
-
-    fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice> {
-        runnable
-            .iter()
-            .min_by(|a, b| {
-                a.arrival
-                    .total_cmp(&b.arrival)
-                    .then(a.query.cmp(&b.query))
-                    .then(a.submit_time.total_cmp(&b.submit_time))
-                    .then(a.job.cmp(&b.job))
-            })
-            .map(choice)
-    }
-
-    fn score(&self, job: &RunnableJob) -> f64 {
-        job.arrival
     }
 
     fn key(&self, j: &RunnableJob) -> Option<PickKey> {
@@ -176,14 +164,6 @@ impl Scheduler for Hcs {
         "HCS"
     }
 
-    fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice> {
-        runnable.iter().min_by(|a, b| submit_order(a, b)).map(choice)
-    }
-
-    fn score(&self, job: &RunnableJob) -> f64 {
-        job.submit_time
-    }
-
     fn key(&self, j: &RunnableJob) -> Option<PickKey> {
         Some([f64_key(j.submit_time), j.query.0 as u64, j.job.0 as u64, 0, 0])
     }
@@ -200,19 +180,16 @@ impl Scheduler for Hfs {
         "HFS"
     }
 
-    fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice> {
-        runnable
-            .iter()
-            .min_by(|a, b| a.running.cmp(&b.running).then(submit_order(a, b)))
-            .map(choice)
-    }
-
-    fn score(&self, job: &RunnableJob) -> f64 {
-        job.running as f64
-    }
-
+    // The running count enters as a float so the score decodes like every
+    // other policy's; counts below 2^53 keep their integer order.
     fn key(&self, j: &RunnableJob) -> Option<PickKey> {
-        Some([j.running as u64, f64_key(j.submit_time), j.query.0 as u64, j.job.0 as u64, 0])
+        Some([
+            f64_key(j.running as f64),
+            f64_key(j.submit_time),
+            j.query.0 as u64,
+            j.job.0 as u64,
+            0,
+        ])
     }
 }
 
@@ -226,23 +203,6 @@ pub struct Swrd;
 impl Scheduler for Swrd {
     fn name(&self) -> &'static str {
         "SWRD"
-    }
-
-    fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice> {
-        runnable
-            .iter()
-            .min_by(|a, b| {
-                a.query_wrd
-                    .total_cmp(&b.query_wrd)
-                    .then(a.arrival.total_cmp(&b.arrival))
-                    .then(a.query.cmp(&b.query))
-                    .then(submit_order(a, b))
-            })
-            .map(choice)
-    }
-
-    fn score(&self, job: &RunnableJob) -> f64 {
-        job.query_wrd
     }
 
     fn key(&self, j: &RunnableJob) -> Option<PickKey> {
@@ -259,8 +219,8 @@ impl Scheduler for Swrd {
 /// The multi-queue Hadoop Capacity Scheduler: queries are hashed onto
 /// queues, each queue has a guaranteed share of the container pool, and
 /// free containers go to the most under-served queue (lowest
-/// running-to-capacity ratio) with FIFO job order inside the queue. With a
-/// single queue this degenerates to [`Hcs`]. The paper's testbed uses the
+/// running-to-capacity ratio) with [`Hcs`]'s job order inside the queue, so
+/// with a single queue it degenerates to [`Hcs`]. The paper's testbed uses the
 /// default single-queue configuration; this variant exists to show the
 /// thrashing of §2.1 is not an artifact of that choice.
 #[derive(Debug, Clone)]
@@ -335,7 +295,7 @@ impl Scheduler for HcsQueues {
         runnable
             .iter()
             .filter(|r| self.queue_of(r.query.into()) == best_queue)
-            .min_by(|a, b| submit_order(a, b))
+            .min_by_key(|r| Hcs.key(r))
             .map(choice)
     }
 
@@ -357,23 +317,6 @@ pub struct Srt;
 impl Scheduler for Srt {
     fn name(&self) -> &'static str {
         "SRT"
-    }
-
-    fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice> {
-        runnable
-            .iter()
-            .min_by(|a, b| {
-                a.query_time
-                    .total_cmp(&b.query_time)
-                    .then(a.arrival.total_cmp(&b.arrival))
-                    .then(a.query.cmp(&b.query))
-                    .then(submit_order(a, b))
-            })
-            .map(choice)
-    }
-
-    fn score(&self, job: &RunnableJob) -> f64 {
-        job.query_time
     }
 
     fn key(&self, j: &RunnableJob) -> Option<PickKey> {
@@ -611,7 +554,12 @@ mod tests {
             let c = s.pick(r).expect("NaN keys must not panic or empty the pick");
             assert_eq!(c.query, QueryId(1), "{}: NaN sorts after real keys", s.name());
             if s.key(&r[0]).is_some() {
-                assert_eq!(indexed_pick(&s, r), Some(c), "{}: indexed path disagrees", s.name());
+                assert_eq!(
+                    reference_pick(s.name(), r),
+                    Some(c),
+                    "{}: reference disagrees",
+                    s.name()
+                );
             }
         }
         check(Fifo, &[poisoned, clean]);
@@ -632,15 +580,37 @@ mod tests {
             assert_eq!(Swrd.pick(r).unwrap().query, QueryId(0));
             assert_eq!(Srt.pick(r).unwrap().query, QueryId(0));
             assert_eq!(Fifo.pick(r).unwrap().query, QueryId(0));
-            assert_eq!(indexed_pick(&Swrd, r).unwrap().query, QueryId(0));
-            assert_eq!(indexed_pick(&Srt, r).unwrap().query, QueryId(0));
-            assert_eq!(indexed_pick(&Fifo, r).unwrap().query, QueryId(0));
+            assert_eq!(reference_pick("SWRD", r).unwrap().query, QueryId(0));
+            assert_eq!(reference_pick("SRT", r).unwrap().query, QueryId(0));
+            assert_eq!(reference_pick("FIFO", r).unwrap().query, QueryId(0));
         }
     }
 
-    /// What the engine's ordered index dispatches: the minimum-key job.
-    fn indexed_pick<S: Scheduler>(s: &S, runnable: &[RunnableJob]) -> Option<TaskChoice> {
-        runnable.iter().min_by_key(|r| s.key(r).expect("keyed policy")).map(choice)
+    /// HCS's order, and the tie-break chain of the others.
+    fn submit_order(a: &RunnableJob, b: &RunnableJob) -> std::cmp::Ordering {
+        a.submit_time.total_cmp(&b.submit_time).then(a.query.cmp(&b.query)).then(a.job.cmp(&b.job))
+    }
+
+    /// The oracle for the derived `pick`: each keyed policy's ordering
+    /// written out as a comparator chain over the job's fields.
+    fn reference_pick(policy: &str, runnable: &[RunnableJob]) -> Option<TaskChoice> {
+        let by_query_then_submit = |a: &RunnableJob, b: &RunnableJob| {
+            a.arrival.total_cmp(&b.arrival).then(a.query.cmp(&b.query)).then(submit_order(a, b))
+        };
+        let order = |a: &RunnableJob, b: &RunnableJob| match policy {
+            "FIFO" => a
+                .arrival
+                .total_cmp(&b.arrival)
+                .then(a.query.cmp(&b.query))
+                .then(a.submit_time.total_cmp(&b.submit_time))
+                .then(a.job.cmp(&b.job)),
+            "HCS" => submit_order(a, b),
+            "HFS" => a.running.cmp(&b.running).then(submit_order(a, b)),
+            "SWRD" => a.query_wrd.total_cmp(&b.query_wrd).then(by_query_then_submit(a, b)),
+            "SRT" => a.query_time.total_cmp(&b.query_time).then(by_query_then_submit(a, b)),
+            other => panic!("no reference comparator for {other}"),
+        };
+        runnable.iter().min_by(|a, b| order(a, b)).map(choice)
     }
 
     #[test]
@@ -667,6 +637,7 @@ mod tests {
             xs.push(f64::from_bits(x));
         }
         for a in &xs {
+            assert_eq!(key_f64(f64_key(*a)).to_bits(), a.to_bits(), "{a:e} does not round-trip");
             for b in &xs {
                 assert_eq!(
                     f64_key(*a).cmp(&f64_key(*b)),
@@ -707,7 +678,8 @@ mod tests {
                 r.push(e);
             }
             fn agree<S: Scheduler>(mut s: S, r: &[RunnableJob], round: usize) {
-                assert_eq!(indexed_pick(&s, r), s.pick(r), "{} round {round}: {r:?}", s.name());
+                let want = reference_pick(s.name(), r);
+                assert_eq!(s.pick(r), want, "{} round {round}: {r:?}", s.name());
             }
             agree(Fifo, &r, round);
             agree(Hcs, &r, round);

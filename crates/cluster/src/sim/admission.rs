@@ -44,6 +44,17 @@ impl ShedPolicy {
             ShedPolicy::ShedLargestWrd => "largest_wrd",
         }
     }
+
+    /// Parse a CLI flag or grid-file name (`-` and `_` spellings alike).
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "reject-newest" | "reject_newest" => Ok(ShedPolicy::RejectNewest),
+            "largest-wrd" | "largest_wrd" => Ok(ShedPolicy::ShedLargestWrd),
+            other => {
+                Err(format!("unknown shed policy `{other}` (expected reject-newest|largest-wrd)"))
+            }
+        }
+    }
 }
 
 /// Admission-control knobs. The default is fully disabled (unbounded queue,

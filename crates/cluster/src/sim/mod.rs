@@ -99,4 +99,11 @@ impl ClusterConfig {
     pub fn slot_of(&self, slot: usize) -> usize {
         slot % self.containers_per_node.max(1)
     }
+
+    /// Hive's reduce-task count for a job whose map phase emits `d_med`
+    /// bytes: ⌈`d_med` / `bytes_per_reducer`⌉, clamped to
+    /// `1..=max_reducers`.
+    pub fn reducers_for(&self, d_med: f64) -> usize {
+        ((d_med / self.bytes_per_reducer).ceil() as usize).clamp(1, self.max_reducers.max(1))
+    }
 }

@@ -104,8 +104,7 @@ impl Framework {
         if !has_reduce {
             return 0;
         }
-        ((est.d_med / self.cluster.bytes_per_reducer).ceil() as usize)
-            .clamp(1, self.cluster.max_reducers.max(1))
+        self.cluster.reducers_for(est.d_med)
     }
 
     /// Model-free task-time prediction: build the task shape the estimates

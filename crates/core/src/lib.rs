@@ -25,6 +25,9 @@
 //!   [`RecalibratingOracle`];
 //! * [`parallel`] — the one parallel runner: panic-isolated work items
 //!   claimed by scoped worker threads, results in item order;
+//! * [`persist`] — catalog persistence: the metastore statistics saved to
+//!   and loaded from JSON (the paper's off-line histograms "stored on
+//!   HDFS");
 //! * [`error`] — the unified [`Error`] every fallible stage returns;
 //! * [`report`] — plain-text table and chart rendering for the experiment
 //!   reports.
@@ -34,6 +37,7 @@ pub mod experiments;
 pub mod framework;
 pub mod oracle;
 pub mod parallel;
+pub mod persist;
 pub mod pipeline;
 pub mod progress;
 pub mod report;

@@ -114,14 +114,6 @@ impl Pipeline {
         self.profiler.clone()
     }
 
-    /// Replace the framework configuration (cluster topology, estimator
-    /// settings, cost model). Invalidates nothing: predictions made later
-    /// use the new configuration.
-    pub fn with_framework(mut self, framework: Framework) -> Self {
-        self.framework = framework;
-        self
-    }
-
     /// The framework configuration.
     pub fn framework(&self) -> &Framework {
         &self.framework

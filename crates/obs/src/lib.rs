@@ -37,6 +37,7 @@
 
 pub mod drift;
 pub mod event;
+pub mod fnv;
 pub mod fsutil;
 pub mod ids;
 pub mod json;
@@ -47,6 +48,7 @@ pub mod trace;
 
 pub use drift::{DriftStat, DriftTracker};
 pub use event::{Candidate, DownReason, Event, Quantity, TaskPhase};
+pub use fnv::fnv1a;
 pub use fsutil::write_atomic;
 pub use ids::{JobId, NodeId, QueryId};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSink};

@@ -107,11 +107,6 @@ pub struct AnalyzedQuery {
 }
 
 impl AnalyzedQuery {
-    /// Which scan provides `column` (TPC-H column names are table-unique).
-    pub fn scan_of(&self, column: &str) -> Option<usize> {
-        self.scans.iter().position(|s| s.projection.iter().any(|c| c == column))
-    }
-
     /// All base tables read by the query.
     pub fn tables(&self) -> Vec<&str> {
         self.scans.iter().map(|s| s.table.as_str()).collect()
@@ -551,26 +546,6 @@ mod tests {
         assert_eq!(a, b, "same literal, same code");
         assert_ne!(a, c, "different literals, different codes");
         assert!((0.0..1_000_000.0).contains(&a));
-    }
-
-    #[test]
-    fn analysis_against_persisted_catalog() {
-        // A catalog loaded from JSON (no materialized data) still supports
-        // analysis with the hash resolver.
-        if !sapred_relation::persist::serialization_available() {
-            eprintln!("skipped: serde_json stand-in cannot serialize (vendor/README.md)");
-            return;
-        }
-        let db = db();
-        let json = sapred_relation::persist::catalog_to_json(db.catalog()).unwrap();
-        let catalog = sapred_relation::persist::catalog_from_json(&json).unwrap();
-        let a = analyze(
-            &parse("SELECT l_partkey FROM lineitem WHERE l_quantity > 40").unwrap(),
-            &catalog,
-            &HashResolver,
-        )
-        .unwrap();
-        assert_eq!(a.scans[0].table, "lineitem");
     }
 
     #[test]

@@ -37,12 +37,3 @@ pub use ast::{AggFunc, AstPred, ColRef, Literal, Query, SelectItem};
 pub use error::QueryError;
 pub use parser::parse;
 pub use pig::PigScript;
-
-/// Parse and analyze in one step.
-pub fn compile_text(
-    sql: &str,
-    catalog: &sapred_relation::stats::Catalog,
-    literals: &dyn LiteralResolver,
-) -> Result<AnalyzedQuery, QueryError> {
-    analyze(&parse(sql)?, catalog, literals)
-}

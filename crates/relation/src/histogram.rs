@@ -11,7 +11,7 @@ use crate::hash::FastSet;
 use crate::table::Column;
 
 /// One histogram bucket: `[lo, hi)` (the last bucket is closed on both ends).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bucket {
     /// Inclusive lower bound.
     pub lo: f64,
@@ -35,16 +35,26 @@ pub struct Bucket {
 /// let s = h.selectivity_cmp(CmpOp::Lt, 25.0);
 /// assert!((s - 0.25).abs() < 0.03);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     min: f64,
     max: f64,
-    width: f64,
     buckets: Vec<Bucket>,
     total: f64,
 }
 
 impl Histogram {
+    /// Reassemble a histogram from its parts: the `(min, max)` of
+    /// [`Histogram::domain`], the [`Histogram::buckets`] and the
+    /// [`Histogram::total`] (how a persisted catalog is read back).
+    ///
+    /// # Panics
+    /// Panics if `buckets` is empty.
+    pub fn from_parts(min: f64, max: f64, buckets: Vec<Bucket>, total: f64) -> Self {
+        assert!(!buckets.is_empty(), "need at least one bucket");
+        Self { min, max, buckets, total }
+    }
+
     /// Build a histogram over `[min, max]` with `n` equal-width buckets.
     /// Values outside the domain are clamped into the edge buckets (they can
     /// arise when a shared join-key domain is wider than one table's range).
@@ -78,7 +88,7 @@ impl Histogram {
                 distinct: distinct[b] as f64,
             })
             .collect();
-        Self { min, max, width, buckets, total: rows as f64 }
+        Self { min, max, buckets, total: rows as f64 }
     }
 
     /// Build an equi-*depth* histogram: bucket boundaries at value
@@ -142,8 +152,7 @@ impl Histogram {
                 prev = Some(v);
             }
         }
-        let width = (max - min).max(1e-9) / buckets.len() as f64;
-        Self { min, max, width, buckets, total: rows as f64 }
+        Self { min, max, buckets, total: rows as f64 }
     }
 
     /// Build with the domain taken from the column itself.
@@ -299,13 +308,7 @@ impl Histogram {
         for b in &mut out.buckets {
             // Evaluate the predicate selectivity restricted to this bucket by
             // building a single-bucket view.
-            let view = Histogram {
-                min: b.lo,
-                max: b.hi,
-                width: b.hi - b.lo,
-                buckets: vec![*b],
-                total: b.count,
-            };
+            let view = Histogram { min: b.lo, max: b.hi, buckets: vec![*b], total: b.count };
             let s = view.selectivity_pred(pred);
             b.count *= s;
             b.distinct = b.distinct.min(b.count).max(if b.count > 0.0 { 1.0 } else { 0.0 });
@@ -387,7 +390,7 @@ impl Histogram {
                 }
             }
         }
-        Histogram { min, max, width, buckets, total: self.total }
+        Histogram { min, max, buckets, total: self.total }
     }
 }
 

@@ -26,7 +26,6 @@ pub mod expr;
 pub mod gen;
 pub(crate) mod hash;
 pub mod histogram;
-pub mod persist;
 pub mod schema;
 pub mod stats;
 pub mod table;

@@ -8,7 +8,7 @@ use std::fmt;
 
 /// Logical column type. Strings carry their *average* serialized width since
 /// the estimator only ever needs widths, never values, for string columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit integer (keys, quantities, dates encoded as days).
     Int,
@@ -43,7 +43,7 @@ impl fmt::Display for DataType {
 }
 
 /// One column of a schema.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name.
     pub name: String,
@@ -59,7 +59,7 @@ impl ColumnDef {
 }
 
 /// An ordered set of named, typed columns.
-#[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     columns: Vec<ColumnDef>,
 }

@@ -26,7 +26,7 @@ pub enum HistogramKind {
 }
 
 /// Per-column statistics.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ColumnStats {
     /// Column name.
     pub name: String,
@@ -41,7 +41,7 @@ pub struct ColumnStats {
 }
 
 /// Per-table statistics plus per-column histograms.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableStats {
     name: String,
     schema: Schema,
@@ -89,8 +89,9 @@ impl TableStats {
         }
     }
 
-    /// Construct synthetic stats without materialized data (used by unit
-    /// tests and by TPC-DS-style templates whose tables we model abstractly).
+    /// Construct stats without materialized data (used by unit tests, by
+    /// TPC-DS-style templates whose tables we model abstractly, and to load
+    /// a saved catalog).
     pub fn synthetic(
         name: impl Into<String>,
         schema: Schema,
@@ -154,7 +155,7 @@ impl TableStats {
 }
 
 /// All table statistics of one database instance.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: HashMap<String, TableStats>,
 }

@@ -58,14 +58,6 @@ impl Column {
             Column::Float(_) => None,
         }
     }
-
-    /// The backing `f64` slice, if float-typed.
-    pub fn as_float(&self) -> Option<&[f64]> {
-        match self {
-            Column::Float(v) => Some(v),
-            Column::Int(_) => None,
-        }
-    }
 }
 
 /// A named table: a schema plus one physical [`Column`] per schema column and

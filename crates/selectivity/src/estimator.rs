@@ -66,8 +66,11 @@ impl EstimatorKind {
     }
 
     /// Parse a CLI/JSON label.
-    pub fn parse(s: &str) -> Option<EstimatorKind> {
-        EstimatorKind::ALL.into_iter().find(|k| k.label() == s)
+    pub fn parse(s: &str) -> Result<EstimatorKind, String> {
+        EstimatorKind::ALL
+            .into_iter()
+            .find(|k| k.label() == s)
+            .ok_or_else(|| format!("unknown estimator `{s}` (expected histogram|sample|catalog)"))
     }
 }
 
@@ -547,9 +550,9 @@ mod tests {
     #[test]
     fn kind_labels_round_trip() {
         for k in EstimatorKind::ALL {
-            assert_eq!(EstimatorKind::parse(k.label()), Some(k));
+            assert_eq!(EstimatorKind::parse(k.label()), Ok(k));
         }
-        assert_eq!(EstimatorKind::parse("nope"), None);
+        assert!(EstimatorKind::parse("nope").is_err());
         assert_eq!(EstimatorKind::default(), EstimatorKind::Histogram);
     }
 

@@ -50,14 +50,6 @@ impl Default for PopulationConfig {
     }
 }
 
-impl PopulationConfig {
-    /// The paper-scale configuration (~1,000 queries). Heavy: intended for
-    /// release builds.
-    pub fn paper_scale() -> Self {
-        Self { n_queries: 1000, ..Default::default() }
-    }
-}
-
 /// Generate the population. Queries cycle through all templates so every
 /// operator type is represented, with random scales and constants.
 pub fn generate_population(config: &PopulationConfig, pool: &mut DbPool) -> Vec<PopQuery> {

@@ -22,13 +22,13 @@ use sapred::cluster::{
 use sapred::core::experiments::accuracy::{job_accuracy, map_task_accuracy, reduce_task_accuracy};
 use sapred::core::experiments::reproduce::reproduce;
 use sapred::core::experiments::scheduling::run_schedulers;
+use sapred::core::persist::save_catalog;
 use sapred::core::telemetry::record_sim_outcomes;
 use sapred::core::{Error, Pipeline, RecalibratingOracle};
 use sapred::obs::{
     write_atomic, ChromeTraceSink, Counter, JsonlSink, MetricsSink, SpanProfiler, Tee,
 };
 use sapred::plan::ground_truth::execute_dag;
-use sapred::relation::persist::save_catalog;
 use sapred::selectivity::EstimatorKind;
 use sapred::workload::mixes::{bing_mix, facebook_mix, MixSpec};
 use sapred::workload::population::PopulationConfig;
@@ -144,14 +144,8 @@ fn required<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a st
 fn flag_estimator(flags: &HashMap<String, String>) -> Result<EstimatorKind, Error> {
     match flags.get("estimator") {
         None => Ok(EstimatorKind::default()),
-        Some(v) => parse_estimator(v),
+        Some(v) => EstimatorKind::parse(v).map_err(Error::invalid),
     }
-}
-
-fn parse_estimator(name: &str) -> Result<EstimatorKind, Error> {
-    EstimatorKind::parse(name).ok_or_else(|| {
-        Error::invalid(format!("unknown estimator `{name}` (expected histogram|sample|catalog)"))
-    })
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), Error> {
@@ -338,7 +332,8 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
     // deadlines, and the prediction guardrails. All default to off, in which
     // case the run is bit-identical to the pre-admission engine.
     let shed_policy =
-        parse_shed_policy(flags.get("shed-policy").map(String::as_str).unwrap_or("reject-newest"))?;
+        ShedPolicy::parse(flags.get("shed-policy").map(String::as_str).unwrap_or("reject-newest"))
+            .map_err(Error::invalid)?;
     let admission = AdmissionConfig {
         queue_cap: flag_usize(&flags, "queue-cap", 0)?,
         deadline: flag_f64(&flags, "deadline", f64::INFINITY)?,
@@ -465,118 +460,6 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
-fn parse_shed_policy(name: &str) -> Result<ShedPolicy, Error> {
-    match name {
-        "reject-newest" | "reject_newest" => Ok(ShedPolicy::RejectNewest),
-        "largest-wrd" | "largest_wrd" => Ok(ShedPolicy::ShedLargestWrd),
-        other => Err(Error::invalid(format!(
-            "unknown shed policy `{other}` (expected reject-newest|largest-wrd)"
-        ))),
-    }
-}
-
-/// Load a declarative fleet grid from a JSON file. The format is exactly
-/// the `grid` object a fleet report echoes, so a previous run's output can
-/// be replayed: `workloads` (objects with `n_queries`/`jobs`/`maps`/
-/// `reduces` and optional `skew`), `schedulers` (names), `fault_levels`
-/// (failure probabilities), `admissions` (objects with `queue_cap`,
-/// `deadline` — `null`/absent means none — and `shed_policy`), optional
-/// `estimators` (names; defaults to `["histogram"]`), and `seeds`.
-fn load_grid_file(path: &str) -> Result<FleetGrid, Error> {
-    use sapred::obs::json::Value;
-    let text = std::fs::read_to_string(path).map_err(|e| Error::io(format!("read {path}"), e))?;
-    let doc =
-        sapred::obs::json::parse(&text).map_err(|e| Error::invalid(format!("{path}: {e}")))?;
-    let arr = |key: &str| -> Result<&[Value], Error> {
-        doc.get(key)
-            .and_then(Value::as_arr)
-            .ok_or_else(|| Error::invalid(format!("{path}: missing array field {key:?}")))
-    };
-    let field_usize = |v: &Value, key: &str, at: &str| -> Result<usize, Error> {
-        v.get(key)
-            .and_then(Value::as_num)
-            .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-            .map(|n| n as usize)
-            .ok_or_else(|| Error::invalid(format!("{path}: {at}: {key:?} must be a whole number")))
-    };
-
-    let mut workloads = Vec::new();
-    for (i, w) in arr("workloads")?.iter().enumerate() {
-        let at = format!("workloads[{i}]");
-        let skew = match w.get("skew") {
-            None | Some(Value::Null) => 0.0,
-            Some(v) => v.as_num().ok_or_else(|| {
-                Error::invalid(format!("{path}: {at}: \"skew\" must be a number or null"))
-            })?,
-        };
-        workloads.push(WorkloadSpec {
-            n_queries: field_usize(w, "n_queries", &at)?,
-            jobs: field_usize(w, "jobs", &at)?,
-            maps: field_usize(w, "maps", &at)?,
-            reduces: field_usize(w, "reduces", &at)?,
-            skew,
-        });
-    }
-    let mut schedulers = Vec::new();
-    for (i, s) in arr("schedulers")?.iter().enumerate() {
-        let name = s
-            .as_str()
-            .ok_or_else(|| Error::invalid(format!("{path}: schedulers[{i}] must be a string")))?;
-        schedulers.push(SchedKind::parse(name).map_err(Error::invalid)?);
-    }
-    let mut faults = Vec::new();
-    for (i, f) in arr("fault_levels")?.iter().enumerate() {
-        let p = f
-            .as_num()
-            .ok_or_else(|| Error::invalid(format!("{path}: fault_levels[{i}] must be a number")))?;
-        faults.push(FaultLevel { task_fail_prob: p });
-    }
-    let mut admissions = Vec::new();
-    for (i, a) in arr("admissions")?.iter().enumerate() {
-        let at = format!("admissions[{i}]");
-        let deadline = match a.get("deadline") {
-            None | Some(Value::Null) => f64::INFINITY,
-            Some(v) => v.as_num().ok_or_else(|| {
-                Error::invalid(format!("{path}: {at}: \"deadline\" must be a number or null"))
-            })?,
-        };
-        let shed_policy = match a.get("shed_policy") {
-            None => ShedPolicy::default(),
-            Some(v) => parse_shed_policy(v.as_str().ok_or_else(|| {
-                Error::invalid(format!("{path}: {at}: \"shed_policy\" must be a string"))
-            })?)?,
-        };
-        admissions.push(AdmissionLevel {
-            queue_cap: field_usize(a, "queue_cap", &at)?,
-            deadline,
-            shed_policy,
-        });
-    }
-    let mut estimators = Vec::new();
-    if let Some(list) = doc.get("estimators").and_then(Value::as_arr) {
-        for (i, e) in list.iter().enumerate() {
-            let name = e.as_str().ok_or_else(|| {
-                Error::invalid(format!("{path}: estimators[{i}] must be a string"))
-            })?;
-            estimators.push(parse_estimator(name)?);
-        }
-    }
-    if estimators.is_empty() {
-        estimators.push(EstimatorKind::Histogram);
-    }
-    let mut seeds = Vec::new();
-    for (i, s) in arr("seeds")?.iter().enumerate() {
-        let seed = match s {
-            // Seeds may exceed f64's integer range, so strings are accepted.
-            Value::Str(text) => text.parse::<u64>().ok(),
-            v => v.as_num().filter(|n| n.fract() == 0.0 && *n >= 0.0).map(|n| n as u64),
-        }
-        .ok_or_else(|| Error::invalid(format!("{path}: seeds[{i}] must be a u64")))?;
-        seeds.push(seed);
-    }
-    Ok(FleetGrid { workloads, schedulers, faults, admissions, estimators, seeds })
-}
-
 /// `sapred fleet`: expand a declarative (workload × scheduler × fault ×
 /// admission × seed) grid, run every cell across worker threads, print the
 /// aggregation layer, and write the aggregate JSON report — bit-identical
@@ -620,7 +503,9 @@ fn cmd_fleet(args: &[String]) -> Result<(), Error> {
     }
 
     let grid = if let Some(path) = flags.get("grid") {
-        load_grid_file(path)?
+        let text =
+            std::fs::read_to_string(path).map_err(|e| Error::io(format!("read {path}"), e))?;
+        FleetGrid::from_json(&text).map_err(|e| Error::invalid(format!("{path}: {e}")))?
     } else {
         let scheds = flags.get("schedulers").map(String::as_str).unwrap_or("swrd,hcs");
         let schedulers = parse_csv(scheds)
@@ -635,9 +520,10 @@ fn cmd_fleet(args: &[String]) -> Result<(), Error> {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let deadline = flag_f64(flags, "deadline", f64::INFINITY)?;
-        let shed_policy = parse_shed_policy(
+        let shed_policy = ShedPolicy::parse(
             flags.get("shed-policy").map(String::as_str).unwrap_or("largest-wrd"),
-        )?;
+        )
+        .map_err(Error::invalid)?;
         let caps = flags.get("queue-caps").map(String::as_str).unwrap_or("0");
         let admissions = parse_csv(caps)
             .map(|s| {
@@ -655,7 +541,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), Error> {
             .collect::<Result<Vec<_>, Error>>()?;
         let estimators =
             parse_csv(flags.get("estimators").map(String::as_str).unwrap_or("histogram"))
-                .map(parse_estimator)
+                .map(|e| EstimatorKind::parse(e).map_err(Error::invalid))
                 .collect::<Result<Vec<_>, _>>()?;
         // One workload per requested skew level; `0` keeps the legacy
         // uniform dispatch workload.
@@ -891,6 +777,7 @@ fn cmd_bench(args: &[String]) -> Result<(), Error> {
     }
 
     std::fs::create_dir_all(&out_dir).map_err(|e| Error::io(format!("create {out_dir}"), e))?;
+    let mut faults = Vec::new();
     for (name, mut specs) in suites {
         if let Some(n) = iters_override {
             for spec in &mut specs {
@@ -910,6 +797,7 @@ fn cmd_bench(args: &[String]) -> Result<(), Error> {
         );
         let cells = run_suite(&specs, threads);
         print_cells(&cells);
+        faults.extend(cells.iter().filter_map(CellResult::fault));
         let text = suite_json(name, quick, &cells);
         let fresh =
             validate_schema(&text).map_err(|e| Error::invalid(format!("emitted report: {e}")))?;
@@ -920,6 +808,10 @@ fn cmd_bench(args: &[String]) -> Result<(), Error> {
             println!("comparing against baseline {baseline_path}:");
             finish_compare(&compare(&baseline, &fresh, threshold))?;
         }
+    }
+    if !faults.is_empty() {
+        eprintln!("bench FAILED:\n  {}", faults.join("\n  "));
+        std::process::exit(2);
     }
     Ok(())
 }

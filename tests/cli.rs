@@ -1,5 +1,6 @@
-//! The `sapred` binary's argument handling: a misspelt or foreign flag is
-//! an error that names it, never silently ignored.
+//! The `sapred` binary end to end: a misspelt or foreign flag is an error
+//! that names it, never silently ignored, and `gather` writes a catalog
+//! that loads back.
 
 use std::process::Command;
 
@@ -33,4 +34,25 @@ fn trace_accepts_every_shed_policy_spelling_fleet_accepts() {
     assert!(!out.status.success(), "a bad --guard value must fail");
     assert!(stderr.contains("--guard expects on|off"), "{stderr}");
     assert!(!stderr.contains("unknown shed policy"), "{stderr}");
+}
+
+#[test]
+fn gather_writes_a_catalog_that_loads_back() {
+    let dir = std::env::temp_dir().join(format!("sapred_cli_gather_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("cat.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_sapred"))
+        .args(["gather", "--scale", "0.01", "--out"])
+        .arg(&path)
+        .output()
+        .expect("the sapred binary starts");
+    assert!(out.status.success(), "gather failed: {}", String::from_utf8_lossy(&out.stderr));
+    let loaded = sapred::core::persist::load_catalog(&path).expect("the catalog loads back");
+    let db = sapred::relation::gen::generate(sapred::relation::gen::GenConfig::new(0.01));
+    assert_eq!(loaded.len(), db.catalog().len());
+    for table in db.catalog().tables() {
+        let got = loaded.get(table.name()).unwrap_or_else(|| panic!("{} missing", table.name()));
+        assert_eq!(got.schema(), table.schema());
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
