@@ -24,7 +24,8 @@
 //!   implementations, including the drift-corrected
 //!   [`RecalibratingOracle`];
 //! * [`parallel`] — the one parallel runner: panic-isolated work items
-//!   claimed by scoped worker threads, results in item order;
+//!   claimed by scoped worker threads, results in item order (re-exported
+//!   from `sapred_relation::parallel`, the lowest crate that uses it);
 //! * [`persist`] — catalog persistence: the metastore statistics saved to
 //!   and loaded from JSON (the paper's off-line histograms "stored on
 //!   HDFS");
@@ -36,7 +37,7 @@ pub mod error;
 pub mod experiments;
 pub mod framework;
 pub mod oracle;
-pub mod parallel;
+pub use sapred_relation::parallel;
 pub mod persist;
 pub mod pipeline;
 pub mod progress;

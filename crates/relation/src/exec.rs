@@ -55,7 +55,8 @@ impl Rel {
         Self { names, widths, cols, rows: selected.len() }
     }
 
-    /// Build a relation directly from columns (tests, synthetic inputs).
+    /// Build a relation directly from columns.
+    #[cfg(test)]
     pub fn from_columns(names: Vec<String>, widths: Vec<f64>, cols: Vec<Column>) -> Self {
         assert_eq!(names.len(), cols.len());
         assert_eq!(widths.len(), cols.len());
@@ -210,7 +211,7 @@ fn first_rows<K: Hash + Eq>(range: Range<usize>, key: impl Fn(usize) -> K) -> Ve
 }
 
 /// Rows `rows` of `col`, in that order.
-fn gather(col: &Column, rows: impl Iterator<Item = usize>) -> Column {
+pub(crate) fn gather(col: &Column, rows: impl Iterator<Item = usize>) -> Column {
     match col {
         Column::Int(v) => Column::Int(rows.map(|i| v[i]).collect()),
         Column::Float(v) => Column::Float(rows.map(|i| v[i]).collect()),
@@ -273,11 +274,15 @@ pub fn hash_join(left: &Rel, right: &Rel, left_key: &str, right_key: &str) -> Re
 /// The row-at-a-time executor this module replaced, kept as the oracle of
 /// the differential tests below: every row evaluates the predicate by
 /// column name, and every key is a SipHash-ed `Vec<i64>` of `to_bits`
-/// values (join keys included, so float keys join exactly).
+/// values (join keys included, so float keys join exactly). Histograms
+/// count distincts with one `HashSet` per bucket, and also with the
+/// one-set loop `Histogram::build` used before bitmap and bucket-sort
+/// counting.
 #[cfg(test)]
 mod reference {
     use super::Rel;
     use crate::expr::Predicate;
+    use crate::hash::FastSet;
     use crate::histogram::{Bucket, Histogram};
     use crate::table::{Column, Table};
     use std::collections::{HashMap, HashSet};
@@ -412,6 +417,42 @@ mod reference {
             })
             .collect()
     }
+
+    /// `Histogram::build`'s buckets as its one-set loop made them before
+    /// bitmap and bucket-sort counting: one `FastSet` of bit patterns, each
+    /// value's first sighting counted in its bucket, bucketed with `floor`.
+    pub fn histogram_one_set(column: &Column, min: f64, max: f64, n: usize) -> Vec<Bucket> {
+        let width = if max > min { (max - min) / n as f64 } else { 1.0 };
+        let mut counts = vec![0u64; n];
+        let mut distinct = vec![0u64; n];
+        let mut seen: FastSet<u64> = FastSet::default();
+        for i in 0..column.len() {
+            let v = column.get_f64(i);
+            let b = (((v - min) / width).floor().max(0.0) as usize).min(n - 1);
+            counts[b] += 1;
+            if seen.insert(v.to_bits()) {
+                distinct[b] += 1;
+            }
+        }
+        (0..n)
+            .map(|b| Bucket {
+                lo: min + b as f64 * width,
+                hi: min + (b + 1) as f64 * width,
+                count: counts[b] as f64,
+                distinct: distinct[b] as f64,
+            })
+            .collect()
+    }
+
+    /// `Histogram::from_column`'s domain as a row-at-a-time `f64` fold.
+    pub fn domain(column: &Column) -> (f64, f64) {
+        if column.is_empty() {
+            return (0.0, 0.0);
+        }
+        (0..column.len()).fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), i| {
+            (lo.min(column.get_f64(i)), hi.max(column.get_f64(i)))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -487,7 +528,7 @@ mod tests {
         let a = j.column("a").unwrap();
         let b = j.column("b").unwrap();
         for i in 0..j.rows() {
-            assert_eq!(a.get_i64(i), b.get_i64(i));
+            assert_eq!(a.get_f64(i).to_bits(), b.get_f64(i).to_bits());
         }
     }
 
@@ -551,7 +592,7 @@ mod tests {
     mod differential {
         use super::super::{hash_join, reference, Rel};
         use crate::expr::{CmpOp, Predicate};
-        use crate::histogram::Histogram;
+        use crate::histogram::{Bucket, Histogram};
         use crate::schema::{ColumnDef, DataType, Schema};
         use crate::table::{Column, Table};
         use proptest::prelude::*;
@@ -634,6 +675,71 @@ mod tests {
             })
         }
 
+        /// Int columns either side of the bitmap cut-off (span below 64
+        /// per row), at and beyond ±2^53 where `i64 → f64` rounds, empty
+        /// and one-value; float columns with duplicates and both zeros.
+        fn column() -> BoxedStrategy<Column> {
+            const E: i64 = 1 << 53;
+            let edge = vec![E - 1, E, E + 1, E + 2, 1 - E, -E, -E - 1, -E - 2, i64::MAX, i64::MIN];
+            let dense = (-1000i64..1000, prop::collection::vec(0i64..40, 0..80))
+                .prop_map(|(lo, offsets)| offsets.into_iter().map(|o| lo + o).collect());
+            // k + 2 values spanning 64 × (k + 2) − 1 + d: dense for d = 0,
+            // sparse above.
+            let straddle =
+                (0i64..3, prop::collection::vec(0.0f64..1.0, 0..5)).prop_map(|(d, fractions)| {
+                    let top = 64 * (fractions.len() as i64 + 2) - 1 + d;
+                    let mut v: Vec<i64> =
+                        fractions.iter().map(|f| (f * top as f64) as i64).collect();
+                    v.extend([0, top]);
+                    v
+                });
+            let int = |s: BoxedStrategy<Vec<i64>>| s.prop_map(Column::Int);
+            let float = |s: BoxedStrategy<Vec<f64>>| s.prop_map(Column::Float);
+            prop_oneof![
+                int(dense.boxed()),
+                int(prop::collection::vec(-1_000_000_000i64..1_000_000_000, 0..40).boxed()),
+                int(straddle.boxed()),
+                // Only edge values: often a dense span that rounds (2^53
+                // and 2^53 + 1 are one f64).
+                int(prop::collection::vec(prop::sample::select(edge.clone()), 0..8).boxed()),
+                int(prop::collection::vec(
+                    prop_oneof![prop::sample::select(edge), -3i64..3],
+                    0..40
+                )
+                .boxed()),
+                int(prop::collection::vec(-2i64..2, 0..2).boxed()),
+                float(prop::collection::vec(prop::sample::select(FLOATS.to_vec()), 0..60).boxed()),
+                float(prop::collection::vec(-1e3f64..1e3, 0..40).boxed()),
+            ]
+        }
+
+        /// Where a histogram's domain comes from.
+        #[derive(Debug, Clone)]
+        enum Domain {
+            /// The column's own range (`Histogram::from_column`).
+            Data,
+            /// A caller's domain, `(min, span)`.
+            Fixed(f64, f64),
+            /// A sub-range of the data: fractions of its range.
+            Narrow(f64, f64),
+        }
+
+        fn domain() -> impl Strategy<Value = Domain> {
+            prop_oneof![
+                Just(Domain::Data),
+                (-5.0f64..3.0, 0.0f64..8.0).prop_map(|(min, span)| Domain::Fixed(min, span)),
+                (0.0f64..1.0, 0.0f64..1.0).prop_map(|(a, b)| Domain::Narrow(a, b)),
+            ]
+        }
+
+        fn bits(values: &[f64]) -> Vec<u64> {
+            values.iter().map(|v| v.to_bits()).collect()
+        }
+
+        fn bucket_bits(buckets: &[Bucket]) -> Vec<u64> {
+            buckets.iter().flat_map(|b| bits(&[b.lo, b.hi, b.count, b.distinct])).collect()
+        }
+
         /// Same rows, same contents in the same order, bit for bit.
         fn same(fast: &Rel, slow: &Rel) -> Result<(), TestCaseError> {
             prop_assert_eq!(fast.rows(), slow.rows());
@@ -692,6 +798,32 @@ mod tests {
                 // lengths differ.
                 same(&hash_join(&l, &r, &lk, &rk), &reference::hash_join(&l, &r, &lk, &rk))?;
                 same(&hash_join(&r, &l, &rk, &lk), &reference::hash_join(&r, &l, &rk, &lk))?;
+            }
+
+            #[test]
+            fn histogram_distincts_match_one_set_oracle(
+                col in column(),
+                domain in domain(),
+                n in 1usize..8,
+            ) {
+                let (lo, hi) = reference::domain(&col);
+                let (min, max) = match domain {
+                    Domain::Data => {
+                        let h = Histogram::from_column(&col, n);
+                        prop_assert_eq!(bits(&[h.domain().0, h.domain().1]), bits(&[lo, hi]));
+                        (lo, hi)
+                    }
+                    Domain::Fixed(min, span) => (min, min + span),
+                    // Inside the data's range: edge buckets clamp values.
+                    Domain::Narrow(a, b) => {
+                        let min = lo + a * (hi - lo);
+                        (min, min + b * (hi - min))
+                    }
+                };
+                let fast = Histogram::build(&col, min, max, n);
+                let slow = reference::histogram_one_set(&col, min, max, n);
+                prop_assert_eq!(bucket_bits(fast.buckets()), bucket_bits(&slow));
+                prop_assert_eq!(fast.total(), col.len() as f64);
             }
 
             #[test]

@@ -9,8 +9,12 @@
 //! buckets of Eq. 5 — is exercised by real data.
 
 use crate::dist::Zipf;
+use crate::exec::gather;
+use crate::parallel::available_threads;
 use crate::schema::{ColumnDef, DataType, Schema};
-use crate::stats::{Catalog, HistogramKind, TableStats, DEFAULT_BUCKETS};
+use crate::stats::{
+    gather_catalog, Catalog, HistogramKind, DEFAULT_BUCKETS, PARALLEL_GATHER_MIN_CELLS,
+};
 use crate::table::{Column, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -207,30 +211,28 @@ pub fn row_counts(scale_gb: f64) -> RowCounts {
 }
 
 /// Generate a full database instance.
+///
+/// Tables are drawn from one RNG stream in a fixed order. Instances of at
+/// least 2^20 cells (rows × columns) then build their column histograms on
+/// every available core; the catalog is the same either way.
 pub fn generate(config: GenConfig) -> Database {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let rc = row_counts(config.scale_gb);
-    let mut tables = HashMap::new();
-
-    tables.insert("region".to_string(), gen_region());
-    tables.insert("nation".to_string(), gen_nation(&mut rng));
-    tables.insert("supplier".to_string(), gen_supplier(rc.supplier, &mut rng));
-    tables.insert("customer".to_string(), gen_customer(rc.customer, &mut rng));
-    tables.insert("part".to_string(), gen_part(rc.part, &mut rng));
-    tables.insert(
-        "partsupp".to_string(),
+    // A `vec!` evaluates left to right: the draw order is the table order.
+    let tables = vec![
+        gen_region(),
+        gen_nation(&mut rng),
+        gen_supplier(rc.supplier, &mut rng),
+        gen_customer(rc.customer, &mut rng),
+        gen_part(rc.part, &mut rng),
         gen_partsupp(rc.partsupp, rc.part, rc.supplier, config.key_dist, &mut rng),
-    );
-    tables.insert("orders".to_string(), gen_orders(rc.orders, rc.customer, &mut rng));
-    tables.insert(
-        "lineitem".to_string(),
+        gen_orders(rc.orders, rc.customer, &mut rng),
         gen_lineitem(rc.lineitem, rc.orders, rc.part, rc.supplier, &config, &mut rng),
-    );
-
-    let mut catalog = Catalog::new();
-    for t in tables.values() {
-        catalog.insert(TableStats::gather_kind(t, config.buckets, config.hist_kind));
-    }
+    ];
+    let cells: usize = tables.iter().map(|t| t.rows() * t.schema().len()).sum();
+    let threads = if cells < PARALLEL_GATHER_MIN_CELLS { 1 } else { available_threads() };
+    let catalog = gather_catalog(&tables, config.buckets, config.hist_kind, threads);
+    let tables = tables.into_iter().map(|t| (t.name().to_string(), t)).collect();
     Database { config, tables, catalog }
 }
 
@@ -451,51 +453,53 @@ fn gen_lineitem(
         ColumnDef::new("l_shipmode", DataType::Str { avg_width: 8 }),
     ]);
     let mut part_fk = fk_sampler(config.key_dist, parts);
-    // (orderkey, partkey, suppkey, qty, price, discount, tax, flag, status,
-    // shipdate, receiptdate, shipmode)
-    type LineitemRow = (i64, i64, i64, i64, f64, f64, f64, i64, i64, i64, i64, i64);
-    let mut rows: Vec<LineitemRow> = (0..n)
-        .map(|_| {
-            let ship = rng.gen_range(DATE_MIN..=DATE_MAX);
-            (
-                rng.gen_range(0..orders as i64),
-                part_fk(rng),
-                rng.gen_range(0..suppliers as i64),
-                rng.gen_range(1..51),
-                rng.gen_range(900.0..105_000.0),
-                rng.gen_range(0.0..0.11),
-                rng.gen_range(0.0..0.09),
-                rng.gen_range(0..RETURNFLAGS.len() as i64),
-                rng.gen_range(0..2),
-                ship,
-                (ship + rng.gen_range(1..31)).min(DATE_MAX),
-                rng.gen_range(0..SHIPMODES.len() as i64),
-            )
-        })
-        .collect();
+    let int = || Vec::with_capacity(n);
+    let float = || Vec::with_capacity(n);
+    let (mut orderkey, mut partkey, mut suppkey, mut qty) = (int(), int(), int(), int());
+    let (mut price, mut discount, mut tax) = (float(), float(), float());
+    let (mut flag, mut status, mut shipdate, mut receipt, mut shipmode) =
+        (int(), int(), int(), int(), int());
+    // The draw order is part of the data (pinned by the generator's
+    // fingerprint test): per row, the ship date, then schema order.
+    for _ in 0..n {
+        let ship = rng.gen_range(DATE_MIN..=DATE_MAX);
+        orderkey.push(rng.gen_range(0..orders as i64));
+        partkey.push(part_fk(rng));
+        suppkey.push(rng.gen_range(0..suppliers as i64));
+        qty.push(rng.gen_range(1..51));
+        price.push(rng.gen_range(900.0..105_000.0));
+        discount.push(rng.gen_range(0.0..0.11));
+        tax.push(rng.gen_range(0.0..0.09));
+        flag.push(rng.gen_range(0..RETURNFLAGS.len() as i64));
+        status.push(rng.gen_range(0..2));
+        shipdate.push(ship);
+        receipt.push((ship + rng.gen_range(1..31)).min(DATE_MAX));
+        shipmode.push(rng.gen_range(0..SHIPMODES.len() as i64));
+    }
+    let mut columns = vec![
+        Column::Int(orderkey),
+        Column::Int(partkey),
+        Column::Int(suppkey),
+        Column::Int(qty),
+        Column::Float(price),
+        Column::Float(discount),
+        Column::Float(tax),
+        Column::Int(flag),
+        Column::Int(status),
+        Column::Int(shipdate),
+        Column::Int(receipt),
+        Column::Int(shipmode),
+    ];
     if config.layout == Layout::Clustered {
         // Clustered on l_partkey: each key's tuples are contiguous, so a
         // map-side combiner sees each group inside one split (Eq. 2 case 1).
-        rows.sort_by_key(|r| r.1);
+        // Stable: ties keep row order, which the pinned layout relies on.
+        let pk = columns[1].as_int().expect("l_partkey is Int");
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| pk[i]);
+        columns = columns.iter().map(|c| gather(c, order.iter().copied())).collect();
     }
-    let mut t = Table::new(
-        "lineitem",
-        schema,
-        vec![
-            Column::Int(rows.iter().map(|r| r.0).collect()),
-            Column::Int(rows.iter().map(|r| r.1).collect()),
-            Column::Int(rows.iter().map(|r| r.2).collect()),
-            Column::Int(rows.iter().map(|r| r.3).collect()),
-            Column::Float(rows.iter().map(|r| r.4).collect()),
-            Column::Float(rows.iter().map(|r| r.5).collect()),
-            Column::Float(rows.iter().map(|r| r.6).collect()),
-            Column::Int(rows.iter().map(|r| r.7).collect()),
-            Column::Int(rows.iter().map(|r| r.8).collect()),
-            Column::Int(rows.iter().map(|r| r.9).collect()),
-            Column::Int(rows.iter().map(|r| r.10).collect()),
-            Column::Int(rows.iter().map(|r| r.11).collect()),
-        ],
-    );
+    let mut t = Table::new("lineitem", schema, columns);
     t.set_dict("l_returnflag", dict_of(&RETURNFLAGS));
     t.set_dict("l_linestatus", dict_of(&["F", "O"]));
     t.set_dict("l_shipmode", dict_of(&SHIPMODES));
@@ -592,6 +596,80 @@ mod tests {
             let t = db.table(name).unwrap();
             let s = db.catalog().get(name).unwrap();
             assert_eq!(s.rows(), t.rows() as f64, "table {name}");
+        }
+    }
+
+    /// FNV-1a over 64-bit words: per table (by name) its row count, then
+    /// per schema column its values' bits, its catalog stats and its
+    /// histogram's domain, total and buckets.
+    fn fingerprint(db: &Database) -> u64 {
+        fn mix(h: &mut u64, word: u64) {
+            for b in word.to_le_bytes() {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for name in db.table_names() {
+            let (t, s) = (db.table(name).unwrap(), db.catalog().get(name).unwrap());
+            mix(&mut h, t.rows() as u64);
+            mix(&mut h, s.rows().to_bits());
+            for (i, def) in t.schema().columns().iter().enumerate() {
+                match t.column_at(i) {
+                    Column::Int(v) => v.iter().for_each(|&x| mix(&mut h, x as u64)),
+                    Column::Float(v) => v.iter().for_each(|x| mix(&mut h, x.to_bits())),
+                }
+                let c = s.column(&def.name).unwrap();
+                let hist = s.histogram(&def.name).unwrap();
+                let (lo, hi) = hist.domain();
+                for x in [c.distinct, c.min, c.max, c.width, lo, hi, hist.total()] {
+                    mix(&mut h, x.to_bits());
+                }
+                for b in hist.buckets() {
+                    for x in [b.lo, b.hi, b.count, b.distinct] {
+                        mix(&mut h, x.to_bits());
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    /// Every column's bits and every catalog stat and bucket, pinned to
+    /// the values the row-at-a-time generator and the one-set distinct
+    /// count produced.
+    #[test]
+    fn generator_output_is_pinned() {
+        let configs = [
+            GenConfig::new(15.0).with_seed(5),
+            GenConfig::new(2.0)
+                .with_seed(6)
+                .with_key_dist(KeyDist::Zipf(1.2))
+                .with_layout(Layout::Clustered),
+            GenConfig::new(1.0).with_seed(7).with_hist_kind(HistogramKind::EquiDepth),
+        ];
+        let got: Vec<u64> = configs.into_iter().map(|c| fingerprint(&generate(c))).collect();
+        assert_eq!(got, [0x838366adb492f017, 0x3fcd1f2999a9c5f, 0xb31eae82bf35afd], "{got:#x?}");
+    }
+
+    /// The parallel gather builds the same catalog at 1 and 4 threads, on
+    /// an instance above the serial floor, for both histogram families.
+    #[test]
+    fn catalog_is_the_same_at_any_thread_count() {
+        let mut db = generate(GenConfig::new(15.0).with_seed(5));
+        let generated = fingerprint(&db);
+        let tables: Vec<Table> = db.tables.values().cloned().collect();
+        let cells: usize = tables.iter().map(|t| t.rows() * t.schema().len()).sum();
+        assert!(cells >= PARALLEL_GATHER_MIN_CELLS, "{cells} cells gather serially");
+        for kind in [HistogramKind::EquiWidth, HistogramKind::EquiDepth] {
+            let mut at = |threads| {
+                db.catalog = gather_catalog(&tables, DEFAULT_BUCKETS, kind, threads);
+                fingerprint(&db)
+            };
+            let serial = at(1);
+            assert_eq!(serial, at(4), "{kind:?}");
+            if kind == HistogramKind::EquiWidth {
+                assert_eq!(serial, generated);
+            }
         }
     }
 

@@ -1,10 +1,11 @@
 //! A small non-cryptographic hasher for the executor's key sets.
 //!
-//! Group keys, join keys and histogram distinct sets hash `f64` bit
-//! patterns of generated values. SipHash (the standard library default)
-//! spends most of the executor's time on them. [`FastHasher`] folds each
-//! 64-bit word in with one xor and one multiply, then mixes the state with
-//! the splitmix64 finalizer in [`Hasher::finish`].
+//! Group and join keys hash `f64` bit patterns of generated values.
+//! SipHash (the standard library default) spends most of the executor's
+//! time on them. [`FastHasher`] folds each 64-bit word in with one xor and
+//! one multiply, then mixes the state with the splitmix64 finalizer in
+//! [`Hasher::finish`]. Histograms use no set: they count distincts with a
+//! bitmap or per-bucket sorts (see [`crate::histogram::Histogram::build`]).
 //!
 //! The finalizer is not optional. Integer-valued `f64` bit patterns have
 //! their low mantissa bits all zero, and a product keeps the low zero bits

@@ -7,7 +7,6 @@
 //! (paper Eq. 5, after Bell et al. '89) can be evaluated directly.
 
 use crate::expr::{CmpOp, Predicate};
-use crate::hash::FastSet;
 use crate::table::Column;
 
 /// One histogram bucket: `[lo, hi)` (the last bucket is closed on both ends).
@@ -59,27 +58,25 @@ impl Histogram {
     /// Values outside the domain are clamped into the edge buckets (they can
     /// arise when a shared join-key domain is wider than one table's range).
     ///
+    /// Distinct counts are exact and count `f64` bit patterns, so `-0.0`
+    /// and `0.0` are two values and integers beyond ±2^53 that round to
+    /// one `f64` are one. A value always falls in the same bucket, so
+    /// every bucket's distinct count is its number of distinct patterns.
+    ///
     /// # Panics
     /// Panics if `n == 0` or `min > max`.
     pub fn build(column: &Column, min: f64, max: f64, n: usize) -> Self {
         assert!(n > 0, "need at least one bucket");
         assert!(min <= max, "invalid domain [{min}, {max}]");
         let width = if max > min { (max - min) / n as f64 } else { 1.0 };
-        let mut counts = vec![0u64; n];
-        let mut distinct = vec![0u64; n];
-        // A value always falls in the same bucket, so one set of bit
-        // patterns (exact for float columns too) yields every bucket's
-        // distinct count.
-        let mut seen: FastSet<u64> = FastSet::default();
-        let rows = column.len();
-        for i in 0..rows {
-            let v = column.get_f64(i);
-            let b = Self::bucket_index_for(v, min, width, n);
-            counts[b] += 1;
-            if seen.insert(v.to_bits()) {
-                distinct[b] += 1;
-            }
-        }
+        let bucket = |v: f64| Self::bucket_index_for(v, min, width, n);
+        let (counts, distinct) = match column {
+            Column::Int(v) => match dense_span(v) {
+                Some((lo, span)) => distinct_by_bitmap(v, lo, span, n, bucket),
+                None => distinct_by_sort(v.iter().map(|&x| x as f64), n, bucket),
+            },
+            Column::Float(v) => distinct_by_sort(v.iter().copied(), n, bucket),
+        };
         let buckets = (0..n)
             .map(|b| Bucket {
                 lo: min + b as f64 * width,
@@ -88,7 +85,7 @@ impl Histogram {
                 distinct: distinct[b] as f64,
             })
             .collect();
-        Self { min, max, buckets, total: rows as f64 }
+        Self { min, max, buckets, total: column.len() as f64 }
     }
 
     /// Build an equi-*depth* histogram: bucket boundaries at value
@@ -157,24 +154,28 @@ impl Histogram {
 
     /// Build with the domain taken from the column itself.
     pub fn from_column(column: &Column, n: usize) -> Self {
-        let rows = column.len();
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for i in 0..rows {
-            let v = column.get_f64(i);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        if rows == 0 {
-            lo = 0.0;
-            hi = 0.0;
-        }
+        let range = match column {
+            // `i64 as f64` never reverses an order, so the extremes convert
+            // to the extremes of the converted values.
+            Column::Int(v) => int_range(v).map(|(lo, hi)| (lo as f64, hi as f64)),
+            Column::Float(v) if v.is_empty() => None,
+            Column::Float(v) => {
+                Some(v.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+                    (lo.min(x), hi.max(x))
+                }))
+            }
+        };
+        let (lo, hi) = range.unwrap_or((0.0, 0.0));
         Self::build(column, lo, hi, n)
     }
 
+    /// The equi-width bucket of `v`: `floor((v - min) / width)` clamped to
+    /// `0..n`. The float-to-int cast truncates toward zero and saturates,
+    /// sending a negative or NaN quotient to 0 as `floor` then `max(0.0)`
+    /// would, without `floor`'s data-dependent branches.
     #[inline]
     pub(crate) fn bucket_index_for(v: f64, min: f64, width: f64, n: usize) -> usize {
-        let raw = ((v - min) / width).floor();
-        (raw.max(0.0) as usize).min(n - 1)
+        (((v - min) / width) as usize).min(n - 1)
     }
 
     /// Index of the bucket containing `v`, valid for both equi-width and
@@ -392,6 +393,92 @@ impl Histogram {
         }
         Histogram { min, max, buckets, total: self.total }
     }
+}
+
+/// Integers strictly inside ±`EXACT_INT` convert to `f64` exactly, so
+/// distinct integers there have distinct bit patterns.
+const EXACT_INT: i64 = 1 << 53;
+
+/// Bits per row the distinct bitmap may use: at most one `u64` per row,
+/// the scratch memory [`distinct_by_sort`] needs anyway.
+const BITMAP_BITS_PER_ROW: u64 = 64;
+
+/// `(min, max - min)` of an Int column whose values all convert to `f64`
+/// exactly and whose span is under [`BITMAP_BITS_PER_ROW`] bits per row;
+/// `None` for any other column, the empty one included.
+fn dense_span(values: &[i64]) -> Option<(i64, u64)> {
+    let (lo, hi) = int_range(values)?;
+    let exact = -EXACT_INT < lo && hi < EXACT_INT;
+    // Inside ±2^53 the difference cannot overflow.
+    (exact && ((hi - lo) as u64) < BITMAP_BITS_PER_ROW * values.len() as u64)
+        .then(|| (lo, (hi - lo) as u64))
+}
+
+/// `(min, max)` of an Int column, or `None` when it is empty.
+fn int_range(values: &[i64]) -> Option<(i64, i64)> {
+    let first = *values.first()?;
+    Some(values.iter().fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x))))
+}
+
+/// Per-bucket counts and distinct counts of integers in `lo..=lo + span`,
+/// marking each value's offset in a bitmap: the first mark of a value is
+/// its bucket's new distinct.
+fn distinct_by_bitmap(
+    values: &[i64],
+    lo: i64,
+    span: u64,
+    n: usize,
+    bucket: impl Fn(f64) -> usize,
+) -> (Vec<u64>, Vec<u64>) {
+    let (mut counts, mut distinct) = (vec![0u64; n], vec![0u64; n]);
+    let mut seen = vec![0u64; (span / 64 + 1) as usize];
+    for &x in values {
+        let b = bucket(x as f64);
+        counts[b] += 1;
+        let off = (x - lo) as u64;
+        let (word, mask) = (&mut seen[(off / 64) as usize], 1u64 << (off % 64));
+        if *word & mask == 0 {
+            *word |= mask;
+            distinct[b] += 1;
+        }
+    }
+    (counts, distinct)
+}
+
+/// Per-bucket counts and distinct counts of any values: count each
+/// bucket, scatter the bit patterns into one slice per bucket, then sort
+/// each slice (small enough to stay in cache) and count its runs.
+fn distinct_by_sort(
+    values: impl Iterator<Item = f64> + Clone,
+    n: usize,
+    bucket: impl Fn(f64) -> usize,
+) -> (Vec<u64>, Vec<u64>) {
+    let mut counts = vec![0u64; n];
+    for v in values.clone() {
+        counts[bucket(v)] += 1;
+    }
+    // `start[b]..start[b + 1]` is bucket `b`'s slice.
+    let mut start = Vec::with_capacity(n + 1);
+    start.push(0usize);
+    for &c in &counts {
+        start.push(start[start.len() - 1] + c as usize);
+    }
+    let mut next = start[..n].to_vec();
+    let mut bits = vec![0u64; start[n]];
+    for v in values {
+        let b = bucket(v);
+        bits[next[b]] = v.to_bits();
+        next[b] += 1;
+    }
+    let distinct = (0..n)
+        .map(|b| {
+            let slice = &mut bits[start[b]..start[b + 1]];
+            slice.sort_unstable();
+            let repeats = slice.windows(2).filter(|w| w[0] == w[1]).count();
+            (slice.len() - repeats) as u64
+        })
+        .collect();
+    (counts, distinct)
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //! * equi-width histograms ([`Histogram`]) as used by the paper for
 //!   piece-wise-uniform selectivity estimation (paper §3.1),
 //! * a TPC-H-shaped synthetic data generator ([`gen`]) with controllable key
-//!   distributions (uniform, clustered, Zipf-skewed), and
+//!   distributions (uniform, clustered, Zipf-skewed),
+//! * the workspace's one parallel runner ([`parallel`]), and
 //! * *count-only* relational operator execution ([`exec`]) that computes the
 //!   exact ground-truth cardinalities and byte sizes a real Hadoop job would
 //!   produce, without materializing intermediate data.
@@ -26,6 +27,7 @@ pub mod expr;
 pub mod gen;
 pub(crate) mod hash;
 pub mod histogram;
+pub mod parallel;
 pub mod schema;
 pub mod stats;
 pub mod table;

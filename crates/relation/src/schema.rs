@@ -106,21 +106,6 @@ impl Schema {
     pub fn tuple_width(&self) -> f64 {
         self.columns.iter().map(|c| c.dtype.width()).sum()
     }
-
-    /// Combined average width of the named columns: the numerator of
-    /// `S_proj`. Unknown names panic — the semantic analyzer guarantees
-    /// resolution before estimation.
-    pub fn width_of(&self, names: &[impl AsRef<str>]) -> f64 {
-        names
-            .iter()
-            .map(|n| {
-                self.column(n.as_ref())
-                    .unwrap_or_else(|| panic!("unknown column {}", n.as_ref()))
-                    .dtype
-                    .width()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -138,13 +123,6 @@ mod tests {
     #[test]
     fn tuple_width_sums_column_widths() {
         assert_eq!(schema().tuple_width(), 8.0 + 8.0 + 24.0);
-    }
-
-    #[test]
-    fn width_of_projection() {
-        let s = schema();
-        assert_eq!(s.width_of(&["k", "s"]), 32.0);
-        assert_eq!(s.width_of(&["v"]), 8.0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! is the object that *percolates* to the prediction layer.
 
 use crate::histogram::Histogram;
+use crate::parallel::run_claiming;
 use crate::schema::Schema;
 use crate::table::Table;
 use std::collections::HashMap;
@@ -59,26 +60,19 @@ impl TableStats {
 
     /// Gather statistics with an explicit histogram family.
     pub fn gather_kind(table: &Table, buckets: usize, kind: HistogramKind) -> Self {
+        let gathered =
+            (0..table.schema().len()).map(|i| column_stats(table, i, buckets, kind)).collect();
+        Self::from_gathered(table, gathered)
+    }
+
+    /// Assemble a table's statistics from its columns' [`column_stats`],
+    /// in schema order.
+    fn from_gathered(table: &Table, gathered: Vec<(ColumnStats, Histogram)>) -> Self {
         let mut columns = HashMap::new();
         let mut histograms = HashMap::new();
-        for (i, def) in table.schema().columns().iter().enumerate() {
-            let col = table.column_at(i);
-            let hist = match kind {
-                HistogramKind::EquiWidth => Histogram::from_column(col, buckets),
-                HistogramKind::EquiDepth => Histogram::build_equi_depth(col, buckets),
-            };
-            let (min, max) = hist.domain();
-            columns.insert(
-                def.name.clone(),
-                ColumnStats {
-                    name: def.name.clone(),
-                    distinct: hist.distinct_total(),
-                    min,
-                    max,
-                    width: def.dtype.width(),
-                },
-            );
-            histograms.insert(def.name.clone(), hist);
+        for (stats, hist) in gathered {
+            histograms.insert(stats.name.clone(), hist);
+            columns.insert(stats.name.clone(), stats);
         }
         Self {
             name: table.name().to_string(),
@@ -152,6 +146,81 @@ impl TableStats {
             .product::<f64>();
         product.min(self.rows.max(1.0))
     }
+}
+
+/// One column's statistics and histogram: the unit of work of both
+/// [`TableStats::gather_kind`] and [`gather_catalog`].
+fn column_stats(
+    table: &Table,
+    i: usize,
+    buckets: usize,
+    kind: HistogramKind,
+) -> (ColumnStats, Histogram) {
+    let (def, col) = (&table.schema().columns()[i], table.column_at(i));
+    let hist = match kind {
+        HistogramKind::EquiWidth => Histogram::from_column(col, buckets),
+        HistogramKind::EquiDepth => Histogram::build_equi_depth(col, buckets),
+    };
+    let (min, max) = hist.domain();
+    let stats = ColumnStats {
+        name: def.name.clone(),
+        distinct: hist.distinct_total(),
+        min,
+        max,
+        width: def.dtype.width(),
+    };
+    (stats, hist)
+}
+
+/// Cells (rows × columns, summed over the tables) below which
+/// [`crate::gen::generate`] gathers its catalog on one worker.
+/// Such a catalog gathers in at most ~13 ms on one core and two workers
+/// save at most ~6 ms of that (2-core VM), too little to start workers
+/// inside the fleet sweeps' pool workers, which generate 0.05 GB
+/// (~30k-cell) instances.
+pub(crate) const PARALLEL_GATHER_MIN_CELLS: usize = 1 << 20;
+
+/// Every table's statistics, the per-column histograms built on `threads`
+/// workers of [`run_claiming`], heaviest columns first. Each table's
+/// columns are assembled in schema order, so the catalog is the same at
+/// any thread count.
+///
+/// # Panics
+/// Panics, naming the column, if building any histogram panics.
+pub(crate) fn gather_catalog(
+    tables: &[Table],
+    buckets: usize,
+    kind: HistogramKind,
+    threads: usize,
+) -> Catalog {
+    let mut jobs: Vec<(usize, usize)> = tables
+        .iter()
+        .enumerate()
+        .flat_map(|(t, table)| (0..table.schema().len()).map(move |c| (t, c)))
+        .collect();
+    jobs.sort_by_key(|&(t, _)| std::cmp::Reverse(tables[t].rows()));
+    let built: Vec<(ColumnStats, Histogram)> = run_claiming(jobs.len(), threads, |j| {
+        column_stats(&tables[jobs[j].0], jobs[j].1, buckets, kind)
+    })
+    .into_iter()
+    .zip(&jobs)
+    .map(|(r, &(t, c))| {
+        r.unwrap_or_else(|msg| {
+            let column = &tables[t].schema().columns()[c].name;
+            panic!("gathering {}.{column} panicked: {msg}", tables[t].name())
+        })
+    })
+    .collect();
+    // Back to table and schema order, then one table's columns at a time.
+    let mut built: Vec<_> = jobs.into_iter().zip(built).collect();
+    built.sort_by_key(|&(job, _)| job);
+    let mut built = built.into_iter().map(|(_, gathered)| gathered);
+    let mut catalog = Catalog::new();
+    for table in tables {
+        let gathered = built.by_ref().take(table.schema().len()).collect();
+        catalog.insert(TableStats::from_gathered(table, gathered));
+    }
+    catalog
 }
 
 /// All table statistics of one database instance.

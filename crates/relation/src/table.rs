@@ -42,15 +42,6 @@ impl Column {
         }
     }
 
-    /// Read row `i` as an i64, truncating floats. Used for hash keys.
-    #[inline]
-    pub fn get_i64(&self, i: usize) -> i64 {
-        match self {
-            Column::Int(v) => v[i],
-            Column::Float(v) => v[i] as i64,
-        }
-    }
-
     /// The backing `i64` slice, if integer-typed.
     pub fn as_int(&self) -> Option<&[i64]> {
         match self {

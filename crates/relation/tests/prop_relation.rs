@@ -5,10 +5,14 @@ use proptest::prelude::*;
 use sapred_relation::exec::{hash_join, Rel};
 use sapred_relation::expr::{CmpOp, Predicate};
 use sapred_relation::histogram::Histogram;
-use sapred_relation::table::Column;
+use sapred_relation::schema::{ColumnDef, DataType, Schema};
+use sapred_relation::table::{Column, Table};
 
+/// A one-column relation: a full scan of a one-column table.
 fn rel(name: &str, vals: &[i64]) -> Rel {
-    Rel::from_columns(vec![name.to_string()], vec![8.0], vec![Column::Int(vals.to_vec())])
+    let schema = Schema::new(vec![ColumnDef::new(name, DataType::Int)]);
+    let table = Table::new("t", schema, vec![Column::Int(vals.to_vec())]);
+    Rel::from_table(&table, &Predicate::True, &[])
 }
 
 proptest! {
