@@ -32,11 +32,6 @@ impl QueryStat {
     pub fn response(&self) -> f64 {
         self.finish - self.arrival
     }
-
-    /// Execution stall: time between arrival and first task.
-    pub fn wait(&self) -> f64 {
-        self.start - self.arrival
-    }
 }
 
 /// Per-job outcome, including the measured average task times the training

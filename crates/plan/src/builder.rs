@@ -90,11 +90,6 @@ impl DagBuilder {
         self.push(JobKind::Sort { input, keys: keys.into_iter().map(Into::into).collect(), limit })
     }
 
-    /// Add a map-only filter/project job.
-    pub fn map_only(&mut self, input: InputSrc) -> usize {
-        self.push(JobKind::MapOnly { input })
-    }
-
     /// Finish, producing a validated DAG.
     pub fn build(self, name: impl Into<String>) -> QueryDag {
         QueryDag::new(name, self.jobs)

@@ -182,8 +182,7 @@ fn execute_job(
             let (rel, bb, bt) = apply_broadcasts(rel0, broadcasts, db);
             let (b, t) = (b0 + bb, t0 + bt);
             let n_splits = splits_for(b0, block_size);
-            let combined = rel.combine_output(keys, n_splits);
-            let mut grouped = rel.groupby(keys);
+            let (mut grouped, combined) = rel.groupby_combined(keys, n_splits);
             // Aggregate result columns: width 8 each, value immaterial.
             for i in 0..*n_aggs {
                 grouped.push_column(
@@ -216,6 +215,7 @@ fn execute_job(
             let n_splits = splits_for(b0, block_size);
             // The map phase of a sort passes records through (identity map
             // keyed on the sort column); |Out| = min(|In|, k) per §3.1.2.
+            let (d_med, tuples_med) = (modeled_bytes(rel.physical_bytes()), rel.rows());
             let out = match limit {
                 Some(k) => {
                     // One physical row per SCALE_DOWN nominal rows: the limit
@@ -223,9 +223,8 @@ fn execute_job(
                     let phys = ((*k as f64) / SCALE_DOWN).ceil() as usize;
                     rel.head(phys.max(1).min(rel.rows()))
                 }
-                None => rel.clone(),
+                None => rel,
             };
-            let d_med = modeled_bytes(rel.physical_bytes());
             let d_out = modeled_bytes(out.physical_bytes());
             (
                 JobActual {
@@ -233,7 +232,7 @@ fn execute_job(
                     d_med,
                     d_out,
                     tuples_in: t,
-                    tuples_med: rel.rows() as f64,
+                    tuples_med: tuples_med as f64,
                     tuples_out: out.rows() as f64,
                     n_splits,
                     p_actual: 0.5,

@@ -9,17 +9,38 @@
 //! byte-level accounting (widths × tuples × scale) is done by the planner.
 //!
 //! Scans bind their predicate once ([`Predicate::bind`]) and test it a
-//! column at a time. Group and join keys are the `f64::to_bits` of each key
-//! value, packed into one `u64` or `u128` for one or two key columns, and
-//! hashed with the crate's small non-cryptographic hasher. No result
-//! depends on hash iteration order: group-bys keep rows in first-occurrence
-//! order and joins emit rows in probe order.
+//! column at a time; a scan that keeps every row copies whole columns.
+//! Keys compare by the `f64::to_bits` of each key value. When every key
+//! column is `Int` with all values strictly inside ±2^53 (so a value's bits
+//! and the value itself identify each other) and the key columns' spans
+//! multiply to a few codes per row, each row's key is a dense code: its
+//! offsets from the columns' minima in mixed radix. Group-bys then stamp a
+//! per-code array and joins build a counting sort, with no hashing. Any
+//! other key (a `Float` column, a sparse span, a value at or beyond ±2^53)
+//! packs its bit patterns into one `u64` or `u128` for one or two key
+//! columns and hashes them with the crate's small non-cryptographic hasher.
+//! Both paths give the same rows in the same order: group-bys keep rows in
+//! first-occurrence order and joins emit rows in probe order, each probe
+//! row's matches in build order.
 
-use crate::expr::Predicate;
+use crate::expr::{BoundPredicate, Predicate};
 use crate::hash::{FastMap, FastSet};
-use crate::table::{Column, Table};
+use crate::table::{dense_int_span, Column, Table};
 use std::hash::Hash;
 use std::ops::Range;
+
+/// Most codes per row a group-by's dense key codes may span. Its 4-byte
+/// stamps then take at most 8 bytes per row, under the ≥ 10.3 bytes per
+/// row of a hash set of `u64` keys when every row's key is distinct
+/// (9-byte slots at most 7/8 full).
+const GROUP_CODES_PER_ROW: u64 = 2;
+
+/// Most codes per build row a join's dense key codes may span. Its 4-byte
+/// offsets (two more than codes) and 4-byte sorted row indices then take
+/// at most 36 bytes per build row plus 8, under the ≥ 37.7 bytes per row
+/// of the `FastMap<u64, Vec<u32>>` it replaces when every build key is
+/// distinct (33-byte slots at most 7/8 full), before that table's vectors.
+const JOIN_CODES_PER_ROW: u64 = 8;
 
 /// A lightweight materialized relation flowing between job stages.
 #[derive(Debug, Clone)]
@@ -47,12 +68,11 @@ impl Rel {
                 })
                 .collect()
         };
-        let selected = pred.bind(table).selected();
-        let cols =
-            keep.iter().map(|&c| gather(table.column_at(c), selected.iter().copied())).collect();
+        let (cols, rows) =
+            select(&pred.bind(table), table.rows(), keep.iter().map(|&c| table.column_at(c)));
         let names = keep.iter().map(|&c| table.schema().columns()[c].name.clone()).collect();
         let widths = keep.iter().map(|&c| table.schema().columns()[c].dtype.width()).collect();
-        Self { names, widths, cols, rows: selected.len() }
+        Self { names, widths, cols, rows }
     }
 
     /// Build a relation directly from columns.
@@ -99,9 +119,9 @@ impl Rel {
 
     /// Filter this relation by `pred`.
     pub fn filter(&self, pred: &Predicate) -> Rel {
-        let selected = pred.bind_with(self.rows, &|n| &self.cols[self.col_index(n)]).selected();
-        let cols = self.cols.iter().map(|c| gather(c, selected.iter().copied())).collect();
-        Rel { names: self.names.clone(), widths: self.widths.clone(), cols, rows: selected.len() }
+        let bound = pred.bind_with(self.rows, &|n| &self.cols[self.col_index(n)]);
+        let (cols, rows) = select(&bound, self.rows, self.cols.iter());
+        Rel { names: self.names.clone(), widths: self.widths.clone(), cols, rows }
     }
 
     /// Keep only the named columns.
@@ -149,21 +169,14 @@ impl Rel {
 
     /// Number of distinct combinations of the key columns (exact group count).
     pub fn group_count(&self, keys: &[String]) -> usize {
-        self.first_of_each_key(&self.key_indices(keys), 0..self.rows).len()
+        self.groups(&self.key_indices(keys), 1).0.len()
     }
 
     /// Collapse to one row per distinct key combination (group-by output with
     /// the key columns only; aggregate widths are accounted for logically by
     /// the planner). Each group keeps its first row, in row order.
     pub fn groupby(&self, keys: &[String]) -> Rel {
-        let idx = self.key_indices(keys);
-        let rows_kept = self.first_of_each_key(&idx, 0..self.rows);
-        Rel {
-            names: keys.to_vec(),
-            widths: idx.iter().map(|&i| self.widths[i]).collect(),
-            cols: idx.iter().map(|&c| gather(&self.cols[c], rows_kept.iter().copied())).collect(),
-            rows: rows_kept.len(),
-        }
+        self.groupby_combined(keys, 1).0
     }
 
     /// Ground truth for a map-side combiner: split the relation into
@@ -172,42 +185,156 @@ impl Rel {
     /// distinct count; random layouts approach `n_splits ×` it (paper Eq. 2's
     /// two cases emerge from the data rather than being assumed).
     pub fn combine_output(&self, keys: &[String], n_splits: usize) -> usize {
-        assert!(n_splits > 0);
-        if self.rows == 0 {
-            return 0;
-        }
+        self.groupby_combined(keys, n_splits).1
+    }
+
+    /// [`Rel::groupby`] and [`Rel::combine_output`] of the same keys, in one
+    /// pass over the rows.
+    ///
+    /// # Panics
+    /// Panics if `n_splits` is 0 or a key column is missing.
+    pub fn groupby_combined(&self, keys: &[String], n_splits: usize) -> (Rel, usize) {
         let idx = self.key_indices(keys);
-        let per_split = self.rows.div_ceil(n_splits);
-        (0..self.rows)
-            .step_by(per_split)
-            .map(|start| {
-                let end = (start + per_split).min(self.rows);
-                self.first_of_each_key(&idx, start..end).len()
-            })
-            .sum()
+        let (kept, combined) = self.groups(&idx, n_splits);
+        let grouped = Rel {
+            names: keys.to_vec(),
+            widths: idx.iter().map(|&i| self.widths[i]).collect(),
+            cols: idx
+                .iter()
+                .map(|&c| gather(&self.cols[c], kept.iter().map(|&i| i as usize)))
+                .collect(),
+            rows: kept.len(),
+        };
+        (grouped, combined)
     }
 
     fn key_indices(&self, keys: &[String]) -> Vec<usize> {
         keys.iter().map(|k| self.col_index(k)).collect()
     }
 
-    /// The rows of `range` where a key first appears, in row order. A key
-    /// is the `to_bits` of each key column's value, so float keys compare
-    /// exactly; one or two columns pack into a `u64` or `u128`.
-    fn first_of_each_key(&self, idx: &[usize], range: Range<usize>) -> Vec<usize> {
-        let bits = |c: usize, i: usize| self.cols[c].get_f64(i).to_bits();
-        match *idx {
-            [a] => first_rows(range, |i| bits(a, i)),
-            [a, b] => first_rows(range, |i| u128::from(bits(a, i)) << 64 | u128::from(bits(b, i))),
-            _ => first_rows(range, |i| idx.iter().map(|&c| bits(c, i)).collect::<Vec<u64>>()),
+    /// The rows where a key of columns `idx` first appears, in row order,
+    /// and the sum over `n_splits` contiguous splits of each split's
+    /// distinct keys. Keys are dense codes when [`dense_codes`] allows, else
+    /// the `to_bits` of each key column's value, one or two columns packed
+    /// into a `u64` or `u128`.
+    fn groups(&self, idx: &[usize], n_splits: usize) -> (Vec<u32>, usize) {
+        assert!(n_splits > 0);
+        let rows = self.rows;
+        assert!(u32::try_from(rows).is_ok(), "{rows} rows overflow a u32 row index");
+        let key_cols: Vec<&Column> = idx.iter().map(|&c| &self.cols[c]).collect();
+        if let Some((radix, codes)) = dense_codes(&key_cols, GROUP_CODES_PER_ROW * rows as u64) {
+            return match *radix.as_slice() {
+                [] => stamped_groups(rows, n_splits, codes, |_| 0),
+                [(a, lo, _)] => stamped_groups(rows, n_splits, codes, |i| (a[i] - lo) as usize),
+                [(a, lo_a, _), (b, lo_b, stride)] => stamped_groups(rows, n_splits, codes, |i| {
+                    (a[i] - lo_a) as usize + (b[i] - lo_b) as usize * stride
+                }),
+                _ => stamped_groups(rows, n_splits, codes, |i| {
+                    radix.iter().map(|&(v, lo, stride)| (v[i] - lo) as usize * stride).sum()
+                }),
+            };
+        }
+        let bits = |c: &Column, i: usize| c.get_f64(i).to_bits();
+        match *key_cols.as_slice() {
+            [a] => hashed_groups(rows, n_splits, |i| bits(a, i)),
+            [a, b] => hashed_groups(rows, n_splits, |i| {
+                u128::from(bits(a, i)) << 64 | u128::from(bits(b, i))
+            }),
+            _ => hashed_groups(rows, n_splits, |i| {
+                key_cols.iter().map(|c| bits(c, i)).collect::<Vec<u64>>()
+            }),
         }
     }
 }
 
-/// The rows of `range` whose `key` has not appeared earlier in it.
-fn first_rows<K: Hash + Eq>(range: Range<usize>, key: impl Fn(usize) -> K) -> Vec<usize> {
+/// One key column's values, minimum and stride in [`dense_codes`]' codes.
+type Radix<'a> = (&'a [i64], i64, usize);
+
+/// `(values, min, stride)` per key column and the number of codes, when
+/// every key column is `Int` with all values strictly inside ±2^53 and the
+/// product of the columns' spans is at most `max_codes`. A row's code is
+/// then the sum of its offsets from the minima times the strides (mixed
+/// radix, the first column varying fastest), and two rows share a code
+/// exactly when their keys' bit patterns are equal. No key columns give
+/// one code.
+fn dense_codes<'a>(cols: &[&'a Column], max_codes: u64) -> Option<(Vec<Radix<'a>>, usize)> {
+    let mut codes = 1u64;
+    let mut radix = Vec::with_capacity(cols.len());
+    for c in cols {
+        let values = c.as_int()?;
+        let (lo, span) = dense_int_span(values, max_codes)?;
+        radix.push((values, lo, codes as usize));
+        codes = codes.checked_mul(span + 1).filter(|&n| n <= max_codes)?;
+    }
+    (codes <= max_codes).then_some((radix, codes as usize))
+}
+
+/// [`Rel::groups`] over `codes` dense key codes, `code(i)` being row `i`'s,
+/// in one pass: each code's stamp is the last split (numbered from 1) that
+/// saw it, 0 before any did. A row whose code has stamp 0 starts a group;
+/// one whose code's stamp is not its own split is one more combiner output
+/// tuple.
+fn stamped_groups(
+    rows: usize,
+    n_splits: usize,
+    codes: usize,
+    code: impl Fn(usize) -> usize,
+) -> (Vec<u32>, usize) {
+    let mut stamps = vec![0u32; codes];
+    let (mut kept, mut combined) = (Vec::new(), 0);
+    for (s, split_rows) in splits(rows, n_splits).enumerate() {
+        let split = s as u32 + 1;
+        for i in split_rows {
+            let last = std::mem::replace(&mut stamps[code(i)], split);
+            if last == 0 {
+                kept.push(i as u32);
+            }
+            combined += usize::from(last != split);
+        }
+    }
+    (kept, combined)
+}
+
+/// [`Rel::groups`] over keys hashed under `key(i)`: one set of keys for
+/// the group-by's first rows, then one set per split for the combiner, so
+/// no more than one set is alive at a time.
+fn hashed_groups<K: Hash + Eq>(
+    rows: usize,
+    n_splits: usize,
+    key: impl Fn(usize) -> K,
+) -> (Vec<u32>, usize) {
     let mut seen = FastSet::default();
-    range.filter(|&i| seen.insert(key(i))).collect()
+    let kept = (0..rows).filter(|&i| seen.insert(key(i))).map(|i| i as u32).collect();
+    drop(seen);
+    let combined = splits(rows, n_splits)
+        .map(|split_rows| {
+            let mut seen = FastSet::default();
+            split_rows.filter(|&i| seen.insert(key(i))).count()
+        })
+        .sum();
+    (kept, combined)
+}
+
+/// The rows of `n_splits` contiguous splits of `rows` rows (HDFS splits
+/// preserve file order); splits past the last row are left out.
+fn splits(rows: usize, n_splits: usize) -> impl Iterator<Item = Range<usize>> {
+    let per_split = rows.div_ceil(n_splits).max(1);
+    (0..rows).step_by(per_split).map(move |start| start..(start + per_split).min(rows))
+}
+
+/// `cols` restricted to the rows `bound` selects, and their number: whole
+/// columns when it selects every one of `rows`.
+fn select<'a>(
+    bound: &BoundPredicate<'_>,
+    rows: usize,
+    cols: impl Iterator<Item = &'a Column>,
+) -> (Vec<Column>, usize) {
+    match bound.selected_unless_all() {
+        None => (cols.cloned().collect(), rows),
+        Some(selected) => {
+            (cols.map(|c| gather(c, selected.iter().copied())).collect(), selected.len())
+        }
+    }
 }
 
 /// Rows `rows` of `col`, in that order.
@@ -239,23 +366,15 @@ pub fn hash_join(left: &Rel, right: &Rel, left_key: &str, right_key: &str) -> Re
     } else {
         (right, left, right_key, left_key, false)
     };
-    let bkey = build.col_index(build_key);
-    let pkey = probe.col_index(probe_key);
-    // Keyed on the exact value, as group keys are: 1.2 does not join 1.9.
-    let mut ht: FastMap<u64, Vec<u32>> = FastMap::default();
-    for i in 0..build.rows() {
-        ht.entry(build.cols[bkey].get_f64(i).to_bits()).or_default().push(i as u32);
-    }
-    let mut build_rows: Vec<u32> = Vec::new();
-    let mut probe_rows: Vec<u32> = Vec::new();
-    for i in 0..probe.rows() {
-        if let Some(matches) = ht.get(&probe.cols[pkey].get_f64(i).to_bits()) {
-            for &b in matches {
-                build_rows.push(b);
-                probe_rows.push(i as u32);
-            }
-        }
-    }
+    let (bcol, pcol) =
+        (&build.cols[build.col_index(build_key)], &probe.cols[probe.col_index(probe_key)]);
+    let (build_rows, probe_rows) = match (bcol.as_int(), pcol.as_int()) {
+        (Some(b), Some(p)) => match dense_int_span(b, JOIN_CODES_PER_ROW * b.len() as u64) {
+            Some((lo, span)) => counting_sort_join(b, p, lo, span),
+            None => hashed_join(bcol, pcol),
+        },
+        _ => hashed_join(bcol, pcol),
+    };
     let take = |rel: &Rel, rows: &[u32]| -> Vec<Column> {
         rel.cols.iter().map(|c| gather(c, rows.iter().map(|&i| i as usize))).collect()
     };
@@ -269,6 +388,61 @@ pub fn hash_join(left: &Rel, right: &Rel, left_key: &str, right_key: &str) -> Re
     let mut cols = take(lrel, lrows);
     cols.extend(take(rrel, rrows));
     Rel { names, widths, cols, rows: build_rows.len() }
+}
+
+/// A join's `(build rows, probe rows)` pairs, in probe order and each probe
+/// row's matches in build order, for Int keys whose build values lie in
+/// `lo..=lo + span`, strictly inside ±2^53. The build rows are counting-sorted
+/// by `value - lo`: counts, prefix sums, then a fill in row order. A probe
+/// value outside the build range matches nothing: inside ±2^53 it differs
+/// from every build value, and beyond it its `f64` is beyond every build
+/// value's, as `i64 as f64` never reverses an order.
+fn counting_sort_join(build: &[i64], probe: &[i64], lo: i64, span: u64) -> (Vec<u32>, Vec<u32>) {
+    assert!(u32::try_from(build.len().max(probe.len())).is_ok(), "rows overflow a u32 row index");
+    let code = |v: i64| (v - lo) as usize;
+    // Code `c`'s rows end up at `sorted[start[c]..start[c + 1]]`: counts go
+    // two slots up, so after the prefix sums `start[c + 1]` is code `c`'s
+    // fill cursor, and it ends where code `c + 1` starts.
+    let mut start = vec![0u32; span as usize + 3];
+    for &v in build {
+        start[code(v) + 2] += 1;
+    }
+    for c in 2..start.len() {
+        start[c] += start[c - 1];
+    }
+    let mut sorted = vec![0u32; build.len()];
+    for (i, &v) in build.iter().enumerate() {
+        let cursor = &mut start[code(v) + 1];
+        sorted[*cursor as usize] = i as u32;
+        *cursor += 1;
+    }
+    let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
+    for (i, &v) in probe.iter().enumerate() {
+        let offset = v.checked_sub(lo).and_then(|d| usize::try_from(d).ok());
+        if let Some(c) = offset.filter(|&c| c as u64 <= span) {
+            let matches = &sorted[start[c] as usize..start[c + 1] as usize];
+            build_rows.extend_from_slice(matches);
+            probe_rows.extend(std::iter::repeat_n(i as u32, matches.len()));
+        }
+    }
+    (build_rows, probe_rows)
+}
+
+/// [`counting_sort_join`] for any key columns: build rows listed per key
+/// bit pattern in a hash map, so 1.2 does not join 1.9.
+fn hashed_join(build: &Column, probe: &Column) -> (Vec<u32>, Vec<u32>) {
+    let mut ht: FastMap<u64, Vec<u32>> = FastMap::default();
+    for i in 0..build.len() {
+        ht.entry(build.get_f64(i).to_bits()).or_default().push(i as u32);
+    }
+    let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
+    for i in 0..probe.len() {
+        if let Some(matches) = ht.get(&probe.get_f64(i).to_bits()) {
+            build_rows.extend_from_slice(matches);
+            probe_rows.extend(std::iter::repeat_n(i as u32, matches.len()));
+        }
+    }
+    (build_rows, probe_rows)
 }
 
 /// The row-at-a-time executor this module replaced, kept as the oracle of
@@ -589,8 +763,32 @@ mod tests {
         assert_eq!(hash_join(&l, &r, "a", "b").rows(), 1);
     }
 
+    #[test]
+    fn dense_codes_stop_at_the_cut_off() {
+        const E: i64 = 1 << 53;
+        let int = |v: &[i64]| Column::Int(v.to_vec());
+        // Four rows allow 2 × 4 = 8 group codes.
+        let codes = |cols: &[Column]| {
+            let cols: Vec<&Column> = cols.iter().collect();
+            dense_codes(&cols, GROUP_CODES_PER_ROW * 4).map(|(_, n)| n)
+        };
+        assert_eq!(codes(&[int(&[0, 7, 1, 2])]), Some(8));
+        assert_eq!(codes(&[int(&[0, 8, 1, 2])]), None);
+        assert_eq!(codes(&[int(&[0, 1, 0, 1]), int(&[0, 3, 1, 2])]), Some(8));
+        assert_eq!(codes(&[int(&[0, 2, 1, 0]), int(&[0, 2, 1, 1])]), None);
+        assert_eq!(codes(&[]), Some(1));
+        assert_eq!(codes(&[Column::Float(vec![0.0, 1.0, 2.0, 3.0])]), None);
+        // Only values strictly inside ±2^53 are exact.
+        assert_eq!(codes(&[int(&[E - 1, E - 2, E - 1, E - 3])]), Some(3));
+        assert_eq!(codes(&[int(&[E, E - 1, E - 1, E - 1])]), None);
+        assert_eq!(codes(&[int(&[1 - E, 2 - E, 1 - E, 1 - E])]), Some(2));
+        assert_eq!(codes(&[int(&[-E, 1 - E, 1 - E, 1 - E])]), None);
+        // An empty relation has no codes, not even for no keys.
+        assert_eq!(dense_codes(&[], 0), None);
+    }
+
     mod differential {
-        use super::super::{hash_join, reference, Rel};
+        use super::super::{hash_join, reference, Rel, GROUP_CODES_PER_ROW, JOIN_CODES_PER_ROW};
         use crate::expr::{CmpOp, Predicate};
         use crate::histogram::{Bucket, Histogram};
         use crate::schema::{ColumnDef, DataType, Schema};
@@ -713,6 +911,75 @@ mod tests {
             ]
         }
 
+        /// How [`key_rel`] fills a key column of `n` rows, drawn to sit on
+        /// either side of the dense-code cut-offs.
+        #[derive(Debug, Clone)]
+        enum KeyKind {
+            /// `mult × n + d` codes from `lo` (exactly a group's or a join's
+            /// cut-off for `d = 0`, one code past it for `d = 1`), both
+            /// ends drawn, the rest at `fractions` of the span.
+            Spanned { lo: i64, mult: i64, d: i64, fractions: Vec<f64> },
+            /// The first `n` values: a few small ones, or values at and
+            /// beyond ±2^53 and i64::MIN/MAX.
+            Ints(Vec<i64>),
+            /// The first `n` values.
+            Floats(Vec<f64>),
+        }
+
+        fn key_kind(max: usize) -> BoxedStrategy<KeyKind> {
+            const E: i64 = 1 << 53;
+            let edge = vec![E - 1, E, E + 1, 1 - E, -E, -E - 1, i64::MAX, i64::MIN, 0, 1];
+            let mults = vec![1, GROUP_CODES_PER_ROW as i64, JOIN_CODES_PER_ROW as i64];
+            prop_oneof![
+                (
+                    -1000i64..1000,
+                    prop::sample::select(mults),
+                    -1i64..=1,
+                    prop::collection::vec(0.0f64..1.0, max),
+                )
+                    .prop_map(|(lo, mult, d, fractions)| KeyKind::Spanned {
+                        lo,
+                        mult,
+                        d,
+                        fractions
+                    }),
+                prop::collection::vec(-3i64..3, max).prop_map(KeyKind::Ints),
+                prop::collection::vec(prop::sample::select(edge), max).prop_map(KeyKind::Ints),
+                prop::collection::vec(prop::sample::select(FLOATS.to_vec()), max)
+                    .prop_map(KeyKind::Floats),
+            ]
+            .boxed()
+        }
+
+        fn key_column(kind: &KeyKind, n: usize) -> Column {
+            match kind {
+                KeyKind::Spanned { lo, mult, d, fractions } => {
+                    // `top + 1` codes, `lo` and `lo + top` both present.
+                    let top = (mult * n as i64 - 1 + d).max(0);
+                    let mut v: Vec<i64> = fractions[..n]
+                        .iter()
+                        .map(|f| lo + ((f * (top + 1) as f64) as i64).min(top))
+                        .collect();
+                    for (slot, x) in v.iter_mut().zip([*lo, lo + top]) {
+                        *slot = x;
+                    }
+                    Column::Int(v)
+                }
+                KeyKind::Ints(v) => Column::Int(v[..n].to_vec()),
+                KeyKind::Floats(v) => Column::Float(v[..n].to_vec()),
+            }
+        }
+
+        /// Key columns `k0`, `k1`, `k2` (prefixed) of one drawn length
+        /// below `max`, each filled by a drawn [`KeyKind`].
+        fn key_rel(max: usize, prefix: &'static str) -> impl Strategy<Value = Rel> {
+            (0..max, prop::collection::vec(key_kind(max), 3)).prop_map(move |(n, kinds)| {
+                let names = (0..3).map(|c| format!("{prefix}k{c}")).collect();
+                let cols = kinds.iter().map(|k| key_column(k, n)).collect();
+                Rel::from_columns(names, vec![8.0; 3], cols)
+            })
+        }
+
         /// Where a histogram's domain comes from.
         #[derive(Debug, Clone)]
         enum Domain {
@@ -783,6 +1050,42 @@ mod tests {
                     r.combine_output(&keys, n_splits),
                     reference::combine_output(&r, &keys, n_splits)
                 );
+            }
+
+            #[test]
+            fn grouping_on_drawn_keys_matches_reference(
+                r in key_rel(40, ""),
+                picks in prop::collection::vec(0usize..3, 0..=3),
+                split_pick in 0usize..1000,
+            ) {
+                let mut keys: Vec<String> = Vec::new();
+                for p in picks {
+                    let k = format!("k{p}");
+                    if !keys.contains(&k) {
+                        keys.push(k);
+                    }
+                }
+                let n_splits = 1 + split_pick % (r.rows() + 2);
+                let groups = reference::groupby(&r, &keys);
+                let combined = reference::combine_output(&r, &keys, n_splits);
+                prop_assert_eq!(r.group_count(&keys), groups.rows());
+                same(&r.groupby(&keys), &groups)?;
+                prop_assert_eq!(r.combine_output(&keys, n_splits), combined);
+                let (fused, fused_combined) = r.groupby_combined(&keys, n_splits);
+                same(&fused, &groups)?;
+                prop_assert_eq!(fused_combined, combined);
+            }
+
+            #[test]
+            fn joins_on_drawn_keys_match_reference(
+                l in key_rel(30, "l_"),
+                r in key_rel(30, "r_"),
+                lkey in 0usize..3,
+                rkey in 0usize..3,
+            ) {
+                let (lk, rk) = (format!("l_k{lkey}"), format!("r_k{rkey}"));
+                same(&hash_join(&l, &r, &lk, &rk), &reference::hash_join(&l, &r, &lk, &rk))?;
+                same(&hash_join(&r, &l, &rk, &lk), &reference::hash_join(&r, &l, &rk, &lk))?;
             }
 
             #[test]

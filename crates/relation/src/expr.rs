@@ -223,11 +223,30 @@ impl BoundPredicate<'_> {
     /// Indices of the rows that satisfy the predicate, ascending. Each
     /// comparison runs over its whole column at once.
     pub fn selected(&self) -> Vec<usize> {
+        self.selected_unless_all().unwrap_or_else(|| (0..self.rows).collect())
+    }
+
+    /// [`BoundPredicate::selected`], or `None` when every row satisfies the
+    /// predicate, so a scan can copy whole columns instead of gathering.
+    pub(crate) fn selected_unless_all(&self) -> Option<Vec<usize>> {
         if matches!(self.node, Bound::True) {
-            return (0..self.rows).collect();
+            return None;
         }
         let mask = self.node.mask(self.rows);
-        mask.iter().enumerate().filter_map(|(i, &keep)| keep.then_some(i)).collect()
+        let kept = mask.iter().filter(|&&keep| keep).count();
+        if kept == self.rows {
+            return None;
+        }
+        // Write every index and advance past the kept ones: no branch. The
+        // slot after the last kept index takes the rejected rows' writes.
+        let mut out = vec![0; kept + 1];
+        let mut n = 0;
+        for (i, &keep) in mask.iter().enumerate() {
+            out[n] = i;
+            n += usize::from(keep);
+        }
+        out.truncate(kept);
+        Some(out)
     }
 }
 

@@ -1,8 +1,9 @@
 //! A small non-cryptographic hasher for the executor's key sets.
 //!
-//! Group and join keys hash `f64` bit patterns of generated values.
-//! SipHash (the standard library default) spends most of the executor's
-//! time on them. [`FastHasher`] folds each 64-bit word in with one xor and
+//! Group and join keys that are not dense integer codes (see
+//! [`crate::exec`]) hash `f64` bit patterns of generated values. SipHash
+//! (the standard library default) spent most of the executor's time on
+//! them. [`FastHasher`] folds each 64-bit word in with one xor and
 //! one multiply, then mixes the state with the splitmix64 finalizer in
 //! [`Hasher::finish`]. Histograms use no set: they count distincts with a
 //! bitmap or per-bucket sorts (see [`crate::histogram::Histogram::build`]).

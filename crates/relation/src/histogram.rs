@@ -7,7 +7,7 @@
 //! (paper Eq. 5, after Bell et al. '89) can be evaluated directly.
 
 use crate::expr::{CmpOp, Predicate};
-use crate::table::Column;
+use crate::table::{dense_int_span, int_range, Column};
 
 /// One histogram bucket: `[lo, hi)` (the last bucket is closed on both ends).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,7 +71,7 @@ impl Histogram {
         let width = if max > min { (max - min) / n as f64 } else { 1.0 };
         let bucket = |v: f64| Self::bucket_index_for(v, min, width, n);
         let (counts, distinct) = match column {
-            Column::Int(v) => match dense_span(v) {
+            Column::Int(v) => match dense_int_span(v, BITMAP_BITS_PER_ROW * v.len() as u64) {
                 Some((lo, span)) => distinct_by_bitmap(v, lo, span, n, bucket),
                 None => distinct_by_sort(v.iter().map(|&x| x as f64), n, bucket),
             },
@@ -395,30 +395,9 @@ impl Histogram {
     }
 }
 
-/// Integers strictly inside ±`EXACT_INT` convert to `f64` exactly, so
-/// distinct integers there have distinct bit patterns.
-const EXACT_INT: i64 = 1 << 53;
-
 /// Bits per row the distinct bitmap may use: at most one `u64` per row,
 /// the scratch memory [`distinct_by_sort`] needs anyway.
 const BITMAP_BITS_PER_ROW: u64 = 64;
-
-/// `(min, max - min)` of an Int column whose values all convert to `f64`
-/// exactly and whose span is under [`BITMAP_BITS_PER_ROW`] bits per row;
-/// `None` for any other column, the empty one included.
-fn dense_span(values: &[i64]) -> Option<(i64, u64)> {
-    let (lo, hi) = int_range(values)?;
-    let exact = -EXACT_INT < lo && hi < EXACT_INT;
-    // Inside ±2^53 the difference cannot overflow.
-    (exact && ((hi - lo) as u64) < BITMAP_BITS_PER_ROW * values.len() as u64)
-        .then(|| (lo, (hi - lo) as u64))
-}
-
-/// `(min, max)` of an Int column, or `None` when it is empty.
-fn int_range(values: &[i64]) -> Option<(i64, i64)> {
-    let first = *values.first()?;
-    Some(values.iter().fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x))))
-}
 
 /// Per-bucket counts and distinct counts of integers in `lo..=lo + span`,
 /// marking each value's offset in a bitmap: the first mark of a value is

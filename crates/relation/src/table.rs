@@ -51,6 +51,30 @@ impl Column {
     }
 }
 
+/// Integers strictly inside ±`EXACT_INT` convert to `f64` exactly, so
+/// distinct integers there have distinct bit patterns.
+const EXACT_INT: i64 = 1 << 53;
+
+/// `(min, max - min)` of Int values that all lie strictly inside ±2^53,
+/// when `max - min < limit`; `None` for any other values, the empty slice
+/// included.
+///
+/// Inside ±2^53 each value converts to `f64` exactly, so two values are
+/// equal exactly when their `f64` bit patterns are, and offsets from `min`
+/// can stand in for bit patterns as distinct-count, group or join keys.
+pub(crate) fn dense_int_span(values: &[i64], limit: u64) -> Option<(i64, u64)> {
+    let (lo, hi) = int_range(values)?;
+    let exact = -EXACT_INT < lo && hi < EXACT_INT;
+    // Inside ±2^53 the difference cannot overflow.
+    (exact && ((hi - lo) as u64) < limit).then(|| (lo, (hi - lo) as u64))
+}
+
+/// `(min, max)` of Int values, or `None` when there are none.
+pub(crate) fn int_range(values: &[i64]) -> Option<(i64, i64)> {
+    let first = *values.first()?;
+    Some(values.iter().fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x))))
+}
+
 /// A named table: a schema plus one physical [`Column`] per schema column and
 /// optional per-column string dictionaries.
 #[derive(Debug, Clone)]

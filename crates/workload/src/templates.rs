@@ -344,6 +344,7 @@ fn q17_dag(db: &Database, rng: &mut StdRng) -> QueryDag {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use sapred_plan::ground_truth::execute_dag;
     use sapred_relation::gen::{generate, GenConfig};
 
     fn db() -> Database {
@@ -425,5 +426,43 @@ mod tests {
             }
         }
         assert!(seen.contains(&Extract) && seen.contains(&Groupby) && seen.contains(&Join));
+    }
+
+    /// FNV-1a over the bits of every `JobActual` field of every job, for
+    /// every template (one instance each, seeded by its position) at the
+    /// paper's 256 MB block size.
+    fn ground_truth_fingerprint(db: &Database) -> u64 {
+        fn mix(h: &mut u64, word: u64) {
+            for b in word.to_le_bytes() {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for (i, t) in Template::all().iter().enumerate() {
+            let dag = t.instantiate(db, &mut StdRng::seed_from_u64(i as u64)).unwrap();
+            let actuals = execute_dag(&dag, db, 256.0 * 1024.0 * 1024.0);
+            mix(&mut h, actuals.len() as u64);
+            for a in actuals {
+                for x in [a.d_in, a.d_med, a.d_out, a.tuples_in, a.tuples_med, a.tuples_out] {
+                    mix(&mut h, x.to_bits());
+                }
+                mix(&mut h, a.n_splits as u64);
+                mix(&mut h, a.p_actual.to_bits());
+            }
+        }
+        h
+    }
+
+    /// Ground truth of every template at two scales, pinned to the values
+    /// the hash-keyed executor produced.
+    #[test]
+    fn ground_truth_is_pinned() {
+        let got: Vec<u64> = [(1.0, 21), (100.0, 22)]
+            .into_iter()
+            .map(|(gb, seed)| {
+                ground_truth_fingerprint(&generate(GenConfig::new(gb).with_seed(seed)))
+            })
+            .collect();
+        assert_eq!(got, [0x5cdc17fcfa137d77, 0x589665fe908cd68f], "{got:#x?}");
     }
 }

@@ -849,7 +849,7 @@ fn print_cells(cells: &[CellResult]) {
 /// `sapred reproduce`: the paper's evaluation on its one configuration.
 fn cmd_reproduce(args: &[String]) -> Result<(), Error> {
     parse_flags(args, &[])?;
-    eprintln!("reproducing the paper's evaluation (about 20 s in a release build)...");
+    eprintln!("reproducing the paper's evaluation (about 5 s in a release build)...");
     print!("{}", reproduce()?);
     Ok(())
 }
