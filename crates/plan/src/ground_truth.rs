@@ -9,10 +9,9 @@
 //! cluster simulator derives task counts and durations from these, and the
 //! accuracy experiments compare them against the estimator's predictions.
 
-use crate::dag::{BroadcastJoin, InputSrc, JobKind, QueryDag};
+use crate::dag::{BroadcastJoin, InputSrc, JobKind, MrJob, QueryDag, TableInput};
 use sapred_relation::exec::{hash_join, Rel};
 use sapred_relation::gen::Database;
-use sapred_relation::table::Column;
 use sapred_relation::{modeled_bytes, SCALE_DOWN};
 
 /// Measured (exact) data sizes of one executed job. All byte figures are
@@ -58,6 +57,11 @@ impl JobActual {
     }
 }
 
+/// Suffix a join's right side gets on a column name the left side has too.
+const RIGHT_SUFFIX: &str = "__r";
+/// Suffix a broadcast table gets on a column name the stream side has too.
+const BROADCAST_SUFFIX: &str = "__b";
+
 /// Execute every job of `dag` against `db`, in topological (id) order.
 ///
 /// `block_size` is the HDFS block size in *modeled* bytes (the paper uses
@@ -65,35 +69,100 @@ impl JobActual {
 /// map-side combiner's ground-truth output.
 pub fn execute_dag(dag: &QueryDag, db: &Database, block_size: f64) -> Vec<JobActual> {
     assert!(block_size > 0.0, "block size must be positive");
-    let mut outputs: Vec<Rel> = Vec::with_capacity(dag.len());
-    let mut actuals = Vec::with_capacity(dag.len());
+    let mut last_read = vec![None; dag.len()];
     for job in dag.jobs() {
-        let (actual, out) =
-            execute_job(&job.kind, &job.broadcasts, db, &outputs, &actuals, block_size);
-        outputs.push(out);
-        actuals.push(actual);
+        for (slot, input) in job.kind.inputs().into_iter().enumerate() {
+            if let Some(j) = input.job_dep() {
+                last_read[j] = Some((job.id, slot));
+            }
+        }
     }
-    actuals
+    let mut run = Run {
+        db,
+        keys: key_names(dag),
+        outputs: Vec::with_capacity(dag.len()),
+        last_read,
+        actuals: Vec::with_capacity(dag.len()),
+    };
+    for job in dag.jobs() {
+        let (actual, out) = execute_job(job, &mut run, block_size);
+        let read_later = run.last_read[job.id].is_some();
+        run.outputs.push(read_later.then_some(out));
+        run.actuals.push(actual);
+    }
+    run.actuals
 }
 
-/// Resolve one input: returns (raw input bytes, raw input tuples,
-/// map-output relation). For a table input the map output is the
-/// filtered+projected scan; for a job input it is the upstream output
-/// passed through unchanged.
-fn resolve_input(
-    input: &InputSrc,
-    db: &Database,
-    outputs: &[Rel],
-    actuals: &[JobActual],
-) -> (f64, f64, Rel) {
+/// Every column a job of `dag` keys on (join, broadcast and group-by keys),
+/// with rename suffixes removed: the only columns whose values an operator
+/// reads, so scans keep values for these alone.
+fn key_names(dag: &QueryDag) -> Vec<String> {
+    let mut keys = Vec::new();
+    for job in dag.jobs() {
+        let named: Vec<&String> = match &job.kind {
+            JobKind::Join { left_key, right_key, .. } => vec![left_key, right_key],
+            JobKind::Groupby { keys, .. } => keys.iter().collect(),
+            JobKind::Sort { .. } | JobKind::MapOnly { .. } => Vec::new(),
+        };
+        let broadcast = job.broadcasts.iter().flat_map(|b| [&b.stream_key, &b.table_key]);
+        keys.extend(named.into_iter().chain(broadcast).map(|k| base_name(k).to_string()));
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// `name` without the suffixes joins add to colliding column names.
+fn base_name(mut name: &str) -> &str {
+    while let Some(base) =
+        name.strip_suffix(RIGHT_SUFFIX).or_else(|| name.strip_suffix(BROADCAST_SUFFIX))
+    {
+        name = base;
+    }
+    name
+}
+
+/// One DAG's execution so far.
+struct Run<'a> {
+    db: &'a Database,
+    /// [`key_names`] of the DAG.
+    keys: Vec<String>,
+    /// Each executed job's output, until its last reader takes it (`None`
+    /// from then on, or from the start if no job reads it).
+    outputs: Vec<Option<Rel>>,
+    /// Per job, the `(job, input slot)` that reads its output last: that
+    /// read moves the output, earlier ones clone it.
+    last_read: Vec<Option<(usize, usize)>>,
+    actuals: Vec<JobActual>,
+}
+
+/// The filtered, projected scan of `input`, with values for the DAG's key
+/// columns only; also returns the table's modeled bytes and rows.
+fn scan(input: &TableInput, run: &Run) -> (f64, f64, Rel) {
+    let table = run
+        .db
+        .table(&input.table)
+        .unwrap_or_else(|| panic!("table {} not in database", input.table));
+    let rel = Rel::from_table(table, &input.predicate, &input.projection, &run.keys);
+    (table.modeled_bytes(), table.rows() as f64, rel)
+}
+
+/// Resolve the input that `reader`, a `(job, input slot)`, reads: returns
+/// (raw input bytes, raw input tuples, map-output relation). For a table input the map output is
+/// the filtered+projected scan; for a job input it is the upstream output
+/// passed through unchanged, moved to its last reader.
+fn resolve_input(input: &InputSrc, reader: (usize, usize), run: &mut Run) -> (f64, f64, Rel) {
     match input {
-        InputSrc::Table(t) => {
-            let table =
-                db.table(&t.table).unwrap_or_else(|| panic!("table {} not in database", t.table));
-            let rel = Rel::from_table(table, &t.predicate, &t.projection);
-            (table.modeled_bytes(), table.rows() as f64, rel)
+        InputSrc::Table(t) => scan(t, run),
+        InputSrc::Job(j) => {
+            let out = if run.last_read[*j] == Some(reader) {
+                run.outputs[*j].take()
+            } else {
+                run.outputs[*j].clone()
+            };
+            let rel = out.expect("job output read after its last reader");
+            (run.actuals[*j].d_out, rel.rows() as f64, rel)
         }
-        InputSrc::Job(j) => (actuals[*j].d_out, outputs[*j].rows() as f64, outputs[*j].clone()),
     }
 }
 
@@ -104,57 +173,46 @@ fn splits_for(d_in: f64, block_size: f64) -> usize {
 /// Apply map-side (broadcast) joins to a job's primary input relation.
 /// Returns the joined relation plus the extra bytes/tuples read from the
 /// broadcast tables (shipped once via the distributed cache).
-fn apply_broadcasts(mut rel: Rel, broadcasts: &[BroadcastJoin], db: &Database) -> (Rel, f64, f64) {
+fn apply_broadcasts(mut rel: Rel, broadcasts: &[BroadcastJoin], run: &Run) -> (Rel, f64, f64) {
     let mut extra_bytes = 0.0;
     let mut extra_tuples = 0.0;
     for b in broadcasts {
-        let table = db
-            .table(&b.table.table)
-            .unwrap_or_else(|| panic!("broadcast table {} missing", b.table.table));
-        let mut small = Rel::from_table(table, &b.table.predicate, &b.table.projection);
-        extra_bytes += table.modeled_bytes();
-        extra_tuples += table.rows() as f64;
-        let mut tkey = b.table_key.clone();
-        let collisions: Vec<String> =
-            small.names().iter().filter(|n| rel.names().contains(n)).cloned().collect();
-        for c in collisions {
-            let renamed = format!("{c}__b");
-            small.rename_column(&c, renamed.clone());
-            if tkey == c {
-                tkey = renamed;
-            }
-        }
+        let (bytes, tuples, mut small) = scan(&b.table, run);
+        extra_bytes += bytes;
+        extra_tuples += tuples;
+        let tkey = disambiguate(&rel, &mut small, &b.table_key, BROADCAST_SUFFIX);
         rel = hash_join(&rel, &small, &b.stream_key, &tkey);
     }
     (rel, extra_bytes, extra_tuples)
 }
 
-fn execute_job(
-    kind: &JobKind,
-    broadcasts: &[BroadcastJoin],
-    db: &Database,
-    outputs: &[Rel],
-    actuals: &[JobActual],
-    block_size: f64,
-) -> (JobActual, Rel) {
-    match kind {
+/// Rename `other`'s columns that `base` also has by appending `suffix`, and
+/// return `key` (one of `other`'s columns) as it is named afterwards.
+fn disambiguate(base: &Rel, other: &mut Rel, key: &str, suffix: &str) -> String {
+    let mut key = key.to_string();
+    let collisions: Vec<String> =
+        other.names().iter().filter(|n| base.names().contains(n)).cloned().collect();
+    for c in collisions {
+        let renamed = format!("{c}{suffix}");
+        other.rename_column(&c, renamed.clone());
+        if key == c {
+            key = renamed;
+        }
+    }
+    key
+}
+
+fn execute_job(job: &MrJob, run: &mut Run, block_size: f64) -> (JobActual, Rel) {
+    let broadcasts = &job.broadcasts;
+    match &job.kind {
         JobKind::Join { left, right, left_key, right_key } => {
-            let (lb0, lt0, lrel0) = resolve_input(left, db, outputs, actuals);
-            let (lrel, bb, bt) = apply_broadcasts(lrel0, broadcasts, db);
+            let (lb0, lt0, lrel0) = resolve_input(left, (job.id, 0), run);
+            let (lrel, bb, bt) = apply_broadcasts(lrel0, broadcasts, run);
             let (lb, lt) = (lb0 + bb, lt0 + bt);
-            let (rb, rt, mut rrel) = resolve_input(right, db, outputs, actuals);
+            let (rb, rt, mut rrel) = resolve_input(right, (job.id, 1), run);
             // Disambiguate duplicated column names (self-joins): the right
             // side's colliding columns get a `__r` suffix.
-            let mut rkey = right_key.clone();
-            let collisions: Vec<String> =
-                rrel.names().iter().filter(|n| lrel.names().contains(n)).cloned().collect();
-            for c in collisions {
-                let renamed = format!("{c}__r");
-                rrel.rename_column(&c, renamed.clone());
-                if rkey == c {
-                    rkey = renamed;
-                }
-            }
+            let rkey = disambiguate(&lrel, &mut rrel, right_key, RIGHT_SUFFIX);
             let joined = hash_join(&lrel, &rrel, left_key, &rkey);
             let d_in = lb + rb;
             let d_med = modeled_bytes(lrel.physical_bytes() + rrel.physical_bytes());
@@ -178,18 +236,14 @@ fn execute_job(
             )
         }
         JobKind::Groupby { input, keys, n_aggs } => {
-            let (b0, t0, rel0) = resolve_input(input, db, outputs, actuals);
-            let (rel, bb, bt) = apply_broadcasts(rel0, broadcasts, db);
+            let (b0, t0, rel0) = resolve_input(input, (job.id, 0), run);
+            let (rel, bb, bt) = apply_broadcasts(rel0, broadcasts, run);
             let (b, t) = (b0 + bb, t0 + bt);
             let n_splits = splits_for(b0, block_size);
             let (mut grouped, combined) = rel.groupby_combined(keys, n_splits);
-            // Aggregate result columns: width 8 each, value immaterial.
+            // Aggregate result columns: width 8 each, no values.
             for i in 0..*n_aggs {
-                grouped.push_column(
-                    format!("__agg{i}"),
-                    8.0,
-                    Column::Float(vec![0.0; grouped.rows()]),
-                );
+                grouped.push_column(format!("__agg{i}"), 8.0);
             }
             let out_width = grouped.tuple_width();
             let d_med = modeled_bytes(combined as f64 * out_width);
@@ -209,8 +263,8 @@ fn execute_job(
             )
         }
         JobKind::Sort { input, keys: _, limit } => {
-            let (b0, t0, rel0) = resolve_input(input, db, outputs, actuals);
-            let (rel, bb, bt) = apply_broadcasts(rel0, broadcasts, db);
+            let (b0, t0, rel0) = resolve_input(input, (job.id, 0), run);
+            let (rel, bb, bt) = apply_broadcasts(rel0, broadcasts, run);
             let (b, t) = (b0 + bb, t0 + bt);
             let n_splits = splits_for(b0, block_size);
             // The map phase of a sort passes records through (identity map
@@ -241,8 +295,8 @@ fn execute_job(
             )
         }
         JobKind::MapOnly { input } => {
-            let (b0, t0, rel0) = resolve_input(input, db, outputs, actuals);
-            let (rel, bb, bt) = apply_broadcasts(rel0, broadcasts, db);
+            let (b0, t0, rel0) = resolve_input(input, (job.id, 0), run);
+            let (rel, bb, bt) = apply_broadcasts(rel0, broadcasts, run);
             let (b, t) = (b0 + bb, t0 + bt);
             let n_splits = splits_for(b0, block_size);
             let bytes = modeled_bytes(rel.physical_bytes());
@@ -364,6 +418,44 @@ mod tests {
         assert!(a[2].tuples_out <= 1.0);
         // The join output cannot exceed the filtered lineitem side (FK-ish).
         assert!(a[1].tuples_out <= a[1].tuples_med);
+    }
+
+    #[test]
+    fn an_output_read_by_several_jobs_reaches_each_whole() {
+        let db = db();
+        let mut b = DagBuilder::new();
+        let g = b.groupby(
+            DagBuilder::table("lineitem", Predicate::True, ["l_partkey", "l_quantity"]),
+            ["l_partkey"],
+            1,
+        );
+        let first = b.sort(DagBuilder::job(g), ["l_partkey"], None);
+        let second = b.sort(DagBuilder::job(g), ["l_partkey"], Some(5000));
+        // The last reader reads it twice, as both sides of a self-join.
+        let both = b.join(DagBuilder::job(g), DagBuilder::job(g), "l_partkey", "l_partkey");
+        let a = execute_dag(&b.build("fan-out"), &db, BLOCK);
+        assert!(a[g].tuples_out > 0.0);
+        for reader in [first, second] {
+            assert_eq!(a[reader].tuples_in, a[g].tuples_out);
+            assert_eq!(a[reader].d_in, a[g].d_out);
+        }
+        assert_eq!(a[both].tuples_in, 2.0 * a[g].tuples_out);
+        assert_eq!(a[both].d_in, 2.0 * a[g].d_out);
+        // Group keys are unique: each row joins its own copy only.
+        assert_eq!(a[both].tuples_out, a[g].tuples_out);
+    }
+
+    #[test]
+    fn key_names_drop_rename_suffixes() {
+        let mut b = DagBuilder::new();
+        let j = b.join(
+            DagBuilder::table("lineitem", Predicate::True, ["l_partkey", "l_quantity"]),
+            DagBuilder::table("lineitem", Predicate::True, ["l_partkey", "l_suppkey"]),
+            "l_partkey",
+            "l_partkey",
+        );
+        let _ = b.groupby(DagBuilder::job(j), ["l_suppkey", "l_partkey__r__b"], 1);
+        assert_eq!(key_names(&b.build("q")), ["l_partkey", "l_suppkey"]);
     }
 
     #[test]

@@ -442,8 +442,8 @@ mod tests {
         assert_eq!(a.scans.len(), 3);
         assert_eq!(a.joins.len(), 2);
         // The residual predicate landed on the nation scan.
-        assert!(!a.scans[0].predicate.is_true());
-        assert!(a.scans[1].predicate.is_true());
+        assert_ne!(a.scans[0].predicate, Predicate::True);
+        assert_eq!(a.scans[1].predicate, Predicate::True);
         // The CHINA literal resolved through the dictionary (code 18).
         match &a.scans[0].predicate {
             Predicate::Cmp { column, op, value } => {

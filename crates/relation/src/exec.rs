@@ -4,22 +4,29 @@
 //! A real Hadoop job materializes its intermediate and final data on disk;
 //! the paper measures `D_med`/`D_out` from job counters. Here we execute the
 //! relational semantics of each job exactly — filters, projections, hash
-//! joins, group-bys, map-side combiners — over the generated tables, keeping
-//! only the columns later operators need, and report exact tuple counts. The
-//! byte-level accounting (widths × tuples × scale) is done by the planner.
+//! joins, group-bys, map-side combiners — over the generated tables and
+//! report exact tuple counts. The byte-level accounting (widths × tuples ×
+//! scale) is done by the planner.
 //!
-//! Scans bind their predicate once ([`Predicate::bind`]) and test it a
-//! column at a time; a scan that keeps every row copies whole columns.
+//! Counters are sizes, and only join and group-by keys are ever compared, so
+//! a [`Rel`] carries values only for the key columns its scan was given;
+//! every other projected column is a name and a width. Scans bind their
+//! predicate once ([`Predicate::bind`]) and test it a column at a time; a
+//! scan that keeps every row copies whole key columns.
+//!
 //! Keys compare by the `f64::to_bits` of each key value. When every key
 //! column is `Int` with all values strictly inside ±2^53 (so a value's bits
-//! and the value itself identify each other) and the key columns' spans
-//! multiply to a few codes per row, each row's key is a dense code: its
-//! offsets from the columns' minima in mixed radix. Group-bys then stamp a
-//! per-code array and joins build a counting sort, with no hashing. Any
-//! other key (a `Float` column, a sparse span, a value at or beyond ±2^53)
-//! packs its bit patterns into one `u64` or `u128` for one or two key
-//! columns and hashes them with the crate's small non-cryptographic hasher.
-//! Both paths give the same rows in the same order: group-bys keep rows in
+//! and the value itself identify each other), each row's key is a
+//! mixed-radix code: its offsets from the columns' minima. Group-bys whose
+//! codes span up to 2 per row stamp a per-code array, up to 32 per row mark
+//! two per-code bitmaps, and sparser ones hash the one-word code. Joins
+//! whose build codes span up to 8 per build row index the build rows by
+//! code: one slot per code when no build key repeats, else a counting sort.
+//! Any other key (a `Float` column, a value at or beyond ±2^53, a sparse
+//! join key, a group key whose code would overflow a word) packs its bit
+//! patterns into one `u64` or `u128` for one or two key columns and hashes
+//! them. Hashing uses the crate's small non-cryptographic hasher. Every path
+//! gives the same rows in the same order: group-bys keep rows in
 //! first-occurrence order and joins emit rows in probe order, each probe
 //! row's matches in build order.
 
@@ -29,17 +36,24 @@ use crate::table::{dense_int_span, Column, Table};
 use std::hash::Hash;
 use std::ops::Range;
 
-/// Most codes per row a group-by's dense key codes may span. Its 4-byte
-/// stamps then take at most 8 bytes per row, under the ≥ 10.3 bytes per
-/// row of a hash set of `u64` keys when every row's key is distinct
-/// (9-byte slots at most 7/8 full).
+/// Most codes per row a group-by's dense key codes may span for per-code
+/// stamps. Its 4-byte stamps then take at most 8 bytes per row, under the
+/// ≥ 10.3 bytes per row of a hash set of `u64` keys when every row's key is
+/// distinct (9-byte slots at most 7/8 full).
 const GROUP_CODES_PER_ROW: u64 = 2;
+
+/// Most codes per row a group-by's dense key codes may span for per-code
+/// bitmaps. Its two bitmaps then take at most 8 bytes per row, as the
+/// stamps do at [`GROUP_CODES_PER_ROW`].
+const BITMAP_CODES_PER_ROW: u64 = 32;
 
 /// Most codes per build row a join's dense key codes may span. Its 4-byte
 /// offsets (two more than codes) and 4-byte sorted row indices then take
 /// at most 36 bytes per build row plus 8, under the ≥ 37.7 bytes per row
 /// of the `FastMap<u64, Vec<u32>>` it replaces when every build key is
 /// distinct (33-byte slots at most 7/8 full), before that table's vectors.
+/// When no build key repeats, one 4-byte slot per code takes at most 32
+/// bytes per build row plus 4 instead.
 const JOIN_CODES_PER_ROW: u64 = 8;
 
 /// A lightweight materialized relation flowing between job stages.
@@ -47,14 +61,22 @@ const JOIN_CODES_PER_ROW: u64 = 8;
 pub struct Rel {
     names: Vec<String>,
     widths: Vec<f64>,
-    cols: Vec<Column>,
+    /// Each column's values; `None` for a column kept by name and width
+    /// only, which no operator may key on.
+    cols: Vec<Option<Column>>,
     rows: usize,
 }
 
 impl Rel {
-    /// Filter a base table with `pred` and keep only `projection` columns.
-    /// An empty projection keeps every column.
-    pub fn from_table(table: &Table, pred: &Predicate, projection: &[String]) -> Self {
+    /// Filter a base table with `pred` and keep only `projection` columns
+    /// (every column for an empty projection), with values for the columns
+    /// named in `keys` and a name and a width for the rest.
+    pub fn from_table(
+        table: &Table,
+        pred: &Predicate,
+        projection: &[String],
+        keys: &[String],
+    ) -> Self {
         let keep: Vec<usize> = if projection.is_empty() {
             (0..table.schema().len()).collect()
         } else {
@@ -68,21 +90,25 @@ impl Rel {
                 })
                 .collect()
         };
-        let (cols, rows) =
-            select(&pred.bind(table), table.rows(), keep.iter().map(|&c| table.column_at(c)));
-        let names = keep.iter().map(|&c| table.schema().columns()[c].name.clone()).collect();
-        let widths = keep.iter().map(|&c| table.schema().columns()[c].dtype.width()).collect();
+        let defs = table.schema().columns();
+        let (cols, rows) = select(
+            &pred.bind(table),
+            table.rows(),
+            keep.iter().map(|&c| keys.contains(&defs[c].name).then(|| table.column_at(c))),
+        );
+        let names = keep.iter().map(|&c| defs[c].name.clone()).collect();
+        let widths = keep.iter().map(|&c| defs[c].dtype.width()).collect();
         Self { names, widths, cols, rows }
     }
 
-    /// Build a relation directly from columns.
+    /// Build a relation directly from columns, all with values.
     #[cfg(test)]
     pub fn from_columns(names: Vec<String>, widths: Vec<f64>, cols: Vec<Column>) -> Self {
         assert_eq!(names.len(), cols.len());
         assert_eq!(widths.len(), cols.len());
         let rows = cols.first().map_or(0, Column::len);
         assert!(cols.iter().all(|c| c.len() == rows), "ragged relation");
-        Self { names, widths, cols, rows }
+        Self { names, widths, cols: cols.into_iter().map(Some).collect(), rows }
     }
 
     /// Number of rows.
@@ -105,9 +131,10 @@ impl Rel {
         self.rows as f64 * self.tuple_width()
     }
 
-    /// Column data by name.
+    /// Column values by name: `None` for an unknown column or one kept
+    /// without values.
     pub fn column(&self, name: &str) -> Option<&Column> {
-        self.names.iter().position(|n| n == name).map(|i| &self.cols[i])
+        self.names.iter().position(|n| n == name).and_then(|i| self.cols[i].as_ref())
     }
 
     fn col_index(&self, name: &str) -> usize {
@@ -117,22 +144,22 @@ impl Rel {
             .unwrap_or_else(|| panic!("unknown column {name} (have {:?})", self.names))
     }
 
-    /// Filter this relation by `pred`.
-    pub fn filter(&self, pred: &Predicate) -> Rel {
-        let bound = pred.bind_with(self.rows, &|n| &self.cols[self.col_index(n)]);
-        let (cols, rows) = select(&bound, self.rows, self.cols.iter());
-        Rel { names: self.names.clone(), widths: self.widths.clone(), cols, rows }
+    /// The values of column `name`.
+    ///
+    /// # Panics
+    /// Panics if the column is missing or was kept without values.
+    fn values(&self, name: &str) -> &Column {
+        self.cols[self.col_index(name)]
+            .as_ref()
+            .unwrap_or_else(|| panic!("column {name} has no values: name it among the keys"))
     }
 
-    /// Keep only the named columns.
-    pub fn project(&self, keep: &[String]) -> Rel {
-        let idx: Vec<usize> = keep.iter().map(|n| self.col_index(n)).collect();
-        Rel {
-            names: idx.iter().map(|&i| self.names[i].clone()).collect(),
-            widths: idx.iter().map(|&i| self.widths[i]).collect(),
-            cols: idx.iter().map(|&i| self.cols[i].clone()).collect(),
-            rows: self.rows,
-        }
+    /// Filter this relation by `pred`, which may test only columns with
+    /// values.
+    pub fn filter(&self, pred: &Predicate) -> Rel {
+        let bound = pred.bind_with(self.rows, &|n| self.values(n));
+        let (cols, rows) = select(&bound, self.rows, self.cols.iter().map(Option::as_ref));
+        Rel { names: self.names.clone(), widths: self.widths.clone(), cols, rows }
     }
 
     /// Rename a column (used to disambiguate self-join outputs).
@@ -141,16 +168,13 @@ impl Rel {
         self.names[i] = new.into();
     }
 
-    /// Append a column (e.g. aggregate placeholder columns on a group-by
-    /// output, so downstream byte accounting sees their width).
-    ///
-    /// # Panics
-    /// Panics if the column length differs from the relation's row count.
-    pub fn push_column(&mut self, name: impl Into<String>, width: f64, col: Column) {
-        assert_eq!(col.len(), self.rows, "column length mismatch");
+    /// Append a column without values (e.g. aggregate placeholder columns
+    /// on a group-by output, so downstream byte accounting sees their
+    /// width).
+    pub fn push_column(&mut self, name: impl Into<String>, width: f64) {
         self.names.push(name.into());
         self.widths.push(width);
-        self.cols.push(col);
+        self.cols.push(None);
     }
 
     /// First `n` rows (LIMIT semantics; order is the relation's row order).
@@ -159,9 +183,11 @@ impl Rel {
         let cols = self
             .cols
             .iter()
-            .map(|c| match c {
-                Column::Int(v) => Column::Int(v[..keep].to_vec()),
-                Column::Float(v) => Column::Float(v[..keep].to_vec()),
+            .map(|c| {
+                c.as_ref().map(|c| match c {
+                    Column::Int(v) => Column::Int(v[..keep].to_vec()),
+                    Column::Float(v) => Column::Float(v[..keep].to_vec()),
+                })
             })
             .collect();
         Rel { names: self.names.clone(), widths: self.widths.clone(), cols, rows: keep }
@@ -169,7 +195,7 @@ impl Rel {
 
     /// Number of distinct combinations of the key columns (exact group count).
     pub fn group_count(&self, keys: &[String]) -> usize {
-        self.groups(&self.key_indices(keys), 1).0.len()
+        self.groups(keys, 1).0.len()
     }
 
     /// Collapse to one row per distinct key combination (group-by output with
@@ -192,44 +218,40 @@ impl Rel {
     /// pass over the rows.
     ///
     /// # Panics
-    /// Panics if `n_splits` is 0 or a key column is missing.
+    /// Panics if `n_splits` is 0 or a key column is missing or has no
+    /// values.
     pub fn groupby_combined(&self, keys: &[String], n_splits: usize) -> (Rel, usize) {
-        let idx = self.key_indices(keys);
-        let (kept, combined) = self.groups(&idx, n_splits);
+        let (kept, combined) = self.groups(keys, n_splits);
         let grouped = Rel {
             names: keys.to_vec(),
-            widths: idx.iter().map(|&i| self.widths[i]).collect(),
-            cols: idx
+            widths: keys.iter().map(|k| self.widths[self.col_index(k)]).collect(),
+            cols: keys
                 .iter()
-                .map(|&c| gather(&self.cols[c], kept.iter().map(|&i| i as usize)))
+                .map(|k| Some(gather(self.values(k), kept.iter().map(|&i| i as usize))))
                 .collect(),
             rows: kept.len(),
         };
         (grouped, combined)
     }
 
-    fn key_indices(&self, keys: &[String]) -> Vec<usize> {
-        keys.iter().map(|k| self.col_index(k)).collect()
-    }
-
-    /// The rows where a key of columns `idx` first appears, in row order,
+    /// The rows where a key of columns `keys` first appears, in row order,
     /// and the sum over `n_splits` contiguous splits of each split's
-    /// distinct keys. Keys are dense codes when [`dense_codes`] allows, else
-    /// the `to_bits` of each key column's value, one or two columns packed
-    /// into a `u64` or `u128`.
-    fn groups(&self, idx: &[usize], n_splits: usize) -> (Vec<u32>, usize) {
+    /// distinct keys. Keys are mixed-radix codes when [`dense_codes`]
+    /// allows (see [`coded_groups`]), else the `to_bits` of each key
+    /// column's value, one or two columns packed into a `u64` or `u128`.
+    fn groups(&self, keys: &[String], n_splits: usize) -> (Vec<u32>, usize) {
         assert!(n_splits > 0);
         let rows = self.rows;
         assert!(u32::try_from(rows).is_ok(), "{rows} rows overflow a u32 row index");
-        let key_cols: Vec<&Column> = idx.iter().map(|&c| &self.cols[c]).collect();
-        if let Some((radix, codes)) = dense_codes(&key_cols, GROUP_CODES_PER_ROW * rows as u64) {
+        let key_cols: Vec<&Column> = keys.iter().map(|k| self.values(k)).collect();
+        if let Some((radix, codes)) = dense_codes(&key_cols, usize::MAX as u64) {
             return match *radix.as_slice() {
-                [] => stamped_groups(rows, n_splits, codes, |_| 0),
-                [(a, lo, _)] => stamped_groups(rows, n_splits, codes, |i| (a[i] - lo) as usize),
-                [(a, lo_a, _), (b, lo_b, stride)] => stamped_groups(rows, n_splits, codes, |i| {
+                [] => coded_groups(rows, n_splits, codes, |_| 0),
+                [(a, lo, _)] => coded_groups(rows, n_splits, codes, |i| (a[i] - lo) as usize),
+                [(a, lo_a, _), (b, lo_b, stride)] => coded_groups(rows, n_splits, codes, |i| {
                     (a[i] - lo_a) as usize + (b[i] - lo_b) as usize * stride
                 }),
-                _ => stamped_groups(rows, n_splits, codes, |i| {
+                _ => coded_groups(rows, n_splits, codes, |i| {
                     radix.iter().map(|&(v, lo, stride)| (v[i] - lo) as usize * stride).sum()
                 }),
             };
@@ -257,7 +279,7 @@ type Radix<'a> = (&'a [i64], i64, usize);
 /// radix, the first column varying fastest), and two rows share a code
 /// exactly when their keys' bit patterns are equal. No key columns give
 /// one code.
-fn dense_codes<'a>(cols: &[&'a Column], max_codes: u64) -> Option<(Vec<Radix<'a>>, usize)> {
+fn dense_codes<'a>(cols: &[&'a Column], max_codes: u64) -> Option<(Vec<Radix<'a>>, u64)> {
     let mut codes = 1u64;
     let mut radix = Vec::with_capacity(cols.len());
     for c in cols {
@@ -266,7 +288,26 @@ fn dense_codes<'a>(cols: &[&'a Column], max_codes: u64) -> Option<(Vec<Radix<'a>
         radix.push((values, lo, codes as usize));
         codes = codes.checked_mul(span + 1).filter(|&n| n <= max_codes)?;
     }
-    (codes <= max_codes).then_some((radix, codes as usize))
+    (codes <= max_codes).then_some((radix, codes))
+}
+
+/// [`Rel::groups`] over `codes` mixed-radix key codes, `code(i)` being row
+/// `i`'s: per-code stamps up to [`GROUP_CODES_PER_ROW`] codes per row,
+/// per-code bitmaps up to [`BITMAP_CODES_PER_ROW`], and above that the
+/// codes hashed as `u64`s, one word per key however many key columns.
+fn coded_groups(
+    rows: usize,
+    n_splits: usize,
+    codes: u64,
+    code: impl Fn(usize) -> usize,
+) -> (Vec<u32>, usize) {
+    if codes <= GROUP_CODES_PER_ROW * rows as u64 {
+        stamped_groups(rows, n_splits, codes as usize, code)
+    } else if codes <= BITMAP_CODES_PER_ROW * rows as u64 {
+        bitmap_groups(rows, n_splits, codes as usize, code)
+    } else {
+        hashed_groups(rows, n_splits, |i| code(i) as u64)
+    }
 }
 
 /// [`Rel::groups`] over `codes` dense key codes, `code(i)` being row `i`'s,
@@ -295,9 +336,43 @@ fn stamped_groups(
     (kept, combined)
 }
 
+/// [`Rel::groups`] over `codes` dense key codes with two bitmaps: `seen`
+/// marks the codes of every row so far, `in_split` those of the current
+/// split's rows. A row whose code is new to `seen` starts a group; one whose
+/// code is new to `in_split` is one more combiner output tuple. After a
+/// split, zeroing the `in_split` word of each of its rows' codes clears it,
+/// as every set bit belongs to one of them.
+fn bitmap_groups(
+    rows: usize,
+    n_splits: usize,
+    codes: usize,
+    code: impl Fn(usize) -> usize,
+) -> (Vec<u32>, usize) {
+    let mut seen = vec![0u64; codes.div_ceil(64)];
+    let mut in_split = seen.clone();
+    let (mut kept, mut combined) = (Vec::new(), 0);
+    for split_rows in splits(rows, n_splits) {
+        for i in split_rows.clone() {
+            let c = code(i);
+            let (word, bit) = (c / 64, 1u64 << (c % 64));
+            if seen[word] & bit == 0 {
+                seen[word] |= bit;
+                kept.push(i as u32);
+            }
+            combined += usize::from(in_split[word] & bit == 0);
+            in_split[word] |= bit;
+        }
+        for i in split_rows {
+            in_split[code(i) / 64] = 0;
+        }
+    }
+    (kept, combined)
+}
+
 /// [`Rel::groups`] over keys hashed under `key(i)`: one set of keys for
-/// the group-by's first rows, then one set per split for the combiner, so
-/// no more than one set is alive at a time.
+/// the group-by's first rows, then one set for the combiner, emptied after
+/// each split (keeping its capacity), so no more than one set is alive at
+/// a time.
 fn hashed_groups<K: Hash + Eq>(
     rows: usize,
     n_splits: usize,
@@ -306,10 +381,11 @@ fn hashed_groups<K: Hash + Eq>(
     let mut seen = FastSet::default();
     let kept = (0..rows).filter(|&i| seen.insert(key(i))).map(|i| i as u32).collect();
     drop(seen);
+    let mut in_split = FastSet::default();
     let combined = splits(rows, n_splits)
         .map(|split_rows| {
-            let mut seen = FastSet::default();
-            split_rows.filter(|&i| seen.insert(key(i))).count()
+            in_split.clear();
+            split_rows.filter(|&i| in_split.insert(key(i))).count()
         })
         .sum();
     (kept, combined)
@@ -323,16 +399,17 @@ fn splits(rows: usize, n_splits: usize) -> impl Iterator<Item = Range<usize>> {
 }
 
 /// `cols` restricted to the rows `bound` selects, and their number: whole
-/// columns when it selects every one of `rows`.
+/// columns when it selects every one of `rows`. Columns without values
+/// stay without.
 fn select<'a>(
     bound: &BoundPredicate<'_>,
     rows: usize,
-    cols: impl Iterator<Item = &'a Column>,
-) -> (Vec<Column>, usize) {
+    cols: impl Iterator<Item = Option<&'a Column>>,
+) -> (Vec<Option<Column>>, usize) {
     match bound.selected_unless_all() {
-        None => (cols.cloned().collect(), rows),
+        None => (cols.map(|c| c.cloned()).collect(), rows),
         Some(selected) => {
-            (cols.map(|c| gather(c, selected.iter().copied())).collect(), selected.len())
+            (cols.map(|c| c.map(|c| gather(c, selected.iter().copied()))).collect(), selected.len())
         }
     }
 }
@@ -346,13 +423,14 @@ pub(crate) fn gather(col: &Column, rows: impl Iterator<Item = usize>) -> Column 
 }
 
 /// Exact inner equi-join: materializes all matching row pairs, keeping every
-/// column of both sides (callers project first to bound memory). Keys match
-/// on their exact value (`f64::to_bits`). Rows come out in probe order, each
-/// probe row's matches in build order.
+/// column of both sides (callers project first to bound memory), with
+/// values for the columns that had them. Keys match on their exact value
+/// (`f64::to_bits`). Rows come out in probe order, each probe row's matches
+/// in build order.
 ///
 /// # Panics
-/// Panics if a key column is missing, or if the two sides share a column
-/// name (qualify names before joining).
+/// Panics if a key column is missing or has no values, or if the two sides
+/// share a column name (qualify names before joining).
 pub fn hash_join(left: &Rel, right: &Rel, left_key: &str, right_key: &str) -> Rel {
     for n in left.names() {
         assert!(
@@ -366,17 +444,17 @@ pub fn hash_join(left: &Rel, right: &Rel, left_key: &str, right_key: &str) -> Re
     } else {
         (right, left, right_key, left_key, false)
     };
-    let (bcol, pcol) =
-        (&build.cols[build.col_index(build_key)], &probe.cols[probe.col_index(probe_key)]);
+    let (bcol, pcol) = (build.values(build_key), probe.values(probe_key));
     let (build_rows, probe_rows) = match (bcol.as_int(), pcol.as_int()) {
         (Some(b), Some(p)) => match dense_int_span(b, JOIN_CODES_PER_ROW * b.len() as u64) {
-            Some((lo, span)) => counting_sort_join(b, p, lo, span),
+            Some((lo, span)) => dense_join(b, p, lo, span),
             None => hashed_join(bcol, pcol),
         },
         _ => hashed_join(bcol, pcol),
     };
-    let take = |rel: &Rel, rows: &[u32]| -> Vec<Column> {
-        rel.cols.iter().map(|c| gather(c, rows.iter().map(|&i| i as usize))).collect()
+    let take = |rel: &Rel, rows: &[u32]| -> Vec<Option<Column>> {
+        let gathered = |c: &Column| gather(c, rows.iter().map(|&i| i as usize));
+        rel.cols.iter().map(|c| c.as_ref().map(gathered)).collect()
     };
     let (lrows, rrows) =
         if build_is_left { (&build_rows, &probe_rows) } else { (&probe_rows, &build_rows) };
@@ -392,13 +470,36 @@ pub fn hash_join(left: &Rel, right: &Rel, left_key: &str, right_key: &str) -> Re
 
 /// A join's `(build rows, probe rows)` pairs, in probe order and each probe
 /// row's matches in build order, for Int keys whose build values lie in
-/// `lo..=lo + span`, strictly inside ±2^53. The build rows are counting-sorted
-/// by `value - lo`: counts, prefix sums, then a fill in row order. A probe
-/// value outside the build range matches nothing: inside ±2^53 it differs
-/// from every build value, and beyond it its `f64` is beyond every build
+/// `lo..=lo + span`, strictly inside ±2^53. Build rows are indexed by code
+/// `value - lo`: [`unique_slots`] when no code repeats, else a counting
+/// sort (counts, prefix sums, then a fill in row order). A probe value
+/// outside the build range matches nothing: inside ±2^53 it differs from
+/// every build value, and beyond it its `f64` is beyond every build
 /// value's, as `i64 as f64` never reverses an order.
-fn counting_sort_join(build: &[i64], probe: &[i64], lo: i64, span: u64) -> (Vec<u32>, Vec<u32>) {
+fn dense_join(build: &[i64], probe: &[i64], lo: i64, span: u64) -> (Vec<u32>, Vec<u32>) {
     assert!(u32::try_from(build.len().max(probe.len())).is_ok(), "rows overflow a u32 row index");
+    // The offset wraps to above `span` for every value outside the range:
+    // the true difference lies within ±(2^63 + 2^53) and `span` < 2^54.
+    let probe_code = |v: i64| {
+        let offset = v.wrapping_sub(lo) as u64;
+        (offset <= span).then_some(offset as usize)
+    };
+    if let Some(slots) = unique_slots(build, lo, span) {
+        // Each probe row matches at most once: write every row's pair and
+        // advance past the matched ones, with no branch on the match.
+        let (mut build_rows, mut probe_rows) = (vec![0; probe.len()], vec![0; probe.len()]);
+        let mut n = 0;
+        for (i, &v) in probe.iter().enumerate() {
+            let slot = probe_code(v).map_or(0, |c| slots[c]);
+            build_rows[n] = slot.wrapping_sub(1);
+            probe_rows[n] = i as u32;
+            n += usize::from(slot != 0);
+        }
+        build_rows.truncate(n);
+        probe_rows.truncate(n);
+        return (build_rows, probe_rows);
+    }
+    let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
     let code = |v: i64| (v - lo) as usize;
     // Code `c`'s rows end up at `sorted[start[c]..start[c + 1]]`: counts go
     // two slots up, so after the prefix sums `start[c + 1]` is code `c`'s
@@ -416,10 +517,8 @@ fn counting_sort_join(build: &[i64], probe: &[i64], lo: i64, span: u64) -> (Vec<
         sorted[*cursor as usize] = i as u32;
         *cursor += 1;
     }
-    let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
     for (i, &v) in probe.iter().enumerate() {
-        let offset = v.checked_sub(lo).and_then(|d| usize::try_from(d).ok());
-        if let Some(c) = offset.filter(|&c| c as u64 <= span) {
+        if let Some(c) = probe_code(v) {
             let matches = &sorted[start[c] as usize..start[c + 1] as usize];
             build_rows.extend_from_slice(matches);
             probe_rows.extend(std::iter::repeat_n(i as u32, matches.len()));
@@ -428,8 +527,22 @@ fn counting_sort_join(build: &[i64], probe: &[i64], lo: i64, span: u64) -> (Vec<
     (build_rows, probe_rows)
 }
 
-/// [`counting_sort_join`] for any key columns: build rows listed per key
-/// bit pattern in a hash map, so 1.2 does not join 1.9.
+/// One slot per code `value - lo` of `build`, holding the row with that
+/// code plus 1 (0 for none), or `None` as soon as a code repeats.
+fn unique_slots(build: &[i64], lo: i64, span: u64) -> Option<Vec<u32>> {
+    let mut slots = vec![0u32; span as usize + 1];
+    for (i, &v) in build.iter().enumerate() {
+        let slot = &mut slots[(v - lo) as usize];
+        if *slot != 0 {
+            return None;
+        }
+        *slot = i as u32 + 1;
+    }
+    Some(slots)
+}
+
+/// [`dense_join`] for any key columns: build rows listed per key bit
+/// pattern in a hash map, so 1.2 does not join 1.9.
 fn hashed_join(build: &Column, probe: &Column) -> (Vec<u32>, Vec<u32>) {
     let mut ht: FastMap<u64, Vec<u32>> = FastMap::default();
     for i in 0..build.len() {
@@ -482,8 +595,12 @@ mod reference {
         }
     }
 
+    fn values(rel: &Rel, c: usize) -> &Column {
+        rel.cols[c].as_ref().expect("key column without values")
+    }
+
     fn key(rel: &Rel, idx: &[usize], i: usize) -> Vec<i64> {
-        idx.iter().map(|&c| rel.cols[c].get_f64(i).to_bits() as i64).collect()
+        idx.iter().map(|&c| values(rel, c).get_f64(i).to_bits() as i64).collect()
     }
 
     pub fn from_table(table: &Table, pred: &Predicate, projection: &[String]) -> Rel {
@@ -497,15 +614,15 @@ mod reference {
         Rel {
             names: keep.iter().map(|&c| table.schema().columns()[c].name.clone()).collect(),
             widths: keep.iter().map(|&c| table.schema().columns()[c].dtype.width()).collect(),
-            cols: keep.iter().map(|&c| take(table.column_at(c), &selected)).collect(),
+            cols: keep.iter().map(|&c| Some(take(table.column_at(c), &selected))).collect(),
             rows: selected.len(),
         }
     }
 
     pub fn filter(rel: &Rel, pred: &Predicate) -> Rel {
         let selected: Vec<usize> =
-            (0..rel.rows).filter(|&i| eval(pred, &|n| &rel.cols[rel.col_index(n)], i)).collect();
-        let cols = rel.cols.iter().map(|c| take(c, &selected)).collect();
+            (0..rel.rows).filter(|&i| eval(pred, &|n| values(rel, rel.col_index(n)), i)).collect();
+        let cols = rel.cols.iter().map(|c| c.as_ref().map(|c| take(c, &selected))).collect();
         Rel { names: rel.names.clone(), widths: rel.widths.clone(), cols, rows: selected.len() }
     }
 
@@ -521,7 +638,7 @@ mod reference {
         Rel {
             names: keys.to_vec(),
             widths: idx.iter().map(|&i| rel.widths[i]).collect(),
-            cols: idx.iter().map(|&c| take(&rel.cols[c], &kept)).collect(),
+            cols: idx.iter().map(|&c| Some(take(values(rel, c), &kept))).collect(),
             rows: kept.len(),
         }
     }
@@ -562,8 +679,11 @@ mod reference {
         }
         let (lrows, rrows) =
             if build_is_left { (&build_rows, &probe_rows) } else { (&probe_rows, &build_rows) };
-        let mut cols: Vec<Column> = left.cols.iter().map(|c| take(c, lrows)).collect();
-        cols.extend(right.cols.iter().map(|c| take(c, rrows)));
+        let take_all = |rel: &Rel, rows: &[usize]| -> Vec<Option<Column>> {
+            rel.cols.iter().map(|c| c.as_ref().map(|c| take(c, rows))).collect()
+        };
+        let mut cols = take_all(left, lrows);
+        cols.extend(take_all(right, rrows));
         Rel {
             names: left.names.iter().chain(&right.names).cloned().collect(),
             widths: left.widths.iter().chain(&right.widths).copied().collect(),
@@ -635,6 +755,11 @@ mod tests {
     use crate::expr::{CmpOp, Predicate};
     use crate::schema::{ColumnDef, DataType, Schema};
 
+    /// Every column name of `t`, so a scan keeps every column's values.
+    fn every_name(t: &Table) -> Vec<String> {
+        t.schema().columns().iter().map(|c| c.name.clone()).collect()
+    }
+
     fn base_table() -> Table {
         let schema = Schema::new(vec![
             ColumnDef::new("k", DataType::Int),
@@ -655,8 +780,8 @@ mod tests {
     #[test]
     fn filter_and_project() {
         let t = base_table();
-        let r =
-            Rel::from_table(&t, &Predicate::cmp("v", CmpOp::Gt, 3.0), &["k".into(), "g".into()]);
+        let pred = Predicate::cmp("v", CmpOp::Gt, 3.0);
+        let r = Rel::from_table(&t, &pred, &["k".into(), "g".into()], &every_name(&t));
         assert_eq!(r.rows(), 3);
         assert_eq!(r.names(), &["k".to_string(), "g".to_string()]);
         assert_eq!(r.tuple_width(), 16.0);
@@ -665,7 +790,7 @@ mod tests {
     #[test]
     fn empty_projection_keeps_all() {
         let t = base_table();
-        let r = Rel::from_table(&t, &Predicate::True, &[]);
+        let r = Rel::from_table(&t, &Predicate::True, &[], &every_name(&t));
         assert_eq!(r.rows(), 6);
         assert_eq!(r.names().len(), 3);
         assert_eq!(r.tuple_width(), 24.0);
@@ -674,7 +799,7 @@ mod tests {
     #[test]
     fn group_count_exact() {
         let t = base_table();
-        let r = Rel::from_table(&t, &Predicate::True, &[]);
+        let r = Rel::from_table(&t, &Predicate::True, &[], &every_name(&t));
         assert_eq!(r.group_count(&["g".into()]), 3);
         assert_eq!(r.group_count(&["g".into(), "k".into()]), 6);
         let g = r.groupby(&["g".into()]);
@@ -741,14 +866,14 @@ mod tests {
     #[test]
     fn combine_output_single_split_is_group_count() {
         let t = base_table();
-        let r = Rel::from_table(&t, &Predicate::True, &[]);
+        let r = Rel::from_table(&t, &Predicate::True, &[], &every_name(&t));
         assert_eq!(r.combine_output(&["g".into()], 1), r.group_count(&["g".into()]));
     }
 
     #[test]
     fn filter_on_rel() {
         let t = base_table();
-        let r = Rel::from_table(&t, &Predicate::True, &[]);
+        let r = Rel::from_table(&t, &Predicate::True, &[], &every_name(&t));
         let f = r.filter(&Predicate::between("v", 2.0, 4.0));
         assert_eq!(f.rows(), 3);
     }
@@ -783,12 +908,26 @@ mod tests {
         assert_eq!(codes(&[int(&[E, E - 1, E - 1, E - 1])]), None);
         assert_eq!(codes(&[int(&[1 - E, 2 - E, 1 - E, 1 - E])]), Some(2));
         assert_eq!(codes(&[int(&[-E, 1 - E, 1 - E, 1 - E])]), None);
+        // Four rows allow 32 × 4 = 128 bitmap group codes.
+        let bitmap_codes = |cols: &[Column]| {
+            let cols: Vec<&Column> = cols.iter().collect();
+            dense_codes(&cols, BITMAP_CODES_PER_ROW * 4).map(|(_, n)| n)
+        };
+        assert_eq!(bitmap_codes(&[int(&[0, 127, 1, 2])]), Some(128));
+        assert_eq!(bitmap_codes(&[int(&[0, 128, 1, 2])]), None);
+        assert_eq!(bitmap_codes(&[int(&[0, 3, 1, 2]), int(&[0, 31, 1, 2])]), Some(128));
+        assert_eq!(bitmap_codes(&[int(&[0, 4, 1, 2]), int(&[0, 31, 1, 2])]), None);
+        assert_eq!(bitmap_codes(&[int(&[E - 1, E - 128, E - 2, E - 3])]), Some(128));
+        assert_eq!(bitmap_codes(&[int(&[E, E - 127, E - 2, E - 3])]), None);
         // An empty relation has no codes, not even for no keys.
         assert_eq!(dense_codes(&[], 0), None);
     }
 
     mod differential {
-        use super::super::{hash_join, reference, Rel, GROUP_CODES_PER_ROW, JOIN_CODES_PER_ROW};
+        use super::super::{
+            hash_join, reference, Rel, BITMAP_CODES_PER_ROW, GROUP_CODES_PER_ROW,
+            JOIN_CODES_PER_ROW,
+        };
         use crate::expr::{CmpOp, Predicate};
         use crate::histogram::{Bucket, Histogram};
         use crate::schema::{ColumnDef, DataType, Schema};
@@ -820,6 +959,11 @@ mod tests {
                 Column::Float(rows.iter().map(|r| r.3).collect()),
             ];
             Table::new("t", schema, cols)
+        }
+
+        /// Every column name, so a scan keeps every column's values.
+        fn names() -> Vec<String> {
+            NAMES.iter().map(|n| n.to_string()).collect()
         }
 
         fn rel(rows: &[Row], prefix: &str) -> Rel {
@@ -919,6 +1063,10 @@ mod tests {
             /// cut-off for `d = 0`, one code past it for `d = 1`), both
             /// ends drawn, the rest at `fractions` of the span.
             Spanned { lo: i64, mult: i64, d: i64, fractions: Vec<f64> },
+            /// `lo..lo + n` in the order of `order`'s entries below `n`:
+            /// every value distinct, so joins index their build keys one
+            /// slot per code.
+            Distinct { lo: i64, order: Vec<usize> },
             /// The first `n` values: a few small ones, or values at and
             /// beyond ±2^53 and i64::MIN/MAX.
             Ints(Vec<i64>),
@@ -929,7 +1077,18 @@ mod tests {
         fn key_kind(max: usize) -> BoxedStrategy<KeyKind> {
             const E: i64 = 1 << 53;
             let edge = vec![E - 1, E, E + 1, 1 - E, -E, -E - 1, i64::MAX, i64::MIN, 0, 1];
-            let mults = vec![1, GROUP_CODES_PER_ROW as i64, JOIN_CODES_PER_ROW as i64];
+            let mults = vec![
+                1,
+                GROUP_CODES_PER_ROW as i64,
+                JOIN_CODES_PER_ROW as i64,
+                BITMAP_CODES_PER_ROW as i64,
+            ];
+            // Where a range of distinct values starts: small, or so that
+            // some of its values reach ±2^53 or i64::MIN/MAX.
+            let starts = prop_oneof![
+                -1000i64..1000,
+                prop::sample::select(vec![E - 20, E - 1, -E - 20, -E + 1, i64::MAX - 40, i64::MIN])
+            ];
             prop_oneof![
                 (
                     -1000i64..1000,
@@ -943,6 +1102,12 @@ mod tests {
                         d,
                         fractions
                     }),
+                // 0..max shuffled: sorted by drawn keys.
+                (starts, prop::collection::vec(0u64..1 << 20, max)).prop_map(move |(lo, keys)| {
+                    let mut order: Vec<usize> = (0..max).collect();
+                    order.sort_by_key(|&p| keys[p]);
+                    KeyKind::Distinct { lo, order }
+                }),
                 prop::collection::vec(-3i64..3, max).prop_map(KeyKind::Ints),
                 prop::collection::vec(prop::sample::select(edge), max).prop_map(KeyKind::Ints),
                 prop::collection::vec(prop::sample::select(FLOATS.to_vec()), max)
@@ -964,6 +1129,9 @@ mod tests {
                         *slot = x;
                     }
                     Column::Int(v)
+                }
+                KeyKind::Distinct { lo, order } => {
+                    Column::Int(order.iter().filter(|&&p| p < n).map(|&p| lo + p as i64).collect())
                 }
                 KeyKind::Ints(v) => Column::Int(v[..n].to_vec()),
                 KeyKind::Floats(v) => Column::Float(v[..n].to_vec()),
@@ -1014,8 +1182,78 @@ mod tests {
             Ok(())
         }
 
+        /// `lean`, kept with values for `keys` only, against `full`, kept
+        /// with every value: the same rows, names, widths and bytes, the
+        /// same values, one per row, in every key column and none in the
+        /// others.
+        fn same_sizes(lean: &Rel, full: &Rel, keys: &[String]) -> Result<(), TestCaseError> {
+            prop_assert_eq!(lean.rows(), full.rows());
+            prop_assert_eq!(lean.names(), full.names());
+            prop_assert_eq!(bits(&lean.widths), bits(&full.widths));
+            prop_assert_eq!(lean.physical_bytes().to_bits(), full.physical_bytes().to_bits());
+            for n in lean.names() {
+                let want = if keys.contains(n) { full.column(n) } else { None };
+                prop_assert_eq!(format!("{:?}", lean.column(n)), format!("{want:?}"), "{}", n);
+                prop_assert_eq!(lean.column(n).map_or(lean.rows(), Column::len), lean.rows());
+            }
+            Ok(())
+        }
+
+        /// The names of `mask`'s set bits, in column order.
+        fn masked(mask: usize) -> Vec<String> {
+            (0..4).filter(|c| mask >> c & 1 == 1).map(|c| NAMES[c].to_string()).collect()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn keeping_only_key_values_keeps_every_size(
+                left in rows(30),
+                right in rows(30),
+                scan in predicate(),
+                projection in 0usize..16,
+                key_mask in 0usize..16,
+                lkey in 0usize..4,
+                rkey in 0usize..4,
+                split_pick in 0usize..1000,
+                limit in 0usize..40,
+            ) {
+                // Group-by keys among the projected columns, each side's
+                // join key projected too.
+                let group_keys = masked(projection & key_mask);
+                let (lk, rk) = (NAMES[lkey].to_string(), NAMES[rkey].to_string());
+                let scan_side = |data: &[Row], key: usize, keys: &[String]| {
+                    let t = table(data);
+                    let proj = masked(projection | 1 << key);
+                    let mut keys = keys.to_vec();
+                    keys.push(NAMES[key].to_string());
+                    let lean = Rel::from_table(&t, &scan, &proj, &keys);
+                    (lean, Rel::from_table(&t, &scan, &proj, &names()), keys)
+                };
+                let (lean_l, full_l, lkeys) = scan_side(&left, lkey, &group_keys);
+                same_sizes(&lean_l, &full_l, &lkeys)?;
+
+                let n_splits = 1 + split_pick % (full_l.rows() + 2);
+                let (lean_g, lean_c) = lean_l.groupby_combined(&group_keys, n_splits);
+                let (full_g, full_c) = full_l.groupby_combined(&group_keys, n_splits);
+                same_sizes(&lean_g, &full_g, &group_keys)?;
+                prop_assert_eq!(lean_c, full_c);
+
+                let (mut lean_r, mut full_r, rkeys) = scan_side(&right, rkey, &[]);
+                same_sizes(&lean_r, &full_r, &rkeys)?;
+                for n in lean_r.names().to_vec() {
+                    lean_r.rename_column(&n, format!("r_{n}"));
+                    full_r.rename_column(&n, format!("r_{n}"));
+                }
+                let rk = format!("r_{rk}");
+                let lean_j = hash_join(&lean_l, &lean_r, &lk, &rk);
+                let full_j = hash_join(&full_l, &full_r, &lk, &rk);
+                let mut join_keys = lkeys.clone();
+                join_keys.extend(rkeys.iter().map(|k| format!("r_{k}")));
+                same_sizes(&lean_j, &full_j, &join_keys)?;
+                same_sizes(&lean_j.head(limit), &full_j.head(limit), &join_keys)?;
+            }
 
             #[test]
             fn scans_match_reference(
@@ -1029,9 +1267,9 @@ mod tests {
                     .filter(|c| projection >> c & 1 == 1)
                     .map(|c| NAMES[c].to_string())
                     .collect();
-                let fast = Rel::from_table(&t, &scan, &proj);
+                let fast = Rel::from_table(&t, &scan, &proj, &names());
                 same(&fast, &reference::from_table(&t, &scan, &proj))?;
-                let all = Rel::from_table(&t, &scan, &[]);
+                let all = Rel::from_table(&t, &scan, &[], &names());
                 same(&all.filter(&refilter), &reference::filter(&all, &refilter))?;
             }
 
@@ -1042,7 +1280,7 @@ mod tests {
                 keys in keys(),
                 split_pick in 0usize..1000,
             ) {
-                let r = Rel::from_table(&table(&data), &scan, &[]);
+                let r = Rel::from_table(&table(&data), &scan, &[], &names());
                 let n_splits = 1 + split_pick % (r.rows() + 2);
                 prop_assert_eq!(r.group_count(&keys), reference::group_count(&r, &keys));
                 same(&r.groupby(&keys), &reference::groupby(&r, &keys))?;

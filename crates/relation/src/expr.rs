@@ -177,11 +177,6 @@ impl Predicate {
             }
         }
     }
-
-    /// Whether this predicate is trivially true.
-    pub fn is_true(&self) -> bool {
-        matches!(self, Predicate::True)
-    }
 }
 
 impl std::fmt::Display for Predicate {

@@ -12,7 +12,7 @@ use sapred_relation::table::{Column, Table};
 fn rel(name: &str, vals: &[i64]) -> Rel {
     let schema = Schema::new(vec![ColumnDef::new(name, DataType::Int)]);
     let table = Table::new("t", schema, vec![Column::Int(vals.to_vec())]);
-    Rel::from_table(&table, &Predicate::True, &[])
+    Rel::from_table(&table, &Predicate::True, &[], &[name.to_string()])
 }
 
 proptest! {
