@@ -1,7 +1,7 @@
 //! Fleet simulation: a declarative grid of (workload × scheduler × fault
-//! plan × admission config × estimator × seed) simulations executed across
-//! all cores, with deterministic per-cell seeding and a cross-simulation
-//! aggregation layer.
+//! plan × estimator × seed) simulations executed across all cores, with
+//! deterministic per-cell seeding and a cross-simulation aggregation
+//! layer.
 //!
 //! The paper's evaluation (Fig. 8, Tables 3–5) is exactly this shape of
 //! study: the same workload swept across scheduler families and
@@ -31,19 +31,16 @@
 //! The aggregation layer reduces per-cell [`CellSummary`]s into:
 //!
 //! * **percentile surfaces** — per (scheduler × fault level), percentiles
-//!   of makespan and mean response across all workloads, admission
-//!   configs, and seeds ([`FleetReport::surfaces`]),
+//!   of makespan and mean response across all workloads, estimators, and
+//!   seeds ([`FleetReport::surfaces`]),
 //! * **crossover detection** — the first fault level at which the
 //!   reference scheduler (the first one listed; put SWRD first) flips from
 //!   beating another scheduler to losing to it, or vice versa
-//!   ([`FleetReport::crossovers`]),
-//! * **shed/deadline frontiers** — per (admission config × fault level),
-//!   shed, rejection, resubmission, and deadline-miss rates from the
-//!   admission stats ([`FleetReport::frontiers`]).
+//!   ([`FleetReport::crossovers`]).
 
 use sapred_cluster::job::SimQuery;
 use sapred_cluster::sched::{Fifo, Hcs, Hfs, Scheduler, Srt, Swrd};
-use sapred_cluster::sim::{AdmissionConfig, CellSummary, Run, ShedPolicy, SimReport, Simulator};
+use sapred_cluster::sim::{CellSummary, Run, SimReport, Simulator};
 use sapred_cluster::FaultPlan;
 use sapred_core::parallel::{available_threads, panic_message, run_claiming};
 use sapred_obs::fnv1a;
@@ -61,7 +58,7 @@ use crate::harness::quantile;
 use crate::journal::{Journal, JournaledCell};
 
 /// Schema tag of the aggregate fleet report.
-pub const FLEET_SCHEMA: &str = "sapred-fleet/v1";
+pub const FLEET_SCHEMA: &str = "sapred-fleet/v2";
 
 /// Salt XORed into a cell's seed to derive its fault-stream seed, so the
 /// duration-noise and fault-sampling streams never collide even though both
@@ -162,50 +159,6 @@ impl FaultLevel {
     }
 }
 
-/// One admission configuration of the grid.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionLevel {
-    /// Bounded pending-queue capacity (`0` with an infinite deadline is the
-    /// inert configuration).
-    pub queue_cap: usize,
-    /// Per-query deadline, seconds (`f64::INFINITY` disables).
-    pub deadline: f64,
-    /// Who gets shed when the queue is full.
-    pub shed_policy: ShedPolicy,
-}
-
-impl AdmissionLevel {
-    /// The inert (fully disabled) admission configuration.
-    pub fn off() -> Self {
-        Self { queue_cap: 0, deadline: f64::INFINITY, shed_policy: ShedPolicy::default() }
-    }
-
-    /// The [`AdmissionConfig`] this level stands for.
-    pub fn config(&self) -> AdmissionConfig {
-        AdmissionConfig {
-            queue_cap: self.queue_cap,
-            deadline: self.deadline,
-            shed_policy: self.shed_policy,
-            ..AdmissionConfig::default()
-        }
-    }
-
-    /// Stable coordinate label: `off`, or e.g. `cap8_d300_wrd`.
-    pub fn label(&self) -> String {
-        if !self.config().is_active() {
-            return "off".to_string();
-        }
-        let mut label = format!("cap{}", self.queue_cap);
-        if self.deadline.is_finite() {
-            label.push_str(&format!("_d{}", self.deadline));
-        }
-        if self.shed_policy == ShedPolicy::ShedLargestWrd {
-            label.push_str("_wrd");
-        }
-        label
-    }
-}
-
 /// The declarative fleet grid: one list per axis; [`FleetGrid::coords`]
 /// expands the full cross product.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,8 +170,6 @@ pub struct FleetGrid {
     /// Fault severity levels, in rising-severity order (crossover detection
     /// walks them in this order).
     pub faults: Vec<FaultLevel>,
-    /// Admission configurations.
-    pub admissions: Vec<AdmissionLevel>,
     /// Cardinality estimators feeding the percolated predictions. The
     /// default-histogram-only axis keeps the legacy dispatch workload; any
     /// other entry switches its cells to the percolated SQL workload.
@@ -237,8 +188,6 @@ pub struct FleetCoord {
     pub sched: usize,
     /// Index into [`FleetGrid::faults`].
     pub fault: usize,
-    /// Index into [`FleetGrid::admissions`].
-    pub admission: usize,
     /// Index into [`FleetGrid::estimators`].
     pub estimator: usize,
     /// Index into [`FleetGrid::seeds`].
@@ -251,7 +200,6 @@ impl FleetGrid {
         self.workloads.len()
             * self.schedulers.len()
             * self.faults.len()
-            * self.admissions.len()
             * self.estimators.len()
             * self.seeds.len()
     }
@@ -264,18 +212,9 @@ impl FleetGrid {
         for workload in 0..self.workloads.len() {
             for sched in 0..self.schedulers.len() {
                 for fault in 0..self.faults.len() {
-                    for admission in 0..self.admissions.len() {
-                        for estimator in 0..self.estimators.len() {
-                            for seed in 0..self.seeds.len() {
-                                out.push(FleetCoord {
-                                    workload,
-                                    sched,
-                                    fault,
-                                    admission,
-                                    estimator,
-                                    seed,
-                                });
-                            }
+                    for estimator in 0..self.estimators.len() {
+                        for seed in 0..self.seeds.len() {
+                            out.push(FleetCoord { workload, sched, fault, estimator, seed });
                         }
                     }
                 }
@@ -293,12 +232,14 @@ impl FleetGrid {
             EstimatorKind::Histogram => String::new(),
             other => format!("|est={}", other.label()),
         };
+        // `adm=off` is the label every cell carried while the grid had an
+        // admission-control axis; keeping it keeps each cell's seed, and
+        // with it each cell's results, the same.
         format!(
-            "wl={}|sched={}|fault={}|adm={}{est}|seed={}",
+            "wl={}|sched={}|fault={}|adm=off{est}|seed={}",
             self.workloads[c.workload].label(),
             self.schedulers[c.sched].label(),
             self.faults[c.fault].label(),
-            self.admissions[c.admission].label(),
             self.seeds[c.seed],
         )
     }
@@ -321,11 +262,6 @@ impl FleetGrid {
         }
     }
 
-    /// The cell's admission configuration.
-    pub fn cell_admission(&self, c: &FleetCoord) -> AdmissionConfig {
-        self.admissions[c.admission].config()
-    }
-
     /// The cell's cardinality estimator.
     pub fn cell_estimator(&self, c: &FleetCoord) -> EstimatorKind {
         self.estimators[c.estimator]
@@ -333,8 +269,8 @@ impl FleetGrid {
 
     /// Seed of the cell's generated *database* (percolated workloads only):
     /// derived from the workload shape and seed replica alone, so every
-    /// scheduler / fault / admission / estimator cell of the same
-    /// (workload, seed) pair sees the same data and their results stay
+    /// scheduler / fault / estimator cell of the same (workload, seed)
+    /// pair sees the same data and their results stay
     /// comparable.
     pub fn cell_db_seed(&self, c: &FleetCoord) -> u64 {
         fnv1a(
@@ -357,18 +293,10 @@ impl FleetGrid {
                 .num("skew", w.skew)
                 .finish()
         }));
-        let admissions = array(self.admissions.iter().map(|a| {
-            Obj::new()
-                .int("queue_cap", a.queue_cap as u64)
-                .num("deadline", a.deadline)
-                .str("shed_policy", a.shed_policy.label())
-                .finish()
-        }));
         Obj::new()
             .raw("workloads", &workloads)
             .raw("schedulers", &array(self.schedulers.iter().map(|s| quoted(s.label()))))
             .raw("fault_levels", &array(self.faults.iter().map(|f| num(f.task_fail_prob))))
-            .raw("admissions", &admissions)
             .raw("estimators", &array(self.estimators.iter().map(|e| quoted(e.label()))))
             // Past 2^53 a JSON reader's f64 would round a bare seed.
             .raw(
@@ -388,15 +316,20 @@ impl FleetGrid {
     /// `grid` object can be replayed: `workloads` (objects with
     /// `n_queries`/`jobs`/`maps`/`reduces` and optional `skew`),
     /// `schedulers` (names), `fault_levels` (failure probabilities),
-    /// `admissions` (objects with `queue_cap`, `deadline` — `null`/absent
-    /// means none — and `shed_policy`), optional `estimators` (names;
-    /// defaults to `["histogram"]`), and `seeds` (numbers, or strings for
-    /// seeds past 2^53).
+    /// optional `estimators` (names; defaults to `["histogram"]`), and
+    /// `seeds` (numbers, or strings for seeds past 2^53).
     ///
     /// # Errors
-    /// Returns a message naming the first malformed field.
+    /// Returns a message naming the first malformed field. A grid with an
+    /// `admissions` axis (a `sapred-fleet/v1` grid) is refused rather than
+    /// replayed as a different grid.
     pub fn from_json(text: &str) -> Result<FleetGrid, String> {
         let doc = sapred_obs::json::parse(text)?;
+        if doc.get("admissions").is_some() {
+            return Err("grid field \"admissions\" is not supported: the fleet has no \
+                        admission-control axis (a sapred-fleet/v1 grid cannot be replayed)"
+                .into());
+        }
         // Each element of array `key` through `f`, errors naming the element.
         fn each<T>(
             doc: &Value,
@@ -435,17 +368,6 @@ impl FleetGrid {
             let task_fail_prob = f.as_num().ok_or(format!("{at} must be a number"))?;
             Ok(FaultLevel { task_fail_prob })
         })?;
-        let admissions = each(&doc, "admissions", |a, at| {
-            let shed_policy = match a.get("shed_policy") {
-                None => ShedPolicy::default(),
-                Some(v) => ShedPolicy::parse(name(v, &format!("{at}: \"shed_policy\""))?)?,
-            };
-            Ok(AdmissionLevel {
-                queue_cap: whole(a, "queue_cap", at)?,
-                deadline: number_or(a, "deadline", at, f64::INFINITY)?,
-                shed_policy,
-            })
-        })?;
         let mut estimators = match doc.get("estimators").and_then(Value::as_arr) {
             Some(_) => each(&doc, "estimators", |e, at| EstimatorKind::parse(name(e, at)?))?,
             None => Vec::new(),
@@ -460,7 +382,7 @@ impl FleetGrid {
             };
             seed.ok_or(format!("{at} must be a u64"))
         })?;
-        Ok(FleetGrid { workloads, schedulers, faults, admissions, estimators, seeds })
+        Ok(FleetGrid { workloads, schedulers, faults, estimators, seeds })
     }
 
     /// FNV-1a fingerprint of the canonical grid JSON; the resume journal
@@ -470,8 +392,8 @@ impl FleetGrid {
     }
 
     /// Check the grid before running it: every axis non-empty, every
-    /// workload dimension non-zero, every fault and admission level valid
-    /// for the engine.
+    /// workload dimension non-zero, every fault level valid for the
+    /// engine.
     pub fn validate(&self) -> Result<(), String> {
         if self.workloads.is_empty() {
             return Err("fleet grid needs at least one workload".into());
@@ -481,9 +403,6 @@ impl FleetGrid {
         }
         if self.faults.is_empty() {
             return Err("fleet grid needs at least one fault level".into());
-        }
-        if self.admissions.is_empty() {
-            return Err("fleet grid needs at least one admission config".into());
         }
         if self.estimators.is_empty() {
             return Err("fleet grid needs at least one estimator".into());
@@ -504,11 +423,6 @@ impl FleetGrid {
             FaultPlan { task_fail_prob: f.task_fail_prob, ..FaultPlan::default() }
                 .validate(nodes)
                 .map_err(|e| format!("fault level {i} ({}): {e}", f.label()))?;
-        }
-        for (i, a) in self.admissions.iter().enumerate() {
-            a.config()
-                .validate()
-                .map_err(|e| format!("admission level {i} ({}): {e}", a.label()))?;
         }
         Ok(())
     }
@@ -583,30 +497,6 @@ pub struct Crossover {
     pub reference_mean: f64,
     /// Other scheduler's mean response at that level.
     pub other_mean: f64,
-}
-
-/// One point of the shed/deadline-miss frontier: admission-control rates per
-/// (admission config × fault level), pooled across workloads, schedulers,
-/// and seeds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierPoint {
-    /// Admission-config label.
-    pub admission: String,
-    /// Fault-level label.
-    pub fault: String,
-    /// Cells aggregated into this point.
-    pub n_cells: usize,
-    /// Shed events per submitted query (resubmission rounds can push this
-    /// past 1.0).
-    pub shed_rate: f64,
-    /// Permanently rejected queries per submitted query.
-    pub reject_rate: f64,
-    /// Backoff resubmissions per submitted query.
-    pub resubmit_rate: f64,
-    /// Deadline-killed queries per submitted query.
-    pub miss_rate: f64,
-    /// Mean of cell mean response times.
-    pub response_mean: f64,
 }
 
 impl FleetReport {
@@ -716,41 +606,6 @@ impl FleetReport {
         out
     }
 
-    /// Shed/deadline-miss frontier per (admission config × fault level), in
-    /// grid order.
-    pub fn frontiers(&self) -> Vec<FrontierPoint> {
-        let mut out = Vec::new();
-        for (ai, adm) in self.grid.admissions.iter().enumerate() {
-            for (fi, fault) in self.grid.faults.iter().enumerate() {
-                let summaries: Vec<&CellSummary> =
-                    self.group(|c| c.admission == ai && c.fault == fi).collect();
-                if summaries.is_empty() {
-                    continue;
-                }
-                let queries: usize = summaries.iter().map(|s| s.n_queries).sum();
-                let rate = |count: usize| {
-                    if queries == 0 {
-                        0.0
-                    } else {
-                        count as f64 / queries as f64
-                    }
-                };
-                let responses: Vec<f64> = summaries.iter().map(|s| s.mean_response).collect();
-                out.push(FrontierPoint {
-                    admission: adm.label(),
-                    fault: fault.label(),
-                    n_cells: summaries.len(),
-                    shed_rate: rate(summaries.iter().map(|s| s.queries_shed).sum()),
-                    reject_rate: rate(summaries.iter().map(|s| s.queries_rejected).sum()),
-                    resubmit_rate: rate(summaries.iter().map(|s| s.resubmissions).sum()),
-                    miss_rate: rate(summaries.iter().map(|s| s.deadline_misses).sum()),
-                    response_mean: responses.iter().sum::<f64>() / responses.len() as f64,
-                });
-            }
-        }
-        out
-    }
-
     /// Serialize the aggregate report. Bit-identical for the same grid at
     /// any thread count: simulated time and counts only, iterated in grid
     /// order (see the module docs for the full contract).
@@ -777,10 +632,6 @@ impl FleetReport {
                     .int("total_attempts", s.total_attempts as u64)
                     .int("task_failures", s.task_failures as u64)
                     .int("node_crashes", s.node_crashes as u64)
-                    .int("queries_shed", s.queries_shed as u64)
-                    .int("queries_rejected", s.queries_rejected as u64)
-                    .int("resubmissions", s.resubmissions as u64)
-                    .int("deadline_misses", s.deadline_misses as u64)
                     .finish(),
                 Err(e) => base.str("error", e).finish(),
             }
@@ -812,19 +663,6 @@ impl FleetReport {
                 .finish()
         }));
 
-        let frontiers = array(self.frontiers().iter().map(|f| {
-            Obj::new()
-                .str("admission", &f.admission)
-                .str("fault", &f.fault)
-                .int("n_cells", f.n_cells as u64)
-                .num("shed_rate", f.shed_rate)
-                .num("reject_rate", f.reject_rate)
-                .num("resubmit_rate", f.resubmit_rate)
-                .num("miss_rate", f.miss_rate)
-                .num("response_mean", f.response_mean)
-                .finish()
-        }));
-
         Obj::new()
             .str("schema", FLEET_SCHEMA)
             .raw("grid", &grid_json)
@@ -835,7 +673,6 @@ impl FleetReport {
             .raw("cells", &cells)
             .raw("surfaces", &surfaces)
             .raw("crossovers", &crossovers)
-            .raw("frontiers", &frontiers)
             .finish()
     }
 }
@@ -874,8 +711,8 @@ const PERCOLATED_ARRIVAL_STEP: f64 = 0.37;
 /// estimates ([`sapred_core::Framework::sim_query_estimated`]) — so a worse
 /// estimator yields a measurably worse schedule. Deterministic: the
 /// database seed depends only on (workload, seed replica), so every
-/// scheduler / fault / admission / estimator cell of that pair sees the
-/// same data and differs only through its estimator.
+/// scheduler / fault / estimator cell of that pair sees the same data and
+/// differs only through its estimator.
 fn percolated_workload(grid: &FleetGrid, coord: &FleetCoord) -> Vec<SimQuery> {
     let w = &grid.workloads[coord.workload];
     let mut fw = sapred_core::Framework::new();
@@ -916,9 +753,7 @@ fn simulate<S: Scheduler>(
     let fw = sapred_core::Framework::new();
     let mut cluster = fw.cluster;
     cluster.seed = grid.cell_seed(coord);
-    let mut sim = Simulator::new(cluster, fw.cost, sched)
-        .with_faults(grid.cell_fault_plan(coord))
-        .with_admission(grid.cell_admission(coord));
+    let mut sim = Simulator::new(cluster, fw.cost, sched).with_faults(grid.cell_fault_plan(coord));
     sim.execute(&queries, Run::new().profiler(prof)).unwrap_or_else(|e| panic!("{e}")).into_report()
 }
 
@@ -1101,25 +936,15 @@ pub const BENCH_FAULT_RAMP: [f64; 4] = [0.0, 0.04, 0.08, 0.12];
 
 /// The deterministic grid behind the `fleet` bench suite: the first
 /// `schedulers` of [`SchedKind::ALL`], the first `fault_levels` of
-/// [`BENCH_FAULT_RAMP`], admission off plus (when `admissions > 1`) a tight
-/// semantics-aware shedding config, and `seeds` seed replicas derived from
+/// [`BENCH_FAULT_RAMP`], and `seeds` seed replicas derived from
 /// `base_seed`.
 pub fn bench_grid(
     schedulers: usize,
     fault_levels: usize,
-    admissions: usize,
     seeds: usize,
     workload: WorkloadSpec,
     base_seed: u64,
 ) -> FleetGrid {
-    let mut adm = vec![AdmissionLevel::off()];
-    if admissions > 1 {
-        adm.push(AdmissionLevel {
-            queue_cap: 8,
-            deadline: 300.0,
-            shed_policy: ShedPolicy::ShedLargestWrd,
-        });
-    }
     FleetGrid {
         workloads: vec![workload],
         schedulers: SchedKind::ALL[..schedulers.clamp(1, SchedKind::ALL.len())].to_vec(),
@@ -1127,7 +952,6 @@ pub fn bench_grid(
             .iter()
             .map(|&task_fail_prob| FaultLevel { task_fail_prob })
             .collect(),
-        admissions: adm,
         estimators: vec![EstimatorKind::Histogram],
         seeds: (0..seeds.max(1) as u64).map(|i| base_seed.wrapping_add(i)).collect(),
     }

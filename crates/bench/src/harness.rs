@@ -14,7 +14,7 @@
 //!   baseline is *determinism drift*, a much stronger signal than a
 //!   timing regression,
 //! * **metrics** — wall-clock percentiles and cell-specific rates
-//!   (events/sec, admission-decision latency percentiles, sims/sec), which
+//!   (events/sec, dispatch decisions/sec, tasks/sec, sims/sec), which
 //!   are compared against a threshold.
 //!
 //! Suites ([`dispatch_suite`], [`fleet_suite`], [`scale_suite`]) come in full and
@@ -27,7 +27,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use sapred_cluster::sched::{Fifo, Swrd};
-use sapred_cluster::sim::{AdmissionConfig, Run, Simulator};
+use sapred_cluster::sim::{Run, Simulator};
 use sapred_cluster::{FaultPlan, NodeCrash};
 use sapred_core::parallel::run_claiming;
 use sapred_obs::json::Obj;
@@ -70,23 +70,6 @@ pub enum CellKind {
         /// Reduce tasks per job.
         reduces: usize,
     },
-    /// Overload the admission layer (tight queue cap + deadline) and
-    /// report admission-decision latency percentiles from the profiler's
-    /// `admission_decision` span samples.
-    AdmissionOverload {
-        /// Queries × jobs × maps × reduces of the synthetic workload.
-        n_queries: usize,
-        /// Jobs per query.
-        jobs: usize,
-        /// Map tasks per job.
-        maps: usize,
-        /// Reduce tasks per job.
-        reduces: usize,
-        /// Bounded pending-queue capacity.
-        queue_cap: usize,
-        /// Per-query completion deadline (seconds of sim time).
-        deadline: f64,
-    },
     /// Event-core scale cell: the dispatch workload grown to 10⁶–10⁷
     /// tasks, FIFO-scheduled so the cost is dominated by the event queue
     /// and state columns rather than scheduler policy.
@@ -101,7 +84,7 @@ pub enum CellKind {
         reduces: usize,
     },
     /// The scale cell with crash tolerance on: identical workload, plus a
-    /// periodic `sapred-ckpt/v2` checkpoint of the full simulator state
+    /// periodic `sapred-ckpt/v3` checkpoint of the full simulator state
     /// every `every` processed events, written atomically to a scratch
     /// path. Compared against `scale_1e6` it prices the
     /// engine's checkpoint overhead (serialize + fingerprint + staged
@@ -120,8 +103,8 @@ pub enum CellKind {
         every: u64,
     },
     /// A whole fleet sweep ([`fleet::run_fleet`]) over the bench grid
-    /// ([`fleet::bench_grid`]): `schedulers × fault_levels × admissions ×
-    /// seeds` simulations of the synthetic workload, executed across
+    /// ([`fleet::bench_grid`]): `schedulers × fault_levels × seeds`
+    /// simulations of the synthetic workload, executed across
     /// `threads` workers (`0` = all cores). The headline metric is
     /// sims/sec; the aggregated engine counters (summed across cells in
     /// grid order, so they are thread-count-independent) pin determinism.
@@ -130,8 +113,6 @@ pub enum CellKind {
         schedulers: usize,
         /// Fault levels swept (first N of the fixed severity ramp).
         fault_levels: usize,
-        /// Admission configs swept (1 = off only, 2 = off + tight cap).
-        admissions: usize,
         /// Seed replicas per configuration.
         seeds: usize,
         /// Queries per cell workload.
@@ -234,17 +215,6 @@ pub fn config_json(kind: &CellKind) -> String {
             .int("maps", maps as u64)
             .int("reduces", reduces as u64)
             .finish(),
-        CellKind::AdmissionOverload { n_queries, jobs, maps, reduces, queue_cap, deadline } => {
-            Obj::new()
-                .str("kind", "admission_overload")
-                .int("n_queries", n_queries as u64)
-                .int("jobs", jobs as u64)
-                .int("maps", maps as u64)
-                .int("reduces", reduces as u64)
-                .int("queue_cap", queue_cap as u64)
-                .num("deadline", deadline)
-                .finish()
-        }
         CellKind::Scale { n_queries, jobs, maps, reduces } => Obj::new()
             .str("kind", "scale")
             .int("n_queries", n_queries as u64)
@@ -263,7 +233,6 @@ pub fn config_json(kind: &CellKind) -> String {
         CellKind::Fleet {
             schedulers,
             fault_levels,
-            admissions,
             seeds,
             n_queries,
             jobs,
@@ -274,7 +243,6 @@ pub fn config_json(kind: &CellKind) -> String {
             .str("kind", "fleet")
             .int("schedulers", schedulers as u64)
             .int("fault_levels", fault_levels as u64)
-            .int("admissions", admissions as u64)
             .int("seeds", seeds as u64)
             .int("n_queries", n_queries as u64)
             .int("jobs", jobs as u64)
@@ -326,14 +294,6 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
                 Simulator::new(cluster, fw.cost, Swrd).with_faults(stress_plan(spec.seed));
             sim.execute(&queries, Run::new().profiler(&**prof)).expect("bench cell runs");
         }
-        CellKind::AdmissionOverload { n_queries, jobs, maps, reduces, queue_cap, deadline } => {
-            let queries = dispatch_workload(n_queries, jobs, maps, reduces);
-            let mut cluster = fw.cluster;
-            cluster.seed = spec.seed;
-            let admission = AdmissionConfig { queue_cap, deadline, ..AdmissionConfig::default() };
-            let mut sim = Simulator::new(cluster, fw.cost, Swrd).with_admission(admission);
-            sim.execute(&queries, Run::new().profiler(&**prof)).expect("bench cell runs");
-        }
         CellKind::Scale { n_queries, jobs, maps, reduces } => {
             let queries = dispatch_workload(n_queries, jobs, maps, reduces);
             let mut cluster = fw.cluster;
@@ -360,7 +320,6 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
         CellKind::Fleet {
             schedulers,
             fault_levels,
-            admissions,
             seeds,
             n_queries,
             jobs,
@@ -369,8 +328,7 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
             threads,
         } => {
             let workload = WorkloadSpec::uniform(n_queries, jobs, maps, reduces);
-            let grid =
-                fleet::bench_grid(schedulers, fault_levels, admissions, seeds, workload, spec.seed);
+            let grid = fleet::bench_grid(schedulers, fault_levels, seeds, workload, spec.seed);
             let report = fleet::run_fleet(&grid, threads).expect("bench fleet grid is valid");
             fleet::record_fleet(&report, &**prof);
         }
@@ -435,14 +393,6 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
             let tasks = counters.get(Counter::TasksLaunched.label()).copied().unwrap_or(0);
             metrics.insert("tasks_per_s".into(), tasks as f64 / best);
         }
-        CellKind::AdmissionOverload { .. } => {
-            if let Some(stat) = prof.span_stat("admission_decision") {
-                for (label, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                    metrics
-                        .insert(format!("admission_{label}_s"), stat.quantile_ns(q) as f64 / 1e9);
-                }
-            }
-        }
         CellKind::Fleet { .. } => {
             let run = counters.get(Counter::FleetCellsRun.label()).copied().unwrap_or(0);
             let failed = counters.get(Counter::FleetCellsFailed.label()).copied().unwrap_or(0);
@@ -463,10 +413,9 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
     }
 }
 
-/// The dispatch suite: incremental vs. reference dispatch throughput,
-/// tracing-on emission cost, fault-recovery throughput, and admission
-/// latency. Full shape uses the 200-query/10⁵-task workload; `quick`
-/// keeps the cell names but shrinks every dimension.
+/// The dispatch suite: dispatch throughput, tracing-on emission cost, and
+/// fault-recovery throughput. Full shape uses the 200-query/10⁵-task
+/// workload; `quick` keeps the cell names but shrinks every dimension.
 pub fn dispatch_suite(quick: bool) -> Vec<CellSpec> {
     let (q, j, m, r, iters) = if quick { (30, 3, 10, 4, 2) } else { (200, 5, 80, 20, 3) };
     let dispatch =
@@ -483,30 +432,6 @@ pub fn dispatch_suite(quick: bool) -> Vec<CellSpec> {
             },
             iters: 2,
             seed: 11,
-        },
-        CellSpec {
-            name: "admission_overload",
-            kind: if quick {
-                CellKind::AdmissionOverload {
-                    n_queries: 30,
-                    jobs: 3,
-                    maps: 10,
-                    reduces: 4,
-                    queue_cap: 4,
-                    deadline: 200.0,
-                }
-            } else {
-                CellKind::AdmissionOverload {
-                    n_queries: 150,
-                    jobs: 3,
-                    maps: 30,
-                    reduces: 8,
-                    queue_cap: 12,
-                    deadline: 400.0,
-                }
-            },
-            iters: 2,
-            seed: 13,
         },
     ]
 }
@@ -561,7 +486,6 @@ pub fn fleet_suite(quick: bool) -> Vec<CellSpec> {
             CellKind::Fleet {
                 schedulers: 2,
                 fault_levels: 2,
-                admissions: 2,
                 seeds: 2,
                 n_queries: 10,
                 jobs: 2,
@@ -573,7 +497,6 @@ pub fn fleet_suite(quick: bool) -> Vec<CellSpec> {
             CellKind::Fleet {
                 schedulers: 3,
                 fault_levels: 3,
-                admissions: 2,
                 seeds: 3,
                 n_queries: 30,
                 jobs: 3,

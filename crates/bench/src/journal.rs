@@ -11,7 +11,7 @@
 //! Determinism contract: a cell's `CellSummary` round-trips *bit-exactly*.
 //! Integer fields are emitted as JSON integers; the five `f64` response
 //! statistics are emitted as their IEEE-754 bit patterns (decimal `u64`
-//! strings), so a resumed sweep's `sapred-fleet/v1` report is byte-identical
+//! strings), so a resumed sweep's `sapred-fleet/v2` report is byte-identical
 //! to the uninterrupted one at any thread count.
 //!
 //! The header line carries the journal schema and an FNV-1a fingerprint of
@@ -30,7 +30,7 @@ use sapred_obs::write_atomic;
 use crate::fleet::FleetGrid;
 
 /// Journal schema tag; bumped on any incompatible line-format change.
-pub const JOURNAL_SCHEMA: &str = "sapred-fleet-journal/v1";
+pub const JOURNAL_SCHEMA: &str = "sapred-fleet-journal/v2";
 
 /// One journaled cell: the outcome exactly as the fleet recorded it.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,18 +180,8 @@ fn check_header(v: &Value, grid: &FleetGrid) -> Result<(), String> {
 }
 
 /// `CellSummary` integer fields in serialization order.
-const INT_FIELDS: [&str; 10] = [
-    "n_queries",
-    "n_failed",
-    "total_tasks",
-    "total_attempts",
-    "task_failures",
-    "node_crashes",
-    "queries_shed",
-    "queries_rejected",
-    "resubmissions",
-    "deadline_misses",
-];
+const INT_FIELDS: [&str; 6] =
+    ["n_queries", "n_failed", "total_tasks", "total_attempts", "task_failures", "node_crashes"];
 
 /// `CellSummary` f64 fields (stored as IEEE-754 bit patterns) in order.
 const BITS_FIELDS: [&str; 5] =
@@ -208,10 +198,6 @@ fn encode_entry(label: &str, cell: &JournaledCell) -> String {
                 s.total_attempts,
                 s.task_failures,
                 s.node_crashes,
-                s.queries_shed,
-                s.queries_rejected,
-                s.resubmissions,
-                s.deadline_misses,
             ];
             for (name, v) in INT_FIELDS.iter().zip(ints) {
                 obj = obj.int(name, v as u64);
@@ -276,10 +262,6 @@ fn decode_entry(v: &Value) -> Result<(String, JournaledCell), String> {
         total_attempts: ints[3],
         task_failures: ints[4],
         node_crashes: ints[5],
-        queries_shed: ints[6],
-        queries_rejected: ints[7],
-        resubmissions: ints[8],
-        deadline_misses: ints[9],
     };
     let raw = v
         .get("counters")
@@ -304,7 +286,7 @@ mod tests {
     use crate::fleet::{bench_grid, WorkloadSpec};
 
     fn grid() -> FleetGrid {
-        bench_grid(2, 2, 1, 2, WorkloadSpec::uniform(4, 2, 3, 2), 7)
+        bench_grid(2, 2, 2, WorkloadSpec::uniform(4, 2, 3, 2), 7)
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -327,10 +309,6 @@ mod tests {
             total_attempts: 321,
             task_failures: 21,
             node_crashes: 2,
-            queries_shed: 3,
-            queries_rejected: 4,
-            resubmissions: 5,
-            deadline_misses: 6,
         }
     }
 
@@ -354,10 +332,6 @@ mod tests {
             && a.total_attempts == b.total_attempts
             && a.task_failures == b.task_failures
             && a.node_crashes == b.node_crashes
-            && a.queries_shed == b.queries_shed
-            && a.queries_rejected == b.queries_rejected
-            && a.resubmissions == b.resubmissions
-            && a.deadline_misses == b.deadline_misses
     }
 
     #[test]
@@ -421,7 +395,7 @@ mod tests {
     #[test]
     fn grid_fingerprint_mismatch_is_rejected() {
         let grid = grid();
-        let other = bench_grid(3, 2, 1, 2, WorkloadSpec::uniform(4, 2, 3, 2), 7);
+        let other = bench_grid(3, 2, 2, WorkloadSpec::uniform(4, 2, 3, 2), 7);
         let path = tmp("fingerprint");
         let mut journal = Journal::create(&path, &grid).unwrap();
         journal.record("cell-a", sample_cell(1)).unwrap();

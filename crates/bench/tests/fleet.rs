@@ -3,11 +3,10 @@
 
 use sapred_bench::dispatch_workload;
 use sapred_bench::fleet::{
-    bench_grid, run_fleet, run_fleet_journaled, AdmissionLevel, FaultLevel, FleetGrid, SchedKind,
-    WorkloadSpec,
+    bench_grid, run_fleet, run_fleet_journaled, FaultLevel, FleetGrid, SchedKind, WorkloadSpec,
 };
 use sapred_cluster::sched::Swrd;
-use sapred_cluster::sim::{ShedPolicy, Simulator};
+use sapred_cluster::sim::Simulator;
 use sapred_obs::{fnv1a, Counter, NullProfiler, SpanProfiler};
 use sapred_selectivity::EstimatorKind;
 
@@ -20,14 +19,6 @@ fn tiny_grid() -> FleetGrid {
         workloads: vec![tiny_workload()],
         schedulers: vec![SchedKind::Swrd, SchedKind::Hcs],
         faults: vec![FaultLevel { task_fail_prob: 0.0 }, FaultLevel { task_fail_prob: 0.08 }],
-        admissions: vec![
-            AdmissionLevel::off(),
-            AdmissionLevel {
-                queue_cap: 3,
-                deadline: 250.0,
-                shed_policy: ShedPolicy::ShedLargestWrd,
-            },
-        ],
         estimators: vec![EstimatorKind::Histogram],
         seeds: vec![42, 43],
     }
@@ -44,11 +35,6 @@ fn one_cell_fleet_reproduces_the_single_sim_report() {
         workloads: vec![w],
         schedulers: vec![SchedKind::Swrd],
         faults: vec![FaultLevel { task_fail_prob: 0.05 }],
-        admissions: vec![AdmissionLevel {
-            queue_cap: 4,
-            deadline: 300.0,
-            shed_policy: ShedPolicy::RejectNewest,
-        }],
         estimators: vec![EstimatorKind::Histogram],
         seeds: vec![99],
     };
@@ -61,13 +47,11 @@ fn one_cell_fleet_reproduces_the_single_sim_report() {
     let fw = sapred_core::Framework::new();
     let mut cluster = fw.cluster;
     cluster.seed = grid.cell_seed(&coord);
-    let mut sim = Simulator::new(cluster, fw.cost, Swrd)
-        .with_faults(grid.cell_fault_plan(&coord))
-        .with_admission(grid.cell_admission(&coord));
+    let mut sim = Simulator::new(cluster, fw.cost, Swrd).with_faults(grid.cell_fault_plan(&coord));
     let solo = sim.run(&queries).cell_summary();
 
     assert_eq!(*fleet_summary, solo, "fleet cell diverged from a standalone simulation");
-    // Sanity: the fixture actually exercises faults and admission.
+    // Sanity: the fixture actually exercises faults.
     assert!(solo.task_failures > 0, "fixture ran fault-free; raise task_fail_prob");
     assert_eq!(solo.n_queries, w.n_queries);
 }
@@ -113,8 +97,8 @@ fn fnv1a_matches_the_reference_vectors() {
     assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
 }
 
-/// The aggregation layer covers every (axis × axis) combination that has
-/// completed cells, and rates stay within sane bounds.
+/// The aggregation layer covers every (scheduler × fault level)
+/// combination that has completed cells, with ordered percentiles.
 #[test]
 fn aggregation_layer_covers_the_grid() {
     let grid = tiny_grid();
@@ -125,24 +109,10 @@ fn aggregation_layer_covers_the_grid() {
     let surfaces = report.surfaces();
     assert_eq!(surfaces.len(), grid.schedulers.len() * grid.faults.len());
     for p in &surfaces {
-        assert_eq!(p.n_cells, grid.workloads.len() * grid.admissions.len() * grid.seeds.len());
+        assert_eq!(p.n_cells, grid.workloads.len() * grid.seeds.len());
         assert!(p.makespan_mean > 0.0 && p.makespan_mean.is_finite());
         assert!(p.makespan_p50 <= p.makespan_p95 && p.makespan_p95 <= p.makespan_p99);
         assert!(p.response_p50 <= p.response_p95 && p.response_p95 <= p.response_p99);
-    }
-
-    let frontiers = report.frontiers();
-    assert_eq!(frontiers.len(), grid.admissions.len() * grid.faults.len());
-    for f in &frontiers {
-        for rate in [f.reject_rate, f.miss_rate] {
-            assert!((0.0..=1.0).contains(&rate), "per-query rate out of range: {rate}");
-        }
-        assert!(f.shed_rate >= 0.0 && f.resubmit_rate >= 0.0);
-    }
-
-    // The off admission rows shed nothing.
-    for f in frontiers.iter().filter(|f| f.admission == "off") {
-        assert_eq!((f.shed_rate, f.reject_rate, f.miss_rate), (0.0, 0.0, 0.0));
     }
 }
 
@@ -165,17 +135,15 @@ fn invalid_grids_are_rejected() {
 /// The bench grid helper clamps its axis counts and stays deterministic.
 #[test]
 fn bench_grid_shape_and_seeds() {
-    let grid = bench_grid(2, 2, 2, 3, tiny_workload(), 17);
+    let grid = bench_grid(2, 2, 3, tiny_workload(), 17);
     assert_eq!(grid.schedulers, vec![SchedKind::Swrd, SchedKind::Hcs]);
     assert_eq!(grid.faults.len(), 2);
-    assert_eq!(grid.admissions.len(), 2);
     assert_eq!(grid.seeds, vec![17, 18, 19]);
-    assert_eq!(grid.n_cells(), 2 * 2 * 2 * 3);
+    assert_eq!(grid.n_cells(), 2 * 2 * 3);
     // Oversized axis requests clamp to the rosters.
-    let big = bench_grid(99, 99, 99, 1, tiny_workload(), 1);
+    let big = bench_grid(99, 99, 1, tiny_workload(), 1);
     assert_eq!(big.schedulers.len(), SchedKind::ALL.len());
     assert_eq!(big.faults.len(), 4);
-    assert_eq!(big.admissions.len(), 2);
 }
 
 /// The estimator axis: the default histogram entry leaves every legacy
@@ -212,7 +180,6 @@ fn percolated_cells_are_deterministic_and_estimator_sensitive() {
         workloads: vec![WorkloadSpec { n_queries: 3, jobs: 2, maps: 4, reduces: 2, skew: 1.2 }],
         schedulers: vec![SchedKind::Swrd],
         faults: vec![FaultLevel { task_fail_prob: 0.0 }],
-        admissions: vec![AdmissionLevel::off()],
         estimators: vec![EstimatorKind::Histogram, EstimatorKind::Sample, EstimatorKind::Catalog],
         seeds: vec![7],
     };
@@ -326,13 +293,30 @@ fn fresh_journaled_sweep_overwrites_a_stale_journal() {
 }
 
 /// A grid survives its own JSON: a seed past 2^53 (which an `f64` reader
-/// would round to a neighbour), an infinite deadline (written as `null`)
-/// and a skewed workload all come back equal.
+/// would round to a neighbour) and a skewed workload both come back equal.
 #[test]
 fn grid_json_round_trips() {
     let mut grid = tiny_grid();
     grid.workloads[0].skew = 1.1;
-    grid.admissions[1].deadline = f64::INFINITY;
     grid.seeds = vec![9_007_199_254_740_993, 42];
     assert_eq!(FleetGrid::from_json(&grid.to_json()), Ok(grid));
+}
+
+/// A `sapred-fleet/v1` grid carries an `admissions` axis. Replaying it
+/// without that axis would run a different grid under the same file, so
+/// it is refused, naming the field.
+#[test]
+fn a_grid_with_an_admissions_axis_is_refused() {
+    let old = r#"{"workloads":[{"n_queries":5,"jobs":2,"maps":4,"reduces":2,"skew":0}],
+        "schedulers":["swrd","hcs"],"fault_levels":[0,0.08],
+        "admissions":[{"queue_cap":0,"deadline":null,"shed_policy":"reject_newest"}],
+        "estimators":["histogram"],"seeds":[42,43]}"#;
+    let err = FleetGrid::from_json(old).unwrap_err();
+    assert!(err.contains("\"admissions\""), "error should name the field: {err}");
+    // The same grid without the axis loads.
+    let current = old.replace(
+        r#""admissions":[{"queue_cap":0,"deadline":null,"shed_policy":"reject_newest"}],"#,
+        "",
+    );
+    assert_eq!(FleetGrid::from_json(&current).map(|g| g.n_cells()), Ok(8));
 }

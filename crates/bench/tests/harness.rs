@@ -31,10 +31,6 @@ fn quick_dispatch_suite_is_deterministic_and_schema_valid() {
         assert_eq!(a.seed, b.seed);
         assert!(!a.metrics.is_empty());
     }
-    // The admission cell exposes decision-latency percentiles.
-    let admission = first.iter().find(|c| c.name == "admission_overload").unwrap();
-    assert!(admission.metrics.contains_key("admission_p50_s"));
-    assert!(admission.metrics.contains_key("admission_p99_s"));
 
     let doc_text = suite_json("dispatch", true, &first);
     let doc = validate_schema(&doc_text).expect("fresh report validates");
@@ -143,7 +139,7 @@ fn quick_fleet_suite_is_deterministic_and_reports_sims_per_s() {
         assert!(cell.deterministic, "fleet cell {} not deterministic", cell.name);
         let sims = cell.metrics.get("sims_per_s").copied().unwrap_or(0.0);
         assert!(sims > 0.0, "cell {} reported no throughput", cell.name);
-        assert_eq!(cell.counters.get("fleet_cells_run"), Some(&16u64), "{}", cell.name);
+        assert_eq!(cell.counters.get("fleet_cells_run"), Some(&8u64), "{}", cell.name);
         assert_eq!(cell.counters.get("fleet_cells_failed"), Some(&0u64), "{}", cell.name);
     }
     // Same grid at different thread counts ⇒ identical aggregated counters.

@@ -40,19 +40,7 @@ use sapred_obs::{NodeId, QueryId};
 /// `usize` attempt count to `i32`) keeps huge attempt counts from wrapping
 /// the exponent negative and producing a sub-`base` — or outright
 /// non-monotone — delay before the cap is applied.
-pub(crate) const BACKOFF_EXP_CLAMP: usize = 52;
-
-/// Shared capped-exponential backoff shape: `base * 2^(attempts_used - 1)`,
-/// clamped to `cap`. Used by both [`FaultPlan::backoff`] (task retries) and
-/// `AdmissionConfig::resubmit_backoff` (shed-query resubmission) so the two
-/// paths can never drift apart. For any finite non-negative `base` the
-/// result is finite, non-negative, and non-decreasing in `attempts_used`
-/// until it saturates at `cap` (or at `base * 2^52` when `cap` is
-/// infinite).
-pub(crate) fn capped_exponential(base: f64, attempts_used: usize, cap: f64) -> f64 {
-    let exp = attempts_used.saturating_sub(1).min(BACKOFF_EXP_CLAMP) as i32;
-    (base * 2f64.powi(exp)).min(cap)
-}
+const BACKOFF_EXP_CLAMP: usize = 52;
 
 /// One scheduled node outage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,10 +124,11 @@ impl FaultPlan {
 
     /// Retry delay before attempt `n + 1`, given `n` attempts already used:
     /// capped exponential `backoff_base * 2^(n-1)`. The exponent is clamped
-    /// so arbitrarily large attempt counts stay
-    /// finite, non-negative, and monotone until the cap.
+    /// so arbitrarily large attempt counts stay finite, non-negative, and
+    /// monotone until the cap (or `backoff_base * 2^52` when uncapped).
     pub fn backoff(&self, attempts_used: usize) -> f64 {
-        capped_exponential(self.backoff_base, attempts_used, self.backoff_cap)
+        let exp = attempts_used.saturating_sub(1).min(BACKOFF_EXP_CLAMP) as i32;
+        (self.backoff_base * 2f64.powi(exp)).min(self.backoff_cap)
     }
 
     /// Validate the plan against a cluster of `nodes` nodes.

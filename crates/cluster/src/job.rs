@@ -57,6 +57,7 @@ pub struct SimJob {
 
 impl SimJob {
     /// Total ground-truth-agnostic workload proxy: bytes touched.
+    #[cfg(test)]
     pub fn total_bytes(&self) -> f64 {
         self.maps.iter().chain(&self.reduces).map(|t| t.bytes_in + t.bytes_out).sum()
     }
@@ -75,7 +76,10 @@ pub struct SimQuery {
 
 impl SimQuery {
     /// Validate DAG invariants (at least one job, dense ids, backward deps
-    /// only, at least one map task per job).
+    /// only, at least one map task per job) and that every job's predicted
+    /// task times are finite, so no NaN or ±∞ can enter the scheduler's
+    /// WRD sums. Negative predictions pass: a linear model may extrapolate
+    /// below zero.
     pub fn validate(&self) -> Result<(), String> {
         if self.jobs.is_empty() {
             return Err(format!(
@@ -97,11 +101,18 @@ impl SimQuery {
             if j.maps.is_empty() {
                 return Err(format!("job {i} has no map tasks"));
             }
+            let p = j.prediction;
+            for (what, v) in [("map", p.map_task_time), ("reduce", p.reduce_task_time)] {
+                if !v.is_finite() {
+                    return Err(format!("job {i} has a non-finite predicted {what} task time {v}"));
+                }
+            }
         }
         Ok(())
     }
 
     /// Remaining WRD (Eq. 10) at submission time: all tasks pending.
+    #[cfg(test)]
     pub fn initial_wrd(&self) -> f64 {
         self.jobs
             .iter()
@@ -170,6 +181,29 @@ mod tests {
         let mut q = query();
         q.jobs[0].deps.push(JobId(1));
         assert!(q.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_predictions() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for reduce in [false, true] {
+                let mut q = query();
+                let p = &mut q.jobs[1].prediction;
+                if reduce {
+                    p.reduce_task_time = bad;
+                } else {
+                    p.map_task_time = bad;
+                }
+                let err = q.validate().unwrap_err();
+                assert!(err.contains("job 1"), "message should name the job: {err}");
+                assert!(err.contains(if reduce { "reduce" } else { "map" }), "{err}");
+            }
+        }
+        // Negative but finite predictions are a model's extrapolation, not
+        // corrupt input.
+        let mut q = query();
+        q.jobs[0].prediction.map_task_time = -3.0;
+        assert!(q.validate().is_ok());
     }
 
     #[test]

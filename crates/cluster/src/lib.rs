@@ -38,7 +38,6 @@ pub use job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 pub use sapred_obs::{JobId, NodeId, QueryId};
 pub use sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
 pub use sim::{
-    AdmissionConfig, AdmissionStats, CellSummary, CheckpointError, ClusterConfig, DemandOracle,
-    FrozenOracle, GuardConfig, GuardedOracle, JobStat, QuarantineRecord, QueryStat, Run,
-    RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
+    CellSummary, CheckpointError, ClusterConfig, DemandOracle, FrozenOracle, JobStat, QueryStat,
+    Run, RunOutcome, SimError, SimReport, Simulator,
 };

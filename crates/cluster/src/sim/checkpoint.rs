@@ -2,9 +2,9 @@
 //! mid-run [`Simulator`].
 //!
 //! A checkpoint serializes the *complete* mutable run state — the event
-//! queue's live events, the struct-of-arrays job/attempt/query state,
-//! admission and fault bookkeeping, both RNG streams, the event sequence counter,
-//! and the oracle's opaque state blob — such that restoring it and
+//! queue's live events, the struct-of-arrays job/attempt/query state, the
+//! live prediction matrix, fault bookkeeping, both RNG streams and the
+//! event sequence counter — such that restoring it and
 //! finishing the run reproduces the uninterrupted run's report and event
 //! stream bit-for-bit (the golden fixtures and the kill-and-resume
 //! differential harness pin this).
@@ -16,10 +16,10 @@
 //! which produces bit-identical aggregates and runnable entries by
 //! construction.
 //!
-//! ## Format (`sapred-ckpt/v2`)
+//! ## Format (`sapred-ckpt/v3`)
 //!
 //! ```text
-//! magic    b"sapred-ckpt/v2\n"          15 bytes
+//! magic    b"sapred-ckpt/v3\n"          15 bytes
 //! length   payload byte count           u64 LE
 //! checksum FNV-1a 64 of the payload     u64 LE
 //! payload  context fingerprint + state  little-endian, hand-rolled
@@ -27,7 +27,7 @@
 //!
 //! The payload opens with a context fingerprint over everything the
 //! snapshot does **not** carry but correctness depends on: cluster config,
-//! cost model, scheduler name, fault plan, admission config, and the full
+//! cost model, scheduler name, fault plan, and the full
 //! workload shape (task specs included). Whether the run is
 //! [crosschecked](Simulator::crosschecked) is left out: the dispatch view
 //! is rebuilt on restore, so a blob written by a plain run resumes under a
@@ -52,21 +52,19 @@ use crate::sched::Scheduler;
 use sapred_obs::{fnv1a, QueryId};
 use sapred_plan::JobCategory;
 
-use super::admission::{AdmissionStats, ShedPolicy};
 use super::dispatch::DispatchState;
 use super::engine::{RunState, Simulator};
-use super::oracle::DemandOracle;
 use super::queue::EventQueue;
 use super::recovery::{Attempt, FaultState, NIL};
 use super::state::{Event, JobTable, QueryState};
 
-/// Magic header of a `sapred-ckpt/v2` checkpoint blob.
-pub(super) const MAGIC: &[u8] = b"sapred-ckpt/v2\n";
+/// Magic header of a `sapred-ckpt/v3` checkpoint blob.
+pub(super) const MAGIC: &[u8] = b"sapred-ckpt/v3\n";
 
 /// Why a checkpoint blob could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The bytes do not start with the `sapred-ckpt/v2` magic header —
+    /// The bytes do not start with the `sapred-ckpt/v3` magic header —
     /// not a checkpoint, or a different format version.
     BadMagic,
     /// The blob ends before the declared payload does (or a field read
@@ -81,7 +79,7 @@ pub enum CheckpointError {
         found: u64,
     },
     /// The snapshot was taken under a different configuration (cluster
-    /// config, cost model, scheduler, fault plan, admission, or workload)
+    /// config, cost model, scheduler, fault plan, or workload)
     /// than the one restoring it.
     ContextMismatch {
         /// Fingerprint of the restoring simulator's context.
@@ -98,7 +96,7 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::BadMagic => {
-                write!(f, "not a sapred-ckpt/v2 checkpoint (bad magic header)")
+                write!(f, "not a sapred-ckpt/v3 checkpoint (bad magic header)")
             }
             CheckpointError::Truncated => {
                 write!(f, "checkpoint truncated: payload ends before its declared length")
@@ -125,7 +123,7 @@ impl std::error::Error for CheckpointError {}
 // Little-endian field writer / checked reader.
 
 /// Byte-oriented little-endian writer the checkpoint payload is built
-/// with. Shared with the queue and oracle serialization code.
+/// with. Shared with the event queue's codec.
 pub(super) struct Writer {
     out: Vec<u8>,
 }
@@ -188,12 +186,6 @@ impl Writer {
             }
             None => self.u8(0),
         }
-    }
-
-    /// Length-prefixed raw bytes.
-    pub(super) fn bytes(&mut self, b: &[u8]) {
-        self.usize(b.len());
-        self.out.extend_from_slice(b);
     }
 }
 
@@ -273,12 +265,6 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// Length-prefixed raw bytes.
-    pub(super) fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
-        let n = self.vec_len(1)?;
-        self.take(n)
-    }
-
     /// Assert the payload was fully consumed (trailing garbage = corrupt).
     pub(super) fn expect_end(&self) -> Result<(), CheckpointError> {
         if self.pos == self.data.len() {
@@ -353,16 +339,6 @@ pub(super) fn context_fingerprint<S: Scheduler>(sim: &Simulator<S>, queries: &[S
     h.bool(sim.faults.speculative);
     h.f64(sim.faults.spec_fraction);
     h.u64(sim.faults.seed);
-    // Admission config.
-    h.usize(sim.admission.queue_cap);
-    h.f64(sim.admission.deadline);
-    h.u8(match sim.admission.shed_policy {
-        ShedPolicy::RejectNewest => 0,
-        ShedPolicy::ShedLargestWrd => 1,
-    });
-    h.usize(sim.admission.max_resubmits);
-    h.f64(sim.admission.resubmit_base);
-    h.f64(sim.admission.resubmit_cap);
     // Workload: names, arrivals, DAG shape, task specs, frozen predictions.
     h.usize(queries.len());
     for q in queries {
@@ -396,12 +372,11 @@ pub(super) fn context_fingerprint<S: Scheduler>(sim: &Simulator<S>, queries: &[S
 // ---------------------------------------------------------------------
 // Encode.
 
-/// Serialize the complete run state into a framed `sapred-ckpt/v2` blob.
+/// Serialize the complete run state into a framed `sapred-ckpt/v3` blob.
 pub(super) fn encode<S: Scheduler>(
     sim: &Simulator<S>,
     queries: &[SimQuery],
     rs: &RunState,
-    oracle: &dyn DemandOracle,
 ) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(context_fingerprint(sim, queries));
@@ -409,8 +384,6 @@ pub(super) fn encode<S: Scheduler>(
     w.f64(rs.now);
     w.u64(rs.events_processed);
     w.usize(rs.done_queries);
-    w.usize(rs.active);
-    w.bool(rs.degraded);
     w.u64(rs.rng.state());
     w.u64(rs.fault_rng.state());
     // Event queue (counters + live events in (time, seq) order).
@@ -477,8 +450,6 @@ pub(super) fn encode<S: Scheduler>(
         w.opt_f64(qs.started);
         w.opt_f64(qs.finished);
         w.bool(qs.failed);
-        w.bool(qs.admitted);
-        w.usize(qs.resubmits);
     }
     // Live prediction matrix.
     for qp in &rs.preds {
@@ -539,19 +510,6 @@ pub(super) fn encode<S: Scheduler>(
     for q in &fs.failed_queries {
         w.usize(q.0);
     }
-    // Admission stats.
-    let ads = &rs.admission_stats;
-    w.usize(ads.queries_shed);
-    w.usize(ads.queries_rejected.len());
-    for q in &ads.queries_rejected {
-        w.usize(q.0);
-    }
-    w.usize(ads.resubmissions);
-    w.usize(ads.deadline_misses.len());
-    for q in &ads.deadline_misses {
-        w.usize(q.0);
-    }
-    w.usize(ads.max_active);
     // Free container slots, smallest-first (the heap's internal layout is
     // unobservable; sorted order restores an equivalent heap).
     let mut slots: Vec<usize> = rs.free_slots.iter().map(|r| r.0).collect();
@@ -560,8 +518,6 @@ pub(super) fn encode<S: Scheduler>(
     for s in slots {
         w.usize(s);
     }
-    // The oracle's opaque state (empty for stateless oracles).
-    w.bytes(&oracle.snapshot_state());
 
     // Frame it.
     let payload = w.finish();
@@ -577,8 +533,7 @@ pub(super) fn encode<S: Scheduler>(
 // Decode.
 
 /// Validate one decoded per-spec list length: empty before the job is
-/// submitted (or after an admission eviction reset), exactly the spec
-/// count afterwards.
+/// submitted, exactly the spec count afterwards.
 fn check_list_len(what: &str, got: usize, specs: usize, i: usize) -> Result<(), CheckpointError> {
     if got == 0 || got == specs {
         Ok(())
@@ -593,15 +548,14 @@ fn corrupt(msg: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt(msg.into())
 }
 
-/// Restore a framed `sapred-ckpt/v2` blob into a [`RunState`], rebuilding
-/// the derived state (dispatch aggregates, interned names) and restoring
-/// the oracle's opaque state. Fails with a typed [`CheckpointError`] on
-/// any framing, checksum, context, or structural problem.
+/// Restore a framed `sapred-ckpt/v3` blob into a [`RunState`], rebuilding
+/// the derived state (dispatch aggregates, interned names). Fails with a
+/// typed [`CheckpointError`] on any framing, checksum, context, or
+/// structural problem.
 pub(super) fn decode<S: Scheduler>(
     sim: &Simulator<S>,
     queries: &[SimQuery],
     bytes: &[u8],
-    oracle: &mut dyn DemandOracle,
 ) -> Result<RunState, CheckpointError> {
     // Frame.
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
@@ -643,11 +597,9 @@ pub(super) fn decode<S: Scheduler>(
     let now = r.f64()?;
     let events_processed = r.u64()?;
     let done_queries = r.usize()?;
-    let active = r.usize()?;
-    if done_queries > nq || active > nq {
-        return Err(corrupt("done/active query counts exceed the workload size"));
+    if done_queries > nq {
+        return Err(corrupt("done query count exceeds the workload size"));
     }
-    let degraded = r.bool()?;
     let rng = StdRng::from_state(r.u64()?);
     let fault_rng = StdRng::from_state(r.u64()?);
 
@@ -743,8 +695,6 @@ pub(super) fn decode<S: Scheduler>(
             started: r.opt_f64()?,
             finished: r.opt_f64()?,
             failed: r.bool()?,
-            admitted: r.bool()?,
-            resubmits: r.usize()?,
         };
         if qs.jobs_done > query.jobs.len() {
             return Err(corrupt(format!("query {qi}: jobs_done exceeds its job count")));
@@ -859,26 +809,6 @@ pub(super) fn decode<S: Scheduler>(
         })
         .collect::<Result<_, _>>()?;
 
-    // Admission stats.
-    let mut admission_stats = AdmissionStats::default();
-    let read_query_vec = |r: &mut Reader<'_>| {
-        let n = r.vec_len(8)?;
-        (0..n)
-            .map(|_| {
-                let q = r.usize()?;
-                if q >= nq {
-                    return Err(corrupt("admission query id out of range"));
-                }
-                Ok(QueryId(q))
-            })
-            .collect::<Result<Vec<_>, _>>()
-    };
-    admission_stats.queries_shed = r.usize()?;
-    admission_stats.queries_rejected = read_query_vec(&mut r)?;
-    admission_stats.resubmissions = r.usize()?;
-    admission_stats.deadline_misses = read_query_vec(&mut r)?;
-    admission_stats.max_active = r.usize()?;
-
     // Free slots.
     let n = r.vec_len(8)?;
     let mut prev: Option<usize> = None;
@@ -895,11 +825,6 @@ pub(super) fn decode<S: Scheduler>(
         free_slots.push(Reverse(s));
     }
 
-    // Oracle state.
-    let oracle_blob = r.bytes()?;
-    oracle
-        .restore_state(oracle_blob)
-        .map_err(|e| corrupt(format!("oracle state rejected: {e}")))?;
     r.expect_end()?;
 
     // Queued events must reference state that exists.
@@ -908,7 +833,7 @@ pub(super) fn decode<S: Scheduler>(
             return Err(corrupt("queued event sequence number exceeds the counter"));
         }
         let ok = match e {
-            Event::Arrival { q } | Event::DeadlineCheck { q } | Event::Resubmit { q } => q < nq,
+            Event::Arrival { q } => q < nq,
             Event::Submit { q, j } | Event::Retry { q, j, .. } => {
                 q < nq && j < queries[q].jobs.len()
             }
@@ -942,9 +867,6 @@ pub(super) fn decode<S: Scheduler>(
         free_slots,
         now,
         done_queries,
-        active,
-        degraded,
-        admission_stats,
         rng,
         fault_rng,
         dstate,
@@ -971,7 +893,6 @@ mod tests {
         w.opt_f64(None);
         w.opt_usize(Some(9));
         w.opt_usize(None);
-        w.bytes(b"abc");
         let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
@@ -985,7 +906,6 @@ mod tests {
         assert_eq!(r.opt_f64().unwrap(), None);
         assert_eq!(r.opt_usize().unwrap(), Some(9));
         assert_eq!(r.opt_usize().unwrap(), None);
-        assert_eq!(r.bytes().unwrap(), b"abc");
         r.expect_end().unwrap();
     }
 

@@ -293,9 +293,9 @@ impl DispatchState {
     /// reference bit-for-bit (f64 fields included — the scores recorded in
     /// obs decision events must be identical, not merely close), and unless
     /// every query that has not failed carries the aggregates a fresh pass
-    /// computes. The second check covers queries with no runnable entry —
-    /// not yet submitted, waiting for admission, or shed into backoff —
-    /// whose WRD the admission shed policy still reads.
+    /// computes. The second check covers queries with no runnable entry
+    /// yet (not arrived, or between a job's finish and its dependents'
+    /// submit).
     pub(super) fn crosscheck(
         &self,
         queries: &[SimQuery],

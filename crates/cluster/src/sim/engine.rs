@@ -9,7 +9,7 @@
 //! * `init_run` — builds a fresh [`RunState`] (event queue seeded with
 //!   arrivals and crashes, SoA job table, prediction matrix, dispatch
 //!   aggregates, both RNG streams); a resumed run instead decodes a
-//!   `sapred-ckpt/v2` [`super::checkpoint`] blob into one;
+//!   `sapred-ckpt/v3` [`super::checkpoint`] blob into one;
 //! * `drive` — the event loop proper. Between events it checks, in order:
 //!   run finished → optional stop point ([`Run::stop_after`]) → optional
 //!   periodic checkpoint write ([`Simulator::checkpoint_every_events`]) →
@@ -24,7 +24,7 @@
 use crate::cost::CostModel;
 use crate::fault::FaultPlan;
 use crate::job::{JobPrediction, SimQuery, TaskKind, TaskSpec};
-use crate::sched::{Fifo, RunnableJob, Scheduler};
+use crate::sched::{RunnableJob, Scheduler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sapred_obs::profile::{Counter, NullProfiler, Profiler};
@@ -34,7 +34,6 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::path::PathBuf;
 
-use super::admission::{AdmissionConfig, AdmissionStats, ShedPolicy};
 use super::checkpoint::{self, CheckpointError};
 use super::dispatch::{DispatchState, INDEX_MIN_WIDTH};
 use super::emit;
@@ -45,47 +44,6 @@ use super::report::{assemble_report, SimReport};
 use super::state::{phase_of, Event, JobTable, QueryState};
 use super::ClusterConfig;
 use sapred_obs::{JobId, NodeId, QueryId};
-
-/// Drain a guarded oracle's quarantine records and surface degraded-mode
-/// transitions as events at the current simulated time. The engine's
-/// fallback-scheduler flag is updated even with a disabled sink (the
-/// transition changes scheduling, not just telemetry). For plain oracles
-/// the trait defaults report full trust and nothing quarantined, so this
-/// is a no-op: no allocation, no emission, no state change.
-fn surface_guard_activity<K: EventSink>(
-    oracle: &mut dyn DemandOracle,
-    sink: &mut K,
-    now: f64,
-    degraded: &mut bool,
-    fallback: &'static str,
-) {
-    // The drain is side-effecting (it clears the oracle's quarantine log),
-    // so it must run even when the sink is disabled and only the emission
-    // is skipped.
-    for r in oracle.take_quarantines() {
-        emit!(
-            sink,
-            ObsEvent::PredictionQuarantined {
-                t: now,
-                query: r.query,
-                job: r.job,
-                category: r.category,
-                quantity: r.quantity,
-                predicted: r.predicted,
-                substituted: r.substituted,
-            }
-        );
-    }
-    let d = oracle.degraded();
-    if d != *degraded {
-        *degraded = d;
-        if d {
-            emit!(sink, ObsEvent::DegradedModeEnter { t: now, trust: oracle.trust(), fallback });
-        } else {
-            emit!(sink, ObsEvent::DegradedModeExit { t: now, trust: oracle.trust() });
-        }
-    }
-}
 
 /// Wraps the caller's sink to count events actually delivered
 /// ([`Counter::SinkEventsEmitted`]). With a disabled sink no emit sites
@@ -157,7 +115,7 @@ pub enum RunOutcome {
     /// Every query is accounted for.
     Done(SimReport),
     /// The run was suspended after processing its [`Run::stop_after`]
-    /// event count; the blob is a framed `sapred-ckpt/v2` checkpoint that
+    /// event count; the blob is a framed `sapred-ckpt/v3` checkpoint that
     /// [`Run::resume`] turns back into a running engine.
     Snapshot(Vec<u8>),
 }
@@ -225,25 +183,23 @@ impl<'a, K: EventSink, P: Profiler> Run<'a, K, P> {
         Run { sink, oracle, profiler, resume, stop_after }
     }
 
-    /// Consult `oracle` for per-job demand: once per job up front, again at
-    /// each job's submit, and for every unfinished job whenever
-    /// [`observe_job_done`](DemandOracle::observe_job_done) returns `true`.
-    /// Its mutable state is snapshotted and restored with the engine's.
+    /// Consult `oracle` for per-job demand: once per job up front, and
+    /// again at each job's submit.
     pub fn oracle(mut self, oracle: &'a mut dyn DemandOracle) -> Self {
         self.oracle = Some(oracle);
         self
     }
 
     /// Count event-loop work (events, dispatch decisions, view updates,
-    /// emitted events, launches, queue peak, checkpoint bytes) and time an
-    /// `"admission_decision"` span per arrival on `profiler`.
+    /// emitted events, launches, queue peak, checkpoint bytes) on
+    /// `profiler`.
     pub fn profiler<P2: Profiler>(self, profiler: &'a P2) -> Run<'a, K, P2> {
         let Run { sink, oracle, resume, stop_after, .. } = self;
         Run { sink, oracle, profiler, resume, stop_after }
     }
 
-    /// Start from checkpoint bytes written by a run over the same queries,
-    /// configuration (checked by the blob's fingerprint) and oracle type.
+    /// Start from checkpoint bytes written by a run over the same queries
+    /// and configuration (checked by the blob's fingerprint).
     pub fn resume(mut self, bytes: &'a [u8]) -> Self {
         self.resume = Some(bytes);
         self
@@ -271,9 +227,8 @@ enum Drive {
 
 /// Everything that changes while a run executes, split from the
 /// [`Simulator`] configuration so a run can be suspended, serialized, and
-/// resumed. The checkpoint layer writes exactly these fields (plus the
-/// oracle's opaque state blob); `dstate` and `names` are derived —
-/// rebuilt on restore, never serialized.
+/// resumed. The checkpoint layer writes exactly these fields; `dstate`
+/// and `names` are derived — rebuilt on restore, never serialized.
 pub(super) struct RunState {
     pub(super) queue: EventQueue,
     pub(super) jobs: JobTable,
@@ -283,9 +238,6 @@ pub(super) struct RunState {
     pub(super) free_slots: BinaryHeap<Reverse<usize>>,
     pub(super) now: f64,
     pub(super) done_queries: usize,
-    pub(super) active: usize,
-    pub(super) degraded: bool,
-    pub(super) admission_stats: AdmissionStats,
     pub(super) rng: StdRng,
     pub(super) fault_rng: StdRng,
     /// Materialized scheduling state — rebuilt deterministically on
@@ -310,10 +262,6 @@ pub struct Simulator<S: Scheduler> {
     /// The failure schedule to inject ([`FaultPlan::none`] by default —
     /// bit-identical to a fault-free run).
     pub faults: FaultPlan,
-    /// Admission control: bounded pending queue, shed policy, per-query
-    /// deadlines, and resubmission backoff
-    /// ([`AdmissionConfig::disabled`] by default — provably inert).
-    pub admission: AdmissionConfig,
     // Test oracle: re-derive the runnable view from scratch after every
     // event and before every pick, panicking on any divergence.
     crosscheck: bool,
@@ -326,14 +274,13 @@ pub struct Simulator<S: Scheduler> {
 }
 
 impl<S: Scheduler> Simulator<S> {
-    /// Assemble a simulator (no faults, no admission control).
+    /// Assemble a simulator (no faults).
     pub fn new(config: ClusterConfig, cost: CostModel, scheduler: S) -> Self {
         Self {
             config,
             cost,
             scheduler,
             faults: FaultPlan::none(),
-            admission: AdmissionConfig::disabled(),
             crosscheck: false,
             max_events: None,
             ckpt_every: None,
@@ -357,12 +304,6 @@ impl<S: Scheduler> Simulator<S> {
     /// Same simulator with a seeded failure schedule injected.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Same simulator with admission control configured.
-    pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
-        self.admission = admission;
         self
     }
 
@@ -417,8 +358,8 @@ impl<S: Scheduler> Simulator<S> {
     /// [`with_max_events`](Simulator::with_max_events) watchdog trips.
     ///
     /// # Panics
-    /// Panics if any query, the fault plan, or the admission config fails
-    /// validation (invalid inputs are caller bugs, not run outcomes).
+    /// Panics if any query or the fault plan fails validation (invalid
+    /// inputs are caller bugs, not run outcomes).
     pub fn execute<K: EventSink, P: Profiler>(
         &mut self,
         queries: &[SimQuery],
@@ -433,13 +374,10 @@ impl<S: Scheduler> Simulator<S> {
         self.check_inputs(queries);
         let sink = &mut CountingSink { inner: &mut sink, prof };
         let mut rs = match resume {
-            None => self.init_run(queries, sink, oracle, prof),
+            None => self.init_run(queries, oracle, prof),
             Some(bytes) => {
-                let mut rs = checkpoint::decode(self, queries, bytes, oracle)?;
-                if self.crosscheck
-                    && !rs.degraded
-                    && rs.dstate.reindex(&rs.jobs, |r| self.scheduler.key(r))
-                {
+                let mut rs = checkpoint::decode(self, queries, bytes)?;
+                if self.crosscheck && rs.dstate.reindex(&rs.jobs, |r| self.scheduler.key(r)) {
                     rs.dstate.crosscheck_index(&mut self.scheduler, "after restore");
                 }
                 emit!(sink, ObsEvent::RunResumed { t: rs.now, events: rs.events_processed });
@@ -448,9 +386,7 @@ impl<S: Scheduler> Simulator<S> {
         };
         Ok(match self.drive(queries, &mut rs, sink, oracle, prof, stop_after)? {
             Drive::Finished => RunOutcome::Done(self.finalize(queries, rs, prof)),
-            Drive::Suspended => {
-                RunOutcome::Snapshot(checkpoint::encode(self, queries, &rs, &*oracle))
-            }
+            Drive::Suspended => RunOutcome::Snapshot(checkpoint::encode(self, queries, &rs)),
         })
     }
 
@@ -521,19 +457,15 @@ impl<S: Scheduler> Simulator<S> {
         if let Err(e) = self.faults.validate(self.config.nodes) {
             panic!("invalid fault plan: {e}");
         }
-        if let Err(e) = self.admission.validate() {
-            panic!("invalid admission config: {e}");
-        }
     }
 
     /// Build the [`RunState`] for a fresh run: both RNG streams seeded,
     /// the event queue loaded with arrivals and scheduled crashes, the SoA
     /// job table and prediction matrix allocated, and the dispatch view
     /// seeded.
-    fn init_run<K: EventSink, P: Profiler>(
+    fn init_run<P: Profiler>(
         &mut self,
         queries: &[SimQuery],
-        sink: &mut K,
         oracle: &mut dyn DemandOracle,
         prof: &P,
     ) -> RunState {
@@ -573,14 +505,6 @@ impl<S: Scheduler> Simulator<S> {
         let free_slots: BinaryHeap<Reverse<usize>> =
             (0..self.config.total_containers()).map(Reverse).collect();
 
-        // Degraded-mode scheduling: when a guarded oracle loses trust in
-        // its predictions, picks come from the semantics-blind FIFO
-        // fallback instead of the configured policy, until trust recovers.
-        let mut degraded = false;
-        // The up-front prediction seeding above may already have tripped
-        // the guardrails (e.g. an oracle emitting NaNs from the start).
-        surface_guard_activity(oracle, sink, 0.0, &mut degraded, Fifo.name());
-
         // Materialized scheduling state. Seed every query's demand
         // aggregates up front (WRD and critical path depend only on
         // done-task counts, which start at zero, not on submission) so
@@ -601,9 +525,6 @@ impl<S: Scheduler> Simulator<S> {
             free_slots,
             now: 0.0,
             done_queries: 0,
-            active: 0,
-            degraded,
-            admission_stats: AdmissionStats::default(),
             rng,
             fault_rng,
             dstate,
@@ -626,9 +547,6 @@ impl<S: Scheduler> Simulator<S> {
         prof: &P,
         suspend_after: Option<u64>,
     ) -> Result<Drive, SimError> {
-        let admission_on = self.admission.is_active();
-        let mut fallback = Fifo;
-
         while let Some((t, event)) = rs.queue.pop() {
             debug_assert!(t >= rs.now - 1e-9, "clock went backwards: {t} < {}", rs.now);
             rs.now = t;
@@ -645,175 +563,26 @@ impl<S: Scheduler> Simulator<S> {
             // lazily-invalidated event.)
             'event: {
                 match event {
-                    Event::Arrival { q } | Event::Resubmit { q } => {
-                        // Admission-decision latency: everything from arrival to
-                        // the admit/shed/backoff verdict, including the WRD
-                        // scans the shed policies do.
-                        let _admission_span = prof.span("admission_decision");
-                        let first = matches!(event, Event::Arrival { .. });
-                        if first {
-                            emit!(
-                                sink,
-                                ObsEvent::QueryArrive {
-                                    t: now,
-                                    query: QueryId(q),
-                                    name: rs.names[q].clone(),
-                                }
-                            );
-                            if self.admission.deadline.is_finite() {
-                                // The deadline anchors at the *original*
-                                // arrival: backoff waits eat into the budget.
-                                rs.queue.push(
-                                    queries[q].arrival + self.admission.deadline,
-                                    Event::DeadlineCheck { q },
-                                );
-                            }
-                        } else if rs.qstate[q].failed || rs.qstate[q].finished.is_some() {
-                            // The deadline killed this query while it waited
-                            // out its resubmission backoff.
-                            break 'event;
-                        }
-                        // A query's remaining WRD: the maintained aggregate,
-                        // which Crosscheck holds equal to a from-scratch pass
-                        // for every live query, admitted or not.
-                        let wrd_of = |vi: usize| rs.dstate.aggs[vi].wrd;
-                        // Admission decision: `victim` is whoever a full queue
-                        // sheds — the newcomer under RejectNewest, or (under
-                        // ShedLargestWrd) the waiting admitted query with the
-                        // largest remaining WRD if that strictly exceeds the
-                        // newcomer's. First maximum wins; ties keep incumbents.
-                        let mut victim: Option<usize> = None;
-                        if self.admission.queue_cap > 0 && rs.active >= self.admission.queue_cap {
-                            victim = Some(q);
-                            if self.admission.shed_policy == ShedPolicy::ShedLargestWrd {
-                                let mut best = wrd_of(q);
-                                for (vi, vs) in rs.qstate.iter().enumerate() {
-                                    // Only waiting queries are evictable: once a
-                                    // task has launched, sunk work is protected.
-                                    if vs.admitted && vs.started.is_none() {
-                                        let w = wrd_of(vi);
-                                        if w > best {
-                                            best = w;
-                                            victim = Some(vi);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        let shed_wrd = victim.map(wrd_of);
-                        if victim != Some(q) {
-                            if let Some(v) = victim {
-                                // Evict the incumbent: it launched nothing, so
-                                // resetting its jobs erases it from the
-                                // scheduler's world; its in-flight `Submit`
-                                // events die on the `admitted` guard.
-                                for i in rs.jobs.query_range(v) {
-                                    rs.jobs.reset_job(i);
-                                }
-                                rs.qstate[v].admitted = false;
-                                rs.active -= 1;
-                                rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, v);
-                                prof.inc(Counter::SchedulerViewUpdates);
-                            }
-                            rs.qstate[q].admitted = true;
-                            rs.active += 1;
-                            if admission_on {
-                                rs.admission_stats.max_active =
-                                    rs.admission_stats.max_active.max(rs.active);
-                            }
-                            for job in &queries[q].jobs {
-                                if job.deps.is_empty() {
-                                    rs.queue.push(now, Event::Submit { q, j: job.id.into() });
-                                }
-                            }
-                        }
-                        if let Some(v) = victim {
-                            let wrd = shed_wrd.expect("victim implies a shed WRD");
-                            rs.admission_stats.queries_shed += 1;
-                            if rs.qstate[v].resubmits < self.admission.max_resubmits {
-                                // Capped exponential backoff, then retry
-                                // admission. The budget is per query lifetime:
-                                // resubmit counts never reset, so a query
-                                // repeatedly caught in overload terminates.
-                                rs.qstate[v].resubmits += 1;
-                                let delay = self.admission.resubmit_backoff(rs.qstate[v].resubmits);
-                                rs.admission_stats.resubmissions += 1;
-                                emit!(
-                                    sink,
-                                    ObsEvent::QueryShed {
-                                        t: now,
-                                        query: QueryId(v),
-                                        policy: self.admission.shed_policy.label(),
-                                        wrd,
-                                        will_resubmit: true,
-                                        resubmit_at: now + delay,
-                                    }
-                                );
-                                rs.queue.push(now + delay, Event::Resubmit { q: v });
-                            } else {
-                                emit!(
-                                    sink,
-                                    ObsEvent::QueryShed {
-                                        t: now,
-                                        query: QueryId(v),
-                                        policy: self.admission.shed_policy.label(),
-                                        wrd,
-                                        will_resubmit: false,
-                                        resubmit_at: now,
-                                    }
-                                );
-                                rs.qstate[v].failed = true;
-                                rs.qstate[v].finished = Some(now);
-                                rs.admission_stats.queries_rejected.push(QueryId(v));
-                                rs.done_queries += 1;
-                                emit!(sink, ObsEvent::QueryFinish { t: now, query: QueryId(v) });
-                            }
-                        }
-                    }
-                    Event::DeadlineCheck { q } => {
-                        if rs.qstate[q].failed || rs.qstate[q].finished.is_some() {
-                            // Met its deadline (or already terminated).
-                            break 'event;
-                        }
+                    Event::Arrival { q } => {
                         emit!(
                             sink,
-                            ObsEvent::DeadlineMissed {
+                            ObsEvent::QueryArrive {
                                 t: now,
                                 query: QueryId(q),
-                                deadline: self.admission.deadline,
+                                name: rs.names[q].clone(),
                             }
                         );
-                        if rs.qstate[q].admitted {
-                            rs.qstate[q].admitted = false;
-                            rs.active -= 1;
-                            // Kill everything in flight; `fail_query` marks the
-                            // terminal state and emits `QueryFinish`.
-                            fail_query(
-                                q,
-                                now,
-                                &self.config,
-                                &mut rs.fr,
-                                &mut rs.jobs,
-                                &mut rs.qstate,
-                                &mut rs.free_slots,
-                                sink,
-                            );
-                            rs.dstate.remove_query(q);
-                            prof.inc(Counter::SchedulerViewUpdates);
-                        } else {
-                            // Waiting out a shed backoff: nothing is running.
-                            rs.qstate[q].failed = true;
-                            rs.qstate[q].finished = Some(now);
-                            emit!(sink, ObsEvent::QueryFinish { t: now, query: QueryId(q) });
+                        for job in &queries[q].jobs {
+                            if job.deps.is_empty() {
+                                rs.queue.push(now, Event::Submit { q, j: job.id.into() });
+                            }
                         }
-                        rs.done_queries += 1;
-                        rs.admission_stats.deadline_misses.push(QueryId(q));
                     }
                     Event::Submit { q, j } => {
-                        if rs.qstate[q].failed || !rs.qstate[q].admitted {
-                            // The query was abandoned — or shed from the
-                            // admission queue — while this submit was in
-                            // flight; nothing of it may enter the runnable set.
+                        if rs.qstate[q].failed {
+                            // The query was abandoned while this submit was
+                            // in flight; nothing of it may enter the runnable
+                            // set.
                             break 'event;
                         }
                         let job = &queries[q].jobs[j];
@@ -829,8 +598,6 @@ impl<S: Scheduler> Simulator<S> {
                         lists.map_fail_since = vec![None; job.maps.len()];
                         lists.reduce_fail_since = vec![None; job.reduces.len()];
                         lists.map_node = vec![None; job.maps.len()];
-                        // Submit-time consultation: a live oracle may have
-                        // sharpened its estimate since the run started.
                         rs.preds[q][j] = oracle.predict(QueryId(q), job);
                         emit!(
                             sink,
@@ -930,25 +697,6 @@ impl<S: Scheduler> Simulator<S> {
                         if job_done && rs.jobs.finished[i].is_none() {
                             rs.jobs.finished[i] = Some(now);
                             rs.qstate[q].jobs_done += 1;
-                            // Feed the completed job's measured task-time means
-                            // back to the oracle. A recalibrating oracle then
-                            // re-prices every unfinished job and the touched
-                            // queries' demand aggregates are refreshed, so WRD
-                            // and critical-path scores adapt mid-run.
-                            let actual = JobPrediction {
-                                map_task_time: if rs.jobs.stats[i].map_completions > 0 {
-                                    rs.jobs.stats[i].map_time_sum
-                                        / rs.jobs.stats[i].map_completions as f64
-                                } else {
-                                    0.0
-                                },
-                                reduce_task_time: if rs.jobs.stats[i].reduce_completions > 0 {
-                                    rs.jobs.stats[i].reduce_time_sum
-                                        / rs.jobs.stats[i].reduce_completions as f64
-                                } else {
-                                    0.0
-                                },
-                            };
                             emit!(
                                 sink,
                                 ObsEvent::JobFinish {
@@ -974,36 +722,8 @@ impl<S: Scheduler> Simulator<S> {
                             }
                             if rs.qstate[q].jobs_done == queries[q].jobs.len() {
                                 rs.qstate[q].finished = Some(now);
-                                if rs.qstate[q].admitted {
-                                    rs.qstate[q].admitted = false;
-                                    rs.active -= 1;
-                                }
                                 rs.done_queries += 1;
                                 emit!(sink, ObsEvent::QueryFinish { t: now, query: QueryId(q) });
-                            }
-                            if oracle.observe_job_done(QueryId(q), job, actual, now) {
-                                for (qi2, q2) in queries.iter().enumerate() {
-                                    if rs.qstate[qi2].failed || rs.qstate[qi2].finished.is_some() {
-                                        continue;
-                                    }
-                                    let mut changed = false;
-                                    for j2 in &q2.jobs {
-                                        if rs.jobs.finished[rs.jobs.idx(qi2, j2.id.0)].is_some() {
-                                            continue;
-                                        }
-                                        let p = oracle.predict(QueryId(qi2), j2);
-                                        if p != rs.preds[qi2][j2.id.0] {
-                                            rs.preds[qi2][j2.id.0] = p;
-                                            changed = true;
-                                        }
-                                    }
-                                    // Query `q` refreshes in `on_task_done`
-                                    // below; others resync here.
-                                    if changed && qi2 != q {
-                                        rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, qi2);
-                                        prof.inc(Counter::SchedulerViewUpdates);
-                                    }
-                                }
                             }
                         }
                         rs.dstate.on_task_done(queries, &rs.jobs, &rs.preds, q, j);
@@ -1082,14 +802,7 @@ impl<S: Scheduler> Simulator<S> {
                                 &mut rs.free_slots,
                                 sink,
                             );
-                            // Attempt-budget exhaustion is a *fault* outcome;
-                            // `fail_query` itself is also used for deadline
-                            // kills, which land in admission stats instead.
                             rs.fr.stats.failed_queries.push(QueryId(a.q));
-                            if rs.qstate[a.q].admitted {
-                                rs.qstate[a.q].admitted = false;
-                                rs.active -= 1;
-                            }
                             rs.done_queries += 1;
                             rs.dstate.remove_query(a.q);
                             prof.inc(Counter::SchedulerViewUpdates);
@@ -1274,10 +987,6 @@ impl<S: Scheduler> Simulator<S> {
                         }
                     }
                 }
-                // Any oracle consultation this event triggered may have
-                // quarantined predictions or moved the trust score across a
-                // hysteresis threshold; surface that before dispatching.
-                surface_guard_activity(oracle, sink, now, &mut rs.degraded, fallback.name());
                 if self.crosscheck {
                     rs.dstate.crosscheck(queries, &rs.jobs, &rs.preds, &rs.qstate, "after event");
                 }
@@ -1287,8 +996,7 @@ impl<S: Scheduler> Simulator<S> {
                 // pick index (every view under Crosscheck, which checks it
                 // against the scan).
                 while !rs.free_slots.is_empty() {
-                    let indexed = !rs.degraded
-                        && (rs.dstate.runnable.len() >= INDEX_MIN_WIDTH || self.crosscheck)
+                    let indexed = (rs.dstate.runnable.len() >= INDEX_MIN_WIDTH || self.crosscheck)
                         && rs.dstate.reindex(&rs.jobs, |r| self.scheduler.key(r));
                     if self.crosscheck {
                         rs.dstate.crosscheck(
@@ -1300,9 +1008,6 @@ impl<S: Scheduler> Simulator<S> {
                         );
                     }
                     let runnable: &[RunnableJob] = &rs.dstate.runnable;
-                    // In degraded mode (a guarded oracle's trust collapsed),
-                    // semantics-blind FIFO replaces the configured policy until
-                    // trust recovers past the exit threshold.
                     let picked = if indexed {
                         if self.crosscheck {
                             rs.dstate.crosscheck_index(&mut self.scheduler, "before pick");
@@ -1311,11 +1016,7 @@ impl<S: Scheduler> Simulator<S> {
                         rs.dstate.first()
                     } else {
                         prof.add(Counter::CandidatesExamined, runnable.len() as u64);
-                        if rs.degraded {
-                            fallback.pick(runnable)
-                        } else {
-                            self.scheduler.pick(runnable)
-                        }
+                        self.scheduler.pick(runnable)
                     };
                     prof.inc(Counter::DispatchDecisions);
                     let Some(c) = picked else {
@@ -1444,20 +1145,12 @@ impl<S: Scheduler> Simulator<S> {
                             .map(|r| Candidate {
                                 query: r.query,
                                 job: r.job,
-                                score: if rs.degraded {
-                                    fallback.score(r)
-                                } else {
-                                    self.scheduler.score(r)
-                                },
+                                score: self.scheduler.score(r),
                             })
                             .collect();
                         sink.emit(&ObsEvent::Decision {
                             t: now,
-                            policy: if rs.degraded {
-                                "FIFO(degraded)"
-                            } else {
-                                self.scheduler.name()
-                            },
+                            policy: self.scheduler.name(),
                             candidates,
                             chosen_query: c.query,
                             chosen_job: c.job,
@@ -1585,7 +1278,7 @@ impl<S: Scheduler> Simulator<S> {
             if let Some(every) = self.ckpt_every {
                 if rs.events_processed.is_multiple_of(every) {
                     let path = self.ckpt_path.as_ref().expect("interval implies a path");
-                    let blob = checkpoint::encode(self, queries, rs, &*oracle);
+                    let blob = checkpoint::encode(self, queries, rs);
                     if let Err(e) = sapred_obs::write_atomic(path, &blob) {
                         panic!("failed to write checkpoint to {}: {e}", path.display());
                     }
@@ -1626,6 +1319,6 @@ impl<S: Scheduler> Simulator<S> {
         // Deterministic queue telemetry: an exact count of pushes + pops.
         prof.add(Counter::EventQueueOps, rs.queue.ops());
 
-        assemble_report(queries, &rs.qstate, &rs.jobs, &rs.fr.stats, rs.admission_stats, rs.now)
+        assemble_report(queries, &rs.qstate, &rs.jobs, &rs.fr.stats, rs.now)
     }
 }

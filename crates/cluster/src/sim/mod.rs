@@ -1,19 +1,17 @@
 //! The discrete-event simulation engine, decomposed by lifecycle stage:
 //!
 //! * [`engine`](self) — the event loop ([`Simulator`]),
-//! * `admission` — the bounded pending queue, shed policies, per-query
-//!   deadlines, and resubmission backoff ([`AdmissionConfig`]),
 //! * `queue` — the event queue: a std `BinaryHeap` popped in `(time, seq)`
 //!   order, with its checkpoint codec,
 //! * `checkpoint` — versioned, checksummed engine snapshots
-//!   (`sapred-ckpt/v2`) for suspend/resume ([`CheckpointError`]),
+//!   (`sapred-ckpt/v3`) for suspend/resume ([`CheckpointError`]),
 //! * `state` — the event types and the struct-of-arrays per-query /
 //!   per-job simulation state the other modules operate on,
 //! * `dispatch` — the materialized runnable set, its pick index and the
 //!   per-query demand aggregates the scheduler consumes, plus the
 //!   from-scratch view [`Simulator::crosschecked`] runs check them against,
-//! * `oracle` — the [`DemandOracle`] seam: live per-job demand
-//!   predictions consulted at run start / submit / job completion,
+//! * `oracle` — the [`DemandOracle`] seam: per-job demand predictions
+//!   consulted at run start and at job submit,
 //! * `recovery` — attempt tracking, node crash/blacklist state, and
 //!   query abandonment,
 //! * `report` — the [`SimReport`] assembled at the end of a run.
@@ -21,7 +19,6 @@
 //! The public surface is re-exported here, so `sapred_cluster::sim::*`
 //! paths are unchanged by the decomposition.
 
-mod admission;
 mod checkpoint;
 mod dispatch;
 mod engine;
@@ -46,10 +43,9 @@ macro_rules! emit {
 }
 pub(crate) use emit;
 
-pub use admission::{AdmissionConfig, AdmissionStats, ShedPolicy};
 pub use checkpoint::CheckpointError;
 pub use engine::{Run, RunOutcome, SimError, Simulator};
-pub use oracle::{DemandOracle, FrozenOracle, GuardConfig, GuardedOracle, QuarantineRecord};
+pub use oracle::{DemandOracle, FrozenOracle};
 pub use report::{CellSummary, JobStat, QueryStat, SimReport};
 
 /// Cluster configuration (defaults mirror the paper's testbed: 9 nodes ×

@@ -1,699 +1,36 @@
-//! The live prediction boundary between the prediction layer and the
-//! engine.
+//! The prediction boundary between the prediction layer and the engine.
 //!
-//! Historically, per-task time predictions were computed offline and frozen
-//! into each [`SimJob`] when the workload was built; the scheduler's WRD and
-//! critical-path aggregates could never change mid-run. A [`DemandOracle`]
-//! inverts that: the engine *consults* the oracle — once up front for every
-//! job, again when a job is submitted, and again for every unfinished job
-//! after a recalibrating oracle absorbs a completed job's actuals — so an
-//! online predictor can steer the scheduler with progressively better
-//! estimates while queries are still running.
-//!
-//! The default [`FrozenOracle`] reproduces the historical behavior exactly
-//! (it returns the prediction frozen into the job and never recalibrates),
-//! which the golden-bits fixtures pin: attaching the oracle seam costs
-//! nothing and changes nothing until a live oracle is plugged in.
+//! Per-task time predictions are computed offline and frozen into each
+//! [`SimJob`] when the workload is built, as the paper's SWRD scheduler
+//! is fed (§5.4). The engine reads them through a [`DemandOracle`]: once
+//! up front for every job, and again when a job is submitted. The default
+//! [`FrozenOracle`] returns the frozen prediction, which the golden-bits
+//! fixtures pin.
 
-use super::checkpoint::{Reader, Writer};
 use crate::job::{JobPrediction, SimJob};
-use sapred_obs::{DriftStat, DriftTracker, JobId, Quantity, QueryId};
-use sapred_plan::JobCategory;
+use sapred_obs::QueryId;
 
-/// A live source of per-job demand predictions, consulted by the engine at
-/// run start, at job submit, and (for recalibrating oracles) after every
-/// job completion.
+/// A source of per-job demand predictions, consulted by the engine at run
+/// start and at job submit.
 ///
 /// Implementations are object-safe: the engine takes `&mut dyn
-/// DemandOracle` so callers can hold state (fitted models, drift trackers)
-/// without infecting the simulator with extra type parameters.
+/// DemandOracle` so callers can hold state without infecting the
+/// simulator with extra type parameters.
 pub trait DemandOracle {
     /// Predicted mean task times for `job` of `query`.
     ///
     /// Called once per job before the run starts (seeding the scheduler's
-    /// demand aggregates), once more when the job is submitted, and after
-    /// any job completion for which [`observe_job_done`] returned `true`.
-    ///
-    /// [`observe_job_done`]: DemandOracle::observe_job_done
+    /// demand aggregates) and once more when the job is submitted.
     fn predict(&mut self, query: QueryId, job: &SimJob) -> JobPrediction;
-
-    /// Feedback hook: `job` of `query` completed at simulated time `t`
-    /// with measured mean task times `actual` (zeros for phases with no
-    /// completed tasks, e.g. the reduce side of a map-only job).
-    ///
-    /// Return `true` if the observation may change future [`predict`]
-    /// answers: the engine then re-consults the oracle for every
-    /// unfinished job and refreshes the scheduler's WRD / critical-path
-    /// aggregates, so recalibration takes effect mid-run. The default
-    /// implementation ignores the observation and returns `false`, which
-    /// keeps the hot path free of re-prediction sweeps.
-    ///
-    /// [`predict`]: DemandOracle::predict
-    fn observe_job_done(
-        &mut self,
-        query: QueryId,
-        job: &SimJob,
-        actual: JobPrediction,
-        t: f64,
-    ) -> bool {
-        let _ = (query, job, actual, t);
-        false
-    }
-
-    /// Current trust in this oracle's predictions, in `[0, 1]`. Plain
-    /// oracles are always fully trusted; [`GuardedOracle`] computes a live
-    /// score from quarantine rates and observed drift.
-    fn trust(&self) -> f64 {
-        1.0
-    }
-
-    /// Whether the engine should ignore this oracle's semantics and fall
-    /// back to a semantics-blind scheduler. Always `false` unless a
-    /// guardrail wrapper says otherwise.
-    fn degraded(&self) -> bool {
-        false
-    }
-
-    /// Drain quarantine records accumulated since the last call, so the
-    /// engine can surface them as events at the current simulated time.
-    /// The default returns an empty vector (no allocation).
-    fn take_quarantines(&mut self) -> Vec<QuarantineRecord> {
-        Vec::new()
-    }
-
-    /// Serialize this oracle's mutable state for an engine checkpoint.
-    /// Stateless oracles (the default) return an empty blob; stateful ones
-    /// must capture everything [`predict`](DemandOracle::predict) and
-    /// [`observe_job_done`](DemandOracle::observe_job_done) depend on, so a
-    /// resumed run re-answers bit-identically.
-    fn snapshot_state(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// Restore state produced by
-    /// [`snapshot_state`](DemandOracle::snapshot_state) on the same oracle
-    /// type. The default accepts only an empty blob — a stateless oracle
-    /// handed bytes is a type mismatch between the snapshotting and
-    /// resuming runs, reported as an error rather than silently dropped.
-    ///
-    /// # Errors
-    /// A description of why the blob does not fit this oracle.
-    fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
-        if state.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("stateless oracle cannot restore {} bytes of oracle state", state.len()))
-        }
-    }
 }
 
 /// The default oracle: answers with the prediction frozen into the job at
-/// build time and never recalibrates — bit-identical to the pre-oracle
-/// engine, as the golden fixtures prove.
+/// build time, as the golden fixtures pin.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FrozenOracle;
 
 impl DemandOracle for FrozenOracle {
     fn predict(&mut self, _query: QueryId, job: &SimJob) -> JobPrediction {
         job.prediction
-    }
-}
-
-/// One sanitized prediction: the raw value an inner oracle produced and the
-/// finite substitute the engine was handed instead.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuarantineRecord {
-    /// Owning query.
-    pub query: QueryId,
-    /// Job whose prediction was quarantined.
-    pub job: JobId,
-    /// The job's operator category (the quarantine cell's column).
-    pub category: JobCategory,
-    /// Which predicted quantity was bad (the quarantine cell's row).
-    pub quantity: Quantity,
-    /// The rejected raw prediction (may be NaN, ±∞, or negative).
-    pub predicted: f64,
-    /// The finite value substituted for it.
-    pub substituted: f64,
-}
-
-/// Guardrail thresholds for [`GuardedOracle`].
-///
-/// Trust is `clean_ewma / (1 + mare)`: an exponentially weighted fraction of
-/// predictions that passed sanitization, discounted by the observed mean
-/// absolute relative error of the predictions the scheduler actually
-/// consumed. Degraded mode is hysteretic — entered below
-/// [`enter_below`](GuardConfig::enter_below), left only above
-/// [`exit_above`](GuardConfig::exit_above) — so trust oscillating around a
-/// single threshold cannot flap the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GuardConfig {
-    /// Upper bound on a credible per-task time prediction, seconds — the
-    /// "out of trained range" cut. `f64::INFINITY` (default) disables the
-    /// range check; non-finite and negative values are always rejected.
-    pub max_task_time: f64,
-    /// Enter degraded mode when trust falls strictly below this.
-    pub enter_below: f64,
-    /// Leave degraded mode only when trust rises strictly above this.
-    /// Must be `>= enter_below`.
-    pub exit_above: f64,
-    /// EWMA step for the clean-prediction fraction, in `(0, 1]`.
-    pub decay: f64,
-}
-
-impl Default for GuardConfig {
-    fn default() -> Self {
-        Self { max_task_time: f64::INFINITY, enter_below: 0.3, exit_above: 0.6, decay: 0.15 }
-    }
-}
-
-impl GuardConfig {
-    /// Check the configuration, returning the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_task_time.is_nan() || self.max_task_time <= 0.0 {
-            return Err(format!("max_task_time must be positive, got {}", self.max_task_time));
-        }
-        for (name, v) in [("enter_below", self.enter_below), ("exit_above", self.exit_above)] {
-            if !(0.0..=1.0).contains(&v) {
-                return Err(format!("{name} must be in [0, 1], got {v}"));
-            }
-        }
-        if self.enter_below > self.exit_above {
-            return Err(format!(
-                "hysteresis inverted: enter_below {} > exit_above {}",
-                self.enter_below, self.exit_above
-            ));
-        }
-        if !(self.decay > 0.0 && self.decay <= 1.0) {
-            return Err(format!("decay must be in (0, 1], got {}", self.decay));
-        }
-        Ok(())
-    }
-}
-
-fn cat_idx(c: JobCategory) -> usize {
-    match c {
-        JobCategory::Extract => 0,
-        JobCategory::Groupby => 1,
-        JobCategory::Join => 2,
-    }
-}
-
-fn cat_of(v: u8) -> Result<JobCategory, String> {
-    match v {
-        0 => Ok(JobCategory::Extract),
-        1 => Ok(JobCategory::Groupby),
-        2 => Ok(JobCategory::Join),
-        _ => Err(format!("unknown job category tag {v}")),
-    }
-}
-
-fn quantity_u8(q: Quantity) -> u8 {
-    match q {
-        Quantity::MapTask => 0,
-        Quantity::ReduceTask => 1,
-        Quantity::Job => 2,
-        Quantity::Query => 3,
-    }
-}
-
-fn quantity_of(v: u8) -> Result<Quantity, String> {
-    match v {
-        0 => Ok(Quantity::MapTask),
-        1 => Ok(Quantity::ReduceTask),
-        2 => Ok(Quantity::Job),
-        3 => Ok(Quantity::Query),
-        _ => Err(format!("unknown quantity tag {v}")),
-    }
-}
-
-/// A prediction guardrail wrapped around any [`DemandOracle`].
-///
-/// Every value the inner oracle produces is sanitized: non-finite, negative,
-/// or out-of-range (`> max_task_time`) predictions are quarantined per
-/// (quantity × category) cell and replaced with the job's build-time frozen
-/// prediction (or `0.0` if that is also bad). A live trust score combines
-/// the EWMA clean fraction with observed drift (MARE of sanitized
-/// predictions vs. actuals, via the observability layer's [`DriftTracker`]);
-/// when trust crosses the hysteresis thresholds the engine drops to — and
-/// later recovers from — a semantics-blind fallback scheduler.
-///
-/// Entirely deterministic: no RNG, state advances only on `predict` /
-/// `observe_job_done` calls, so guarded runs replay bit-identically.
-#[derive(Debug, Clone)]
-pub struct GuardedOracle<O> {
-    inner: O,
-    config: GuardConfig,
-    drift: DriftTracker,
-    /// EWMA of the pass/fail sanitization outcomes, starts at full trust.
-    clean_ewma: f64,
-    degraded: bool,
-    pending: Vec<QuarantineRecord>,
-    /// Quarantine counts per (quantity: map/reduce) × (category) cell.
-    quarantined: [[u64; 3]; 2],
-}
-
-impl<O: DemandOracle> GuardedOracle<O> {
-    /// Wrap `inner` with default guardrail thresholds.
-    pub fn new(inner: O) -> Self {
-        Self::with_config(inner, GuardConfig::default())
-    }
-
-    /// Wrap `inner` with explicit thresholds.
-    ///
-    /// # Panics
-    /// Panics if `config` fails [`GuardConfig::validate`].
-    pub fn with_config(inner: O, config: GuardConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid guard config: {e}");
-        }
-        Self {
-            inner,
-            config,
-            drift: DriftTracker::new(),
-            clean_ewma: 1.0,
-            degraded: false,
-            pending: Vec::new(),
-            quarantined: [[0; 3]; 2],
-        }
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Quarantine count for one (quantity × category) cell. Only
-    /// [`Quantity::MapTask`] and [`Quantity::ReduceTask`] cells exist.
-    pub fn quarantined(&self, quantity: Quantity, category: JobCategory) -> u64 {
-        let qi = match quantity {
-            Quantity::MapTask => 0,
-            Quantity::ReduceTask => 1,
-            _ => return 0,
-        };
-        self.quarantined[qi][cat_idx(category)]
-    }
-
-    /// Total quarantined predictions across all cells.
-    pub fn total_quarantined(&self) -> u64 {
-        self.quarantined.iter().flatten().sum()
-    }
-
-    /// Drift statistics of the sanitized predictions the engine consumed.
-    pub fn drift(&self) -> &DriftTracker {
-        &self.drift
-    }
-
-    fn value_ok(&self, v: f64) -> bool {
-        v.is_finite() && v >= 0.0 && v <= self.config.max_task_time
-    }
-
-    /// The substitute the engine gets when a raw value is rejected: the
-    /// job's build-time frozen prediction if credible, else zero.
-    fn substitute(&self, frozen: f64) -> f64 {
-        if self.value_ok(frozen) {
-            frozen
-        } else {
-            0.0
-        }
-    }
-
-    fn sanitize(
-        &mut self,
-        raw: f64,
-        frozen: f64,
-        query: QueryId,
-        job: JobId,
-        category: JobCategory,
-        quantity: Quantity,
-    ) -> f64 {
-        let ok = self.value_ok(raw);
-        self.clean_ewma += self.config.decay * (if ok { 1.0 } else { 0.0 } - self.clean_ewma);
-        if ok {
-            return raw;
-        }
-        let substituted = self.substitute(frozen);
-        let qi = if quantity == Quantity::MapTask { 0 } else { 1 };
-        self.quarantined[qi][cat_idx(category)] += 1;
-        self.pending.push(QuarantineRecord {
-            query,
-            job,
-            category,
-            quantity,
-            predicted: raw,
-            substituted,
-        });
-        substituted
-    }
-
-    /// What the engine would be handed for `job` right now, without
-    /// recording quarantines or moving the trust score.
-    fn peek_sanitized(&mut self, query: QueryId, job: &SimJob) -> JobPrediction {
-        let raw = self.inner.predict(query, job);
-        JobPrediction {
-            map_task_time: if self.value_ok(raw.map_task_time) {
-                raw.map_task_time
-            } else {
-                self.substitute(job.prediction.map_task_time)
-            },
-            reduce_task_time: if self.value_ok(raw.reduce_task_time) {
-                raw.reduce_task_time
-            } else {
-                self.substitute(job.prediction.reduce_task_time)
-            },
-        }
-    }
-
-    fn update_degraded(&mut self) {
-        let t = self.trust();
-        if self.degraded {
-            if t > self.config.exit_above {
-                self.degraded = false;
-            }
-        } else if t < self.config.enter_below {
-            self.degraded = true;
-        }
-    }
-}
-
-impl<O: DemandOracle> DemandOracle for GuardedOracle<O> {
-    fn predict(&mut self, query: QueryId, job: &SimJob) -> JobPrediction {
-        let raw = self.inner.predict(query, job);
-        let frozen = job.prediction;
-        let sanitized = JobPrediction {
-            map_task_time: self.sanitize(
-                raw.map_task_time,
-                frozen.map_task_time,
-                query,
-                job.id,
-                job.category,
-                Quantity::MapTask,
-            ),
-            reduce_task_time: self.sanitize(
-                raw.reduce_task_time,
-                frozen.reduce_task_time,
-                query,
-                job.id,
-                job.category,
-                Quantity::ReduceTask,
-            ),
-        };
-        self.update_degraded();
-        sanitized
-    }
-
-    fn observe_job_done(
-        &mut self,
-        query: QueryId,
-        job: &SimJob,
-        actual: JobPrediction,
-        t: f64,
-    ) -> bool {
-        // Score what the *engine* consumed (the sanitized prediction), not
-        // the raw inner answer: trust should reflect the numbers that
-        // actually steered the scheduler.
-        let consumed = self.peek_sanitized(query, job);
-        self.drift.record(
-            Quantity::MapTask,
-            job.category,
-            consumed.map_task_time,
-            actual.map_task_time,
-        );
-        self.drift.record(
-            Quantity::ReduceTask,
-            job.category,
-            consumed.reduce_task_time,
-            actual.reduce_task_time,
-        );
-        let changed = self.inner.observe_job_done(query, job, actual, t);
-        self.update_degraded();
-        changed
-    }
-
-    fn trust(&self) -> f64 {
-        let mare = self
-            .drift
-            .aggregate(Quantity::MapTask)
-            .mare()
-            .max(self.drift.aggregate(Quantity::ReduceTask).mare());
-        self.clean_ewma / (1.0 + mare)
-    }
-
-    fn degraded(&self) -> bool {
-        self.degraded
-    }
-
-    fn take_quarantines(&mut self) -> Vec<QuarantineRecord> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Serialize the guard's full mutable state — drift cells, trust EWMA,
-    /// degraded flag, quarantine counters, undrained quarantine records —
-    /// followed by the wrapped oracle's own blob, so guarded runs resume
-    /// bit-identically.
-    fn snapshot_state(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        for row in self.drift.raw_cells() {
-            for cell in row {
-                w.u64(cell.n);
-                w.f64(cell.sum_signed);
-                w.f64(cell.sum_abs);
-            }
-        }
-        w.f64(self.clean_ewma);
-        w.bool(self.degraded);
-        for row in &self.quarantined {
-            for &n in row {
-                w.u64(n);
-            }
-        }
-        w.usize(self.pending.len());
-        for r in &self.pending {
-            w.usize(r.query.0);
-            w.usize(r.job.0);
-            w.u8(cat_idx(r.category) as u8);
-            w.u8(quantity_u8(r.quantity));
-            w.f64(r.predicted);
-            w.f64(r.substituted);
-        }
-        w.bytes(&self.inner.snapshot_state());
-        w.finish()
-    }
-
-    fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let mut r = Reader::new(state);
-        let mut cells = [[DriftStat::default(); 4]; 4];
-        for row in &mut cells {
-            for cell in row.iter_mut() {
-                cell.n = r.u64().map_err(|e| e.to_string())?;
-                cell.sum_signed = r.f64().map_err(|e| e.to_string())?;
-                cell.sum_abs = r.f64().map_err(|e| e.to_string())?;
-            }
-        }
-        self.drift = DriftTracker::from_raw_cells(cells);
-        self.clean_ewma = r.f64().map_err(|e| e.to_string())?;
-        self.degraded = r.bool().map_err(|e| e.to_string())?;
-        for row in &mut self.quarantined {
-            for n in row.iter_mut() {
-                *n = r.u64().map_err(|e| e.to_string())?;
-            }
-        }
-        let n = r.vec_len(34).map_err(|e| e.to_string())?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending.push(QuarantineRecord {
-                query: QueryId(r.usize().map_err(|e| e.to_string())?),
-                job: JobId(r.usize().map_err(|e| e.to_string())?),
-                category: cat_of(r.u8().map_err(|e| e.to_string())?)?,
-                quantity: quantity_of(r.u8().map_err(|e| e.to_string())?)?,
-                predicted: r.f64().map_err(|e| e.to_string())?,
-                substituted: r.f64().map_err(|e| e.to_string())?,
-            });
-        }
-        self.pending = pending;
-        let inner_blob = r.bytes().map_err(|e| e.to_string())?;
-        self.inner.restore_state(inner_blob)?;
-        r.expect_end().map_err(|e| e.to_string())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn job(map_pred: f64, red_pred: f64) -> SimJob {
-        SimJob {
-            id: JobId(0),
-            deps: vec![],
-            category: JobCategory::Join,
-            maps: vec![],
-            reduces: vec![],
-            prediction: JobPrediction { map_task_time: map_pred, reduce_task_time: red_pred },
-        }
-    }
-
-    /// An inner oracle that answers with a fixed, possibly poisoned value.
-    struct Fixed(JobPrediction);
-    impl DemandOracle for Fixed {
-        fn predict(&mut self, _q: QueryId, _j: &SimJob) -> JobPrediction {
-            self.0
-        }
-    }
-
-    #[test]
-    fn clean_predictions_pass_through_untouched() {
-        let mut g = GuardedOracle::new(FrozenOracle);
-        let j = job(8.0, 3.0);
-        let p = g.predict(QueryId(0), &j);
-        assert_eq!(p, j.prediction);
-        assert_eq!(g.total_quarantined(), 0);
-        assert!(g.take_quarantines().is_empty());
-        assert!(!g.degraded());
-        assert_eq!(g.trust(), 1.0);
-    }
-
-    #[test]
-    fn bad_values_are_quarantined_and_substituted() {
-        let mut g = GuardedOracle::new(Fixed(JobPrediction {
-            map_task_time: f64::NAN,
-            reduce_task_time: -4.0,
-        }));
-        let j = job(8.0, 3.0);
-        let p = g.predict(QueryId(1), &j);
-        // Both substituted with the frozen build-time prediction.
-        assert_eq!(p, j.prediction);
-        assert_eq!(g.total_quarantined(), 2);
-        assert_eq!(g.quarantined(Quantity::MapTask, JobCategory::Join), 1);
-        assert_eq!(g.quarantined(Quantity::ReduceTask, JobCategory::Join), 1);
-        let recs = g.take_quarantines();
-        assert_eq!(recs.len(), 2);
-        assert!(recs[0].predicted.is_nan());
-        assert_eq!(recs[0].substituted, 8.0);
-        assert_eq!(recs[1].predicted, -4.0);
-        assert_eq!(recs[1].substituted, 3.0);
-        // Drained: a second take returns nothing.
-        assert!(g.take_quarantines().is_empty());
-    }
-
-    #[test]
-    fn bad_frozen_fallback_degrades_to_zero() {
-        let mut g = GuardedOracle::new(Fixed(JobPrediction {
-            map_task_time: f64::INFINITY,
-            reduce_task_time: 1.0,
-        }));
-        // Frozen prediction is itself non-finite: substitute 0.0.
-        let j = job(f64::NAN, 1.0);
-        let p = g.predict(QueryId(0), &j);
-        assert_eq!(p.map_task_time, 0.0);
-        assert_eq!(p.reduce_task_time, 1.0);
-    }
-
-    #[test]
-    fn out_of_range_predictions_respect_max_task_time() {
-        let cfg = GuardConfig { max_task_time: 100.0, ..Default::default() };
-        let mut g = GuardedOracle::with_config(
-            Fixed(JobPrediction { map_task_time: 5000.0, reduce_task_time: 50.0 }),
-            cfg,
-        );
-        let j = job(8.0, 3.0);
-        let p = g.predict(QueryId(0), &j);
-        assert_eq!(p.map_task_time, 8.0, "5000 exceeds the trained range");
-        assert_eq!(p.reduce_task_time, 50.0, "in range passes through");
-        assert_eq!(g.total_quarantined(), 1);
-    }
-
-    #[test]
-    fn trust_collapses_under_sustained_poison_and_recovers_with_hysteresis() {
-        let cfg =
-            GuardConfig { enter_below: 0.3, exit_above: 0.6, decay: 0.25, ..Default::default() };
-        let mut g = GuardedOracle::with_config(
-            Fixed(JobPrediction { map_task_time: f64::NAN, reduce_task_time: f64::NAN }),
-            cfg,
-        );
-        let j = job(8.0, 3.0);
-        assert!(!g.degraded());
-        // Each predict moves the clean EWMA twice (map + reduce). Poisoned:
-        // 1.0 → .5625 → .3164 → .1780 — below 0.3 on the third call.
-        g.predict(QueryId(0), &j);
-        g.predict(QueryId(0), &j);
-        assert!(!g.degraded(), "trust {} still above enter threshold", g.trust());
-        g.predict(QueryId(0), &j);
-        assert!(g.degraded(), "trust {} should be below 0.3", g.trust());
-        // Swap in a clean inner oracle: trust climbs back, but degraded
-        // mode holds until trust exceeds exit_above (hysteresis).
-        g.inner = Fixed(JobPrediction { map_task_time: 8.0, reduce_task_time: 3.0 });
-        g.predict(QueryId(0), &j); // ewma ≈ .538 — above enter, below exit
-        assert!(g.degraded(), "inside the hysteresis band, still degraded");
-        g.predict(QueryId(0), &j); // ewma ≈ .740 > 0.6
-        assert!(!g.degraded(), "recovered above exit_above");
-    }
-
-    #[test]
-    fn drift_discounts_trust_even_when_predictions_are_finite() {
-        let mut g =
-            GuardedOracle::new(Fixed(JobPrediction { map_task_time: 30.0, reduce_task_time: 0.0 }));
-        let j = job(30.0, 0.0);
-        // Finite but wildly wrong: actual 3.0 vs predicted 30.0 → MARE 9.
-        g.observe_job_done(
-            QueryId(0),
-            &j,
-            JobPrediction { map_task_time: 3.0, reduce_task_time: 0.0 },
-            1.0,
-        );
-        assert!((g.trust() - 1.0 / 10.0).abs() < 1e-12, "trust {}", g.trust());
-    }
-
-    #[test]
-    fn observe_forwards_inner_recalibration_signal() {
-        struct Recal;
-        impl DemandOracle for Recal {
-            fn predict(&mut self, _q: QueryId, j: &SimJob) -> JobPrediction {
-                j.prediction
-            }
-            fn observe_job_done(
-                &mut self,
-                _q: QueryId,
-                _j: &SimJob,
-                _a: JobPrediction,
-                _t: f64,
-            ) -> bool {
-                true
-            }
-        }
-        let mut g = GuardedOracle::new(Recal);
-        let j = job(8.0, 3.0);
-        assert!(g.observe_job_done(QueryId(0), &j, j.prediction, 1.0));
-    }
-
-    #[test]
-    fn guard_config_validation() {
-        GuardConfig::default().validate().unwrap();
-        let bad = [
-            GuardConfig { max_task_time: 0.0, ..Default::default() },
-            GuardConfig { max_task_time: f64::NAN, ..Default::default() },
-            GuardConfig { enter_below: -0.1, ..Default::default() },
-            GuardConfig { exit_above: 1.5, ..Default::default() },
-            GuardConfig { enter_below: 0.8, exit_above: 0.4, ..Default::default() },
-            GuardConfig { decay: 0.0, ..Default::default() },
-            GuardConfig { decay: f64::NAN, ..Default::default() },
-        ];
-        for c in bad {
-            assert!(c.validate().is_err(), "{c:?} should be rejected");
-        }
-    }
-
-    #[test]
-    fn guarded_frozen_oracle_is_inert() {
-        // Wrapping the frozen oracle in a default guard must change nothing:
-        // same predictions, no quarantines, never degraded.
-        let mut plain = FrozenOracle;
-        let mut g = GuardedOracle::new(FrozenOracle);
-        for (m, r) in [(8.0, 3.0), (0.5, 0.0), (120.0, 44.0)] {
-            let j = job(m, r);
-            assert_eq!(g.predict(QueryId(0), &j), plain.predict(QueryId(0), &j));
-        }
-        assert_eq!(g.total_quarantined(), 0);
-        assert!(!g.degraded());
-        assert!(g.take_quarantines().is_empty());
     }
 }

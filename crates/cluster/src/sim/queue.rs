@@ -21,8 +21,6 @@ const TAG_TASK_FAILED: u8 = 3;
 const TAG_RETRY: u8 = 4;
 const TAG_NODE_DOWN: u8 = 5;
 const TAG_NODE_UP: u8 = 6;
-const TAG_DEADLINE_CHECK: u8 = 7;
-const TAG_RESUBMIT: u8 = 8;
 
 /// Serialized bytes per queued event: time 8, seq 8, three `u32` payload
 /// lanes, tag 1, task kind 1.
@@ -48,8 +46,6 @@ fn encode(event: &Event) -> (u8, [u32; 3], u8) {
         Event::NodeUp { node, epoch } => {
             (TAG_NODE_UP, [lane(node), epoch as u32, (epoch >> 32) as u32], 0)
         }
-        Event::DeadlineCheck { q } => (TAG_DEADLINE_CHECK, [lane(q), 0, 0], 0),
-        Event::Resubmit { q } => (TAG_RESUBMIT, [lane(q), 0, 0], 0),
     }
 }
 
@@ -71,8 +67,6 @@ fn decode(tag: u8, lanes: [u32; 3], kind: u8) -> Result<Event, String> {
         TAG_NODE_UP => {
             Event::NodeUp { node: a, epoch: u64::from(lanes[1]) | (u64::from(lanes[2]) << 32) }
         }
-        TAG_DEADLINE_CHECK => Event::DeadlineCheck { q: a },
-        TAG_RESUBMIT => Event::Resubmit { q: a },
         tag => return Err(format!("unknown event tag {tag}")),
     })
 }
@@ -186,8 +180,6 @@ mod tests {
             Event::Retry { q: 9, j: 4, kind: TaskKind::Reduce, spec_idx: 0 },
             Event::NodeDown { crash: 2 },
             Event::NodeUp { node: 8, epoch: u64::from(u32::MAX) + 17 },
-            Event::DeadlineCheck { q: 5 },
-            Event::Resubmit { q: 6 },
         ];
         for e in &events {
             let (tag, lanes, kind) = encode(e);
@@ -229,8 +221,8 @@ mod tests {
         assert_eq!((restored.seq(), restored.ops(), restored.len()), (q.seq(), q.ops(), q.len()));
         // Future pushes get the same seq numbers, and the merged pop
         // stream is identical.
-        restored.push(0.5, Event::Resubmit { q: 9 });
-        q.push(0.5, Event::Resubmit { q: 9 });
+        restored.push(0.5, Event::Submit { q: 9, j: 1 });
+        q.push(0.5, Event::Submit { q: 9, j: 1 });
         loop {
             let (a, b) = (restored.pop(), q.pop());
             assert_eq!(a, b);

@@ -300,11 +300,10 @@ impl FaultState {
 /// Terminate query `q` unsuccessfully: kills every live attempt of the
 /// query, zeroes its jobs' pending/running work so it vanishes from the
 /// runnable view, and emits `QueryFinish` (the query *terminates* — its
-/// [`QueryStat::failed`] flag records the distinction). Shared by two
-/// paths: attempt-budget exhaustion (the caller then records the query in
-/// [`FaultStats::failed_queries`]) and admission deadline kills (recorded
-/// in admission stats instead). The caller bumps `done_queries` and drops
-/// the query from the dispatch state.
+/// [`QueryStat::failed`] flag records the distinction). Called on
+/// attempt-budget exhaustion; the caller records the query in
+/// [`FaultStats::failed_queries`], bumps `done_queries` and drops the query
+/// from the dispatch state.
 ///
 /// [`QueryStat::failed`]: super::report::QueryStat::failed
 /// [`FaultStats::failed_queries`]: crate::fault::FaultStats::failed_queries

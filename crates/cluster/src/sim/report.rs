@@ -6,7 +6,6 @@ use crate::job::SimQuery;
 use sapred_obs::{JobId, QueryId};
 use sapred_plan::dag::JobCategory;
 
-use super::admission::AdmissionStats;
 use super::state::{JobTable, QueryState};
 
 /// Per-query outcome.
@@ -90,9 +89,6 @@ pub struct SimReport {
     pub makespan: f64,
     /// Fault-and-recovery telemetry (all-zero for fault-free runs).
     pub faults: FaultStats,
-    /// Admission-control telemetry (all-default when admission is
-    /// disabled or never intervened).
-    pub admission: AdmissionStats,
 }
 
 impl SimReport {
@@ -142,7 +138,7 @@ impl SimReport {
 
     /// Compact per-run summary for cross-simulation aggregation (the fleet
     /// runner's unit of data). Every field is a deterministic function of
-    /// `(workload, FaultPlan, AdmissionConfig, seed)` — simulated time and
+    /// `(workload, FaultPlan, seed)` — simulated time and
     /// counts only, no wall-clock — so aggregates built from summaries are
     /// bit-reproducible regardless of how many worker threads ran the fleet
     /// or in which order cells completed.
@@ -159,10 +155,6 @@ impl SimReport {
             total_attempts: self.total_attempts(),
             task_failures: self.faults.task_failures,
             node_crashes: self.faults.node_crashes,
-            queries_shed: self.admission.queries_shed,
-            queries_rejected: self.admission.queries_rejected.len(),
-            resubmissions: self.admission.resubmissions,
-            deadline_misses: self.admission.deadline_misses.len(),
         }
     }
 }
@@ -195,14 +187,6 @@ pub struct CellSummary {
     pub task_failures: usize,
     /// Node crashes that took effect.
     pub node_crashes: usize,
-    /// Shed events (every eviction/rejection round counts).
-    pub queries_shed: usize,
-    /// Queries permanently rejected by admission control.
-    pub queries_rejected: usize,
-    /// Backoff resubmissions scheduled.
-    pub resubmissions: usize,
-    /// Queries killed at their deadline.
-    pub deadline_misses: usize,
 }
 
 /// Assemble the end-of-run report from the engine's final state. Task
@@ -215,11 +199,9 @@ pub(super) fn assemble_report(
     qstate: &[QueryState],
     jobs: &JobTable,
     faults: &FaultStats,
-    admission: AdmissionStats,
     now: f64,
 ) -> SimReport {
-    let mut report =
-        SimReport { makespan: now, faults: faults.clone(), admission, ..Default::default() };
+    let mut report = SimReport { makespan: now, faults: faults.clone(), ..Default::default() };
     for (qi, q) in queries.iter().enumerate() {
         let qs = &qstate[qi];
         // A failed query was still *terminated* at a definite time; jobs

@@ -53,12 +53,6 @@ pub(super) enum Event {
     NodeDown { crash: usize },
     /// A crashed node recovers. `epoch` guards against stale events.
     NodeUp { node: usize, epoch: u64 },
-    /// Admission deadline check at `arrival + deadline`: kill the query if
-    /// it is still unfinished. Ignored if it already terminated.
-    DeadlineCheck { q: usize },
-    /// A shed query's resubmission backoff elapsed: retry admission.
-    /// Ignored if the query terminated (deadline kill) while waiting.
-    Resubmit { q: usize },
 }
 
 /// Cold per-spec lists of one job (retry queues, attempt budgets,
@@ -184,21 +178,6 @@ impl JobTable {
     pub(super) fn query_range(&self, q: usize) -> std::ops::Range<usize> {
         self.offsets[q]..self.offsets[q + 1]
     }
-
-    /// Reset job `i` to the default (never-submitted) state — the SoA
-    /// equivalent of overwriting the old per-job struct with `default()`,
-    /// used when admission evicts a not-yet-started query.
-    pub(super) fn reset_job(&mut self, i: usize) {
-        self.submitted[i] = false;
-        self.submit_time[i] = 0.0;
-        self.started[i] = None;
-        self.finished[i] = None;
-        self.counts[i] = JobCounts::default();
-        self.stats[i] = JobStats::default();
-        self.reduces_unlocked[i] = false;
-        self.reduces_initialized[i] = false;
-        self.lists[i] = JobLists::default();
-    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -207,11 +186,4 @@ pub(super) struct QueryState {
     pub(super) started: Option<f64>,
     pub(super) finished: Option<f64>,
     pub(super) failed: bool,
-    /// Whether the query currently holds an admission slot. Set on
-    /// (re-)admission, cleared on eviction and on every terminal
-    /// transition; stale in-flight `Submit` events from an evicted
-    /// admission epoch are neutralized by checking this flag.
-    pub(super) admitted: bool,
-    /// How many times the query has been shed and resubmitted.
-    pub(super) resubmits: usize,
 }

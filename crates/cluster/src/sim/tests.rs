@@ -289,7 +289,6 @@ fn assert_plain_matches_crosschecked<S: Scheduler>(
     assert_eq!(plain.makespan.to_bits(), chk.makespan.to_bits());
     assert_eq!(plain.queries, chk.queries);
     assert_eq!(plain.jobs, chk.jobs);
-    assert_eq!(plain.admission, chk.admission);
     assert_eq!(rec_plain.events, rec_chk.events);
     (plain, rec_plain)
 }
@@ -737,30 +736,15 @@ fn invalid_fault_plan_panics_with_descriptive_message() {
 // DemandOracle seam
 // ---------------------------------------------------------------------------
 
-/// Oracle that counts consultations and relays frozen predictions,
-/// optionally reporting every completion as recalibrating.
+/// Oracle that counts consultations and relays frozen predictions.
 struct CountingOracle {
     predicts: usize,
-    observes: usize,
-    recalibrates: bool,
 }
 
 impl DemandOracle for CountingOracle {
     fn predict(&mut self, _query: QueryId, job: &SimJob) -> JobPrediction {
         self.predicts += 1;
         job.prediction
-    }
-    fn observe_job_done(
-        &mut self,
-        _query: QueryId,
-        _job: &SimJob,
-        actual: JobPrediction,
-        t: f64,
-    ) -> bool {
-        assert!(t > 0.0, "completions happen at positive sim time");
-        assert!(actual.map_task_time >= 0.0 && actual.reduce_task_time >= 0.0);
-        self.observes += 1;
-        self.recalibrates
     }
 }
 
@@ -781,419 +765,13 @@ fn frozen_oracle_run_is_bit_identical_to_plain_run() {
 }
 
 #[test]
-fn oracle_is_consulted_at_start_submit_and_every_completion() {
+fn oracle_is_consulted_at_start_and_submit() {
     let queries = mixed_workload();
     let total_jobs: usize = queries.iter().map(|q| q.jobs.len()).sum();
-    let mut oracle = CountingOracle { predicts: 0, observes: 0, recalibrates: false };
+    let mut oracle = CountingOracle { predicts: 0 };
     sim(Swrd).execute(&queries, Run::new().oracle(&mut oracle)).unwrap().into_report();
-    assert_eq!(oracle.observes, total_jobs, "one feedback call per completed job");
-    // Seeded once per job up front, plus once more at each submit; a
-    // non-recalibrating oracle triggers no extra sweeps.
+    // Seeded once per job up front, plus once more at each submit.
     assert_eq!(oracle.predicts, 2 * total_jobs);
-}
-
-#[test]
-fn recalibrating_oracle_triggers_represweeps() {
-    let queries = mixed_workload();
-    let total_jobs: usize = queries.iter().map(|q| q.jobs.len()).sum();
-    let mut oracle = CountingOracle { predicts: 0, observes: 0, recalibrates: true };
-    sim(Swrd).execute(&queries, Run::new().oracle(&mut oracle)).unwrap().into_report();
-    assert_eq!(oracle.observes, total_jobs);
-    // Each completion now re-consults the oracle for unfinished jobs.
-    assert!(
-        oracle.predicts > 2 * total_jobs,
-        "recalibration must re-consult: {} predicts for {} jobs",
-        oracle.predicts,
-        total_jobs
-    );
-}
-
-/// Toy recalibrating oracle: blends the frozen prediction toward the mean
-/// of observed actuals, so predictions genuinely move mid-run.
-#[derive(Default)]
-struct BlendingOracle {
-    sum: f64,
-    n: usize,
-}
-
-impl DemandOracle for BlendingOracle {
-    fn predict(&mut self, _query: QueryId, job: &SimJob) -> JobPrediction {
-        if self.n == 0 {
-            return job.prediction;
-        }
-        let mean = self.sum / self.n as f64;
-        JobPrediction {
-            map_task_time: 0.5 * (job.prediction.map_task_time + mean),
-            reduce_task_time: 0.5 * (job.prediction.reduce_task_time + mean),
-        }
-    }
-    fn observe_job_done(
-        &mut self,
-        _query: QueryId,
-        _job: &SimJob,
-        actual: JobPrediction,
-        _t: f64,
-    ) -> bool {
-        if actual.map_task_time > 0.0 {
-            self.sum += actual.map_task_time;
-            self.n += 1;
-        }
-        true
-    }
-}
-
-#[test]
-fn recalibrating_oracle_keeps_incremental_and_reference_in_lockstep() {
-    use sapred_obs::RecordingSink;
-    // Crosscheck re-derives the reference runnable view after every event
-    // and panics on divergence, so mid-run prediction changes must flow
-    // through resync correctly for the crosschecked run to complete at all;
-    // and it must stay bit-identical to the plain run end to end.
-    let queries = mixed_workload();
-    let run = |mut s: Simulator<Swrd>| {
-        let mut rec = RecordingSink::new();
-        let r = s
-            .execute(&queries, Run::new().sink(&mut rec).oracle(&mut BlendingOracle::default()))
-            .unwrap()
-            .into_report();
-        (r, rec)
-    };
-    let (plain, rec_plain) = run(sim(Swrd));
-    let (chk, rec_chk) = run(sim(Swrd).crosschecked());
-    assert_eq!(plain.makespan.to_bits(), chk.makespan.to_bits());
-    assert_eq!(plain.queries, chk.queries);
-    assert_eq!(rec_plain.events, rec_chk.events);
-}
-
-#[test]
-fn recalibrating_oracle_survives_faults() {
-    // Failed queries are skipped by the recalibration sweep; a crashy run
-    // with a recalibrating oracle must still complete under Crosscheck.
-    let mut s = Simulator::new(small_config(), CostModel::default(), Swrd)
-        .with_faults(stress_plan())
-        .crosschecked();
-    let r = s
-        .execute(&mixed_workload(), Run::new().oracle(&mut BlendingOracle::default()))
-        .unwrap()
-        .into_report();
-    assert!(r.makespan > 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Admission control, deadlines and degraded-mode scheduling.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn disabled_admission_reports_clean_stats() {
-    let r = sim(Fifo).run(&mixed_workload());
-    assert!(r.admission.is_clean());
-    assert!(!AdmissionConfig::disabled().is_active());
-}
-
-#[test]
-fn full_queue_rejects_newest_and_rejected_queries_terminate() {
-    use sapred_obs::Event as Ob;
-    // Cap 1: query `a` occupies the sole admission slot; `b` and `c`
-    // arrive while it runs and, with no resubmit budget, are rejected
-    // outright under RejectNewest.
-    let admission = AdmissionConfig {
-        queue_cap: 1,
-        shed_policy: ShedPolicy::RejectNewest,
-        max_resubmits: 0,
-        ..AdmissionConfig::default()
-    };
-    let queries = vec![
-        simple_query("a", 0.0, 12, 2),
-        simple_query("b", 0.5, 2, 1),
-        simple_query("c", 1.0, 2, 1),
-    ];
-    let (r, rec) = traced(
-        Simulator::new(small_config(), CostModel::default(), Fifo).with_admission(admission),
-        &queries,
-    );
-    assert!(!r.queries[0].failed);
-    assert!(r.queries[1].failed && r.queries[2].failed);
-    assert_eq!(r.admission.queries_shed, 2);
-    assert_eq!(r.admission.queries_rejected, vec![QueryId(1), QueryId(2)]);
-    assert_eq!(r.admission.resubmissions, 0);
-    assert_eq!(r.admission.max_active, 1);
-    // Shedding is not a fault: the fault report stays clean.
-    assert!(r.faults.is_clean());
-    let sheds: Vec<_> = rec
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            Ob::QueryShed { query, policy, wrd, will_resubmit, .. } => {
-                Some((*query, *policy, *wrd, *will_resubmit))
-            }
-            _ => None,
-        })
-        .collect();
-    assert_eq!(sheds.len(), 2);
-    for (q, policy, wrd, will_resubmit) in sheds {
-        assert!(q == QueryId(1) || q == QueryId(2));
-        assert_eq!(policy, "reject_newest");
-        assert!(wrd.is_finite() && wrd > 0.0);
-        assert!(!will_resubmit);
-    }
-    // Every query — including the rejected ones — finishes exactly once.
-    let finishes = rec.events.iter().filter(|e| matches!(e, Ob::QueryFinish { .. })).count();
-    assert_eq!(finishes, 3);
-}
-
-#[test]
-fn shed_largest_wrd_evicts_heavy_incumbent_for_small_newcomer() {
-    // `a` saturates the cluster; `heavy` is admitted but cannot start;
-    // `small` arrives with the queue full. RejectNewest sheds `small`;
-    // ShedLargestWrd instead evicts the waiting `heavy` (largest
-    // remaining WRD), letting the small query through — the paper's
-    // semantics-aware advantage, decided by the same WRD the scheduler
-    // ranks by.
-    let queries = vec![
-        simple_query("a", 0.0, 12, 2),
-        chained_query("heavy", 0.1, 3, 60),
-        simple_query("small", 0.2, 2, 1),
-    ];
-    let run = |policy: ShedPolicy| {
-        let admission = AdmissionConfig {
-            queue_cap: 2,
-            shed_policy: policy,
-            max_resubmits: 0,
-            ..AdmissionConfig::default()
-        };
-        Simulator::new(small_config(), CostModel::default(), Swrd)
-            .with_admission(admission)
-            .run(&queries)
-    };
-    let newest = run(ShedPolicy::RejectNewest);
-    assert_eq!(newest.admission.queries_rejected, vec![QueryId(2)]);
-    assert!(!newest.queries[1].failed && newest.queries[2].failed);
-    let largest = run(ShedPolicy::ShedLargestWrd);
-    assert_eq!(largest.admission.queries_rejected, vec![QueryId(1)]);
-    assert!(largest.queries[1].failed && !largest.queries[2].failed);
-    assert_eq!(largest.admission.queries_shed, 1);
-}
-
-#[test]
-fn deadline_kills_overrunning_query() {
-    use sapred_obs::{Event as Ob, RecordingSink};
-    // 12 maps on 6 contended containers take far longer than 5 s.
-    let admission = AdmissionConfig { deadline: 5.0, ..AdmissionConfig::default() };
-    let mut rec = RecordingSink::new();
-    let r = Simulator::new(small_config(), CostModel::default(), Fifo)
-        .with_admission(admission)
-        .execute(&[simple_query("slow", 0.0, 12, 2)], Run::new().sink(&mut rec))
-        .unwrap()
-        .into_report();
-    assert!(r.queries[0].failed);
-    assert_eq!(r.queries[0].finish, 5.0, "killed exactly at the deadline");
-    assert_eq!(r.admission.deadline_misses, vec![QueryId(0)]);
-    // A deadline kill is an admission outcome, not a fault: the in-flight
-    // attempts are killed but no query lands in the fault report.
-    assert!(r.faults.failed_queries.is_empty());
-    assert!(r.faults.tasks_killed > 0, "running attempts were clawed back");
-    let missed = rec
-        .events
-        .iter()
-        .find_map(|e| match e {
-            Ob::DeadlineMissed { t, query, deadline } => Some((*t, *query, *deadline)),
-            _ => None,
-        })
-        .expect("deadline_missed traced");
-    assert_eq!(missed, (5.0, QueryId(0), 5.0));
-    let finishes = rec.events.iter().filter(|e| matches!(e, Ob::QueryFinish { .. })).count();
-    assert_eq!(finishes, 1);
-}
-
-#[test]
-fn shed_query_resubmits_with_backoff_and_eventually_completes() {
-    use sapred_obs::Event as Ob;
-    // `b` is shed while `a` holds the only slot, waits out its backoff,
-    // and is admitted on retry once `a` finished.
-    let admission = AdmissionConfig {
-        queue_cap: 1,
-        max_resubmits: 3,
-        resubmit_base: 1000.0,
-        resubmit_cap: 1000.0,
-        ..AdmissionConfig::default()
-    };
-    let queries = vec![simple_query("a", 0.0, 4, 1), simple_query("b", 0.5, 2, 1)];
-    let (r, rec) = traced(sim(Fifo).with_admission(admission), &queries);
-    assert!(!r.queries[0].failed && !r.queries[1].failed);
-    assert_eq!(r.admission.queries_shed, 1);
-    assert_eq!(r.admission.resubmissions, 1);
-    assert!(r.admission.queries_rejected.is_empty());
-    let (will_resubmit, resubmit_at) = rec
-        .events
-        .iter()
-        .find_map(|e| match e {
-            Ob::QueryShed { query: QueryId(1), will_resubmit, resubmit_at, .. } => {
-                Some((*will_resubmit, *resubmit_at))
-            }
-            _ => None,
-        })
-        .expect("query_shed traced");
-    assert!(will_resubmit);
-    assert_eq!(resubmit_at, 0.5 + 1000.0);
-    // The retried query starts only after its backoff expired.
-    assert!(r.queries[1].start >= resubmit_at);
-    assert_eq!(r.queries[1].arrival, 0.5, "response time still counts from arrival");
-}
-
-#[test]
-fn admission_keeps_incremental_and_reference_in_lockstep() {
-    // Shedding under ShedLargestWrd reads the WRD aggregate of queries with
-    // no runnable entry (the newcomer, admitted queries not yet started),
-    // which Crosscheck checks against a from-scratch pass for every live
-    // query after every event; the crosschecked run must also match the
-    // plain one bit for bit.
-    let admission = AdmissionConfig {
-        queue_cap: 2,
-        deadline: 120.0,
-        shed_policy: ShedPolicy::ShedLargestWrd,
-        max_resubmits: 1,
-        resubmit_base: 20.0,
-        resubmit_cap: 40.0,
-    };
-    let (report, _) = assert_plain_matches_crosschecked(
-        || Simulator::new(small_config(), CostModel::default(), Swrd).with_admission(admission),
-        &mixed_workload(),
-    );
-    assert!(report.admission.queries_shed > 0, "the cap must shed");
-}
-
-/// Oracle whose every answer is garbage: NaN map times, negative reduce
-/// times. The guard must quarantine all of it.
-struct PoisonOracle;
-
-impl DemandOracle for PoisonOracle {
-    fn predict(&mut self, _query: QueryId, _job: &SimJob) -> JobPrediction {
-        JobPrediction { map_task_time: f64::NAN, reduce_task_time: -3.0 }
-    }
-}
-
-#[test]
-fn poisoned_oracle_degrades_scheduling_without_leaking_nan() {
-    use sapred_obs::{Event as Ob, RecordingSink};
-    let queries = mixed_workload();
-    let mut oracle = GuardedOracle::new(PoisonOracle);
-    let mut rec = RecordingSink::new();
-    let r = sim(Swrd)
-        .execute(&queries, Run::new().sink(&mut rec).oracle(&mut oracle))
-        .unwrap()
-        .into_report();
-    // Sustained garbage collapses trust during the up-front seeding, so
-    // the whole run schedules in degraded (FIFO) mode.
-    let enters = rec.events.iter().filter(|e| matches!(e, Ob::DegradedModeEnter { .. })).count();
-    let exits = rec.events.iter().filter(|e| matches!(e, Ob::DegradedModeExit { .. })).count();
-    assert_eq!(enters, 1);
-    assert_eq!(exits, 0);
-    assert!(oracle.degraded());
-    assert!(oracle.trust() < 0.3, "trust {}", oracle.trust());
-    // Every bad prediction is quarantined and surfaced with a finite
-    // substitute; nothing non-finite reaches the report.
-    let mut quarantined = 0;
-    for e in &rec.events {
-        if let Ob::PredictionQuarantined { predicted, substituted, .. } = e {
-            assert!(!(*predicted >= 0.0 && predicted.is_finite()), "clean value quarantined");
-            assert!(substituted.is_finite() && *substituted >= 0.0);
-            quarantined += 1;
-        }
-        if let Ob::Decision { policy, .. } = e {
-            assert_eq!(*policy, "FIFO(degraded)");
-        }
-    }
-    assert!(quarantined > 0);
-    for q in &r.queries {
-        assert!(!q.failed);
-        assert!(q.response().is_finite() && q.response() > 0.0);
-    }
-    assert!(r.makespan.is_finite());
-}
-
-/// Oracle with scripted trust: degraded until two jobs completed, healthy
-/// afterwards — exercising the engine's enter/exit surfacing and the
-/// scheduler swap in isolation from the guard's trust arithmetic.
-struct ScriptedTrustOracle {
-    observed: usize,
-}
-
-impl DemandOracle for ScriptedTrustOracle {
-    fn predict(&mut self, _query: QueryId, job: &SimJob) -> JobPrediction {
-        job.prediction
-    }
-    fn observe_job_done(
-        &mut self,
-        _query: QueryId,
-        _job: &SimJob,
-        _actual: JobPrediction,
-        _t: f64,
-    ) -> bool {
-        self.observed += 1;
-        false
-    }
-    fn trust(&self) -> f64 {
-        if self.observed < 2 {
-            0.1
-        } else {
-            0.9
-        }
-    }
-    fn degraded(&self) -> bool {
-        self.observed < 2
-    }
-}
-
-#[test]
-fn degraded_mode_recovery_is_surfaced_and_restores_the_scheduler() {
-    use sapred_obs::{Event as Ob, RecordingSink};
-    let queries = mixed_workload();
-    let mut rec = RecordingSink::new();
-    sim(Swrd)
-        .execute(
-            &queries,
-            Run::new().sink(&mut rec).oracle(&mut ScriptedTrustOracle { observed: 0 }),
-        )
-        .unwrap()
-        .into_report();
-    let enter = rec
-        .events
-        .iter()
-        .find_map(|e| match e {
-            Ob::DegradedModeEnter { t, trust, fallback } => Some((*t, *trust, *fallback)),
-            _ => None,
-        })
-        .expect("enter traced");
-    assert_eq!(enter, (0.0, 0.1, "FIFO"), "degraded from the initial seeding");
-    let exit = rec
-        .events
-        .iter()
-        .find_map(|e| match e {
-            Ob::DegradedModeExit { t, trust } => Some((*t, *trust)),
-            _ => None,
-        })
-        .expect("exit traced");
-    assert!(exit.0 > 0.0, "recovery happens at the second job completion");
-    assert_eq!(exit.1, 0.9);
-    // Decisions flip from the fallback back to the configured policy.
-    let policies: Vec<&str> = rec
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            Ob::Decision { t, policy, .. } => Some((*t, *policy)),
-            _ => None,
-        })
-        .map(|(t, p)| {
-            assert!(
-                if t < exit.0 { p == "FIFO(degraded)" } else { p == "SWRD" },
-                "policy {p} at t={t} (exit at {})",
-                exit.0
-            );
-            p
-        })
-        .collect();
-    assert!(policies.contains(&"FIFO(degraded)"));
-    assert!(policies.contains(&"SWRD"));
 }
 
 #[test]
@@ -1217,9 +795,6 @@ fn profiled_run_is_report_identical_and_counts_hot_paths() {
     assert!(prof.counter(Counter::QueuePeakDepth) > 0);
     // Disabled sink: no events delivered, and the emit sites never ran.
     assert_eq!(prof.counter(Counter::SinkEventsEmitted), 0);
-    // One admission_decision span per arrival.
-    let adm = prof.span_stat("admission_decision").expect("arrival spans recorded");
-    assert_eq!(adm.count, queries.len() as u64);
     assert!(prof.balanced());
 
     // With an enabled sink the emitted-event counter matches exactly.

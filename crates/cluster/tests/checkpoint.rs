@@ -2,13 +2,10 @@
 //!
 //! The contract under test: for every golden fixture (six schedulers,
 //! fault-free and stress-faulted), running to a snapshot point, dropping
-//! the engine, restoring the `sapred-ckpt/v2` blob into a fresh engine,
+//! the engine, restoring the `sapred-ckpt/v3` blob into a fresh engine,
 //! and finishing produces a report and an event stream **bit-identical**
 //! to the uninterrupted run — at deterministically chosen snapshot points
-//! and at proptest-chosen random ones. A second differential drives the
-//! full robustness stack (tight admission, stress faults, a guarded
-//! poisoned oracle in degraded mode) through the same cut, proving the
-//! oracle/admission state survives the round trip. The golden cells also
+//! and at proptest-chosen random ones. The golden cells also
 //! run [crosschecked](Simulator::crosschecked), which checks the dispatch
 //! view and the pick index against their references at every decision and
 //! right after the restore. The random cuts draw whether the resuming
@@ -29,10 +26,9 @@ use sapred_cluster::fault::{FaultPlan, NodeCrash};
 use sapred_cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
 use sapred_cluster::sim::{
-    AdmissionConfig, CheckpointError, ClusterConfig, DemandOracle, FrozenOracle, GuardedOracle,
-    Run, RunOutcome, ShedPolicy, SimError, SimReport, Simulator,
+    CheckpointError, ClusterConfig, Run, RunOutcome, SimError, SimReport, Simulator,
 };
-use sapred_cluster::{CostModel, JobId, QueryId};
+use sapred_cluster::{CostModel, JobId};
 use sapred_obs::profile::{Counter, SpanProfiler};
 use sapred_obs::{Event, RecordingSink};
 
@@ -152,12 +148,11 @@ fn straight<S: Scheduler>(
 /// events.
 fn segment<S: Scheduler>(
     mut sim: Simulator<S>,
-    oracle: &mut dyn DemandOracle,
     from: Option<&[u8]>,
     stop: Option<u64>,
 ) -> (RunOutcome, Vec<Event>) {
     let mut rec = RecordingSink::new();
-    let mut run = Run::new().sink(&mut rec).oracle(oracle);
+    let mut run = Run::new().sink(&mut rec);
     if let Some(bytes) = from {
         run = run.resume(bytes);
     }
@@ -176,7 +171,7 @@ fn expect_snapshot(outcome: RunOutcome, at: u64) -> Vec<u8> {
 }
 
 /// The interrupted run: snapshot after `at` events (crosschecked if
-/// `crosscheck`), restore the blob into a fresh engine + oracle
+/// `crosscheck`), restore the blob into a fresh engine
 /// (crosschecked if `resume_crosscheck`), finish. Returns the stitched report and event stream
 /// (prefix + suffix).
 fn snapshot_and_resume<S: Scheduler + Clone>(
@@ -187,10 +182,10 @@ fn snapshot_and_resume<S: Scheduler + Clone>(
     at: u64,
 ) -> (SimReport, Vec<String>) {
     let sim = build(s.clone(), faults.clone(), crosscheck);
-    let (outcome, mut events) = segment(sim, &mut FrozenOracle, None, Some(at));
+    let (outcome, mut events) = segment(sim, None, Some(at));
     let blob = expect_snapshot(outcome, at);
     let sim = build(s, faults, resume_crosscheck);
-    let (outcome, suffix) = segment(sim, &mut FrozenOracle, Some(&blob), None);
+    let (outcome, suffix) = segment(sim, Some(&blob), None);
     events.extend(suffix);
     (outcome.into_report(), rendered(&events))
 }
@@ -255,16 +250,16 @@ fn check_double_cut<S: Scheduler + Clone>(s: S, faults: Option<FaultPlan>, name:
     assert!(0 < a && a < b && b < total, "{name}: run too short to cut twice ({total} events)");
     let sim = || build(s.clone(), faults.clone(), false);
 
-    let (outcome, mut events) = segment(sim(), &mut FrozenOracle, None, Some(a));
+    let (outcome, mut events) = segment(sim(), None, Some(a));
     let blob_a = expect_snapshot(outcome, a);
-    let (outcome, second) = segment(sim(), &mut FrozenOracle, Some(&blob_a), Some(b));
+    let (outcome, second) = segment(sim(), Some(&blob_a), Some(b));
     let blob_b = expect_snapshot(outcome, b);
     assert!(
         matches!(second.first(), Some(Event::RunResumed { events, .. }) if *events == a),
         "{name}: the second segment must open with a resume marker at event {a}"
     );
     events.extend(second);
-    let (outcome, third) = segment(sim(), &mut FrozenOracle, Some(&blob_b), None);
+    let (outcome, third) = segment(sim(), Some(&blob_b), None);
     events.extend(third);
     let (report, events) = (outcome.into_report(), rendered(&events));
     assert_eq!(report, want_report, "{name}: report diverged after cuts at {a} and {b}/{total}");
@@ -315,66 +310,6 @@ fn profiled_snapshot_and_resume_count_the_straight_run() {
 }
 
 // ---------------------------------------------------------------------
-// Robustness stack through the cut: admission + faults + a guarded
-// poisoned oracle (degraded mode), exercising the oracle state blob.
-
-/// An oracle whose every prediction is garbage, pushing the guard into
-/// quarantines and degraded mode — deterministic by construction.
-struct BrokenOracle;
-
-impl DemandOracle for BrokenOracle {
-    fn predict(&mut self, _query: QueryId, _job: &SimJob) -> JobPrediction {
-        JobPrediction { map_task_time: f64::NAN, reduce_task_time: -3.0 }
-    }
-}
-
-fn lifecycle_sim() -> Simulator<Swrd> {
-    let admission = AdmissionConfig {
-        queue_cap: 1,
-        deadline: 15.0,
-        shed_policy: ShedPolicy::ShedLargestWrd,
-        max_resubmits: 1,
-        resubmit_base: 2.0,
-        resubmit_cap: 10.0,
-    };
-    Simulator::new(config(), CostModel::default(), Swrd)
-        .with_admission(admission)
-        .with_faults(stress_plan())
-}
-
-#[test]
-fn degraded_guarded_oracle_and_admission_state_survive_the_cut() {
-    let mut rec = RecordingSink::new();
-    let prof = SpanProfiler::new();
-    let mut oracle = GuardedOracle::new(BrokenOracle);
-    let want = lifecycle_sim()
-        .execute(&workload(), Run::new().sink(&mut rec).oracle(&mut oracle).profiler(&prof))
-        .unwrap()
-        .into_report();
-    let want_events = rendered(&rec.events);
-    let total = prof.counter(Counter::EventsProcessed);
-    assert!(
-        want_events.iter().any(|e| e.contains("degraded_mode_enter")),
-        "fixture must actually reach degraded mode"
-    );
-
-    for at in deterministic_cuts(total) {
-        let mut oracle = GuardedOracle::new(BrokenOracle);
-        let (outcome, mut events) = segment(lifecycle_sim(), &mut oracle, None, Some(at));
-        let blob = expect_snapshot(outcome, at);
-        drop(oracle);
-        // A *fresh* guard: trust EWMA, drift cells, degraded flag and
-        // quarantine counters all come back from the blob.
-        let mut oracle = GuardedOracle::new(BrokenOracle);
-        let (outcome, suffix) = segment(lifecycle_sim(), &mut oracle, Some(&blob), None);
-        events.extend(suffix);
-        let (report, events) = (outcome.into_report(), rendered(&events));
-        assert_eq!(report, want, "lifecycle report diverged at cut {at}/{total}");
-        assert_eq!(events, want_events, "lifecycle events diverged at cut {at}/{total}");
-    }
-}
-
-// ---------------------------------------------------------------------
 // Corruption fuzzing: every flip/truncation is a typed error, never a
 // panic or a silently-wrong resumed run.
 
@@ -382,7 +317,7 @@ fn sample_blob() -> Vec<u8> {
     let sim = Simulator::new(config(), CostModel::default(), Swrd).with_faults(stress_plan());
     // Mid-run cut: the faulted SWRD run processes ~128 events total, so 60
     // lands with plenty of live state (running attempts, pending retries).
-    expect_snapshot(segment(sim, &mut FrozenOracle, None, Some(60)).0, 60)
+    expect_snapshot(segment(sim, None, Some(60)).0, 60)
 }
 
 fn try_restore(blob: &[u8]) -> Result<SimReport, SimError> {
@@ -437,9 +372,9 @@ fn context_mismatch_is_detected() {
 const HEADER: usize = 15 + 8 + 8;
 
 /// Payload bytes before the queue's first record: context fingerprint,
-/// the seven run scalars (now, events, done, active, degraded, two RNG
-/// states), then the queue's seq, ops and record count.
-const FIRST_RECORD: usize = 8 + (8 + 8 + 8 + 8 + 1 + 8 + 8) + 8 + 8 + 8;
+/// the five run scalars (now, events, done, two RNG states), then the
+/// queue's seq, ops and record count.
+const FIRST_RECORD: usize = 8 + (8 + 8 + 8 + 8 + 8) + 8 + 8 + 8;
 
 /// Serialized bytes per queued event.
 const RECORD: usize = 30;
@@ -477,6 +412,16 @@ fn swapped_queue_records_are_rejected_even_when_rechecksummed() {
 fn v1_blobs_fail_on_the_magic_header() {
     let mut blob = sample_blob();
     blob[..15].copy_from_slice(b"sapred-ckpt/v1\n");
+    assert!(matches!(try_restore(&blob), Err(SimError::Checkpoint(CheckpointError::BadMagic))));
+}
+
+/// A `sapred-ckpt/v2` blob carries admission and oracle state this format
+/// no longer has; it is refused by its header, not misread.
+#[test]
+fn v2_blobs_fail_on_the_magic_header() {
+    let mut blob = sample_blob();
+    assert_eq!(&blob[..15], b"sapred-ckpt/v3\n");
+    blob[..15].copy_from_slice(b"sapred-ckpt/v2\n");
     assert!(matches!(try_restore(&blob), Err(SimError::Checkpoint(CheckpointError::BadMagic))));
 }
 

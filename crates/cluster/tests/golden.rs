@@ -13,11 +13,8 @@
 use sapred_cluster::fault::{FaultPlan, NodeCrash};
 use sapred_cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
-use sapred_cluster::sim::{
-    AdmissionConfig, ClusterConfig, DemandOracle, FrozenOracle, GuardedOracle, Run, ShedPolicy,
-    SimReport, Simulator,
-};
-use sapred_cluster::{CostModel, JobId, QueryId};
+use sapred_cluster::sim::{ClusterConfig, Run, SimReport, Simulator};
+use sapred_cluster::{CostModel, JobId};
 use sapred_obs::RecordingSink;
 
 const MB: f64 = 1024.0 * 1024.0;
@@ -202,26 +199,6 @@ fn run<S: Scheduler>(sched: S, faults: Option<FaultPlan>) -> (u64, u64) {
     (report_fingerprint(&report), events_fingerprint(&rec.events))
 }
 
-/// Like [`run`], but with the full (inert) robustness stack attached: a
-/// disabled admission config and a guarded frozen oracle. Must reproduce
-/// the same fingerprints — the guardrails may not cost one ULP when idle.
-fn run_inert_robustness<S: Scheduler>(sched: S, faults: Option<FaultPlan>) -> (u64, u64) {
-    let mut sim = Simulator::new(config(), CostModel::default(), sched)
-        .with_admission(AdmissionConfig::disabled());
-    if let Some(plan) = faults {
-        sim = sim.with_faults(plan);
-    }
-    let mut rec = RecordingSink::new();
-    let mut oracle = GuardedOracle::new(FrozenOracle);
-    let report = sim
-        .execute(&workload(), Run::new().sink(&mut rec).oracle(&mut oracle))
-        .unwrap()
-        .into_report();
-    assert!(report.admission.is_clean(), "inert admission must report clean stats");
-    assert!(!oracle.degraded(), "a frozen oracle never degrades");
-    (report_fingerprint(&report), events_fingerprint(&rec.events))
-}
-
 /// One pinned cell: (scheduler, report fingerprint, event-stream
 /// fingerprint), captured from the pre-refactor engine.
 struct Pin {
@@ -230,33 +207,22 @@ struct Pin {
     events: u64,
 }
 
-fn run_named(name: &str, faults: Option<FaultPlan>, inert_robustness: bool) -> (u64, u64) {
-    fn go<S: Scheduler>(s: S, faults: Option<FaultPlan>, inert: bool) -> (u64, u64) {
-        if inert {
-            run_inert_robustness(s, faults)
-        } else {
-            run(s, faults)
-        }
-    }
+fn run_named(name: &str, faults: Option<FaultPlan>) -> (u64, u64) {
     match name {
-        "FIFO" => go(Fifo, faults, inert_robustness),
-        "HCS" => go(Hcs, faults, inert_robustness),
-        "HFS" => go(Hfs, faults, inert_robustness),
-        "SWRD" => go(Swrd, faults, inert_robustness),
-        "SRT" => go(Srt, faults, inert_robustness),
-        "HCS-queues" => go(HcsQueues::new(vec![0.5, 0.5]), faults, inert_robustness),
+        "FIFO" => run(Fifo, faults),
+        "HCS" => run(Hcs, faults),
+        "HFS" => run(Hfs, faults),
+        "SWRD" => run(Swrd, faults),
+        "SRT" => run(Srt, faults),
+        "HCS-queues" => run(HcsQueues::new(vec![0.5, 0.5]), faults),
         other => panic!("unknown scheduler {other}"),
     }
 }
 
 fn check(pins: &[Pin], faults: Option<FaultPlan>) {
-    check_mode(pins, faults, false)
-}
-
-fn check_mode(pins: &[Pin], faults: Option<FaultPlan>, inert_robustness: bool) {
     let mut failures = Vec::new();
     for pin in pins {
-        let (report, events) = run_named(pin.name, faults.clone(), inert_robustness);
+        let (report, events) = run_named(pin.name, faults.clone());
         if (report, events) != (pin.report, pin.events) {
             failures.push(format!(
                 "{}: report {report:#018x} (pinned {:#018x}), events {events:#018x} \
@@ -300,102 +266,4 @@ fn faulted_reports_and_event_streams_are_bit_identical_to_golden() {
         ],
         Some(stress_plan()),
     );
-}
-
-// ---------------------------------------------------------------------
-// Robustness stack: inert reproduction and lifecycle replay.
-
-/// A disabled admission config plus a guarded frozen oracle must reproduce
-/// every fault-free golden pin bit-for-bit — the overload machinery may not
-/// perturb behavior when it is switched off.
-#[test]
-fn inert_robustness_stack_reproduces_fault_free_golden() {
-    check_mode(
-        &[
-            Pin { name: "FIFO", report: 0xabbade97005267aa, events: 0xb23c2cfc9fc22c9b },
-            Pin { name: "HCS", report: 0x43681221442434de, events: 0xc8afba2594525dfe },
-            Pin { name: "HFS", report: 0xc7ffc822cdab84e7, events: 0x401aa82e979fba64 },
-            Pin { name: "SWRD", report: 0xa3ea1b4ac7498dfd, events: 0xde08a852b54cf331 },
-            Pin { name: "SRT", report: 0xa3ea1b4ac7498dfd, events: 0x9a67e2f0268a5d78 },
-            Pin { name: "HCS-queues", report: 0x0d5adba6f7a78a9d, events: 0x5e2b9168c3a6f870 },
-        ],
-        None,
-        true,
-    );
-}
-
-/// Same inert-stack invariant under the stress fault plan.
-#[test]
-fn inert_robustness_stack_reproduces_faulted_golden() {
-    check_mode(
-        &[
-            Pin { name: "FIFO", report: 0xe482ed51d2b1ab54, events: 0x15e87afb37e9eb7b },
-            Pin { name: "HCS", report: 0x7fcb563e59e21c9b, events: 0xfd8c540b49d3b489 },
-            Pin { name: "HFS", report: 0x14908a9ae85f03cc, events: 0x3ccb0c75163d2316 },
-            Pin { name: "SWRD", report: 0xb05f9048145b7627, events: 0x08f700f177e98c51 },
-            Pin { name: "SRT", report: 0xb05f9048145b7627, events: 0x7aa0a0401b121719 },
-            Pin { name: "HCS-queues", report: 0x52f14c66ec9667ac, events: 0xf0d169b8532b0933 },
-        ],
-        Some(stress_plan()),
-        true,
-    );
-}
-
-/// An oracle whose every prediction is garbage: NaN map times and negative
-/// reduce times. Deterministic by construction, so two runs quarantine the
-/// same cells in the same order.
-struct BrokenOracle;
-
-impl DemandOracle for BrokenOracle {
-    fn predict(&mut self, _query: QueryId, _job: &SimJob) -> JobPrediction {
-        JobPrediction { map_task_time: f64::NAN, reduce_task_time: -3.0 }
-    }
-}
-
-/// One full lifecycle-stress run: tight admission (cap 1, 15 s deadline,
-/// semantics-aware shedding, one resubmit), the stress fault plan, and a
-/// guarded broken oracle forcing degraded mode.
-fn run_lifecycle_stress() -> (u64, u64, Vec<sapred_obs::Event>) {
-    let admission = AdmissionConfig {
-        queue_cap: 1,
-        deadline: 15.0,
-        shed_policy: ShedPolicy::ShedLargestWrd,
-        max_resubmits: 1,
-        resubmit_base: 2.0,
-        resubmit_cap: 10.0,
-    };
-    let mut sim = Simulator::new(config(), CostModel::default(), Swrd)
-        .with_admission(admission)
-        .with_faults(stress_plan());
-    let mut rec = RecordingSink::new();
-    let mut oracle = GuardedOracle::new(BrokenOracle);
-    let report = sim
-        .execute(&workload(), Run::new().sink(&mut rec).oracle(&mut oracle))
-        .unwrap()
-        .into_report();
-    (report_fingerprint(&report), events_fingerprint(&rec.events), rec.events)
-}
-
-/// Shed, deadline-miss, degraded-mode and quarantine decisions are part of
-/// the deterministic event stream: two identical runs must agree bit-for-bit
-/// on both the report and every exported event, and the stream must actually
-/// contain each lifecycle event kind.
-#[test]
-fn lifecycle_event_streams_replay_bit_identically() {
-    use sapred_obs::Event;
-
-    let (report_a, events_a, events) = run_lifecycle_stress();
-    let (report_b, events_b, _) = run_lifecycle_stress();
-    assert_eq!(report_a, report_b, "lifecycle report fingerprints must replay bit-identically");
-    assert_eq!(events_a, events_b, "lifecycle event streams must replay bit-identically");
-
-    let count = |pred: fn(&Event) -> bool| events.iter().filter(|e| pred(e)).count();
-    let shed = count(|e| matches!(e, Event::QueryShed { .. }));
-    let missed = count(|e| matches!(e, Event::DeadlineMissed { .. }));
-    let degraded = count(|e| matches!(e, Event::DegradedModeEnter { .. }));
-    let quarantined = count(|e| matches!(e, Event::PredictionQuarantined { .. }));
-    assert!(shed > 0, "stress config must shed at least one query");
-    assert!(missed > 0, "stress config must miss at least one deadline");
-    assert!(degraded > 0, "a broken oracle must push the guard into degraded mode");
-    assert!(quarantined > 0, "every broken prediction must surface a quarantine event");
 }

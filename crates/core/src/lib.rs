@@ -20,9 +20,6 @@
 //! * [`pipeline`] — the [`Pipeline`] facade walking a query through the
 //!   staged lifecycle (percolate → train → predict → simulate), the one
 //!   entry point the CLI, examples and integration tests consume;
-//! * [`oracle`] — live [`DemandOracle`](sapred_cluster::DemandOracle)
-//!   implementations, including the drift-corrected
-//!   [`RecalibratingOracle`];
 //! * [`parallel`] — the one parallel runner: panic-isolated work items
 //!   claimed by scoped worker threads, results in item order (re-exported
 //!   from `sapred_relation::parallel`, the lowest crate that uses it);
@@ -36,7 +33,6 @@
 pub mod error;
 pub mod experiments;
 pub mod framework;
-pub mod oracle;
 pub use sapred_relation::parallel;
 pub mod persist;
 pub mod pipeline;
@@ -47,6 +43,5 @@ pub mod training;
 
 pub use error::Error;
 pub use framework::{Framework, Predictor, QuerySemantics};
-pub use oracle::{GuardedRecalibratingOracle, RecalibratingOracle};
 pub use pipeline::{Pipeline, Training};
 pub use training::{fit_models, run_population, split_train_test, QueryRun, TrainedModels};

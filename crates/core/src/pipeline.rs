@@ -11,9 +11,8 @@
 //! 3. **predict** — per-job/task times, WRD, query response
 //!    (via [`Pipeline::predictor`]);
 //! 4. **simulate** — run workloads on the simulated cluster
-//!    ([`Pipeline::simulate`]), optionally traced, profiled, under faults
-//!    and admission control, or with a live
-//!    [`DemandOracle`](sapred_cluster::DemandOracle) in the loop.
+//!    ([`Pipeline::simulate`]), optionally traced, profiled, or under
+//!    faults.
 //!
 //! Every stage that can fail returns the unified [`Error`], so a driver is
 //! a chain of `?`s. The CLI, all the examples, and the integration tests
@@ -89,15 +88,9 @@ impl Pipeline {
         }
     }
 
-    /// Attach a stage profiler: lifecycle stages record spans on it
-    /// (`"percolate"`, `"train"`, `"predict"`, `"simulate"`). Keep a clone
-    /// of the `Rc` to read the timings afterwards.
-    pub fn with_profiler(mut self, profiler: Rc<SpanProfiler>) -> Self {
-        self.profiler = Some(profiler);
-        self
-    }
-
-    /// Attach (or replace) the stage profiler on an existing pipeline.
+    /// Attach (or replace) the stage profiler: lifecycle stages record
+    /// spans on it (`"percolate"`, `"train"`, `"predict"`, `"simulate"`).
+    /// Keep a clone of the `Rc` to read the timings afterwards.
     pub fn set_profiler(&mut self, profiler: Rc<SpanProfiler>) {
         self.profiler = Some(profiler);
     }
@@ -256,32 +249,32 @@ impl Pipeline {
     }
 
     /// A simulator over this pipeline's cluster and cost model, for
-    /// [`Pipeline::simulate`]. Chain `with_faults` or `with_admission` onto
-    /// it for a robustness setup.
+    /// [`Pipeline::simulate`]. Chain `with_faults` onto it to inject
+    /// failures.
     pub fn simulator<S: Scheduler>(&self, scheduler: S) -> Simulator<S> {
         Simulator::new(self.framework.cluster, self.framework.cost, scheduler)
     }
 
     /// Run `queries` on `sim` as `run` describes (see
-    /// [`Simulator::execute`]): traced through a sink, with a live
-    /// [`DemandOracle`](sapred_cluster::DemandOracle) in the dispatch loop
-    /// — pair with [`RecalibratingOracle`](crate::oracle::RecalibratingOracle)
-    /// to let completed-job actuals re-rank the remaining work mid-run —
-    /// profiled, resumed, or stopped early. Records a `"simulate"` stage
-    /// span on the pipeline profiler, when one is attached.
+    /// [`Simulator::execute`]): traced through a sink, profiled, resumed,
+    /// or stopped early. Records a `"simulate"` stage span on the pipeline
+    /// profiler, when one is attached.
     ///
     /// # Errors
-    /// [`Error::Invalid`] for a malformed fault plan or admission config,
-    /// checked before the run starts instead of panicking inside the event
-    /// loop, and [`Error::Sim`] if the run itself fails.
+    /// [`Error::Invalid`] for a malformed query (see [`SimQuery::validate`],
+    /// which also rejects non-finite predictions) or fault plan, checked
+    /// before the run starts instead of panicking inside the event loop,
+    /// and [`Error::Sim`] if the run itself fails.
     pub fn simulate<S: Scheduler, K: EventSink, P: Profiler>(
         &self,
         mut sim: Simulator<S>,
         queries: &[SimQuery],
         run: Run<'_, K, P>,
     ) -> Result<RunOutcome, Error> {
+        for q in queries {
+            q.validate().map_err(|e| Error::invalid(format!("invalid query {}: {e}", q.name)))?;
+        }
         sim.faults.validate(sim.config.nodes).map_err(Error::invalid)?;
-        sim.admission.validate().map_err(Error::invalid)?;
         let prof = self.stage_profiler();
         let _stage = prof.as_ref().map(|p| p.span("simulate"));
         Ok(sim.execute(queries, run)?)
@@ -306,27 +299,25 @@ mod tests {
 
     #[test]
     fn malformed_robustness_configs_surface_as_errors() {
-        use sapred_cluster::{AdmissionConfig, FaultPlan};
+        use sapred_cluster::FaultPlan;
         let p = Pipeline::new();
         let bad_plan = FaultPlan { task_fail_prob: 2.0, ..FaultPlan::none() };
         assert!(matches!(
-            p.simulate(p.simulator(Fifo).with_faults(bad_plan.clone()), &[], Run::new()),
+            p.simulate(p.simulator(Fifo).with_faults(bad_plan), &[], Run::new()),
             Err(Error::Invalid(_))
         ));
-        let bad_admission = AdmissionConfig { deadline: f64::NAN, ..Default::default() };
-        let err = p
-            .simulate(p.simulator(Fifo).with_admission(bad_admission), &[], Run::new())
-            .unwrap_err();
-        assert!(err.to_string().contains("deadline"), "{err}");
-        // And the fault plan is checked alongside a valid admission config.
-        assert!(matches!(
-            p.simulate(
-                p.simulator(Fifo).with_faults(bad_plan).with_admission(AdmissionConfig::disabled()),
-                &[],
-                Run::new()
-            ),
-            Err(Error::Invalid(_))
-        ));
+    }
+
+    #[test]
+    fn non_finite_predictions_surface_as_errors() {
+        let mut p = Pipeline::with_seed(7);
+        let semantics =
+            p.percolate_sql("t", "SELECT count(*) FROM orders", 0.5).expect("valid query");
+        let mut q = p.sim_query("t", 0.0, &semantics, 0.5);
+        q.jobs[0].prediction.reduce_task_time = f64::NAN;
+        let err = p.simulate(p.simulator(Fifo), std::slice::from_ref(&q), Run::new()).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("job 0"), "the error should name the job: {err}");
     }
 
     #[test]
@@ -334,7 +325,8 @@ mod tests {
         use sapred_obs::profile::Counter;
 
         let prof = Rc::new(SpanProfiler::new());
-        let mut p = Pipeline::with_seed(7).with_profiler(Rc::clone(&prof));
+        let mut p = Pipeline::with_seed(7);
+        p.set_profiler(Rc::clone(&prof));
         let semantics =
             p.percolate_sql("t", "SELECT count(*) FROM orders", 0.5).expect("valid query");
         let q = p.sim_query("t", 0.0, &semantics, 0.5);

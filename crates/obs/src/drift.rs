@@ -126,18 +126,6 @@ impl DriftTracker {
         QUANTITIES.iter().map(|&q| self.aggregate(q).n).sum()
     }
 
-    /// The raw cell table (`[quantity][category]`, category index 3 = the
-    /// cross-category aggregate), for checkpointing a tracker mid-run.
-    pub fn raw_cells(&self) -> [[DriftStat; 4]; 4] {
-        self.cells
-    }
-
-    /// Rebuild a tracker from a raw cell table captured by
-    /// [`DriftTracker::raw_cells`] (checkpoint restore).
-    pub fn from_raw_cells(cells: [[DriftStat; 4]; 4]) -> Self {
-        Self { cells }
-    }
-
     /// Render the full table as a JSON object keyed by quantity label, each
     /// holding per-category rows plus an `"all"` aggregate.
     pub fn to_json(&self) -> String {

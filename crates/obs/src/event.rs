@@ -329,51 +329,6 @@ pub enum Event {
         /// Actual value (seconds).
         actual: f64,
     },
-    /// Admission control shed a query: the pending queue was full and a shed
-    /// policy picked a victim (the newcomer or an already-queued query).
-    QueryShed {
-        /// Simulated time in seconds.
-        t: f64,
-        /// Query index within the workload.
-        query: QueryId,
-        /// Shed-policy name that made the call (e.g. `"reject_newest"`).
-        policy: &'static str,
-        /// The victim's whole-query remaining demand (WRD) at shed time.
-        wrd: f64,
-        /// Whether a backoff resubmission was scheduled (false once the
-        /// resubmit budget is exhausted — the query is abandoned).
-        will_resubmit: bool,
-        /// When the resubmission re-arrives (only meaningful when
-        /// `will_resubmit`; equals `t` otherwise).
-        resubmit_at: f64,
-    },
-    /// A query overran its deadline and was killed by admission control.
-    DeadlineMissed {
-        /// Simulated time in seconds (= arrival + deadline).
-        t: f64,
-        /// Query index within the workload.
-        query: QueryId,
-        /// The configured per-query deadline (seconds after arrival).
-        deadline: f64,
-    },
-    /// Prediction trust fell below threshold; the scheduler dropped into
-    /// its semantics-blind fallback policy.
-    DegradedModeEnter {
-        /// Simulated time in seconds.
-        t: f64,
-        /// Oracle trust score in `[0, 1]` at the transition.
-        trust: f64,
-        /// Fallback policy name the scheduler switched to (e.g. `"FIFO"`).
-        fallback: &'static str,
-    },
-    /// Prediction trust recovered past the exit threshold (hysteresis);
-    /// the scheduler resumed its semantics-aware policy.
-    DegradedModeExit {
-        /// Simulated time in seconds.
-        t: f64,
-        /// Oracle trust score in `[0, 1]` at the transition.
-        trust: f64,
-    },
     /// The engine serialized a full checkpoint of its state (periodic
     /// `checkpoint_every_events` trigger or an explicit snapshot request).
     CheckpointWritten {
@@ -381,7 +336,7 @@ pub enum Event {
         t: f64,
         /// Events processed so far in this run (the snapshot boundary).
         events: u64,
-        /// Size of the serialized `sapred-ckpt/v2` blob in bytes.
+        /// Size of the serialized `sapred-ckpt/v3` blob in bytes.
         bytes: u64,
     },
     /// The engine was restored from a checkpoint and resumed execution.
@@ -390,24 +345,6 @@ pub enum Event {
         t: f64,
         /// Events the checkpointed run had already processed.
         events: u64,
-    },
-    /// A guarded oracle rejected one predicted value (non-finite, negative,
-    /// or out of trained range) and substituted a safe fallback.
-    PredictionQuarantined {
-        /// Simulated time in seconds.
-        t: f64,
-        /// Query index within the workload.
-        query: QueryId,
-        /// Job index within the query.
-        job: JobId,
-        /// Semantic category of the job.
-        category: JobCategory,
-        /// Which predicted quantity was quarantined.
-        quantity: Quantity,
-        /// The rejected raw prediction (may be NaN — rendered as JSON null).
-        predicted: f64,
-        /// The safe value substituted for it.
-        substituted: f64,
     },
 }
 
@@ -432,13 +369,8 @@ impl Event {
             | Event::Decision { t, .. }
             | Event::Eta { t, .. }
             | Event::PredictionError { t, .. }
-            | Event::QueryShed { t, .. }
-            | Event::DeadlineMissed { t, .. }
-            | Event::DegradedModeEnter { t, .. }
-            | Event::DegradedModeExit { t, .. }
             | Event::CheckpointWritten { t, .. }
-            | Event::RunResumed { t, .. }
-            | Event::PredictionQuarantined { t, .. } => *t,
+            | Event::RunResumed { t, .. } => *t,
         }
     }
 
@@ -462,13 +394,8 @@ impl Event {
             Event::Decision { .. } => "decision",
             Event::Eta { .. } => "eta",
             Event::PredictionError { .. } => "prediction_error",
-            Event::QueryShed { .. } => "query_shed",
-            Event::DeadlineMissed { .. } => "deadline_missed",
-            Event::DegradedModeEnter { .. } => "degraded_mode_enter",
-            Event::DegradedModeExit { .. } => "degraded_mode_exit",
             Event::CheckpointWritten { .. } => "checkpoint_written",
             Event::RunResumed { .. } => "run_resumed",
-            Event::PredictionQuarantined { .. } => "prediction_quarantined",
         }
     }
 
@@ -601,40 +528,10 @@ impl Event {
                 .num("predicted", *predicted)
                 .num("actual", *actual)
                 .finish(),
-            Event::QueryShed { query, policy, wrd, will_resubmit, resubmit_at, .. } => base
-                .int("query", u64::from(*query))
-                .str("policy", policy)
-                .num("wrd", *wrd)
-                .bool("will_resubmit", *will_resubmit)
-                .num("resubmit_at", *resubmit_at)
-                .finish(),
-            Event::DeadlineMissed { query, deadline, .. } => {
-                base.int("query", u64::from(*query)).num("deadline", *deadline).finish()
-            }
-            Event::DegradedModeEnter { trust, fallback, .. } => {
-                base.num("trust", *trust).str("fallback", fallback).finish()
-            }
-            Event::DegradedModeExit { trust, .. } => base.num("trust", *trust).finish(),
             Event::CheckpointWritten { events, bytes, .. } => {
                 base.int("events", *events).int("bytes", *bytes).finish()
             }
             Event::RunResumed { events, .. } => base.int("events", *events).finish(),
-            Event::PredictionQuarantined {
-                query,
-                job,
-                category,
-                quantity,
-                predicted,
-                substituted,
-                ..
-            } => base
-                .int("query", u64::from(*query))
-                .int("job", u64::from(*job))
-                .str("category", &category.to_string())
-                .str("quantity", quantity.label())
-                .num("predicted", *predicted)
-                .num("substituted", *substituted)
-                .finish(),
         }
     }
 }
@@ -741,28 +638,8 @@ mod tests {
                 predicted: 3.0,
                 actual: 2.5,
             },
-            Event::QueryShed {
-                t: 5.0,
-                query: QueryId(2),
-                policy: "largest_wrd",
-                wrd: 80.0,
-                will_resubmit: true,
-                resubmit_at: 6.0,
-            },
-            Event::DeadlineMissed { t: 9.0, query: QueryId(1), deadline: 8.0 },
-            Event::DegradedModeEnter { t: 5.5, trust: 0.25, fallback: "FIFO" },
-            Event::DegradedModeExit { t: 7.5, trust: 0.65 },
             Event::CheckpointWritten { t: 6.0, events: 4096, bytes: 18_000 },
             Event::RunResumed { t: 6.0, events: 4096 },
-            Event::PredictionQuarantined {
-                t: 5.0,
-                query: QueryId(2),
-                job: JobId(1),
-                category: JobCategory::Join,
-                quantity: Quantity::MapTask,
-                predicted: f64::NAN,
-                substituted: 5.0,
-            },
         ]
     }
 
@@ -817,27 +694,10 @@ mod tests {
                 .unwrap_or_else(|| panic!("no sample for {k}"))
                 .to_json()
         };
-        let shed = by_kind("query_shed");
-        assert!(shed.contains("\"policy\":\"largest_wrd\""));
-        assert!(shed.contains("\"wrd\":80"));
-        assert!(shed.contains("\"will_resubmit\":true"));
-        assert!(shed.contains("\"resubmit_at\":6"));
-        let missed = by_kind("deadline_missed");
-        assert!(missed.contains("\"query\":1"));
-        assert!(missed.contains("\"deadline\":8"));
-        let enter = by_kind("degraded_mode_enter");
-        assert!(enter.contains("\"trust\":0.25"));
-        assert!(enter.contains("\"fallback\":\"FIFO\""));
-        assert!(by_kind("degraded_mode_exit").contains("\"trust\":0.65"));
         let ckpt = by_kind("checkpoint_written");
         assert!(ckpt.contains("\"events\":4096"));
         assert!(ckpt.contains("\"bytes\":18000"));
         assert!(by_kind("run_resumed").contains("\"events\":4096"));
-        let quarantined = by_kind("prediction_quarantined");
-        // A NaN raw prediction must render as JSON null, not literal NaN.
-        assert!(quarantined.contains("\"predicted\":null"));
-        assert!(quarantined.contains("\"substituted\":5"));
-        assert!(quarantined.contains("\"quantity\":\"map_task\""));
     }
 
     #[test]

@@ -352,22 +352,6 @@ impl EventSink for MetricsSink {
                 self.registry.inc("prediction_samples");
                 self.drift.emit(event);
             }
-            Event::QueryShed { will_resubmit, .. } => {
-                self.registry.inc("queries_shed");
-                if *will_resubmit {
-                    self.registry.inc("resubmissions_scheduled");
-                }
-            }
-            Event::DeadlineMissed { .. } => self.registry.inc("deadline_misses"),
-            Event::DegradedModeEnter { trust, .. } => {
-                self.registry.inc("degraded_entries");
-                self.registry.set_gauge("oracle_trust", *trust);
-            }
-            Event::DegradedModeExit { trust, .. } => {
-                self.registry.inc("degraded_exits");
-                self.registry.set_gauge("oracle_trust", *trust);
-            }
-            Event::PredictionQuarantined { .. } => self.registry.inc("predictions_quarantined"),
             _ => {}
         }
     }
@@ -573,47 +557,6 @@ mod tests {
         assert_eq!(sink.registry.counter("speculative_launches"), 1);
         assert_eq!(sink.registry.counter("maps_lost"), 3);
         assert_eq!(sink.registry.counter("map_output_loss_events"), 1);
-        validate(&sink.finish(4.0)).unwrap();
-    }
-
-    #[test]
-    fn lifecycle_events_count_and_track_trust() {
-        let mut sink = MetricsSink::new(2);
-        sink.emit(&Event::QueryShed {
-            t: 1.0,
-            query: QueryId(0),
-            policy: "reject_newest",
-            wrd: 10.0,
-            will_resubmit: true,
-            resubmit_at: 2.0,
-        });
-        sink.emit(&Event::QueryShed {
-            t: 2.0,
-            query: QueryId(1),
-            policy: "largest_wrd",
-            wrd: 50.0,
-            will_resubmit: false,
-            resubmit_at: 2.0,
-        });
-        sink.emit(&Event::DeadlineMissed { t: 3.0, query: QueryId(0), deadline: 2.5 });
-        sink.emit(&Event::DegradedModeEnter { t: 3.5, trust: 0.2, fallback: "FIFO" });
-        sink.emit(&Event::PredictionQuarantined {
-            t: 3.6,
-            query: QueryId(0),
-            job: JobId(0),
-            category: JobCategory::Extract,
-            quantity: crate::event::Quantity::MapTask,
-            predicted: f64::NAN,
-            substituted: 1.0,
-        });
-        sink.emit(&Event::DegradedModeExit { t: 4.0, trust: 0.7 });
-        assert_eq!(sink.registry.counter("queries_shed"), 2);
-        assert_eq!(sink.registry.counter("resubmissions_scheduled"), 1);
-        assert_eq!(sink.registry.counter("deadline_misses"), 1);
-        assert_eq!(sink.registry.counter("degraded_entries"), 1);
-        assert_eq!(sink.registry.counter("degraded_exits"), 1);
-        assert_eq!(sink.registry.counter("predictions_quarantined"), 1);
-        assert_eq!(sink.registry.gauge("oracle_trust"), Some(0.7));
         validate(&sink.finish(4.0)).unwrap();
     }
 

@@ -255,6 +255,7 @@ impl SpanProfiler {
     }
 
     /// Names of all recorded spans, sorted.
+    #[cfg(test)]
     pub fn span_names(&self) -> Vec<&'static str> {
         self.spans.borrow().keys().copied().collect()
     }

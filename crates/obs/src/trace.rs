@@ -146,6 +146,7 @@ impl ChromeTraceSink {
     ///
     /// # Errors
     /// Propagates file creation and write errors.
+    #[cfg(test)]
     pub fn write_to_path<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
         let file = std::fs::File::create(path)?;
         self.write(std::io::BufWriter::new(file))
@@ -295,44 +296,6 @@ impl EventSink for ChromeTraceSink {
                         .finish(),
                 );
             }
-            Event::QueryShed { t, query, policy, wrd, will_resubmit, .. } => {
-                self.instant(
-                    &format!("shed query {query}"),
-                    *t,
-                    Obj::new()
-                        .raw("policy", &quoted(policy))
-                        .num("wrd", *wrd)
-                        .bool("will_resubmit", *will_resubmit)
-                        .finish(),
-                );
-            }
-            Event::DeadlineMissed { t, query, deadline } => {
-                self.instant(
-                    &format!("deadline missed {query}"),
-                    *t,
-                    Obj::new().int("query", u64::from(*query)).num("deadline", *deadline).finish(),
-                );
-            }
-            Event::DegradedModeEnter { t, trust, fallback } => {
-                self.instant(
-                    "degraded mode enter",
-                    *t,
-                    Obj::new().num("trust", *trust).raw("fallback", &quoted(fallback)).finish(),
-                );
-            }
-            Event::DegradedModeExit { t, trust } => {
-                self.instant("degraded mode exit", *t, Obj::new().num("trust", *trust).finish());
-            }
-            Event::PredictionQuarantined { t, query, job, quantity, substituted, .. } => {
-                self.instant(
-                    &format!("quarantine {query}.{job}"),
-                    *t,
-                    Obj::new()
-                        .raw("quantity", &quoted(quantity.label()))
-                        .num("substituted", *substituted)
-                        .finish(),
-                );
-            }
             _ => {}
         }
     }
@@ -477,47 +440,6 @@ mod tests {
         assert!(doc.contains("node 1 up"));
         assert!(doc.contains("speculate 0.1"));
         assert!(doc.contains("lost maps 0.1"));
-    }
-
-    #[test]
-    fn lifecycle_events_produce_instants() {
-        use crate::event::Quantity;
-        let mut sink = ChromeTraceSink::new();
-        let events = [
-            Event::QueryShed {
-                t: 1.0,
-                query: QueryId(2),
-                policy: "largest_wrd",
-                wrd: 33.0,
-                will_resubmit: true,
-                resubmit_at: 2.0,
-            },
-            Event::DeadlineMissed { t: 4.0, query: QueryId(1), deadline: 3.0 },
-            Event::DegradedModeEnter { t: 4.5, trust: 0.2, fallback: "FIFO" },
-            Event::DegradedModeExit { t: 6.0, trust: 0.7 },
-            Event::PredictionQuarantined {
-                t: 4.4,
-                query: QueryId(0),
-                job: JobId(1),
-                category: JobCategory::Join,
-                quantity: Quantity::ReduceTask,
-                predicted: -1.0,
-                substituted: 0.0,
-            },
-        ];
-        for ev in &events {
-            sink.emit(ev);
-        }
-        assert_eq!(sink.span_count(), 5);
-        let mut buf = Vec::new();
-        sink.write(&mut buf).unwrap();
-        let doc = String::from_utf8(buf).unwrap();
-        validate(&doc).unwrap_or_else(|e| panic!("{e}\n{doc}"));
-        assert!(doc.contains("shed query 2"));
-        assert!(doc.contains("deadline missed 1"));
-        assert!(doc.contains("degraded mode enter"));
-        assert!(doc.contains("degraded mode exit"));
-        assert!(doc.contains("quarantine 0.1"));
     }
 
     #[test]

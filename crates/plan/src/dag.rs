@@ -218,6 +218,7 @@ impl QueryDag {
     }
 
     /// Jobs with no job dependencies (runnable at submission).
+    #[cfg(test)]
     pub fn roots(&self) -> Vec<usize> {
         self.jobs.iter().filter(|j| j.deps().is_empty()).map(|j| j.id).collect()
     }

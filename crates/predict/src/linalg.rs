@@ -138,6 +138,7 @@ impl LinearModel {
 
     /// Effective raw-space coefficients `[θ₀, θ₁, …]` (denormalized), mainly
     /// for inspection and debugging.
+    #[cfg(test)]
     pub fn raw_coefficients(&self) -> Vec<f64> {
         let k = self.means.len();
         let mut out = vec![0.0; k + 1];

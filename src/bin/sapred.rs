@@ -16,15 +16,13 @@
 //! ```
 
 use sapred::cluster::sched::{Fifo, Hcs, Hfs, Srt, Swrd};
-use sapred::cluster::{
-    AdmissionConfig, DemandOracle, FrozenOracle, GuardedOracle, Run, ShedPolicy,
-};
+use sapred::cluster::Run;
 use sapred::core::experiments::accuracy::{job_accuracy, map_task_accuracy, reduce_task_accuracy};
 use sapred::core::experiments::reproduce::reproduce;
 use sapred::core::experiments::scheduling::run_schedulers;
 use sapred::core::persist::save_catalog;
 use sapred::core::telemetry::record_sim_outcomes;
-use sapred::core::{Error, Pipeline, RecalibratingOracle};
+use sapred::core::{Error, Pipeline};
 use sapred::obs::{
     write_atomic, ChromeTraceSink, Counter, JsonlSink, MetricsSink, SpanProfiler, Tee,
 };
@@ -33,7 +31,7 @@ use sapred::selectivity::EstimatorKind;
 use sapred::workload::mixes::{bing_mix, facebook_mix, MixSpec};
 use sapred::workload::population::PopulationConfig;
 use sapred_bench::fleet::{
-    run_fleet, run_fleet_journaled, AdmissionLevel, FaultLevel, FleetGrid, SchedKind, WorkloadSpec,
+    run_fleet, run_fleet_journaled, FaultLevel, FleetGrid, SchedKind, WorkloadSpec,
 };
 use sapred_bench::harness::{dispatch_suite, fleet_suite, run_suite, scale_suite, CellResult};
 use sapred_bench::report::{compare, suite_json, validate_schema, Comparison};
@@ -81,14 +79,11 @@ USAGE:
   sapred predict    --sql <QUERY> [--scale <GB>] [--queries <N>] [--estimator <histogram|sample|catalog>]
   sapred simulate   --mix <bing|facebook> [--gap <SECONDS>] [--divisor <D>] [--queries <N>]
   sapred trace      <bing|facebook> [--sched <swrd|hcs|hfs|fifo|srt>] [--out <trace.json>]
-                    [--events <events.jsonl>] [--metrics <metrics.json>] [--oracle <frozen|recalibrating>]
+                    [--events <events.jsonl>] [--metrics <metrics.json>]
                     [--gap <SECONDS>] [--divisor <D>] [--queries <N>] [--seed <N>]
-                    [--queue-cap <N>] [--deadline <SECONDS>]
-                    [--shed-policy <reject-newest|largest-wrd>] [--guard <on|off>]
                     [--profile <profile.json>]
   sapred fleet      [--grid <GRID.json>] [--schedulers <CSV of swrd|hcs|hfs|fifo|srt>]
-                    [--fail-probs <CSV>] [--queue-caps <CSV>] [--deadline <SECONDS>]
-                    [--shed-policy <reject-newest|largest-wrd>] [--seeds <N>] [--seed <BASE>]
+                    [--fail-probs <CSV>] [--seeds <N>] [--seed <BASE>]
                     [--queries <N>] [--jobs <N>] [--maps <N>] [--reduces <N>]
                     [--estimators <CSV of histogram|sample|catalog>] [--skews <CSV>]
                     [--threads <N>] [--out <fleet.json>]
@@ -296,20 +291,7 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
     let flags = parse_flags(
         rest,
         &[
-            "mix",
-            "sched",
-            "out",
-            "events",
-            "metrics",
-            "oracle",
-            "gap",
-            "divisor",
-            "queries",
-            "seed",
-            "queue-cap",
-            "deadline",
-            "shed-policy",
-            "guard",
+            "mix", "sched", "out", "events", "metrics", "gap", "divisor", "queries", "seed",
             "profile",
         ],
     )?;
@@ -322,29 +304,10 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
     let n = flag_usize(&flags, "queries", 200)?;
     let seed = flag_usize(&flags, "seed", 79)? as u64;
     let sched_name = flags.get("sched").map(String::as_str).unwrap_or("swrd");
-    let oracle_name = flags.get("oracle").map(String::as_str).unwrap_or("frozen");
     let trace_path = flags.get("out").map(String::as_str).unwrap_or("trace.json");
     let events_path = flags.get("events").map(String::as_str).unwrap_or("events.jsonl");
     let metrics_path = flags.get("metrics").map(String::as_str).unwrap_or("metrics.json");
     let profile_path = flags.get("profile").map(String::as_str);
-
-    // Overload knobs: a bounded admission queue with a shed policy, per-query
-    // deadlines, and the prediction guardrails. All default to off, in which
-    // case the run is bit-identical to the pre-admission engine.
-    let shed_policy =
-        ShedPolicy::parse(flags.get("shed-policy").map(String::as_str).unwrap_or("reject-newest"))
-            .map_err(Error::invalid)?;
-    let admission = AdmissionConfig {
-        queue_cap: flag_usize(&flags, "queue-cap", 0)?,
-        deadline: flag_f64(&flags, "deadline", f64::INFINITY)?,
-        shed_policy,
-        ..AdmissionConfig::default()
-    };
-    let guard = match flags.get("guard").map(String::as_str).unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => return Err(Error::invalid(format!("--guard expects on|off, got `{other}`"))),
-    };
 
     println!("training on {n} queries...");
     let mut pipe = trained_pipeline(n, seed)?;
@@ -366,38 +329,15 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
         ),
     );
 
-    // The online stage: `frozen` replays the percolated predictions;
-    // `recalibrating` lets each completed job's actuals re-rank the rest.
-    // `--guard on` wraps either one in the prediction guardrails (quarantine
-    // plus trust-driven degraded-mode scheduling).
-    let recalibrating = match oracle_name {
-        "frozen" => false,
-        "recalibrating" => true,
-        other => {
-            return Err(Error::invalid(format!(
-                "unknown oracle `{other}` (expected frozen|recalibrating)"
-            )))
-        }
-    };
-    let mut frozen = FrozenOracle;
-    let mut guarded_frozen = GuardedOracle::new(FrozenOracle);
-    let mut recal = RecalibratingOracle::new();
-    let mut guarded_recal = GuardedOracle::new(RecalibratingOracle::new());
-    let oracle: &mut dyn DemandOracle = match (recalibrating, guard) {
-        (false, false) => &mut frozen,
-        (false, true) => &mut guarded_frozen,
-        (true, false) => &mut recal,
-        (true, true) => &mut guarded_recal,
-    };
     println!("tracing {} queries under {}...", prepared.queries.len(), sched_name.to_uppercase());
-    let run = Run::new().sink(&mut sink).oracle(&mut *oracle).profiler(&*prof);
+    let run = Run::new().sink(&mut sink).profiler(&*prof);
     let queries = &prepared.queries;
     let outcome = match sched_name {
-        "swrd" => pipe.simulate(pipe.simulator(Swrd).with_admission(admission), queries, run),
-        "hcs" => pipe.simulate(pipe.simulator(Hcs).with_admission(admission), queries, run),
-        "hfs" => pipe.simulate(pipe.simulator(Hfs).with_admission(admission), queries, run),
-        "fifo" => pipe.simulate(pipe.simulator(Fifo).with_admission(admission), queries, run),
-        "srt" => pipe.simulate(pipe.simulator(Srt).with_admission(admission), queries, run),
+        "swrd" => pipe.simulate(pipe.simulator(Swrd), queries, run),
+        "hcs" => pipe.simulate(pipe.simulator(Hcs), queries, run),
+        "hfs" => pipe.simulate(pipe.simulator(Hfs), queries, run),
+        "fifo" => pipe.simulate(pipe.simulator(Fifo), queries, run),
+        "srt" => pipe.simulate(pipe.simulator(Srt), queries, run),
         other => {
             return Err(Error::invalid(format!(
                 "unknown scheduler `{other}` (expected swrd|hcs|hfs|fifo|srt)"
@@ -405,7 +345,6 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
         }
     };
     let report = outcome?.into_report();
-    let (trust, degraded) = (oracle.trust(), oracle.degraded());
     // Post-hoc prediction-drift telemetry against the simulated truth.
     record_sim_outcomes(&prepared.queries, &report, &pipe.framework().cluster, &mut sink, &*prof);
 
@@ -423,28 +362,6 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
 
     println!("\nmakespan {:.1}s, mean response {:.1}s", report.makespan, report.mean_response());
     println!("container utilization: {:.1}%", 100.0 * metrics.utilization(report.makespan));
-    if admission.is_active() {
-        let a = &report.admission;
-        println!(
-            "admission: {} shed, {} rejected, {} resubmissions, {} deadline misses \
-             (max {} active)",
-            a.queries_shed,
-            a.queries_rejected.len(),
-            a.resubmissions,
-            a.deadline_misses.len(),
-            a.max_active
-        );
-    }
-    if guard {
-        println!(
-            "prediction guard: trust {trust:.2}{}",
-            if degraded { ", in degraded mode" } else { "" }
-        );
-    }
-    if recalibrating {
-        let drift = if guard { guarded_recal.inner().drift() } else { recal.drift() };
-        println!("\nmid-run recalibration drift (the oracle's view):\n{drift}");
-    }
     println!("\nprediction drift vs simulated truth:\n{}", metrics.drift);
     println!("wrote {lines} events to {events_path}");
     println!(
@@ -461,7 +378,7 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
 }
 
 /// `sapred fleet`: expand a declarative (workload × scheduler × fault ×
-/// admission × seed) grid, run every cell across worker threads, print the
+/// estimator × seed) grid, run every cell across worker threads, print the
 /// aggregation layer, and write the aggregate JSON report — bit-identical
 /// for the same grid at any `--threads` value. With `--journal` every
 /// completed cell is persisted as it finishes, and `--resume` adopts a
@@ -479,9 +396,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), Error> {
             "grid",
             "schedulers",
             "fail-probs",
-            "queue-caps",
-            "deadline",
-            "shed-policy",
             "seeds",
             "seed",
             "queries",
@@ -519,26 +433,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), Error> {
                     .map_err(|_| Error::invalid(format!("--fail-probs: `{s}` is not a number")))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let deadline = flag_f64(flags, "deadline", f64::INFINITY)?;
-        let shed_policy = ShedPolicy::parse(
-            flags.get("shed-policy").map(String::as_str).unwrap_or("largest-wrd"),
-        )
-        .map_err(Error::invalid)?;
-        let caps = flags.get("queue-caps").map(String::as_str).unwrap_or("0");
-        let admissions = parse_csv(caps)
-            .map(|s| {
-                let cap: usize = s.parse().map_err(|_| {
-                    Error::invalid(format!("--queue-caps: `{s}` is not an integer"))
-                })?;
-                // Cap 0 is the inert config; --deadline/--shed-policy only
-                // shape the capped levels.
-                Ok(if cap == 0 {
-                    AdmissionLevel::off()
-                } else {
-                    AdmissionLevel { queue_cap: cap, deadline, shed_policy }
-                })
-            })
-            .collect::<Result<Vec<_>, Error>>()?;
         let estimators =
             parse_csv(flags.get("estimators").map(String::as_str).unwrap_or("histogram"))
                 .map(|e| EstimatorKind::parse(e).map_err(Error::invalid))
@@ -564,7 +458,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), Error> {
                 .collect(),
             schedulers,
             faults,
-            admissions,
             estimators,
             seeds: (0..n_seeds.max(1) as u64).map(|i| base.wrapping_add(i)).collect(),
         }
@@ -572,12 +465,11 @@ fn cmd_fleet(args: &[String]) -> Result<(), Error> {
 
     println!(
         "running fleet: {} cell(s) = {} workload(s) x {} scheduler(s) x {} fault level(s) \
-         x {} admission config(s) x {} estimator(s) x {} seed(s)...",
+         x {} estimator(s) x {} seed(s)...",
         grid.n_cells(),
         grid.workloads.len(),
         grid.schedulers.len(),
         grid.faults.len(),
-        grid.admissions.len(),
         grid.estimators.len(),
         grid.seeds.len()
     );
@@ -628,25 +520,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), Error> {
             );
         }
     }
-    let frontiers: Vec<_> =
-        report.frontiers().into_iter().filter(|f| f.admission != "off").collect();
-    if !frontiers.is_empty() {
-        println!("\nshed/deadline frontier (per submitted query):");
-        for f in &frontiers {
-            println!(
-                "  {:<16} @ {:<6} ({:>3} cells) | shed {:.3} | reject {:.3} | \
-                 resubmit {:.3} | miss {:.3}",
-                f.admission,
-                f.fault,
-                f.n_cells,
-                f.shed_rate,
-                f.reject_rate,
-                f.resubmit_rate,
-                f.miss_rate
-            );
-        }
-    }
-
     write_atomic(out, report.to_json()).map_err(|e| Error::io(format!("write {out}"), e))?;
     println!("\nwrote aggregate fleet report to {out}");
     Ok(())

@@ -9,12 +9,11 @@ use sapred_bench::fleet::{bench_grid, run_fleet, FleetGrid, WorkloadSpec};
 /// stay tiny (≤ 5 queries × 2 jobs) so a case is milliseconds even in
 /// debug builds.
 fn small_grid() -> impl Strategy<Value = FleetGrid> {
-    (1usize..=3, 1usize..=3, 1usize..=2, 1usize..=2, 2usize..=5, 0u64..1000).prop_map(
-        |(schedulers, faults, admissions, seeds, n_queries, base_seed)| {
+    (1usize..=3, 1usize..=3, 1usize..=2, 2usize..=5, 0u64..1000).prop_map(
+        |(schedulers, faults, seeds, n_queries, base_seed)| {
             bench_grid(
                 schedulers,
                 faults,
-                admissions,
                 seeds,
                 WorkloadSpec::uniform(n_queries, 2, 3, 1),
                 base_seed,

@@ -5,14 +5,9 @@
 use proptest::prelude::*;
 use sapred::cluster::fault::{FaultPlan, NodeCrash};
 use sapred::cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
-use sapred::cluster::sched::{
-    Fifo, Hcs, HcsQueues, Hfs, RunnableJob, Scheduler, Srt, Swrd, TaskChoice,
-};
-use sapred::cluster::sim::{
-    ClusterConfig, DemandOracle, GuardConfig, GuardedOracle, Run, SimReport, Simulator,
-};
+use sapred::cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
+use sapred::cluster::sim::{ClusterConfig, Run, SimReport, Simulator};
 use sapred::cluster::CostModel;
-use sapred::cluster::QueryId;
 use sapred::core::framework::{Framework, Predictor, QuerySemantics};
 use sapred::core::progress::{JobProgress, ProgressEstimator};
 use sapred::core::training::{fit_models, run_population, split_train_test};
@@ -92,89 +87,6 @@ fn assert_fault_replay<S: Scheduler + Clone>(
     prop_assert_eq!(&r1.faults, &r2.faults, "{}: fault stats", tag);
     prop_assert!(e1 == e2, "{}: exported event streams diverge between replays", tag);
     Ok(())
-}
-
-/// Scheduler wrapper that asserts no non-finite demand estimate ever
-/// reaches a pick: the prediction guardrails must sanitize upstream.
-#[derive(Clone)]
-struct AssertFiniteWrd<S>(S);
-
-impl<S: Scheduler> Scheduler for AssertFiniteWrd<S> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice> {
-        for r in runnable {
-            assert!(r.query_wrd.is_finite(), "non-finite WRD reached the scheduler: {r:?}");
-            assert!(r.query_time.is_finite(), "non-finite query time reached the scheduler: {r:?}");
-            assert!(self.0.score(r).is_finite(), "non-finite score for {r:?}");
-        }
-        self.0.pick(runnable)
-    }
-    fn score(&self, job: &RunnableJob) -> f64 {
-        self.0.score(job)
-    }
-}
-
-/// Oracle that deterministically emits garbage — NaN, ±∞, negatives and
-/// out-of-range spikes — for a seeded subset of (query, job) cells, so both
-/// runs of a replay pair poison the exact same predictions.
-struct FlakyOracle {
-    seed: u64,
-    period: u64,
-}
-
-impl FlakyOracle {
-    fn cell(&self, query: QueryId, job: &SimJob) -> u64 {
-        self.seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(query.0 as u64 * 31)
-            .wrapping_add(job.id.0 as u64 * 7)
-    }
-}
-
-impl DemandOracle for FlakyOracle {
-    fn predict(&mut self, query: QueryId, job: &SimJob) -> JobPrediction {
-        let h = self.cell(query, job);
-        if h.is_multiple_of(self.period) {
-            let bad = match (h / self.period) % 4 {
-                0 => f64::NAN,
-                1 => f64::INFINITY,
-                2 => -5.0,
-                _ => 1e12, // beyond any finite max_task_time bound
-            };
-            JobPrediction { map_task_time: bad, reduce_task_time: bad }
-        } else {
-            job.prediction
-        }
-    }
-}
-
-/// One guarded, fault-injected run with the assert-finite scheduler
-/// wrapper (crosschecked if `crosscheck`), traced into a JSONL sink for
-/// bitwise stream comparison.
-fn run_guarded_traced<S: Scheduler>(
-    s: S,
-    queries: &[SimQuery],
-    plan: &FaultPlan,
-    guard: GuardConfig,
-    oracle_seed: u64,
-    period: u64,
-    crosscheck: bool,
-) -> (SimReport, Vec<u8>) {
-    let config = ClusterConfig { nodes: 2, containers_per_node: 3, ..ClusterConfig::default() };
-    let mut sink = JsonlSink::new(Vec::new());
-    let mut oracle = GuardedOracle::with_config(FlakyOracle { seed: oracle_seed, period }, guard);
-    let mut sim = Simulator::new(config, CostModel::default(), AssertFiniteWrd(s));
-    if crosscheck {
-        sim = sim.crosschecked();
-    }
-    let report = sim
-        .with_faults(plan.clone())
-        .execute(queries, Run::new().sink(&mut sink).oracle(&mut oracle))
-        .unwrap()
-        .into_report();
-    (report, sink.finish().unwrap())
 }
 
 proptest! {
@@ -425,86 +337,5 @@ proptest! {
         assert_fault_replay(Swrd, &queries, &plan, "SWRD")?;
         assert_fault_replay(Srt, &queries, &plan, "SRT")?;
         assert_fault_replay(HcsQueues::new(vec![0.6, 0.4]), &queries, &plan, "HCSQ")?;
-    }
-
-    #[test]
-    fn guarded_oracle_keeps_wrd_finite_and_dispatch_in_lockstep(
-        specs in prop::collection::vec((1usize..5, 0usize..3, 1.0f64..6.0, 0u64..1000), 1..4),
-        arrivals in prop::collection::vec(0.0f64..10.0, 1..3),
-        fail_prob in 0.0f64..0.1,
-        crash in prop::option::of((0usize..2, 5.0f64..50.0, 5.0f64..30.0)),
-        fault_seed in 0u64..1_000_000,
-        oracle_seed in 0u64..1_000_000,
-        period in 1u64..5,
-        decay in 0.05f64..0.9,
-        enter in 0.05f64..0.45,
-        gap in 0.0f64..0.5,
-        max_task_time in prop::option::of(4.0f64..50.0),
-    ) {
-        // Random fault plans × random guard configs × an oracle that
-        // deterministically poisons a seeded subset of predictions with
-        // NaN/±∞/negative/out-of-range values. The guard must sanitize
-        // every answer (the AssertFiniteWrd wrapper panics on the first
-        // non-finite demand estimate a pick ever sees), and the
-        // incremental dispatch state must stay bitwise locked to the
-        // reference — including through quarantine substitutions and
-        // degraded-mode scheduler swaps.
-        let task = |kind: TaskKind, t: f64| TaskSpec {
-            bytes_in: (32.0 + t * 16.0) * 1024.0 * 1024.0,
-            bytes_out: 16.0 * 1024.0 * 1024.0,
-            category: JobCategory::Extract,
-            kind,
-            p: 0.5,
-        };
-        let queries: Vec<SimQuery> = arrivals
-            .iter()
-            .enumerate()
-            .map(|(qi, &arrival)| SimQuery {
-                name: format!("gq{qi}"),
-                arrival,
-                jobs: specs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(maps, reduces, t, sel))| SimJob {
-                        id: sapred::cluster::JobId(i),
-                        deps: if i == 0 || sel % 3 == 0 { vec![] } else { vec![sapred::cluster::JobId(sel as usize % i)] },
-                        category: JobCategory::Extract,
-                        maps: vec![task(TaskKind::Map, t); maps],
-                        reduces: vec![task(TaskKind::Reduce, t); reduces],
-                        prediction: JobPrediction { map_task_time: t, reduce_task_time: t },
-                    })
-                    .collect(),
-            })
-            .collect();
-        let plan = FaultPlan {
-            task_fail_prob: fail_prob,
-            max_attempts: 20,
-            node_crashes: crash
-                .map(|(n, at, d)| vec![NodeCrash::transient(n, at, d)])
-                .unwrap_or_default(),
-            seed: fault_seed,
-            ..FaultPlan::default()
-        };
-        let guard = GuardConfig {
-            max_task_time: max_task_time.unwrap_or(f64::INFINITY),
-            enter_below: enter,
-            exit_above: (enter + gap).min(0.99),
-            decay,
-        };
-        let (ri, ei) = run_guarded_traced(
-            Swrd, &queries, &plan, guard, oracle_seed, period, false);
-        // Crosscheck re-derives the reference view and every live query's
-        // aggregates after every event and panics on divergence; the
-        // checked run must also be the plain run, bit for bit.
-        let (rc, ec) = run_guarded_traced(
-            Swrd, &queries, &plan, guard, oracle_seed, period, true);
-        prop_assert_eq!(ri.makespan.to_bits(), rc.makespan.to_bits(), "guarded: makespan");
-        prop_assert_eq!(&ri.queries, &rc.queries, "guarded: query stats");
-        prop_assert_eq!(&ri.jobs, &rc.jobs, "guarded: job stats");
-        prop_assert!(ei == ec, "guarded: exported event streams diverge under Crosscheck");
-        // Every response the run reports is finite.
-        for q in &ri.queries {
-            prop_assert!(q.response().is_finite(), "non-finite response for {}", q.name);
-        }
     }
 }
