@@ -360,12 +360,8 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
         let start = Instant::now();
         run_once(spec, &prof);
         walls.push(start.elapsed().as_secs_f64());
-        let mut snapshot: BTreeMap<String, u64> =
+        let snapshot: BTreeMap<String, u64> =
             Counter::ALL.iter().map(|&c| (c.label().to_string(), prof.counter(c))).collect();
-        // Samples dropped past the span sample cap: deterministic for a
-        // deterministic cell, so it participates in the identity check and
-        // surfaces percentile truncation in the baseline comparison.
-        snapshot.insert("span_samples_dropped".to_string(), prof.total_samples_dropped());
         match &first_counters {
             None => first_counters = Some(snapshot),
             Some(first) => deterministic &= *first == snapshot,

@@ -277,12 +277,6 @@ impl SpanProfiler {
         self.open.get() == 0
     }
 
-    /// Total samples dropped past the per-span cap, across all spans. Zero
-    /// means every reported percentile saw the whole run.
-    pub fn total_samples_dropped(&self) -> u64 {
-        self.spans.borrow().values().map(SpanStat::samples_dropped).sum()
-    }
-
     fn close(&self, name: &'static str, elapsed_ns: u64) {
         self.depth.set(self.depth.get().saturating_sub(1));
         self.open.set(self.open.get().saturating_sub(1));
@@ -513,7 +507,6 @@ mod tests {
     fn truncation_flags_reach_the_json_and_summary() {
         let p = SpanProfiler::new();
         drop(p.span("tiny"));
-        assert_eq!(p.total_samples_dropped(), 0);
         let doc = p.to_json();
         validate(&doc).unwrap();
         assert!(doc.contains("\"samples_retained\":1"));

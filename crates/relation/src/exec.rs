@@ -133,6 +133,7 @@ impl Rel {
 
     /// Column values by name: `None` for an unknown column or one kept
     /// without values.
+    #[cfg(test)]
     pub fn column(&self, name: &str) -> Option<&Column> {
         self.names.iter().position(|n| n == name).and_then(|i| self.cols[i].as_ref())
     }
@@ -156,6 +157,7 @@ impl Rel {
 
     /// Filter this relation by `pred`, which may test only columns with
     /// values.
+    #[cfg(test)]
     pub fn filter(&self, pred: &Predicate) -> Rel {
         let bound = pred.bind_with(self.rows, &|n| self.values(n));
         let (cols, rows) = select(&bound, self.rows, self.cols.iter().map(Option::as_ref));
@@ -194,28 +196,35 @@ impl Rel {
     }
 
     /// Number of distinct combinations of the key columns (exact group count).
+    #[cfg(test)]
     pub fn group_count(&self, keys: &[String]) -> usize {
         self.groups(keys, 1).0.len()
     }
 
-    /// Collapse to one row per distinct key combination (group-by output with
-    /// the key columns only; aggregate widths are accounted for logically by
-    /// the planner). Each group keeps its first row, in row order.
+    /// The group-by output of [`Rel::groupby_combined`] alone.
+    #[cfg(test)]
     pub fn groupby(&self, keys: &[String]) -> Rel {
         self.groupby_combined(keys, 1).0
     }
 
-    /// Ground truth for a map-side combiner: split the relation into
-    /// `n_splits` contiguous chunks (HDFS splits preserve file order) and sum
-    /// the per-split distinct key counts. Clustered layouts give ≈ the global
-    /// distinct count; random layouts approach `n_splits ×` it (paper Eq. 2's
-    /// two cases emerge from the data rather than being assumed).
+    /// The combiner output of [`Rel::groupby_combined`] alone.
+    #[cfg(test)]
     pub fn combine_output(&self, keys: &[String], n_splits: usize) -> usize {
         self.groupby_combined(keys, n_splits).1
     }
 
-    /// [`Rel::groupby`] and [`Rel::combine_output`] of the same keys, in one
-    /// pass over the rows.
+    /// Ground truth for a group-by and its map-side combiner on the same
+    /// keys, in one pass over the rows.
+    ///
+    /// The group-by output has one row per distinct key combination and the
+    /// key columns only (aggregate widths are accounted for logically by
+    /// the planner). Each group keeps its first row, in row order.
+    ///
+    /// The combiner output splits the relation into `n_splits` contiguous
+    /// chunks (HDFS splits preserve file order) and sums the per-split
+    /// distinct key counts. Clustered layouts give ≈ the global distinct
+    /// count; random layouts approach `n_splits ×` it (paper Eq. 2's two
+    /// cases emerge from the data rather than being assumed).
     ///
     /// # Panics
     /// Panics if `n_splits` is 0 or a key column is missing or has no
@@ -739,13 +748,16 @@ mod reference {
     }
 
     /// `Histogram::from_column`'s domain as a row-at-a-time `f64` fold.
+    /// `(0, 0)` when the column holds no value but NaNs, or none.
     pub fn domain(column: &Column) -> (f64, f64) {
-        if column.is_empty() {
-            return (0.0, 0.0);
-        }
-        (0..column.len()).fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), i| {
+        let (lo, hi) = (0..column.len()).fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), i| {
             (lo.min(column.get_f64(i)), hi.max(column.get_f64(i)))
-        })
+        });
+        if lo <= hi {
+            (lo, hi)
+        } else {
+            (0.0, 0.0)
+        }
     }
 }
 
@@ -929,7 +941,9 @@ mod tests {
             JOIN_CODES_PER_ROW,
         };
         use crate::expr::{CmpOp, Predicate};
-        use crate::histogram::{Bucket, Histogram};
+        use crate::histogram::{
+            Bucket, Histogram, BITMAP_BITS_PER_ROW, COUNT_VALUES_PER_ROW, HASH_SLOTS,
+        };
         use crate::schema::{ColumnDef, DataType, Schema};
         use crate::table::{Column, Table};
         use proptest::prelude::*;
@@ -1025,16 +1039,21 @@ mod tests {
             let edge = vec![E - 1, E, E + 1, E + 2, 1 - E, -E, -E - 1, -E - 2, i64::MAX, i64::MIN];
             let dense = (-1000i64..1000, prop::collection::vec(0i64..40, 0..80))
                 .prop_map(|(lo, offsets)| offsets.into_iter().map(|o| lo + o).collect());
-            // k + 2 values spanning 64 × (k + 2) − 1 + d: dense for d = 0,
-            // sparse above.
-            let straddle =
-                (0i64..3, prop::collection::vec(0.0f64..1.0, 0..5)).prop_map(|(d, fractions)| {
-                    let top = 64 * (fractions.len() as i64 + 2) - 1 + d;
+            // k + 2 values spanning per_row × (k + 2) − 1 + d values past
+            // the first: the last span under the per-value counts' or the
+            // bitmap's cut-off for d = 0, exactly at it for d = 1, one past
+            // it for d = 2.
+            let per_row = prop::sample::select(vec![COUNT_VALUES_PER_ROW, BITMAP_BITS_PER_ROW]);
+            let straddle = (per_row, 0i64..3, prop::collection::vec(0.0f64..1.0, 0..5)).prop_map(
+                |(per_row, d, fractions)| {
+                    let top = per_row as i64 * (fractions.len() as i64 + 2) - 1 + d;
                     let mut v: Vec<i64> =
                         fractions.iter().map(|f| (f * top as f64) as i64).collect();
                     v.extend([0, top]);
                     v
-                });
+                },
+            );
+            let special = || prop::sample::select(special_floats());
             let int = |s: BoxedStrategy<Vec<i64>>| s.prop_map(Column::Int);
             let float = |s: BoxedStrategy<Vec<f64>>| s.prop_map(Column::Float);
             prop_oneof![
@@ -1052,7 +1071,16 @@ mod tests {
                 int(prop::collection::vec(-2i64..2, 0..2).boxed()),
                 float(prop::collection::vec(prop::sample::select(FLOATS.to_vec()), 0..60).boxed()),
                 float(prop::collection::vec(-1e3f64..1e3, 0..40).boxed()),
+                float(prop::collection::vec(special(), 0..300).boxed()),
+                // All equal, NaN and both zeros included.
+                float((special(), 0usize..300).prop_map(|(v, n)| vec![v; n]).boxed()),
             ]
+        }
+
+        /// [`FLOATS`] and NaNs with three payloads, the last one all ones.
+        fn special_floats() -> Vec<f64> {
+            let nans = [0x7ff8_0000_0000_0000, 0x7ff0_0000_0000_0001, u64::MAX];
+            FLOATS.iter().copied().chain(nans.map(f64::from_bits)).collect()
         }
 
         /// How [`key_rel`] fills a key column of `n` rows, drawn to sit on
@@ -1380,6 +1408,43 @@ mod tests {
                 let slow = reference::histogram(&col, min, min + span, n);
                 prop_assert_eq!(h.buckets(), slow.as_slice());
                 prop_assert_eq!(h.total(), data.len() as f64);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(8))]
+
+            /// Float columns of `HASH_SLOTS / 2 + extra` rows, every 16th
+            /// one a special value: with one bucket the slice exactly fills
+            /// the hash table's cap for `extra = 0` and sorts above it; two
+            /// buckets split it into slices on either side of the cap.
+            #[test]
+            fn long_float_slices_match_one_set_oracle(
+                extra in prop::sample::select(vec![0usize, 1, 2, HASH_SLOTS / 2]),
+                seed in any::<u64>(),
+                values in 1u64..2 * HASH_SLOTS as u64,
+                n in 1usize..3,
+            ) {
+                let special = special_floats();
+                let mut x = seed | 1;
+                let col = Column::Float(
+                    (0..HASH_SLOTS / 2 + extra)
+                        .map(|i| {
+                            // xorshift64
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            match i % 16 {
+                                0 => special[(x % special.len() as u64) as usize],
+                                _ => (x % values) as f64 * 0.25 - 1e3,
+                            }
+                        })
+                        .collect(),
+                );
+                let (min, max) = reference::domain(&col);
+                let fast = Histogram::from_column(&col, n);
+                let slow = reference::histogram_one_set(&col, min, max, n);
+                prop_assert_eq!(bucket_bits(fast.buckets()), bucket_bits(&slow));
             }
         }
     }

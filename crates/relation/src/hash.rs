@@ -5,8 +5,9 @@
 //! (the standard library default) spent most of the executor's time on
 //! them. [`FastHasher`] folds each 64-bit word in with one xor and
 //! one multiply, then mixes the state with the splitmix64 finalizer in
-//! [`Hasher::finish`]. Histograms use no set: they count distincts with a
-//! bitmap or per-bucket sorts (see [`crate::histogram::Histogram::build`]).
+//! [`Hasher::finish`]. Histograms use no set: they count distincts per
+//! value, with a bitmap, or in a small table of their own per bucket (see
+//! [`crate::histogram`]).
 //!
 //! The finalizer is not optional. Integer-valued `f64` bit patterns have
 //! their low mantissa bits all zero, and a product keeps the low zero bits

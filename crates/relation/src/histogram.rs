@@ -5,9 +5,33 @@
 //! each bucket [Piatetsky-Shapiro & Connell '84]. The same structure also
 //! carries per-bucket distinct counts so the per-bucket join-size formula
 //! (paper Eq. 5, after Bell et al. '89) can be evaluated directly.
+//!
+//! Building a catalog is most of generating a database, so
+//! [`Histogram::build`] counts exact distincts with one of four kernels,
+//! chosen by the column's type and, for Int values strictly inside ±2^53
+//! (where `i64 → f64` is exact), by the span `max - min` that the range
+//! scan of [`Histogram::from_column`] already found:
+//!
+//! - span under 2 values per row (and at most `u32::MAX` rows): one `u32`
+//!   row count per value, then one walk over the values, adding each
+//!   present value's rows and one distinct to its bucket;
+//! - span under 64 values per row: a bitmap of the values seen, whose
+//!   first mark of a value is a new distinct in its bucket;
+//! - any other column, Float ones included: count each bucket's rows,
+//!   scatter the `f64` bit patterns into one slice per bucket, and count
+//!   each slice's distinct patterns in one reused open-addressing table
+//!   of the least power of two at least twice the slice, under a cap of
+//!   2^17 slots (1 MiB, L2-resident);
+//! - a slice too long for the cap: sort it and count its runs.
+//!
+//! Per-value counts and the bitmap take at most 8 B per row, as much as
+//! the scattered patterns do; the hash table stays under its cap however
+//! skewed the buckets are. Every kernel counts `f64` bit patterns and
+//! puts each value in the bucket [`Histogram::build`]'s bucket function
+//! gives it, so all four agree bit for bit.
 
 use crate::expr::{CmpOp, Predicate};
-use crate::table::{dense_int_span, int_range, Column};
+use crate::table::{exact_span, int_range, Column};
 
 /// One histogram bucket: `[lo, hi)` (the last bucket is closed on both ends).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,16 +90,24 @@ impl Histogram {
     /// # Panics
     /// Panics if `n == 0` or `min > max`.
     pub fn build(column: &Column, min: f64, max: f64, n: usize) -> Self {
+        Self::build_in(column, column.as_int().and_then(int_range), min, max, n)
+    }
+
+    /// [`Histogram::build`] given an Int column's `(min, max)` (`None` for
+    /// a Float or empty column), so that a caller who scanned for it does
+    /// not scan again.
+    fn build_in(column: &Column, range: Option<(i64, i64)>, min: f64, max: f64, n: usize) -> Self {
         assert!(n > 0, "need at least one bucket");
         assert!(min <= max, "invalid domain [{min}, {max}]");
         let width = if max > min { (max - min) / n as f64 } else { 1.0 };
         let bucket = |v: f64| Self::bucket_index_for(v, min, width, n);
         let (counts, distinct) = match column {
-            Column::Int(v) => match dense_int_span(v, BITMAP_BITS_PER_ROW * v.len() as u64) {
-                Some((lo, span)) => distinct_by_bitmap(v, lo, span, n, bucket),
-                None => distinct_by_sort(v.iter().map(|&x| x as f64), n, bucket),
+            Column::Int(v) => match int_kernel(v.len(), range) {
+                IntKernel::Counts { lo, span } => distinct_by_counts(v, lo, span, n, bucket),
+                IntKernel::Bitmap { lo, span } => distinct_by_bitmap(v, lo, span, n, bucket),
+                IntKernel::Scatter => distinct_by_scatter(v.iter().map(|&x| x as f64), n, bucket),
             },
-            Column::Float(v) => distinct_by_sort(v.iter().copied(), n, bucket),
+            Column::Float(v) => distinct_by_scatter(v.iter().copied(), n, bucket),
         };
         let buckets = (0..n)
             .map(|b| Bucket {
@@ -154,19 +186,22 @@ impl Histogram {
 
     /// Build with the domain taken from the column itself.
     pub fn from_column(column: &Column, n: usize) -> Self {
+        let int = column.as_int().and_then(int_range);
         let range = match column {
             // `i64 as f64` never reverses an order, so the extremes convert
             // to the extremes of the converted values.
-            Column::Int(v) => int_range(v).map(|(lo, hi)| (lo as f64, hi as f64)),
-            Column::Float(v) if v.is_empty() => None,
+            Column::Int(_) => int.map(|(lo, hi)| (lo as f64, hi as f64)),
+            // `min`/`max` skip NaNs, so an empty or all-NaN column keeps the
+            // fold's start, an inverted range.
             Column::Float(v) => {
                 Some(v.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
                     (lo.min(x), hi.max(x))
                 }))
+                .filter(|(lo, hi)| lo <= hi)
             }
         };
         let (lo, hi) = range.unwrap_or((0.0, 0.0));
-        Self::build(column, lo, hi, n)
+        Self::build_in(column, int, lo, hi, n)
     }
 
     /// The equi-width bucket of `v`: `floor((v - min) / width)` clamped to
@@ -395,9 +430,64 @@ impl Histogram {
     }
 }
 
-/// Bits per row the distinct bitmap may use: at most one `u64` per row,
-/// the scratch memory [`distinct_by_sort`] needs anyway.
-const BITMAP_BITS_PER_ROW: u64 = 64;
+/// Values per row below which an Int column counts its rows per value:
+/// `span + 1 ≤ 2 × rows` `u32` counters, at most 8 B per row, the scratch
+/// memory [`distinct_by_scatter`] needs anyway.
+pub(crate) const COUNT_VALUES_PER_ROW: u64 = 2;
+
+/// Bits per row the distinct bitmap may use: at most one `u64` per row.
+pub(crate) const BITMAP_BITS_PER_ROW: u64 = 64;
+
+/// How [`Histogram::build`] counts an Int column's distinct values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IntKernel {
+    /// [`distinct_by_counts`] over `lo..=lo + span`.
+    Counts { lo: i64, span: u64 },
+    /// [`distinct_by_bitmap`] over `lo..=lo + span`.
+    Bitmap { lo: i64, span: u64 },
+    /// [`distinct_by_scatter`] over the values' `f64` bit patterns.
+    Scatter,
+}
+
+/// The kernel for `rows` Int values whose `(min, max)` is `range`. Inside
+/// ±2^53 (see [`exact_span`]) a span under [`COUNT_VALUES_PER_ROW`] values
+/// per row counts per value, while no `u32` count can overflow; one under
+/// [`BITMAP_BITS_PER_ROW`] marks a bitmap. Anything else scatters.
+fn int_kernel(rows: usize, range: Option<(i64, i64)>) -> IntKernel {
+    let rows = rows as u64;
+    match range.and_then(exact_span) {
+        Some((lo, span)) if span < COUNT_VALUES_PER_ROW * rows && rows <= u64::from(u32::MAX) => {
+            IntKernel::Counts { lo, span }
+        }
+        Some((lo, span)) if span < BITMAP_BITS_PER_ROW * rows => IntKernel::Bitmap { lo, span },
+        _ => IntKernel::Scatter,
+    }
+}
+
+/// Per-bucket counts and distinct counts of integers in `lo..=lo + span`:
+/// count the rows of each value, then walk the values once, adding each
+/// present value's rows and one distinct to its bucket.
+fn distinct_by_counts(
+    values: &[i64],
+    lo: i64,
+    span: u64,
+    n: usize,
+    bucket: impl Fn(f64) -> usize,
+) -> (Vec<u64>, Vec<u64>) {
+    let mut rows = vec![0u32; span as usize + 1];
+    for &x in values {
+        rows[(x - lo) as usize] += 1;
+    }
+    let (mut counts, mut distinct) = (vec![0u64; n], vec![0u64; n]);
+    for (off, &r) in rows.iter().enumerate() {
+        if r > 0 {
+            let b = bucket((lo + off as i64) as f64);
+            counts[b] += u64::from(r);
+            distinct[b] += 1;
+        }
+    }
+    (counts, distinct)
+}
 
 /// Per-bucket counts and distinct counts of integers in `lo..=lo + span`,
 /// marking each value's offset in a bitmap: the first mark of a value is
@@ -424,10 +514,25 @@ fn distinct_by_bitmap(
     (counts, distinct)
 }
 
+/// Most slots a bucket slice's hash table may have: 2^17 `u64`s, 1 MiB,
+/// small enough to stay in L2 whatever the skew.
+pub(crate) const HASH_SLOTS: usize = 1 << 17;
+
+/// Slots of the hash table that counts a bucket slice of `len` values: the
+/// least power of two at least `2 × len`, or `None` when that exceeds
+/// [`HASH_SLOTS`] and the slice sorts instead. Hashing beat sorting at
+/// every slice length from 2 rows up (release build, 2-core x86-64 VM),
+/// so short slices hash too.
+fn hash_slots(len: usize) -> Option<usize> {
+    let slots = (2 * len).next_power_of_two();
+    (slots <= HASH_SLOTS).then_some(slots)
+}
+
 /// Per-bucket counts and distinct counts of any values: count each
-/// bucket, scatter the bit patterns into one slice per bucket, then sort
-/// each slice (small enough to stay in cache) and count its runs.
-fn distinct_by_sort(
+/// bucket, scatter the bit patterns into one slice per bucket, then count
+/// each slice's distinct patterns in one reused hash table (or by sorting
+/// it; see [`hash_slots`]).
+fn distinct_by_scatter(
     values: impl Iterator<Item = f64> + Clone,
     n: usize,
     bucket: impl Fn(f64) -> usize,
@@ -449,15 +554,57 @@ fn distinct_by_sort(
         bits[next[b]] = v.to_bits();
         next[b] += 1;
     }
+    let mut table = Vec::new();
     let distinct = (0..n)
         .map(|b| {
             let slice = &mut bits[start[b]..start[b + 1]];
-            slice.sort_unstable();
-            let repeats = slice.windows(2).filter(|w| w[0] == w[1]).count();
-            (slice.len() - repeats) as u64
+            match hash_slots(slice.len()) {
+                Some(slots) => distinct_by_hash(slice, &mut table, slots),
+                None => {
+                    slice.sort_unstable();
+                    let repeats = slice.windows(2).filter(|w| w[0] == w[1]).count();
+                    (slice.len() - repeats) as u64
+                }
+            }
         })
         .collect();
     (counts, distinct)
+}
+
+/// An empty slot of [`distinct_by_hash`]'s table. It is also the pattern
+/// of `+0.0`, which is therefore counted beside the table.
+const EMPTY: u64 = 0;
+
+/// Distinct patterns of `slice`, inserted by linear probing into `table`,
+/// first reset to `slots` (a power of two) empty slots. The home slot is
+/// the top bits of the pattern, its high half folded into its low half,
+/// times 2^64 / φ: taking the top bits spreads patterns whose low mantissa
+/// bits are all zero, and the fold spreads those that differ only in their
+/// exponent.
+fn distinct_by_hash(slice: &[u64], table: &mut Vec<u64>, slots: usize) -> u64 {
+    table.clear();
+    table.resize(slots, EMPTY);
+    let (shift, mask) = (64 - slots.trailing_zeros(), slots - 1);
+    let (mut distinct, mut zero) = (0, false);
+    for &x in slice {
+        if x == EMPTY {
+            zero = true;
+            continue;
+        }
+        let mut i = ((x ^ x >> 32).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+        loop {
+            if table[i] == x {
+                break;
+            }
+            if table[i] == EMPTY {
+                table[i] = x;
+                distinct += 1;
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+    distinct + u64::from(zero)
 }
 
 #[cfg(test)]
@@ -612,6 +759,37 @@ mod tests {
         assert_eq!(h.total(), 50.0);
         let s = h.selectivity_cmp(CmpOp::Eq, 7.0);
         assert!(s > 0.9, "s = {s}");
+    }
+
+    #[test]
+    fn int_kernel_cut_offs() {
+        let (rows, lo) = (10, -3);
+        let kernel = |span: u64| int_kernel(rows, Some((lo, lo + span as i64)));
+        assert_eq!(kernel(19), IntKernel::Counts { lo, span: 19 });
+        assert_eq!(kernel(20), IntKernel::Bitmap { lo, span: 20 });
+        assert_eq!(kernel(639), IntKernel::Bitmap { lo, span: 639 });
+        assert_eq!(kernel(640), IntKernel::Scatter);
+        assert_eq!(int_kernel(rows, Some((1 << 53, 1 << 53))), IntKernel::Scatter);
+        assert_eq!(int_kernel(0, None), IntKernel::Scatter);
+        // One row past `u32::MAX`, a per-value count could wrap.
+        let most = u32::MAX as usize;
+        assert_eq!(int_kernel(most, Some((0, 0))), IntKernel::Counts { lo: 0, span: 0 });
+        assert_eq!(int_kernel(most + 1, Some((0, 0))), IntKernel::Bitmap { lo: 0, span: 0 });
+    }
+
+    #[test]
+    fn hash_tables_stop_at_the_cap() {
+        assert_eq!(hash_slots(0), Some(1));
+        assert_eq!(hash_slots(3), Some(8));
+        assert_eq!(hash_slots(HASH_SLOTS / 2), Some(HASH_SLOTS));
+        assert_eq!(hash_slots(HASH_SLOTS / 2 + 1), None);
+    }
+
+    #[test]
+    fn all_nan_column_gets_the_empty_domain() {
+        let h = Histogram::from_column(&Column::Float(vec![f64::NAN; 3]), 4);
+        assert_eq!(h.domain(), (0.0, 0.0));
+        assert_eq!((h.buckets()[0].count, h.buckets()[0].distinct), (3.0, 1.0));
     }
 
     #[test]

@@ -63,10 +63,14 @@ const EXACT_INT: i64 = 1 << 53;
 /// equal exactly when their `f64` bit patterns are, and offsets from `min`
 /// can stand in for bit patterns as distinct-count, group or join keys.
 pub(crate) fn dense_int_span(values: &[i64], limit: u64) -> Option<(i64, u64)> {
-    let (lo, hi) = int_range(values)?;
-    let exact = -EXACT_INT < lo && hi < EXACT_INT;
+    exact_span(int_range(values)?).filter(|&(_, span)| span < limit)
+}
+
+/// `(min, max - min)` of an Int `(min, max)` range strictly inside ±2^53
+/// (see [`dense_int_span`]), whatever its span.
+pub(crate) fn exact_span((lo, hi): (i64, i64)) -> Option<(i64, u64)> {
     // Inside ±2^53 the difference cannot overflow.
-    (exact && ((hi - lo) as u64) < limit).then(|| (lo, (hi - lo) as u64))
+    (-EXACT_INT < lo && hi < EXACT_INT).then(|| (lo, (hi - lo) as u64))
 }
 
 /// `(min, max)` of Int values, or `None` when there are none.

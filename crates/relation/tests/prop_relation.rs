@@ -10,9 +10,14 @@ use sapred_relation::table::{Column, Table};
 
 /// A one-column relation: a full scan of a one-column table.
 fn rel(name: &str, vals: &[i64]) -> Rel {
+    scan(name, vals, &Predicate::True)
+}
+
+/// The rows of a one-column table that pass `pred`.
+fn scan(name: &str, vals: &[i64], pred: &Predicate) -> Rel {
     let schema = Schema::new(vec![ColumnDef::new(name, DataType::Int)]);
     let table = Table::new("t", schema, vec![Column::Int(vals.to_vec())]);
-    Rel::from_table(&table, &Predicate::True, &[], &[name.to_string()])
+    Rel::from_table(&table, pred, &[], &[name.to_string()])
 }
 
 proptest! {
@@ -87,9 +92,8 @@ proptest! {
         values in prop::collection::vec(0i64..40, 1..300),
         splits in 1usize..20,
     ) {
-        let r = rel("g", &values);
-        let combined = r.combine_output(&["g".to_string()], splits);
-        let groups = r.group_count(&["g".to_string()]);
+        let (grouped, combined) = rel("g", &values).groupby_combined(&["g".to_string()], splits);
+        let groups = grouped.rows();
         prop_assert!(combined >= groups, "combiner output below group count");
         prop_assert!(combined <= values.len(), "combiner output above input");
         prop_assert!(combined <= groups * splits, "combiner output above groups x splits");
@@ -100,8 +104,7 @@ proptest! {
         values in prop::collection::vec(0i64..100, 1..200),
         cut in 0.0f64..100.0,
     ) {
-        let r = rel("v", &values);
-        let f = r.filter(&Predicate::cmp("v", CmpOp::Lt, cut));
+        let f = scan("v", &values, &Predicate::cmp("v", CmpOp::Lt, cut));
         let exact = values.iter().filter(|&&v| (v as f64) < cut).count();
         prop_assert_eq!(f.rows(), exact);
         // head() is idempotent at the boundary.

@@ -704,17 +704,11 @@ fn print_cells(cells: &[CellResult]) {
                 format!("{events:>12.0} events/s")
             }
         };
-        let dropped = cell.counters.get("span_samples_dropped").copied().unwrap_or(0);
         println!(
-            "  {:<22} wall p50 {:>9.4}s | {rate} | {}{}",
+            "  {:<22} wall p50 {:>9.4}s | {rate} | {}",
             cell.name,
             wall,
             if cell.deterministic { "deterministic" } else { "NON-DETERMINISTIC" },
-            if dropped > 0 {
-                format!(" | {dropped} span sample(s) dropped past the cap")
-            } else {
-                String::new()
-            }
         );
     }
 }
