@@ -42,20 +42,17 @@ use sapred_cluster::job::SimQuery;
 use sapred_cluster::sched::{Fifo, Hcs, Hfs, Scheduler, Srt, Swrd};
 use sapred_cluster::sim::{CellSummary, Run, SimReport, Simulator};
 use sapred_cluster::FaultPlan;
-use sapred_core::parallel::{available_threads, panic_message, run_claiming};
+use sapred_core::parallel::{available_threads, run_claiming};
 use sapred_obs::fnv1a;
 use sapred_obs::json::{array, num, quoted, Obj, Value};
-use sapred_obs::profile::{Counter, NullProfiler, Profiler};
+use sapred_obs::profile::{Counter, Profiler};
 use sapred_obs::SpanProfiler;
 use sapred_plan::ground_truth::execute_dag;
 use sapred_relation::gen::{generate, GenConfig, KeyDist};
 use sapred_selectivity::EstimatorKind;
 
-use std::sync::{Mutex, PoisonError};
-
 use crate::dispatch_workload;
 use crate::harness::quantile;
-use crate::journal::{Journal, JournaledCell};
 
 /// Schema tag of the aggregate fleet report.
 pub const FLEET_SCHEMA: &str = "sapred-fleet/v2";
@@ -279,10 +276,9 @@ impl FleetGrid {
         )
     }
 
-    /// Canonical JSON of the grid. This is the `grid` object embedded in
-    /// the fleet report *and* the preimage of the resume journal's
-    /// compatibility fingerprint, so it must stay a pure function of the
-    /// grid's axes.
+    /// Canonical JSON of the grid: the `grid` object embedded in the fleet
+    /// report, which `--grid` replays, so it must stay a pure function of
+    /// the grid's axes.
     pub fn to_json(&self) -> String {
         let workloads = array(self.workloads.iter().map(|w| {
             Obj::new()
@@ -383,12 +379,6 @@ impl FleetGrid {
             seed.ok_or(format!("{at} must be a u64"))
         })?;
         Ok(FleetGrid { workloads, schedulers, faults, estimators, seeds })
-    }
-
-    /// FNV-1a fingerprint of the canonical grid JSON; the resume journal
-    /// refuses to load against a grid with a different fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.to_json().as_bytes())
     }
 
     /// Check the grid before running it: every axis non-empty, every
@@ -776,141 +766,33 @@ fn run_one_cell(grid: &FleetGrid, coord: &FleetCoord) -> (CellSummary, [u64; Cou
 }
 
 /// Execute the grid's cells across `threads` scoped workers (`0` = all
-/// cores) and assemble the [`FleetReport`]. Cells are claimed from a shared
-/// index and panic-isolated: one exploding cell is recorded as failed
-/// without taking down the rest of the fleet.
+/// cores) and assemble the [`FleetReport`] in grid order. Cells are claimed
+/// from a shared index and panic-isolated by [`run_claiming`]: one exploding
+/// cell is recorded as failed, with zeroed counters, without taking down the
+/// rest of the fleet.
 ///
 /// # Errors
 /// Returns the grid's first validation problem without running anything.
 pub fn run_fleet(grid: &FleetGrid, threads: usize) -> Result<FleetReport, String> {
-    sweep(grid, threads, None, &NullProfiler)
-}
-
-/// [`run_fleet`] with a crash-safe resume journal: every completed cell is
-/// persisted (bit-exactly) to `journal_path` as it finishes, and with
-/// `resume` an existing journal's cells are adopted instead of re-run.
-///
-/// The assembled report is **byte-identical** to an uninterrupted
-/// [`run_fleet`] of the same grid at any thread count: journaled summaries
-/// round-trip f64s by bit pattern, cells are assembled in grid order, and
-/// per-cell seeds come from coordinate labels, never from which sweep ran
-/// the cell. The count of adopted cells lands on
-/// [`Counter::CellsResumed`].
-///
-/// # Errors
-/// Grid validation problems, a journal written for a different grid
-/// (fingerprint mismatch), corruption anywhere but the journal's final
-/// line, and journal write failures all abort the sweep with a message
-/// naming the journal path.
-pub fn run_fleet_journaled<P: Profiler>(
-    grid: &FleetGrid,
-    threads: usize,
-    journal_path: &std::path::Path,
-    resume: bool,
-    prof: &P,
-) -> Result<FleetReport, String> {
-    sweep(grid, threads, Some((journal_path, resume)), prof)
-}
-
-/// One cell's outcome and counters, as [`FleetCell`] carries them.
-type CellOutcome = (Result<CellSummary, String>, [u64; Counter::ALL.len()]);
-
-/// The one fleet body behind [`run_fleet`] and [`run_fleet_journaled`]:
-/// validate the grid, adopt the journal's cells (if a journal is given),
-/// run the rest across `threads` workers, journaling each as it completes,
-/// and assemble the cells in grid order.
-fn sweep<P: Profiler>(
-    grid: &FleetGrid,
-    threads: usize,
-    journal: Option<(&std::path::Path, bool)>,
-    prof: &P,
-) -> Result<FleetReport, String> {
     grid.validate()?;
     let threads = if threads == 0 { available_threads() } else { threads };
     let coords = grid.coords();
-    let labels: Vec<String> = coords.iter().map(|c| grid.coord_label(c)).collect();
-    let mut outcomes: Vec<Option<CellOutcome>> = vec![None; coords.len()];
-    let journal = match journal {
-        None => None,
-        Some((path, resume)) => {
-            let journal = if resume {
-                Journal::load_or_create(path, grid)?
-            } else {
-                Journal::create(path, grid)?
-            };
-            // Adopt journaled outcomes onto their grid slots.
-            let index_of: std::collections::HashMap<&str, usize> =
-                labels.iter().enumerate().map(|(i, l)| (l.as_str(), i)).collect();
-            for (label, cell) in journal.entries() {
-                let Some(&i) = index_of.get(label.as_str()) else {
-                    return Err(format!(
-                        "journal {} contains cell `{label}` that is not in this grid",
-                        path.display()
-                    ));
-                };
-                if cell.cell_seed != grid.cell_seed(&coords[i]) {
-                    return Err(format!(
-                        "journal {} cell `{label}` was run with seed {} but this grid derives {}",
-                        path.display(),
-                        cell.cell_seed,
-                        grid.cell_seed(&coords[i])
-                    ));
-                }
-                outcomes[i] = Some((cell.outcome.clone(), cell.counters));
-            }
-            let resumed = outcomes.iter().flatten().count();
-            prof.add(Counter::CellsResumed, resumed as u64);
-            Some(Mutex::new(journal))
-        }
-    };
-
-    // Run the missing cells. Panics are caught *inside* the closure so a
-    // failed cell is still journaled (as an error) rather than re-run
-    // forever on every resume.
-    let missing: Vec<usize> = (0..coords.len()).filter(|&i| outcomes[i].is_none()).collect();
-    let journal_err: Mutex<Option<String>> = Mutex::new(None);
-    let fresh = run_claiming(missing.len(), threads, |k| {
-        let i = missing[k];
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_one_cell(grid, &coords[i])
-        }));
-        let (result, counters) = match outcome {
-            Ok((summary, counters)) => (Ok(summary), counters),
-            Err(payload) => (Err(panic_message(payload)), [0u64; Counter::ALL.len()]),
-        };
-        if let Some(journal) = &journal {
-            let cell = JournaledCell {
-                cell_seed: grid.cell_seed(&coords[i]),
-                outcome: result.clone(),
-                counters,
-            };
-            let recorded =
-                journal.lock().unwrap_or_else(PoisonError::into_inner).record(&labels[i], cell);
-            if let Err(e) = recorded {
-                journal_err.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(e);
-            }
-        }
-        (result, counters)
-    });
-    if let Some(e) = journal_err.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        return Err(e);
-    }
-    for (k, outcome) in fresh.into_iter().enumerate() {
-        outcomes[missing[k]] = Some(match outcome {
-            Ok(cell) => cell,
-            // Unreachable in practice: the closure never panics (the cell
-            // body is already caught); keep the claim-loop error anyway.
-            Err(msg) => (Err(msg), [0u64; Counter::ALL.len()]),
-        });
-    }
-
+    let outcomes = run_claiming(coords.len(), threads, |i| run_one_cell(grid, &coords[i]));
     let cells = coords
-        .iter()
-        .zip(labels)
+        .into_iter()
         .zip(outcomes)
-        .map(|((coord, label), outcome)| {
-            let (outcome, counters) = outcome.expect("every cell is journaled or freshly run");
-            FleetCell { coord: *coord, label, cell_seed: grid.cell_seed(coord), outcome, counters }
+        .map(|(coord, outcome)| {
+            let (outcome, counters) = match outcome {
+                Ok((summary, counters)) => (Ok(summary), counters),
+                Err(msg) => (Err(msg), [0; Counter::ALL.len()]),
+            };
+            FleetCell {
+                coord,
+                label: grid.coord_label(&coord),
+                cell_seed: grid.cell_seed(&coord),
+                outcome,
+                counters,
+            }
         })
         .collect();
     Ok(FleetReport { grid: grid.clone(), cells })

@@ -1,11 +1,10 @@
 //! The engine's own benchmarks: the deterministic `sapred bench` suites
-//! ([`harness`], [`report`]) and the parallel, journaled fleet sweeps of
-//! `sapred fleet` ([`fleet`], [`journal`]). The paper's tables and figures
+//! ([`harness`], [`report`]) and the parallel fleet sweeps of
+//! `sapred fleet` ([`fleet`]). The paper's tables and figures
 //! come from `sapred reproduce` (`sapred_core::experiments::reproduce`).
 
 pub mod fleet;
 pub mod harness;
-pub mod journal;
 pub mod report;
 
 use sapred_cluster::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};

@@ -3,11 +3,11 @@
 
 use sapred_bench::dispatch_workload;
 use sapred_bench::fleet::{
-    bench_grid, run_fleet, run_fleet_journaled, FaultLevel, FleetGrid, SchedKind, WorkloadSpec,
+    bench_grid, record_fleet, run_fleet, FaultLevel, FleetGrid, SchedKind, WorkloadSpec,
 };
 use sapred_cluster::sched::Swrd;
 use sapred_cluster::sim::Simulator;
-use sapred_obs::{fnv1a, Counter, NullProfiler, SpanProfiler};
+use sapred_obs::{fnv1a, Counter, SpanProfiler};
 use sapred_selectivity::EstimatorKind;
 
 fn tiny_workload() -> WorkloadSpec {
@@ -211,85 +211,35 @@ fn empty_estimator_axis_is_rejected() {
     assert!(run_fleet(&grid, 1).unwrap_err().contains("skew"));
 }
 
-// --- Crash-tolerant journaled sweeps -----------------------------------
-
-fn journal_dir(name: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("sapred-fleet-journal-{}-{name}", std::process::id()));
-    let _ = std::fs::create_dir_all(&dir);
-    dir
-}
-
-/// A journaled sweep's report must be byte-identical to the plain sweep's,
-/// at different thread counts — the journal is pure bookkeeping.
+/// A failed cell is counted, left out of the surfaces, recorded on
+/// `FleetCellsFailed`, and reported by label with its error and no summary.
 #[test]
-fn journaled_sweep_report_is_byte_identical_to_plain_sweep() {
+fn a_failed_cell_is_reported_but_not_aggregated() {
     let grid = tiny_grid();
-    let plain = run_fleet(&grid, 2).expect("valid grid").to_json();
-    let path = journal_dir("plain").join("journal.jsonl");
-    let prof = NullProfiler;
-    let journaled =
-        run_fleet_journaled(&grid, 3, &path, false, &prof).expect("valid grid").to_json();
-    assert_eq!(plain, journaled, "journal bookkeeping leaked into the report");
-}
+    let mut report = run_fleet(&grid, 1).expect("valid grid");
+    let n = report.cells.len();
+    let failed = &mut report.cells[1];
+    failed.outcome = Err("boom".into());
+    failed.counters = [0; Counter::ALL.len()];
+    let label = failed.label.clone();
 
-/// Kill-and-resume equivalence at the library layer: truncate a finished
-/// journal to its first k cells (exactly what a SIGKILL mid-sweep leaves
-/// behind), resume, and require the byte-identical report. The resumed
-/// sweep must adopt exactly k cells (observed via `CellsResumed`).
-#[test]
-fn resuming_a_truncated_journal_reproduces_the_report_byte_for_byte() {
-    let grid = tiny_grid();
-    let n_cells = grid.coords().len();
-    let path = journal_dir("resume").join("journal.jsonl");
-    let full =
-        run_fleet_journaled(&grid, 1, &path, false, &NullProfiler).expect("valid grid").to_json();
-
-    let text = std::fs::read_to_string(&path).expect("journal exists");
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), n_cells + 1, "header plus one line per cell");
-
-    for keep in [0, 1, n_cells / 2, n_cells - 1] {
-        let mut torn: String = lines[..=keep].join("\n");
-        torn.push('\n');
-        std::fs::write(&path, torn).expect("write truncated journal");
-
-        let prof = SpanProfiler::new();
-        let resumed =
-            run_fleet_journaled(&grid, 2, &path, true, &prof).expect("resume succeeds").to_json();
-        assert_eq!(full, resumed, "resume from {keep} journaled cells diverged");
-        assert_eq!(
-            prof.counter(Counter::CellsResumed),
-            keep as u64,
-            "resume should adopt exactly the journaled cells"
-        );
-    }
-}
-
-/// `--resume` against a journal from a *different* grid must fail loudly,
-/// naming the journal, never silently mix cells.
-#[test]
-fn resume_with_mismatched_grid_is_rejected() {
-    let grid = tiny_grid();
-    let path = journal_dir("mismatch").join("journal.jsonl");
-    run_fleet_journaled(&grid, 1, &path, false, &NullProfiler).expect("valid grid");
-
-    let mut other = tiny_grid();
-    other.seeds.push(44);
-    let err = run_fleet_journaled(&other, 1, &path, true, &NullProfiler).unwrap_err();
-    assert!(err.contains("different grid"), "unexpected error: {err}");
-    assert!(err.contains("journal"), "error should name the journal file: {err}");
-}
-
-/// Without `--resume`, an existing journal is overwritten, not adopted.
-#[test]
-fn fresh_journaled_sweep_overwrites_a_stale_journal() {
-    let grid = tiny_grid();
-    let path = journal_dir("overwrite").join("journal.jsonl");
-    run_fleet_journaled(&grid, 1, &path, false, &NullProfiler).expect("valid grid");
+    assert_eq!((report.completed(), report.failed()), (n - 1, 1));
+    assert_eq!(report.surfaces().iter().map(|p| p.n_cells).sum::<usize>(), n - 1);
     let prof = SpanProfiler::new();
-    run_fleet_journaled(&grid, 1, &path, false, &prof).expect("valid grid");
-    assert_eq!(prof.counter(Counter::CellsResumed), 0, "fresh sweep must not resume");
+    record_fleet(&report, &prof);
+    assert_eq!(prof.counter(Counter::FleetCellsFailed), 1);
+    assert_eq!(prof.counter(Counter::FleetCellsRun), (n - 1) as u64);
+
+    let json = report.to_json();
+    let doc = sapred_obs::json::parse(&json).expect("well-formed report");
+    let cells = doc.get("cells").and_then(|c| c.as_arr()).expect("cells array");
+    let cell = cells
+        .iter()
+        .find(|c| c.get("label").and_then(|l| l.as_str()) == Some(label.as_str()))
+        .expect("the failed cell is reported by label");
+    assert_eq!(cell.get("error").and_then(|e| e.as_str()), Some("boom"));
+    assert!(cell.get("makespan").is_none() && cell.get("n_queries").is_none());
+    assert_eq!(doc.get("failed").and_then(|f| f.as_num()), Some(1.0));
 }
 
 /// A grid survives its own JSON: a seed past 2^53 (which an `f64` reader

@@ -1,15 +1,15 @@
 //! Crash-safe file output: the shared temp-file+rename helper every
-//! on-disk artifact (BENCH reports, fleet reports/journals, trace and
-//! metrics exports, engine checkpoints) goes through.
+//! on-disk artifact (BENCH reports, fleet reports, trace and metrics
+//! exports, engine checkpoints) goes through.
 //!
 //! The contract is all-or-nothing at the path level: a reader never sees a
 //! torn or half-written file. [`write_atomic`] stages the full contents
 //! into a sibling temp file, flushes and fsyncs it, then renames it over
 //! the destination — on POSIX, `rename(2)` within one directory is atomic,
 //! so a crash at any instant leaves either the old complete file or the
-//! new complete file, never a mixture. The two stages are exposed
-//! separately ([`stage`] / [`commit`]) so the crash window can be tested:
-//! a process killed between them must leave the original file intact.
+//! new complete file, never a mixture. The two stages are separate
+//! functions (`stage` / `commit`) so the crash window can be tested: a
+//! process killed between them must leave the original file intact.
 
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -25,13 +25,13 @@ fn temp_path(path: &Path) -> PathBuf {
 }
 
 /// Stage `contents` for `path`: write the full bytes to a sibling temp
-/// file, flush, and fsync. Returns the temp path to pass to [`commit`].
+/// file, flush, and fsync. Returns the temp path to pass to `commit`.
 /// Until `commit` runs, `path` itself is untouched.
 ///
 /// # Errors
 /// Any I/O error creating, writing, or syncing the temp file. The temp
 /// file is removed on a failed write, so errors don't leak staging files.
-pub fn stage(path: &Path, contents: &[u8]) -> io::Result<PathBuf> {
+fn stage(path: &Path, contents: &[u8]) -> io::Result<PathBuf> {
     let tmp = temp_path(path);
     let result = (|| {
         let mut f = File::create(&tmp)?;
@@ -56,7 +56,7 @@ pub fn stage(path: &Path, contents: &[u8]) -> io::Result<PathBuf> {
 /// # Errors
 /// Any I/O error from the rename; the temp file is left in place so the
 /// staged contents are not lost.
-pub fn commit(tmp: &Path, path: &Path) -> io::Result<()> {
+fn commit(tmp: &Path, path: &Path) -> io::Result<()> {
     fs::rename(tmp, path)
 }
 

@@ -47,9 +47,6 @@ pub enum Counter {
     /// `checkpoint_every_events` trigger (and explicit snapshots taken
     /// through a profiled run). Zero when checkpointing is off.
     CheckpointBytes,
-    /// Fleet cells skipped on `--resume` because a journal already held
-    /// their completed results.
-    CellsResumed,
     /// Runnable jobs a dispatch decision examined: 1 for a pick from the
     /// pick index, the runnable-set width for a scan.
     CandidatesExamined,
@@ -57,7 +54,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in stable report order.
-    pub const ALL: [Counter; 12] = [
+    pub const ALL: [Counter; 11] = [
         Counter::EventsProcessed,
         Counter::DispatchDecisions,
         Counter::SchedulerViewUpdates,
@@ -68,7 +65,6 @@ impl Counter {
         Counter::FleetCellsFailed,
         Counter::EventQueueOps,
         Counter::CheckpointBytes,
-        Counter::CellsResumed,
         Counter::CandidatesExamined,
     ];
 
@@ -85,7 +81,6 @@ impl Counter {
             Counter::FleetCellsFailed => "fleet_cells_failed",
             Counter::EventQueueOps => "event_queue_ops",
             Counter::CheckpointBytes => "checkpoint_bytes",
-            Counter::CellsResumed => "cells_resumed",
             Counter::CandidatesExamined => "candidates_examined",
         }
     }

@@ -15,7 +15,7 @@ pub fn available_threads() -> usize {
 
 /// Best-effort panic payload extraction (`panic!` with a `&str` or a
 /// formatted `String` covers every panic in this workspace).
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -23,16 +23,12 @@ use sapred::core::experiments::scheduling::run_schedulers;
 use sapred::core::persist::save_catalog;
 use sapred::core::telemetry::record_sim_outcomes;
 use sapred::core::{Error, Pipeline};
-use sapred::obs::{
-    write_atomic, ChromeTraceSink, Counter, JsonlSink, MetricsSink, SpanProfiler, Tee,
-};
+use sapred::obs::{write_atomic, ChromeTraceSink, JsonlSink, MetricsSink, SpanProfiler, Tee};
 use sapred::plan::ground_truth::execute_dag;
 use sapred::selectivity::EstimatorKind;
 use sapred::workload::mixes::{bing_mix, facebook_mix, MixSpec};
 use sapred::workload::population::PopulationConfig;
-use sapred_bench::fleet::{
-    run_fleet, run_fleet_journaled, FaultLevel, FleetGrid, SchedKind, WorkloadSpec,
-};
+use sapred_bench::fleet::{run_fleet, FaultLevel, FleetGrid, SchedKind, WorkloadSpec};
 use sapred_bench::harness::{dispatch_suite, fleet_suite, run_suite, scale_suite, CellResult};
 use sapred_bench::report::{compare, suite_json, validate_schema, Comparison};
 use std::collections::HashMap;
@@ -87,7 +83,6 @@ USAGE:
                     [--queries <N>] [--jobs <N>] [--maps <N>] [--reduces <N>]
                     [--estimators <CSV of histogram|sample|catalog>] [--skews <CSV>]
                     [--threads <N>] [--out <fleet.json>]
-                    [--journal <JOURNAL.jsonl>] [--resume]
   sapred bench      [--suite <dispatch|fleet|scale|all>] [--quick] [--iters <N>] [--threads <N>]
                     [--out <DIR>] [--compare <BENCH.json>] [--threshold <FRACTION>] [--gate]
                     [--validate <BENCH.json>]... [--compare-files <OLD.json> <NEW.json>]
@@ -380,18 +375,13 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
 /// `sapred fleet`: expand a declarative (workload × scheduler × fault ×
 /// estimator × seed) grid, run every cell across worker threads, print the
 /// aggregation layer, and write the aggregate JSON report — bit-identical
-/// for the same grid at any `--threads` value. With `--journal` every
-/// completed cell is persisted as it finishes, and `--resume` adopts a
-/// previous (possibly killed) sweep's cells instead of re-running them.
+/// for the same grid at any `--threads` value.
 fn cmd_fleet(args: &[String]) -> Result<(), Error> {
     fn parse_csv(raw: &str) -> impl Iterator<Item = &str> {
         raw.split(',').map(str::trim).filter(|s| !s.is_empty())
     }
-    // `--resume` is the one flag without a value.
-    let resume = args.iter().any(|a| a == "--resume");
-    let rest: Vec<String> = args.iter().filter(|a| *a != "--resume").cloned().collect();
     let flags = &parse_flags(
-        &rest,
+        args,
         &[
             "grid",
             "schedulers",
@@ -406,15 +396,10 @@ fn cmd_fleet(args: &[String]) -> Result<(), Error> {
             "skews",
             "threads",
             "out",
-            "journal",
         ],
     )?;
     let threads = flag_usize(flags, "threads", 0)?;
     let out = flags.get("out").map(String::as_str).unwrap_or("fleet.json");
-    let journal = flags.get("journal").map(String::as_str);
-    if resume && journal.is_none() {
-        return Err(Error::invalid("--resume requires --journal <path>"));
-    }
 
     let grid = if let Some(path) = flags.get("grid") {
         let text =
@@ -473,20 +458,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), Error> {
         grid.estimators.len(),
         grid.seeds.len()
     );
-    let report = match journal {
-        Some(path) => {
-            let prof = SpanProfiler::new();
-            let report =
-                run_fleet_journaled(&grid, threads, std::path::Path::new(path), resume, &prof)
-                    .map_err(Error::invalid)?;
-            let resumed = prof.counter(Counter::CellsResumed);
-            if resume {
-                println!("resumed {resumed} journaled cell(s) from {path}");
-            }
-            report
-        }
-        None => run_fleet(&grid, threads).map_err(Error::invalid)?,
-    };
+    let report = run_fleet(&grid, threads).map_err(Error::invalid)?;
     println!("completed {} cell(s), {} failed", report.completed(), report.failed());
     for cell in &report.cells {
         if let Err(e) = &cell.outcome {

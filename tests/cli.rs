@@ -6,7 +6,7 @@ use std::process::Command;
 
 #[test]
 fn unknown_flags_are_rejected_by_name() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["reproduce", "--queries", "5"], "--queries"),
         (&["explain", "--sql", "SELECT 1", "--sacle", "3"], "--sacle"),
         (&["trace", "bing", "--queue_cap", "3"], "--queue_cap"),
@@ -16,6 +16,9 @@ fn unknown_flags_are_rejected_by_name() {
         (&["trace", "bing", "--oracle", "recalibrating"], "--oracle"),
         (&["trace", "bing", "--queue-cap", "3"], "--queue-cap"),
         (&["fleet", "--queue-caps", "0,8"], "--queue-caps"),
+        // The fleet has no resume journal.
+        (&["fleet", "--journal", "j.jsonl"], "--journal"),
+        (&["fleet", "--resume"], "--resume"),
     ];
     for (args, flag) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_sapred"))
