@@ -7,7 +7,7 @@ use sapred_bench::fleet::{
 };
 use sapred_cluster::sched::Swrd;
 use sapred_cluster::sim::Simulator;
-use sapred_obs::{fnv1a, Counter, SpanProfiler};
+use sapred_obs::{Counter, SpanProfiler};
 use sapred_selectivity::EstimatorKind;
 
 fn tiny_workload() -> WorkloadSpec {
@@ -86,15 +86,6 @@ fn appending_an_axis_value_never_reseeds_existing_cells() {
         assert_eq!(after.get(label), Some(seed), "cell {label} was reseeded by an axis append");
     }
     assert!(after.len() > before.len());
-}
-
-/// The FNV-1a hash behind cell seeds matches the published 64-bit test
-/// vectors, so cell seeds are stable across platforms and releases.
-#[test]
-fn fnv1a_matches_the_reference_vectors() {
-    assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-    assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
 }
 
 /// The aggregation layer covers every (scheduler × fault level)

@@ -36,7 +36,7 @@ pub use cost::CostModel;
 pub use fault::{FaultPlan, FaultStats, NodeCrash};
 pub use job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 pub use sapred_obs::{JobId, NodeId, QueryId};
-pub use sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
+pub use sched::{Fifo, Hcs, Hfs, Scheduler, Srt, Swrd};
 pub use sim::{
     CellSummary, CheckpointError, ClusterConfig, DemandOracle, FrozenOracle, JobStat, QueryStat,
     Run, RunOutcome, SimError, SimReport, Simulator,

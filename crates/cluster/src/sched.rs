@@ -8,11 +8,10 @@
 //! [`Scheduler::score`] decodes the leading slot. The engine keeps a wide
 //! runnable set in a pick index (O(log R) upkeep per touched job instead of
 //! a scan of all R runnable jobs) and calls `pick` on narrow ones; both
-//! take the same minimum. [`HcsQueues`] ranks a job by its queue's share,
-//! which no per-job key expresses, so it has no key and writes its own
-//! `pick`. A job never has pending maps and pending reduces at the same
-//! time (reduces unlock when the map phase completes), so the choice of
-//! task kind is implied.
+//! take the same minimum. A policy without a key overrides `pick`, and the
+//! engine then scans every set. A job never has pending maps and pending
+//! reduces at the same time (reduces unlock when the map phase completes),
+//! so the choice of task kind is implied.
 
 use crate::job::TaskKind;
 use sapred_obs::{JobId, QueryId};
@@ -40,9 +39,6 @@ pub struct RunnableJob {
     /// Remaining critical-path time of the owning query (predicted job
     /// processing times along the unfinished DAG), used by [`Srt`].
     pub query_time: f64,
-    /// Total running tasks of the owning query (all jobs), used by
-    /// [`HcsQueues`] for per-queue share accounting.
-    pub query_running: usize,
 }
 
 impl RunnableJob {
@@ -118,9 +114,11 @@ pub trait Scheduler {
         self.key(job).map_or(0.0, |k| key_f64(k[0]))
     }
     /// The policy's whole ordering for `job` as a [`PickKey`], or `None`
-    /// (the default) for a policy that has none. With a key, the engine
-    /// keeps the runnable set in a pick index and, on wide sets, dispatches
-    /// the minimum-key job without a scan.
+    /// (the default) for a policy that has none. Every built-in policy has
+    /// a key; a keyless one (a wrapper that forwards only `pick` and
+    /// `score`) makes the engine scan every runnable set. With a key, the
+    /// engine keeps the runnable set in a pick index and, on wide sets,
+    /// dispatches the minimum-key job without a scan.
     ///
     /// Contract: the key ends in the `(query, job)` pair, which makes it
     /// unique. It depends only on `job`'s own fields. A policy returns
@@ -216,96 +214,6 @@ impl Scheduler for Swrd {
     }
 }
 
-/// The multi-queue Hadoop Capacity Scheduler: queries are hashed onto
-/// queues, each queue has a guaranteed share of the container pool, and
-/// free containers go to the most under-served queue (lowest
-/// running-to-capacity ratio) with [`Hcs`]'s job order inside the queue, so
-/// with a single queue it degenerates to [`Hcs`]. The paper's testbed uses the
-/// default single-queue configuration; this variant exists to show the
-/// thrashing of §2.1 is not an artifact of that choice.
-#[derive(Debug, Clone)]
-pub struct HcsQueues {
-    capacities: Vec<f64>,
-    /// Reusable per-queue running-count scratch, one slot per queue;
-    /// `None` marks a queue with no runnable work in the current pick.
-    running: Vec<Option<usize>>,
-    /// Generation stamp per query id: a query was counted this pick iff
-    /// its stamp equals `gen`. "Clearing" between picks is the O(1) `gen`
-    /// bump below — no per-dispatch buffer wipe, no hash-set allocation.
-    seen_gen: Vec<u64>,
-    gen: u64,
-}
-
-impl HcsQueues {
-    /// Create with one guaranteed share per queue.
-    ///
-    /// # Panics
-    /// Panics if `capacities` is empty or has non-positive entries.
-    pub fn new(capacities: Vec<f64>) -> Self {
-        assert!(!capacities.is_empty(), "need at least one queue");
-        assert!(capacities.iter().all(|&c| c > 0.0), "capacities must be positive");
-        let running = vec![None; capacities.len()];
-        Self { capacities, running, seen_gen: Vec::new(), gen: 0 }
-    }
-
-    fn queue_of(&self, query: usize) -> usize {
-        query % self.capacities.len()
-    }
-}
-
-impl Scheduler for HcsQueues {
-    fn name(&self) -> &'static str {
-        "HCS-queues"
-    }
-
-    fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice> {
-        // Running tasks per queue (each query counted once). The engine
-        // hands us the runnable view sorted by (query, job), so queries are
-        // contiguous; a last-seen check dedupes in O(n). The
-        // (unsorted-caller) general case is guarded by generation stamps:
-        // a query counts only when its stamp trails the pick's generation,
-        // replacing the per-call HashSet allocation with a reusable buffer
-        // that clears by bumping `gen`.
-        self.gen += 1;
-        self.running.iter_mut().for_each(|r| *r = None);
-        let mut last: Option<usize> = None;
-        for r in runnable {
-            let q: usize = r.query.into();
-            if last == Some(q) {
-                continue;
-            }
-            last = Some(q);
-            if q >= self.seen_gen.len() {
-                self.seen_gen.resize(q + 1, 0);
-            }
-            if self.seen_gen[q] != self.gen {
-                self.seen_gen[q] = self.gen;
-                let qi = self.queue_of(q);
-                *self.running[qi].get_or_insert(0) += r.query_running;
-            }
-        }
-        // Most under-served queue that has pending work: every runnable
-        // query was counted above, so a queue has work iff its slot is set.
-        let (best_queue, _) = self
-            .running
-            .iter()
-            .enumerate()
-            .filter_map(|(q, r)| Some((q, (*r)? as f64 / self.capacities[q])))
-            .min_by(|(a, ra), (b, rb)| ra.total_cmp(rb).then(a.cmp(b)))?;
-        runnable
-            .iter()
-            .filter(|r| self.queue_of(r.query.into()) == best_queue)
-            .min_by_key(|r| Hcs.key(r))
-            .map(choice)
-    }
-
-    // Queue-relative ranking has no single scalar; the within-queue FIFO
-    // key is still the most informative per-candidate number.
-    fn score(&self, job: &RunnableJob) -> f64 {
-        job.submit_time
-    }
-}
-
 /// Smallest-Remaining-Time-first at the query level: like SWRD but ranking
 /// queries by their predicted remaining *critical-path time* instead of
 /// their Weighted Resource Demand. The paper argues (§4.3) that temporal
@@ -345,7 +253,6 @@ mod tests {
             running: 0,
             query_wrd: 100.0,
             query_time: 50.0,
-            query_running: 0,
         }
     }
 
@@ -388,95 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn hcs_queues_serves_the_underserved_queue() {
-        // Two queues, equal capacity. Query 0 (queue 0) already has 10
-        // running tasks; query 1 (queue 1) has none: queue 1 wins even
-        // though query 0's job was submitted earlier.
-        let mut s = HcsQueues::new(vec![0.5, 0.5]);
-        let mut a = job(0, 0, 0.0, 0.0);
-        a.query_running = 10;
-        let b = job(1, 0, 5.0, 5.0);
-        let c = s.pick(&[a, b]).unwrap();
-        assert_eq!(c.query, QueryId(1));
-        // With capacities 10:1, queue 0 is under-served even at 8 running.
-        let mut s = HcsQueues::new(vec![10.0, 1.0]);
-        let mut a = job(0, 0, 0.0, 0.0);
-        a.query_running = 8;
-        let mut b = job(1, 0, 5.0, 5.0);
-        b.query_running = 1;
-        let c = s.pick(&[a, b]).unwrap();
-        assert_eq!(c.query, QueryId(0));
-    }
-
-    #[test]
-    fn hcs_queues_generation_scratch_matches_hashset_reference() {
-        // The generation-stamped scratch must reproduce the retired
-        // HashSet dedup exactly — same counting, same pick — including on
-        // unsorted views where a query's entries are not contiguous, and
-        // across repeated picks (stale stamps from earlier generations
-        // must not leak into later ones).
-        fn reference_pick(capacities: &[f64], runnable: &[RunnableJob]) -> Option<TaskChoice> {
-            let n = capacities.len();
-            let queue_of = |query: usize| query % n;
-            let mut running = vec![0usize; n];
-            let mut last: Option<usize> = None;
-            let mut seen: std::collections::HashSet<usize> = std::collections::HashSet::new();
-            for r in runnable {
-                if last == Some(r.query.into()) {
-                    continue;
-                }
-                last = Some(r.query.into());
-                if seen.insert(r.query.into()) {
-                    running[queue_of(r.query.into())] += r.query_running;
-                }
-            }
-            let best_queue = (0..n)
-                .filter(|&q| runnable.iter().any(|r| queue_of(r.query.into()) == q))
-                .min_by(|&a, &b| {
-                    let ra = running[a] as f64 / capacities[a];
-                    let rb = running[b] as f64 / capacities[b];
-                    ra.total_cmp(&rb).then(a.cmp(&b))
-                })?;
-            runnable
-                .iter()
-                .filter(|r| queue_of(r.query.into()) == best_queue)
-                .min_by(|a, b| submit_order(a, b))
-                .map(choice)
-        }
-
-        let capacities = vec![3.0, 1.0, 2.0];
-        let mut s = HcsQueues::new(capacities.clone());
-        // Deterministic pseudo-random views: query ids deliberately
-        // repeated and non-contiguous, varying running counts.
-        let mut x = 11u64;
-        for round in 0..50 {
-            let mut r = Vec::new();
-            for k in 0..(1 + round % 7) {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let q = (x >> 33) as usize % 9;
-                let mut j = job(q, k, (x % 97) as f64, 0.0);
-                j.query_running = (x % 13) as usize;
-                r.push(j);
-            }
-            let got = s.pick(&r);
-            let want = reference_pick(&capacities, &r);
-            assert_eq!(
-                got.map(|c| (c.query, c.job, c.kind)),
-                want.map(|c| (c.query, c.job, c.kind)),
-                "round {round}: scratch dedup diverged from HashSet reference"
-            );
-        }
-    }
-
-    #[test]
-    fn hcs_queues_single_queue_matches_hcs() {
-        let r = vec![job(0, 1, 10.0, 0.0), job(1, 0, 5.0, 2.0)];
-        let a = HcsQueues::new(vec![1.0]).pick(&r).unwrap();
-        let b = Hcs.pick(&r).unwrap();
-        assert_eq!((a.query, a.job), (b.query, b.job));
-    }
-
-    #[test]
     fn srt_prefers_smallest_remaining_time() {
         let mut s = Srt;
         let mut a = job(0, 0, 0.0, 0.0);
@@ -510,7 +328,6 @@ mod tests {
         assert_eq!(Hfs.score(&a), 4.0);
         assert_eq!(Swrd.score(&a), 77.0);
         assert_eq!(Srt.score(&a), 9.0);
-        assert_eq!(HcsQueues::new(vec![1.0]).score(&a), 3.0);
     }
 
     #[test]
@@ -553,23 +370,13 @@ mod tests {
         fn check<S: Scheduler>(mut s: S, r: &[RunnableJob]) {
             let c = s.pick(r).expect("NaN keys must not panic or empty the pick");
             assert_eq!(c.query, QueryId(1), "{}: NaN sorts after real keys", s.name());
-            if s.key(&r[0]).is_some() {
-                assert_eq!(
-                    reference_pick(s.name(), r),
-                    Some(c),
-                    "{}: reference disagrees",
-                    s.name()
-                );
-            }
+            assert_eq!(reference_pick(s.name(), r), Some(c), "{}: reference disagrees", s.name());
         }
         check(Fifo, &[poisoned, clean]);
         check(Hcs, &[poisoned, clean]);
         check(Hfs, &[poisoned, clean]);
         check(Swrd, &[poisoned, clean]);
         check(Srt, &[poisoned, clean]);
-        // Single queue: both candidates share it, so the NaN-keyed
-        // within-queue ordering is what decides.
-        check(HcsQueues::new(vec![1.0]), &[poisoned, clean]);
 
         // All-NaN candidate sets still produce a deterministic pick.
         let twin = { job(1, 0, f64::NAN, f64::NAN) };
@@ -687,7 +494,6 @@ mod tests {
             agree(Swrd, &r, round);
             agree(Srt, &r, round);
         }
-        assert!(HcsQueues::new(vec![1.0]).key(&job(0, 0, 0.0, 0.0)).is_none());
     }
 
     #[test]
@@ -697,6 +503,5 @@ mod tests {
         assert!(Hfs.pick(&[]).is_none());
         assert!(Swrd.pick(&[]).is_none());
         assert!(Srt.pick(&[]).is_none());
-        assert!(HcsQueues::new(vec![1.0]).pick(&[]).is_none());
     }
 }

@@ -1,7 +1,7 @@
 //! The dispatch path: the materialized runnable set, the ordered pick
-//! index over it, per-query demand aggregates (WRD / critical path /
-//! running counts) derived from live [`DemandOracle`](super::DemandOracle)
-//! predictions, and the from-scratch [`collect_runnable`] view that
+//! index over it, per-query demand aggregates (WRD and critical path)
+//! derived from live [`DemandOracle`](super::DemandOracle) predictions,
+//! and the from-scratch [`collect_runnable`] view that
 //! [`Simulator::crosschecked`](super::Simulator::crosschecked) runs check
 //! the maintained state against.
 
@@ -18,8 +18,6 @@ pub(super) struct QueryAgg {
     pub(super) wrd: f64,
     /// Remaining critical-path time over the unfinished DAG.
     pub(super) crit: f64,
-    /// Running tasks across all of the query's jobs.
-    pub(super) running: usize,
 }
 
 /// Materialized scheduling state: the runnable-job set (sorted by
@@ -137,8 +135,7 @@ impl DispatchState {
 
     /// Recompute query `qi`'s WRD and critical path (O(its jobs)) and push
     /// the new aggregates into its runnable entries. Called for the one
-    /// query an event touched; `running` is maintained separately because
-    /// it also changes on dispatch, where WRD/crit do not.
+    /// query an event touched.
     pub(super) fn refresh_query(
         &mut self,
         queries: &[SimQuery],
@@ -150,22 +147,13 @@ impl DispatchState {
         if self.scratch.len() < q.jobs.len() {
             self.scratch.resize(q.jobs.len(), 0.0);
         }
-        let (wrd, crit) = query_demand(q, qi, jobs, &preds[qi], self.containers, &mut self.scratch);
-        self.aggs[qi].wrd = wrd;
-        self.aggs[qi].crit = crit;
-        self.sync_entries(qi);
-    }
-
-    /// Copy query `qi`'s aggregates into its runnable entries (contiguous
-    /// in the sorted set).
-    pub(super) fn sync_entries(&mut self, qi: usize) {
+        let agg = query_demand(q, qi, jobs, &preds[qi], self.containers, &mut self.scratch);
+        self.aggs[qi] = agg;
         self.mark(qi);
-        let agg = self.aggs[qi];
         let start = self.runnable.partition_point(|r| r.query < QueryId(qi));
         for r in self.runnable[start..].iter_mut().take_while(|r| r.query == QueryId(qi)) {
             r.query_wrd = agg.wrd;
             r.query_time = agg.crit;
-            r.query_running = agg.running;
         }
     }
 
@@ -193,7 +181,6 @@ impl DispatchState {
             running: jobs.counts[i].running_maps + jobs.counts[i].running_reduces,
             query_wrd: self.aggs[qi].wrd,
             query_time: self.aggs[qi].crit,
-            query_running: self.aggs[qi].running,
         };
         match self.position(qi, j) {
             Ok(_) => unreachable!("job {qi}/{j} already runnable"),
@@ -202,11 +189,12 @@ impl DispatchState {
         self.mark(qi);
     }
 
-    /// A task of `(qi, j)` was dispatched: bump running counts and drop the
-    /// job from the set once nothing is left to launch.
+    /// A task of `(qi, j)` was dispatched: update the job's entry, and drop
+    /// it from the set once nothing is left to launch. The query's
+    /// aggregates do not change, but the job's `running` count (part of
+    /// [`Hfs`](crate::sched::Hfs)'s key) does, so the query is re-keyed.
     pub(super) fn on_dispatch(&mut self, jobs: &JobTable, qi: usize, j: usize) {
-        self.aggs[qi].running += 1;
-        self.sync_entries(qi);
+        self.mark(qi);
         let at = self.position(qi, j).expect("dispatched job is runnable");
         let i = jobs.idx(qi, j);
         let pending_reduces =
@@ -231,7 +219,6 @@ impl DispatchState {
         qi: usize,
         j: usize,
     ) {
-        self.aggs[qi].running -= 1;
         let i = jobs.idx(qi, j);
         if let Ok(at) = self.position(qi, j) {
             // Still runnable (more tasks of the same phase pending).
@@ -268,7 +255,7 @@ impl DispatchState {
         if self.scratch.len() < q.jobs.len() {
             self.scratch.resize(q.jobs.len(), 0.0);
         }
-        let agg = query_aggregates(q, qi, jobs, &preds[qi], self.containers, &mut self.scratch);
+        let agg = query_demand(q, qi, jobs, &preds[qi], self.containers, &mut self.scratch);
         self.aggs[qi] = agg;
         let start = self.runnable.partition_point(|r| r.query < QueryId(qi));
         let end =
@@ -314,12 +301,11 @@ impl DispatchState {
                 continue;
             }
             let mut acc = vec![0.0f64; q.jobs.len()];
-            let fresh = query_aggregates(q, qi, jobs, &preds[qi], self.containers, &mut acc);
+            let fresh = query_demand(q, qi, jobs, &preds[qi], self.containers, &mut acc);
             let agg = self.aggs[qi];
             assert!(
                 agg.wrd.to_bits() == fresh.wrd.to_bits()
-                    && agg.crit.to_bits() == fresh.crit.to_bits()
-                    && agg.running == fresh.running,
+                    && agg.crit.to_bits() == fresh.crit.to_bits(),
                 "query {qi}'s aggregates {agg:?} diverged from {fresh:?} ({when})"
             );
         }
@@ -446,7 +432,7 @@ fn query_demand(
     preds: &[JobPrediction],
     containers: usize,
     acc: &mut [f64],
-) -> (f64, f64) {
+) -> QueryAgg {
     let range = jobs.query_range(qi);
     // Per-query column windows: one bounds check each here instead of one
     // per element access below (this is the hottest loop of the SWRD
@@ -476,30 +462,7 @@ fn query_demand(
         acc[i] = dep_max + own;
         crit = crit.max(acc[i]);
     }
-    (wrd, crit)
-}
-
-/// A query's aggregates computed from its job states: [`query_demand`]
-/// plus the running tasks summed over its jobs. `acc` is scratch as for
-/// `query_demand`.
-fn query_aggregates(
-    q: &SimQuery,
-    qi: usize,
-    jobs: &JobTable,
-    preds: &[JobPrediction],
-    containers: usize,
-    acc: &mut [f64],
-) -> QueryAgg {
-    let (wrd, crit) = query_demand(q, qi, jobs, preds, containers, acc);
-    let base = jobs.query_range(qi).start;
-    let running = q
-        .jobs
-        .iter()
-        .map(|j| {
-            jobs.counts[base + j.id.0].running_maps + jobs.counts[base + j.id.0].running_reduces
-        })
-        .sum();
-    QueryAgg { wrd, crit, running }
+    QueryAgg { wrd, crit }
 }
 
 /// Build the full runnable view from scratch. This is the executable
@@ -515,7 +478,7 @@ fn collect_runnable(
     let mut out = Vec::new();
     for (qi, q) in queries.iter().enumerate() {
         let mut acc = vec![0.0f64; q.jobs.len()];
-        let agg = query_aggregates(q, qi, jobs, &preds[qi], containers, &mut acc);
+        let agg = query_demand(q, qi, jobs, &preds[qi], containers, &mut acc);
         push_runnable(q, qi, jobs, agg, &mut out);
     }
     out
@@ -552,7 +515,6 @@ fn push_runnable(
             running: jobs.counts[i].running_maps + jobs.counts[i].running_reduces,
             query_wrd: agg.wrd,
             query_time: agg.crit,
-            query_running: agg.running,
         });
     }
 }

@@ -5,7 +5,8 @@
 //! `execute` walks every run through the same four phases, so a run can
 //! be suspended mid-flight and resumed bit-identically:
 //!
-//! * `check_inputs` — the validation panics;
+//! * `check_inputs` — validation of every query and the fault plan,
+//!   which fails the run with [`SimError::Invalid`];
 //! * `init_run` — builds a fresh [`RunState`] (event queue seeded with
 //!   arrivals and crashes, SoA job table, prediction matrix, dispatch
 //!   aggregates, both RNG streams); a resumed run instead decodes a
@@ -71,6 +72,10 @@ impl<K: EventSink, P: Profiler> EventSink for CountingSink<'_, K, P> {
 /// error's message instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
+    /// A query or the fault plan failed validation; the message names
+    /// which (`invalid query <name>: …` or `invalid fault plan: …`). No
+    /// run state was built.
+    Invalid(String),
     /// The [`Simulator::with_max_events`] watchdog tripped: the run
     /// processed its whole event budget without finishing. Typical cause:
     /// a fault plan whose retry schedule can never exhaust (every task
@@ -87,6 +92,7 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SimError::Invalid(msg) => write!(f, "{msg}"),
             SimError::EventBudgetExceeded { limit } => write!(
                 f,
                 "event budget exceeded: {limit} events processed without finishing \
@@ -353,13 +359,11 @@ impl<S: Scheduler> Simulator<S> {
     /// and event stream bit-identical to an uninterrupted run.
     ///
     /// # Errors
-    /// [`SimError::Checkpoint`] if the resume bytes do not restore, and
-    /// [`SimError::EventBudgetExceeded`] if the
+    /// [`SimError::Invalid`] if any query or the fault plan fails
+    /// validation (checked before any run state is built, resumed runs
+    /// included), [`SimError::Checkpoint`] if the resume bytes do not
+    /// restore, and [`SimError::EventBudgetExceeded`] if the
     /// [`with_max_events`](Simulator::with_max_events) watchdog trips.
-    ///
-    /// # Panics
-    /// Panics if any query or the fault plan fails validation (invalid
-    /// inputs are caller bugs, not run outcomes).
     pub fn execute<K: EventSink, P: Profiler>(
         &mut self,
         queries: &[SimQuery],
@@ -371,7 +375,7 @@ impl<S: Scheduler> Simulator<S> {
             Some(oracle) => oracle,
             None => &mut frozen,
         };
-        self.check_inputs(queries);
+        self.check_inputs(queries)?;
         let sink = &mut CountingSink { inner: &mut sink, prof };
         let mut rs = match resume {
             None => self.init_run(queries, oracle, prof),
@@ -446,17 +450,15 @@ impl<S: Scheduler> Simulator<S> {
             .map(RunOutcome::into_report)
     }
 
-    /// The validation panics at the start of every run. Invalid inputs
-    /// are caller bugs, not run outcomes, so they stay panics.
-    fn check_inputs(&self, queries: &[SimQuery]) {
+    /// The validation at the start of every run.
+    fn check_inputs(&self, queries: &[SimQuery]) -> Result<(), SimError> {
         for q in queries {
-            if let Err(e) = q.validate() {
-                panic!("invalid query {}: {e}", q.name);
-            }
+            q.validate()
+                .map_err(|e| SimError::Invalid(format!("invalid query {}: {e}", q.name)))?;
         }
-        if let Err(e) = self.faults.validate(self.config.nodes) {
-            panic!("invalid fault plan: {e}");
-        }
+        self.faults
+            .validate(self.config.nodes)
+            .map_err(|e| SimError::Invalid(format!("invalid fault plan: {e}")))
     }
 
     /// Build the [`RunState`] for a fresh run: both RNG streams seeded,

@@ -2,7 +2,7 @@ use super::*;
 use crate::cost::CostModel;
 use crate::fault::{FaultPlan, NodeCrash};
 use crate::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
-use crate::sched::{Fifo, Hcs, Scheduler, Swrd};
+use crate::sched::{Fifo, Hcs, Hfs, RunnableJob, Scheduler, Srt, Swrd, TaskChoice};
 use sapred_obs::JobId;
 use sapred_obs::{DownReason, NodeId, QueryId, TaskPhase};
 use sapred_plan::dag::JobCategory;
@@ -53,6 +53,26 @@ fn chained_query(name: &str, arrival: f64, jobs: usize, maps_per_job: usize) -> 
 
 fn sim<S: Scheduler>(s: S) -> Simulator<S> {
     Simulator::new(ClusterConfig::default(), CostModel::default(), s)
+}
+
+/// `S`'s choices and scores without its [`Scheduler::key`], like a wrapper
+/// that forwards only `pick` and `score`: the engine drops the pick index
+/// and scans every runnable set.
+#[derive(Clone)]
+struct Keyless<S>(S);
+
+impl<S: Scheduler> Scheduler for Keyless<S> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn pick(&mut self, runnable: &[RunnableJob]) -> Option<TaskChoice> {
+        self.0.pick(runnable)
+    }
+
+    fn score(&self, job: &RunnableJob) -> f64 {
+        self.0.score(job)
+    }
 }
 
 /// Run `sim` to completion, recording every event.
@@ -299,19 +319,17 @@ fn assert_incremental_matches_reference<S: Scheduler + Clone>(s: S) {
 
 #[test]
 fn incremental_matches_reference_for_all_schedulers() {
-    use crate::sched::{Hfs, Srt};
     assert_incremental_matches_reference(Fifo);
     assert_incremental_matches_reference(Hcs);
     assert_incremental_matches_reference(Hfs);
     assert_incremental_matches_reference(Swrd);
     assert_incremental_matches_reference(Srt);
-    assert_incremental_matches_reference(crate::sched::HcsQueues::new(vec![0.5, 0.5]));
+    assert_incremental_matches_reference(Keyless(Hfs));
 }
 
 #[test]
 fn picks_switch_between_scan_and_index_without_changing_the_schedule() {
     use super::dispatch::INDEX_MIN_WIDTH;
-    use crate::sched::{Hfs, Srt};
     use sapred_obs::Event as Ob;
     // Two arrival bursts on a four-container cluster: the runnable set
     // grows past the index threshold, drains below it, then grows again,
@@ -362,7 +380,7 @@ fn crosscheck_mode_verifies_every_event() {
     // is the assertion.
     let queries = mixed_workload();
     sim(Swrd).crosschecked().run(&queries);
-    sim(crate::sched::HcsQueues::new(vec![0.6, 0.4])).crosschecked().run(&queries);
+    sim(Keyless(Hfs)).crosschecked().run(&queries);
 }
 
 #[test]
@@ -464,13 +482,11 @@ fn zero_fault_plan_pins_prefault_golden_makespans() {
             .makespan
             .to_bits()
     }
-    use crate::sched::{HcsQueues, Hfs, Srt};
     assert_eq!(bits(Fifo), 0x4075ce36d3d494cd, "fifo drifted");
     assert_eq!(bits(Hcs), 0x407629d7321af251, "hcs drifted");
     assert_eq!(bits(Hfs), 0x4075fca530e8bd5e, "hfs drifted");
     assert_eq!(bits(Swrd), 0x407625a1875607b3, "swrd drifted");
     assert_eq!(bits(Srt), 0x407625a1875607b3, "srt drifted");
-    assert_eq!(bits(HcsQueues::new(vec![0.5, 0.5])), 0x4076298eab580daf, "hcs-q drifted");
 }
 
 #[test]
@@ -513,13 +529,12 @@ fn crosscheck_holds_under_faults_for_all_schedulers() {
             .with_faults(stress_plan())
             .run(&mixed_workload());
     }
-    use crate::sched::{HcsQueues, Hfs, Srt};
     check(Fifo);
     check(Hcs);
     check(Hfs);
     check(Swrd);
     check(Srt);
-    check(HcsQueues::new(vec![0.5, 0.5]));
+    check(Keyless(Hfs));
 }
 
 #[test]
@@ -730,6 +745,29 @@ fn invalid_fault_plan_panics_with_descriptive_message() {
     let err = result.unwrap_err();
     let msg = err.downcast_ref::<String>().expect("panic payload is a String");
     assert!(msg.contains("invalid fault plan"), "unhelpful panic: {msg}");
+}
+
+#[test]
+fn execute_returns_invalid_inputs_as_typed_errors() {
+    let hollow = SimQuery { name: "hollow".into(), arrival: 0.0, jobs: vec![] };
+    let bad_plan = FaultPlan { task_fail_prob: 2.0, ..FaultPlan::default() };
+    let valid = [simple_query("q", 0.0, 2, 0)];
+    let mut plain = Simulator::new(small_config(), CostModel::default(), Fifo);
+    let mut faulty =
+        Simulator::new(small_config(), CostModel::default(), Fifo).with_faults(bad_plan);
+    for (sim, queries, want) in [
+        (&mut plain, std::slice::from_ref(&hollow), "invalid query hollow"),
+        (&mut faulty, &valid[..], "invalid fault plan"),
+    ] {
+        // Validation comes before any run state, so resume bytes that
+        // would not restore are never read.
+        for run in [Run::new(), Run::new().resume(b"not a checkpoint")] {
+            match sim.execute(queries, run) {
+                Err(SimError::Invalid(msg)) => assert!(msg.starts_with(want), "{msg}"),
+                other => panic!("expected SimError::Invalid, got {other:?}"),
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

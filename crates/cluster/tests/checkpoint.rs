@@ -1,6 +1,6 @@
 //! Kill-and-resume differential harness for engine checkpoints.
 //!
-//! The contract under test: for every golden fixture (six schedulers,
+//! The contract under test: for every golden fixture (five schedulers,
 //! fault-free and stress-faulted), running to a snapshot point, dropping
 //! the engine, restoring the `sapred-ckpt/v3` blob into a fresh engine,
 //! and finishing produces a report and an event stream **bit-identical**
@@ -24,7 +24,7 @@
 use proptest::prelude::*;
 use sapred_cluster::fault::{FaultPlan, NodeCrash};
 use sapred_cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
-use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
+use sapred_cluster::sched::{Fifo, Hcs, Hfs, Scheduler, Srt, Swrd};
 use sapred_cluster::sim::{
     CheckpointError, ClusterConfig, Run, RunOutcome, SimError, SimReport, Simulator,
 };
@@ -227,7 +227,6 @@ fn fault_free_goldens_survive_snapshot_and_restore() {
     check_cell(Hfs, None, "HFS");
     check_cell(Swrd, None, "SWRD");
     check_cell(Srt, None, "SRT");
-    check_cell(HcsQueues::new(vec![0.5, 0.5]), None, "HCS-queues");
 }
 
 #[test]
@@ -237,7 +236,6 @@ fn faulted_goldens_survive_snapshot_and_restore() {
     check_cell(Hfs, Some(stress_plan()), "HFS");
     check_cell(Swrd, Some(stress_plan()), "SWRD");
     check_cell(Srt, Some(stress_plan()), "SRT");
-    check_cell(HcsQueues::new(vec![0.5, 0.5]), Some(stress_plan()), "HCS-queues");
 }
 
 /// Two cuts in one run: snapshot at `a`, resume and stop again at `b`,
@@ -453,13 +451,12 @@ fn run_cell_by_index(
         assert_eq!(report, want_report, "{cell}: report diverged at cut {at}/{total}");
         assert_eq!(events, want_events, "{cell}: events diverged at cut {at}/{total}");
     }
-    match idx % 6 {
+    match idx % 5 {
         0 => one(Fifo, faults, modes, at_frac, "FIFO"),
         1 => one(Hcs, faults, modes, at_frac, "HCS"),
         2 => one(Hfs, faults, modes, at_frac, "HFS"),
         3 => one(Swrd, faults, modes, at_frac, "SWRD"),
-        4 => one(Srt, faults, modes, at_frac, "SRT"),
-        _ => one(HcsQueues::new(vec![0.5, 0.5]), faults, modes, at_frac, "HCS-queues"),
+        _ => one(Srt, faults, modes, at_frac, "SRT"),
     }
 }
 
@@ -468,7 +465,7 @@ proptest! {
 
     #[test]
     fn random_cut_points_restore_bit_identically(
-        idx in 0usize..6,
+        idx in 0usize..5,
         faulted in any::<bool>(),
         snap_crosscheck in any::<bool>(),
         resume_crosscheck in any::<bool>(),

@@ -2,7 +2,7 @@
 //!
 //! Pins a 64-bit FNV-1a fingerprint of the full [`SimReport`] (every f64
 //! hashed by bit pattern) *and* of the exported obs event stream (the JSONL
-//! rendering of every event) for all six schedulers, fault-free and under a
+//! rendering of every event) for all five schedulers, fault-free and under a
 //! stress fault plan. Any refactor of the engine, the dispatch path, the
 //! recovery machinery, or the report assembly that drifts behavior by even
 //! one ULP or one event fails these assertions loudly.
@@ -10,9 +10,12 @@
 //! The fingerprints were captured from the engine as of the staged-pipeline
 //! refactor and are the executable definition of "behavior-preserving".
 
+mod common;
+
+use common::Keyless;
 use sapred_cluster::fault::{FaultPlan, NodeCrash};
 use sapred_cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
-use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
+use sapred_cluster::sched::{Fifo, Hcs, Hfs, Scheduler, Srt, Swrd};
 use sapred_cluster::sim::{ClusterConfig, Run, SimReport, Simulator};
 use sapred_cluster::{CostModel, JobId};
 use sapred_obs::RecordingSink;
@@ -189,14 +192,26 @@ fn stress_plan() -> FaultPlan {
     }
 }
 
-fn run<S: Scheduler>(sched: S, faults: Option<FaultPlan>) -> (u64, u64) {
+fn simulate<S: Scheduler>(
+    sched: S,
+    faults: Option<FaultPlan>,
+    crosscheck: bool,
+) -> (SimReport, Vec<sapred_obs::Event>) {
     let mut sim = Simulator::new(config(), CostModel::default(), sched);
     if let Some(plan) = faults {
         sim = sim.with_faults(plan);
     }
+    if crosscheck {
+        sim = sim.crosschecked();
+    }
     let mut rec = RecordingSink::new();
     let report = sim.execute(&workload(), Run::new().sink(&mut rec)).unwrap().into_report();
-    (report_fingerprint(&report), events_fingerprint(&rec.events))
+    (report, rec.events)
+}
+
+fn run<S: Scheduler>(sched: S, faults: Option<FaultPlan>) -> (u64, u64) {
+    let (report, events) = simulate(sched, faults, false);
+    (report_fingerprint(&report), events_fingerprint(&events))
 }
 
 /// One pinned cell: (scheduler, report fingerprint, event-stream
@@ -214,7 +229,6 @@ fn run_named(name: &str, faults: Option<FaultPlan>) -> (u64, u64) {
         "HFS" => run(Hfs, faults),
         "SWRD" => run(Swrd, faults),
         "SRT" => run(Srt, faults),
-        "HCS-queues" => run(HcsQueues::new(vec![0.5, 0.5]), faults),
         other => panic!("unknown scheduler {other}"),
     }
 }
@@ -247,7 +261,6 @@ fn fault_free_reports_and_event_streams_are_bit_identical_to_golden() {
             Pin { name: "HFS", report: 0xc7ffc822cdab84e7, events: 0x401aa82e979fba64 },
             Pin { name: "SWRD", report: 0xa3ea1b4ac7498dfd, events: 0xde08a852b54cf331 },
             Pin { name: "SRT", report: 0xa3ea1b4ac7498dfd, events: 0x9a67e2f0268a5d78 },
-            Pin { name: "HCS-queues", report: 0x0d5adba6f7a78a9d, events: 0x5e2b9168c3a6f870 },
         ],
         None,
     );
@@ -262,8 +275,25 @@ fn faulted_reports_and_event_streams_are_bit_identical_to_golden() {
             Pin { name: "HFS", report: 0x14908a9ae85f03cc, events: 0x3ccb0c75163d2316 },
             Pin { name: "SWRD", report: 0xb05f9048145b7627, events: 0x08f700f177e98c51 },
             Pin { name: "SRT", report: 0xb05f9048145b7627, events: 0x7aa0a0401b121719 },
-            Pin { name: "HCS-queues", report: 0x52f14c66ec9667ac, events: 0xf0d169b8532b0933 },
         ],
         Some(stress_plan()),
     );
+}
+
+/// A policy without a pick key scans every runnable set instead of reading
+/// the pick index; wrapped around HFS it must make HFS's run, bit for bit,
+/// plainly and crosschecked, with and without faults.
+#[test]
+fn keyless_hfs_runs_exactly_as_hfs() {
+    for faults in [None, Some(stress_plan())] {
+        let (want, want_events) = simulate(Hfs, faults.clone(), false);
+        for crosscheck in [false, true] {
+            let (got, events) = simulate(Keyless(Hfs), faults.clone(), crosscheck);
+            let cell = format!("faults {}, crosscheck {crosscheck}", faults.is_some());
+            assert_eq!(got, want, "{cell}: report diverged");
+            assert_eq!(report_fingerprint(&got), report_fingerprint(&want), "{cell}: report bits");
+            assert_eq!(events, want_events, "{cell}: event stream diverged");
+            assert_eq!(events_fingerprint(&events), events_fingerprint(&want_events), "{cell}");
+        }
+    }
 }

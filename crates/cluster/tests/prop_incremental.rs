@@ -3,12 +3,16 @@
 //! aggregates must equal a from-scratch derivation after every event and
 //! before every pick ([`Simulator::crosschecked`] asserts exactly that
 //! inside the engine), and a plain run must produce a report and event
-//! stream bit-identical to the crosschecked run's — for every scheduler.
+//! stream bit-identical to the crosschecked run's — for every scheduler,
+//! and for one without a pick key.
 
+mod common;
+
+use common::Keyless;
 use proptest::prelude::*;
 use sapred_cluster::{
-    ClusterConfig, CostModel, FaultPlan, Fifo, Hcs, HcsQueues, Hfs, JobPrediction, NodeCrash, Run,
-    Scheduler, SimJob, SimQuery, SimReport, Simulator, Srt, Swrd, TaskKind, TaskSpec,
+    ClusterConfig, CostModel, FaultPlan, Fifo, Hcs, Hfs, JobPrediction, NodeCrash, Run, Scheduler,
+    SimJob, SimQuery, SimReport, Simulator, Srt, Swrd, TaskKind, TaskSpec,
 };
 use sapred_obs::RecordingSink;
 use sapred_plan::dag::JobCategory;
@@ -103,7 +107,7 @@ fn check_all(queries: &[SimQuery], plan: &FaultPlan) -> Result<(), TestCaseError
     check_one(Hfs, queries, plan)?;
     check_one(Swrd, queries, plan)?;
     check_one(Srt, queries, plan)?;
-    check_one(HcsQueues::new(vec![0.6, 0.3, 0.1]), queries, plan)?;
+    check_one(Keyless(Hfs), queries, plan)?;
     Ok(())
 }
 

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sapred_cluster::job::TaskKind;
-use sapred_cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, RunnableJob, Scheduler, Srt, Swrd};
+use sapred_cluster::sched::{Fifo, Hcs, Hfs, RunnableJob, Scheduler, Srt, Swrd};
 
 fn runnable_strategy() -> impl Strategy<Value = Vec<RunnableJob>> {
     prop::collection::vec(
@@ -30,7 +30,6 @@ fn runnable_strategy() -> impl Strategy<Value = Vec<RunnableJob>> {
                     running,
                     query_wrd: wrd,
                     query_time: wrd / 108.0,
-                    query_running: running,
                 }
             }),
         0..12,
@@ -70,7 +69,6 @@ proptest! {
         check(Hfs, &runnable)?;
         check(Swrd, &runnable)?;
         check(Srt, &runnable)?;
-        check(HcsQueues::new(vec![0.6, 0.3, 0.1]), &runnable)?;
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub enum Error {
     /// An operation needed a trained predictor but none was available.
     NotTrained,
     /// A simulation run failed: its event budget ran out, or its
-    /// checkpoint bytes did not restore.
+    /// checkpoint bytes did not restore. (An invalid query or fault plan
+    /// is [`Error::Invalid`].)
     Sim(SimError),
     /// Reading or writing an artifact failed.
     Io {
@@ -38,7 +39,7 @@ pub enum Error {
         source: std::io::Error,
     },
     /// Invalid input to the pipeline (bad flag value, unknown mix or
-    /// scheduler name, malformed workload).
+    /// scheduler name, malformed workload or fault plan).
     Invalid(String),
 }
 
@@ -78,7 +79,10 @@ impl From<QueryError> for Error {
 
 impl From<SimError> for Error {
     fn from(e: SimError) -> Self {
-        Error::Sim(e)
+        match e {
+            SimError::Invalid(msg) => Error::Invalid(msg),
+            e => Error::Sim(e),
+        }
     }
 }
 

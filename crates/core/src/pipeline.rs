@@ -262,19 +262,15 @@ impl Pipeline {
     ///
     /// # Errors
     /// [`Error::Invalid`] for a malformed query (see [`SimQuery::validate`],
-    /// which also rejects non-finite predictions) or fault plan, checked
-    /// before the run starts instead of panicking inside the event loop,
-    /// and [`Error::Sim`] if the run itself fails.
+    /// which also rejects non-finite predictions) or fault plan, which
+    /// `execute` checks before the run starts, and [`Error::Sim`] if the
+    /// run itself fails.
     pub fn simulate<S: Scheduler, K: EventSink, P: Profiler>(
         &self,
         mut sim: Simulator<S>,
         queries: &[SimQuery],
         run: Run<'_, K, P>,
     ) -> Result<RunOutcome, Error> {
-        for q in queries {
-            q.validate().map_err(|e| Error::invalid(format!("invalid query {}: {e}", q.name)))?;
-        }
-        sim.faults.validate(sim.config.nodes).map_err(Error::invalid)?;
         let prof = self.stage_profiler();
         let _stage = prof.as_ref().map(|p| p.span("simulate"));
         Ok(sim.execute(queries, run)?)

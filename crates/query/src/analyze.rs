@@ -37,12 +37,7 @@ pub struct HashResolver;
 
 impl LiteralResolver for HashResolver {
     fn resolve_str(&self, _table: &str, _column: &str, literal: &str) -> f64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in literal.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        (h % 1_000_000) as f64
+        (sapred_relation::fnv1a(literal.as_bytes()) % 1_000_000) as f64
     }
 }
 

@@ -1,4 +1,5 @@
-//! A small non-cryptographic hasher for the executor's key sets.
+//! A small non-cryptographic hasher for the executor's key sets, and
+//! [`fnv1a`], a stable byte hash.
 //!
 //! Group and join keys that are not dense integer codes (see
 //! [`crate::exec`]) hash `f64` bit patterns of generated values. SipHash
@@ -17,6 +18,11 @@
 //! This hasher offers no HashDoS resistance. Its keys come from the data
 //! generator, never from untrusted input; do not use it for keys from
 //! outside the program.
+//!
+//! [`fnv1a`] is 64-bit FNV-1a, the same function of its bytes on every
+//! platform and release. `sapred-query`'s `HashResolver` literal codes and
+//! `sapred-selectivity`'s random-walk seeds hash through it, so both
+//! reproduce anywhere.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -70,6 +76,13 @@ pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 /// `HashSet` keyed through [`FastHasher`].
 pub(crate) type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
+/// 64-bit FNV-1a over `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +106,14 @@ mod tests {
         }
         let filled = hit.iter().filter(|&&b| b).count();
         assert!(filled * 10 >= n * 6, "only {filled} of {n} low-bit values used");
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // FNV-1a 64 published test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

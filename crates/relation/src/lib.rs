@@ -33,6 +33,7 @@ pub mod stats;
 pub mod table;
 
 pub use expr::{CmpOp, Predicate};
+pub use hash::fnv1a;
 pub use histogram::Histogram;
 pub use schema::{ColumnDef, DataType, Schema};
 pub use stats::{ColumnStats, TableStats};

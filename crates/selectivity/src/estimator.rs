@@ -433,15 +433,11 @@ impl WalkPlan<'_> {
 /// FNV-1a mix of (seed, job, walk): walk `i`'s RNG stream is a pure
 /// function of these three, independent of every other walk.
 fn walk_seed(seed: u64, job: usize, walk: usize) -> u64 {
-    const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_BASIS;
-    for bytes in [seed.to_le_bytes(), (job as u64).to_le_bytes(), (walk as u64).to_le_bytes()] {
-        for b in bytes {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    let mut bytes = [0u8; 24];
+    bytes[..8].copy_from_slice(&seed.to_le_bytes());
+    bytes[8..16].copy_from_slice(&(job as u64).to_le_bytes());
+    bytes[16..].copy_from_slice(&(walk as u64).to_le_bytes());
+    sapred_relation::fnv1a(&bytes)
 }
 
 /// Key statistics of one (table, key column) pair under a predicate: exact

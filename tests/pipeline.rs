@@ -277,38 +277,3 @@ fn pipeline_facade_drives_the_staged_lifecycle() {
     assert_eq!(report.queries.len(), 2);
     assert!(report.queries.iter().all(|q| !q.failed && q.finish > q.arrival));
 }
-
-#[test]
-fn multi_queue_hcs_isolates_queues() {
-    use rand::SeedableRng;
-    use sapred::workload::templates::Template;
-    use sapred_cluster::sched::HcsQueues;
-
-    let fw = Framework::new();
-    let db = generate(GenConfig::new(20.0).with_seed(5));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    // A big saturating query and a small one, arriving together. With one
-    // queue the big query's earlier-submitted jobs dominate; with two
-    // queues the small query is protected by its guaranteed share.
-    let mut queries = Vec::new();
-    for (i, (t, arrival)) in
-        [(Template::Q17SmallQuantity, 0.0), (Template::Q14Promo, 1.0)].iter().enumerate()
-    {
-        let dag = t.instantiate(&db, &mut rng).unwrap();
-        let actuals = execute_dag(&dag, &db, fw.est_config.block_size);
-        queries.push(build_sim_query(format!("q{i}"), *arrival, &dag, &actuals, &[], &fw.cluster));
-    }
-    let mut small_cluster = fw;
-    small_cluster.cluster.nodes = 2; // 24 containers: the 20 GB Q17 saturates
-    let one = Simulator::new(small_cluster.cluster, small_cluster.cost, HcsQueues::new(vec![1.0]))
-        .run(&queries);
-    let two =
-        Simulator::new(small_cluster.cluster, small_cluster.cost, HcsQueues::new(vec![0.5, 0.5]))
-            .run(&queries);
-    let small_one = one.queries[1].response();
-    let small_two = two.queries[1].response();
-    assert!(
-        small_two < small_one,
-        "two queues should protect the small query: {small_two} vs {small_one}"
-    );
-}

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use sapred::cluster::fault::{FaultPlan, NodeCrash};
 use sapred::cluster::job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
-use sapred::cluster::sched::{Fifo, Hcs, HcsQueues, Hfs, Scheduler, Srt, Swrd};
+use sapred::cluster::sched::{Fifo, Hcs, Hfs, Scheduler, Srt, Swrd};
 use sapred::cluster::sim::{ClusterConfig, Run, SimReport, Simulator};
 use sapred::cluster::CostModel;
 use sapred::core::framework::{Framework, Predictor, QuerySemantics};
@@ -336,6 +336,5 @@ proptest! {
         assert_fault_replay(Hfs, &queries, &plan, "HFS")?;
         assert_fault_replay(Swrd, &queries, &plan, "SWRD")?;
         assert_fault_replay(Srt, &queries, &plan, "SRT")?;
-        assert_fault_replay(HcsQueues::new(vec![0.6, 0.4]), &queries, &plan, "HCSQ")?;
     }
 }
