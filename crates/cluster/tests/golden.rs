@@ -23,24 +23,14 @@ use sapred_obs::RecordingSink;
 const MB: f64 = 1024.0 * 1024.0;
 
 // ---------------------------------------------------------------------
-// FNV-1a 64: tiny, dependency-free, stable.
+// A fingerprint is `sapred_obs::fnv1a` over the bytes written in order.
 
-struct Fnv(u64);
+#[derive(Default)]
+struct Fingerprint(Vec<u8>);
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
+impl Fingerprint {
     fn u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+        self.0.extend_from_slice(&v.to_le_bytes());
     }
 
     fn f64(&mut self, v: f64) {
@@ -52,8 +42,12 @@ impl Fnv {
     }
 
     fn str(&mut self, s: &str) {
-        self.write(s.as_bytes());
-        self.write(&[0xff]);
+        self.0.extend_from_slice(s.as_bytes());
+        self.0.push(0xff);
+    }
+
+    fn finish(&self) -> u64 {
+        sapred_obs::fnv1a(&self.0)
     }
 }
 
@@ -61,7 +55,7 @@ impl Fnv {
 /// Identifier-typed fields are hashed as raw indices so the fingerprint is
 /// invariant under id-newtype refactors.
 fn report_fingerprint(r: &SimReport) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fingerprint::default();
     h.f64(r.makespan);
     h.usize(r.queries.len());
     for q in &r.queries {
@@ -104,17 +98,17 @@ fn report_fingerprint(r: &SimReport) -> u64 {
     for &q in &f.failed_queries {
         h.usize(q.into());
     }
-    h.0
+    h.finish()
 }
 
 /// Fingerprint of the exported event stream: the JSONL rendering of every
 /// event, in emission order (what `sapred trace` writes to disk).
 fn events_fingerprint(events: &[sapred_obs::Event]) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fingerprint::default();
     for e in events {
         h.str(&e.to_json());
     }
-    h.0
+    h.finish()
 }
 
 // ---------------------------------------------------------------------

@@ -15,24 +15,24 @@
 //! scan that keeps every row copies whole key columns.
 //!
 //! Keys compare by the `f64::to_bits` of each key value. When every key
-//! column is `Int` with all values strictly inside ±2^53 (so a value's bits
-//! and the value itself identify each other), each row's key is a
+//! column is `Int` (every `i32` converts to `f64` exactly, so a value's
+//! bits and the value itself identify each other), each row's key is a
 //! mixed-radix code: its offsets from the columns' minima. Group-bys whose
 //! codes span up to 2 per row stamp a per-code array, up to 32 per row mark
 //! two per-code bitmaps, and sparser ones hash the one-word code. Joins
 //! whose build codes span up to 8 per build row index the build rows by
 //! code: one slot per code when no build key repeats, else a counting sort.
-//! Any other key (a `Float` column, a value at or beyond ±2^53, a sparse
-//! join key, a group key whose code would overflow a word) packs its bit
-//! patterns into one `u64` or `u128` for one or two key columns and hashes
-//! them. Hashing uses the crate's small non-cryptographic hasher. Every path
-//! gives the same rows in the same order: group-bys keep rows in
-//! first-occurrence order and joins emit rows in probe order, each probe
-//! row's matches in build order.
+//! Any other key (a `Float` column, a sparse join key, a group key whose
+//! code would overflow a word) packs its bit patterns into one `u64` or
+//! `u128` for one or two key columns and hashes them. Hashing uses the
+//! crate's small non-cryptographic hasher. Every path gives the same rows
+//! in the same order: group-bys keep rows in first-occurrence order and
+//! joins emit rows in probe order, each probe row's matches in build
+//! order.
 
 use crate::expr::{BoundPredicate, Predicate};
 use crate::hash::{FastMap, FastSet};
-use crate::table::{dense_int_span, Column, Table};
+use crate::table::{dense_int_span, offset, Column, Table};
 use std::hash::Hash;
 use std::ops::Range;
 
@@ -256,12 +256,12 @@ impl Rel {
         if let Some((radix, codes)) = dense_codes(&key_cols, usize::MAX as u64) {
             return match *radix.as_slice() {
                 [] => coded_groups(rows, n_splits, codes, |_| 0),
-                [(a, lo, _)] => coded_groups(rows, n_splits, codes, |i| (a[i] - lo) as usize),
+                [(a, lo, _)] => coded_groups(rows, n_splits, codes, |i| offset(a[i], lo)),
                 [(a, lo_a, _), (b, lo_b, stride)] => coded_groups(rows, n_splits, codes, |i| {
-                    (a[i] - lo_a) as usize + (b[i] - lo_b) as usize * stride
+                    offset(a[i], lo_a) + offset(b[i], lo_b) * stride
                 }),
                 _ => coded_groups(rows, n_splits, codes, |i| {
-                    radix.iter().map(|&(v, lo, stride)| (v[i] - lo) as usize * stride).sum()
+                    radix.iter().map(|&(v, lo, stride)| offset(v[i], lo) * stride).sum()
                 }),
             };
         }
@@ -279,15 +279,14 @@ impl Rel {
 }
 
 /// One key column's values, minimum and stride in [`dense_codes`]' codes.
-type Radix<'a> = (&'a [i64], i64, usize);
+type Radix<'a> = (&'a [i32], i32, usize);
 
 /// `(values, min, stride)` per key column and the number of codes, when
-/// every key column is `Int` with all values strictly inside ±2^53 and the
-/// product of the columns' spans is at most `max_codes`. A row's code is
-/// then the sum of its offsets from the minima times the strides (mixed
-/// radix, the first column varying fastest), and two rows share a code
-/// exactly when their keys' bit patterns are equal. No key columns give
-/// one code.
+/// every key column is `Int` and the product of the columns' spans is at
+/// most `max_codes`. A row's code is then the sum of its offsets from the
+/// minima times the strides (mixed radix, the first column varying
+/// fastest), and two rows share a code exactly when their keys' bit
+/// patterns are equal. No key columns give one code.
 fn dense_codes<'a>(cols: &[&'a Column], max_codes: u64) -> Option<(Vec<Radix<'a>>, u64)> {
     let mut codes = 1u64;
     let mut radix = Vec::with_capacity(cols.len());
@@ -479,18 +478,15 @@ pub fn hash_join(left: &Rel, right: &Rel, left_key: &str, right_key: &str) -> Re
 
 /// A join's `(build rows, probe rows)` pairs, in probe order and each probe
 /// row's matches in build order, for Int keys whose build values lie in
-/// `lo..=lo + span`, strictly inside ±2^53. Build rows are indexed by code
-/// `value - lo`: [`unique_slots`] when no code repeats, else a counting
-/// sort (counts, prefix sums, then a fill in row order). A probe value
-/// outside the build range matches nothing: inside ±2^53 it differs from
-/// every build value, and beyond it its `f64` is beyond every build
-/// value's, as `i64 as f64` never reverses an order.
-fn dense_join(build: &[i64], probe: &[i64], lo: i64, span: u64) -> (Vec<u32>, Vec<u32>) {
+/// `lo..=lo + span`. Build rows are indexed by code `value - lo`:
+/// [`unique_slots`] when no code repeats, else a counting sort (counts,
+/// prefix sums, then a fill in row order). A probe value outside the build
+/// range matches nothing.
+fn dense_join(build: &[i32], probe: &[i32], lo: i32, span: u64) -> (Vec<u32>, Vec<u32>) {
     assert!(u32::try_from(build.len().max(probe.len())).is_ok(), "rows overflow a u32 row index");
-    // The offset wraps to above `span` for every value outside the range:
-    // the true difference lies within ±(2^63 + 2^53) and `span` < 2^54.
-    let probe_code = |v: i64| {
-        let offset = v.wrapping_sub(lo) as u64;
+    // Widened, a value below `lo` wraps to above 2^63, beyond `span` < 2^32.
+    let probe_code = |v: i32| {
+        let offset = (i64::from(v) - i64::from(lo)) as u64;
         (offset <= span).then_some(offset as usize)
     };
     if let Some(slots) = unique_slots(build, lo, span) {
@@ -509,7 +505,7 @@ fn dense_join(build: &[i64], probe: &[i64], lo: i64, span: u64) -> (Vec<u32>, Ve
         return (build_rows, probe_rows);
     }
     let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
-    let code = |v: i64| (v - lo) as usize;
+    let code = |v: i32| offset(v, lo);
     // Code `c`'s rows end up at `sorted[start[c]..start[c + 1]]`: counts go
     // two slots up, so after the prefix sums `start[c + 1]` is code `c`'s
     // fill cursor, and it ends where code `c + 1` starts.
@@ -538,10 +534,10 @@ fn dense_join(build: &[i64], probe: &[i64], lo: i64, span: u64) -> (Vec<u32>, Ve
 
 /// One slot per code `value - lo` of `build`, holding the row with that
 /// code plus 1 (0 for none), or `None` as soon as a code repeats.
-fn unique_slots(build: &[i64], lo: i64, span: u64) -> Option<Vec<u32>> {
+fn unique_slots(build: &[i32], lo: i32, span: u64) -> Option<Vec<u32>> {
     let mut slots = vec![0u32; span as usize + 1];
     for (i, &v) in build.iter().enumerate() {
-        let slot = &mut slots[(v - lo) as usize];
+        let slot = &mut slots[offset(v, lo)];
         if *slot != 0 {
             return None;
         }
@@ -861,10 +857,10 @@ mod tests {
     #[test]
     fn combiner_clustered_vs_random() {
         // 100 groups × 10 tuples each.
-        let clustered: Vec<i64> = (0..100).flat_map(|g| std::iter::repeat_n(g, 10)).collect();
+        let clustered: Vec<i32> = (0..100).flat_map(|g| std::iter::repeat_n(g, 10)).collect();
         // Deterministic round-robin interleave: every split sees every group.
-        let random: Vec<i64> = (0..1000).map(|i| i % 100).collect();
-        let mk = |vals: Vec<i64>| {
+        let random: Vec<i32> = (0..1000).map(|i| i % 100).collect();
+        let mk = |vals: Vec<i32>| {
             Rel::from_columns(vec!["g".into()], vec![8.0], vec![Column::Int(vals)])
         };
         let c = mk(clustered).combine_output(&["g".into()], 10);
@@ -902,8 +898,9 @@ mod tests {
 
     #[test]
     fn dense_codes_stop_at_the_cut_off() {
-        const E: i64 = 1 << 53;
-        let int = |v: &[i64]| Column::Int(v.to_vec());
+        const MIN: i32 = i32::MIN;
+        const MAX: i32 = i32::MAX;
+        let int = |v: &[i32]| Column::Int(v.to_vec());
         // Four rows allow 2 × 4 = 8 group codes.
         let codes = |cols: &[Column]| {
             let cols: Vec<&Column> = cols.iter().collect();
@@ -915,11 +912,14 @@ mod tests {
         assert_eq!(codes(&[int(&[0, 2, 1, 0]), int(&[0, 2, 1, 1])]), None);
         assert_eq!(codes(&[]), Some(1));
         assert_eq!(codes(&[Column::Float(vec![0.0, 1.0, 2.0, 3.0])]), None);
-        // Only values strictly inside ±2^53 are exact.
-        assert_eq!(codes(&[int(&[E - 1, E - 2, E - 1, E - 3])]), Some(3));
-        assert_eq!(codes(&[int(&[E, E - 1, E - 1, E - 1])]), None);
-        assert_eq!(codes(&[int(&[1 - E, 2 - E, 1 - E, 1 - E])]), Some(2));
-        assert_eq!(codes(&[int(&[-E, 1 - E, 1 - E, 1 - E])]), None);
+        // The same cut-off at either end of the `i32` range.
+        assert_eq!(codes(&[int(&[MAX, MAX - 6, MAX, MAX - 1])]), Some(7));
+        assert_eq!(codes(&[int(&[MAX, MAX - 7, MAX, MAX - 1])]), Some(8));
+        assert_eq!(codes(&[int(&[MAX, MAX - 8, MAX, MAX - 1])]), None);
+        assert_eq!(codes(&[int(&[MIN, MIN + 6, MIN, MIN + 1])]), Some(7));
+        assert_eq!(codes(&[int(&[MIN, MIN + 7, MIN, MIN + 1])]), Some(8));
+        assert_eq!(codes(&[int(&[MIN, MIN + 8, MIN, MIN + 1])]), None);
+        assert_eq!(codes(&[int(&[MIN, MAX, 0, 0])]), None);
         // Four rows allow 32 × 4 = 128 bitmap group codes.
         let bitmap_codes = |cols: &[Column]| {
             let cols: Vec<&Column> = cols.iter().collect();
@@ -929,10 +929,68 @@ mod tests {
         assert_eq!(bitmap_codes(&[int(&[0, 128, 1, 2])]), None);
         assert_eq!(bitmap_codes(&[int(&[0, 3, 1, 2]), int(&[0, 31, 1, 2])]), Some(128));
         assert_eq!(bitmap_codes(&[int(&[0, 4, 1, 2]), int(&[0, 31, 1, 2])]), None);
-        assert_eq!(bitmap_codes(&[int(&[E - 1, E - 128, E - 2, E - 3])]), Some(128));
-        assert_eq!(bitmap_codes(&[int(&[E, E - 127, E - 2, E - 3])]), None);
+        assert_eq!(bitmap_codes(&[int(&[MAX, MAX - 126, MAX - 2, MAX - 3])]), Some(127));
+        assert_eq!(bitmap_codes(&[int(&[MAX, MAX - 127, MAX - 2, MAX - 3])]), Some(128));
+        assert_eq!(bitmap_codes(&[int(&[MAX, MAX - 128, MAX - 2, MAX - 3])]), None);
+        assert_eq!(bitmap_codes(&[int(&[MIN, MIN + 127, MIN, MIN])]), Some(128));
+        assert_eq!(bitmap_codes(&[int(&[MIN, MIN + 128, MIN, MIN])]), None);
         // An empty relation has no codes, not even for no keys.
         assert_eq!(dense_codes(&[], 0), None);
+    }
+
+    /// Columns of `codes` codes each, from `i32::MIN` up.
+    fn spanning(codes: &[u64]) -> Vec<Column> {
+        let top = |c: u64| (i64::from(i32::MIN) + c as i64 - 1) as i32;
+        codes.iter().map(|&c| Column::Int(vec![i32::MIN, top(c), top(c), i32::MIN])).collect()
+    }
+
+    /// A full-range `i32` column spans `u32::MAX`: one is `2^32` codes,
+    /// and the product of three columns' codes stops at a word.
+    /// `u64::MAX = (2^32 − 1) × 641 × 6,700,417`.
+    #[test]
+    fn dense_codes_stop_at_a_word() {
+        let word = |codes: &[u64]| {
+            let cols = spanning(codes);
+            let cols: Vec<&Column> = cols.iter().collect();
+            dense_codes(&cols, usize::MAX as u64).map(|(_, n)| n)
+        };
+        let full = 1u64 << 32;
+        assert_eq!(word(&[full]), Some(full));
+        assert_eq!(word(&[full - 2, 641, 6_700_417]), Some(u64::MAX - 641 * 6_700_417));
+        assert_eq!(word(&[full - 1, 641, 6_700_417]), Some(u64::MAX));
+        assert_eq!(word(&[full, 641, 6_700_417]), None);
+        assert_eq!(word(&[full, full]), None);
+        assert_eq!(word(&[full, full, full]), None);
+    }
+
+    /// Group-bys on either side of the word limit, and joins whose probe
+    /// values lie beyond either end of the build range, give the
+    /// reference executor's rows.
+    #[test]
+    fn keys_at_the_i32_edges_match_reference() {
+        let full = 1u64 << 32;
+        let names: Vec<String> = ["k0", "k1", "k2"].map(String::from).to_vec();
+        for codes in [[full - 2, 641, 6_700_417], [full - 1, 641, 6_700_417], [full; 3]] {
+            let r = Rel::from_columns(names.clone(), vec![8.0; 3], spanning(&codes));
+            for n_splits in 1..=3 {
+                let (groups, combined) = r.groupby_combined(&names, n_splits);
+                assert_eq!(format!("{groups:?}"), format!("{:?}", reference::groupby(&r, &names)));
+                assert_eq!(combined, reference::combine_output(&r, &names, n_splits));
+            }
+        }
+        let (min, max) = (i32::MIN, i32::MAX);
+        let probe = vec![min, min + 1, -1, 0, 1, max - 1, max];
+        for build in [vec![min, min + 1], vec![max - 1, max], vec![-1, 0, 1], vec![0, 0, 1]] {
+            // Every build value is one probe value: one output row each.
+            let matches = build.len();
+            let l = Rel::from_columns(vec!["a".into()], vec![8.0], vec![Column::Int(build)]);
+            let r =
+                Rel::from_columns(vec!["b".into()], vec![8.0], vec![Column::Int(probe.clone())]);
+            let (fast, slow) =
+                (hash_join(&l, &r, "a", "b"), reference::hash_join(&l, &r, "a", "b"));
+            assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+            assert_eq!(fast.rows(), matches);
+        }
     }
 
     mod differential {
@@ -952,11 +1010,11 @@ mod tests {
         const NAMES: [&str; 4] = ["a", "b", "c", "d"];
         const FLOATS: [f64; 9] = [-2.5, -1.0, -0.0, 0.0, 0.5, 1.2, 1.9, 2.0, 3.0];
 
-        type Row = (i64, i64, f64, f64);
+        type Row = (i32, i32, f64, f64);
 
         fn rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
             let float = || prop::sample::select(FLOATS.to_vec());
-            prop::collection::vec((-4i64..5, -4i64..5, float(), float()), 0..max)
+            prop::collection::vec((-4i32..5, -4i32..5, float(), float()), 0..max)
         }
 
         fn table(rows: &[Row]) -> Table {
@@ -1031,44 +1089,52 @@ mod tests {
             })
         }
 
+        /// The `i32` extremes and the values next to them, and two small
+        /// ones.
+        fn i32_edges() -> Vec<i32> {
+            let (min, max) = (i32::MIN, i32::MAX);
+            vec![min, min + 1, min + 2, max - 2, max - 1, max, -1, 0]
+        }
+
         /// Int columns either side of the bitmap cut-off (span below 64
-        /// per row), at and beyond ±2^53 where `i64 → f64` rounds, empty
-        /// and one-value; float columns with duplicates and both zeros.
+        /// per row), at the `i32` extremes (a full-range column spans
+        /// `u32::MAX`), empty and one-value; float columns with duplicates
+        /// and both zeros.
         fn column() -> BoxedStrategy<Column> {
-            const E: i64 = 1 << 53;
-            let edge = vec![E - 1, E, E + 1, E + 2, 1 - E, -E, -E - 1, -E - 2, i64::MAX, i64::MIN];
-            let dense = (-1000i64..1000, prop::collection::vec(0i64..40, 0..80))
+            let edge = i32_edges();
+            let dense = (-1000i32..1000, prop::collection::vec(0i32..40, 0..80))
                 .prop_map(|(lo, offsets)| offsets.into_iter().map(|o| lo + o).collect());
             // k + 2 values spanning per_row × (k + 2) − 1 + d values past
             // the first: the last span under the per-value counts' or the
             // bitmap's cut-off for d = 0, exactly at it for d = 1, one past
             // it for d = 2.
             let per_row = prop::sample::select(vec![COUNT_VALUES_PER_ROW, BITMAP_BITS_PER_ROW]);
-            let straddle = (per_row, 0i64..3, prop::collection::vec(0.0f64..1.0, 0..5)).prop_map(
+            let straddle = (per_row, 0i32..3, prop::collection::vec(0.0f64..1.0, 0..5)).prop_map(
                 |(per_row, d, fractions)| {
-                    let top = per_row as i64 * (fractions.len() as i64 + 2) - 1 + d;
-                    let mut v: Vec<i64> =
-                        fractions.iter().map(|f| (f * top as f64) as i64).collect();
+                    let top = per_row as i32 * (fractions.len() as i32 + 2) - 1 + d;
+                    let mut v: Vec<i32> =
+                        fractions.iter().map(|f| (f * top as f64) as i32).collect();
                     v.extend([0, top]);
                     v
                 },
             );
             let special = || prop::sample::select(special_floats());
-            let int = |s: BoxedStrategy<Vec<i64>>| s.prop_map(Column::Int);
+            let int = |s: BoxedStrategy<Vec<i32>>| s.prop_map(Column::Int);
             let float = |s: BoxedStrategy<Vec<f64>>| s.prop_map(Column::Float);
             prop_oneof![
                 int(dense.boxed()),
-                int(prop::collection::vec(-1_000_000_000i64..1_000_000_000, 0..40).boxed()),
+                int(prop::collection::vec(-1_000_000_000i32..1_000_000_000, 0..40).boxed()),
+                int(prop::collection::vec(any::<i32>(), 0..40).boxed()),
                 int(straddle.boxed()),
-                // Only edge values: often a dense span that rounds (2^53
-                // and 2^53 + 1 are one f64).
+                // Only edge values: a dense span at one end, or the full
+                // range.
                 int(prop::collection::vec(prop::sample::select(edge.clone()), 0..8).boxed()),
                 int(prop::collection::vec(
-                    prop_oneof![prop::sample::select(edge), -3i64..3],
+                    prop_oneof![prop::sample::select(edge), -3i32..3],
                     0..40
                 )
                 .boxed()),
-                int(prop::collection::vec(-2i64..2, 0..2).boxed()),
+                int(prop::collection::vec(-2i32..2, 0..2).boxed()),
                 float(prop::collection::vec(prop::sample::select(FLOATS.to_vec()), 0..60).boxed()),
                 float(prop::collection::vec(-1e3f64..1e3, 0..40).boxed()),
                 float(prop::collection::vec(special(), 0..300).boxed()),
@@ -1090,36 +1156,38 @@ mod tests {
             /// `mult × n + d` codes from `lo` (exactly a group's or a join's
             /// cut-off for `d = 0`, one code past it for `d = 1`), both
             /// ends drawn, the rest at `fractions` of the span.
-            Spanned { lo: i64, mult: i64, d: i64, fractions: Vec<f64> },
-            /// `lo..lo + n` in the order of `order`'s entries below `n`:
+            Spanned { lo: i32, mult: i64, d: i64, fractions: Vec<f64> },
+            /// `lo..lo + n` in the order of `order`'s entries below `n`,
+            /// `lo` lowered so that the last value is at most `i32::MAX`:
             /// every value distinct, so joins index their build keys one
             /// slot per code.
-            Distinct { lo: i64, order: Vec<usize> },
+            Distinct { lo: i32, order: Vec<usize> },
             /// The first `n` values: a few small ones, or values at and
-            /// beyond ±2^53 and i64::MIN/MAX.
-            Ints(Vec<i64>),
+            /// next to the `i32` extremes.
+            Ints(Vec<i32>),
             /// The first `n` values.
             Floats(Vec<f64>),
         }
 
         fn key_kind(max: usize) -> BoxedStrategy<KeyKind> {
-            const E: i64 = 1 << 53;
-            let edge = vec![E - 1, E, E + 1, 1 - E, -E, -E - 1, i64::MAX, i64::MIN, 0, 1];
             let mults = vec![
                 1,
                 GROUP_CODES_PER_ROW as i64,
                 JOIN_CODES_PER_ROW as i64,
                 BITMAP_CODES_PER_ROW as i64,
             ];
-            // Where a range of distinct values starts: small, or so that
-            // some of its values reach ±2^53 or i64::MIN/MAX.
-            let starts = prop_oneof![
-                -1000i64..1000,
-                prop::sample::select(vec![E - 20, E - 1, -E - 20, -E + 1, i64::MAX - 40, i64::MIN])
-            ];
+            // Where a range of values starts: small, or at or near either
+            // `i32` extreme (a spanned range from `i32::MAX - 1280` ends at
+            // most at `i32::MAX`, as `mult × n` is at most 32 × 40).
+            let starts = |top: i32| {
+                prop_oneof![
+                    -1000i32..1000,
+                    prop::sample::select(vec![i32::MIN, i32::MIN + 1, top - 20, top])
+                ]
+            };
             prop_oneof![
                 (
-                    -1000i64..1000,
+                    starts(i32::MAX - 1280),
                     prop::sample::select(mults),
                     -1i64..=1,
                     prop::collection::vec(0.0f64..1.0, max),
@@ -1131,13 +1199,16 @@ mod tests {
                         fractions
                     }),
                 // 0..max shuffled: sorted by drawn keys.
-                (starts, prop::collection::vec(0u64..1 << 20, max)).prop_map(move |(lo, keys)| {
-                    let mut order: Vec<usize> = (0..max).collect();
-                    order.sort_by_key(|&p| keys[p]);
-                    KeyKind::Distinct { lo, order }
-                }),
-                prop::collection::vec(-3i64..3, max).prop_map(KeyKind::Ints),
-                prop::collection::vec(prop::sample::select(edge), max).prop_map(KeyKind::Ints),
+                (starts(i32::MAX), prop::collection::vec(0u64..1 << 20, max)).prop_map(
+                    move |(lo, keys)| {
+                        let mut order: Vec<usize> = (0..max).collect();
+                        order.sort_by_key(|&p| keys[p]);
+                        KeyKind::Distinct { lo, order }
+                    }
+                ),
+                prop::collection::vec(-3i32..3, max).prop_map(KeyKind::Ints),
+                prop::collection::vec(prop::sample::select(i32_edges()), max)
+                    .prop_map(KeyKind::Ints),
                 prop::collection::vec(prop::sample::select(FLOATS.to_vec()), max)
                     .prop_map(KeyKind::Floats),
             ]
@@ -1149,17 +1220,20 @@ mod tests {
                 KeyKind::Spanned { lo, mult, d, fractions } => {
                     // `top + 1` codes, `lo` and `lo + top` both present.
                     let top = (mult * n as i64 - 1 + d).max(0);
-                    let mut v: Vec<i64> = fractions[..n]
+                    let value = |off: i64| i32::try_from(i64::from(*lo) + off).unwrap();
+                    let mut v: Vec<i32> = fractions[..n]
                         .iter()
-                        .map(|f| lo + ((f * (top + 1) as f64) as i64).min(top))
+                        .map(|f| value(((f * (top + 1) as f64) as i64).min(top)))
                         .collect();
-                    for (slot, x) in v.iter_mut().zip([*lo, lo + top]) {
+                    for (slot, x) in v.iter_mut().zip([*lo, value(top)]) {
                         *slot = x;
                     }
                     Column::Int(v)
                 }
                 KeyKind::Distinct { lo, order } => {
-                    Column::Int(order.iter().filter(|&&p| p < n).map(|&p| lo + p as i64).collect())
+                    let lo = i64::from(*lo).min(i64::from(i32::MAX) + 1 - n as i64);
+                    let value = |p: usize| i32::try_from(lo + p as i64).unwrap();
+                    Column::Int(order.iter().filter(|&&p| p < n).map(|&p| value(p)).collect())
                 }
                 KeyKind::Ints(v) => Column::Int(v[..n].to_vec()),
                 KeyKind::Floats(v) => Column::Float(v[..n].to_vec()),

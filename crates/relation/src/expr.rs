@@ -297,7 +297,7 @@ impl Bound<'_> {
 #[inline]
 fn test_each(column: &Column, test: impl Fn(f64) -> bool) -> Vec<bool> {
     match column {
-        Column::Int(v) => v.iter().map(|&x| test(x as f64)).collect(),
+        Column::Int(v) => v.iter().map(|&x| test(f64::from(x))).collect(),
         Column::Float(v) => v.iter().map(|&x| test(x)).collect(),
     }
 }

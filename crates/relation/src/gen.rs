@@ -197,8 +197,9 @@ pub struct RowCounts {
 }
 
 /// TPC-H row-count ratios at 1/[`crate::SCALE_DOWN`] scale with small-table
-/// floors so tiny scale factors still produce meaningful joins.
-pub fn row_counts(scale_gb: f64) -> RowCounts {
+/// floors so tiny scale factors still produce meaningful joins. The result
+/// is meaningless for a scale [`checked_row_counts`] refuses.
+fn row_counts(scale_gb: f64) -> RowCounts {
     let s = scale_gb.max(0.01);
     RowCounts {
         supplier: ((10.0 * s).round() as usize).max(25),
@@ -210,14 +211,39 @@ pub fn row_counts(scale_gb: f64) -> RowCounts {
     }
 }
 
+/// Most rows any generated table may have: a row number is an `Int` value
+/// (`i32`) and a row index a `u32`.
+pub const MAX_ROWS: usize = i32::MAX as usize;
+
+/// The [`row_counts`] of `scale_gb`, or why no instance can be generated
+/// at it: the scale must be finite and positive, and no table may have
+/// more than [`MAX_ROWS`] rows.
+pub fn checked_row_counts(scale_gb: f64) -> Result<RowCounts, String> {
+    if !(scale_gb.is_finite() && scale_gb > 0.0) {
+        return Err(format!("scale {scale_gb} GB is not a finite positive number"));
+    }
+    let rc = row_counts(scale_gb);
+    let rows = [rc.supplier, rc.customer, rc.part, rc.partsupp, rc.orders, rc.lineitem];
+    let largest = rows.into_iter().max().unwrap_or(0);
+    if largest > MAX_ROWS {
+        return Err(format!(
+            "scale {scale_gb} GB needs {largest} rows in one table, over the {MAX_ROWS} a table may have"
+        ));
+    }
+    Ok(rc)
+}
+
 /// Generate a full database instance.
 ///
 /// Tables are drawn from one RNG stream in a fixed order. Instances of at
 /// least 2^20 cells (rows × columns) then build their column histograms on
 /// every available core; the catalog is the same either way.
+///
+/// # Panics
+/// Panics if [`checked_row_counts`] refuses the configured scale.
 pub fn generate(config: GenConfig) -> Database {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let rc = row_counts(config.scale_gb);
+    let rc = checked_row_counts(config.scale_gb).unwrap_or_else(|e| panic!("{e}"));
     // A `vec!` evaluates left to right: the draw order is the table order.
     let tables = vec![
         gen_region(),
@@ -236,6 +262,23 @@ pub fn generate(config: GenConfig) -> Database {
     Database { config, tables, catalog }
 }
 
+/// A drawn `i64` as a stored Int value. Draws are `i64`s, which keeps the
+/// RNG stream independent of the storage width; every value fits at a
+/// scale [`checked_row_counts`] accepts.
+fn narrow(v: i64) -> i32 {
+    i32::try_from(v).unwrap_or_else(|_| panic!("Int value {v} does not fit in 32 bits"))
+}
+
+/// An Int column of drawn `i64`s.
+fn ints(values: impl Iterator<Item = i64>) -> Column {
+    Column::Int(values.map(narrow).collect())
+}
+
+/// The Int column `0..n`: row numbers.
+fn row_numbers(n: usize) -> Column {
+    ints(0..n as i64)
+}
+
 fn fk_sampler(dist: KeyDist, n: usize) -> Box<dyn FnMut(&mut StdRng) -> i64> {
     match dist {
         KeyDist::Uniform => Box::new(move |rng: &mut StdRng| rng.gen_range(0..n as i64)),
@@ -251,11 +294,7 @@ fn gen_region() -> Table {
         ColumnDef::new("r_regionkey", DataType::Int),
         ColumnDef::new("r_name", DataType::Str { avg_width: 12 }),
     ]);
-    let mut t = Table::new(
-        "region",
-        schema,
-        vec![Column::Int((0..5).collect()), Column::Int((0..5).collect())],
-    );
+    let mut t = Table::new("region", schema, vec![row_numbers(5), row_numbers(5)]);
     t.set_dict("r_name", dict_of(&REGIONS));
     t
 }
@@ -266,12 +305,8 @@ fn gen_nation(rng: &mut StdRng) -> Table {
         ColumnDef::new("n_name", DataType::Str { avg_width: 14 }),
         ColumnDef::new("n_regionkey", DataType::Int),
     ]);
-    let regions: Vec<i64> = (0..25).map(|_| rng.gen_range(0..5)).collect();
-    let mut t = Table::new(
-        "nation",
-        schema,
-        vec![Column::Int((0..25).collect()), Column::Int((0..25).collect()), Column::Int(regions)],
-    );
+    let regions = ints((0..25).map(|_| rng.gen_range(0..5)));
+    let mut t = Table::new("nation", schema, vec![row_numbers(25), row_numbers(25), regions]);
     t.set_dict("n_name", dict_of(&NATIONS));
     t
 }
@@ -287,9 +322,9 @@ fn gen_supplier(n: usize, rng: &mut StdRng) -> Table {
         "supplier",
         schema,
         vec![
-            Column::Int((0..n as i64).collect()),
-            Column::Int((0..n as i64).collect()),
-            Column::Int((0..n).map(|_| rng.gen_range(0..25)).collect()),
+            row_numbers(n),
+            row_numbers(n),
+            ints((0..n).map(|_| rng.gen_range(0..25))),
             Column::Float((0..n).map(|_| rng.gen_range(-999.0..9999.0)).collect()),
         ],
     )
@@ -307,11 +342,11 @@ fn gen_customer(n: usize, rng: &mut StdRng) -> Table {
         "customer",
         schema,
         vec![
-            Column::Int((0..n as i64).collect()),
-            Column::Int((0..n as i64).collect()),
-            Column::Int((0..n).map(|_| rng.gen_range(0..25)).collect()),
+            row_numbers(n),
+            row_numbers(n),
+            ints((0..n).map(|_| rng.gen_range(0..25))),
             Column::Float((0..n).map(|_| rng.gen_range(-999.0..9999.0)).collect()),
-            Column::Int((0..n).map(|_| rng.gen_range(0..SEGMENTS.len() as i64)).collect()),
+            ints((0..n).map(|_| rng.gen_range(0..SEGMENTS.len() as i64))),
         ],
     );
     t.set_dict("c_mktsegment", dict_of(&SEGMENTS));
@@ -355,12 +390,12 @@ fn gen_part(n: usize, rng: &mut StdRng) -> Table {
         "part",
         schema,
         vec![
-            Column::Int((0..n as i64).collect()),
-            Column::Int((0..n as i64).collect()),
-            Column::Int((0..n).map(|_| rng.gen_range(0..brand_refs.len() as i64)).collect()),
-            Column::Int((0..n).map(|_| rng.gen_range(0..type_refs.len() as i64)).collect()),
-            Column::Int((0..n).map(|_| rng.gen_range(1..51)).collect()),
-            Column::Int((0..n).map(|_| rng.gen_range(0..container_refs.len() as i64)).collect()),
+            row_numbers(n),
+            row_numbers(n),
+            ints((0..n).map(|_| rng.gen_range(0..brand_refs.len() as i64))),
+            ints((0..n).map(|_| rng.gen_range(0..type_refs.len() as i64))),
+            ints((0..n).map(|_| rng.gen_range(1..51))),
+            ints((0..n).map(|_| rng.gen_range(0..container_refs.len() as i64))),
             Column::Float((0..n).map(|_| rng.gen_range(900.0..2100.0)).collect()),
         ],
     );
@@ -386,8 +421,8 @@ fn gen_partsupp(
     let mut part_fk = fk_sampler(dist, parts);
     // Every part gets at least one supplier row where possible so
     // referential-integrity-style joins behave like TPC-H.
-    let mut pk: Vec<i64> =
-        (0..n).map(|i| if i < parts { i as i64 } else { part_fk(rng) }).collect();
+    let mut pk: Vec<i32> =
+        (0..n).map(|i| narrow(if i < parts { i as i64 } else { part_fk(rng) })).collect();
     // Shuffle so clustering is not accidental.
     for i in (1..pk.len()).rev() {
         pk.swap(i, rng.gen_range(0..=i));
@@ -397,8 +432,8 @@ fn gen_partsupp(
         schema,
         vec![
             Column::Int(pk),
-            Column::Int((0..n).map(|_| rng.gen_range(0..suppliers as i64)).collect()),
-            Column::Int((0..n).map(|_| rng.gen_range(1..10_000)).collect()),
+            ints((0..n).map(|_| rng.gen_range(0..suppliers as i64))),
+            ints((0..n).map(|_| rng.gen_range(1..10_000))),
             Column::Float((0..n).map(|_| rng.gen_range(1.0..1000.0)).collect()),
         ],
     )
@@ -417,12 +452,12 @@ fn gen_orders(n: usize, customers: usize, rng: &mut StdRng) -> Table {
         "orders",
         schema,
         vec![
-            Column::Int((0..n as i64).collect()),
-            Column::Int((0..n).map(|_| rng.gen_range(0..customers as i64)).collect()),
-            Column::Int((0..n).map(|_| rng.gen_range(0..STATUSES.len() as i64)).collect()),
+            row_numbers(n),
+            ints((0..n).map(|_| rng.gen_range(0..customers as i64))),
+            ints((0..n).map(|_| rng.gen_range(0..STATUSES.len() as i64))),
             Column::Float((0..n).map(|_| rng.gen_range(1000.0..500_000.0)).collect()),
-            Column::Int((0..n).map(|_| rng.gen_range(DATE_MIN..=DATE_MAX)).collect()),
-            Column::Int((0..n).map(|_| rng.gen_range(0..PRIORITIES.len() as i64)).collect()),
+            ints((0..n).map(|_| rng.gen_range(DATE_MIN..=DATE_MAX))),
+            ints((0..n).map(|_| rng.gen_range(0..PRIORITIES.len() as i64))),
         ],
     );
     t.set_dict("o_orderstatus", dict_of(&STATUSES));
@@ -463,18 +498,18 @@ fn gen_lineitem(
     // fingerprint test): per row, the ship date, then schema order.
     for _ in 0..n {
         let ship = rng.gen_range(DATE_MIN..=DATE_MAX);
-        orderkey.push(rng.gen_range(0..orders as i64));
-        partkey.push(part_fk(rng));
-        suppkey.push(rng.gen_range(0..suppliers as i64));
-        qty.push(rng.gen_range(1..51));
+        orderkey.push(narrow(rng.gen_range(0..orders as i64)));
+        partkey.push(narrow(part_fk(rng)));
+        suppkey.push(narrow(rng.gen_range(0..suppliers as i64)));
+        qty.push(narrow(rng.gen_range(1..51)));
         price.push(rng.gen_range(900.0..105_000.0));
         discount.push(rng.gen_range(0.0..0.11));
         tax.push(rng.gen_range(0.0..0.09));
-        flag.push(rng.gen_range(0..RETURNFLAGS.len() as i64));
-        status.push(rng.gen_range(0..2));
-        shipdate.push(ship);
-        receipt.push((ship + rng.gen_range(1..31)).min(DATE_MAX));
-        shipmode.push(rng.gen_range(0..SHIPMODES.len() as i64));
+        flag.push(narrow(rng.gen_range(0..RETURNFLAGS.len() as i64)));
+        status.push(narrow(rng.gen_range(0..2)));
+        shipdate.push(narrow(ship));
+        receipt.push(narrow((ship + rng.gen_range(1..31)).min(DATE_MAX)));
+        shipmode.push(narrow(rng.gen_range(0..SHIPMODES.len() as i64)));
     }
     let mut columns = vec![
         Column::Int(orderkey),
@@ -541,13 +576,40 @@ mod tests {
     }
 
     #[test]
+    fn only_finite_positive_scales_are_generated() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -4.0] {
+            assert!(checked_row_counts(bad).is_err(), "{bad}");
+        }
+        assert_eq!(checked_row_counts(1e-300), Ok(row_counts(0.01)));
+        assert_eq!(checked_row_counts(400.0), Ok(row_counts(400.0)));
+    }
+
+    /// `lineitem`, the largest table, has `6000 × scale` rows: the limit
+    /// is the scale giving exactly `MAX_ROWS` of them. Checked on the
+    /// function alone, as such an instance would take ~100 GB.
+    #[test]
+    fn row_counts_stop_at_the_largest_table() {
+        let lineitem = |rows: usize| checked_row_counts(rows as f64 / 6000.0).map(|rc| rc.lineitem);
+        assert_eq!(lineitem(MAX_ROWS - 1), Ok(MAX_ROWS - 1));
+        assert_eq!(lineitem(MAX_ROWS), Ok(MAX_ROWS));
+        assert!(lineitem(MAX_ROWS + 1).is_err());
+        assert!(lineitem(u32::MAX as usize + 1).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a finite positive number")]
+    fn generating_a_refused_scale_panics() {
+        generate(GenConfig::new(f64::NAN));
+    }
+
+    #[test]
     fn foreign_keys_reference_valid_domains() {
         let db = generate(GenConfig::new(0.5).with_seed(9));
         let li = db.table("lineitem").unwrap();
-        let orders = db.table("orders").unwrap().rows() as i64;
+        let orders = db.table("orders").unwrap().rows() as i32;
         let ok = li.column("l_orderkey").unwrap().as_int().unwrap();
         assert!(ok.iter().all(|&k| (0..orders).contains(&k)));
-        let parts = db.table("part").unwrap().rows() as i64;
+        let parts = db.table("part").unwrap().rows() as i32;
         let pk = li.column("l_partkey").unwrap().as_int().unwrap();
         assert!(pk.iter().all(|&k| (0..parts).contains(&k)));
     }
@@ -615,7 +677,7 @@ mod tests {
             mix(&mut h, s.rows().to_bits());
             for (i, def) in t.schema().columns().iter().enumerate() {
                 match t.column_at(i) {
-                    Column::Int(v) => v.iter().for_each(|&x| mix(&mut h, x as u64)),
+                    Column::Int(v) => v.iter().for_each(|&x| mix(&mut h, i64::from(x) as u64)),
                     Column::Float(v) => v.iter().for_each(|x| mix(&mut h, x.to_bits())),
                 }
                 let c = s.column(&def.name).unwrap();

@@ -8,9 +8,9 @@
 //!
 //! Building a catalog is most of generating a database, so
 //! [`Histogram::build`] counts exact distincts with one of four kernels,
-//! chosen by the column's type and, for Int values strictly inside ±2^53
-//! (where `i64 → f64` is exact), by the span `max - min` that the range
-//! scan of [`Histogram::from_column`] already found:
+//! chosen by the column's type and, for Int values (every `i32` converts
+//! to `f64` exactly), by the span `max - min` that the range scan of
+//! [`Histogram::from_column`] already found:
 //!
 //! - span under 2 values per row (and at most `u32::MAX` rows): one `u32`
 //!   row count per value, then one walk over the values, adding each
@@ -31,7 +31,7 @@
 //! gives it, so all four agree bit for bit.
 
 use crate::expr::{CmpOp, Predicate};
-use crate::table::{exact_span, int_range, Column};
+use crate::table::{int_range, int_span, offset, Column};
 
 /// One histogram bucket: `[lo, hi)` (the last bucket is closed on both ends).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,9 +83,8 @@ impl Histogram {
     /// arise when a shared join-key domain is wider than one table's range).
     ///
     /// Distinct counts are exact and count `f64` bit patterns, so `-0.0`
-    /// and `0.0` are two values and integers beyond ±2^53 that round to
-    /// one `f64` are one. A value always falls in the same bucket, so
-    /// every bucket's distinct count is its number of distinct patterns.
+    /// and `0.0` are two values. A value always falls in the same bucket,
+    /// so every bucket's distinct count is its number of distinct patterns.
     ///
     /// # Panics
     /// Panics if `n == 0` or `min > max`.
@@ -96,7 +95,7 @@ impl Histogram {
     /// [`Histogram::build`] given an Int column's `(min, max)` (`None` for
     /// a Float or empty column), so that a caller who scanned for it does
     /// not scan again.
-    fn build_in(column: &Column, range: Option<(i64, i64)>, min: f64, max: f64, n: usize) -> Self {
+    fn build_in(column: &Column, range: Option<(i32, i32)>, min: f64, max: f64, n: usize) -> Self {
         assert!(n > 0, "need at least one bucket");
         assert!(min <= max, "invalid domain [{min}, {max}]");
         let width = if max > min { (max - min) / n as f64 } else { 1.0 };
@@ -105,7 +104,9 @@ impl Histogram {
             Column::Int(v) => match int_kernel(v.len(), range) {
                 IntKernel::Counts { lo, span } => distinct_by_counts(v, lo, span, n, bucket),
                 IntKernel::Bitmap { lo, span } => distinct_by_bitmap(v, lo, span, n, bucket),
-                IntKernel::Scatter => distinct_by_scatter(v.iter().map(|&x| x as f64), n, bucket),
+                IntKernel::Scatter => {
+                    distinct_by_scatter(v.iter().map(|&x| f64::from(x)), n, bucket)
+                }
             },
             Column::Float(v) => distinct_by_scatter(v.iter().copied(), n, bucket),
         };
@@ -188,9 +189,7 @@ impl Histogram {
     pub fn from_column(column: &Column, n: usize) -> Self {
         let int = column.as_int().and_then(int_range);
         let range = match column {
-            // `i64 as f64` never reverses an order, so the extremes convert
-            // to the extremes of the converted values.
-            Column::Int(_) => int.map(|(lo, hi)| (lo as f64, hi as f64)),
+            Column::Int(_) => int.map(|(lo, hi)| (f64::from(lo), f64::from(hi))),
             // `min`/`max` skip NaNs, so an empty or all-NaN column keeps the
             // fold's start, an inverted range.
             Column::Float(v) => {
@@ -442,20 +441,20 @@ pub(crate) const BITMAP_BITS_PER_ROW: u64 = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IntKernel {
     /// [`distinct_by_counts`] over `lo..=lo + span`.
-    Counts { lo: i64, span: u64 },
+    Counts { lo: i32, span: u64 },
     /// [`distinct_by_bitmap`] over `lo..=lo + span`.
-    Bitmap { lo: i64, span: u64 },
+    Bitmap { lo: i32, span: u64 },
     /// [`distinct_by_scatter`] over the values' `f64` bit patterns.
     Scatter,
 }
 
-/// The kernel for `rows` Int values whose `(min, max)` is `range`. Inside
-/// ±2^53 (see [`exact_span`]) a span under [`COUNT_VALUES_PER_ROW`] values
-/// per row counts per value, while no `u32` count can overflow; one under
-/// [`BITMAP_BITS_PER_ROW`] marks a bitmap. Anything else scatters.
-fn int_kernel(rows: usize, range: Option<(i64, i64)>) -> IntKernel {
+/// The kernel for `rows` Int values whose `(min, max)` is `range`. A span
+/// under [`COUNT_VALUES_PER_ROW`] values per row counts per value, while no
+/// `u32` count can overflow; one under [`BITMAP_BITS_PER_ROW`] marks a
+/// bitmap. Anything else, no values included, scatters.
+fn int_kernel(rows: usize, range: Option<(i32, i32)>) -> IntKernel {
     let rows = rows as u64;
-    match range.and_then(exact_span) {
+    match range.map(int_span) {
         Some((lo, span)) if span < COUNT_VALUES_PER_ROW * rows && rows <= u64::from(u32::MAX) => {
             IntKernel::Counts { lo, span }
         }
@@ -468,20 +467,20 @@ fn int_kernel(rows: usize, range: Option<(i64, i64)>) -> IntKernel {
 /// count the rows of each value, then walk the values once, adding each
 /// present value's rows and one distinct to its bucket.
 fn distinct_by_counts(
-    values: &[i64],
-    lo: i64,
+    values: &[i32],
+    lo: i32,
     span: u64,
     n: usize,
     bucket: impl Fn(f64) -> usize,
 ) -> (Vec<u64>, Vec<u64>) {
     let mut rows = vec![0u32; span as usize + 1];
     for &x in values {
-        rows[(x - lo) as usize] += 1;
+        rows[offset(x, lo)] += 1;
     }
     let (mut counts, mut distinct) = (vec![0u64; n], vec![0u64; n]);
     for (off, &r) in rows.iter().enumerate() {
         if r > 0 {
-            let b = bucket((lo + off as i64) as f64);
+            let b = bucket((i64::from(lo) + off as i64) as f64);
             counts[b] += u64::from(r);
             distinct[b] += 1;
         }
@@ -493,8 +492,8 @@ fn distinct_by_counts(
 /// marking each value's offset in a bitmap: the first mark of a value is
 /// its bucket's new distinct.
 fn distinct_by_bitmap(
-    values: &[i64],
-    lo: i64,
+    values: &[i32],
+    lo: i32,
     span: u64,
     n: usize,
     bucket: impl Fn(f64) -> usize,
@@ -502,10 +501,10 @@ fn distinct_by_bitmap(
     let (mut counts, mut distinct) = (vec![0u64; n], vec![0u64; n]);
     let mut seen = vec![0u64; (span / 64 + 1) as usize];
     for &x in values {
-        let b = bucket(x as f64);
+        let b = bucket(f64::from(x));
         counts[b] += 1;
-        let off = (x - lo) as u64;
-        let (word, mask) = (&mut seen[(off / 64) as usize], 1u64 << (off % 64));
+        let off = offset(x, lo);
+        let (word, mask) = (&mut seen[off / 64], 1u64 << (off % 64));
         if *word & mask == 0 {
             *word |= mask;
             distinct[b] += 1;
@@ -661,7 +660,7 @@ mod tests {
     #[test]
     fn skewed_distinct_counts() {
         // 90 copies of value 1 plus 0..=9 once each.
-        let mut vals = vec![1i64; 90];
+        let mut vals = vec![1i32; 90];
         vals.extend(0..10);
         let col = Column::Int(vals);
         let h = Histogram::build(&col, 0.0, 10.0, 1);
@@ -714,7 +713,7 @@ mod tests {
     #[test]
     fn equi_depth_balances_counts() {
         // Zipf-ish data: value v repeated (100 - v) times.
-        let vals: Vec<i64> =
+        let vals: Vec<i32> =
             (0..100).flat_map(|v| std::iter::repeat_n(v, 100 - v as usize)).collect();
         let h = Histogram::build_equi_depth(&Column::Int(vals.clone()), 10);
         let total: f64 = h.buckets().iter().map(|b| b.count).sum();
@@ -734,7 +733,7 @@ mod tests {
     fn equi_depth_hot_key_equality_is_sharper() {
         // 900 copies of 0 plus 1..=99 once each: equi-depth isolates the
         // hot key in its own buckets, so Eq-selectivity on it is accurate.
-        let mut vals = vec![0i64; 900];
+        let mut vals = vec![0i32; 900];
         vals.extend(1..100);
         let col = Column::Int(vals);
         let width = Histogram::build(&col, 0.0, 100.0, 10);
@@ -747,7 +746,7 @@ mod tests {
 
     #[test]
     fn equi_depth_range_selectivity_sane() {
-        let vals: Vec<i64> = (0..1000).collect();
+        let vals: Vec<i32> = (0..1000).collect();
         let h = Histogram::build_equi_depth(&Column::Int(vals), 16);
         let s = h.selectivity_cmp(CmpOp::Lt, 250.0);
         assert!((s - 0.25).abs() < 0.05, "s = {s}");
@@ -764,17 +763,22 @@ mod tests {
     #[test]
     fn int_kernel_cut_offs() {
         let (rows, lo) = (10, -3);
-        let kernel = |span: u64| int_kernel(rows, Some((lo, lo + span as i64)));
+        let kernel = |span: u64| int_kernel(rows, Some((lo, lo + span as i32)));
         assert_eq!(kernel(19), IntKernel::Counts { lo, span: 19 });
         assert_eq!(kernel(20), IntKernel::Bitmap { lo, span: 20 });
         assert_eq!(kernel(639), IntKernel::Bitmap { lo, span: 639 });
         assert_eq!(kernel(640), IntKernel::Scatter);
-        assert_eq!(int_kernel(rows, Some((1 << 53, 1 << 53))), IntKernel::Scatter);
         assert_eq!(int_kernel(0, None), IntKernel::Scatter);
         // One row past `u32::MAX`, a per-value count could wrap.
         let most = u32::MAX as usize;
         assert_eq!(int_kernel(most, Some((0, 0))), IntKernel::Counts { lo: 0, span: 0 });
         assert_eq!(int_kernel(most + 1, Some((0, 0))), IntKernel::Bitmap { lo: 0, span: 0 });
+        // The full `i32` range spans `u32::MAX`: per-value counts at
+        // `u32::MAX` rows, a scatter at a few.
+        let full = Some((i32::MIN, i32::MAX));
+        let span = u64::from(u32::MAX);
+        assert_eq!(int_kernel(most, full), IntKernel::Counts { lo: i32::MIN, span });
+        assert_eq!(int_kernel(rows, full), IntKernel::Scatter);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Columnar in-memory tables.
 //!
-//! String-typed columns are dictionary-encoded: the stored data is the `i64`
+//! String-typed columns are dictionary-encoded: the stored data is the `Int`
 //! code while the declared [`DataType::Str`] width is what byte-size
 //! estimation uses. Per-column dictionaries map literal strings (as they
 //! appear in query text) to codes.
@@ -11,8 +11,10 @@ use std::collections::HashMap;
 /// Physical column storage. `Str` columns are stored as `Int` codes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
-    /// 64-bit integers (also backs dictionary-encoded strings).
-    Int(Vec<i64>),
+    /// 32-bit integers (also backs dictionary-encoded strings). Every
+    /// generated value (row numbers, dates, codes) fits, and each converts
+    /// to `f64` exactly.
+    Int(Vec<i32>),
     /// 64-bit floats.
     Float(Vec<f64>),
 }
@@ -32,18 +34,17 @@ impl Column {
     }
 
     /// Read row `i` as an f64 regardless of physical type (used by generic
-    /// predicate evaluation; exact for i64 values up to 2^53, far beyond any
-    /// key domain we generate).
+    /// predicate evaluation; exact for every `i32`).
     #[inline]
     pub fn get_f64(&self, i: usize) -> f64 {
         match self {
-            Column::Int(v) => v[i] as f64,
+            Column::Int(v) => f64::from(v[i]),
             Column::Float(v) => v[i],
         }
     }
 
-    /// The backing `i64` slice, if integer-typed.
-    pub fn as_int(&self) -> Option<&[i64]> {
+    /// The backing `i32` slice, if integer-typed.
+    pub fn as_int(&self) -> Option<&[i32]> {
         match self {
             Column::Int(v) => Some(v),
             Column::Float(_) => None,
@@ -51,30 +52,30 @@ impl Column {
     }
 }
 
-/// Integers strictly inside ±`EXACT_INT` convert to `f64` exactly, so
-/// distinct integers there have distinct bit patterns.
-const EXACT_INT: i64 = 1 << 53;
-
-/// `(min, max - min)` of Int values that all lie strictly inside ±2^53,
-/// when `max - min < limit`; `None` for any other values, the empty slice
-/// included.
+/// `(min, max - min)` of Int values when `max - min < limit`; `None` for
+/// any other values, the empty slice included.
 ///
-/// Inside ±2^53 each value converts to `f64` exactly, so two values are
-/// equal exactly when their `f64` bit patterns are, and offsets from `min`
-/// can stand in for bit patterns as distinct-count, group or join keys.
-pub(crate) fn dense_int_span(values: &[i64], limit: u64) -> Option<(i64, u64)> {
-    exact_span(int_range(values)?).filter(|&(_, span)| span < limit)
+/// Every `i32` converts to `f64` exactly, so two values are equal exactly
+/// when their `f64` bit patterns are, and offsets from `min` can stand in
+/// for bit patterns as distinct-count, group or join keys.
+pub(crate) fn dense_int_span(values: &[i32], limit: u64) -> Option<(i32, u64)> {
+    int_range(values).map(int_span).filter(|&(_, span)| span < limit)
 }
 
-/// `(min, max - min)` of an Int `(min, max)` range strictly inside ±2^53
-/// (see [`dense_int_span`]), whatever its span.
-pub(crate) fn exact_span((lo, hi): (i64, i64)) -> Option<(i64, u64)> {
-    // Inside ±2^53 the difference cannot overflow.
-    (-EXACT_INT < lo && hi < EXACT_INT).then(|| (lo, (hi - lo) as u64))
+/// `(min, max - min)` of an Int `(min, max)` range: at most `u32::MAX`.
+pub(crate) fn int_span((lo, hi): (i32, i32)) -> (i32, u64) {
+    (lo, u64::from(hi.abs_diff(lo)))
+}
+
+/// `x - lo` for Int values `x ≥ lo`: at most `u32::MAX`, which the
+/// wrapping `i32` difference read as a `u32` gives exactly.
+#[inline]
+pub(crate) fn offset(x: i32, lo: i32) -> usize {
+    x.wrapping_sub(lo) as u32 as usize
 }
 
 /// `(min, max)` of Int values, or `None` when there are none.
-pub(crate) fn int_range(values: &[i64]) -> Option<(i64, i64)> {
+pub(crate) fn int_range(values: &[i32]) -> Option<(i32, i32)> {
     let first = *values.first()?;
     Some(values.iter().fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x))))
 }

@@ -9,12 +9,12 @@ use sapred_relation::schema::{ColumnDef, DataType, Schema};
 use sapred_relation::table::{Column, Table};
 
 /// A one-column relation: a full scan of a one-column table.
-fn rel(name: &str, vals: &[i64]) -> Rel {
+fn rel(name: &str, vals: &[i32]) -> Rel {
     scan(name, vals, &Predicate::True)
 }
 
 /// The rows of a one-column table that pass `pred`.
-fn scan(name: &str, vals: &[i64], pred: &Predicate) -> Rel {
+fn scan(name: &str, vals: &[i32], pred: &Predicate) -> Rel {
     let schema = Schema::new(vec![ColumnDef::new(name, DataType::Int)]);
     let table = Table::new("t", schema, vec![Column::Int(vals.to_vec())]);
     Rel::from_table(&table, pred, &[], &[name.to_string()])
@@ -25,7 +25,7 @@ proptest! {
 
     #[test]
     fn range_selectivity_matches_brute_force_within_bucket_error(
-        values in prop::collection::vec(0i64..1000, 20..400),
+        values in prop::collection::vec(0i32..1000, 20..400),
         threshold in 0.0f64..1000.0,
     ) {
         // With many buckets relative to the domain, the piece-wise-uniform
@@ -42,12 +42,12 @@ proptest! {
 
     #[test]
     fn eq_mass_sums_to_total(
-        values in prop::collection::vec(0i64..50, 1..200),
+        values in prop::collection::vec(0i32..50, 1..200),
     ) {
         // Summing the equality estimate over every distinct value must give
         // back ~total mass (count/distinct per bucket is an average).
         let h = Histogram::build(&Column::Int(values.clone()), 0.0, 50.0, 10);
-        let mut distinct: Vec<i64> = values.clone();
+        let mut distinct: Vec<i32> = values.clone();
         distinct.sort_unstable();
         distinct.dedup();
         let n = values.len() as f64;
@@ -60,7 +60,7 @@ proptest! {
 
     #[test]
     fn filtered_histogram_never_gains_mass(
-        values in prop::collection::vec(-200i64..200, 1..300),
+        values in prop::collection::vec(-200i32..200, 1..300),
         lo in -250.0f64..250.0,
         span in 0.0f64..200.0,
     ) {
@@ -74,8 +74,8 @@ proptest! {
 
     #[test]
     fn hash_join_matches_nested_loop_count(
-        left in prop::collection::vec(0i64..20, 0..60),
-        right in prop::collection::vec(0i64..20, 0..60),
+        left in prop::collection::vec(0i32..20, 0..60),
+        right in prop::collection::vec(0i32..20, 0..60),
     ) {
         let l = rel("a", &left);
         let r = rel("b", &right);
@@ -89,7 +89,7 @@ proptest! {
 
     #[test]
     fn combine_output_bounds(
-        values in prop::collection::vec(0i64..40, 1..300),
+        values in prop::collection::vec(0i32..40, 1..300),
         splits in 1usize..20,
     ) {
         let (grouped, combined) = rel("g", &values).groupby_combined(&["g".to_string()], splits);
@@ -101,7 +101,7 @@ proptest! {
 
     #[test]
     fn filter_project_consistency(
-        values in prop::collection::vec(0i64..100, 1..200),
+        values in prop::collection::vec(0i32..100, 1..200),
         cut in 0.0f64..100.0,
     ) {
         let f = scan("v", &values, &Predicate::cmp("v", CmpOp::Lt, cut));

@@ -302,8 +302,8 @@ fn flatten_join<'a>(dag: &'a QueryDag, job: usize, catalog: &Catalog) -> Option<
 struct PreparedHop<'t> {
     predicate: BoundPredicate<'t>,
     owner: usize,
-    owner_keys: &'t [i64],
-    index: HashMap<i64, Vec<u32>>,
+    owner_keys: &'t [i32],
+    index: HashMap<i32, Vec<u32>>,
 }
 
 impl WalkPlan<'_> {
@@ -323,7 +323,7 @@ impl WalkPlan<'_> {
                 let table = mats[h + 1];
                 let owner_keys = mats[hop.owner].column(&hop.left_key)?.as_int()?;
                 let keys = table.column(&hop.right_key)?.as_int()?;
-                let mut index: HashMap<i64, Vec<u32>> = HashMap::new();
+                let mut index: HashMap<i32, Vec<u32>> = HashMap::new();
                 for (row, &k) in keys.iter().enumerate() {
                     index.entry(k).or_default().push(row as u32);
                 }
@@ -446,7 +446,7 @@ fn walk_seed(seed: u64, job: usize, walk: usize) -> u64 {
 /// that dominate skewed joins).
 struct KeySketch {
     /// `(key, count)` sorted by key, for deterministic merge order.
-    heavy: Vec<(i64, f64)>,
+    heavy: Vec<(i32, f64)>,
     rest_count: f64,
     rest_distinct: f64,
 }
@@ -459,12 +459,12 @@ impl KeySketch {
         top_k: usize,
     ) -> Option<KeySketch> {
         let keys = table.column(column)?.as_int()?;
-        let mut counts: HashMap<i64, f64> = HashMap::new();
+        let mut counts: HashMap<i32, f64> = HashMap::new();
         for row in predicate.bind(table).selected() {
             *counts.entry(keys[row]).or_insert(0.0) += 1.0;
         }
         // Deterministic top-K: by count descending, key ascending.
-        let mut all: Vec<(i64, f64)> = counts.into_iter().collect();
+        let mut all: Vec<(i32, f64)> = counts.into_iter().collect();
         all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         let rest = all.split_off(top_k.min(all.len()));
         let mut heavy = all;
@@ -484,7 +484,7 @@ impl KeySketch {
         }
     }
 
-    fn heavy_count(&self, key: i64) -> Option<f64> {
+    fn heavy_count(&self, key: i32) -> Option<f64> {
         self.heavy.binary_search_by_key(&key, |(k, _)| *k).ok().map(|i| self.heavy[i].1)
     }
 
@@ -629,7 +629,7 @@ mod tests {
         let l = KeySketch::build(li, "l_partkey", &Predicate::True, usize::MAX).unwrap();
         let r = KeySketch::build(ps, "ps_partkey", &Predicate::True, usize::MAX).unwrap();
         let est = l.join_size(&r);
-        let mut counts: HashMap<i64, f64> = HashMap::new();
+        let mut counts: HashMap<i32, f64> = HashMap::new();
         for &k in ps.column("ps_partkey").unwrap().as_int().unwrap() {
             *counts.entry(k).or_insert(0.0) += 1.0;
         }

@@ -129,8 +129,8 @@ mod tests {
     #[test]
     fn join_skew_beats_uniform_assumption() {
         // Skewed left side: 900 tuples on key 0, 100 spread over 1..=99.
-        let mut vals = vec![0i64; 900];
-        vals.extend((1..100).map(|i| i as i64));
+        let mut vals = vec![0i32; 900];
+        vals.extend(1..100);
         let l = Histogram::build(&Column::Int(vals), 0.0, 100.0, 50);
         let r =
             Histogram::build(&Column::Int((0..1000).map(|i| i % 100).collect()), 0.0, 100.0, 50);

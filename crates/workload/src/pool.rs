@@ -5,8 +5,8 @@
 use sapred_relation::gen::{generate, Database, GenConfig, KeyDist, Layout};
 use std::collections::BTreeMap;
 
-/// Lazily generated database instances keyed by nominal scale (GB ×10 to
-/// allow fractional scales as map keys).
+/// Lazily generated database instances, one per exact nominal scale (keyed
+/// by the scale's `f64` bits).
 #[derive(Debug, Default)]
 pub struct DbPool {
     seed: u64,
@@ -33,16 +33,22 @@ impl DbPool {
         self
     }
 
-    fn key(scale_gb: f64) -> u64 {
-        (scale_gb * 10.0).round() as u64
+    /// The generator seed of the instance at `scale_gb`: the pool's seed
+    /// xor the scale in tenths of a GB, rounded. Nearby scales can share
+    /// a seed, never an instance.
+    fn instance_seed(&self, scale_gb: f64) -> u64 {
+        self.seed ^ (scale_gb * 10.0).round() as u64
     }
 
     /// Get (generating on first use) the instance for `scale_gb`.
+    ///
+    /// # Panics
+    /// Panics if [`sapred_relation::gen::checked_row_counts`] refuses
+    /// `scale_gb`.
     pub fn get(&mut self, scale_gb: f64) -> &Database {
-        let key = Self::key(scale_gb);
-        let (seed, kd, layout) = (self.seed, self.key_dist, self.layout);
-        self.dbs.entry(key).or_insert_with(|| {
-            let mut config = GenConfig::new(scale_gb).with_seed(seed ^ key);
+        let (seed, kd, layout) = (self.instance_seed(scale_gb), self.key_dist, self.layout);
+        self.dbs.entry(scale_gb.to_bits()).or_insert_with(|| {
+            let mut config = GenConfig::new(scale_gb).with_seed(seed);
             if let Some(d) = kd {
                 config = config.with_key_dist(d);
             }
@@ -56,7 +62,7 @@ impl DbPool {
     /// Read an already-generated instance without taking `&mut self`
     /// (useful after pre-warming, e.g. for parallel training workers).
     pub fn peek(&self, scale_gb: f64) -> Option<&Database> {
-        self.dbs.get(&Self::key(scale_gb))
+        self.dbs.get(&scale_gb.to_bits())
     }
 
     /// Number of instances generated so far.
@@ -91,6 +97,19 @@ mod tests {
         pool.get(0.1);
         pool.get(0.2);
         assert_eq!(pool.len(), 2);
+    }
+
+    /// 1.25 and 1.3 GB round to the same tenth, so they share a seed, but
+    /// each gets its own instance, of its own size. (0.25 and 0.3 GB do
+    /// too, but every table of both sits at its row floor.)
+    #[test]
+    fn nearby_fractional_scales_get_their_own_instances() {
+        let mut pool = DbPool::new(3);
+        let lineitem = |pool: &mut DbPool, gb| pool.get(gb).table("lineitem").unwrap().rows();
+        assert_eq!((lineitem(&mut pool, 1.25), lineitem(&mut pool, 1.3)), (7500, 7800));
+        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.peek(1.25).unwrap().config.seed, pool.peek(1.3).unwrap().config.seed);
+        assert_eq!(pool.peek(1.3).unwrap().config.seed, 3 ^ 13);
     }
 
     #[test]

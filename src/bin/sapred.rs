@@ -25,6 +25,7 @@ use sapred::core::telemetry::record_sim_outcomes;
 use sapred::core::{Error, Pipeline};
 use sapred::obs::{write_atomic, ChromeTraceSink, JsonlSink, MetricsSink, SpanProfiler, Tee};
 use sapred::plan::ground_truth::execute_dag;
+use sapred::relation::gen::checked_row_counts;
 use sapred::selectivity::EstimatorKind;
 use sapred::workload::mixes::{bing_mix, facebook_mix, MixSpec};
 use sapred::workload::population::PopulationConfig;
@@ -114,6 +115,14 @@ fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> Result
     }
 }
 
+/// `--scale` in GB, refused unless an instance can be generated at it
+/// (see [`checked_row_counts`]).
+fn flag_scale(flags: &HashMap<String, String>, default: f64) -> Result<f64, Error> {
+    let scale = flag_f64(flags, "scale", default)?;
+    checked_row_counts(scale).map_err(|e| Error::invalid(format!("--scale: {e}")))?;
+    Ok(scale)
+}
+
 fn flag_usize(flags: &HashMap<String, String>, name: &str, default: usize) -> Result<usize, Error> {
     match flags.get(name) {
         None => Ok(default),
@@ -141,7 +150,7 @@ fn flag_estimator(flags: &HashMap<String, String>) -> Result<EstimatorKind, Erro
 fn cmd_explain(args: &[String]) -> Result<(), Error> {
     let flags = &parse_flags(args, &["sql", "scale", "seed", "estimator"])?;
     let sql = required(flags, "sql")?;
-    let scale = flag_f64(flags, "scale", 10.0)?;
+    let scale = flag_scale(flags, 10.0)?;
     let seed = flag_usize(flags, "seed", 42)? as u64;
     let estimator = flag_estimator(flags)?;
     let mut pipe = Pipeline::with_seed(seed);
@@ -184,7 +193,7 @@ fn cmd_explain(args: &[String]) -> Result<(), Error> {
 
 fn cmd_gather(args: &[String]) -> Result<(), Error> {
     let flags = &parse_flags(args, &["scale", "out", "seed"])?;
-    let scale = flag_f64(flags, "scale", 1.0)?;
+    let scale = flag_scale(flags, 1.0)?;
     let out = required(flags, "out")?;
     let seed = flag_usize(flags, "seed", 42)? as u64;
     let mut pipe = Pipeline::with_seed(seed);
@@ -231,7 +240,7 @@ fn cmd_train(args: &[String]) -> Result<(), Error> {
 fn cmd_predict(args: &[String]) -> Result<(), Error> {
     let flags = &parse_flags(args, &["sql", "scale", "queries", "estimator"])?;
     let sql = required(flags, "sql")?;
-    let scale = flag_f64(flags, "scale", 10.0)?;
+    let scale = flag_scale(flags, 10.0)?;
     let n = flag_usize(flags, "queries", 150)?;
     println!("training on {n} queries...");
     let mut pipe = trained_pipeline(n, 7)?;

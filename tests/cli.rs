@@ -51,3 +51,32 @@ fn gather_writes_a_catalog_that_loads_back() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A scale that is not a finite positive number is refused by name before
+/// any instance is generated, and `gather` then writes no catalog. (The
+/// upper limit is checked on `checked_row_counts` alone: a scale past it
+/// would need ~100 GB if the check failed.)
+#[test]
+fn non_finite_or_non_positive_scales_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("sapred_cli_scale_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("cat.json");
+    for scale in ["nan", "inf", "-inf", "-4", "0", "-0"] {
+        let runs: [&[&str]; 3] = [
+            &["gather", "--scale", scale, "--out", path.to_str().unwrap()],
+            &["explain", "--sql", "SELECT 1", "--scale", scale],
+            &["predict", "--sql", "SELECT 1", "--scale", scale],
+        ];
+        for args in runs {
+            let out = Command::new(env!("CARGO_BIN_EXE_sapred"))
+                .args(args)
+                .output()
+                .expect("the sapred binary starts");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "sapred {args:?} succeeded");
+            assert!(stderr.contains("error: --scale: scale"), "sapred {args:?}: {stderr}");
+        }
+        assert!(!path.exists(), "gather --scale {scale} wrote a catalog");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

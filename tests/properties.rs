@@ -94,7 +94,7 @@ proptest! {
 
     #[test]
     fn histogram_selectivity_is_a_probability(
-        values in prop::collection::vec(-1000i64..1000, 1..300),
+        values in prop::collection::vec(-1000i32..1000, 1..300),
         buckets in 1usize..32,
         op in prop::sample::select(vec![CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]),
         threshold in -1500.0f64..1500.0,
@@ -117,7 +117,7 @@ proptest! {
 
     #[test]
     fn histogram_mass_is_conserved_by_rebucket(
-        values in prop::collection::vec(0i64..500, 1..200),
+        values in prop::collection::vec(0i32..500, 1..200),
         src_buckets in 1usize..24,
         dst_buckets in 1usize..24,
     ) {
@@ -129,8 +129,8 @@ proptest! {
 
     #[test]
     fn bucketed_join_size_is_bounded_by_cartesian_product(
-        left in prop::collection::vec(0i64..100, 1..200),
-        right in prop::collection::vec(0i64..100, 1..200),
+        left in prop::collection::vec(0i32..100, 1..200),
+        right in prop::collection::vec(0i32..100, 1..200),
         buckets in 1usize..20,
     ) {
         let lh = Histogram::from_column(&Column::Int(left.clone()), buckets);
