@@ -83,25 +83,6 @@ pub enum CellKind {
         /// Reduce tasks per job.
         reduces: usize,
     },
-    /// The scale cell with crash tolerance on: identical workload, plus a
-    /// periodic `sapred-ckpt/v3` checkpoint of the full simulator state
-    /// every `every` processed events, written atomically to a scratch
-    /// path. Compared against `scale_1e6` it prices the
-    /// engine's checkpoint overhead (serialize + fingerprint + staged
-    /// write); the `checkpoint_bytes` counter pins the cadence and blob
-    /// sizes as part of the determinism check.
-    ScaleCheckpoint {
-        /// Queries in the synthetic workload.
-        n_queries: usize,
-        /// Jobs per query (chained DAG).
-        jobs: usize,
-        /// Map tasks per job.
-        maps: usize,
-        /// Reduce tasks per job.
-        reduces: usize,
-        /// Checkpoint cadence in processed events.
-        every: u64,
-    },
     /// A whole fleet sweep ([`fleet::run_fleet`]) over the bench grid
     /// ([`fleet::bench_grid`]): `schedulers × fault_levels × seeds`
     /// simulations of the synthetic workload, executed across
@@ -222,14 +203,6 @@ pub fn config_json(kind: &CellKind) -> String {
             .int("maps", maps as u64)
             .int("reduces", reduces as u64)
             .finish(),
-        CellKind::ScaleCheckpoint { n_queries, jobs, maps, reduces, every } => Obj::new()
-            .str("kind", "scale_checkpoint")
-            .int("n_queries", n_queries as u64)
-            .int("jobs", jobs as u64)
-            .int("maps", maps as u64)
-            .int("reduces", reduces as u64)
-            .int("checkpoint_every", every)
-            .finish(),
         CellKind::Fleet {
             schedulers,
             fault_levels,
@@ -303,20 +276,6 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
             let mut sim = Simulator::new(cluster, fw.cost, Fifo);
             sim.execute(&queries, Run::new().profiler(&**prof)).expect("bench cell runs");
         }
-        CellKind::ScaleCheckpoint { n_queries, jobs, maps, reduces, every } => {
-            let queries = dispatch_workload(n_queries, jobs, maps, reduces);
-            let mut cluster = fw.cluster;
-            cluster.seed = spec.seed;
-            let path = std::env::temp_dir().join(format!(
-                "sapred-bench-ckpt-{}-{}.bin",
-                std::process::id(),
-                spec.seed
-            ));
-            let mut sim =
-                Simulator::new(cluster, fw.cost, Fifo).checkpoint_every_events(every, &path);
-            sim.execute(&queries, Run::new().profiler(&**prof)).expect("bench cell runs");
-            let _ = std::fs::remove_file(&path);
-        }
         CellKind::Fleet {
             schedulers,
             fault_levels,
@@ -385,7 +344,7 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
             let decisions = counters.get(Counter::DispatchDecisions.label()).copied().unwrap_or(0);
             metrics.insert("dispatch_decisions_per_s".into(), decisions as f64 / best);
         }
-        CellKind::Scale { .. } | CellKind::ScaleCheckpoint { .. } => {
+        CellKind::Scale { .. } => {
             let tasks = counters.get(Counter::TasksLaunched.label()).copied().unwrap_or(0);
             metrics.insert("tasks_per_s".into(), tasks as f64 / best);
         }
@@ -432,21 +391,13 @@ pub fn dispatch_suite(quick: bool) -> Vec<CellSpec> {
     ]
 }
 
-/// The scale suite: the event core pushed to 10⁶ and 10⁷ tasks, plus the
-/// 10⁶ shape with periodic checkpoints to price crash tolerance. Quick
+/// The scale suite: the event core pushed to 10⁶ and 10⁷ tasks. Quick
 /// shapes keep the names with ~10³× smaller workloads.
 pub fn scale_suite(quick: bool) -> Vec<CellSpec> {
-    let (small, large, ckpt) = if quick {
+    let (small, large) = if quick {
         (
             CellKind::Scale { n_queries: 60, jobs: 3, maps: 20, reduces: 8 },
             CellKind::Scale { n_queries: 60, jobs: 3, maps: 40, reduces: 16 },
-            CellKind::ScaleCheckpoint {
-                n_queries: 60,
-                jobs: 3,
-                maps: 20,
-                reduces: 8,
-                every: 5_000,
-            },
         )
     } else {
         (
@@ -454,20 +405,10 @@ pub fn scale_suite(quick: bool) -> Vec<CellSpec> {
             CellKind::Scale { n_queries: 2000, jobs: 5, maps: 80, reduces: 20 },
             // 2000 × 5 × (800 + 200) = 1e7 tasks.
             CellKind::Scale { n_queries: 2000, jobs: 5, maps: 800, reduces: 200 },
-            // The 1e6 workload checkpointing the full engine state twice
-            // over its ~1e6 events.
-            CellKind::ScaleCheckpoint {
-                n_queries: 2000,
-                jobs: 5,
-                maps: 80,
-                reduces: 20,
-                every: 500_000,
-            },
         )
     };
     vec![
         CellSpec { name: "scale_1e6", kind: small, iters: 2, seed: 7 },
-        CellSpec { name: "scale_1e6_ckpt", kind: ckpt, iters: 2, seed: 7 },
         CellSpec { name: "scale_1e7", kind: large, iters: 1, seed: 7 },
     ]
 }

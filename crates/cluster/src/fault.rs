@@ -117,11 +117,6 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Whether this plan can perturb a simulation at all.
-    pub fn is_active(&self) -> bool {
-        self.task_fail_prob > 0.0 || !self.node_crashes.is_empty() || self.speculative
-    }
-
     /// Retry delay before attempt `n + 1`, given `n` attempts already used:
     /// capped exponential `backoff_base * 2^(n-1)`. The exponent is clamped
     /// so arbitrarily large attempt counts stay finite, non-negative, and
@@ -249,7 +244,6 @@ mod tests {
     #[test]
     fn default_plan_is_inert() {
         let p = FaultPlan::default();
-        assert!(!p.is_active());
         assert!(p.validate(9).is_ok());
         assert_eq!(p, FaultPlan::none());
     }

@@ -13,8 +13,7 @@
 //!   `sapred-ckpt/v3` [`super::checkpoint`] blob into one;
 //! * `drive` — the event loop proper. Between events it checks, in order:
 //!   run finished → optional stop point ([`Run::stop_after`]) → optional
-//!   periodic checkpoint write ([`Simulator::checkpoint_every_events`]) →
-//!   optional event-budget watchdog ([`Simulator::with_max_events`]);
+//!   event-budget watchdog ([`Simulator::with_max_events`]);
 //! * `finalize` — the end-of-run invariant asserts, queue telemetry, and
 //!   report assembly; a stopped run encodes its state instead.
 //!
@@ -33,7 +32,6 @@ use sapred_obs::{Candidate, DownReason, Event as ObsEvent, EventSink, NullSink};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::path::PathBuf;
 
 use super::checkpoint::{self, CheckpointError};
 use super::dispatch::{DispatchState, INDEX_MIN_WIDTH};
@@ -197,8 +195,7 @@ impl<'a, K: EventSink, P: Profiler> Run<'a, K, P> {
     }
 
     /// Count event-loop work (events, dispatch decisions, view updates,
-    /// emitted events, launches, queue peak, checkpoint bytes) on
-    /// `profiler`.
+    /// emitted events, launches, queue peak) on `profiler`.
     pub fn profiler<P2: Profiler>(self, profiler: &'a P2) -> Run<'a, K, P2> {
         let Run { sink, oracle, resume, stop_after, .. } = self;
         Run { sink, oracle, profiler, resume, stop_after }
@@ -252,8 +249,7 @@ pub(super) struct RunState {
     /// Interned query names — derived from the workload, never serialized.
     pub(super) names: Vec<std::sync::Arc<str>>,
     /// Events processed so far (mirrors [`Counter::EventsProcessed`]); the
-    /// snapshot boundary, periodic checkpoint trigger, and watchdog budget
-    /// all count this.
+    /// snapshot boundary and the watchdog budget both count this.
     pub(super) events_processed: u64,
 }
 
@@ -273,10 +269,6 @@ pub struct Simulator<S: Scheduler> {
     crosscheck: bool,
     // Event-budget watchdog (None = unlimited).
     max_events: Option<u64>,
-    // Periodic checkpointing: every `ckpt_every` processed events, the
-    // engine snapshot is written atomically to `ckpt_path`.
-    ckpt_every: Option<u64>,
-    ckpt_path: Option<PathBuf>,
 }
 
 impl<S: Scheduler> Simulator<S> {
@@ -289,8 +281,6 @@ impl<S: Scheduler> Simulator<S> {
             faults: FaultPlan::none(),
             crosscheck: false,
             max_events: None,
-            ckpt_every: None,
-            ckpt_path: None,
         }
     }
 
@@ -328,35 +318,14 @@ impl<S: Scheduler> Simulator<S> {
         self
     }
 
-    /// Same simulator with periodic checkpointing: after every `every`
-    /// processed events, serialize the full engine state and write it
-    /// atomically (temp file + rename, see [`sapred_obs::write_atomic`])
-    /// to `path`, emitting [`CheckpointWritten`] and counting the bytes
-    /// under [`Counter::CheckpointBytes`]. A process killed at any instant
-    /// leaves either the previous complete checkpoint or the new one —
-    /// never a torn file; the surviving blob restores via
-    /// [`Simulator::resume_with_oracle`].
-    ///
-    /// [`CheckpointWritten`]: sapred_obs::Event::CheckpointWritten
-    ///
-    /// # Panics
-    /// Panics if `every` is zero, and at run time if a checkpoint cannot
-    /// be written.
-    pub fn checkpoint_every_events(mut self, every: u64, path: impl Into<PathBuf>) -> Self {
-        assert!(every > 0, "checkpoint interval must be positive");
-        self.ckpt_every = Some(every);
-        self.ckpt_path = Some(path.into());
-        self
-    }
-
     /// Run `queries` as `run` describes — the engine's one body. The run
-    /// starts fresh or from [`Run::resume`] bytes (announced with
-    /// [`RunResumed`](sapred_obs::Event::RunResumed)), emits every discrete
+    /// starts fresh or from [`Run::resume`] bytes, emits every discrete
     /// event to the run's sink — lifecycle, task placement, and decision
     /// records with each candidate's [`Scheduler::score`] — and ends in
     /// [`RunOutcome::Done`], or in [`RunOutcome::Snapshot`] at its
-    /// [`Run::stop_after`] point. A resumed snapshot finishes with a report
-    /// and event stream bit-identical to an uninterrupted run.
+    /// [`Run::stop_after`] point. A resumed snapshot finishes with the
+    /// uninterrupted run's report, and its events are exactly that run's
+    /// events after the cut.
     ///
     /// # Errors
     /// [`SimError::Invalid`] if any query or the fault plan fails
@@ -384,7 +353,6 @@ impl<S: Scheduler> Simulator<S> {
                 if self.crosscheck && rs.dstate.reindex(&rs.jobs, |r| self.scheduler.key(r)) {
                     rs.dstate.crosscheck_index(&mut self.scheduler, "after restore");
                 }
-                emit!(sink, ObsEvent::RunResumed { t: rs.now, events: rs.events_processed });
                 rs
             }
         };
@@ -537,8 +505,8 @@ impl<S: Scheduler> Simulator<S> {
 
     /// The event loop: pop events, mutate `rs`, dispatch free containers,
     /// and between events check (in order) run completion, the optional
-    /// suspension point, the periodic checkpoint trigger, and the event
-    /// watchdog. Works identically for fresh and restored [`RunState`]s.
+    /// suspension point and the event watchdog. Works identically for
+    /// fresh and restored [`RunState`]s.
     #[allow(clippy::too_many_lines)]
     fn drive<K: EventSink, P: Profiler>(
         &mut self,
@@ -559,8 +527,8 @@ impl<S: Scheduler> Simulator<S> {
             // Event handling plus the dispatch it triggers, as a labeled
             // block: stale-event arms skip the rest of the handling with
             // `break 'event` instead of `continue`, so the loop-bottom
-            // completion / suspension / checkpoint / watchdog checks run
-            // after *every* event. (A `continue` here would silently skip
+            // completion / suspension / watchdog checks run after *every*
+            // event. (A `continue` here would silently skip
             // a requested snapshot boundary whenever it landed on a
             // lazily-invalidated event.)
             'event: {
@@ -1273,27 +1241,9 @@ impl<S: Scheduler> Simulator<S> {
                 return Ok(Drive::Finished);
             }
             // The run is quiescent between events — the suspension point
-            // for snapshots (explicit and periodic) and the watchdog check.
+            // for snapshots and the watchdog check.
             if suspend_after.is_some_and(|n| rs.events_processed >= n) {
                 return Ok(Drive::Suspended);
-            }
-            if let Some(every) = self.ckpt_every {
-                if rs.events_processed.is_multiple_of(every) {
-                    let path = self.ckpt_path.as_ref().expect("interval implies a path");
-                    let blob = checkpoint::encode(self, queries, rs);
-                    if let Err(e) = sapred_obs::write_atomic(path, &blob) {
-                        panic!("failed to write checkpoint to {}: {e}", path.display());
-                    }
-                    prof.add(Counter::CheckpointBytes, blob.len() as u64);
-                    emit!(
-                        sink,
-                        ObsEvent::CheckpointWritten {
-                            t: rs.now,
-                            events: rs.events_processed,
-                            bytes: blob.len() as u64,
-                        }
-                    );
-                }
             }
             if let Some(limit) = self.max_events {
                 if rs.events_processed >= limit {

@@ -107,11 +107,10 @@ fn stress_plan() -> FaultPlan {
 // ---------------------------------------------------------------------
 // The differential: straight run vs. snapshot → drop → restore → finish.
 
-/// Render an event stream as its JSONL lines, dropping the resume marker —
-/// `run_resumed` announces the stitch point and is by design the one event
-/// an interrupted run has that a straight one does not.
+/// Render an event stream as its JSONL lines. Nothing is filtered: the
+/// segments of a cut run, laid end to end, are the straight run's stream.
 fn rendered(events: &[Event]) -> Vec<String> {
-    events.iter().filter(|e| !matches!(e, Event::RunResumed { .. })).map(|e| e.to_json()).collect()
+    events.iter().map(Event::to_json).collect()
 }
 
 fn build<S: Scheduler>(s: S, faults: Option<FaultPlan>, crosscheck: bool) -> Simulator<S> {
@@ -252,10 +251,6 @@ fn check_double_cut<S: Scheduler + Clone>(s: S, faults: Option<FaultPlan>, name:
     let blob_a = expect_snapshot(outcome, a);
     let (outcome, second) = segment(sim(), Some(&blob_a), Some(b));
     let blob_b = expect_snapshot(outcome, b);
-    assert!(
-        matches!(second.first(), Some(Event::RunResumed { events, .. }) if *events == a),
-        "{name}: the second segment must open with a resume marker at event {a}"
-    );
     events.extend(second);
     let (outcome, third) = segment(sim(), Some(&blob_b), None);
     events.extend(third);

@@ -22,7 +22,6 @@ use crate::error::Error;
 use crate::framework::{Framework, Predictor, QuerySemantics};
 use crate::training::{fit_models, run_population, split_train_test, QueryRun, TrainedModels};
 use sapred_cluster::build::build_sim_query;
-use sapred_cluster::cost::CostModel;
 use sapred_cluster::job::{JobPrediction, SimQuery};
 use sapred_cluster::sched::Scheduler;
 use sapred_cluster::{Run, RunOutcome, Simulator};
@@ -274,11 +273,6 @@ impl Pipeline {
         let prof = self.stage_profiler();
         let _stage = prof.as_ref().map(|p| p.span("simulate"));
         Ok(sim.execute(queries, run)?)
-    }
-
-    /// The ground-truth cost model (for bespoke simulator setups).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.framework.cost
     }
 }
 

@@ -1,16 +1,9 @@
-//! Prediction-error telemetry: turn trained-model evaluations and simulator
-//! outcomes into [`sapred_obs::Event::PredictionError`] streams.
-//!
-//! [`record_training_runs`] samples exactly as the accuracy experiments
-//! (Tables 3–5) do — via the same extractors in [`crate::training`] with the
-//! same skip rules — so a [`DriftTracker`](sapred_obs::DriftTracker) fed by
-//! it reproduces the tables' per-category average relative errors to the
-//! last bit. [`record_sim_outcomes`] does the online equivalent: it compares
+//! Prediction-error telemetry: [`record_sim_outcomes`] turns simulator
+//! outcomes into a [`sapred_obs::Event::PredictionError`] stream, comparing
 //! each job's percolated prediction against what the simulated cluster
-//! actually measured.
+//! actually measured. A [`DriftTracker`](sapred_obs::DriftTracker) fed by
+//! it reports the same error measure as the accuracy tables (Tables 3–5).
 
-use crate::framework::{Predictor, QuerySemantics};
-use crate::training::{job_samples, map_task_samples, reduce_task_samples, QueryRun};
 use sapred_cluster::job::SimQuery;
 use sapred_cluster::sim::{ClusterConfig, SimReport};
 use sapred_obs::profile::Profiler;
@@ -33,86 +26,6 @@ fn dominant_category(cats: impl IntoIterator<Item = JobCategory>) -> JobCategory
         .max_by(|&a, &b| counts[a].cmp(&counts[b]).then(first[b].cmp(&first[a])))
         .expect("non-empty");
     order[best]
-}
-
-/// Emit one `PredictionError` event per accuracy-experiment sample of
-/// `runs`: job times (Table 3), map-task times (Table 4), reduce-task times
-/// (Table 5), and idle-cluster query response times (Fig. 7). Returns the
-/// number of events emitted.
-///
-/// Sampling is delegated to the same extractors the accuracy experiments
-/// use ([`job_samples`], [`map_task_samples`], [`reduce_task_samples`]), so
-/// per-category MARE computed from the resulting event stream matches the
-/// tables' `avg_rel_error` exactly.
-pub fn record_training_runs<K: EventSink>(
-    runs: &[&QueryRun],
-    predictor: &Predictor,
-    sink: &mut K,
-) -> usize {
-    let fw = &predictor.framework;
-    let mut emitted = 0usize;
-    for (qi, r) in runs.iter().enumerate() {
-        let one = || std::iter::once(*r);
-        // Job samples come out 1:1 with the DAG's jobs, in order.
-        for (job, s) in job_samples(one()).iter().enumerate() {
-            sink.emit(&Event::PredictionError {
-                t: 0.0,
-                query: sapred_cluster::QueryId(qi),
-                job: sapred_cluster::JobId(job),
-                category: s.category,
-                quantity: Quantity::Job,
-                predicted: predictor.models.job.predict(&s.features),
-                actual: s.measured,
-            });
-            emitted += 1;
-        }
-        // Task extractors skip some jobs; recover each sample's job index by
-        // replaying the identical filter over the run's job stats.
-        let map_jobs = r.job_stats.iter().enumerate().filter(|(_, st)| st.map_task_avg > 0.0);
-        for (s, (job, _)) in map_task_samples(one(), fw).iter().zip(map_jobs) {
-            sink.emit(&Event::PredictionError {
-                t: 0.0,
-                query: sapred_cluster::QueryId(qi),
-                job: sapred_cluster::JobId(job),
-                category: s.category,
-                quantity: Quantity::MapTask,
-                predicted: predictor.models.map_task.predict(&s.features),
-                actual: s.measured,
-            });
-            emitted += 1;
-        }
-        let reduce_jobs = r
-            .job_stats
-            .iter()
-            .zip(&r.has_reduce)
-            .enumerate()
-            .filter(|(_, (st, has))| **has && st.reduce_task_avg > 0.0);
-        for (s, (job, _)) in reduce_task_samples(one(), fw).iter().zip(reduce_jobs) {
-            sink.emit(&Event::PredictionError {
-                t: 0.0,
-                query: sapred_cluster::QueryId(qi),
-                job: sapred_cluster::JobId(job),
-                category: s.category,
-                quantity: Quantity::ReduceTask,
-                predicted: predictor.models.reduce_task.predict(&s.features),
-                actual: s.measured,
-            });
-            emitted += 1;
-        }
-        // Whole-query response on an idle cluster (Fig. 7's quantity).
-        let semantics = QuerySemantics { dag: r.dag.clone(), estimates: r.estimates.clone() };
-        sink.emit(&Event::PredictionError {
-            t: 0.0,
-            query: sapred_cluster::QueryId(qi),
-            job: sapred_cluster::JobId(0),
-            category: dominant_category(r.estimates.iter().map(|e| e.category)),
-            quantity: Quantity::Query,
-            predicted: predictor.query_seconds(&semantics),
-            actual: r.response,
-        });
-        emitted += 1;
-    }
-    emitted
 }
 
 /// Emit `PredictionError` events comparing each simulated query's and job's
@@ -213,13 +126,23 @@ pub fn record_sim_outcomes<K: EventSink, P: Profiler>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::accuracy::{job_accuracy, map_task_accuracy, reduce_task_accuracy};
-    use crate::framework::Framework;
-    use crate::training::{fit_models, run_population, split_train_test};
-    use sapred_obs::DriftTracker;
+    use crate::experiments::accuracy::{
+        job_accuracy, map_task_accuracy, reduce_task_accuracy, TaskAccuracyReport,
+    };
+    use crate::framework::{Framework, Predictor};
+    use crate::training::{
+        fit_models, job_samples, map_task_samples, reduce_task_samples, run_population,
+        split_train_test, TaskSample,
+    };
+    use sapred_obs::{DriftStat, DriftTracker};
+    use sapred_predict::metrics::avg_rel_error;
+    use sapred_predict::TaskTimeModel;
     use sapred_workload::pool::DbPool;
     use sapred_workload::population::{generate_population, PopulationConfig};
 
+    /// The drift tracker's MARE is the accuracy tables' average relative
+    /// error: over Tables 3–5's own (predicted, measured) pairs, each row's
+    /// `DriftStat` equals `avg_rel_error` and the table's figure.
     #[test]
     fn drift_mare_matches_accuracy_tables() {
         let fw = Framework::new();
@@ -234,57 +157,43 @@ mod tests {
         let runs = run_population(&pop, &mut pool, &fw).expect("population runs");
         let (train, _) = split_train_test(&runs);
         let models = fit_models(&train, &fw).expect("models fit");
-        let predictor = Predictor::new(models.clone(), fw);
 
-        let mut drift = DriftTracker::new();
-        let emitted = record_training_runs(&train, &predictor, &mut drift);
-        assert!(emitted > 0);
-        assert_eq!(drift.total_samples() as usize, emitted);
-
-        // Per-category MARE from the event stream must reproduce the
-        // accuracy tables' avg_rel_error on the identical sample sets.
-        let job = job_accuracy(&train, &[], &models);
-        let map = map_task_accuracy(&train, &models, &fw);
-        let reduce = reduce_task_accuracy(&train, &models, &fw);
-        let cat_of = |label: &str| match label {
-            "Groupby" => sapred_plan::dag::JobCategory::Groupby,
-            "Join" => sapred_plan::dag::JobCategory::Join,
-            "Extract" => sapred_plan::dag::JobCategory::Extract,
-            other => panic!("unexpected label {other}"),
+        let runs = || train.iter().copied();
+        let jobs: Vec<_> = job_samples(runs())
+            .iter()
+            .map(|s| (s.category, models.job.predict(&s.features), s.measured))
+            .collect();
+        let task_pairs = |samples: Vec<TaskSample>, model: &TaskTimeModel| -> Vec<_> {
+            samples.iter().map(|s| (s.category, model.predict(&s.features), s.measured)).collect()
         };
-        for row in &job.per_category {
-            let cell = drift.cell(Quantity::Job, cat_of(&row.label));
-            assert_eq!(cell.n as usize, row.n, "job/{}", row.label);
-            assert!(
-                (cell.mare() - row.avg_err).abs() < 1e-9,
-                "job/{}: {} vs {}",
-                row.label,
-                cell.mare(),
-                row.avg_err
-            );
-        }
-        for (table, quantity) in [(&map, Quantity::MapTask), (&reduce, Quantity::ReduceTask)] {
-            for row in &table.per_category {
-                let cell = drift.cell(quantity, cat_of(&row.label));
-                assert_eq!(cell.n as usize, row.n, "{}/{}", table.kind, row.label);
-                assert!(
-                    (cell.mare() - row.avg_err).abs() < 1e-9,
-                    "{}/{}: {} vs {}",
-                    table.kind,
-                    row.label,
-                    cell.mare(),
-                    row.avg_err
-                );
+        let maps = task_pairs(map_task_samples(runs(), &fw), &models.map_task);
+        let reduces = task_pairs(reduce_task_samples(runs(), &fw), &models.reduce_task);
+        // Tables 4–5 also pool every category in a "Together" row.
+        let with_pooled = |t: TaskAccuracyReport| [t.per_category, vec![t.together]].concat();
+        let tables = [
+            ("job", jobs, job_accuracy(&train, &[], &models).per_category),
+            ("map", maps, with_pooled(map_task_accuracy(&train, &models, &fw))),
+            ("reduce", reduces, with_pooled(reduce_task_accuracy(&train, &models, &fw))),
+        ];
+        for (kind, pairs, rows) in tables {
+            for row in rows {
+                let pooled = row.label == "Together";
+                let (pred, actual): (Vec<f64>, Vec<f64>) = pairs
+                    .iter()
+                    .filter(|(c, ..)| pooled || c.to_string() == row.label)
+                    .map(|&(_, p, a)| (p, a))
+                    .unzip();
+                let mut stat = DriftStat::default();
+                for (&p, &a) in pred.iter().zip(&actual) {
+                    stat.record(p, a);
+                }
+                assert!(stat.n > 0, "{kind}/{}: no samples", row.label);
+                assert_eq!(stat.n as usize, row.n, "{kind}/{}", row.label);
+                let mare = stat.mare().to_bits();
+                assert_eq!(mare, avg_rel_error(&pred, &actual).to_bits(), "{kind}/{}", row.label);
+                assert_eq!(mare, row.avg_err.to_bits(), "{kind}/{}", row.label);
             }
-            // The pooled "Together" row matches the per-quantity aggregate.
-            assert!(
-                (drift.aggregate(quantity).mare() - table.together.avg_err).abs() < 1e-9,
-                "{} together",
-                table.kind
-            );
         }
-        // Query-level drift exists and is bounded (one sample per run).
-        assert_eq!(drift.aggregate(Quantity::Query).n as usize, train.len());
     }
 
     #[test]

@@ -329,23 +329,6 @@ pub enum Event {
         /// Actual value (seconds).
         actual: f64,
     },
-    /// The engine serialized a full checkpoint of its state (periodic
-    /// `checkpoint_every_events` trigger or an explicit snapshot request).
-    CheckpointWritten {
-        /// Simulated time in seconds.
-        t: f64,
-        /// Events processed so far in this run (the snapshot boundary).
-        events: u64,
-        /// Size of the serialized `sapred-ckpt/v3` blob in bytes.
-        bytes: u64,
-    },
-    /// The engine was restored from a checkpoint and resumed execution.
-    RunResumed {
-        /// Simulated time in seconds (the restored clock).
-        t: f64,
-        /// Events the checkpointed run had already processed.
-        events: u64,
-    },
 }
 
 impl Event {
@@ -368,9 +351,7 @@ impl Event {
             | Event::MapOutputLost { t, .. }
             | Event::Decision { t, .. }
             | Event::Eta { t, .. }
-            | Event::PredictionError { t, .. }
-            | Event::CheckpointWritten { t, .. }
-            | Event::RunResumed { t, .. } => *t,
+            | Event::PredictionError { t, .. } => *t,
         }
     }
 
@@ -394,8 +375,6 @@ impl Event {
             Event::Decision { .. } => "decision",
             Event::Eta { .. } => "eta",
             Event::PredictionError { .. } => "prediction_error",
-            Event::CheckpointWritten { .. } => "checkpoint_written",
-            Event::RunResumed { .. } => "run_resumed",
         }
     }
 
@@ -528,10 +507,6 @@ impl Event {
                 .num("predicted", *predicted)
                 .num("actual", *actual)
                 .finish(),
-            Event::CheckpointWritten { events, bytes, .. } => {
-                base.int("events", *events).int("bytes", *bytes).finish()
-            }
-            Event::RunResumed { events, .. } => base.int("events", *events).finish(),
         }
     }
 }
@@ -638,8 +613,6 @@ mod tests {
                 predicted: 3.0,
                 actual: 2.5,
             },
-            Event::CheckpointWritten { t: 6.0, events: 4096, bytes: 18_000 },
-            Event::RunResumed { t: 6.0, events: 4096 },
         ]
     }
 
@@ -694,10 +667,12 @@ mod tests {
                 .unwrap_or_else(|| panic!("no sample for {k}"))
                 .to_json()
         };
-        let ckpt = by_kind("checkpoint_written");
-        assert!(ckpt.contains("\"events\":4096"));
-        assert!(ckpt.contains("\"bytes\":18000"));
-        assert!(by_kind("run_resumed").contains("\"events\":4096"));
+        assert!(by_kind("query_arrive").contains(r#""name":"q\"uote""#));
+        assert!(by_kind("job_submit").contains("\"category\":\"Extract\""));
+        assert!(by_kind("job_start").contains("\"job\":0"));
+        let finish = by_kind("task_finish");
+        assert!(finish.contains("\"slot\":7"));
+        assert!(finish.contains("\"duration\":2"));
     }
 
     #[test]

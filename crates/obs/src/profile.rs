@@ -43,10 +43,6 @@ pub enum Counter {
     /// Event-queue operations (pushes + pops) across the run — a pure
     /// function of the workload, so drift here is a behavior change.
     EventQueueOps,
-    /// Total serialized checkpoint bytes written by the engine's
-    /// `checkpoint_every_events` trigger (and explicit snapshots taken
-    /// through a profiled run). Zero when checkpointing is off.
-    CheckpointBytes,
     /// Runnable jobs a dispatch decision examined: 1 for a pick from the
     /// pick index, the runnable-set width for a scan.
     CandidatesExamined,
@@ -54,7 +50,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in stable report order.
-    pub const ALL: [Counter; 11] = [
+    pub const ALL: [Counter; 10] = [
         Counter::EventsProcessed,
         Counter::DispatchDecisions,
         Counter::SchedulerViewUpdates,
@@ -64,7 +60,6 @@ impl Counter {
         Counter::FleetCellsRun,
         Counter::FleetCellsFailed,
         Counter::EventQueueOps,
-        Counter::CheckpointBytes,
         Counter::CandidatesExamined,
     ];
 
@@ -80,7 +75,6 @@ impl Counter {
             Counter::FleetCellsRun => "fleet_cells_run",
             Counter::FleetCellsFailed => "fleet_cells_failed",
             Counter::EventQueueOps => "event_queue_ops",
-            Counter::CheckpointBytes => "checkpoint_bytes",
             Counter::CandidatesExamined => "candidates_examined",
         }
     }

@@ -87,21 +87,8 @@ pub struct JsonlSink<W: Write> {
     error: Option<std::io::Error>,
 }
 
-impl JsonlSink<std::io::BufWriter<std::fs::File>> {
-    /// Create a file-backed sink buffered with `BufWriter`, so traced runs
-    /// pay one syscall per buffer instead of one per event.
-    ///
-    /// # Errors
-    /// Returns the error from creating the file.
-    pub fn create<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self::new(std::io::BufWriter::new(file)))
-    }
-}
-
 impl<W: Write> JsonlSink<W> {
-    /// Wrap a writer. Consider `BufWriter` for file targets (or use
-    /// [`JsonlSink::create`]).
+    /// Wrap a writer. Consider `BufWriter` for file targets.
     pub fn new(writer: W) -> Self {
         Self { writer: Some(writer), lines: 0, error: None }
     }
@@ -263,20 +250,6 @@ mod tests {
         for line in text.lines() {
             validate(line).unwrap();
         }
-    }
-
-    #[test]
-    fn jsonl_create_writes_buffered_file() {
-        let path =
-            std::env::temp_dir().join(format!("sapred_jsonl_test_{}.jsonl", std::process::id()));
-        {
-            let mut sink = JsonlSink::create(&path).unwrap();
-            sink.emit(&ev(1.0));
-            let _ = sink.finish().unwrap();
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 1);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

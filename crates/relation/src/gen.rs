@@ -215,7 +215,7 @@ fn row_counts(scale_gb: f64) -> RowCounts {
 /// (`i32`) and a row index a `u32`.
 pub const MAX_ROWS: usize = i32::MAX as usize;
 
-/// The [`row_counts`] of `scale_gb`, or why no instance can be generated
+/// The [`RowCounts`] of `scale_gb`, or why no instance can be generated
 /// at it: the scale must be finite and positive, and no table may have
 /// more than [`MAX_ROWS`] rows.
 pub fn checked_row_counts(scale_gb: f64) -> Result<RowCounts, String> {

@@ -23,8 +23,8 @@ pub struct EstimatorConfig {
     /// Metastore layout hint: whether group-by keys are clustered in file
     /// order (selects between the two `S_comb` cases of Eq. 2).
     pub clustered_keys: bool,
-    /// Which [`CardinalityEstimator`](crate::estimator::CardinalityEstimator)
-    /// refines join sizes. The default (histogram) is the paper's Eq. 5 path
+    /// Which [`EstimatorKind`](crate::estimator::EstimatorKind) refines
+    /// join sizes. The default (histogram) is the paper's Eq. 5 path
     /// and changes nothing relative to [`estimate_dag`].
     pub kind: crate::estimator::EstimatorKind,
     /// Random walks per join for the sampling estimator.
@@ -83,7 +83,7 @@ pub struct JobEstimate {
 ///
 /// This is the paper's pure-histogram path (§3, Eqs. 1–6). To route join
 /// sizes through a different
-/// [`CardinalityEstimator`](crate::estimator::CardinalityEstimator), use
+/// [`EstimatorKind`](crate::estimator::EstimatorKind), use
 /// [`estimate_dag_with`](crate::estimator::estimate_dag_with).
 pub fn estimate_dag(
     dag: &QueryDag,

@@ -1,33 +1,32 @@
-//! The `CardinalityEstimator` seam: interchangeable join-cardinality
-//! estimators behind one trait.
+//! Three interchangeable join-cardinality estimators, selected by
+//! [`EstimatorKind`] and run by [`estimate_dag_with`].
 //!
 //! The paper's selectivity machinery (§3, Eqs. 1–6) rests entirely on
 //! equi-width histograms. Histograms smear hot keys across buckets, so
 //! skewed equi-joins (both sides Zipf on the join key) are systematically
 //! underestimated — the per-bucket `c₁·c₂ / max(d₁, d₂)` of Eq. 5 averages
-//! where the true size is a sum of per-key *products*. This module carves a
-//! seam so the histogram path becomes one of three interchangeable
-//! implementations:
+//! where the true size is a sum of per-key *products*. The histogram path
+//! is therefore one of three estimators:
 //!
-//! * [`HistogramEstimator`] — the unchanged §3 path; the default. With the
-//!   default [`EstimatorConfig`] the seam is provably inert (pinned by
-//!   `tests/golden_estimates.rs`).
-//! * [`SamplingEstimator`] — wander-join random walks over the join chain:
-//!   sample a base tuple, follow the key index one hop at a time, and
-//!   aggregate by inverse sampling probability (Horvitz–Thompson). Each
+//! * [`EstimatorKind::Histogram`] — the unchanged §3 path ([`estimate_dag`]);
+//!   the default. With the default [`EstimatorConfig`] the choice is
+//!   provably inert (pinned by `tests/golden_estimates.rs`).
+//! * [`EstimatorKind::Sample`] — wander-join random walks over the join
+//!   chain: sample a base tuple, follow the key index one hop at a time,
+//!   and aggregate by inverse sampling probability (Horvitz–Thompson). Each
 //!   walk draws from its own seeded RNG, so estimates are bit-reproducible
 //!   for a fixed seed *and* independent of how walks are batched.
-//! * [`CatalogEstimator`] — precomputed per-join-path key statistics:
+//! * [`EstimatorKind::Catalog`] — precomputed per-join-path key statistics:
 //!   exact heavy-hitter counts plus a uniform residual per (table, key)
 //!   pair, composed along the chain. Deterministic, no sampling.
 //!
-//! Every estimator computes per-join output cardinalities and feeds them
-//! back through the histogram propagation machinery that
-//! [`estimate_dag`] runs, so `IS`/`FS`/`P` and downstream job estimates
-//! keep their §3 shape while the join sizes improve. Joins the new
-//! estimators cannot handle (broadcast joins, non-chain shapes, float keys,
-//! missing tables) silently fall back to the histogram estimate — the seam
-//! refines, never breaks.
+//! The sampling and catalog estimators compute per-join output
+//! cardinalities and feed them back through the histogram propagation
+//! machinery that [`estimate_dag`] runs, so `IS`/`FS`/`P` and downstream
+//! job estimates keep their §3 shape while the join sizes improve. Joins
+//! they cannot handle (broadcast joins, non-chain shapes, float keys,
+//! missing tables) silently fall back to the histogram estimate — they
+//! refine, never break.
 
 use crate::estimate::{estimate_dag, estimate_dag_sized, EstimatorConfig, JobEstimate};
 use rand::rngs::StdRng;
@@ -80,46 +79,10 @@ impl std::fmt::Display for EstimatorKind {
     }
 }
 
-/// Access to materialized base tables, for estimators that read data
-/// (sampling walks, path-statistics builds). The histogram estimator never
-/// needs it; passing `None` to [`estimate_dag_with`] degrades the other
-/// estimators to the histogram path rather than failing.
-pub trait TableAccess {
-    /// Look up a materialized table by name.
-    fn lookup(&self, name: &str) -> Option<&Table>;
-}
-
-impl TableAccess for Database {
-    fn lookup(&self, name: &str) -> Option<&Table> {
-        self.table(name)
-    }
-}
-
-/// A pluggable join-cardinality estimator.
-///
-/// Contract: `estimate` must be a pure function of its arguments — two
-/// calls with identical inputs return bit-identical `Vec<JobEstimate>`s
-/// (randomized estimators must derive all randomness from
-/// [`EstimatorConfig::sample_seed`]). Implementations refine *join* output
-/// cardinalities and delegate everything else (predicate/projection/
-/// group-by selectivities, byte modeling, profile propagation) to the §3
-/// machinery, so adding an estimator means implementing one join-size
-/// function, not re-deriving the paper.
-pub trait CardinalityEstimator {
-    /// Stable estimator name (matches [`EstimatorKind::label`]).
-    fn name(&self) -> &'static str;
-
-    /// Estimate every job of `dag`, in job order.
-    fn estimate(
-        &self,
-        dag: &QueryDag,
-        catalog: &Catalog,
-        tables: Option<&dyn TableAccess>,
-        config: &EstimatorConfig,
-    ) -> Vec<JobEstimate>;
-}
-
-/// Estimate `dag` with the estimator selected by `config.kind`.
+/// Estimate every job of `dag`, in job order, with the estimator selected
+/// by `config.kind`: a pure function of its arguments (the sampling
+/// estimator derives all its randomness from
+/// [`EstimatorConfig::sample_seed`]).
 ///
 /// `tables` supplies materialized base tables to the sampling and catalog
 /// estimators; with `None` (or for joins they cannot flatten) they fall
@@ -128,79 +91,20 @@ pub trait CardinalityEstimator {
 pub fn estimate_dag_with(
     dag: &QueryDag,
     catalog: &Catalog,
-    tables: Option<&dyn TableAccess>,
+    tables: Option<&Database>,
     config: &EstimatorConfig,
 ) -> Vec<JobEstimate> {
-    match config.kind {
-        EstimatorKind::Histogram => HistogramEstimator.estimate(dag, catalog, tables, config),
-        EstimatorKind::Sample => SamplingEstimator.estimate(dag, catalog, tables, config),
-        EstimatorKind::Catalog => CatalogEstimator.estimate(dag, catalog, tables, config),
-    }
-}
-
-/// The paper's histogram path behind the seam (identical to
-/// [`estimate_dag`]).
-pub struct HistogramEstimator;
-
-impl CardinalityEstimator for HistogramEstimator {
-    fn name(&self) -> &'static str {
-        EstimatorKind::Histogram.label()
-    }
-
-    fn estimate(
-        &self,
-        dag: &QueryDag,
-        catalog: &Catalog,
-        _tables: Option<&dyn TableAccess>,
-        config: &EstimatorConfig,
-    ) -> Vec<JobEstimate> {
-        estimate_dag(dag, catalog, config)
-    }
-}
-
-/// Wander-join random-walk sampling estimator.
-pub struct SamplingEstimator;
-
-impl CardinalityEstimator for SamplingEstimator {
-    fn name(&self) -> &'static str {
-        EstimatorKind::Sample.label()
-    }
-
-    fn estimate(
-        &self,
-        dag: &QueryDag,
-        catalog: &Catalog,
-        tables: Option<&dyn TableAccess>,
-        config: &EstimatorConfig,
-    ) -> Vec<JobEstimate> {
-        let refined = refine_joins(dag, catalog, tables, config, |plan, tables, config, job| {
+    let refined = match config.kind {
+        EstimatorKind::Histogram => return estimate_dag(dag, catalog, config),
+        EstimatorKind::Sample => refine_joins(dag, catalog, tables, |plan, tables, job| {
             let walks = plan.walk_estimates(tables, config, job, config.sample_walks)?;
             Some(mean(&walks))
-        });
-        estimate_dag_sized(dag, catalog, config, &mut |id| refined[id])
-    }
-}
-
-/// Per-join-path key-statistics estimator (heavy hitters + residual).
-pub struct CatalogEstimator;
-
-impl CardinalityEstimator for CatalogEstimator {
-    fn name(&self) -> &'static str {
-        EstimatorKind::Catalog.label()
-    }
-
-    fn estimate(
-        &self,
-        dag: &QueryDag,
-        catalog: &Catalog,
-        tables: Option<&dyn TableAccess>,
-        config: &EstimatorConfig,
-    ) -> Vec<JobEstimate> {
-        let refined = refine_joins(dag, catalog, tables, config, |plan, tables, config, _| {
+        }),
+        EstimatorKind::Catalog => refine_joins(dag, catalog, tables, |plan, tables, _| {
             plan.path_stats_size(tables, config)
-        });
-        estimate_dag_sized(dag, catalog, config, &mut |id| refined[id])
-    }
+        }),
+    };
+    estimate_dag_sized(dag, catalog, config, &mut |id| refined[id])
 }
 
 /// Per-walk Horvitz–Thompson estimates for one join job of `dag`: the test
@@ -212,7 +116,7 @@ pub fn join_walk_estimates(
     dag: &QueryDag,
     job: usize,
     catalog: &Catalog,
-    tables: &dyn TableAccess,
+    tables: &Database,
     config: &EstimatorConfig,
     n_walks: usize,
 ) -> Option<Vec<f64>> {
@@ -232,9 +136,8 @@ fn mean(walks: &[f64]) -> f64 {
 fn refine_joins(
     dag: &QueryDag,
     catalog: &Catalog,
-    tables: Option<&dyn TableAccess>,
-    config: &EstimatorConfig,
-    size_fn: impl Fn(&WalkPlan<'_>, &dyn TableAccess, &EstimatorConfig, usize) -> Option<f64>,
+    tables: Option<&Database>,
+    size_fn: impl Fn(&WalkPlan<'_>, &Database, usize) -> Option<f64>,
 ) -> Vec<Option<f64>> {
     let Some(tables) = tables else {
         return vec![None; dag.len()];
@@ -243,7 +146,7 @@ fn refine_joins(
         .iter()
         .map(|job| {
             let plan = flatten_join(dag, job.id, catalog)?;
-            size_fn(&plan, tables, config, job.id)
+            size_fn(&plan, tables, job.id)
         })
         .collect()
 }
@@ -309,12 +212,9 @@ struct PreparedHop<'t> {
 impl WalkPlan<'_> {
     /// Materialize tables, key columns and hash indexes. `None` when a
     /// table is missing or a join key is not an integer column.
-    fn prepare<'t>(
-        &'t self,
-        tables: &'t dyn TableAccess,
-    ) -> Option<(&'t Table, Vec<PreparedHop<'t>>)> {
+    fn prepare<'t>(&'t self, tables: &'t Database) -> Option<(&'t Table, Vec<PreparedHop<'t>>)> {
         let mats: Vec<&'t Table> =
-            self.chain.iter().map(|t| tables.lookup(&t.table)).collect::<Option<_>>()?;
+            self.chain.iter().map(|t| tables.table(&t.table)).collect::<Option<_>>()?;
         let hops = self
             .hops
             .iter()
@@ -342,7 +242,7 @@ impl WalkPlan<'_> {
     /// Horvitz–Thompson estimate (0 for failed walks).
     fn walk_estimates(
         &self,
-        tables: &dyn TableAccess,
+        tables: &Database,
         config: &EstimatorConfig,
         job: usize,
         n_walks: usize,
@@ -397,9 +297,9 @@ impl WalkPlan<'_> {
     /// Deterministic path-statistics estimate: compose per-hop
     /// [`KeySketch`] joins along the chain, scaling the owner table's key
     /// sketch to the current path cardinality.
-    fn path_stats_size(&self, tables: &dyn TableAccess, config: &EstimatorConfig) -> Option<f64> {
+    fn path_stats_size(&self, tables: &Database, config: &EstimatorConfig) -> Option<f64> {
         let mats: Vec<&Table> =
-            self.chain.iter().map(|t| tables.lookup(&t.table)).collect::<Option<_>>()?;
+            self.chain.iter().map(|t| tables.table(&t.table)).collect::<Option<_>>()?;
         // Filtered row counts per chain table (the sketch scale anchors).
         let filtered: Vec<f64> = mats
             .iter()
@@ -642,12 +542,5 @@ mod tests {
             .map(|k| counts.get(k).copied().unwrap_or(0.0))
             .sum();
         assert!((est - exact).abs() < 1e-6, "est {est} exact {exact}");
-    }
-
-    #[test]
-    fn estimator_names_match_kinds() {
-        assert_eq!(HistogramEstimator.name(), "histogram");
-        assert_eq!(SamplingEstimator.name(), "sample");
-        assert_eq!(CatalogEstimator.name(), "catalog");
     }
 }

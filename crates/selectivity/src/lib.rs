@@ -25,10 +25,7 @@ pub mod pred;
 pub mod profile;
 
 pub use estimate::{estimate_dag, EstimatorConfig, JobEstimate, DEFAULT_BLOCK_SIZE};
-pub use estimator::{
-    estimate_dag_with, join_walk_estimates, CardinalityEstimator, CatalogEstimator, EstimatorKind,
-    HistogramEstimator, SamplingEstimator, TableAccess,
-};
+pub use estimator::{estimate_dag_with, join_walk_estimates, EstimatorKind};
 pub use formulas::{join_size_bucketed, natural_chain_size, p_ratio, s_comb};
 pub use pred::pred_selectivity;
 pub use profile::{ColProfile, RelProfile};

@@ -2,8 +2,8 @@
 //!
 //! Every `JobEstimate` field of a fixed query set over a fixed generated
 //! database is hashed (FNV-1a over the exact f64 bit patterns) and pinned
-//! here. The pins were captured from the estimator *before* the
-//! `CardinalityEstimator` seam existed, so they prove the refactor changes
+//! here. The pins were captured from the estimator *before* the sampling
+//! and catalog estimators existed, so they prove adding them changed
 //! nothing for the default configuration — any behavioral drift in the
 //! histogram path flips a fingerprint.
 

@@ -1,4 +1,4 @@
-//! Property tests for the `CardinalityEstimator` seam: every estimator
+//! Property tests for the join-cardinality estimators: every estimator
 //! keeps selectivities in bounds, the sampling estimator is seed-stable
 //! under any walk-count schedule, and the histogram stays near exact
 //! ground truth on the uniform data it was derived for.

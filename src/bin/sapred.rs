@@ -123,6 +123,16 @@ fn flag_scale(flags: &HashMap<String, String>, default: f64) -> Result<f64, Erro
     Ok(scale)
 }
 
+/// A flag that must be a finite number above zero (`--gap`, `--divisor`).
+fn flag_positive(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, Error> {
+    let v = flag_f64(flags, name, default)?;
+    if v.is_finite() && v > 0.0 {
+        Ok(v)
+    } else {
+        Err(Error::invalid(format!("--{name}: {v} is not a finite positive number")))
+    }
+}
+
 fn flag_usize(flags: &HashMap<String, String>, name: &str, default: usize) -> Result<usize, Error> {
     match flags.get(name) {
         None => Ok(default),
@@ -274,8 +284,8 @@ fn parse_mix(name: &str) -> Result<MixSpec, Error> {
 fn cmd_simulate(args: &[String]) -> Result<(), Error> {
     let flags = &parse_flags(args, &["mix", "gap", "divisor", "queries"])?;
     let mix = parse_mix(required(flags, "mix")?)?;
-    let gap = flag_f64(flags, "gap", if mix.name == "bing" { 8.0 } else { 3.0 })?;
-    let divisor = flag_f64(flags, "divisor", 1.0)?;
+    let gap = flag_positive(flags, "gap", if mix.name == "bing" { 8.0 } else { 3.0 })?;
+    let divisor = flag_positive(flags, "divisor", 1.0)?;
     let n = flag_usize(flags, "queries", 200)?;
     println!("training on {n} queries...");
     let mut pipe = trained_pipeline(n, 79)?;
@@ -303,11 +313,12 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
         Some(name) => parse_mix(name)?,
         None => parse_mix(required(&flags, "mix")?)?,
     };
-    let gap = flag_f64(&flags, "gap", if mix.name == "bing" { 8.0 } else { 3.0 })?;
-    let divisor = flag_f64(&flags, "divisor", 1.0)?;
+    let gap = flag_positive(&flags, "gap", if mix.name == "bing" { 8.0 } else { 3.0 })?;
+    let divisor = flag_positive(&flags, "divisor", 1.0)?;
     let n = flag_usize(&flags, "queries", 200)?;
     let seed = flag_usize(&flags, "seed", 79)? as u64;
-    let sched_name = flags.get("sched").map(String::as_str).unwrap_or("swrd");
+    let sched = flags.get("sched").map(String::as_str).unwrap_or("swrd");
+    let sched = SchedKind::parse(sched).map_err(|e| Error::invalid(format!("--sched: {e}")))?;
     let trace_path = flags.get("out").map(String::as_str).unwrap_or("trace.json");
     let events_path = flags.get("events").map(String::as_str).unwrap_or("events.jsonl");
     let metrics_path = flags.get("metrics").map(String::as_str).unwrap_or("metrics.json");
@@ -333,20 +344,16 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
         ),
     );
 
-    println!("tracing {} queries under {}...", prepared.queries.len(), sched_name.to_uppercase());
+    let label = sched.label().to_uppercase();
+    println!("tracing {} queries under {label}...", prepared.queries.len());
     let run = Run::new().sink(&mut sink).profiler(&*prof);
     let queries = &prepared.queries;
-    let outcome = match sched_name {
-        "swrd" => pipe.simulate(pipe.simulator(Swrd), queries, run),
-        "hcs" => pipe.simulate(pipe.simulator(Hcs), queries, run),
-        "hfs" => pipe.simulate(pipe.simulator(Hfs), queries, run),
-        "fifo" => pipe.simulate(pipe.simulator(Fifo), queries, run),
-        "srt" => pipe.simulate(pipe.simulator(Srt), queries, run),
-        other => {
-            return Err(Error::invalid(format!(
-                "unknown scheduler `{other}` (expected swrd|hcs|hfs|fifo|srt)"
-            )))
-        }
+    let outcome = match sched {
+        SchedKind::Swrd => pipe.simulate(pipe.simulator(Swrd), queries, run),
+        SchedKind::Hcs => pipe.simulate(pipe.simulator(Hcs), queries, run),
+        SchedKind::Hfs => pipe.simulate(pipe.simulator(Hfs), queries, run),
+        SchedKind::Fifo => pipe.simulate(pipe.simulator(Fifo), queries, run),
+        SchedKind::Srt => pipe.simulate(pipe.simulator(Srt), queries, run),
     };
     let report = outcome?.into_report();
     // Post-hoc prediction-drift telemetry against the simulated truth.
@@ -553,6 +560,11 @@ fn cmd_bench(args: &[String]) -> Result<(), Error> {
                 threshold = v.parse().map_err(|_| {
                     Error::invalid(format!("--threshold expects a number, got `{v}`"))
                 })?;
+                if !(threshold.is_finite() && threshold >= 0.0) {
+                    return Err(Error::invalid(format!(
+                        "--threshold: {threshold} is not a finite non-negative number"
+                    )));
+                }
             }
             "--validate" => validate_paths.push(value("validate")?),
             "--compare-files" => {

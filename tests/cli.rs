@@ -1,8 +1,15 @@
-//! The `sapred` binary end to end: a misspelt or foreign flag is an error
-//! that names it, never silently ignored, and `gather` writes a catalog
-//! that loads back.
+//! The `sapred` binary end to end: a misspelt or foreign flag, or a value
+//! a flag cannot take, is an error that names it, never silently ignored,
+//! and `gather` writes a catalog that loads back.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+fn sapred(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sapred"))
+        .args(args)
+        .output()
+        .expect("the sapred binary starts")
+}
 
 #[test]
 fn unknown_flags_are_rejected_by_name() {
@@ -21,10 +28,7 @@ fn unknown_flags_are_rejected_by_name() {
         (&["fleet", "--resume"], "--resume"),
     ];
     for (args, flag) in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_sapred"))
-            .args(args)
-            .output()
-            .expect("the sapred binary starts");
+        let out = sapred(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "sapred {args:?} succeeded");
         assert!(stderr.contains(&format!("unknown flag `{flag}`")), "sapred {args:?}: {stderr}");
@@ -68,10 +72,7 @@ fn non_finite_or_non_positive_scales_are_rejected() {
             &["predict", "--sql", "SELECT 1", "--scale", scale],
         ];
         for args in runs {
-            let out = Command::new(env!("CARGO_BIN_EXE_sapred"))
-                .args(args)
-                .output()
-                .expect("the sapred binary starts");
+            let out = sapred(args);
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(!out.status.success(), "sapred {args:?} succeeded");
             assert!(stderr.contains("error: --scale: scale"), "sapred {args:?}: {stderr}");
@@ -79,4 +80,33 @@ fn non_finite_or_non_positive_scales_are_rejected() {
         assert!(!path.exists(), "gather --scale {scale} wrote a catalog");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A value a flag cannot take is refused by name before any work starts:
+/// no training, no mix preparation, no comparison.
+#[test]
+fn bad_flag_values_are_rejected_before_any_work() {
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_dispatch.json");
+    let mut cases: Vec<(Vec<&str>, &str)> = Vec::new();
+    for gap in ["0", "-1", "nan", "inf"] {
+        cases.push((vec!["simulate", "--mix", "bing", "--gap", gap, "--queries", "8"], "--gap"));
+        cases.push((vec!["trace", "bing", "--gap", gap, "--queries", "8"], "--gap"));
+    }
+    for divisor in ["0", "-2", "nan"] {
+        cases.push((vec!["simulate", "--mix", "facebook", "--divisor", divisor], "--divisor"));
+        cases.push((vec!["trace", "facebook", "--divisor", divisor], "--divisor"));
+    }
+    cases.push((vec!["trace", "bing", "--sched", "nope", "--queries", "8"], "--sched"));
+    for threshold in ["-1", "nan", "inf"] {
+        let args = vec!["bench", "--compare-files", baseline, baseline, "--threshold", threshold];
+        cases.push((args, "--threshold"));
+    }
+    for (args, flag) in cases {
+        let out = sapred(&args);
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(1), "sapred {args:?}: {stderr}");
+        assert!(stderr.contains(&format!("error: {flag}")), "sapred {args:?}: {stderr}");
+        assert!(stdout.is_empty(), "sapred {args:?} started work: {stdout}");
+    }
 }
