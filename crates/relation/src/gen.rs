@@ -10,7 +10,7 @@
 
 use crate::dist::Zipf;
 use crate::exec::gather;
-use crate::parallel::available_threads;
+use crate::parallel::{available_threads, run_claiming};
 use crate::schema::{ColumnDef, DataType, Schema};
 use crate::stats::{
     gather_catalog, Catalog, HistogramKind, DEFAULT_BUCKETS, PARALLEL_GATHER_MIN_CELLS,
@@ -19,6 +19,7 @@ use crate::table::{Column, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Distribution of foreign-key columns in the fact tables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,17 +234,32 @@ pub fn checked_row_counts(scale_gb: f64) -> Result<RowCounts, String> {
     Ok(rc)
 }
 
+/// Cells (rows × columns) of the instance `rc` describes, known before
+/// anything is drawn.
+fn cells(rc: &RowCounts) -> usize {
+    5 * 2
+        + 25 * 3
+        + rc.supplier * 4
+        + rc.customer * 5
+        + rc.part * 7
+        + rc.partsupp * 4
+        + rc.orders * 6
+        + rc.lineitem * 12
+}
+
 /// Generate a full database instance.
 ///
-/// Tables are drawn from one RNG stream in a fixed order. Instances of at
-/// least 2^20 cells (rows × columns) then build their column histograms on
-/// every available core; the catalog is the same either way.
+/// Tables take consecutive stretches of one RNG stream in a fixed order.
+/// Instances of at least 2^20 cells (rows × columns) fill `lineitem` and
+/// build their column histograms on every available core; the data and
+/// the catalog are the same either way.
 ///
 /// # Panics
 /// Panics if [`checked_row_counts`] refuses the configured scale.
 pub fn generate(config: GenConfig) -> Database {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let rc = checked_row_counts(config.scale_gb).unwrap_or_else(|e| panic!("{e}"));
+    let threads = if cells(&rc) < PARALLEL_GATHER_MIN_CELLS { 1 } else { available_threads() };
     // A `vec!` evaluates left to right: the draw order is the table order.
     let tables = vec![
         gen_region(),
@@ -253,10 +269,8 @@ pub fn generate(config: GenConfig) -> Database {
         gen_part(rc.part, &mut rng),
         gen_partsupp(rc.partsupp, rc.part, rc.supplier, config.key_dist, &mut rng),
         gen_orders(rc.orders, rc.customer, &mut rng),
-        gen_lineitem(rc.lineitem, rc.orders, rc.part, rc.supplier, &config, &mut rng),
+        gen_lineitem(rc.lineitem, rc.orders, rc.part, rc.supplier, &config, threads, &mut rng),
     ];
-    let cells: usize = tables.iter().map(|t| t.rows() * t.schema().len()).sum();
-    let threads = if cells < PARALLEL_GATHER_MIN_CELLS { 1 } else { available_threads() };
     let catalog = gather_catalog(&tables, config.buckets, config.hist_kind, threads);
     let tables = tables.into_iter().map(|t| (t.name().to_string(), t)).collect();
     Database { config, tables, catalog }
@@ -279,12 +293,25 @@ fn row_numbers(n: usize) -> Column {
     ints(0..n as i64)
 }
 
-fn fk_sampler(dist: KeyDist, n: usize) -> Box<dyn FnMut(&mut StdRng) -> i64> {
-    match dist {
-        KeyDist::Uniform => Box::new(move |rng: &mut StdRng| rng.gen_range(0..n as i64)),
-        KeyDist::Zipf(a) => {
-            let z = Zipf::new(n as u64, a);
-            Box::new(move |rng: &mut StdRng| (z.sample(rng) - 1) as i64)
+/// Foreign keys into a table of `n` rows, drawn as [`KeyDist`] says. Each
+/// key takes one word of the stream.
+enum FkSampler {
+    Uniform(i64),
+    Zipf(Zipf),
+}
+
+impl FkSampler {
+    fn new(dist: KeyDist, n: usize) -> Self {
+        match dist {
+            KeyDist::Uniform => Self::Uniform(n as i64),
+            KeyDist::Zipf(a) => Self::Zipf(Zipf::new(n as u64, a)),
+        }
+    }
+
+    fn sample(&self, rng: &mut StdRng) -> i64 {
+        match self {
+            Self::Uniform(n) => rng.gen_range(0..*n),
+            Self::Zipf(z) => (z.sample(rng) - 1) as i64,
         }
     }
 }
@@ -418,11 +445,11 @@ fn gen_partsupp(
         ColumnDef::new("ps_availqty", DataType::Int),
         ColumnDef::new("ps_supplycost", DataType::Float),
     ]);
-    let mut part_fk = fk_sampler(dist, parts);
+    let part_fk = FkSampler::new(dist, parts);
     // Every part gets at least one supplier row where possible so
     // referential-integrity-style joins behave like TPC-H.
     let mut pk: Vec<i32> =
-        (0..n).map(|i| narrow(if i < parts { i as i64 } else { part_fk(rng) })).collect();
+        (0..n).map(|i| narrow(if i < parts { i as i64 } else { part_fk.sample(rng) })).collect();
     // Shuffle so clustering is not accidental.
     for i in (1..pk.len()).rev() {
         pk.swap(i, rng.gen_range(0..=i));
@@ -465,12 +492,62 @@ fn gen_orders(n: usize, customers: usize, rng: &mut StdRng) -> Table {
     t
 }
 
+/// `lineitem` rows filled per claimed chunk. A constant, so a chunk's
+/// rows and stream offset do not depend on the thread count.
+const LINEITEM_CHUNK_ROWS: usize = 1 << 15;
+
+/// Words of the stream one `lineitem` row takes: one per sampler call.
+const LINEITEM_WORDS_PER_ROW: u64 = 12;
+
+/// One chunk of `lineitem`'s rows: its nine Int columns and its three
+/// Float ones, each group in schema order.
+struct LineitemChunk<'a> {
+    ints: [&'a mut [i32]; 9],
+    floats: [&'a mut [f64]; 3],
+}
+
+/// Fill `chunk`'s rows from `rng`, which stands at the chunk's first word.
+fn fill_lineitem(
+    chunk: &mut LineitemChunk,
+    orders: i64,
+    part_fk: &FkSampler,
+    suppliers: i64,
+    rng: &mut StdRng,
+) {
+    let [orderkey, partkey, suppkey, qty, flag, status, shipdate, receipt, shipmode] =
+        &mut chunk.ints;
+    let [price, discount, tax] = &mut chunk.floats;
+    // The draw order is part of the data (pinned by the generator's
+    // fingerprint test): per row, the ship date, then schema order.
+    for r in 0..orderkey.len() {
+        let ship = rng.gen_range(DATE_MIN..=DATE_MAX);
+        orderkey[r] = narrow(rng.gen_range(0..orders));
+        partkey[r] = narrow(part_fk.sample(rng));
+        suppkey[r] = narrow(rng.gen_range(0..suppliers));
+        qty[r] = narrow(rng.gen_range(1..51));
+        price[r] = rng.gen_range(900.0..105_000.0);
+        discount[r] = rng.gen_range(0.0..0.11);
+        tax[r] = rng.gen_range(0.0..0.09);
+        flag[r] = narrow(rng.gen_range(0..RETURNFLAGS.len() as i64));
+        status[r] = narrow(rng.gen_range(0..2));
+        shipdate[r] = narrow(ship);
+        receipt[r] = narrow((ship + rng.gen_range(1..31)).min(DATE_MAX));
+        shipmode[r] = narrow(rng.gen_range(0..SHIPMODES.len() as i64));
+    }
+}
+
+/// Every sampler call takes exactly one word of the stream, so row `i`
+/// starts `LINEITEM_WORDS_PER_ROW · i` words after `rng`'s state on entry.
+/// The columns are allocated zeroed, and `threads` workers fill fixed-size
+/// row chunks in place, each from a generator jumped to its first word.
+/// `rng` is left past every row.
 fn gen_lineitem(
     n: usize,
     orders: usize,
     parts: usize,
     suppliers: usize,
     config: &GenConfig,
+    threads: usize,
     rng: &mut StdRng,
 ) -> Table {
     let schema = Schema::new(vec![
@@ -487,30 +564,34 @@ fn gen_lineitem(
         ColumnDef::new("l_receiptdate", DataType::Int),
         ColumnDef::new("l_shipmode", DataType::Str { avg_width: 8 }),
     ]);
-    let mut part_fk = fk_sampler(config.key_dist, parts);
-    let int = || Vec::with_capacity(n);
-    let float = || Vec::with_capacity(n);
-    let (mut orderkey, mut partkey, mut suppkey, mut qty) = (int(), int(), int(), int());
-    let (mut price, mut discount, mut tax) = (float(), float(), float());
-    let (mut flag, mut status, mut shipdate, mut receipt, mut shipmode) =
-        (int(), int(), int(), int(), int());
-    // The draw order is part of the data (pinned by the generator's
-    // fingerprint test): per row, the ship date, then schema order.
-    for _ in 0..n {
-        let ship = rng.gen_range(DATE_MIN..=DATE_MAX);
-        orderkey.push(narrow(rng.gen_range(0..orders as i64)));
-        partkey.push(narrow(part_fk(rng)));
-        suppkey.push(narrow(rng.gen_range(0..suppliers as i64)));
-        qty.push(narrow(rng.gen_range(1..51)));
-        price.push(rng.gen_range(900.0..105_000.0));
-        discount.push(rng.gen_range(0.0..0.11));
-        tax.push(rng.gen_range(0.0..0.09));
-        flag.push(narrow(rng.gen_range(0..RETURNFLAGS.len() as i64)));
-        status.push(narrow(rng.gen_range(0..2)));
-        shipdate.push(narrow(ship));
-        receipt.push(narrow((ship + rng.gen_range(1..31)).min(DATE_MAX)));
-        shipmode.push(narrow(rng.gen_range(0..SHIPMODES.len() as i64)));
+    let part_fk = FkSampler::new(config.key_dist, parts);
+    let mut ints: [Vec<i32>; 9] = std::array::from_fn(|_| vec![0; n]);
+    let mut floats: [Vec<f64>; 3] = std::array::from_fn(|_| vec![0.0; n]);
+    {
+        let mut int_chunks = ints.each_mut().map(|c| c.chunks_mut(LINEITEM_CHUNK_ROWS));
+        let mut float_chunks = floats.each_mut().map(|c| c.chunks_mut(LINEITEM_CHUNK_ROWS));
+        let chunks: Vec<Mutex<LineitemChunk>> = (0..n.div_ceil(LINEITEM_CHUNK_ROWS))
+            .map(|_| {
+                Mutex::new(LineitemChunk {
+                    ints: int_chunks.each_mut().map(|c| c.next().expect("a chunk per column")),
+                    floats: float_chunks.each_mut().map(|c| c.next().expect("a chunk per column")),
+                })
+            })
+            .collect();
+        let start = rng.clone();
+        let fill = |c: usize| {
+            let mut chunk = chunks[c].lock().expect("each chunk is locked once, so never poisoned");
+            let mut rng = start.clone();
+            rng.jump(LINEITEM_WORDS_PER_ROW * (c * LINEITEM_CHUNK_ROWS) as u64);
+            fill_lineitem(&mut chunk, orders as i64, &part_fk, suppliers as i64, &mut rng);
+        };
+        for outcome in run_claiming(chunks.len(), threads, fill) {
+            outcome.unwrap_or_else(|e| panic!("{e}"));
+        }
     }
+    rng.jump(LINEITEM_WORDS_PER_ROW * n as u64);
+    let [orderkey, partkey, suppkey, qty, flag, status, shipdate, receipt, shipmode] = ints;
+    let [price, discount, tax] = floats;
     let mut columns = vec![
         Column::Int(orderkey),
         Column::Int(partkey),
@@ -545,6 +626,7 @@ fn gen_lineitem(
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, Predicate};
+    use rand::RngCore;
 
     #[test]
     fn generates_all_eight_tables() {
@@ -649,6 +731,167 @@ mod tests {
         assert!(encode_date(1994, 3, 1) > encode_date(1994, 2, 1));
         assert!(encode_date(1995, 1, 1) > encode_date(1994, 12, 31));
         assert_eq!(encode_date(1992, 1, 1), 0);
+    }
+
+    /// The thread rule is decided from the row counts, before drawing; it
+    /// must count the cells the drawn tables have.
+    #[test]
+    fn cells_are_counted_before_drawing() {
+        for scale in [0.01, 0.3, 15.0] {
+            let db = generate(GenConfig::new(scale));
+            let drawn: usize = db.tables.values().map(|t| t.rows() * t.schema().len()).sum();
+            assert_eq!(cells(&row_counts(scale)), drawn, "scale {scale}");
+        }
+    }
+
+    /// Every sampler call `fill_lineitem` makes advances the stream by
+    /// exactly one word, whatever the word: the chunk offsets rely on it.
+    #[test]
+    fn lineitem_samplers_draw_one_word_each() {
+        let (uniform, zipf) =
+            (FkSampler::new(KeyDist::Uniform, 300), FkSampler::new(KeyDist::Zipf(1.2), 300));
+        type Draw<'a> = Box<dyn Fn(&mut StdRng) + 'a>;
+        let samplers: Vec<(&str, Draw)> = vec![
+            ("ship date", Box::new(|r| _ = r.gen_range(DATE_MIN..=DATE_MAX))),
+            ("orderkey", Box::new(|r| _ = r.gen_range(0..900_000i64))),
+            ("uniform partkey", Box::new(|r| _ = uniform.sample(r))),
+            ("zipf partkey", Box::new(|r| _ = zipf.sample(r))),
+            ("suppkey", Box::new(|r| _ = r.gen_range(0..40i64))),
+            ("quantity", Box::new(|r| _ = r.gen_range(1..51i64))),
+            ("price", Box::new(|r| _ = r.gen_range(900.0..105_000.0))),
+            ("discount", Box::new(|r| _ = r.gen_range(0.0..0.11))),
+            ("tax", Box::new(|r| _ = r.gen_range(0.0..0.09))),
+            ("flag", Box::new(|r| _ = r.gen_range(0..RETURNFLAGS.len() as i64))),
+            ("status", Box::new(|r| _ = r.gen_range(0..2i64))),
+            ("receipt lag", Box::new(|r| _ = r.gen_range(1..31i64))),
+            ("ship mode", Box::new(|r| _ = r.gen_range(0..SHIPMODES.len() as i64))),
+        ];
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..2_000 {
+            for (name, draw) in &samplers {
+                let mut one_word = rng.clone();
+                one_word.next_u64();
+                draw(&mut rng);
+                assert_eq!(rng.state(), one_word.state(), "{name}");
+            }
+        }
+    }
+
+    /// A jump by `k` words leaves the state `k` calls to `next_u64` would.
+    #[test]
+    fn a_jump_skips_that_many_words() {
+        let mut walked = StdRng::seed_from_u64(8);
+        let mut at = 0u64;
+        for k in [0, 1, 2, 12, 1_000, LINEITEM_WORDS_PER_ROW * LINEITEM_CHUNK_ROWS as u64 * 3] {
+            while at < k {
+                walked.next_u64();
+                at += 1;
+            }
+            let mut jumped = StdRng::seed_from_u64(8);
+            jumped.jump(k);
+            assert_eq!(jumped.state(), walked.state(), "k = {k}");
+            assert_eq!(jumped.clone().next_u64(), walked.clone().next_u64(), "k = {k}");
+        }
+    }
+
+    /// An integer range takes its word modulo the span on `u64`, which
+    /// gives what the modulo on `u128` does; the full inclusive 64-bit
+    /// span keeps the raw word.
+    #[test]
+    fn u64_modulo_matches_u128_modulo() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for _ in 0..1_000 {
+            for span in [1, 2, 3, 1 << 32, 1 << 63, u64::MAX] {
+                let word = rng.clone().next_u64();
+                let want = (u128::from(word) % u128::from(span)) as u64;
+                assert_eq!(rng.gen_range(0..span), want, "span {span}");
+            }
+            let word = rng.clone().next_u64();
+            let want = (i128::from(i64::MIN) + (u128::from(word) % (1u128 << 64)) as i128) as i64;
+            assert_eq!(rng.gen_range(i64::MIN..=i64::MAX), want, "full i64 range");
+        }
+    }
+
+    /// The row-at-a-time loop the chunked fill replaced, kept as its
+    /// oracle: one stream, row after row, then the clustered sort.
+    fn serial_lineitem(
+        n: usize,
+        (orders, parts, suppliers): (usize, usize, usize),
+        config: &GenConfig,
+        rng: &mut StdRng,
+    ) -> Vec<Column> {
+        let part_fk = FkSampler::new(config.key_dist, parts);
+        let mut ints: [Vec<i32>; 9] = Default::default();
+        let mut floats: [Vec<f64>; 3] = Default::default();
+        for _ in 0..n {
+            let ship = rng.gen_range(DATE_MIN..=DATE_MAX);
+            let orderkey = rng.gen_range(0..orders as i64);
+            let partkey = part_fk.sample(rng);
+            let suppkey = rng.gen_range(0..suppliers as i64);
+            let qty = rng.gen_range(1..51);
+            for (col, lo, hi) in [(0, 900.0, 105_000.0), (1, 0.0, 0.11), (2, 0.0, 0.09)] {
+                floats[col].push(rng.gen_range(lo..hi));
+            }
+            let flag = rng.gen_range(0..RETURNFLAGS.len() as i64);
+            let status = rng.gen_range(0..2);
+            let receipt = (ship + rng.gen_range(1..31)).min(DATE_MAX);
+            let shipmode = rng.gen_range(0..SHIPMODES.len() as i64);
+            let row = [orderkey, partkey, suppkey, qty, flag, status, ship, receipt, shipmode];
+            for (col, v) in ints.iter_mut().zip(row) {
+                col.push(narrow(v));
+            }
+        }
+        let [orderkey, partkey, suppkey, qty, flag, status, ship, receipt, shipmode] = ints;
+        let [price, discount, tax] = floats;
+        let columns = vec![
+            Column::Int(orderkey),
+            Column::Int(partkey),
+            Column::Int(suppkey),
+            Column::Int(qty),
+            Column::Float(price),
+            Column::Float(discount),
+            Column::Float(tax),
+            Column::Int(flag),
+            Column::Int(status),
+            Column::Int(ship),
+            Column::Int(receipt),
+            Column::Int(shipmode),
+        ];
+        if config.layout == Layout::Random {
+            return columns;
+        }
+        let pk = columns[1].as_int().unwrap();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| pk[i]);
+        columns.iter().map(|c| gather(c, order.iter().copied())).collect()
+    }
+
+    /// `lineitem` is the serial loop's, and leaves the stream where the
+    /// loop does, at 1, 2 and 4 workers, for both key distributions and
+    /// layouts, on one chunk short of full and on a partial last chunk.
+    #[test]
+    fn lineitem_is_the_same_at_any_thread_count() {
+        let domains = (900, 300, 40);
+        for key_dist in [KeyDist::Uniform, KeyDist::Zipf(1.2)] {
+            for layout in [Layout::Random, Layout::Clustered] {
+                let config = GenConfig::new(1.0).with_key_dist(key_dist).with_layout(layout);
+                for n in [LINEITEM_CHUNK_ROWS - 1, 2 * LINEITEM_CHUNK_ROWS + 1_000] {
+                    let mut oracle_rng = StdRng::seed_from_u64(11);
+                    let want = serial_lineitem(n, domains, &config, &mut oracle_rng);
+                    for threads in [1, 2, 4] {
+                        let mut rng = StdRng::seed_from_u64(11);
+                        let (orders, parts, suppliers) = domains;
+                        let t =
+                            gen_lineitem(n, orders, parts, suppliers, &config, threads, &mut rng);
+                        let case = format!("{key_dist:?} {layout:?} {n} rows, {threads} threads");
+                        for (i, col) in want.iter().enumerate() {
+                            assert!(t.column_at(i) == col, "column {i}: {case}");
+                        }
+                        assert_eq!(rng.state(), oracle_rng.state(), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -447,6 +447,9 @@ fn cmd_fleet(args: &[String]) -> Result<(), Error> {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let n_seeds = flag_usize(flags, "seeds", 2)?;
+        if n_seeds == 0 {
+            return Err(Error::invalid("--seeds: 0 seeds run no cell; give at least 1"));
+        }
         let base = flag_usize(flags, "seed", 42)? as u64;
         let n_queries = flag_usize(flags, "queries", 10)?;
         let jobs = flag_usize(flags, "jobs", 2)?;
@@ -460,7 +463,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), Error> {
             schedulers,
             faults,
             estimators,
-            seeds: (0..n_seeds.max(1) as u64).map(|i| base.wrapping_add(i)).collect(),
+            seeds: (0..n_seeds as u64).map(|i| base.wrapping_add(i)).collect(),
         }
     };
 

@@ -97,6 +97,10 @@ fn bad_flag_values_are_rejected_before_any_work() {
         cases.push((vec!["trace", "facebook", "--divisor", divisor], "--divisor"));
     }
     cases.push((vec!["trace", "bing", "--sched", "nope", "--queries", "8"], "--sched"));
+    let report =
+        std::env::temp_dir().join(format!("sapred-cli-{}-seeds0.json", std::process::id()));
+    let report_arg = report.to_str().expect("a UTF-8 temp path");
+    cases.push((vec!["fleet", "--seeds", "0", "--out", report_arg], "--seeds"));
     for threshold in ["-1", "nan", "inf"] {
         let args = vec!["bench", "--compare-files", baseline, baseline, "--threshold", threshold];
         cases.push((args, "--threshold"));
@@ -109,4 +113,5 @@ fn bad_flag_values_are_rejected_before_any_work() {
         assert!(stderr.contains(&format!("error: {flag}")), "sapred {args:?}: {stderr}");
         assert!(stdout.is_empty(), "sapred {args:?} started work: {stdout}");
     }
+    assert!(!report.exists(), "fleet --seeds 0 wrote a report");
 }
