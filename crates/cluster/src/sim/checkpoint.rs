@@ -9,6 +9,12 @@
 //! stream bit-for-bit (the golden fixtures and the kill-and-resume
 //! differential harness pin this).
 //!
+//! Its size follows live state, not run history: the attempt slab holds
+//! only attempts whose terminal event is still queued (its rows, free list
+//! and launch counter are written as they are), and a finished or failed
+//! job's per-spec lists are empty, so a snapshot late in a run is no
+//! larger than an early one.
+//!
 //! What is *not* serialized is deliberately re-derivable: interned query
 //! names come from the workload, and the materialized
 //! [`DispatchState`](super::dispatch::DispatchState) is rebuilt by the
@@ -16,10 +22,10 @@
 //! which produces bit-identical aggregates and runnable entries by
 //! construction.
 //!
-//! ## Format (`sapred-ckpt/v3`)
+//! ## Format (`sapred-ckpt/v4`)
 //!
 //! ```text
-//! magic    b"sapred-ckpt/v3\n"          15 bytes
+//! magic    b"sapred-ckpt/v4\n"          15 bytes
 //! length   payload byte count           u64 LE
 //! checksum FNV-1a 64 of the payload     u64 LE
 //! payload  context fingerprint + state  little-endian, hand-rolled
@@ -38,8 +44,11 @@
 //! the checksum, header flips break the magic, the length, or the
 //! checksum itself; hand-crafted blobs that *re-checksum* corrupted
 //! payloads are caught by structural validation (queued events strictly
-//! ascending by `(time, seq)` with known tags, index bounds). Blobs of an
-//! older format version fail with [`CheckpointError::BadMagic`].
+//! ascending by `(time, seq)` with known tags, index bounds, a free list
+//! of distinct empty rows that no slot, partner link or queued event
+//! names, every row in use awaiting exactly one terminal event). Blobs of
+//! an older format version (`v3` kept every attempt ever launched) fail
+//! with [`CheckpointError::BadMagic`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -55,16 +64,16 @@ use sapred_plan::JobCategory;
 use super::dispatch::DispatchState;
 use super::engine::{RunState, Simulator};
 use super::queue::EventQueue;
-use super::recovery::{Attempt, FaultState, NIL};
+use super::recovery::{AttemptInfo, AttemptTable, FaultState, GONE, NIL};
 use super::state::{Event, JobTable, QueryState};
 
-/// Magic header of a `sapred-ckpt/v3` checkpoint blob.
-pub(super) const MAGIC: &[u8] = b"sapred-ckpt/v3\n";
+/// Magic header of a `sapred-ckpt/v4` checkpoint blob.
+pub(super) const MAGIC: &[u8] = b"sapred-ckpt/v4\n";
 
 /// Why a checkpoint blob could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The bytes do not start with the `sapred-ckpt/v3` magic header —
+    /// The bytes do not start with the `sapred-ckpt/v4` magic header —
     /// not a checkpoint, or a different format version.
     BadMagic,
     /// The blob ends before the declared payload does (or a field read
@@ -96,7 +105,7 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::BadMagic => {
-                write!(f, "not a sapred-ckpt/v3 checkpoint (bad magic header)")
+                write!(f, "not a sapred-ckpt/v4 checkpoint (bad magic header)")
             }
             CheckpointError::Truncated => {
                 write!(f, "checkpoint truncated: payload ends before its declared length")
@@ -372,7 +381,7 @@ pub(super) fn context_fingerprint<S: Scheduler>(sim: &Simulator<S>, queries: &[S
 // ---------------------------------------------------------------------
 // Encode.
 
-/// Serialize the complete run state into a framed `sapred-ckpt/v3` blob.
+/// Serialize the complete run state into a framed `sapred-ckpt/v4` blob.
 pub(super) fn encode<S: Scheduler>(
     sim: &Simulator<S>,
     queries: &[SimQuery],
@@ -458,24 +467,31 @@ pub(super) fn encode<S: Scheduler>(
             w.f64(p.reduce_task_time);
         }
     }
-    // Fault and recovery state: the attempt registry…
-    let n_attempts = rs.fr.attempts.len();
-    w.usize(n_attempts);
-    for id in 0..n_attempts {
-        let a = rs.fr.attempts.get(id);
-        w.usize(a.q);
-        w.usize(a.j);
-        w.u8(kind_u8(a.kind));
-        w.usize(a.spec_idx);
-        w.usize(a.slot);
-        w.f64(a.start);
-        w.u64(a.duration_bits);
-        w.f64(a.sched_end);
-        w.usize(a.attempt_no);
-        w.bool(a.speculative);
-        w.bool(a.counted);
-        w.u32(a.partner.map_or(NIL, |p| p as u32));
-        w.bool(a.alive);
+    // Fault and recovery state: the attempt slab (launch counter, every
+    // row, free ones included, then the free list in reuse order)…
+    let at = &rs.fr.attempts;
+    w.u64(at.launches);
+    w.usize(at.rows());
+    for id in 0..at.rows() {
+        let info = &at.info[id];
+        w.usize(at.q[id]);
+        w.usize(info.j);
+        w.u8(kind_u8(info.kind));
+        w.usize(info.spec_idx);
+        w.usize(info.slot);
+        w.f64(info.start);
+        w.u64(info.duration_bits);
+        w.f64(at.sched_end[id]);
+        w.usize(info.attempt_no);
+        w.bool(info.speculative);
+        w.bool(at.counted[id]);
+        w.u32(at.partner[id]);
+        w.bool(at.alive[id]);
+        w.u64(at.launch[id]);
+    }
+    w.usize(at.free.len());
+    for &id in &at.free {
+        w.usize(id);
     }
     // …slot occupancy and node health…
     for &s in &rs.fr.slot_attempt {
@@ -548,7 +564,7 @@ fn corrupt(msg: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt(msg.into())
 }
 
-/// Restore a framed `sapred-ckpt/v3` blob into a [`RunState`], rebuilding
+/// Restore a framed `sapred-ckpt/v4` blob into a [`RunState`], rebuilding
 /// the derived state (dispatch aggregates, interned names). Fails with a
 /// typed [`CheckpointError`] on any framing, checksum, context, or
 /// structural problem.
@@ -715,9 +731,11 @@ pub(super) fn decode<S: Scheduler>(
         preds.push(qp);
     }
 
-    // Fault state.
-    let n_attempts = r.vec_len(8)?;
+    // Fault state: the attempt slab.
     let mut fr = FaultState::new(nodes, containers);
+    let launches = r.u64()?;
+    let n_attempts = r.vec_len(8)?;
+    let mut at = AttemptTable { launches, ..AttemptTable::default() };
     for id in 0..n_attempts {
         let q = r.usize()?;
         let j = r.usize()?;
@@ -734,8 +752,9 @@ pub(super) fn decode<S: Scheduler>(
         let attempt_no = r.usize()?;
         let speculative = r.bool()?;
         let counted = r.bool()?;
-        let partner_raw = r.u32()?;
+        let partner = r.u32()?;
         let alive = r.bool()?;
+        let launch = r.u64()?;
         if q >= nq || j >= queries[q].jobs.len() {
             return Err(corrupt(format!("attempt {id}: references job {j} of query {q}")));
         }
@@ -749,32 +768,75 @@ pub(super) fn decode<S: Scheduler>(
         if slot >= containers {
             return Err(corrupt(format!("attempt {id}: container slot {slot} out of range")));
         }
-        if partner_raw != NIL && partner_raw as usize >= n_attempts {
-            return Err(corrupt(format!("attempt {id}: partner {partner_raw} out of range")));
+        if partner < GONE && partner as usize >= n_attempts {
+            return Err(corrupt(format!("attempt {id}: partner {partner} out of range")));
         }
-        fr.attempts.push(Attempt {
-            q,
+        if launch >= launches {
+            return Err(corrupt(format!("attempt {id}: launch {launch} not below the counter")));
+        }
+        at.q.push(q);
+        at.sched_end.push(sched_end);
+        at.counted.push(counted);
+        at.partner.push(partner);
+        at.alive.push(alive);
+        at.info.push(AttemptInfo {
             j,
             kind,
             spec_idx,
             slot,
             start,
             duration_bits,
-            sched_end,
             attempt_no,
             speculative,
-            counted,
-            partner: (partner_raw != NIL).then_some(partner_raw as usize),
-            alive,
         });
+        at.launch.push(launch);
+    }
+    let n_free = r.vec_len(8)?;
+    let mut is_free = vec![false; n_attempts];
+    for _ in 0..n_free {
+        let id = r.usize()?;
+        if id >= n_attempts {
+            return Err(corrupt(format!("free-list entry {id} out of range")));
+        }
+        if std::mem::replace(&mut is_free[id], true) {
+            return Err(corrupt(format!("free-list entry {id} listed twice")));
+        }
+        if at.alive[id] || at.partner[id] != NIL {
+            return Err(corrupt(format!("free row {id} still holds an attempt")));
+        }
+        at.free.push(id);
+    }
+    let mut launched: Vec<u64> = Vec::with_capacity(n_attempts - n_free);
+    for id in (0..n_attempts).filter(|&id| !is_free[id]) {
+        let p = at.partner[id];
+        if p < GONE && is_free[p as usize] {
+            return Err(corrupt(format!("attempt {id}: partner link to free row {p}")));
+        }
+        if p < GONE && at.partner[p as usize] != id as u32 {
+            return Err(corrupt(format!("attempt {id}: partner {p} does not link back")));
+        }
+        launched.push(at.launch[id]);
+    }
+    launched.sort_unstable();
+    if launched.windows(2).any(|w| w[0] == w[1]) {
+        return Err(corrupt("two attempts share a launch number"));
     }
     for slot in 0..containers {
         let a = r.opt_usize()?;
-        if a.is_some_and(|id| id >= n_attempts) {
-            return Err(corrupt(format!("slot {slot}: occupying attempt out of range")));
+        if let Some(id) = a {
+            if id >= n_attempts {
+                return Err(corrupt(format!("slot {slot}: occupying attempt out of range")));
+            }
+            if is_free[id] {
+                return Err(corrupt(format!("slot {slot}: occupant row {id} is free")));
+            }
+            if !at.alive[id] || at.info[id].slot != slot {
+                return Err(corrupt(format!("slot {slot}: row {id} is not a live attempt on it")));
+            }
         }
         fr.slot_attempt[slot] = a;
     }
+    fr.attempts = at;
     for n in 0..nodes {
         fr.crashed[n] = r.bool()?;
     }
@@ -827,7 +889,9 @@ pub(super) fn decode<S: Scheduler>(
 
     r.expect_end()?;
 
-    // Queued events must reference state that exists.
+    // Queued events must reference state that exists, and every row in use
+    // must await exactly one terminal event (the one that releases it).
+    let mut terminal = vec![0u8; n_attempts];
     for (seq, e) in queue.live() {
         if seq >= queue.seq() {
             return Err(corrupt("queued event sequence number exceeds the counter"));
@@ -837,13 +901,21 @@ pub(super) fn decode<S: Scheduler>(
             Event::Submit { q, j } | Event::Retry { q, j, .. } => {
                 q < nq && j < queries[q].jobs.len()
             }
-            Event::TaskDone { attempt } | Event::TaskFailed { attempt } => attempt < n_attempts,
+            Event::TaskDone { attempt } | Event::TaskFailed { attempt } => {
+                attempt < n_attempts && !is_free[attempt] && {
+                    terminal[attempt] += 1;
+                    terminal[attempt] == 1
+                }
+            }
             Event::NodeDown { crash } => crash < sim.faults.node_crashes.len(),
             Event::NodeUp { node, .. } => node < nodes,
         };
         if !ok {
             return Err(corrupt(format!("queued event {e:?} references out-of-range state")));
         }
+    }
+    if let Some(id) = (0..n_attempts).find(|&id| !is_free[id] && terminal[id] == 0) {
+        return Err(corrupt(format!("attempt row {id} awaits no terminal event")));
     }
 
     // Rebuild the derived state: interned names and the materialized

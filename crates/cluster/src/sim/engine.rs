@@ -10,7 +10,7 @@
 //! * `init_run` — builds a fresh [`RunState`] (event queue seeded with
 //!   arrivals and crashes, SoA job table, prediction matrix, dispatch
 //!   aggregates, both RNG streams); a resumed run instead decodes a
-//!   `sapred-ckpt/v3` [`super::checkpoint`] blob into one;
+//!   `sapred-ckpt/v4` [`super::checkpoint`] blob into one;
 //! * `drive` — the event loop proper. Between events it checks, in order:
 //!   run finished → optional stop point ([`Run::stop_after`]) → optional
 //!   event-budget watchdog ([`Simulator::with_max_events`]);
@@ -20,6 +20,11 @@
 //! The golden fixtures plus the kill-and-resume differential harness pin
 //! that a stitched run (prefix events before the snapshot + suffix events
 //! after restore) is bit-identical to a straight-through run.
+//!
+//! A [`RunState`] grows with the work in flight, not with the run: an
+//! attempt's slab row is released when its terminal event pops, and a
+//! job's per-spec lists when it finishes or its query fails, so memory
+//! and snapshot size stay flat however many tasks a run has launched.
 
 use crate::cost::CostModel;
 use crate::fault::FaultPlan;
@@ -40,7 +45,7 @@ use super::oracle::{DemandOracle, FrozenOracle};
 use super::queue::EventQueue;
 use super::recovery::{fail_query, Attempt, FaultState, NIL};
 use super::report::{assemble_report, SimReport};
-use super::state::{phase_of, Event, JobTable, QueryState};
+use super::state::{phase_of, Event, JobLists, JobTable, QueryState};
 use super::ClusterConfig;
 use sapred_obs::{JobId, NodeId, QueryId};
 
@@ -119,7 +124,7 @@ pub enum RunOutcome {
     /// Every query is accounted for.
     Done(SimReport),
     /// The run was suspended after processing its [`Run::stop_after`]
-    /// event count; the blob is a framed `sapred-ckpt/v3` checkpoint that
+    /// event count; the blob is a framed `sapred-ckpt/v4` checkpoint that
     /// [`Run::resume`] turns back into a running engine.
     Snapshot(Vec<u8>),
 }
@@ -585,6 +590,7 @@ impl<S: Scheduler> Simulator<S> {
                         if !rs.fr.attempts.alive[attempt] {
                             // Stale completion of an attempt killed in the
                             // meantime (lazy queue invalidation).
+                            rs.fr.attempts.release(attempt);
                             break 'event;
                         }
                         let a = rs.fr.attempts.get(attempt);
@@ -612,6 +618,7 @@ impl<S: Scheduler> Simulator<S> {
                             }
                         }
                         debug_assert!(counted, "a finishing task must hold the running count");
+                        rs.fr.attempts.release(attempt);
                         let duration = f64::from_bits(a.duration_bits);
                         emit!(
                             sink,
@@ -666,6 +673,7 @@ impl<S: Scheduler> Simulator<S> {
                             && rs.jobs.counts[i].done_reduces == job.reduces.len();
                         if job_done && rs.jobs.finished[i].is_none() {
                             rs.jobs.finished[i] = Some(now);
+                            rs.jobs.free_lists(i);
                             rs.qstate[q].jobs_done += 1;
                             emit!(
                                 sink,
@@ -701,6 +709,7 @@ impl<S: Scheduler> Simulator<S> {
                     }
                     Event::TaskFailed { attempt } => {
                         if !rs.fr.attempts.alive[attempt] {
+                            rs.fr.attempts.release(attempt);
                             break 'event;
                         }
                         let a = rs.fr.attempts.get(attempt);
@@ -739,6 +748,7 @@ impl<S: Scheduler> Simulator<S> {
                                 FaultState::start_recovery_clock(&mut rs.jobs, &a, now);
                             }
                         }
+                        rs.fr.attempts.release(attempt);
                         emit!(
                             sink,
                             ObsEvent::TaskFailed {
@@ -998,18 +1008,19 @@ impl<S: Scheduler> Simulator<S> {
                             break;
                         }
                         let mut best: Option<usize> = None;
-                        // Straggler scan over the SoA columns: `alive`,
-                        // `partner`, `q`/`j`, and `sched_end` stream as flat
-                        // arrays; the full 13-field record is only gathered for
-                        // the single winner below.
-                        for id in 0..rs.fr.attempts.len() {
-                            if !rs.fr.attempts.alive[id]
-                                || rs.fr.attempts.partner[id] != NIL
-                                || rs.qstate[rs.fr.attempts.q[id]].failed
+                        // Straggler scan over the slab's SoA columns:
+                        // `alive`, `partner`, `q`/`j`, and `sched_end` stream
+                        // as flat arrays; the full 13-field record is only
+                        // gathered for the single winner below. The latest
+                        // scheduled end wins, ties going to the earliest
+                        // launch (row ids are recycled and carry no order).
+                        let at = &rs.fr.attempts;
+                        for id in 0..at.rows() {
+                            if !at.alive[id] || at.partner[id] != NIL || rs.qstate[at.q[id]].failed
                             {
                                 continue;
                             }
-                            let (aq, aj) = (rs.fr.attempts.q[id], rs.fr.attempts.info[id].j);
+                            let (aq, aj) = (at.q[id], at.info[id].j);
                             let job = &queries[aq].jobs[aj];
                             let i = rs.jobs.idx(aq, aj);
                             let total = (job.maps.len() + job.reduces.len()) as f64;
@@ -1020,7 +1031,9 @@ impl<S: Scheduler> Simulator<S> {
                                 continue;
                             }
                             if best.is_none_or(|b| {
-                                rs.fr.attempts.sched_end[id] > rs.fr.attempts.sched_end[b]
+                                at.sched_end[id] > at.sched_end[b]
+                                    || (at.sched_end[id] == at.sched_end[b]
+                                        && at.launch[id] < at.launch[b])
                             }) {
                                 best = Some(id);
                             }
@@ -1072,8 +1085,7 @@ impl<S: Scheduler> Simulator<S> {
                             self.cost.duration_loaded(&spec, load, &mut rs.rng).max(1e-3);
                         let fail =
                             self.cost.sample_failure(self.faults.task_fail_prob, &mut rs.fault_rng);
-                        let id = rs.fr.attempts.len();
-                        rs.fr.attempts.push(Attempt {
+                        let id = rs.fr.attempts.push(Attempt {
                             q: orig.q,
                             j: orig.j,
                             kind: orig.kind,
@@ -1205,8 +1217,7 @@ impl<S: Scheduler> Simulator<S> {
                     // sampled fraction of its would-be duration.
                     let fail =
                         self.cost.sample_failure(self.faults.task_fail_prob, &mut rs.fault_rng);
-                    let id = rs.fr.attempts.len();
-                    rs.fr.attempts.push(Attempt {
+                    let id = rs.fr.attempts.push(Attempt {
                         q: c.query.into(),
                         j: c.job.into(),
                         kind: c.kind,
@@ -1267,6 +1278,7 @@ impl<S: Scheduler> Simulator<S> {
             * self.config.containers_per_node;
         assert_eq!(rs.free_slots.len(), usable_slots, "containers leaked");
         debug_assert!(rs.fr.attempts.alive.iter().all(|&a| !a), "attempts leaked");
+        debug_assert!(rs.jobs.lists.iter().all(JobLists::is_freed), "per-spec lists leaked");
 
         // Deterministic queue telemetry: an exact count of pushes + pops.
         prof.add(Counter::EventQueueOps, rs.queue.ops());

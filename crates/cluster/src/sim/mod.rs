@@ -4,7 +4,7 @@
 //! * `queue` — the event queue: a std `BinaryHeap` popped in `(time, seq)`
 //!   order, with its checkpoint codec,
 //! * `checkpoint` — versioned, checksummed engine snapshots
-//!   (`sapred-ckpt/v3`) for suspend/resume ([`CheckpointError`]),
+//!   (`sapred-ckpt/v4`) for suspend/resume ([`CheckpointError`]),
 //! * `state` — the event types and the struct-of-arrays per-query /
 //!   per-job simulation state the other modules operate on,
 //! * `dispatch` — the materialized runnable set, its pick index and the
@@ -12,8 +12,9 @@
 //!   from-scratch view [`Simulator::crosschecked`] runs check them against,
 //! * `oracle` — the [`DemandOracle`] seam: per-job demand predictions
 //!   consulted at run start and at job submit,
-//! * `recovery` — attempt tracking, node crash/blacklist state, and
-//!   query abandonment,
+//! * `recovery` — the attempt slab (a row per attempt whose terminal
+//!   event is queued, reused once it pops), node crash/blacklist state,
+//!   and query abandonment,
 //! * `report` — the [`SimReport`] assembled at the end of a run.
 //!
 //! The public surface is re-exported here, so `sapred_cluster::sim::*`

@@ -1,4 +1,4 @@
-//! Fault handling and recovery: in-flight attempt tracking, node
+//! Fault handling and recovery: the attempt slab, node
 //! crash/blacklist state, slot reclamation, and query abandonment.
 
 use crate::fault::FaultStats;
@@ -12,7 +12,8 @@ use super::state::{phase_of, JobTable, QueryState};
 use super::ClusterConfig;
 use sapred_obs::{JobId, NodeId, QueryId};
 
-/// One task attempt in flight (or finished/killed), as a by-value view.
+/// One task attempt whose terminal event is still queued (running, or
+/// killed and awaiting that event), as a by-value view.
 /// The registry itself is the struct-of-arrays [`AttemptTable`]; this
 /// struct is the shape [`AttemptTable::push`] takes in and
 /// [`AttemptTable::get`] hands back, so call sites still read
@@ -44,7 +45,7 @@ pub(super) struct Attempt {
     /// counted attempt dies while its partner lives, the partner inherits
     /// the count (so the job table sees the task as continuously running).
     pub(super) counted: bool,
-    /// The other attempt racing for the same task, if any.
+    /// The other attempt racing for the same task, while it holds its row.
     pub(super) partner: Option<usize>,
     pub(super) alive: bool,
 }
@@ -64,42 +65,61 @@ pub(super) struct AttemptInfo {
     pub(super) speculative: bool,
 }
 
-/// "No partner" sentinel of [`AttemptTable::partner`].
+/// "No partner" sentinel of [`AttemptTable::partner`]: the attempt never
+/// raced a clone.
 pub(super) const NIL: u32 = u32::MAX;
 
-/// The attempt registry as a struct-of-arrays. It grows monotonically;
-/// heap events reference attempts by index and check `alive` at pop, so
-/// killing an attempt never touches the event queue. The columns the
-/// speculative-straggler scan streams (`alive`, `partner`, `q`,
-/// `sched_end`) and the independently-mutated flags (`counted`) are each
-/// flat and contiguous; everything an attempt only reads together lives
-/// packed in the [`AttemptInfo`] column.
+/// "Partner gone" sentinel of [`AttemptTable::partner`]: the attempt raced
+/// a clone whose row has since been released. It still counts as
+/// partnered (the straggler scan never clones an attempt twice), but no
+/// longer links to a row another attempt may now hold.
+pub(super) const GONE: u32 = u32::MAX - 1;
+
+/// The attempt registry: a struct-of-arrays slab with a free list. A row
+/// is taken at launch and released when the attempt's single terminal
+/// event (`TaskDone` or `TaskFailed`) pops, whether the attempt was still
+/// alive or had been killed earlier, so no queued event ever names a
+/// reused row and the table holds only attempts whose terminal event is
+/// still queued. Killing an attempt marks it dead and leaves the event
+/// queue alone; the event releases the row when it pops. Row ids carry no
+/// order: whatever depends on launch order (the straggler tie-break, the
+/// kill order of an abandoned query) reads the `launch` column.
+///
+/// The columns the speculative-straggler scan streams (`alive`, `partner`,
+/// `q`, `sched_end`) and the independently-mutated flags (`counted`) are
+/// each flat and contiguous; everything an attempt only reads together
+/// lives packed in the [`AttemptInfo`] column.
 #[derive(Debug, Default)]
 pub(super) struct AttemptTable {
     pub(super) q: Vec<usize>,
     pub(super) sched_end: Vec<f64>,
     pub(super) counted: Vec<bool>,
-    /// Racing-partner attempt id, [`NIL`] for none.
+    /// Racing-partner row, [`NIL`] for none, [`GONE`] once the partner's
+    /// row is released.
     pub(super) partner: Vec<u32>,
     pub(super) alive: Vec<bool>,
     pub(super) info: Vec<AttemptInfo>,
+    /// Launch number of the row's attempt: attempts are numbered in launch
+    /// order over the whole run.
+    pub(super) launch: Vec<u64>,
+    /// Released rows, reused last-released first.
+    pub(super) free: Vec<usize>,
+    /// Attempts launched so far (the next launch number).
+    pub(super) launches: u64,
 }
 
 impl AttemptTable {
+    /// Rows in the slab, free ones included: the most attempts whose
+    /// terminal event was queued at once.
     #[inline]
-    pub(super) fn len(&self) -> usize {
+    pub(super) fn rows(&self) -> usize {
         self.alive.len()
     }
 
-    /// Append a new attempt, returning its id.
+    /// Launch a new attempt into a free row (or a new one), returning its
+    /// row id.
     pub(super) fn push(&mut self, a: Attempt) -> usize {
-        let id = self.len();
-        self.q.push(a.q);
-        self.sched_end.push(a.sched_end);
-        self.counted.push(a.counted);
-        self.partner.push(a.partner.map_or(NIL, |p| p as u32));
-        self.alive.push(a.alive);
-        self.info.push(AttemptInfo {
+        let info = AttemptInfo {
             j: a.j,
             kind: a.kind,
             spec_idx: a.spec_idx,
@@ -108,13 +128,47 @@ impl AttemptTable {
             duration_bits: a.duration_bits,
             attempt_no: a.attempt_no,
             speculative: a.speculative,
-        });
-        id
+        };
+        let partner = a.partner.map_or(NIL, |p| p as u32);
+        let launch = self.launches;
+        self.launches += 1;
+        if let Some(id) = self.free.pop() {
+            self.q[id] = a.q;
+            self.sched_end[id] = a.sched_end;
+            self.counted[id] = a.counted;
+            self.partner[id] = partner;
+            self.alive[id] = a.alive;
+            self.info[id] = info;
+            self.launch[id] = launch;
+            return id;
+        }
+        self.q.push(a.q);
+        self.sched_end.push(a.sched_end);
+        self.counted.push(a.counted);
+        self.partner.push(partner);
+        self.alive.push(a.alive);
+        self.info.push(info);
+        self.launch.push(launch);
+        self.rows() - 1
+    }
+
+    /// Release row `id` once its attempt's terminal event has popped. A
+    /// partner still holding its row keeps the mark of having raced
+    /// ([`GONE`]) but loses the link.
+    pub(super) fn release(&mut self, id: usize) {
+        debug_assert!(!self.alive[id], "releasing a live attempt");
+        let p = self.partner[id];
+        if p < GONE {
+            self.partner[p as usize] = GONE;
+        }
+        self.partner[id] = NIL;
+        self.free.push(id);
     }
 
     /// Gather attempt `id` back into a by-value [`Attempt`].
     pub(super) fn get(&self, id: usize) -> Attempt {
         let info = self.info[id];
+        let p = self.partner[id];
         Attempt {
             q: self.q[id],
             j: info.j,
@@ -127,7 +181,7 @@ impl AttemptTable {
             attempt_no: info.attempt_no,
             speculative: info.speculative,
             counted: self.counted[id],
-            partner: (self.partner[id] != NIL).then(|| self.partner[id] as usize),
+            partner: (p < GONE).then_some(p as usize),
             alive: self.alive[id],
         }
     }
@@ -172,7 +226,7 @@ impl FaultState {
     /// Whether `attempt`'s racing partner is still alive.
     pub(super) fn partner_alive(&self, attempt: usize) -> bool {
         let p = self.attempts.partner[attempt];
-        p != NIL && self.attempts.alive[p as usize]
+        p < GONE && self.attempts.alive[p as usize]
     }
 
     /// Free `slot`, returning it to the pool only if its node is usable
@@ -299,11 +353,11 @@ impl FaultState {
 
 /// Terminate query `q` unsuccessfully: kills every live attempt of the
 /// query, zeroes its jobs' pending/running work so it vanishes from the
-/// runnable view, and emits `QueryFinish` (the query *terminates* — its
-/// [`QueryStat::failed`] flag records the distinction). Called on
-/// attempt-budget exhaustion; the caller records the query in
-/// [`FaultStats::failed_queries`], bumps `done_queries` and drops the query
-/// from the dispatch state.
+/// runnable view, frees their per-spec lists, and emits `QueryFinish` (the
+/// query *terminates* — its [`QueryStat::failed`] flag records the
+/// distinction). Called on attempt-budget exhaustion; the caller records
+/// the query in [`FaultStats::failed_queries`], bumps `done_queries` and
+/// drops the query from the dispatch state.
 ///
 /// [`QueryStat::failed`]: super::report::QueryStat::failed
 /// [`FaultStats::failed_queries`]: crate::fault::FaultStats::failed_queries
@@ -320,20 +374,20 @@ pub(super) fn fail_query<K: EventSink>(
 ) {
     qstate[q].failed = true;
     qstate[q].finished = Some(now);
-    let ids: Vec<usize> =
-        (0..fr.attempts.len()).filter(|&i| fr.attempts.alive[i] && fr.attempts.q[i] == q).collect();
+    // Kill in launch order: row ids are recycled and carry no order.
+    let mut ids: Vec<usize> = (0..fr.attempts.rows())
+        .filter(|&i| fr.attempts.alive[i] && fr.attempts.q[i] == q)
+        .collect();
+    ids.sort_unstable_by_key(|&i| fr.attempts.launch[i]);
     for id in ids {
-        if fr.attempts.alive[id] {
-            fr.kill_attempt(id, false, now, cfg, jobs, free_slots, sink);
-        }
+        fr.kill_attempt(id, false, now, cfg, jobs, free_slots, sink);
     }
     for i in jobs.query_range(q) {
         jobs.counts[i].pending_maps = 0;
         jobs.counts[i].running_maps = 0;
         jobs.counts[i].pending_reduces = 0;
         jobs.counts[i].running_reduces = 0;
-        jobs.lists[i].retry_maps.clear();
-        jobs.lists[i].retry_reduces.clear();
+        jobs.free_lists(i);
     }
     emit!(sink, ObsEvent::QueryFinish { t: now, query: QueryId(q) });
 }

@@ -36,15 +36,17 @@ pub(super) enum Event {
     Arrival { q: usize },
     /// A job becomes visible to the scheduler.
     Submit { q: usize, j: usize },
-    /// Attempt `attempt` (index into the attempt registry) finishes,
-    /// releasing its container slot. The exact f64 duration the heap
-    /// scheduled lives in the registry as its bit pattern
-    /// ([`f64::to_bits`]) so the recorded stats match the schedule
-    /// bit-for-bit. Ignored if the attempt was killed in the meantime
-    /// (lazy invalidation: cheaper than deleting from the event heap).
+    /// Attempt `attempt` (row of the attempt slab) finishes, releasing its
+    /// container slot. The exact f64 duration the heap scheduled lives in
+    /// the slab as its bit pattern ([`f64::to_bits`]) so the recorded
+    /// stats match the schedule bit-for-bit. Ignored if the attempt was
+    /// killed in the meantime (lazy invalidation: cheaper than deleting
+    /// from the event heap). Either way the popped event releases the row:
+    /// it is the attempt's only terminal event.
     TaskDone { attempt: usize },
-    /// Attempt `attempt` fails mid-run (scheduled at dispatch when the
-    /// fault RNG says this attempt dies). Ignored if already killed.
+    /// Attempt `attempt` fails mid-run (scheduled at dispatch, instead of
+    /// its `TaskDone`, when the fault RNG says this attempt dies). Ignored
+    /// if already killed; releases the row like `TaskDone`.
     TaskFailed { attempt: usize },
     /// A failed task's backoff elapsed: re-enter the runnable set.
     Retry { q: usize, j: usize, kind: TaskKind, spec_idx: usize },
@@ -57,7 +59,10 @@ pub(super) enum Event {
 
 /// Cold per-spec lists of one job (retry queues, attempt budgets,
 /// disruption clocks, map-output placement). Kept out of the hot
-/// [`JobTable`] columns: the dispatch scans never touch them.
+/// [`JobTable`] columns: the dispatch scans never touch them. They exist
+/// only while the job is live: allocated at submit, freed when the job
+/// finishes or its query fails ([`JobTable::free_lists`]), so they never
+/// outlive the work they track.
 #[derive(Debug, Clone, Default)]
 pub(super) struct JobLists {
     /// Spec indices of failed/lost tasks awaiting relaunch; popped before
@@ -74,6 +79,20 @@ pub(super) struct JobLists {
     /// Node that holds each completed map's output (the winning attempt's
     /// node), for the lost-map-output rule on node crashes.
     pub(super) map_node: Vec<Option<usize>>,
+}
+
+impl JobLists {
+    /// Whether every list is unallocated: the job was never submitted, or
+    /// its lists were freed.
+    pub(super) fn is_freed(&self) -> bool {
+        self.retry_maps.capacity() == 0
+            && self.retry_reduces.capacity() == 0
+            && self.map_attempt_no.capacity() == 0
+            && self.reduce_attempt_no.capacity() == 0
+            && self.map_fail_since.capacity() == 0
+            && self.reduce_fail_since.capacity() == 0
+            && self.map_node.capacity() == 0
+    }
 }
 
 /// A job's task-count state, packed into one 64-byte record so the
@@ -171,6 +190,13 @@ impl JobTable {
     pub(super) fn idx(&self, q: usize, j: usize) -> usize {
         debug_assert!(j < self.offsets[q + 1] - self.offsets[q]);
         self.offsets[q] + j
+    }
+
+    /// Drop job `i`'s per-spec lists once nothing can read them again: the
+    /// job finished (a crash claws back only unfinished jobs' map output)
+    /// or its query failed (its events are skipped from then on).
+    pub(super) fn free_lists(&mut self, i: usize) {
+        self.lists[i] = JobLists::default();
     }
 
     /// Arena index range covering query `q`'s jobs.

@@ -1,3 +1,4 @@
+use super::engine::RunState;
 use super::*;
 use crate::cost::CostModel;
 use crate::fault::{FaultPlan, NodeCrash};
@@ -962,4 +963,249 @@ fn event_budget_watchdog_is_inert_below_the_limit() {
         .map(RunOutcome::into_report)
         .expect("a finite run never trips a generous budget");
     assert_eq!(unwatched, watched);
+}
+
+// ---------------------------------------------------------------------
+// Run state bounded by live work: the attempt slab and per-spec lists.
+
+/// The run state after `at` events, restored from the snapshot a fresh
+/// run of `sim` writes there.
+fn state_after<S: Scheduler>(sim: &mut Simulator<S>, queries: &[SimQuery], at: u64) -> RunState {
+    let blob = match sim.execute(queries, Run::new().stop_after(at)).unwrap() {
+        RunOutcome::Snapshot(blob) => blob,
+        RunOutcome::Done(_) => panic!("cut {at} lies past the end of the run"),
+    };
+    checkpoint::decode(sim, queries, &blob).expect("the snapshot restores")
+}
+
+/// Events a run of `sim` over `queries` processes.
+fn events_in<S: Scheduler>(sim: &mut Simulator<S>, queries: &[SimQuery]) -> u64 {
+    use sapred_obs::profile::{Counter, SpanProfiler};
+    let prof = SpanProfiler::new();
+    sim.execute(queries, Run::new().profiler(&prof)).unwrap();
+    prof.counter(Counter::EventsProcessed)
+}
+
+/// `n` three-job chains arriving 4 s apart: a steady stream, so the run
+/// grows with `n` while the work in flight does not.
+fn stream(n: usize) -> Vec<SimQuery> {
+    (0..n).map(|i| chained_query(&format!("s{i}"), 4.0 * i as f64, 3, 6)).collect()
+}
+
+/// High water of the attempt slab and launch count, read just before the
+/// run's last event (the slab never shrinks, so its row count then is the
+/// most rows the run ever held).
+fn slab_high_water<S: Scheduler>(mut sim: Simulator<S>, queries: &[SimQuery]) -> (usize, u64) {
+    let total = events_in(&mut sim, queries);
+    let rs = state_after(&mut sim, queries, total - 1);
+    (rs.fr.attempts.rows(), rs.fr.attempts.launches)
+}
+
+#[test]
+fn attempt_rows_never_exceed_the_containers_on_a_fault_free_run() {
+    let queries = stream(12);
+    let containers = small_config().total_containers();
+    for (rows, launched) in [
+        slab_high_water(Simulator::new(small_config(), CostModel::default(), Fifo), &queries),
+        slab_high_water(Simulator::new(small_config(), CostModel::default(), Swrd), &queries),
+    ] {
+        assert!(launched > 20 * containers as u64, "only {launched} attempts launched");
+        assert!(rows <= containers, "{rows} slab rows for {containers} containers");
+    }
+}
+
+#[test]
+fn attempt_rows_do_not_grow_with_run_length_under_faults() {
+    let run = |n| {
+        let sim =
+            Simulator::new(small_config(), CostModel::default(), Swrd).with_faults(stress_plan());
+        slab_high_water(sim, &stream(n))
+    };
+    let (short_rows, short_launched) = run(6);
+    let (long_rows, long_launched) = run(24);
+    assert!(long_launched >= 3 * short_launched, "{long_launched} vs {short_launched} launches");
+    // Killed losers and crash victims hold their rows until their
+    // terminal event, so the slab may exceed the container count, but by
+    // what is in flight, not by how long the run is.
+    assert!(
+        long_rows <= short_rows + small_config().total_containers(),
+        "{long_rows} rows for 4x the queries vs {short_rows}"
+    );
+}
+
+/// At every cut of a faulted run, a finished job or a failed query's job
+/// holds no per-spec lists, and a live job holds all of them. (The end of
+/// the run is checked by `finalize`'s debug assertion that every list is
+/// freed.)
+#[test]
+fn finished_and_failed_jobs_hold_no_per_spec_lists() {
+    fn check<S: Scheduler>(mut sim: Simulator<S>, queries: &[SimQuery]) -> (usize, usize) {
+        let (mut finished, mut failed) = (0, 0);
+        let total = events_in(&mut sim, queries);
+        for at in 1..total {
+            let rs = state_after(&mut sim, queries, at);
+            for (q, query) in queries.iter().enumerate() {
+                for (j, job) in query.jobs.iter().enumerate() {
+                    let i = rs.jobs.idx(q, j);
+                    let lists = &rs.jobs.lists[i];
+                    if rs.jobs.finished[i].is_some() || rs.qstate[q].failed {
+                        finished += usize::from(rs.jobs.finished[i].is_some());
+                        failed += usize::from(rs.qstate[q].failed);
+                        assert!(lists.is_freed(), "cut {at}: job {j} of query {q} kept its lists");
+                    } else if rs.jobs.submitted[i] {
+                        assert_eq!(lists.map_attempt_no.len(), job.maps.len(), "cut {at}");
+                        assert_eq!(lists.map_node.len(), job.maps.len(), "cut {at}");
+                    }
+                }
+            }
+        }
+        (finished, failed)
+    }
+    let sim = Simulator::new(small_config(), CostModel::default(), Swrd).with_faults(stress_plan());
+    let (finished, _) = check(sim, &mixed_workload());
+    assert!(finished > 0, "no cut saw a finished job");
+    let doomed = FaultPlan { task_fail_prob: 0.5, max_attempts: 2, ..FaultPlan::default() };
+    let sim = Simulator::new(small_config(), CostModel::default(), Hcs).with_faults(doomed);
+    let (_, failed) = check(sim, &mixed_workload());
+    assert!(failed > 0, "no cut saw a failed query");
+}
+
+#[test]
+fn slab_reuses_released_rows_and_unlinks_released_partners() {
+    use super::recovery::{Attempt, AttemptTable, GONE, NIL};
+    let attempt = |partner: Option<usize>| Attempt {
+        q: 0,
+        j: 0,
+        kind: TaskKind::Map,
+        spec_idx: 0,
+        slot: 0,
+        start: 0.0,
+        duration_bits: 0,
+        sched_end: 1.0,
+        attempt_no: 1,
+        speculative: partner.is_some(),
+        counted: partner.is_none(),
+        partner,
+        alive: true,
+    };
+    let mut t = AttemptTable::default();
+    let a = t.push(attempt(None));
+    let b = t.push(attempt(None));
+    let clone = t.push(attempt(Some(b)));
+    t.partner[b] = clone as u32;
+    assert_eq!((a, b, clone, t.rows()), (0, 1, 2, 3));
+    // The clone's terminal event pops: its row is freed and `b` keeps the
+    // mark of having raced, not a link to the row.
+    t.alive[clone] = false;
+    t.release(clone);
+    assert_eq!((t.partner[b], t.partner[clone]), (GONE, NIL));
+    assert!(t.get(b).partner.is_none());
+    t.alive[a] = false;
+    t.release(a);
+    // Last released, first reused; launch numbers keep counting.
+    let c = t.push(attempt(None));
+    let d = t.push(attempt(None));
+    assert_eq!((c, d, t.rows()), (a, clone, 3));
+    assert_eq!((t.launch[b], t.launch[c], t.launch[d], t.launches), (1, 3, 4, 5));
+}
+
+/// An abandoned query's attempts die in launch order, whichever slab rows
+/// they hold: the `TaskKilled` events at the failure follow the order of
+/// the victims' `TaskStart`s.
+#[test]
+fn a_failed_query_kills_its_attempts_in_launch_order() {
+    use sapred_obs::Event as Ob;
+    let config = ClusterConfig { nodes: 2, containers_per_node: 6, ..Default::default() };
+    let plan = FaultPlan { task_fail_prob: 0.3, max_attempts: 2, ..FaultPlan::default() };
+    let queries: Vec<SimQuery> =
+        (0..6).map(|i| simple_query(&format!("w{i}"), 3.0 * i as f64, 24, 4)).collect();
+    let (rep, rec) =
+        traced(Simulator::new(config, CostModel::default(), Fifo).with_faults(plan), &queries);
+    let mut checked = 0;
+    for (k, e) in rec.events.iter().enumerate() {
+        let Ob::QueryFinish { t, query } = *e else { continue };
+        if !rep.queries[query.0].failed {
+            continue;
+        }
+        // The kills just before this QueryFinish, and the position of each
+        // victim's launch: the last TaskStart on its slot before the kill.
+        let mut launched_at = Vec::new();
+        for (n, kill) in rec.events[..k].iter().enumerate().rev() {
+            let Ob::TaskKilled { t: tk, query: qk, node, slot, .. } = *kill else { break };
+            assert!(tk == t && qk == query);
+            let start = rec.events[..n].iter().rposition(|s| {
+                matches!(*s, Ob::TaskStart { node: sn, slot: ss, .. } if sn == node && ss == slot)
+            });
+            launched_at.push(start.expect("a killed attempt was started"));
+        }
+        launched_at.reverse();
+        assert!(launched_at.windows(2).all(|w| w[0] < w[1]), "kill order {launched_at:?}");
+        checked += launched_at.len().saturating_sub(1);
+    }
+    assert!(checked >= 2, "too few kill pairs to order ({checked})");
+}
+
+/// Tampered slab fields in a re-encoded (so re-checksummed) snapshot are
+/// refused as corrupt. The snapshot is the first cut of a faulted SWRD run
+/// with a free row and a racing pair.
+#[test]
+fn corrupt_slab_fields_are_refused() {
+    use super::recovery::GONE;
+    let queries = mixed_workload();
+    let mut sim =
+        Simulator::new(small_config(), CostModel::default(), Swrd).with_faults(stress_plan());
+    let total = events_in(&mut sim, &queries);
+    let at = (1..total)
+        .find(|&at| {
+            let slab = &state_after(&mut sim, &queries, at).fr.attempts;
+            !slab.free.is_empty() && slab.partner.iter().any(|&p| p < GONE)
+        })
+        .expect("some cut has a free row and a racing pair");
+    let restore = |sim: &mut Simulator<Swrd>, rs: &RunState| {
+        checkpoint::decode(sim, &queries, &checkpoint::encode(sim, &queries, rs)).map(|_| ())
+    };
+    let pristine = state_after(&mut sim, &queries, at);
+    assert_eq!(restore(&mut sim, &pristine), Ok(()), "an untouched state must round-trip");
+    let free_row = pristine.fr.attempts.free[0];
+
+    type Tamper = fn(&mut RunState, usize);
+    let cases: [(&str, Tamper, &str); 4] = [
+        (
+            "free-list entry out of range",
+            |rs, _| rs.fr.attempts.free.push(rs.fr.attempts.rows() + 2),
+            "out of range",
+        ),
+        (
+            "duplicate free-list entry",
+            |rs, free_row| rs.fr.attempts.free.push(free_row),
+            "listed twice",
+        ),
+        (
+            "slot naming a free row",
+            |rs, free_row| {
+                let slot = rs.fr.slot_attempt.iter().position(Option::is_some).unwrap();
+                rs.fr.slot_attempt[slot] = Some(free_row);
+            },
+            "is free",
+        ),
+        (
+            "partner link to a free row",
+            |rs, free_row| {
+                let a = &mut rs.fr.attempts;
+                let id = a.partner.iter().position(|&p| p < GONE).unwrap();
+                a.partner[id] = free_row as u32;
+            },
+            "partner link to free row",
+        ),
+    ];
+    for (what, tamper, needle) in cases {
+        let mut rs = state_after(&mut sim, &queries, at);
+        tamper(&mut rs, free_row);
+        match restore(&mut sim, &rs) {
+            Err(CheckpointError::Corrupt(why)) => {
+                assert!(why.contains(needle), "{what}: unexpected reason {why}")
+            }
+            other => panic!("{what}: restored as {other:?}"),
+        }
+    }
 }

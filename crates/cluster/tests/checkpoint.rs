@@ -2,7 +2,7 @@
 //!
 //! The contract under test: for every golden fixture (five schedulers,
 //! fault-free and stress-faulted), running to a snapshot point, dropping
-//! the engine, restoring the `sapred-ckpt/v3` blob into a fresh engine,
+//! the engine, restoring the `sapred-ckpt/v4` blob into a fresh engine,
 //! and finishing produces a report and an event stream **bit-identical**
 //! to the uninterrupted run — at deterministically chosen snapshot points
 //! and at proptest-chosen random ones. The golden cells also
@@ -302,6 +302,26 @@ fn profiled_snapshot_and_resume_count_the_straight_run() {
     assert!(before.balanced() && after.balanced());
 }
 
+/// A checkpoint carries live state, not run history: on a long fault-free
+/// stream of queries, a snapshot at 90% of the run is no larger than one
+/// at 10% (give or take a tenth), though nine times as many attempts have
+/// launched by then.
+#[test]
+fn late_snapshots_are_no_larger_than_early_ones() {
+    let queries: Vec<SimQuery> =
+        (0..40).map(|i| chained_query(&format!("s{i}"), 4.0 * i as f64, 3, 6)).collect();
+    let sim = || Simulator::new(config(), CostModel::default(), Swrd);
+    let prof = SpanProfiler::new();
+    sim().execute(&queries, Run::new().profiler(&prof)).expect("straight run");
+    let total = prof.counter(Counter::EventsProcessed);
+    let size_at = |at| {
+        let outcome = sim().execute(&queries, Run::new().stop_after(at)).expect("snapshot run");
+        expect_snapshot(outcome, at).len()
+    };
+    let (early, late) = (size_at(total / 10), size_at(9 * total / 10));
+    assert!(late <= early + early / 10, "snapshot grew from {early} B at 10% to {late} B at 90%");
+}
+
 // ---------------------------------------------------------------------
 // Corruption fuzzing: every flip/truncation is a typed error, never a
 // panic or a silently-wrong resumed run.
@@ -413,8 +433,18 @@ fn v1_blobs_fail_on_the_magic_header() {
 #[test]
 fn v2_blobs_fail_on_the_magic_header() {
     let mut blob = sample_blob();
-    assert_eq!(&blob[..15], b"sapred-ckpt/v3\n");
+    assert_eq!(&blob[..15], b"sapred-ckpt/v4\n");
     blob[..15].copy_from_slice(b"sapred-ckpt/v2\n");
+    assert!(matches!(try_restore(&blob), Err(SimError::Checkpoint(CheckpointError::BadMagic))));
+}
+
+/// A `sapred-ckpt/v3` blob lists every attempt the run ever launched, with
+/// no free list or launch numbers; it is refused by its header, not
+/// misread as a slab.
+#[test]
+fn v3_blobs_fail_on_the_magic_header() {
+    let mut blob = sample_blob();
+    blob[..15].copy_from_slice(b"sapred-ckpt/v3\n");
     assert!(matches!(try_restore(&blob), Err(SimError::Checkpoint(CheckpointError::BadMagic))));
 }
 
