@@ -14,13 +14,13 @@
 //!   baseline is *determinism drift*, a much stronger signal than a
 //!   timing regression,
 //! * **metrics** — wall-clock percentiles and cell-specific rates
-//!   (events/sec, dispatch decisions/sec, tasks/sec, sims/sec), which
-//!   are compared against a threshold.
+//!   (events/sec, dispatch decisions/sec, tasks/sec), which are compared
+//!   against a threshold.
 //!
-//! Suites ([`dispatch_suite`], [`fleet_suite`], [`scale_suite`]) come in full and
-//! `--quick` shapes; quick cells keep the full cells' names but smaller
-//! configs, so a quick-vs-full comparison reports each cell as *skipped*
-//! (config mismatch) rather than producing nonsense deltas.
+//! Suites ([`dispatch_suite`], [`scale_suite`]) come in full and `--quick`
+//! shapes; quick cells keep the full cells' names but smaller configs, so a
+//! quick-vs-full comparison reports each cell as *skipped* (config mismatch)
+//! rather than producing nonsense deltas.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -35,11 +35,10 @@ use sapred_obs::profile::Counter;
 use sapred_obs::{MetricsSink, SpanProfiler};
 
 use crate::dispatch_workload;
-use crate::fleet::{self, WorkloadSpec};
 
 /// What one benchmark cell runs. All variants are deterministic at a fixed
-/// seed: the dispatch workload is RNG-free, and fault injection and fleet
-/// sweeps draw from their own seeded streams.
+/// seed: the dispatch workload is RNG-free, and fault injection draws from
+/// its own seeded stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CellKind {
     /// Drive the dispatch-heavy simulator on the synthetic chained-DAG
@@ -82,32 +81,6 @@ pub enum CellKind {
         maps: usize,
         /// Reduce tasks per job.
         reduces: usize,
-    },
-    /// A whole fleet sweep ([`fleet::run_fleet`]) over the bench grid
-    /// ([`fleet::bench_grid`]): `schedulers × fault_levels × seeds`
-    /// simulations of the synthetic workload, executed across
-    /// `threads` workers (`0` = all cores). The headline metric is
-    /// sims/sec; the aggregated engine counters (summed across cells in
-    /// grid order, so they are thread-count-independent) pin determinism.
-    Fleet {
-        /// Schedulers swept (first N of the fixed roster).
-        schedulers: usize,
-        /// Fault levels swept (first N of the fixed severity ramp).
-        fault_levels: usize,
-        /// Seed replicas per configuration.
-        seeds: usize,
-        /// Queries per cell workload.
-        n_queries: usize,
-        /// Jobs per query.
-        jobs: usize,
-        /// Map tasks per job.
-        maps: usize,
-        /// Reduce tasks per job.
-        reduces: usize,
-        /// Fleet worker threads (`0` = all cores). Part of the config so a
-        /// single-thread cell never gets force-compared against a
-        /// parallel one.
-        threads: usize,
     },
 }
 
@@ -203,26 +176,6 @@ pub fn config_json(kind: &CellKind) -> String {
             .int("maps", maps as u64)
             .int("reduces", reduces as u64)
             .finish(),
-        CellKind::Fleet {
-            schedulers,
-            fault_levels,
-            seeds,
-            n_queries,
-            jobs,
-            maps,
-            reduces,
-            threads,
-        } => Obj::new()
-            .str("kind", "fleet")
-            .int("schedulers", schedulers as u64)
-            .int("fault_levels", fault_levels as u64)
-            .int("seeds", seeds as u64)
-            .int("n_queries", n_queries as u64)
-            .int("jobs", jobs as u64)
-            .int("maps", maps as u64)
-            .int("reduces", reduces as u64)
-            .int("threads", threads as u64)
-            .finish(),
     }
 }
 
@@ -276,26 +229,11 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
             let mut sim = Simulator::new(cluster, fw.cost, Fifo);
             sim.execute(&queries, Run::new().profiler(&**prof)).expect("bench cell runs");
         }
-        CellKind::Fleet {
-            schedulers,
-            fault_levels,
-            seeds,
-            n_queries,
-            jobs,
-            maps,
-            reduces,
-            threads,
-        } => {
-            let workload = WorkloadSpec::uniform(n_queries, jobs, maps, reduces);
-            let grid = fleet::bench_grid(schedulers, fault_levels, seeds, workload, spec.seed);
-            let report = fleet::run_fleet(&grid, threads).expect("bench fleet grid is valid");
-            fleet::record_fleet(&report, &**prof);
-        }
     }
 }
 
 /// Nearest-rank quantile of a small sample (q in `[0, 1]`).
-pub(crate) fn quantile(samples: &[f64], q: f64) -> f64 {
+fn quantile(samples: &[f64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -347,11 +285,6 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
         CellKind::Scale { .. } => {
             let tasks = counters.get(Counter::TasksLaunched.label()).copied().unwrap_or(0);
             metrics.insert("tasks_per_s".into(), tasks as f64 / best);
-        }
-        CellKind::Fleet { .. } => {
-            let run = counters.get(Counter::FleetCellsRun.label()).copied().unwrap_or(0);
-            let failed = counters.get(Counter::FleetCellsFailed.label()).copied().unwrap_or(0);
-            metrics.insert("sims_per_s".into(), (run + failed) as f64 / best);
         }
     }
 
@@ -410,42 +343,6 @@ pub fn scale_suite(quick: bool) -> Vec<CellSpec> {
     vec![
         CellSpec { name: "scale_1e6", kind: small, iters: 2, seed: 7 },
         CellSpec { name: "scale_1e7", kind: large, iters: 1, seed: 7 },
-    ]
-}
-
-/// The fleet suite: the same fleet sweep run in parallel (threads = all
-/// cores) and pinned to one thread, so the baseline comparison catches both
-/// a throughput regression and any parallel/serial counter divergence. The
-/// headline metric is sims/sec.
-pub fn fleet_suite(quick: bool) -> Vec<CellSpec> {
-    let kind = |threads| {
-        if quick {
-            CellKind::Fleet {
-                schedulers: 2,
-                fault_levels: 2,
-                seeds: 2,
-                n_queries: 10,
-                jobs: 2,
-                maps: 6,
-                reduces: 2,
-                threads,
-            }
-        } else {
-            CellKind::Fleet {
-                schedulers: 3,
-                fault_levels: 3,
-                seeds: 3,
-                n_queries: 30,
-                jobs: 3,
-                maps: 12,
-                reduces: 4,
-                threads,
-            }
-        }
-    };
-    vec![
-        CellSpec { name: "fleet_parallel", kind: kind(0), iters: 2, seed: 17 },
-        CellSpec { name: "fleet_single_thread", kind: kind(1), iters: 2, seed: 17 },
     ]
 }
 

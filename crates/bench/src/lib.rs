@@ -1,9 +1,7 @@
 //! The engine's own benchmarks: the deterministic `sapred bench` suites
-//! ([`harness`], [`report`]) and the parallel fleet sweeps of
-//! `sapred fleet` ([`fleet`]). The paper's tables and figures
-//! come from `sapred reproduce` (`sapred_core::experiments::reproduce`).
+//! ([`harness`], [`report`]). The paper's tables and figures come from
+//! `sapred reproduce` (`sapred_core::experiments::reproduce`).
 
-pub mod fleet;
 pub mod harness;
 pub mod report;
 

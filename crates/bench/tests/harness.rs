@@ -2,9 +2,7 @@
 //! schema-valid reports, and the compare classifier (clean / skipped /
 //! drift / regression).
 
-use sapred_bench::harness::{
-    dispatch_suite, fleet_suite, run_cell, run_suite, CellKind, CellResult, CellSpec,
-};
+use sapred_bench::harness::{dispatch_suite, run_cell, run_suite, CellKind, CellResult, CellSpec};
 use sapred_bench::report::{compare, load_report, suite_json, validate_schema, SCHEMA};
 
 /// A tiny dispatch cell that runs in milliseconds even in debug builds.
@@ -125,33 +123,6 @@ fn run_suite_survives_a_panicking_cell() {
     let baseline = validate_schema(&suite_json("dispatch", true, &baseline_cells)).unwrap();
     let cmp = compare(&baseline, &doc, 1e9);
     assert!(cmp.drifts > 0, "failed cell did not surface as drift: {:?}", cmp.lines);
-}
-
-/// The quick fleet suite runs deterministically, reports sims/sec, and its
-/// parallel and single-thread cells agree on every engine counter.
-#[test]
-fn quick_fleet_suite_is_deterministic_and_reports_sims_per_s() {
-    let specs = fleet_suite(true);
-    let cells = run_suite(&specs, 2);
-    assert_eq!(cells.len(), 2);
-    for cell in &cells {
-        assert!(cell.error.is_none());
-        assert!(cell.deterministic, "fleet cell {} not deterministic", cell.name);
-        let sims = cell.metrics.get("sims_per_s").copied().unwrap_or(0.0);
-        assert!(sims > 0.0, "cell {} reported no throughput", cell.name);
-        assert_eq!(cell.counters.get("fleet_cells_run"), Some(&8u64), "{}", cell.name);
-        assert_eq!(cell.counters.get("fleet_cells_failed"), Some(&0u64), "{}", cell.name);
-    }
-    // Same grid at different thread counts ⇒ identical aggregated counters.
-    let (par, single) = (&cells[0], &cells[1]);
-    for (counter, value) in &par.counters {
-        assert_eq!(
-            single.counters.get(counter),
-            Some(value),
-            "counter {counter} diverges between parallel and single-thread fleets"
-        );
-    }
-    validate_schema(&suite_json("fleet", true, &cells)).expect("fleet report validates");
 }
 
 #[test]

@@ -38,6 +38,6 @@ pub use job::{JobPrediction, SimJob, SimQuery, TaskKind, TaskSpec};
 pub use sapred_obs::{JobId, NodeId, QueryId};
 pub use sched::{Fifo, Hcs, Hfs, Scheduler, Srt, Swrd};
 pub use sim::{
-    CellSummary, CheckpointError, ClusterConfig, DemandOracle, FrozenOracle, JobStat, QueryStat,
-    Run, RunOutcome, SimError, SimReport, Simulator,
+    CheckpointError, ClusterConfig, DemandOracle, FrozenOracle, JobStat, QueryStat, Run,
+    RunOutcome, SimError, SimReport, Simulator,
 };

@@ -47,7 +47,7 @@ pub(crate) use emit;
 pub use checkpoint::CheckpointError;
 pub use engine::{Run, RunOutcome, SimError, Simulator};
 pub use oracle::{DemandOracle, FrozenOracle};
-pub use report::{CellSummary, JobStat, QueryStat, SimReport};
+pub use report::{JobStat, QueryStat, SimReport};
 
 /// Cluster configuration (defaults mirror the paper's testbed: 9 nodes ×
 /// 12 containers, 1 GB per reducer, small job-submission overhead).

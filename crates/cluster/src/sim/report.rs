@@ -135,58 +135,6 @@ impl SimReport {
     pub fn total_completions(&self) -> usize {
         self.jobs.iter().map(|j| j.map_completions + j.reduce_completions).sum()
     }
-
-    /// Compact per-run summary for cross-simulation aggregation (the fleet
-    /// runner's unit of data). Every field is a deterministic function of
-    /// `(workload, FaultPlan, seed)` — simulated time and
-    /// counts only, no wall-clock — so aggregates built from summaries are
-    /// bit-reproducible regardless of how many worker threads ran the fleet
-    /// or in which order cells completed.
-    pub fn cell_summary(&self) -> CellSummary {
-        CellSummary {
-            n_queries: self.queries.len(),
-            n_failed: self.queries.iter().filter(|q| q.failed).count(),
-            makespan: self.makespan,
-            mean_response: self.mean_response(),
-            p50_response: self.percentile(0.50),
-            p95_response: self.percentile(0.95),
-            p99_response: self.percentile(0.99),
-            total_tasks: self.total_tasks(),
-            total_attempts: self.total_attempts(),
-            task_failures: self.faults.task_failures,
-            node_crashes: self.faults.node_crashes,
-        }
-    }
-}
-
-/// One simulation reduced to the scalars the fleet aggregation layer
-/// consumes (see [`SimReport::cell_summary`]). Deliberately `Copy` and free
-/// of wall-clock data: a `CellSummary` is safe to ship across worker
-/// threads and to serialize into a bit-reproducible aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CellSummary {
-    /// Queries simulated.
-    pub n_queries: usize,
-    /// Queries that failed (abandoned after exhausting task attempts).
-    pub n_failed: usize,
-    /// Time of the last event.
-    pub makespan: f64,
-    /// Mean query response time.
-    pub mean_response: f64,
-    /// Median query response time.
-    pub p50_response: f64,
-    /// 95th-percentile query response time.
-    pub p95_response: f64,
-    /// 99th-percentile query response time.
-    pub p99_response: f64,
-    /// Map + reduce tasks across all jobs.
-    pub total_tasks: usize,
-    /// Task attempts launched, retries and speculative clones included.
-    pub total_attempts: usize,
-    /// Transient task failures injected.
-    pub task_failures: usize,
-    /// Node crashes that took effect.
-    pub node_crashes: usize,
 }
 
 /// Assemble the end-of-run report from the engine's final state. Task

@@ -1,6 +1,6 @@
 //! 64-bit FNV-1a: the one hash behind checkpoint checksums and context
-//! fingerprints, fleet cell seeds and grid fingerprints. Dependency-free and
-//! stable across platforms and releases, so every value it derives
+//! fingerprints and the simulator's golden fingerprints. Dependency-free
+//! and stable across platforms and releases, so every value it derives
 //! reproduces on any machine.
 
 /// 64-bit FNV-1a over `bytes`.

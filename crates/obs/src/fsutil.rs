@@ -1,6 +1,6 @@
 //! Crash-safe file output: the shared temp-file+rename helper every
-//! on-disk artifact (BENCH reports, fleet reports, trace and metrics
-//! exports, engine checkpoints) goes through.
+//! on-disk artifact (BENCH reports, catalogs, trace and metrics exports)
+//! goes through.
 //!
 //! The contract is all-or-nothing at the path level: a reader never sees a
 //! torn or half-written file. [`write_atomic`] stages the full contents

@@ -35,11 +35,6 @@ pub enum Counter {
     TasksLaunched,
     /// Peak simulator event-heap depth (high-water mark).
     QueuePeakDepth,
-    /// Fleet cells (whole simulations) run to completion by the fleet host.
-    FleetCellsRun,
-    /// Fleet cells that panicked or otherwise failed; their coordinates are
-    /// recorded in the fleet report instead of a summary.
-    FleetCellsFailed,
     /// Event-queue operations (pushes + pops) across the run — a pure
     /// function of the workload, so drift here is a behavior change.
     EventQueueOps,
@@ -50,15 +45,13 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in stable report order.
-    pub const ALL: [Counter; 10] = [
+    pub const ALL: [Counter; 8] = [
         Counter::EventsProcessed,
         Counter::DispatchDecisions,
         Counter::SchedulerViewUpdates,
         Counter::SinkEventsEmitted,
         Counter::TasksLaunched,
         Counter::QueuePeakDepth,
-        Counter::FleetCellsRun,
-        Counter::FleetCellsFailed,
         Counter::EventQueueOps,
         Counter::CandidatesExamined,
     ];
@@ -72,8 +65,6 @@ impl Counter {
             Counter::SinkEventsEmitted => "sink_events_emitted",
             Counter::TasksLaunched => "tasks_launched",
             Counter::QueuePeakDepth => "queue_peak_depth",
-            Counter::FleetCellsRun => "fleet_cells_run",
-            Counter::FleetCellsFailed => "fleet_cells_failed",
             Counter::EventQueueOps => "event_queue_ops",
             Counter::CandidatesExamined => "candidates_examined",
         }
@@ -140,7 +131,7 @@ impl Profiler for NullProfiler {
 /// aggregate stats (count/total/min/max) stay exact but percentiles are
 /// computed from the first `SAMPLE_CAP` samples — a truncation the summary
 /// reports explicitly ([`SpanStat::samples_dropped`] /
-/// [`SpanStat::truncated`]) rather than letting a fleet-scale p99 silently
+/// [`SpanStat::truncated`]) rather than letting a long run's p99 silently
 /// describe only the retained prefix.
 pub const SAMPLE_CAP: usize = 1 << 16;
 

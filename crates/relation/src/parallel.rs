@@ -1,9 +1,9 @@
 //! The workspace's one parallel runner: [`run_claiming`] spreads
 //! independent work items over scoped worker threads that claim them one
 //! at a time. `lineitem`'s fill and catalog gathering
-//! ([`crate::gen::generate`]), population training, workload preparation,
-//! the bench suites and the fleet sweeps all run through it;
-//! `sapred_core::parallel` re-exports it.
+//! ([`crate::gen::generate`]), population training, workload preparation
+//! and the bench suites all run through it; `sapred_core::parallel`
+//! re-exports it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -175,9 +175,8 @@ fn column_stats(
 /// Cells (rows × columns, summed over the tables) below which
 /// [`crate::gen::generate`] gathers its catalog on one worker.
 /// Such a catalog gathers in at most ~13 ms on one core and two workers
-/// save at most ~6 ms of that (2-core VM), too little to start workers
-/// inside the fleet sweeps' pool workers, which generate 0.05 GB
-/// (~30k-cell) instances.
+/// save at most ~6 ms of that (2-core VM), too little to pay for starting
+/// workers.
 pub(crate) const PARALLEL_GATHER_MIN_CELLS: usize = 1 << 20;
 
 /// Every table's statistics, the per-column histograms built on `threads`

@@ -10,8 +10,7 @@
 //! sapred predict    --sql "SELECT ..." [--scale GB]        # train + predict one query
 //! sapred simulate   --mix bing|facebook [--gap S] [--divisor D]   # Fig. 8
 //! sapred trace      bing|facebook [--out trace.json] [--events events.jsonl] [--metrics metrics.json]
-//! sapred fleet      [--schedulers CSV] [--fail-probs CSV] [--seeds N] [--out fleet.json]   # grid sweep
-//! sapred bench      [--suite dispatch|fleet|scale|all] [--quick] [--compare BENCH.json] [--gate]
+//! sapred bench      [--suite dispatch|scale|all] [--quick] [--compare BENCH.json] [--gate]
 //! sapred reproduce                                         # Figs. 1-2, Tables 2-5, Figs. 6-8, ablations
 //! ```
 
@@ -29,8 +28,7 @@ use sapred::relation::gen::checked_row_counts;
 use sapred::selectivity::EstimatorKind;
 use sapred::workload::mixes::{bing_mix, facebook_mix, MixSpec};
 use sapred::workload::population::PopulationConfig;
-use sapred_bench::fleet::{run_fleet, FaultLevel, FleetGrid, SchedKind, WorkloadSpec};
-use sapred_bench::harness::{dispatch_suite, fleet_suite, run_suite, scale_suite, CellResult};
+use sapred_bench::harness::{dispatch_suite, run_suite, scale_suite, CellResult};
 use sapred_bench::report::{compare, suite_json, validate_schema, Comparison};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -50,7 +48,6 @@ fn main() -> ExitCode {
         "simulate" => cmd_simulate(rest),
         "reproduce" => cmd_reproduce(rest),
         "trace" => cmd_trace(rest),
-        "fleet" => cmd_fleet(rest),
         "bench" => cmd_bench(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -79,12 +76,7 @@ USAGE:
                     [--events <events.jsonl>] [--metrics <metrics.json>]
                     [--gap <SECONDS>] [--divisor <D>] [--queries <N>] [--seed <N>]
                     [--profile <profile.json>]
-  sapred fleet      [--grid <GRID.json>] [--schedulers <CSV of swrd|hcs|hfs|fifo|srt>]
-                    [--fail-probs <CSV>] [--seeds <N>] [--seed <BASE>]
-                    [--queries <N>] [--jobs <N>] [--maps <N>] [--reduces <N>]
-                    [--estimators <CSV of histogram|sample|catalog>] [--skews <CSV>]
-                    [--threads <N>] [--out <fleet.json>]
-  sapred bench      [--suite <dispatch|fleet|scale|all>] [--quick] [--iters <N>] [--threads <N>]
+  sapred bench      [--suite <dispatch|scale|all>] [--quick] [--iters <N>] [--threads <N>]
                     [--out <DIR>] [--compare <BENCH.json>] [--threshold <FRACTION>] [--gate]
                     [--validate <BENCH.json>]... [--compare-files <OLD.json> <NEW.json>]
   sapred reproduce";
@@ -281,6 +273,38 @@ fn parse_mix(name: &str) -> Result<MixSpec, Error> {
     }
 }
 
+/// A scheduler `trace --sched` can run.
+#[derive(Clone, Copy)]
+enum SchedKind {
+    Swrd,
+    Hcs,
+    Hfs,
+    Fifo,
+    Srt,
+}
+
+impl SchedKind {
+    const ALL: [SchedKind; 5] =
+        [SchedKind::Swrd, SchedKind::Hcs, SchedKind::Hfs, SchedKind::Fifo, SchedKind::Srt];
+
+    fn label(self) -> &'static str {
+        match self {
+            SchedKind::Swrd => "swrd",
+            SchedKind::Hcs => "hcs",
+            SchedKind::Hfs => "hfs",
+            SchedKind::Fifo => "fifo",
+            SchedKind::Srt => "srt",
+        }
+    }
+
+    fn parse(s: &str) -> Result<Self, String> {
+        SchedKind::ALL
+            .into_iter()
+            .find(|k| k.label() == s)
+            .ok_or_else(|| format!("unknown scheduler `{s}` (expected swrd|hcs|hfs|fifo|srt)"))
+    }
+}
+
 fn cmd_simulate(args: &[String]) -> Result<(), Error> {
     let flags = &parse_flags(args, &["mix", "gap", "divisor", "queries"])?;
     let mix = parse_mix(required(flags, "mix")?)?;
@@ -385,134 +409,6 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
         println!("wrote span profile to {path}");
         println!("\n{}", prof.summary());
     }
-    Ok(())
-}
-
-/// `sapred fleet`: expand a declarative (workload × scheduler × fault ×
-/// estimator × seed) grid, run every cell across worker threads, print the
-/// aggregation layer, and write the aggregate JSON report — bit-identical
-/// for the same grid at any `--threads` value.
-fn cmd_fleet(args: &[String]) -> Result<(), Error> {
-    fn parse_csv(raw: &str) -> impl Iterator<Item = &str> {
-        raw.split(',').map(str::trim).filter(|s| !s.is_empty())
-    }
-    let flags = &parse_flags(
-        args,
-        &[
-            "grid",
-            "schedulers",
-            "fail-probs",
-            "seeds",
-            "seed",
-            "queries",
-            "jobs",
-            "maps",
-            "reduces",
-            "estimators",
-            "skews",
-            "threads",
-            "out",
-        ],
-    )?;
-    let threads = flag_usize(flags, "threads", 0)?;
-    let out = flags.get("out").map(String::as_str).unwrap_or("fleet.json");
-
-    let grid = if let Some(path) = flags.get("grid") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| Error::io(format!("read {path}"), e))?;
-        FleetGrid::from_json(&text).map_err(|e| Error::invalid(format!("{path}: {e}")))?
-    } else {
-        let scheds = flags.get("schedulers").map(String::as_str).unwrap_or("swrd,hcs");
-        let schedulers = parse_csv(scheds)
-            .map(|s| SchedKind::parse(s).map_err(Error::invalid))
-            .collect::<Result<Vec<_>, _>>()?;
-        let probs = flags.get("fail-probs").map(String::as_str).unwrap_or("0,0.08");
-        let faults = parse_csv(probs)
-            .map(|s| {
-                s.parse::<f64>()
-                    .map(|task_fail_prob| FaultLevel { task_fail_prob })
-                    .map_err(|_| Error::invalid(format!("--fail-probs: `{s}` is not a number")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let estimators =
-            parse_csv(flags.get("estimators").map(String::as_str).unwrap_or("histogram"))
-                .map(|e| EstimatorKind::parse(e).map_err(Error::invalid))
-                .collect::<Result<Vec<_>, _>>()?;
-        // One workload per requested skew level; `0` keeps the legacy
-        // uniform dispatch workload.
-        let skews = parse_csv(flags.get("skews").map(String::as_str).unwrap_or("0"))
-            .map(|s| {
-                s.parse::<f64>()
-                    .map_err(|_| Error::invalid(format!("--skews: `{s}` is not a number")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let n_seeds = flag_usize(flags, "seeds", 2)?;
-        if n_seeds == 0 {
-            return Err(Error::invalid("--seeds: 0 seeds run no cell; give at least 1"));
-        }
-        let base = flag_usize(flags, "seed", 42)? as u64;
-        let n_queries = flag_usize(flags, "queries", 10)?;
-        let jobs = flag_usize(flags, "jobs", 2)?;
-        let maps = flag_usize(flags, "maps", 6)?;
-        let reduces = flag_usize(flags, "reduces", 2)?;
-        FleetGrid {
-            workloads: skews
-                .iter()
-                .map(|&skew| WorkloadSpec { n_queries, jobs, maps, reduces, skew })
-                .collect(),
-            schedulers,
-            faults,
-            estimators,
-            seeds: (0..n_seeds as u64).map(|i| base.wrapping_add(i)).collect(),
-        }
-    };
-
-    println!(
-        "running fleet: {} cell(s) = {} workload(s) x {} scheduler(s) x {} fault level(s) \
-         x {} estimator(s) x {} seed(s)...",
-        grid.n_cells(),
-        grid.workloads.len(),
-        grid.schedulers.len(),
-        grid.faults.len(),
-        grid.estimators.len(),
-        grid.seeds.len()
-    );
-    let report = run_fleet(&grid, threads).map_err(Error::invalid)?;
-    println!("completed {} cell(s), {} failed", report.completed(), report.failed());
-    for cell in &report.cells {
-        if let Err(e) = &cell.outcome {
-            println!("  FAILED {}: {e}", cell.label);
-        }
-    }
-
-    println!("\nper-(scheduler x fault) surface (makespan / mean response, seconds):");
-    for p in report.surfaces() {
-        println!(
-            "  {:<5} @ {:<6} ({:>3} cells) | makespan mean {:>8.1} p95 {:>8.1} | \
-             response mean {:>8.1} p95 {:>8.1}",
-            p.sched,
-            p.fault,
-            p.n_cells,
-            p.makespan_mean,
-            p.makespan_p95,
-            p.response_mean,
-            p.response_p95
-        );
-    }
-    let crossovers = report.crossovers();
-    if crossovers.is_empty() {
-        println!("\nno scheduler crossovers detected");
-    } else {
-        for x in &crossovers {
-            println!(
-                "\ncrossover: {} vs {} flips at fault level {} \
-                 (mean response {:.1}s vs {:.1}s)",
-                x.reference, x.other, x.fault, x.reference_mean, x.other_mean
-            );
-        }
-    }
-    write_atomic(out, report.to_json()).map_err(|e| Error::io(format!("write {out}"), e))?;
-    println!("\nwrote aggregate fleet report to {out}");
     Ok(())
 }
 
@@ -626,22 +522,17 @@ fn cmd_bench(args: &[String]) -> Result<(), Error> {
 
     let suites: Vec<(&str, Vec<sapred_bench::harness::CellSpec>)> = match suite.as_str() {
         "dispatch" => vec![("dispatch", dispatch_suite(quick))],
-        "fleet" => vec![("fleet", fleet_suite(quick))],
         "scale" => vec![("scale", scale_suite(quick))],
-        "all" => vec![
-            ("dispatch", dispatch_suite(quick)),
-            ("fleet", fleet_suite(quick)),
-            ("scale", scale_suite(quick)),
-        ],
+        "all" => vec![("dispatch", dispatch_suite(quick)), ("scale", scale_suite(quick))],
         other => {
             return Err(Error::invalid(format!(
-                "unknown suite `{other}` (expected dispatch|fleet|scale|all)"
+                "unknown suite `{other}` (expected dispatch|scale|all)"
             )))
         }
     };
     if compare_path.is_some() && suites.len() > 1 {
         return Err(Error::invalid(
-            "--compare needs a single suite (add --suite dispatch, fleet, or scale)",
+            "--compare needs a single suite (add --suite dispatch or scale)",
         ));
     }
 
@@ -692,16 +583,9 @@ fn print_cells(cells: &[CellResult]) {
             continue;
         }
         let wall = cell.metrics.get("wall_p50_s").copied().unwrap_or(0.0);
-        // Fleet cells headline sims/s; everything else events/s.
-        let rate = match cell.metrics.get("sims_per_s") {
-            Some(&sims) => format!("{sims:>12.2} sims/s  "),
-            None => {
-                let events = cell.metrics.get("events_per_s").copied().unwrap_or(0.0);
-                format!("{events:>12.0} events/s")
-            }
-        };
+        let events = cell.metrics.get("events_per_s").copied().unwrap_or(0.0);
         println!(
-            "  {:<22} wall p50 {:>9.4}s | {rate} | {}",
+            "  {:<22} wall p50 {:>9.4}s | {events:>12.0} events/s | {}",
             cell.name,
             wall,
             if cell.deterministic { "deterministic" } else { "NON-DETERMINISTIC" },

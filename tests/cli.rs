@@ -13,7 +13,7 @@ fn sapred(args: &[&str]) -> Output {
 
 #[test]
 fn unknown_flags_are_rejected_by_name() {
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["reproduce", "--queries", "5"], "--queries"),
         (&["explain", "--sql", "SELECT 1", "--sacle", "3"], "--sacle"),
         (&["trace", "bing", "--queue_cap", "3"], "--queue_cap"),
@@ -22,10 +22,6 @@ fn unknown_flags_are_rejected_by_name() {
         (&["trace", "bing", "--guard", "on"], "--guard"),
         (&["trace", "bing", "--oracle", "recalibrating"], "--oracle"),
         (&["trace", "bing", "--queue-cap", "3"], "--queue-cap"),
-        (&["fleet", "--queue-caps", "0,8"], "--queue-caps"),
-        // The fleet has no resume journal.
-        (&["fleet", "--journal", "j.jsonl"], "--journal"),
-        (&["fleet", "--resume"], "--resume"),
     ];
     for (args, flag) in cases {
         let out = sapred(args);
@@ -33,6 +29,11 @@ fn unknown_flags_are_rejected_by_name() {
         assert!(!out.status.success(), "sapred {args:?} succeeded");
         assert!(stderr.contains(&format!("unknown flag `{flag}`")), "sapred {args:?}: {stderr}");
     }
+    // `sapred` has no grid sweeper.
+    let out = sapred(&["fleet"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "sapred fleet: {stderr}");
+    assert!(stderr.contains("unknown command `fleet`"), "sapred fleet: {stderr}");
 }
 
 #[test]
@@ -97,10 +98,6 @@ fn bad_flag_values_are_rejected_before_any_work() {
         cases.push((vec!["trace", "facebook", "--divisor", divisor], "--divisor"));
     }
     cases.push((vec!["trace", "bing", "--sched", "nope", "--queries", "8"], "--sched"));
-    let report =
-        std::env::temp_dir().join(format!("sapred-cli-{}-seeds0.json", std::process::id()));
-    let report_arg = report.to_str().expect("a UTF-8 temp path");
-    cases.push((vec!["fleet", "--seeds", "0", "--out", report_arg], "--seeds"));
     for threshold in ["-1", "nan", "inf"] {
         let args = vec!["bench", "--compare-files", baseline, baseline, "--threshold", threshold];
         cases.push((args, "--threshold"));
@@ -113,5 +110,16 @@ fn bad_flag_values_are_rejected_before_any_work() {
         assert!(stderr.contains(&format!("error: {flag}")), "sapred {args:?}: {stderr}");
         assert!(stdout.is_empty(), "sapred {args:?} started work: {stdout}");
     }
-    assert!(!report.exists(), "fleet --seeds 0 wrote a report");
+    // A suite `bench` does not have runs no cell and writes no report.
+    let dir = std::env::temp_dir().join(format!("sapred_cli_suite_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = sapred(&["bench", "--suite", "fleet", "--out", dir.to_str().expect("UTF-8 path")]);
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "bench --suite fleet: {stderr}");
+    assert!(stderr.contains("unknown suite `fleet`"), "bench --suite fleet: {stderr}");
+    assert!(stdout.is_empty(), "bench --suite fleet started work: {stdout}");
+    let written = std::fs::read_dir(&dir).expect("temp dir").count();
+    assert_eq!(written, 0, "bench --suite fleet wrote {written} file(s)");
+    std::fs::remove_dir_all(&dir).ok();
 }
