@@ -1,26 +1,22 @@
 //! The `sapred bench` harness: a fixed suite of deterministic benchmark
-//! *cells*, each timing one hot path of the system under the span profiler
-//! and hot-path counters of [`sapred_obs::profile`].
+//! *cells*, each running one hot path of the simulator under the hot-path
+//! counters of [`sapred_obs::profile`].
 //!
-//! A cell is a [`CellSpec`]: what to run ([`CellKind`]), how many timed
+//! A cell is a [`CellSpec`]: what to run ([`CellKind`]), how many
 //! iterations, and the seed that makes the run deterministic. Running a
 //! cell yields a [`CellResult`] carrying three kinds of data:
 //!
-//! * **config** — the canonical JSON of the cell's parameters, so a
-//!   baseline comparison can refuse to compare apples to oranges,
+//! * **config** — the canonical JSON of the cell's parameters,
 //! * **counters** — the profiler's hot-path counters, which must be
 //!   bit-identical across iterations (the `deterministic` flag records
-//!   this) and across machines at the same seed; a mismatch against a
-//!   baseline is *determinism drift*, a much stronger signal than a
-//!   timing regression,
-//! * **metrics** — wall-clock percentiles and cell-specific rates
-//!   (events/sec, dispatch decisions/sec, tasks/sec), which are compared
-//!   against a threshold.
+//!   this) and across machines at the same seed. Config and counters are
+//!   what a committed baseline pins ([`crate::report::compare`]),
+//! * **metrics** — wall-clock times and cell-specific rates (events/sec,
+//!   dispatch decisions/sec, tasks/sec): a record of the run, never
+//!   compared. Timing claims belong to the repository benchmark.
 //!
-//! Suites ([`dispatch_suite`], [`scale_suite`]) come in full and `--quick`
-//! shapes; quick cells keep the full cells' names but smaller configs, so a
-//! quick-vs-full comparison reports each cell as *skipped* (config mismatch)
-//! rather than producing nonsense deltas.
+//! Each suite ([`dispatch_suite`], [`scale_suite`]) has one shape: the one
+//! its committed `BENCH_<suite>.json` pins.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -84,15 +80,15 @@ pub enum CellKind {
     },
 }
 
-/// One benchmark cell: a name (stable across suite shapes — baselines
-/// match by it), the workload, iteration count, and seed.
+/// One benchmark cell: a name (baselines match cells by it), the workload,
+/// iteration count, and seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSpec {
     /// Stable cell name; baseline comparisons join on it.
     pub name: &'static str,
     /// What to run.
     pub kind: CellKind,
-    /// Timed iterations (all must produce identical counters).
+    /// Iterations (all must produce identical counters).
     pub iters: usize,
     /// Seed for every stochastic input of the cell.
     pub seed: u64,
@@ -115,12 +111,12 @@ pub struct CellResult {
     pub counters: BTreeMap<String, u64>,
     /// Per-iteration wall-clock seconds.
     pub wall_s: Vec<f64>,
-    /// Derived metrics (name → value). Names ending in `_per_s` are
-    /// higher-is-better; all others are lower-is-better seconds.
+    /// Timings and rates derived from them (name → value); recorded,
+    /// never compared.
     pub metrics: BTreeMap<String, f64>,
     /// Panic message, when the cell blew up instead of finishing. A failed
-    /// cell keeps its name and config (so baseline comparison reports it as
-    /// a determinism drift, not a silently missing cell) but carries no
+    /// cell keeps its name and config (so a baseline comparison reports its
+    /// counters as changed, not the cell as missing) but carries no
     /// counters, walls, or metrics, and is never `deterministic`.
     pub error: Option<String>,
 }
@@ -151,7 +147,7 @@ impl CellResult {
     }
 }
 
-/// Canonical config JSON for a cell (the comparison join key, after name).
+/// Canonical config JSON for a cell.
 pub fn config_json(kind: &CellKind) -> String {
     match *kind {
         CellKind::Dispatch { n_queries, jobs, maps, reduces, traced } => Obj::new()
@@ -195,7 +191,7 @@ fn stress_plan(seed: u64) -> FaultPlan {
     }
 }
 
-/// One timed iteration of a cell; records into `prof`.
+/// One iteration of a cell; records into `prof`.
 fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
     let fw = sapred_core::Framework::new();
     match spec.kind {
@@ -232,20 +228,17 @@ fn run_once(spec: &CellSpec, prof: &Rc<SpanProfiler>) {
     }
 }
 
-/// Nearest-rank quantile of a small sample (q in `[0, 1]`).
-fn quantile(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
+/// Nearest-rank median of a non-empty sample (the lower middle of an even
+/// count).
+fn median(samples: &[f64]) -> f64 {
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
-    sorted[rank.min(sorted.len()) - 1]
+    sorted[(sorted.len() - 1) / 2]
 }
 
 /// Run one cell: `iters` profiled iterations, counters checked for
-/// cross-iteration identity, wall-clock percentiles and cell-specific
-/// metrics derived from the last iteration's profiler.
+/// cross-iteration identity, and the wall-clock median, minimum and
+/// cell-specific rates recorded.
 pub fn run_cell(spec: &CellSpec) -> CellResult {
     assert!(spec.iters > 0, "cell {} has zero iterations", spec.name);
     let mut walls = Vec::with_capacity(spec.iters);
@@ -269,12 +262,11 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
     let counters = first_counters.expect("iters > 0");
 
     let mut metrics = BTreeMap::new();
-    metrics.insert("wall_p50_s".into(), quantile(&walls, 0.50));
-    metrics.insert("wall_p95_s".into(), quantile(&walls, 0.95));
-    metrics.insert("wall_p99_s".into(), quantile(&walls, 0.99));
-    metrics.insert("wall_min_s".into(), walls.iter().cloned().fold(f64::INFINITY, f64::min));
+    metrics.insert("wall_p50_s".into(), median(&walls));
+    let wall_min = walls.iter().cloned().fold(f64::INFINITY, f64::min);
+    metrics.insert("wall_min_s".into(), wall_min);
     // Throughput over the best iteration (least-noise estimate).
-    let best = walls.iter().cloned().fold(f64::INFINITY, f64::min).max(1e-12);
+    let best = wall_min.max(1e-12);
     let events = counters.get(Counter::EventsProcessed.label()).copied().unwrap_or(0);
     metrics.insert("events_per_s".into(), events as f64 / best);
     match spec.kind {
@@ -302,47 +294,39 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
 }
 
 /// The dispatch suite: dispatch throughput, tracing-on emission cost, and
-/// fault-recovery throughput. Full shape uses the 200-query/10⁵-task
-/// workload; `quick` keeps the cell names but shrinks every dimension.
-pub fn dispatch_suite(quick: bool) -> Vec<CellSpec> {
-    let (q, j, m, r, iters) = if quick { (30, 3, 10, 4, 2) } else { (200, 5, 80, 20, 3) };
+/// fault-recovery throughput on the 200-query/10⁵-task workload.
+pub fn dispatch_suite() -> Vec<CellSpec> {
     let dispatch =
-        |traced| CellKind::Dispatch { n_queries: q, jobs: j, maps: m, reduces: r, traced };
+        |traced| CellKind::Dispatch { n_queries: 200, jobs: 5, maps: 80, reduces: 20, traced };
     vec![
-        CellSpec { name: "dispatch_incremental", kind: dispatch(false), iters, seed: 7 },
+        CellSpec { name: "dispatch_incremental", kind: dispatch(false), iters: 3, seed: 7 },
         CellSpec { name: "dispatch_traced", kind: dispatch(true), iters: 2, seed: 7 },
         CellSpec {
             name: "fault_stress",
-            kind: if quick {
-                CellKind::FaultStress { n_queries: 20, jobs: 3, maps: 10, reduces: 4 }
-            } else {
-                CellKind::FaultStress { n_queries: 120, jobs: 4, maps: 40, reduces: 10 }
-            },
+            kind: CellKind::FaultStress { n_queries: 120, jobs: 4, maps: 40, reduces: 10 },
             iters: 2,
             seed: 11,
         },
     ]
 }
 
-/// The scale suite: the event core pushed to 10⁶ and 10⁷ tasks. Quick
-/// shapes keep the names with ~10³× smaller workloads.
-pub fn scale_suite(quick: bool) -> Vec<CellSpec> {
-    let (small, large) = if quick {
-        (
-            CellKind::Scale { n_queries: 60, jobs: 3, maps: 20, reduces: 8 },
-            CellKind::Scale { n_queries: 60, jobs: 3, maps: 40, reduces: 16 },
-        )
-    } else {
-        (
-            // 2000 × 5 × (80 + 20) = 1e6 tasks.
-            CellKind::Scale { n_queries: 2000, jobs: 5, maps: 80, reduces: 20 },
-            // 2000 × 5 × (800 + 200) = 1e7 tasks.
-            CellKind::Scale { n_queries: 2000, jobs: 5, maps: 800, reduces: 200 },
-        )
-    };
+/// The scale suite: the event core pushed to 10⁶ and 10⁷ tasks.
+pub fn scale_suite() -> Vec<CellSpec> {
     vec![
-        CellSpec { name: "scale_1e6", kind: small, iters: 2, seed: 7 },
-        CellSpec { name: "scale_1e7", kind: large, iters: 1, seed: 7 },
+        CellSpec {
+            name: "scale_1e6",
+            // 2000 × 5 × (80 + 20) = 1e6 tasks.
+            kind: CellKind::Scale { n_queries: 2000, jobs: 5, maps: 80, reduces: 20 },
+            iters: 2,
+            seed: 7,
+        },
+        CellSpec {
+            name: "scale_1e7",
+            // 2000 × 5 × (800 + 200) = 1e7 tasks.
+            kind: CellKind::Scale { n_queries: 2000, jobs: 5, maps: 800, reduces: 200 },
+            iters: 1,
+            seed: 7,
+        },
     ]
 }
 

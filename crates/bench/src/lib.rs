@@ -1,6 +1,7 @@
 //! The engine's own benchmarks: the deterministic `sapred bench` suites
-//! ([`harness`], [`report`]). The paper's tables and figures come from
-//! `sapred reproduce` (`sapred_core::experiments::reproduce`).
+//! ([`harness`]), whose committed `BENCH_<suite>.json` reports pin every
+//! cell's hot-path counters ([`report`]). The paper's tables and figures
+//! come from `sapred reproduce` (`sapred_core::experiments::reproduce`).
 
 pub mod harness;
 pub mod report;
@@ -13,7 +14,7 @@ use sapred_plan::dag::JobCategory;
 /// reduce tasks, staggered Poisson-ish arrivals and varied per-job
 /// predictions (so SWRD/SRT rank queries non-trivially). Deterministic —
 /// no RNG — so every run sees the exact same input. 200/5/80/20 gives the
-/// 10⁵-task workload of the full `dispatch` suite, whose
+/// 10⁵-task workload of the `dispatch` suite, whose
 /// `dispatch_incremental` and `dispatch_traced` cells run it untraced and
 /// traced.
 pub fn dispatch_workload(

@@ -1,13 +1,12 @@
 //! `BENCH_<suite>.json` emission, schema validation, and baseline
 //! comparison for the `sapred bench` harness.
 //!
-//! The report schema is `sapred-bench/v1`:
+//! The report schema is `sapred-bench/v2`:
 //!
 //! ```json
 //! {
-//!   "schema": "sapred-bench/v1",
+//!   "schema": "sapred-bench/v2",
 //!   "suite": "dispatch",
-//!   "quick": false,
 //!   "env": {"rustc": "...", "commit": "...", "cores": 1,
 //!           "os": "linux", "arch": "x86_64", "profile": "release"},
 //!   "cells": [
@@ -18,17 +17,13 @@
 //! }
 //! ```
 //!
-//! Everything outside `wall_s`/`metrics` (and the `env` timing-free
-//! fingerprint fields that describe the machine) is deterministic at a
+//! Everything outside `wall_s`, `metrics` and `env` is deterministic at a
 //! fixed seed: rerunning the suite must reproduce `config`, `seed`,
-//! `iters`, and every counter bit-for-bit. [`compare`] exploits the split:
-//! counter mismatches are reported as **determinism drift** (the engine's
-//! behavior changed), while metric movements past a threshold are
-//! **timing regressions** (it got slower). Cells whose configs differ —
-//! e.g. a `--quick` run against a full baseline — are **skipped**, never
-//! force-compared.
+//! `iters`, and every counter bit-for-bit. [`compare`] checks what a
+//! baseline pins (the suite, the cell names, and each cell's `config` and
+//! `counters`) and never reads a timing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
 
 use sapred_obs::json::{self, array, num, Obj, Value};
@@ -36,7 +31,7 @@ use sapred_obs::json::{self, array, num, Obj, Value};
 use crate::harness::CellResult;
 
 /// Schema tag written to (and required of) every report.
-pub const SCHEMA: &str = "sapred-bench/v1";
+pub const SCHEMA: &str = "sapred-bench/v2";
 
 fn command_line(cmd: &str, args: &[&str]) -> Option<String> {
     let out = Command::new(cmd).args(args).output().ok()?;
@@ -90,12 +85,11 @@ fn cell_json(cell: &CellResult) -> String {
     }
 }
 
-/// Serialize a suite run to the `sapred-bench/v1` report document.
-pub fn suite_json(suite: &str, quick: bool, cells: &[CellResult]) -> String {
+/// Serialize a suite run to the [`SCHEMA`] report document.
+pub fn suite_json(suite: &str, cells: &[CellResult]) -> String {
     Obj::new()
         .str("schema", SCHEMA)
         .str("suite", suite)
-        .bool("quick", quick)
         .raw("env", &env_fingerprint())
         .raw("cells", &array(cells.iter().map(cell_json)))
         .finish()
@@ -123,9 +117,6 @@ pub fn validate_schema(text: &str) -> Result<Value, String> {
         return Err(format!("unsupported schema {schema:?} (expected {SCHEMA:?})"));
     }
     expect_str(&doc, "suite", "report")?;
-    doc.get("quick")
-        .filter(|v| matches!(v, Value::Bool(_)))
-        .ok_or("report: missing bool field \"quick\"")?;
     let env = doc.get("env").ok_or("report: missing object field \"env\"")?;
     for key in ["rustc", "commit", "os", "arch", "profile"] {
         expect_str(env, key, "env")?;
@@ -184,32 +175,9 @@ pub fn load_report(path: &str) -> Result<Value, String> {
     validate_schema(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// The outcome of comparing a fresh report against a baseline.
-#[derive(Debug, Default)]
-pub struct Comparison {
-    /// Human-readable per-cell/per-metric report lines, in order.
-    pub lines: Vec<String>,
-    /// Cells present in both but with differing configs (not compared).
-    pub skipped: usize,
-    /// Cells whose deterministic counters differ — behavior changed.
-    pub drifts: usize,
-    /// Timing metrics that moved past the threshold in the bad direction.
-    pub regressions: usize,
-    /// Timing metrics that moved past the threshold in the good direction.
-    pub improvements: usize,
-}
-
-impl Comparison {
-    /// Whether a gated comparison should fail the run.
-    pub fn gate_failed(&self) -> bool {
-        self.drifts > 0 || self.regressions > 0
-    }
-}
-
-/// Whether higher values of `metric` are better (throughputs) or worse
-/// (latencies/durations — the default).
-fn higher_is_better(metric: &str) -> bool {
-    metric.ends_with("_per_s")
+/// The suite a report was run for (`""` if the field is missing).
+pub fn suite_of(doc: &Value) -> &str {
+    doc.get("suite").and_then(Value::as_str).unwrap_or_default()
 }
 
 fn cells_by_name(doc: &Value) -> BTreeMap<String, &Value> {
@@ -221,72 +189,58 @@ fn cells_by_name(doc: &Value) -> BTreeMap<String, &Value> {
         .collect()
 }
 
-/// Compare a fresh report (`new`) against a `baseline`, both already
-/// validated by [`validate_schema`]. `threshold` is the relative change
-/// past which a timing metric counts as a regression/improvement (0.25 =
-/// 25%). Counter mismatches are always drift, regardless of threshold.
-pub fn compare(baseline: &Value, new: &Value, threshold: f64) -> Comparison {
-    let mut cmp = Comparison::default();
+fn show(v: Option<&Value>) -> String {
+    match v {
+        None => "missing".into(),
+        Some(Value::Num(n)) => n.to_string(),
+        Some(Value::Str(s)) => s.clone(),
+        Some(Value::Bool(b)) => b.to_string(),
+        Some(other) => format!("{other:?}"),
+    }
+}
+
+/// `key old -> new` for every key whose value differs between the objects
+/// `old_cell[field]` and `new_cell[field]`, a key missing on one side
+/// included.
+fn field_diffs(old_cell: &Value, new_cell: &Value, field: &str) -> Vec<String> {
+    let empty = BTreeMap::new();
+    let old = old_cell.get(field).and_then(Value::as_obj).unwrap_or(&empty);
+    let new = new_cell.get(field).and_then(Value::as_obj).unwrap_or(&empty);
+    let keys: BTreeSet<&String> = old.keys().chain(new.keys()).collect();
+    keys.into_iter()
+        .filter(|k| old.get(*k) != new.get(*k))
+        .map(|k| format!("{k} {} -> {}", show(old.get(k)), show(new.get(k))))
+        .collect()
+}
+
+/// Every way a fresh report (`new`) departs from a `baseline`, both
+/// already validated by [`validate_schema`], one line per mismatch naming
+/// its cell: a different suite, a baseline cell missing from the run, a
+/// run cell missing from the baseline, or a cell whose `config` or
+/// `counters` differ. Empty when the run reproduces the baseline. Timings
+/// are never read.
+pub fn compare(baseline: &Value, new: &Value) -> Vec<String> {
+    let mut mismatches = Vec::new();
+    let (old_suite, new_suite) = (suite_of(baseline), suite_of(new));
+    if old_suite != new_suite {
+        mismatches.push(format!("suite: baseline `{old_suite}`, run `{new_suite}`"));
+    }
     let old_cells = cells_by_name(baseline);
     let new_cells = cells_by_name(new);
-    for (name, new_cell) in &new_cells {
-        let Some(old_cell) = old_cells.get(name) else {
-            cmp.lines.push(format!("{name}: new cell (no baseline) — not compared"));
+    for (name, old_cell) in &old_cells {
+        let Some(new_cell) = new_cells.get(name) else {
+            mismatches.push(format!("{name}: in the baseline but not in this run"));
             continue;
         };
-        if old_cell.get("config") != new_cell.get("config") {
-            cmp.lines.push(format!("{name}: config differs from baseline — skipped"));
-            cmp.skipped += 1;
-            continue;
-        }
-        // Counters: exact match required (deterministic at fixed seed).
-        let empty = BTreeMap::new();
-        let old_counters = old_cell.get("counters").and_then(Value::as_obj).unwrap_or(&empty);
-        let new_counters = new_cell.get("counters").and_then(Value::as_obj).unwrap_or(&empty);
-        let mut drifted = Vec::new();
-        for (counter, old_v) in old_counters {
-            let old_n = old_v.as_num().unwrap_or(f64::NAN);
-            let new_n = new_counters.get(counter).and_then(Value::as_num).unwrap_or(f64::NAN);
-            if old_n != new_n {
-                drifted.push(format!("{counter} {old_n} -> {new_n}"));
+        for field in ["config", "counters"] {
+            let diffs = field_diffs(old_cell, new_cell, field);
+            if !diffs.is_empty() {
+                mismatches.push(format!("{name}: {field} changed: {}", diffs.join(", ")));
             }
         }
-        if !drifted.is_empty() {
-            cmp.drifts += 1;
-            cmp.lines.push(format!("{name}: DETERMINISM DRIFT: {}", drifted.join(", ")));
-        }
-        // Metrics: relative deltas against the threshold.
-        let old_metrics = old_cell.get("metrics").and_then(Value::as_obj).unwrap_or(&empty);
-        let new_metrics = new_cell.get("metrics").and_then(Value::as_obj).unwrap_or(&empty);
-        for (metric, old_v) in old_metrics {
-            let Some(new_v) = new_metrics.get(metric).and_then(Value::as_num) else {
-                continue;
-            };
-            let old_n = old_v.as_num().unwrap_or(f64::NAN);
-            if !(old_n.is_finite() && new_v.is_finite()) || old_n.abs() < 1e-12 {
-                continue;
-            }
-            let rel = (new_v - old_n) / old_n.abs();
-            let worse = if higher_is_better(metric) { -rel } else { rel };
-            let verdict = if worse > threshold {
-                cmp.regressions += 1;
-                "  REGRESSION"
-            } else if worse < -threshold {
-                cmp.improvements += 1;
-                "  improvement"
-            } else {
-                ""
-            };
-            cmp.lines.push(format!(
-                "{name}/{metric}: {old_n:.6} -> {new_v:.6} ({:+.1}%){verdict}",
-                rel * 100.0
-            ));
-        }
     }
-    for name in old_cells.keys() {
-        if !new_cells.contains_key(name) {
-            cmp.lines.push(format!("{name}: present in baseline but not in this run"));
-        }
+    for name in new_cells.keys().filter(|name| !old_cells.contains_key(*name)) {
+        mismatches.push(format!("{name}: in this run but not in the baseline"));
     }
-    cmp
+    mismatches
 }

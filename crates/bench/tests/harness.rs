@@ -1,8 +1,7 @@
 //! End-to-end tests of the `sapred bench` harness: deterministic cells,
-//! schema-valid reports, and the compare classifier (clean / skipped /
-//! drift / regression).
+//! schema-valid reports, and the strict baseline compare.
 
-use sapred_bench::harness::{dispatch_suite, run_cell, run_suite, CellKind, CellResult, CellSpec};
+use sapred_bench::harness::{run_cell, run_suite, CellKind, CellResult, CellSpec};
 use sapred_bench::report::{compare, load_report, suite_json, validate_schema, SCHEMA};
 
 /// A tiny dispatch cell that runs in milliseconds even in debug builds.
@@ -15,9 +14,28 @@ fn tiny_cell() -> CellSpec {
     }
 }
 
+/// Three small cells, one of each kind the suites run.
+fn small_suite() -> Vec<CellSpec> {
+    vec![
+        tiny_cell(),
+        CellSpec {
+            name: "fault_stress",
+            kind: CellKind::FaultStress { n_queries: 6, jobs: 2, maps: 6, reduces: 3 },
+            iters: 2,
+            seed: 11,
+        },
+        CellSpec {
+            name: "scale",
+            kind: CellKind::Scale { n_queries: 8, jobs: 2, maps: 6, reduces: 2 },
+            iters: 1,
+            seed: 7,
+        },
+    ]
+}
+
 #[test]
-fn quick_dispatch_suite_is_deterministic_and_schema_valid() {
-    let specs = dispatch_suite(true);
+fn suite_runs_are_deterministic_and_schema_valid() {
+    let specs = small_suite();
     let first = run_suite(&specs, 2);
     let second = run_suite(&specs, 1);
     assert_eq!(first.len(), specs.len());
@@ -30,60 +48,54 @@ fn quick_dispatch_suite_is_deterministic_and_schema_valid() {
         assert!(!a.metrics.is_empty());
     }
 
-    let doc_text = suite_json("dispatch", true, &first);
-    let doc = validate_schema(&doc_text).expect("fresh report validates");
+    let doc = validate_schema(&suite_json("dispatch", &first)).expect("fresh report validates");
     assert_eq!(doc.get("schema").unwrap().as_str().unwrap(), SCHEMA);
 
-    // Self-comparison is clean: no skips, no drift, no regressions.
-    let again = validate_schema(&suite_json("dispatch", true, &second)).unwrap();
-    let cmp = compare(&doc, &again, 1e9);
-    assert_eq!(cmp.skipped, 0, "{:?}", cmp.lines);
-    assert_eq!(cmp.drifts, 0, "{:?}", cmp.lines);
-    assert_eq!(cmp.regressions, 0, "{:?}", cmp.lines);
+    // A run at another thread count reproduces the first one's pins.
+    let again = validate_schema(&suite_json("dispatch", &second)).unwrap();
+    assert_eq!(compare(&doc, &again), Vec::<String>::new());
 }
 
+/// Anything a baseline pins that a run does not reproduce fails the
+/// compare with a line naming the cell; timings are never compared.
 #[test]
-fn compare_classifies_regression_drift_and_config_mismatch() {
-    let base = run_cell(&tiny_cell());
-    let baseline =
-        validate_schema(&suite_json("dispatch", true, std::slice::from_ref(&base))).unwrap();
+fn compare_fails_on_any_mismatch_and_names_its_cell() {
+    let cells = run_suite(&small_suite(), 1);
+    let doc = |cells: &[CellResult]| validate_schema(&suite_json("dispatch", cells)).unwrap();
+    let baseline = doc(&cells);
 
-    // Timing regression: wall percentile doubled, throughput halved.
-    let mut slow = base.clone();
-    for (metric, value) in slow.metrics.iter_mut() {
-        if metric.ends_with("_per_s") {
-            *value /= 4.0;
-        } else {
-            *value *= 4.0;
-        }
+    // A self-compare passes, however different the timings.
+    let mut slow = cells.clone();
+    for cell in &mut slow {
+        cell.wall_s.iter_mut().for_each(|w| *w *= 4.0);
+        cell.metrics.values_mut().for_each(|m| *m *= 4.0);
     }
-    let slow_doc = validate_schema(&suite_json("dispatch", true, &[slow])).unwrap();
-    let cmp = compare(&baseline, &slow_doc, 0.25);
-    assert!(cmp.regressions > 0, "{:?}", cmp.lines);
-    assert_eq!(cmp.drifts, 0);
-    assert!(cmp.gate_failed());
-    // The same movement in the good direction is an improvement, not a
-    // regression (direction depends on the metric's name).
-    let cmp_back = compare(&slow_doc, &baseline, 0.25);
-    assert_eq!(cmp_back.regressions, 0, "{:?}", cmp_back.lines);
-    assert!(cmp_back.improvements > 0);
+    assert_eq!(compare(&baseline, &doc(&slow)), Vec::<String>::new());
 
-    // Counter mismatch is determinism drift regardless of threshold.
-    let mut drifted = base.clone();
-    *drifted.counters.get_mut("events_processed").unwrap() += 1;
-    let drift_doc = validate_schema(&suite_json("dispatch", true, &[drifted])).unwrap();
-    let cmp = compare(&baseline, &drift_doc, 1e9);
-    assert_eq!(cmp.drifts, 1, "{:?}", cmp.lines);
-    assert!(cmp.gate_failed());
+    // A counter change.
+    let mut drifted = cells.clone();
+    *drifted[1].counters.get_mut("events_processed").unwrap() += 1;
+    let got = compare(&baseline, &doc(&drifted));
+    assert_eq!(got.len(), 1, "{got:?}");
+    assert!(got[0].starts_with("fault_stress: counters changed: events_processed "), "{got:?}");
 
-    // Config mismatch (e.g. quick vs. full shapes) is skipped, not judged.
-    let mut respec = tiny_cell();
-    respec.kind = CellKind::Dispatch { n_queries: 4, jobs: 2, maps: 4, reduces: 2, traced: false };
-    let other = run_cell(&respec);
-    let other_doc = validate_schema(&suite_json("dispatch", true, &[other])).unwrap();
-    let cmp = compare(&baseline, &other_doc, 1e9);
-    assert_eq!(cmp.skipped, 1, "{:?}", cmp.lines);
-    assert!(!cmp.gate_failed());
+    // A config change.
+    let mut respec = small_suite();
+    respec[2].kind = CellKind::Scale { n_queries: 9, jobs: 2, maps: 6, reduces: 2 };
+    let got = compare(&baseline, &doc(&run_suite(&respec, 1)));
+    assert!(got.contains(&"scale: config changed: n_queries 8 -> 9".to_string()), "{got:?}");
+
+    // A baseline cell missing from the run.
+    let got = compare(&baseline, &doc(&cells[..2]));
+    assert_eq!(got, ["scale: in the baseline but not in this run"]);
+
+    // A run cell missing from the baseline.
+    let got = compare(&doc(&cells[1..]), &baseline);
+    assert_eq!(got, ["dispatch_incremental: in this run but not in the baseline"]);
+
+    // A report of another suite.
+    let other = validate_schema(&suite_json("scale", &cells)).unwrap();
+    assert_eq!(compare(&baseline, &other), ["suite: baseline `dispatch`, run `scale`"]);
 }
 
 /// One panicking cell must not take down the suite: the survivors finish,
@@ -112,17 +124,18 @@ fn run_suite_survives_a_panicking_cell() {
     }
 
     // The failed cell still serializes into a schema-valid report, and a
-    // baseline comparison flags it as drift (its counters vanished) rather
-    // than silently dropping it.
-    let text = suite_json("dispatch", true, &cells);
-    let doc = validate_schema(&text).expect("report with a failed cell validates");
-    let healthy = run_suite(&[specs[0], specs[2]], 1);
-    let mut baseline_cells = vec![healthy[0].clone(), cells[1].clone(), healthy[1].clone()];
-    baseline_cells[1] = run_cell(&specs[0]); // stand-in healthy baseline for the exploder
-    baseline_cells[1].name = "exploder".to_string();
-    let baseline = validate_schema(&suite_json("dispatch", true, &baseline_cells)).unwrap();
-    let cmp = compare(&baseline, &doc, 1e9);
-    assert!(cmp.drifts > 0, "failed cell did not surface as drift: {:?}", cmp.lines);
+    // compare against a healthy baseline fails on it (its counters
+    // vanished) rather than silently dropping it.
+    let doc = validate_schema(&suite_json("dispatch", &cells))
+        .expect("report with a failed cell validates");
+    let stand_in = CellResult { name: "exploder".to_string(), ..run_cell(&specs[0]) };
+    let events = stand_in.counters["events_processed"];
+    let baseline_cells = [cells[0].clone(), stand_in, cells[2].clone()];
+    let baseline = validate_schema(&suite_json("dispatch", &baseline_cells)).unwrap();
+    let got = compare(&baseline, &doc);
+    assert_eq!(got.len(), 1, "{got:?}");
+    assert!(got[0].starts_with("exploder: counters changed: "), "{got:?}");
+    assert!(got[0].contains(&format!("events_processed {events} -> missing")), "{got:?}");
 }
 
 #[test]
@@ -131,13 +144,13 @@ fn malformed_reports_are_rejected() {
     assert!(validate_schema("{}").is_err());
     // Wrong schema tag.
     let err = validate_schema(
-        r#"{"schema":"sapred-bench/v0","suite":"x","quick":false,"env":{},"cells":[]}"#,
+        r#"{"schema":"sapred-bench/v1","suite":"x","quick":false,"env":{},"cells":[]}"#,
     )
     .unwrap_err();
     assert!(err.contains("unsupported schema"), "{err}");
     // Cell with a non-integer counter.
     let err = validate_schema(concat!(
-        r#"{"schema":"sapred-bench/v1","suite":"x","quick":false,"#,
+        r#"{"schema":"sapred-bench/v2","suite":"x","#,
         r#""env":{"rustc":"r","commit":"c","cores":1,"os":"linux","arch":"x","profile":"release"},"#,
         r#""cells":[{"name":"a","seed":1,"iters":1,"deterministic":true,"config":{},"#,
         r#""counters":{"events_processed":1.5},"wall_s":[0.1],"metrics":{}}]}"#
@@ -165,7 +178,7 @@ fn load_report_names_an_unparseable_baseline() {
     let dir = std::env::temp_dir().join(format!("sapred-load-bad-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("BENCH_bad.json");
-    std::fs::write(&path, "{\"schema\": \"sapred-bench/v1\", truncated").unwrap();
+    std::fs::write(&path, "{\"schema\": \"sapred-bench/v2\", truncated").unwrap();
     let err = load_report(path.to_str().unwrap()).unwrap_err();
     assert!(err.contains("BENCH_bad.json"), "error must name the path: {err}");
 
@@ -181,9 +194,11 @@ fn load_report_round_trips_a_valid_report() {
     let dir = std::env::temp_dir().join(format!("sapred-load-ok-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("BENCH_ok.json");
-    let cells = run_suite(&dispatch_suite(true)[..1], 1);
-    std::fs::write(&path, suite_json("dispatch", true, &cells)).unwrap();
+    let cells = run_suite(&[tiny_cell()], 1);
+    let text = suite_json("dispatch", &cells);
+    std::fs::write(&path, &text).unwrap();
     let doc = load_report(path.to_str().unwrap()).expect("valid report loads");
+    assert_eq!(doc, validate_schema(&text).unwrap());
     assert_eq!(doc.get("suite").and_then(|v| v.as_str()), Some("dispatch"));
 }
 

@@ -10,7 +10,7 @@
 //! sapred predict    --sql "SELECT ..." [--scale GB]        # train + predict one query
 //! sapred simulate   --mix bing|facebook [--gap S] [--divisor D]   # Fig. 8
 //! sapred trace      bing|facebook [--out trace.json] [--events events.jsonl] [--metrics metrics.json]
-//! sapred bench      [--suite dispatch|scale|all] [--quick] [--compare BENCH.json] [--gate]
+//! sapred bench      [--suite dispatch|scale|all] [--compare BENCH.json]   # pin engine counters
 //! sapred reproduce                                         # Figs. 1-2, Tables 2-5, Figs. 6-8, ablations
 //! ```
 
@@ -29,7 +29,7 @@ use sapred::selectivity::EstimatorKind;
 use sapred::workload::mixes::{bing_mix, facebook_mix, MixSpec};
 use sapred::workload::population::PopulationConfig;
 use sapred_bench::harness::{dispatch_suite, run_suite, scale_suite, CellResult};
-use sapred_bench::report::{compare, suite_json, validate_schema, Comparison};
+use sapred_bench::report::{compare, load_report, suite_json, suite_of, validate_schema};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -76,9 +76,8 @@ USAGE:
                     [--events <events.jsonl>] [--metrics <metrics.json>]
                     [--gap <SECONDS>] [--divisor <D>] [--queries <N>] [--seed <N>]
                     [--profile <profile.json>]
-  sapred bench      [--suite <dispatch|scale|all>] [--quick] [--iters <N>] [--threads <N>]
-                    [--out <DIR>] [--compare <BENCH.json>] [--threshold <FRACTION>] [--gate]
-                    [--validate <BENCH.json>]... [--compare-files <OLD.json> <NEW.json>]
+  sapred bench      [--suite <dispatch|scale|all>] [--threads <N>] [--out <DIR>]
+                    [--compare <BENCH.json>]
   sapred reproduce";
 
 /// Parse `--name value` pairs, rejecting any name not in `accepted`.
@@ -413,160 +412,64 @@ fn cmd_trace(args: &[String]) -> Result<(), Error> {
 }
 
 /// `sapred bench`: run the deterministic suite(s), write
-/// `BENCH_<suite>.json`, and optionally compare against a baseline.
-/// Parses its own arguments because `--quick`/`--gate` take no value.
+/// `BENCH_<suite>.json`, and with `--compare` require the run to reproduce
+/// a baseline's cells, configs and counters.
 fn cmd_bench(args: &[String]) -> Result<(), Error> {
-    let mut suite = "all".to_string();
-    let mut quick = false;
-    let mut gate = false;
-    let mut threads = sapred::core::parallel::available_threads();
-    let mut out_dir = ".".to_string();
-    let mut iters_override: Option<usize> = None;
-    let mut compare_path: Option<String> = None;
-    let mut threshold = 0.25f64;
-    let mut validate_paths: Vec<String> = Vec::new();
-    let mut compare_files: Option<(String, String)> = None;
-
-    let mut it = args.iter();
-    while let Some(key) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| Error::invalid(format!("--{name} needs a value")))
-        };
-        match key.as_str() {
-            "--suite" => suite = value("suite")?,
-            "--quick" => quick = true,
-            "--gate" => gate = true,
-            "--threads" => {
-                let v = value("threads")?;
-                threads = v.parse().map_err(|_| {
-                    Error::invalid(format!("--threads expects an integer, got `{v}`"))
-                })?;
-            }
-            "--out" => out_dir = value("out")?,
-            "--iters" => {
-                let v = value("iters")?;
-                let n: usize = v.parse().map_err(|_| {
-                    Error::invalid(format!("--iters expects an integer, got `{v}`"))
-                })?;
-                if n == 0 {
-                    return Err(Error::invalid("--iters must be at least 1"));
-                }
-                iters_override = Some(n);
-            }
-            "--compare" => compare_path = Some(value("compare")?),
-            "--threshold" => {
-                let v = value("threshold")?;
-                threshold = v.parse().map_err(|_| {
-                    Error::invalid(format!("--threshold expects a number, got `{v}`"))
-                })?;
-                if !(threshold.is_finite() && threshold >= 0.0) {
-                    return Err(Error::invalid(format!(
-                        "--threshold: {threshold} is not a finite non-negative number"
-                    )));
-                }
-            }
-            "--validate" => validate_paths.push(value("validate")?),
-            "--compare-files" => {
-                let old = value("compare-files")?;
-                let new = value("compare-files")?;
-                compare_files = Some((old, new));
-            }
-            other => return Err(Error::invalid(format!("unknown bench flag `{other}`"))),
-        }
+    let flags = &parse_flags(args, &["suite", "threads", "out", "compare"])?;
+    let threads = flag_usize(flags, "threads", sapred::core::parallel::available_threads())?;
+    if threads == 0 {
+        return Err(Error::invalid("--threads: 0 is not a positive integer"));
     }
-
-    // Missing/unparseable baselines are the classic `--compare` footguns;
-    // `load_report` turns both into errors that name the offending path.
-    let load = |path: &str| -> Result<sapred::obs::json::Value, Error> {
-        sapred_bench::report::load_report(path).map_err(Error::invalid)
-    };
-
-    // Validation-only mode: check the given reports and stop.
-    if !validate_paths.is_empty() {
-        for path in &validate_paths {
-            let doc = load(path)?;
-            let cells = doc.get("cells").and_then(|c| c.as_arr()).map(<[_]>::len).unwrap_or(0);
-            println!("{path}: valid {} report, {cells} cell(s)", sapred_bench::report::SCHEMA);
-        }
-        return Ok(());
-    }
-
-    let finish_compare = |cmp: &Comparison| -> Result<(), Error> {
-        for line in &cmp.lines {
-            println!("  {line}");
-        }
-        println!(
-            "compare: {} regression(s), {} improvement(s), {} drift(s), {} skipped \
-             (threshold {:.0}%)",
-            cmp.regressions,
-            cmp.improvements,
-            cmp.drifts,
-            cmp.skipped,
-            threshold * 100.0
-        );
-        if gate && cmp.gate_failed() {
-            // The gate is a deliberate local/manual switch; CI runs
-            // report-only (no --gate), so a noisy runner can't block it.
-            eprintln!("bench gate FAILED");
-            std::process::exit(2);
-        }
-        Ok(())
-    };
-
-    // File-vs-file comparison mode: no suite run at all.
-    if let Some((old_path, new_path)) = compare_files {
-        let (old_doc, new_doc) = (load(&old_path)?, load(&new_path)?);
-        println!("comparing {new_path} against baseline {old_path}:");
-        return finish_compare(&compare(&old_doc, &new_doc, threshold));
-    }
-
-    let suites: Vec<(&str, Vec<sapred_bench::harness::CellSpec>)> = match suite.as_str() {
-        "dispatch" => vec![("dispatch", dispatch_suite(quick))],
-        "scale" => vec![("scale", scale_suite(quick))],
-        "all" => vec![("dispatch", dispatch_suite(quick)), ("scale", scale_suite(quick))],
+    let out_dir = flags.get("out").map(String::as_str).unwrap_or(".");
+    let suites = match flags.get("suite").map(String::as_str).unwrap_or("all") {
+        "dispatch" => vec![("dispatch", dispatch_suite())],
+        "scale" => vec![("scale", scale_suite())],
+        "all" => vec![("dispatch", dispatch_suite()), ("scale", scale_suite())],
         other => {
             return Err(Error::invalid(format!(
                 "unknown suite `{other}` (expected dispatch|scale|all)"
             )))
         }
     };
-    if compare_path.is_some() && suites.len() > 1 {
-        return Err(Error::invalid(
-            "--compare needs a single suite (add --suite dispatch or scale)",
-        ));
-    }
-
-    std::fs::create_dir_all(&out_dir).map_err(|e| Error::io(format!("create {out_dir}"), e))?;
-    let mut faults = Vec::new();
-    for (name, mut specs) in suites {
-        if let Some(n) = iters_override {
-            for spec in &mut specs {
-                spec.iters = n;
+    // Load the baseline *before* the run writes anything: the fresh report
+    // may land on the very path being compared against. `load_report`
+    // names the path of a missing or unparseable baseline.
+    let baseline = match flags.get("compare") {
+        None => None,
+        Some(path) => {
+            let [(suite, _)] = suites.as_slice() else {
+                return Err(Error::invalid(
+                    "--compare needs a single suite (add --suite dispatch or scale)",
+                ));
+            };
+            let doc = load_report(path).map_err(Error::invalid)?;
+            let pinned = suite_of(&doc);
+            if pinned != *suite {
+                return Err(Error::invalid(format!(
+                    "--compare: {path} pins suite `{pinned}`, not `{suite}`"
+                )));
             }
+            Some((path, doc))
         }
-        // Load the baseline *before* the run writes anything: the fresh
-        // report may land on the very path being compared against.
-        let baseline = match &compare_path {
-            Some(path) => Some((path.clone(), load(path)?)),
-            None => None,
-        };
-        println!(
-            "running {name} suite ({} cells{}, {threads} worker thread(s))...",
-            specs.len(),
-            if quick { ", quick" } else { "" }
-        );
+    };
+
+    std::fs::create_dir_all(out_dir).map_err(|e| Error::io(format!("create {out_dir}"), e))?;
+    let mut faults = Vec::new();
+    for (name, specs) in suites {
+        println!("running {name} suite ({} cells, {threads} worker thread(s))...", specs.len());
         let cells = run_suite(&specs, threads);
         print_cells(&cells);
         faults.extend(cells.iter().filter_map(CellResult::fault));
-        let text = suite_json(name, quick, &cells);
+        let text = suite_json(name, &cells);
         let fresh =
             validate_schema(&text).map_err(|e| Error::invalid(format!("emitted report: {e}")))?;
         let path = format!("{out_dir}/BENCH_{name}.json");
         write_atomic(&path, &text).map_err(|e| Error::io(format!("write {path}"), e))?;
         println!("wrote {path}");
-        if let Some((baseline_path, baseline)) = baseline {
-            println!("comparing against baseline {baseline_path}:");
-            finish_compare(&compare(&baseline, &fresh, threshold))?;
+        if let Some((baseline_path, baseline)) = &baseline {
+            let mismatches = compare(baseline, &fresh);
+            println!("compare against {baseline_path}: {} mismatch(es)", mismatches.len());
+            faults.extend(mismatches);
         }
     }
     if !faults.is_empty() {

@@ -13,7 +13,7 @@ fn sapred(args: &[&str]) -> Output {
 
 #[test]
 fn unknown_flags_are_rejected_by_name() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 12] = [
         (&["reproduce", "--queries", "5"], "--queries"),
         (&["explain", "--sql", "SELECT 1", "--sacle", "3"], "--sacle"),
         (&["trace", "bing", "--queue_cap", "3"], "--queue_cap"),
@@ -22,6 +22,13 @@ fn unknown_flags_are_rejected_by_name() {
         (&["trace", "bing", "--guard", "on"], "--guard"),
         (&["trace", "bing", "--oracle", "recalibrating"], "--oracle"),
         (&["trace", "bing", "--queue-cap", "3"], "--queue-cap"),
+        // `bench` has one shape per cell and a compare that reads no timing.
+        (&["bench", "--quick"], "--quick"),
+        (&["bench", "--iters", "1"], "--iters"),
+        (&["bench", "--threshold", "0.1"], "--threshold"),
+        (&["bench", "--gate"], "--gate"),
+        (&["bench", "--validate", "BENCH_dispatch.json"], "--validate"),
+        (&["bench", "--compare-files", "a.json", "b.json"], "--compare-files"),
     ];
     for (args, flag) in cases {
         let out = sapred(args);
@@ -98,10 +105,7 @@ fn bad_flag_values_are_rejected_before_any_work() {
         cases.push((vec!["trace", "facebook", "--divisor", divisor], "--divisor"));
     }
     cases.push((vec!["trace", "bing", "--sched", "nope", "--queries", "8"], "--sched"));
-    for threshold in ["-1", "nan", "inf"] {
-        let args = vec!["bench", "--compare-files", baseline, baseline, "--threshold", threshold];
-        cases.push((args, "--threshold"));
-    }
+    cases.push((vec!["bench", "--threads", "0", "--compare", baseline], "--threads"));
     for (args, flag) in cases {
         let out = sapred(&args);
         let (stdout, stderr) =
@@ -110,16 +114,27 @@ fn bad_flag_values_are_rejected_before_any_work() {
         assert!(stderr.contains(&format!("error: {flag}")), "sapred {args:?}: {stderr}");
         assert!(stdout.is_empty(), "sapred {args:?} started work: {stdout}");
     }
-    // A suite `bench` does not have runs no cell and writes no report.
+    // A suite `bench` does not have, or a baseline of another suite, runs
+    // no cell and writes no report.
     let dir = std::env::temp_dir().join(format!("sapred_cli_suite_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let out = sapred(&["bench", "--suite", "fleet", "--out", dir.to_str().expect("UTF-8 path")]);
-    let (stdout, stderr) =
-        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
-    assert_eq!(out.status.code(), Some(1), "bench --suite fleet: {stderr}");
-    assert!(stderr.contains("unknown suite `fleet`"), "bench --suite fleet: {stderr}");
-    assert!(stdout.is_empty(), "bench --suite fleet started work: {stdout}");
-    let written = std::fs::read_dir(&dir).expect("temp dir").count();
-    assert_eq!(written, 0, "bench --suite fleet wrote {written} file(s)");
+    let out_dir = dir.to_str().expect("UTF-8 path");
+    let runs: [(&[&str], &str); 2] = [
+        (&["bench", "--suite", "fleet", "--out", out_dir], "unknown suite `fleet`"),
+        (
+            &["bench", "--suite", "scale", "--compare", baseline, "--out", out_dir],
+            "pins suite `dispatch`, not `scale`",
+        ),
+    ];
+    for (args, wanted) in runs {
+        let out = sapred(args);
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(1), "sapred {args:?}: {stderr}");
+        assert!(stderr.contains(wanted), "sapred {args:?}: {stderr}");
+        assert!(stdout.is_empty(), "sapred {args:?} started work: {stdout}");
+        let written = std::fs::read_dir(&dir).expect("temp dir").count();
+        assert_eq!(written, 0, "sapred {args:?} wrote {written} file(s)");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
