@@ -7,8 +7,8 @@
 //! {
 //!   "schema": "sapred-bench/v2",
 //!   "suite": "dispatch",
-//!   "env": {"rustc": "...", "commit": "...", "cores": 1,
-//!           "os": "linux", "arch": "x86_64", "profile": "release"},
+//!   "env": {"rustc": "...", "cores": 1, "os": "linux",
+//!           "arch": "x86_64", "profile": "release"},
 //!   "cells": [
 //!     {"name": "...", "seed": 7, "iters": 3, "deterministic": true,
 //!      "config": {...}, "counters": {"events_processed": 12345, ...},
@@ -47,17 +47,14 @@ fn command_line(cmd: &str, args: &[&str]) -> Option<String> {
     }
 }
 
-/// Environment fingerprint: compiler, commit, core count, platform, and
-/// build profile. Subprocess probes (`rustc`, `git`) degrade to
-/// `"unknown"` when unavailable, so reports can be produced anywhere.
+/// Environment fingerprint: compiler, core count, platform, and build
+/// profile. The `rustc` probe degrades to `"unknown"` when unavailable,
+/// so reports can be produced anywhere.
 pub fn env_fingerprint() -> String {
     let rustc = command_line("rustc", &["--version"]).unwrap_or_else(|| "unknown".into());
-    let commit =
-        command_line("git", &["rev-parse", "--short", "HEAD"]).unwrap_or_else(|| "unknown".into());
     let cores = sapred_core::parallel::available_threads();
     Obj::new()
         .str("rustc", &rustc)
-        .str("commit", &commit)
         .int("cores", cores as u64)
         .str("os", std::env::consts::OS)
         .str("arch", std::env::consts::ARCH)
@@ -118,7 +115,7 @@ pub fn validate_schema(text: &str) -> Result<Value, String> {
     }
     expect_str(&doc, "suite", "report")?;
     let env = doc.get("env").ok_or("report: missing object field \"env\"")?;
-    for key in ["rustc", "commit", "os", "arch", "profile"] {
+    for key in ["rustc", "os", "arch", "profile"] {
         expect_str(env, key, "env")?;
     }
     env.get("cores").and_then(Value::as_num).ok_or("env: missing numeric field \"cores\"")?;

@@ -151,7 +151,7 @@ fn malformed_reports_are_rejected() {
     // Cell with a non-integer counter.
     let err = validate_schema(concat!(
         r#"{"schema":"sapred-bench/v2","suite":"x","#,
-        r#""env":{"rustc":"r","commit":"c","cores":1,"os":"linux","arch":"x","profile":"release"},"#,
+        r#""env":{"rustc":"r","cores":1,"os":"linux","arch":"x","profile":"release"},"#,
         r#""cells":[{"name":"a","seed":1,"iters":1,"deterministic":true,"config":{},"#,
         r#""counters":{"events_processed":1.5},"wall_s":[0.1],"metrics":{}}]}"#
     ))

@@ -2,29 +2,31 @@
 //! everything that changes while it runs, and [`Simulator::execute`], the
 //! one run entry point, configured by a [`Run`].
 //!
-//! `execute` walks every run through the same four phases, so a run can
-//! be suspended mid-flight and resumed bit-identically:
+//! `execute` walks every run through the same four phases:
 //!
 //! * `check_inputs` — validation of every query and the fault plan,
 //!   which fails the run with [`SimError::Invalid`];
 //! * `init_run` — builds a fresh [`RunState`] (event queue seeded with
 //!   arrivals and crashes, SoA job table, prediction matrix, dispatch
-//!   aggregates, both RNG streams); a resumed run instead decodes a
-//!   `sapred-ckpt/v4` [`super::checkpoint`] blob into one;
+//!   aggregates, both RNG streams); a resumed run then `restore`s it: it
+//!   reads the cut from a `sapred-ckpt/v5` [`super::checkpoint`] blob and
+//!   drives the fresh state there with no sink and no profiler;
 //! * `drive` — the event loop proper. Between events it checks, in order:
 //!   run finished → optional stop point ([`Run::stop_after`]) → optional
 //!   event-budget watchdog ([`Simulator::with_max_events`]);
 //! * `finalize` — the end-of-run invariant asserts, queue telemetry, and
-//!   report assembly; a stopped run encodes its state instead.
+//!   report assembly; a stopped run records its event count instead.
 //!
-//! The golden fixtures plus the kill-and-resume differential harness pin
-//! that a stitched run (prefix events before the snapshot + suffix events
-//! after restore) is bit-identical to a straight-through run.
+//! The run is bit-deterministic, so the replayed state at a cut is the
+//! straight run's. The golden fixtures plus the kill-and-resume
+//! differential harness pin that a stitched run (prefix events before the
+//! snapshot + suffix events after the resume) is bit-identical to a
+//! straight-through run.
 //!
 //! A [`RunState`] grows with the work in flight, not with the run: an
 //! attempt's slab row is released when its terminal event pops, and a
 //! job's per-spec lists when it finishes or its query fails, so memory
-//! and snapshot size stay flat however many tasks a run has launched.
+//! stays flat however many tasks a run has launched.
 
 use crate::cost::CostModel;
 use crate::fault::FaultPlan;
@@ -88,7 +90,7 @@ pub enum SimError {
         limit: u64,
     },
     /// A checkpoint blob could not be restored (bad magic, truncation,
-    /// checksum or context mismatch, or structural corruption).
+    /// checksum or context mismatch, or a cut outside the run).
     Checkpoint(CheckpointError),
 }
 
@@ -124,7 +126,7 @@ pub enum RunOutcome {
     /// Every query is accounted for.
     Done(SimReport),
     /// The run was suspended after processing its [`Run::stop_after`]
-    /// event count; the blob is a framed `sapred-ckpt/v4` checkpoint that
+    /// event count; the blob is a framed `sapred-ckpt/v5` checkpoint that
     /// [`Run::resume`] turns back into a running engine.
     Snapshot(Vec<u8>),
 }
@@ -207,7 +209,9 @@ impl<'a, K: EventSink, P: Profiler> Run<'a, K, P> {
     }
 
     /// Start from checkpoint bytes written by a run over the same queries
-    /// and configuration (checked by the blob's fingerprint).
+    /// and configuration (checked by the blob's fingerprint). The run
+    /// replays the events before the cut with no sink and no profiler; the
+    /// oracle is consulted again for that prefix, as in a fresh run.
     pub fn resume(mut self, bytes: &'a [u8]) -> Self {
         self.resume = Some(bytes);
         self
@@ -215,8 +219,9 @@ impl<'a, K: EventSink, P: Profiler> Run<'a, K, P> {
 
     /// Suspend with a [`RunOutcome::Snapshot`] once `events` events have
     /// been processed since the fresh start (a resumed run counts the
-    /// events before its checkpoint too). The cut sits between events: the
-    /// last one and its dispatch are done, the next has not popped.
+    /// replayed events before its checkpoint too). The cut sits between
+    /// events: the last one and its dispatch are done, the next has not
+    /// popped.
     pub fn stop_after(mut self, events: u64) -> Self {
         self.stop_after = Some(events);
         self
@@ -229,14 +234,13 @@ enum Drive {
     Finished,
     /// The requested suspension point was reached; the [`RunState`] is
     /// quiescent (the current event and the dispatch it triggered are
-    /// fully processed) and ready to serialize.
+    /// fully processed).
     Suspended,
 }
 
 /// Everything that changes while a run executes, split from the
-/// [`Simulator`] configuration so a run can be suspended, serialized, and
-/// resumed. The checkpoint layer writes exactly these fields; `dstate`
-/// and `names` are derived — rebuilt on restore, never serialized.
+/// [`Simulator`] configuration. A resumed run rebuilds it by replay
+/// (`Simulator::restore`), so none of it is ever serialized.
 pub(super) struct RunState {
     pub(super) queue: EventQueue,
     pub(super) jobs: JobTable,
@@ -248,10 +252,9 @@ pub(super) struct RunState {
     pub(super) done_queries: usize,
     pub(super) rng: StdRng,
     pub(super) fault_rng: StdRng,
-    /// Materialized scheduling state — rebuilt deterministically on
-    /// restore via `resync_query`, never serialized.
+    /// Materialized scheduling state.
     pub(super) dstate: DispatchState,
-    /// Interned query names — derived from the workload, never serialized.
+    /// Interned query names.
     pub(super) names: Vec<std::sync::Arc<str>>,
     /// Events processed so far (mirrors [`Counter::EventsProcessed`]); the
     /// snapshot boundary and the watchdog budget both count this.
@@ -336,7 +339,7 @@ impl<S: Scheduler> Simulator<S> {
     /// [`SimError::Invalid`] if any query or the fault plan fails
     /// validation (checked before any run state is built, resumed runs
     /// included), [`SimError::Checkpoint`] if the resume bytes do not
-    /// restore, and [`SimError::EventBudgetExceeded`] if the
+    /// name a cut of this run, and [`SimError::EventBudgetExceeded`] if the
     /// [`with_max_events`](Simulator::with_max_events) watchdog trips.
     pub fn execute<K: EventSink, P: Profiler>(
         &mut self,
@@ -353,18 +356,36 @@ impl<S: Scheduler> Simulator<S> {
         let sink = &mut CountingSink { inner: &mut sink, prof };
         let mut rs = match resume {
             None => self.init_run(queries, oracle, prof),
-            Some(bytes) => {
-                let mut rs = checkpoint::decode(self, queries, bytes)?;
-                if self.crosscheck && rs.dstate.reindex(&rs.jobs, |r| self.scheduler.key(r)) {
-                    rs.dstate.crosscheck_index(&mut self.scheduler, "after restore");
-                }
-                rs
-            }
+            Some(bytes) => self.restore(queries, oracle, bytes)?,
         };
         Ok(match self.drive(queries, &mut rs, sink, oracle, prof, stop_after)? {
             Drive::Finished => RunOutcome::Done(self.finalize(queries, rs, prof)),
-            Drive::Suspended => RunOutcome::Snapshot(checkpoint::encode(self, queries, &rs)),
+            Drive::Suspended => {
+                RunOutcome::Snapshot(checkpoint::encode(self, queries, rs.events_processed))
+            }
         })
+    }
+
+    /// The [`RunState`] at a snapshot's cut: once the blob's frame and
+    /// context check out, a fresh run is driven there with no sink and no
+    /// profiler, consulting `oracle` as a fresh run does. A cut the run
+    /// never reaches is [`CheckpointError::Corrupt`].
+    pub(super) fn restore(
+        &mut self,
+        queries: &[SimQuery],
+        oracle: &mut dyn DemandOracle,
+        bytes: &[u8],
+    ) -> Result<RunState, SimError> {
+        let cut = checkpoint::decode(self, queries, bytes)?;
+        let mut rs = self.init_run(queries, oracle, &NullProfiler);
+        match self.drive(queries, &mut rs, &mut NullSink, oracle, &NullProfiler, Some(cut))? {
+            Drive::Suspended => Ok(rs),
+            Drive::Finished => Err(CheckpointError::Corrupt(format!(
+                "cut at event {cut} lies at or past the run's end ({} events)",
+                rs.events_processed
+            ))
+            .into()),
+        }
     }
 
     /// [`Simulator::execute`] with the default [`Run`], to completion: the
@@ -510,8 +531,7 @@ impl<S: Scheduler> Simulator<S> {
 
     /// The event loop: pop events, mutate `rs`, dispatch free containers,
     /// and between events check (in order) run completion, the optional
-    /// suspension point and the event watchdog. Works identically for
-    /// fresh and restored [`RunState`]s.
+    /// suspension point and the event watchdog.
     #[allow(clippy::too_many_lines)]
     fn drive<K: EventSink, P: Profiler>(
         &mut self,

@@ -2,9 +2,10 @@
 //!
 //! * [`engine`](self) — the event loop ([`Simulator`]),
 //! * `queue` — the event queue: a std `BinaryHeap` popped in `(time, seq)`
-//!   order, with its checkpoint codec,
+//!   order,
 //! * `checkpoint` — versioned, checksummed engine snapshots
-//!   (`sapred-ckpt/v4`) for suspend/resume ([`CheckpointError`]),
+//!   (`sapred-ckpt/v5`) for suspend/resume: the cut's event count, which a
+//!   resumed run replays to ([`CheckpointError`]),
 //! * `state` — the event types and the struct-of-arrays per-query /
 //!   per-job simulation state the other modules operate on,
 //! * `dispatch` — the materialized runnable set, its pick index and the

@@ -116,24 +116,10 @@ impl SimReport {
         v[lo] + (rank - lo as f64) * (v[hi] - v[lo])
     }
 
-    /// Total tasks (map + reduce) across all jobs. In a fault-free run this
-    /// equals the number of task-start and task-finish events a traced run
-    /// emits; under faults, attempts ([`SimReport::total_attempts`]) exceed
-    /// it.
-    pub fn total_tasks(&self) -> usize {
-        self.jobs.iter().map(|j| j.n_maps + j.n_reduces).sum()
-    }
-
     /// Total task attempts launched, including retries and speculative
     /// clones — the number of `task_start` events a traced run emits.
     pub fn total_attempts(&self) -> usize {
         self.jobs.iter().map(|j| j.map_attempts + j.reduce_attempts).sum()
-    }
-
-    /// Total attempts that ran to successful completion — the number of
-    /// `task_finish` events a traced run emits.
-    pub fn total_completions(&self) -> usize {
-        self.jobs.iter().map(|j| j.map_completions + j.reduce_completions).sum()
     }
 }
 

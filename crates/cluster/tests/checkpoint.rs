@@ -2,24 +2,25 @@
 //!
 //! The contract under test: for every golden fixture (five schedulers,
 //! fault-free and stress-faulted), running to a snapshot point, dropping
-//! the engine, restoring the `sapred-ckpt/v4` blob into a fresh engine,
-//! and finishing produces a report and an event stream **bit-identical**
-//! to the uninterrupted run — at deterministically chosen snapshot points
-//! and at proptest-chosen random ones. The golden cells also
-//! run [crosschecked](Simulator::crosschecked), which checks the dispatch
-//! view and the pick index against their references at every decision and
-//! right after the restore. The random cuts draw whether the resuming
-//! engine is crosschecked independently of the snapshotting one, so
-//! Crosscheck also verifies the index rebuilt from blobs written by plain
-//! runs.
+//! the engine, resuming the `sapred-ckpt/v5` blob in a fresh engine (which
+//! replays the run to the recorded cut), and finishing produces a report
+//! and an event stream **bit-identical** to the uninterrupted run — at
+//! deterministically chosen snapshot points and at proptest-chosen random
+//! ones. The golden cells also run [crosschecked](Simulator::crosschecked),
+//! which checks the dispatch view and the pick index against their
+//! references at every decision, the replayed ones included. The random
+//! cuts draw whether the resuming engine is crosschecked independently of
+//! the snapshotting one, so a blob written by a plain run resumes under
+//! Crosscheck and the other way round.
 //!
 //! Both halves of a cut take a profiler, and a resumed run can be cut
 //! again: three stitched segments must match the straight run too.
 //!
 //! The harness also fuzzes the blob itself: every single-byte flip and
 //! every truncation must surface a typed [`CheckpointError`] from resume —
-//! never a panic, never a silently-wrong run. Tampered blobs whose
-//! checksum was recomputed must fail structural validation.
+//! never a panic, never a silently-wrong run. A tampered blob whose
+//! checksum was recomputed must still be refused when its cut lies
+//! outside the run.
 
 use proptest::prelude::*;
 use sapred_cluster::fault::{FaultPlan, NodeCrash};
@@ -302,9 +303,9 @@ fn profiled_snapshot_and_resume_count_the_straight_run() {
     assert!(before.balanced() && after.balanced());
 }
 
-/// A checkpoint carries live state, not run history: on a long fault-free
-/// stream of queries, a snapshot at 90% of the run is no larger than one
-/// at 10% (give or take a tenth), though nine times as many attempts have
+/// A checkpoint carries no run history: on a long fault-free stream of
+/// queries, a snapshot at 90% of the run is no larger than one at 10%
+/// (give or take a tenth), though nine times as many attempts have
 /// launched by then.
 #[test]
 fn late_snapshots_are_no_larger_than_early_ones() {
@@ -381,19 +382,12 @@ fn context_mismatch_is_detected() {
 }
 
 /// Frame layout (see `sim/checkpoint.rs`): 15-byte magic, payload length,
-/// payload checksum, then the payload.
+/// payload checksum, then the payload: the context fingerprint and the
+/// cut's event count.
 const HEADER: usize = 15 + 8 + 8;
 
-/// Payload bytes before the queue's first record: context fingerprint,
-/// the five run scalars (now, events, done, two RNG states), then the
-/// queue's seq, ops and record count.
-const FIRST_RECORD: usize = 8 + (8 + 8 + 8 + 8 + 8) + 8 + 8 + 8;
-
-/// Serialized bytes per queued event.
-const RECORD: usize = 30;
-
 /// Recompute the payload checksum (FNV-1a 64) after tampering, so only
-/// structural validation stands between the blob and a resumed run.
+/// the replay stands between the blob and a resumed run.
 fn rechecksum(blob: &mut [u8]) {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in &blob[HEADER..] {
@@ -403,21 +397,25 @@ fn rechecksum(blob: &mut [u8]) {
     blob[HEADER - 8..HEADER].copy_from_slice(&h.to_le_bytes());
 }
 
+/// A re-checksummed blob whose cut the run never stops at (event 0, the
+/// run's last event, or past its end) names no state to resume; the
+/// replay refuses it as corrupt.
 #[test]
-fn swapped_queue_records_are_rejected_even_when_rechecksummed() {
-    let mut blob = sample_blob();
-    let count_at = HEADER + FIRST_RECORD - 8;
-    let queued = u64::from_le_bytes(blob[count_at..count_at + 8].try_into().unwrap());
-    assert!(queued >= 2, "fixture needs two queued events, has {queued}");
-    let first = HEADER + FIRST_RECORD;
-    let (a, b) = blob[first..first + 2 * RECORD].split_at_mut(RECORD);
-    a.swap_with_slice(b);
-    rechecksum(&mut blob);
-    match try_restore(&blob) {
-        Err(SimError::Checkpoint(CheckpointError::Corrupt(why))) => {
-            assert!(why.contains("(time, seq) order"), "unexpected reason: {why}")
+fn rechecksummed_cuts_outside_the_run_are_corrupt() {
+    let (_, _, total) = straight(Swrd, Some(stress_plan()), false);
+    let blob = sample_blob();
+    let at = HEADER + 8;
+    assert_eq!(u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()), 60);
+    for cut in [0, total, total + 1, 1_000_000] {
+        let mut bad = blob.clone();
+        bad[at..at + 8].copy_from_slice(&cut.to_le_bytes());
+        rechecksum(&mut bad);
+        match try_restore(&bad) {
+            Err(SimError::Checkpoint(CheckpointError::Corrupt(why))) => {
+                assert!(why.contains(&format!("cut at event {cut} ")), "cut {cut}: {why}")
+            }
+            other => panic!("cut {cut} of {total} must be refused as corrupt, got {other:?}"),
         }
-        other => panic!("swapped records must be refused as corrupt, got {other:?}"),
     }
 }
 
@@ -433,7 +431,7 @@ fn v1_blobs_fail_on_the_magic_header() {
 #[test]
 fn v2_blobs_fail_on_the_magic_header() {
     let mut blob = sample_blob();
-    assert_eq!(&blob[..15], b"sapred-ckpt/v4\n");
+    assert_eq!(&blob[..15], b"sapred-ckpt/v5\n");
     blob[..15].copy_from_slice(b"sapred-ckpt/v2\n");
     assert!(matches!(try_restore(&blob), Err(SimError::Checkpoint(CheckpointError::BadMagic))));
 }
@@ -445,6 +443,15 @@ fn v2_blobs_fail_on_the_magic_header() {
 fn v3_blobs_fail_on_the_magic_header() {
     let mut blob = sample_blob();
     blob[..15].copy_from_slice(b"sapred-ckpt/v3\n");
+    assert!(matches!(try_restore(&blob), Err(SimError::Checkpoint(CheckpointError::BadMagic))));
+}
+
+/// A `sapred-ckpt/v4` blob serializes the whole run state rather than a
+/// cut to replay to; it is refused by its header, not misread.
+#[test]
+fn v4_blobs_fail_on_the_magic_header() {
+    let mut blob = sample_blob();
+    blob[..15].copy_from_slice(b"sapred-ckpt/v4\n");
     assert!(matches!(try_restore(&blob), Err(SimError::Checkpoint(CheckpointError::BadMagic))));
 }
 

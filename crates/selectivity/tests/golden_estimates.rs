@@ -9,6 +9,7 @@
 
 use sapred_plan::compile::compile;
 use sapred_query::{analyze, parse};
+use sapred_relation::fnv1a;
 use sapred_relation::gen::{generate, Database, GenConfig};
 use sapred_selectivity::estimate::{estimate_dag, EstimatorConfig, JobEstimate};
 
@@ -60,28 +61,21 @@ const PINS: &[(&str, u64)] = &[
     ("q11_walkthrough", 0x3f91730a3ef73435),
 ];
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
-
-fn hash_f64(h: u64, v: f64) -> u64 {
-    fnv1a(h, &v.to_bits().to_le_bytes())
-}
-
+/// FNV-1a over each estimate's category name and the exact bit patterns of
+/// its fields, all in one byte buffer.
 fn fingerprint(estimates: &[JobEstimate]) -> u64 {
-    let mut h = FNV_BASIS;
+    let mut bytes = Vec::new();
     for e in estimates {
-        h = fnv1a(h, format!("{}", e.category).as_bytes());
-        for v in [e.d_in, e.d_med, e.d_out, e.tuples_in, e.tuples_med, e.tuples_out, e.is, e.fs] {
-            h = hash_f64(h, v);
+        bytes.extend_from_slice(format!("{}", e.category).as_bytes());
+        let p_ratio = e.p_ratio.unwrap_or(-1.0);
+        for v in
+            [e.d_in, e.d_med, e.d_out, e.tuples_in, e.tuples_med, e.tuples_out, e.is, e.fs, p_ratio]
+        {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        h = hash_f64(h, e.p_ratio.unwrap_or(-1.0));
-        h = fnv1a(h, &(e.n_maps as u64).to_le_bytes());
+        bytes.extend_from_slice(&(e.n_maps as u64).to_le_bytes());
     }
-    h
+    fnv1a(&bytes)
 }
 
 fn db() -> Database {

@@ -92,9 +92,11 @@ fn check_fault_invariants(report: &SimReport, queries: &[SimQuery], tag: &str) {
     }
     // Attempt accounting closes: every launched attempt ends exactly one
     // way — success, failure, or kill (speculation loss / node crash).
+    let completions: usize =
+        report.jobs.iter().map(|j| j.map_completions + j.reduce_completions).sum();
     assert_eq!(
         report.total_attempts(),
-        report.total_completions() + report.faults.task_failures + report.faults.tasks_killed,
+        completions + report.faults.task_failures + report.faults.tasks_killed,
         "{tag}: attempt accounting leak"
     );
     assert_eq!(report.faults.node_crashes, 1, "{tag}: crash not recorded");
