@@ -55,14 +55,6 @@ pub struct SimJob {
     pub prediction: JobPrediction,
 }
 
-impl SimJob {
-    /// Total ground-truth-agnostic workload proxy: bytes touched.
-    #[cfg(test)]
-    pub fn total_bytes(&self) -> f64 {
-        self.maps.iter().chain(&self.reduces).map(|t| t.bytes_in + t.bytes_out).sum()
-    }
-}
-
 /// A query: a DAG of jobs plus its arrival time.
 #[derive(Debug, Clone)]
 pub struct SimQuery {
@@ -210,11 +202,5 @@ mod tests {
     fn initial_wrd_sums() {
         let q = query();
         assert_eq!(q.initial_wrd(), 2.0 * 4.0 + 3.0 * 2.0 + 1.0);
-    }
-
-    #[test]
-    fn total_bytes() {
-        let q = query();
-        assert_eq!(q.jobs[0].total_bytes(), 4.0 * 150.0 + 2.0 * 75.0);
     }
 }

@@ -5,6 +5,7 @@
 //! [`Simulator::crosschecked`](super::Simulator::crosschecked) runs check
 //! the maintained state against.
 
+use crate::job::TaskKind::{Map, Reduce};
 use crate::job::{JobPrediction, SimQuery};
 use crate::sched::{choice, PickKey, RunnableJob, Scheduler, TaskChoice};
 
@@ -157,60 +158,59 @@ impl DispatchState {
         }
     }
 
-    /// A job entered the runnable set (submitted, or its reduces unlocked).
-    pub(super) fn insert_job(
+    /// Job `(qi, j)`'s runnable entry, or `None` when it has nothing to
+    /// launch. Reduces stay hidden until the job's map phase completes.
+    fn entry(
+        &self,
+        queries: &[SimQuery],
+        jobs: &JobTable,
+        qi: usize,
+        j: usize,
+    ) -> Option<RunnableJob> {
+        let i = jobs.idx(qi, j);
+        let c = &jobs.counts[i];
+        let pending_reduces = if jobs.reduces_unlocked[i] { c[Reduce].pending } else { 0 };
+        if c[Map].pending == 0 && pending_reduces == 0 {
+            return None;
+        }
+        Some(RunnableJob {
+            query: QueryId(qi),
+            job: JobId(j),
+            submit_time: jobs.submit_time[i],
+            arrival: queries[qi].arrival,
+            pending_maps: c[Map].pending,
+            pending_reduces,
+            running: c[Map].running + c[Reduce].running,
+            query_wrd: self.aggs[qi].wrd,
+            query_time: self.aggs[qi].crit,
+        })
+    }
+
+    /// Bring job `(qi, j)`'s runnable entry in step with the job table
+    /// after the job was submitted or a task of it was dispatched or
+    /// finished: insert, update or drop the entry. The query is re-keyed even when its
+    /// aggregates did not change, because the job's `running` count is
+    /// part of [`Hfs`](crate::sched::Hfs)'s key.
+    pub(super) fn update_job(
         &mut self,
         queries: &[SimQuery],
         jobs: &JobTable,
         qi: usize,
         j: usize,
     ) {
-        let i = jobs.idx(qi, j);
-        let pending_reduces =
-            if jobs.reduces_unlocked[i] { jobs.counts[i].pending_reduces } else { 0 };
-        if jobs.counts[i].pending_maps == 0 && pending_reduces == 0 {
-            return;
-        }
-        let entry = RunnableJob {
-            query: QueryId(qi),
-            job: JobId(j),
-            submit_time: jobs.submit_time[i],
-            arrival: queries[qi].arrival,
-            pending_maps: jobs.counts[i].pending_maps,
-            pending_reduces,
-            running: jobs.counts[i].running_maps + jobs.counts[i].running_reduces,
-            query_wrd: self.aggs[qi].wrd,
-            query_time: self.aggs[qi].crit,
-        };
-        match self.position(qi, j) {
-            Ok(_) => unreachable!("job {qi}/{j} already runnable"),
-            Err(at) => self.runnable.insert(at, entry),
-        }
         self.mark(qi);
-    }
-
-    /// A task of `(qi, j)` was dispatched: update the job's entry, and drop
-    /// it from the set once nothing is left to launch. The query's
-    /// aggregates do not change, but the job's `running` count (part of
-    /// [`Hfs`](crate::sched::Hfs)'s key) does, so the query is re-keyed.
-    pub(super) fn on_dispatch(&mut self, jobs: &JobTable, qi: usize, j: usize) {
-        self.mark(qi);
-        let at = self.position(qi, j).expect("dispatched job is runnable");
-        let i = jobs.idx(qi, j);
-        let pending_reduces =
-            if jobs.reduces_unlocked[i] { jobs.counts[i].pending_reduces } else { 0 };
-        if jobs.counts[i].pending_maps == 0 && pending_reduces == 0 {
-            self.runnable.remove(at);
-        } else {
-            let r = &mut self.runnable[at];
-            r.pending_maps = jobs.counts[i].pending_maps;
-            r.pending_reduces = pending_reduces;
-            r.running = jobs.counts[i].running_maps + jobs.counts[i].running_reduces;
+        match (self.position(qi, j), self.entry(queries, jobs, qi, j)) {
+            (Ok(at), Some(entry)) => self.runnable[at] = entry,
+            (Ok(at), None) => {
+                self.runnable.remove(at);
+            }
+            (Err(at), Some(entry)) => self.runnable.insert(at, entry),
+            (Err(_), None) => {}
         }
     }
 
-    /// A task of `(qi, j)` finished: refresh the query's demand, and
-    /// re-admit the job if this completion unlocked its reduce phase.
+    /// A task of `(qi, j)` finished: update the job's entry (the last map
+    /// unlocks the reduce phase) and refresh the query's demand.
     pub(super) fn on_task_done(
         &mut self,
         queries: &[SimQuery],
@@ -219,21 +219,7 @@ impl DispatchState {
         qi: usize,
         j: usize,
     ) {
-        let i = jobs.idx(qi, j);
-        if let Ok(at) = self.position(qi, j) {
-            // Still runnable (more tasks of the same phase pending).
-            let r = &mut self.runnable[at];
-            r.pending_maps = jobs.counts[i].pending_maps;
-            r.pending_reduces =
-                if jobs.reduces_unlocked[i] { jobs.counts[i].pending_reduces } else { 0 };
-            r.running = jobs.counts[i].running_maps + jobs.counts[i].running_reduces;
-        } else if jobs.reduces_unlocked[i]
-            && jobs.counts[i].pending_reduces > 0
-            && jobs.finished[i].is_none()
-        {
-            // This completion was the last map: the reduce wave unlocks.
-            self.insert_job(queries, jobs, qi, j);
-        }
+        self.update_job(queries, jobs, qi, j);
         self.refresh_query(queries, jobs, preds, qi);
     }
 
@@ -453,8 +439,8 @@ fn query_demand(
         let own = if finished[i].is_some() {
             0.0
         } else {
-            let rem = preds[i].map_task_time * (j.maps.len() - counts[i].done_maps) as f64
-                + preds[i].reduce_task_time * (j.reduces.len() - counts[i].done_reduces) as f64;
+            let rem = preds[i].map_task_time * (j.maps.len() - counts[i][Map].done) as f64
+                + preds[i].reduce_task_time * (j.reduces.len() - counts[i][Reduce].done) as f64;
             wrd += rem;
             rem / c
         };
@@ -500,9 +486,9 @@ fn push_runnable(
         if !jobs.submitted[i] || jobs.finished[i].is_some() {
             continue;
         }
-        let pending_reduces =
-            if jobs.reduces_unlocked[i] { jobs.counts[i].pending_reduces } else { 0 };
-        if jobs.counts[i].pending_maps == 0 && pending_reduces == 0 {
+        let c = &jobs.counts[i];
+        let pending_reduces = if jobs.reduces_unlocked[i] { c[Reduce].pending } else { 0 };
+        if c[Map].pending == 0 && pending_reduces == 0 {
             continue;
         }
         out.push(RunnableJob {
@@ -510,9 +496,9 @@ fn push_runnable(
             job: j.id,
             submit_time: jobs.submit_time[i],
             arrival: q.arrival,
-            pending_maps: jobs.counts[i].pending_maps,
+            pending_maps: c[Map].pending,
             pending_reduces,
-            running: jobs.counts[i].running_maps + jobs.counts[i].running_reduces,
+            running: c[Map].running + c[Reduce].running,
             query_wrd: agg.wrd,
             query_time: agg.crit,
         });

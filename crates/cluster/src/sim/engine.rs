@@ -23,6 +23,14 @@
 //! snapshot + suffix events after the resume) is bit-identical to a
 //! straight-through run.
 //!
+//! Maps and reduces follow one task lifecycle. A dispatch moves a pending
+//! task of the chosen kind to running (`JobTable::start_task`); the
+//! attempt starts through `launch`, which also starts speculative clones;
+//! its terminal event finishes, fails or (if it was killed) drops it; a
+//! failed, killed or clawed-back spec is pending again through
+//! `JobTable::requeue`. Each step touches the job's lane of that kind;
+//! only the reduce unlock and the lost-map-output rule are map-specific.
+//!
 //! A [`RunState`] grows with the work in flight, not with the run: an
 //! attempt's slab row is released when its terminal event pops, and a
 //! job's per-spec lists when it finishes or its query fails, so memory
@@ -30,7 +38,8 @@
 
 use crate::cost::CostModel;
 use crate::fault::FaultPlan;
-use crate::job::{JobPrediction, SimQuery, TaskKind, TaskSpec};
+use crate::job::TaskKind::{self, Map, Reduce};
+use crate::job::{JobPrediction, SimQuery};
 use crate::sched::{RunnableJob, Scheduler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,7 +56,7 @@ use super::oracle::{DemandOracle, FrozenOracle};
 use super::queue::EventQueue;
 use super::recovery::{fail_query, Attempt, FaultState, NIL};
 use super::report::{assemble_report, SimReport};
-use super::state::{phase_of, Event, JobLists, JobTable, QueryState};
+use super::state::{phase_of, specs, Event, JobLists, JobTable, QueryState};
 use super::ClusterConfig;
 use sapred_obs::{JobId, NodeId, QueryId};
 
@@ -584,15 +593,10 @@ impl<S: Scheduler> Simulator<S> {
                         let i = rs.jobs.idx(q, j);
                         rs.jobs.submitted[i] = true;
                         rs.jobs.submit_time[i] = now;
-                        rs.jobs.counts[i].pending_maps = job.maps.len();
+                        rs.jobs.counts[i][Map].pending = job.maps.len();
                         rs.jobs.reduces_unlocked[i] = job.reduces.is_empty();
                         rs.jobs.reduces_initialized[i] = job.reduces.is_empty();
-                        let lists = &mut rs.jobs.lists[i];
-                        lists.map_attempt_no = vec![0; job.maps.len()];
-                        lists.reduce_attempt_no = vec![0; job.reduces.len()];
-                        lists.map_fail_since = vec![None; job.maps.len()];
-                        lists.reduce_fail_since = vec![None; job.reduces.len()];
-                        lists.map_node = vec![None; job.maps.len()];
+                        rs.jobs.lists[i] = JobLists::new(job);
                         rs.preds[q][j] = oracle.predict(QueryId(q), job);
                         emit!(
                             sink,
@@ -603,7 +607,7 @@ impl<S: Scheduler> Simulator<S> {
                                 category: job.category,
                             }
                         );
-                        rs.dstate.insert_job(queries, &rs.jobs, q, j);
+                        rs.dstate.update_job(queries, &rs.jobs, q, j);
                         prof.inc(Counter::SchedulerViewUpdates);
                     }
                     Event::TaskDone { attempt } => {
@@ -655,42 +659,33 @@ impl<S: Scheduler> Simulator<S> {
                         let (q, j) = (a.q, a.j);
                         let job = &queries[q].jobs[j];
                         let i = rs.jobs.idx(q, j);
-                        let recovered_since = match a.kind {
-                            TaskKind::Map => {
-                                rs.jobs.counts[i].running_maps -= 1;
-                                rs.jobs.counts[i].done_maps += 1;
-                                rs.jobs.stats[i].map_time_sum += duration;
-                                rs.jobs.stats[i].map_completions += 1;
-                                rs.jobs.lists[i].map_node[a.spec_idx] =
-                                    Some(self.config.node_of(a.slot));
-                                if rs.jobs.counts[i].done_maps == job.maps.len()
-                                    && !job.reduces.is_empty()
-                                {
-                                    if !rs.jobs.reduces_initialized[i] {
-                                        rs.jobs.counts[i].pending_reduces = job.reduces.len();
-                                        rs.jobs.reduces_initialized[i] = true;
-                                    }
-                                    rs.jobs.reduces_unlocked[i] = true;
+                        let c = &mut rs.jobs.counts[i];
+                        c[a.kind].running -= 1;
+                        c[a.kind].done += 1;
+                        let maps_done = c[Map].done == job.maps.len();
+                        let job_done = maps_done && c[Reduce].done == job.reduces.len();
+                        rs.jobs.stats[i][a.kind].time_sum += duration;
+                        rs.jobs.stats[i][a.kind].completions += 1;
+                        if a.kind == Map {
+                            rs.jobs.lists[i].map_node[a.spec_idx] =
+                                Some(self.config.node_of(a.slot));
+                            if maps_done && !job.reduces.is_empty() {
+                                if !rs.jobs.reduces_initialized[i] {
+                                    rs.jobs.counts[i][Reduce].pending = job.reduces.len();
+                                    rs.jobs.reduces_initialized[i] = true;
                                 }
-                                rs.jobs.lists[i].map_fail_since[a.spec_idx].take()
+                                rs.jobs.reduces_unlocked[i] = true;
                             }
-                            TaskKind::Reduce => {
-                                rs.jobs.counts[i].running_reduces -= 1;
-                                rs.jobs.counts[i].done_reduces += 1;
-                                rs.jobs.stats[i].reduce_time_sum += duration;
-                                rs.jobs.stats[i].reduce_completions += 1;
-                                rs.jobs.lists[i].reduce_fail_since[a.spec_idx].take()
-                            }
-                        };
-                        if let Some(since) = recovered_since {
+                        }
+                        if let Some(since) =
+                            rs.jobs.lists[i].lanes[a.kind].fail_since[a.spec_idx].take()
+                        {
                             rs.fr.stats.recovery_count += 1;
                             let lat = now - since;
                             rs.fr.stats.recovery_latency_sum += lat;
                             rs.fr.stats.recovery_latency_max =
                                 rs.fr.stats.recovery_latency_max.max(lat);
                         }
-                        let job_done = rs.jobs.counts[i].done_maps == job.maps.len()
-                            && rs.jobs.counts[i].done_reduces == job.reduces.len();
                         if job_done && rs.jobs.finished[i].is_none() {
                             rs.jobs.finished[i] = Some(now);
                             rs.jobs.free_lists(i);
@@ -751,21 +746,15 @@ impl<S: Scheduler> Simulator<S> {
                         } else {
                             debug_assert!(a.counted);
                             let i = rs.jobs.idx(a.q, a.j);
-                            match a.kind {
-                                TaskKind::Map => rs.jobs.counts[i].running_maps -= 1,
-                                TaskKind::Reduce => rs.jobs.counts[i].running_reduces -= 1,
-                            }
-                            let used = match a.kind {
-                                TaskKind::Map => rs.jobs.lists[i].map_attempt_no[a.spec_idx],
-                                TaskKind::Reduce => rs.jobs.lists[i].reduce_attempt_no[a.spec_idx],
-                            };
+                            rs.jobs.counts[i][a.kind].running -= 1;
+                            let used = rs.jobs.lists[i].lanes[a.kind].attempt_no[a.spec_idx];
                             if used >= self.faults.max_attempts {
                                 query_failed = true;
                             } else {
                                 will_retry = true;
                                 retry_at = now + self.faults.backoff(used);
                                 rs.fr.stats.retries_scheduled += 1;
-                                FaultState::start_recovery_clock(&mut rs.jobs, &a, now);
+                                rs.jobs.start_recovery_clock(i, a.kind, a.spec_idx, now);
                             }
                         }
                         rs.fr.attempts.release(attempt);
@@ -855,17 +844,7 @@ impl<S: Scheduler> Simulator<S> {
                             // Backoff elapsed after the query was abandoned.
                             break 'event;
                         }
-                        let i = rs.jobs.idx(q, j);
-                        match kind {
-                            TaskKind::Map => {
-                                rs.jobs.counts[i].pending_maps += 1;
-                                rs.jobs.lists[i].retry_maps.push(spec_idx);
-                            }
-                            TaskKind::Reduce => {
-                                rs.jobs.counts[i].pending_reduces += 1;
-                                rs.jobs.lists[i].retry_reduces.push(spec_idx);
-                            }
-                        }
+                        rs.jobs.requeue(rs.jobs.idx(q, j), kind, spec_idx);
                         rs.dstate.resync_query(queries, &rs.jobs, &rs.preds, q);
                         prof.inc(Counter::SchedulerViewUpdates);
                     }
@@ -904,12 +883,11 @@ impl<S: Scheduler> Simulator<S> {
                                 if lost.is_empty() {
                                     continue;
                                 }
-                                rs.jobs.counts[i].done_maps -= lost.len();
-                                rs.jobs.counts[i].pending_maps += lost.len();
+                                rs.jobs.counts[i][Map].done -= lost.len();
                                 for &m in &lost {
                                     rs.jobs.lists[i].map_node[m] = None;
-                                    rs.jobs.lists[i].retry_maps.push(m);
-                                    rs.jobs.lists[i].map_fail_since[m].get_or_insert(now);
+                                    rs.jobs.requeue(i, Map, m);
+                                    rs.jobs.start_recovery_clock(i, Map, m, now);
                                 }
                                 if rs.jobs.reduces_unlocked[i] {
                                     // The reduce wave re-locks until the map
@@ -1042,11 +1020,9 @@ impl<S: Scheduler> Simulator<S> {
                             }
                             let (aq, aj) = (at.q[id], at.info[id].j);
                             let job = &queries[aq].jobs[aj];
-                            let i = rs.jobs.idx(aq, aj);
+                            let c = &rs.jobs.counts[rs.jobs.idx(aq, aj)];
                             let total = (job.maps.len() + job.reduces.len()) as f64;
-                            let done = (rs.jobs.counts[i].done_maps
-                                + rs.jobs.counts[i].done_reduces)
-                                as f64;
+                            let done = (c[Map].done + c[Reduce].done) as f64;
                             if done / total < self.faults.spec_fraction {
                                 continue;
                             }
@@ -1072,11 +1048,6 @@ impl<S: Scheduler> Simulator<S> {
                             .find(|&s| self.config.node_of(s) != orig_node)
                             .unwrap_or(slots[0]);
                         rs.free_slots.retain(|&Reverse(s)| s != slot);
-                        let job = &queries[orig.q].jobs[orig.j];
-                        let spec = match orig.kind {
-                            TaskKind::Map => job.maps[orig.spec_idx],
-                            TaskKind::Reduce => job.reduces[orig.spec_idx],
-                        };
                         emit!(
                             sink,
                             ObsEvent::SpeculativeLaunch {
@@ -1088,53 +1059,10 @@ impl<S: Scheduler> Simulator<S> {
                                 slot: self.config.slot_of(slot),
                             }
                         );
-                        emit!(
-                            sink,
-                            ObsEvent::TaskStart {
-                                t: now,
-                                query: QueryId(orig.q),
-                                job: JobId(orig.j),
-                                phase: phase_of(orig.kind),
-                                node: NodeId(self.config.node_of(slot)),
-                                slot: self.config.slot_of(slot),
-                            }
-                        );
-                        let load = 1.0
-                            - rs.free_slots.len() as f64 / self.config.total_containers() as f64;
-                        let duration =
-                            self.cost.duration_loaded(&spec, load, &mut rs.rng).max(1e-3);
-                        let fail =
-                            self.cost.sample_failure(self.faults.task_fail_prob, &mut rs.fault_rng);
-                        let id = rs.fr.attempts.push(Attempt {
-                            q: orig.q,
-                            j: orig.j,
-                            kind: orig.kind,
-                            spec_idx: orig.spec_idx,
-                            slot,
-                            start: now,
-                            duration_bits: duration.to_bits(),
-                            sched_end: now + duration,
-                            attempt_no: orig.attempt_no,
-                            speculative: true,
-                            counted: false,
-                            partner: Some(orig_id),
-                            alive: true,
-                        });
+                        let task = (orig.q, orig.j, orig.kind, orig.spec_idx, orig.attempt_no);
+                        let id = self.launch(queries, rs, sink, prof, task, slot, Some(orig_id));
                         rs.fr.attempts.partner[orig_id] = id as u32;
-                        rs.fr.slot_attempt[slot] = Some(id);
-                        let oi = rs.jobs.idx(orig.q, orig.j);
-                        match orig.kind {
-                            TaskKind::Map => rs.jobs.stats[oi].map_attempts_total += 1,
-                            TaskKind::Reduce => rs.jobs.stats[oi].reduce_attempts_total += 1,
-                        }
                         rs.fr.stats.speculative_launches += 1;
-                        prof.inc(Counter::TasksLaunched);
-                        match fail {
-                            Some(frac) => rs
-                                .queue
-                                .push(now + duration * frac, Event::TaskFailed { attempt: id }),
-                            None => rs.queue.push(now + duration, Event::TaskDone { attempt: id }),
-                        }
                         // Clones are uncounted: the scheduler's view (pending /
                         // running / demand) is unchanged, so no state update.
                         continue;
@@ -1161,106 +1089,12 @@ impl<S: Scheduler> Simulator<S> {
                             free_containers: rs.free_slots.len(),
                         });
                     }
-                    let ji = rs.jobs.idx(c.query.0, c.job.0);
-                    // Retried tasks (failed or clawed back by a crash) relaunch
-                    // before fresh spec indices are handed out.
-                    let (spec, spec_idx, attempt_no): (TaskSpec, usize, usize) = match c.kind {
-                        TaskKind::Map => {
-                            debug_assert!(rs.jobs.counts[ji].pending_maps > 0);
-                            rs.jobs.counts[ji].pending_maps -= 1;
-                            rs.jobs.counts[ji].running_maps += 1;
-                            let idx = match rs.jobs.lists[ji].retry_maps.pop() {
-                                Some(m) => m,
-                                None => {
-                                    let m = rs.jobs.counts[ji].next_map;
-                                    rs.jobs.counts[ji].next_map += 1;
-                                    m
-                                }
-                            };
-                            rs.jobs.lists[ji].map_attempt_no[idx] += 1;
-                            rs.jobs.stats[ji].map_attempts_total += 1;
-                            (
-                                queries[c.query.0].jobs[c.job.0].maps[idx],
-                                idx,
-                                rs.jobs.lists[ji].map_attempt_no[idx],
-                            )
-                        }
-                        TaskKind::Reduce => {
-                            debug_assert!(
-                                rs.jobs.counts[ji].pending_reduces > 0
-                                    && rs.jobs.reduces_unlocked[ji]
-                            );
-                            rs.jobs.counts[ji].pending_reduces -= 1;
-                            rs.jobs.counts[ji].running_reduces += 1;
-                            let idx = match rs.jobs.lists[ji].retry_reduces.pop() {
-                                Some(m) => m,
-                                None => {
-                                    let m = rs.jobs.counts[ji].next_reduce;
-                                    rs.jobs.counts[ji].next_reduce += 1;
-                                    m
-                                }
-                            };
-                            rs.jobs.lists[ji].reduce_attempt_no[idx] += 1;
-                            rs.jobs.stats[ji].reduce_attempts_total += 1;
-                            (
-                                queries[c.query.0].jobs[c.job.0].reduces[idx],
-                                idx,
-                                rs.jobs.lists[ji].reduce_attempt_no[idx],
-                            )
-                        }
-                    };
-                    if rs.jobs.started[ji].is_none() {
-                        rs.jobs.started[ji] = Some(now);
-                        emit!(sink, ObsEvent::JobStart { t: now, query: c.query, job: c.job });
-                    }
-                    if rs.qstate[c.query.0].started.is_none() {
-                        rs.qstate[c.query.0].started = Some(now);
-                        emit!(sink, ObsEvent::QueryStart { t: now, query: c.query });
-                    }
+                    let (q, j) = (c.query.0, c.job.0);
+                    let (spec_idx, attempt_no) = rs.jobs.start_task(rs.jobs.idx(q, j), c.kind);
                     let Reverse(slot) = rs.free_slots.pop().expect("checked non-empty");
-                    emit!(
-                        sink,
-                        ObsEvent::TaskStart {
-                            t: now,
-                            query: c.query,
-                            job: c.job,
-                            phase: phase_of(c.kind),
-                            node: NodeId(self.config.node_of(slot)),
-                            slot: self.config.slot_of(slot),
-                        }
-                    );
-                    let load =
-                        1.0 - rs.free_slots.len() as f64 / self.config.total_containers() as f64;
-                    let duration = self.cost.duration_loaded(&spec, load, &mut rs.rng).max(1e-3);
-                    // Fault sampling draws from its own stream so a zero-prob
-                    // plan consumes no randomness; a doomed attempt dies at a
-                    // sampled fraction of its would-be duration.
-                    let fail =
-                        self.cost.sample_failure(self.faults.task_fail_prob, &mut rs.fault_rng);
-                    let id = rs.fr.attempts.push(Attempt {
-                        q: c.query.into(),
-                        j: c.job.into(),
-                        kind: c.kind,
-                        spec_idx,
-                        slot,
-                        start: now,
-                        duration_bits: duration.to_bits(),
-                        sched_end: now + duration,
-                        attempt_no,
-                        speculative: false,
-                        counted: true,
-                        partner: None,
-                        alive: true,
-                    });
-                    rs.fr.slot_attempt[slot] = Some(id);
-                    prof.inc(Counter::TasksLaunched);
-                    match fail {
-                        Some(frac) => {
-                            rs.queue.push(now + duration * frac, Event::TaskFailed { attempt: id })
-                        }
-                        None => rs.queue.push(now + duration, Event::TaskDone { attempt: id }),
-                    }
-                    rs.dstate.on_dispatch(&rs.jobs, c.query.into(), c.job.into());
+                    let task = (q, j, c.kind, spec_idx, attempt_no);
+                    self.launch(queries, rs, sink, prof, task, slot, None);
+                    rs.dstate.update_job(queries, &rs.jobs, q, j);
                     prof.inc(Counter::SchedulerViewUpdates);
                 }
             }
@@ -1283,6 +1117,77 @@ impl<S: Scheduler> Simulator<S> {
             }
         }
         Ok(Drive::Finished)
+    }
+
+    /// Start one attempt of `task` — `(query, job, kind, spec index,
+    /// attempt number)` — on `slot`, already taken from the free pool: a
+    /// regular attempt, or, with `partner`, a speculative clone of that
+    /// attempt. The first attempt of a job or query starts it. The
+    /// attempt's duration is drawn, then whether it fails; its terminal
+    /// event is queued and its slab row returned.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn launch<K: EventSink, P: Profiler>(
+        &self,
+        queries: &[SimQuery],
+        rs: &mut RunState,
+        sink: &mut K,
+        prof: &P,
+        (q, j, kind, spec_idx, attempt_no): (usize, usize, TaskKind, usize, usize),
+        slot: usize,
+        partner: Option<usize>,
+    ) -> usize {
+        let now = rs.now;
+        let i = rs.jobs.idx(q, j);
+        if rs.jobs.started[i].is_none() {
+            rs.jobs.started[i] = Some(now);
+            emit!(sink, ObsEvent::JobStart { t: now, query: QueryId(q), job: JobId(j) });
+        }
+        if rs.qstate[q].started.is_none() {
+            rs.qstate[q].started = Some(now);
+            emit!(sink, ObsEvent::QueryStart { t: now, query: QueryId(q) });
+        }
+        emit!(
+            sink,
+            ObsEvent::TaskStart {
+                t: now,
+                query: QueryId(q),
+                job: JobId(j),
+                phase: phase_of(kind),
+                node: NodeId(self.config.node_of(slot)),
+                slot: self.config.slot_of(slot),
+            }
+        );
+        let load = 1.0 - rs.free_slots.len() as f64 / self.config.total_containers() as f64;
+        let spec = specs(&queries[q].jobs[j], kind)[spec_idx];
+        let duration = self.cost.duration_loaded(&spec, load, &mut rs.rng).max(1e-3);
+        // Fault sampling draws from its own stream so a zero-prob plan
+        // consumes no randomness; a doomed attempt dies at a sampled
+        // fraction of its would-be duration.
+        let fail = self.cost.sample_failure(self.faults.task_fail_prob, &mut rs.fault_rng);
+        let id = rs.fr.attempts.push(Attempt {
+            q,
+            j,
+            kind,
+            spec_idx,
+            slot,
+            start: now,
+            duration_bits: duration.to_bits(),
+            sched_end: now + duration,
+            attempt_no,
+            speculative: partner.is_some(),
+            counted: partner.is_none(),
+            partner,
+            alive: true,
+        });
+        rs.fr.slot_attempt[slot] = Some(id);
+        rs.jobs.stats[i][kind].attempts += 1;
+        prof.inc(Counter::TasksLaunched);
+        match fail {
+            Some(frac) => rs.queue.push(now + duration * frac, Event::TaskFailed { attempt: id }),
+            None => rs.queue.push(now + duration, Event::TaskDone { attempt: id }),
+        }
+        id
     }
 
     /// End-of-run invariant asserts, deterministic queue telemetry, and

@@ -243,18 +243,6 @@ impl FaultState {
         }
     }
 
-    /// Record that the task of (dead) attempt `a` was disrupted now, for
-    /// recovery-latency accounting (first disruption starts the clock).
-    pub(super) fn start_recovery_clock(jobs: &mut JobTable, a: &Attempt, now: f64) {
-        let i = jobs.idx(a.q, a.j);
-        let lists = &mut jobs.lists[i];
-        let since = match a.kind {
-            TaskKind::Map => &mut lists.map_fail_since[a.spec_idx],
-            TaskKind::Reduce => &mut lists.reduce_fail_since[a.spec_idx],
-        };
-        since.get_or_insert(now);
-    }
-
     /// Kill attempt `id`: mark it dead, free its slot, update job counts,
     /// and emit the `TaskKilled` event. With `requeue`, the task re-enters
     /// the runnable set immediately (node-crash semantics: the kill is not
@@ -286,23 +274,11 @@ impl FaultState {
             }
         } else if a.counted {
             let i = jobs.idx(a.q, a.j);
-            match a.kind {
-                TaskKind::Map => jobs.counts[i].running_maps -= 1,
-                TaskKind::Reduce => jobs.counts[i].running_reduces -= 1,
-            }
+            jobs.counts[i][a.kind].running -= 1;
             if requeue {
                 requeued = true;
-                match a.kind {
-                    TaskKind::Map => {
-                        jobs.counts[i].pending_maps += 1;
-                        jobs.lists[i].retry_maps.push(a.spec_idx);
-                    }
-                    TaskKind::Reduce => {
-                        jobs.counts[i].pending_reduces += 1;
-                        jobs.lists[i].retry_reduces.push(a.spec_idx);
-                    }
-                }
-                Self::start_recovery_clock(jobs, &a, now);
+                jobs.requeue(i, a.kind, a.spec_idx);
+                jobs.start_recovery_clock(i, a.kind, a.spec_idx, now);
             }
         }
         emit!(
@@ -383,10 +359,9 @@ pub(super) fn fail_query<K: EventSink>(
         fr.kill_attempt(id, false, now, cfg, jobs, free_slots, sink);
     }
     for i in jobs.query_range(q) {
-        jobs.counts[i].pending_maps = 0;
-        jobs.counts[i].running_maps = 0;
-        jobs.counts[i].pending_reduces = 0;
-        jobs.counts[i].running_reduces = 0;
+        for lane in &mut jobs.counts[i].0 {
+            (lane.pending, lane.running) = (0, 0);
+        }
         jobs.free_lists(i);
     }
     emit!(sink, ObsEvent::QueryFinish { t: now, query: QueryId(q) });

@@ -3,6 +3,7 @@
 
 use crate::fault::FaultStats;
 use crate::job::SimQuery;
+use crate::job::TaskKind::{Map, Reduce};
 use sapred_obs::{JobId, QueryId};
 use sapred_plan::dag::JobCategory;
 
@@ -151,6 +152,7 @@ pub(super) fn assemble_report(
         });
         for job in &q.jobs {
             let i = jobs.idx(qi, job.id.0);
+            let st = &jobs.stats[i];
             let n_maps = job.maps.len();
             let n_reduces = job.reduces.len();
             // Task averages divide by *winning-attempt* counts, not task
@@ -167,20 +169,12 @@ pub(super) fn assemble_report(
                 finish: jobs.finished[i].unwrap_or(finish),
                 n_maps,
                 n_reduces,
-                map_attempts: jobs.stats[i].map_attempts_total,
-                reduce_attempts: jobs.stats[i].reduce_attempts_total,
-                map_completions: jobs.stats[i].map_completions,
-                reduce_completions: jobs.stats[i].reduce_completions,
-                map_task_avg: if jobs.stats[i].map_completions > 0 {
-                    jobs.stats[i].map_time_sum / jobs.stats[i].map_completions as f64
-                } else {
-                    0.0
-                },
-                reduce_task_avg: if jobs.stats[i].reduce_completions > 0 {
-                    jobs.stats[i].reduce_time_sum / jobs.stats[i].reduce_completions as f64
-                } else {
-                    0.0
-                },
+                map_attempts: st[Map].attempts,
+                reduce_attempts: st[Reduce].attempts,
+                map_completions: st[Map].completions,
+                reduce_completions: st[Reduce].completions,
+                map_task_avg: st[Map].avg(),
+                reduce_task_avg: st[Reduce].avg(),
             });
         }
     }

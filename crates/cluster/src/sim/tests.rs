@@ -866,10 +866,13 @@ fn profiled_run_counts_faulted_paths() {
     let mut s =
         Simulator::new(small_config(), CostModel::default(), Swrd).with_faults(stress_plan());
     let report = s.execute(&queries, Run::new().profiler(&prof)).unwrap().into_report();
-    // Retries/clones mean more launches than the task count.
+    // Retries/clones mean more launches than the task count, and every
+    // launch, regular or speculative, is counted exactly once.
     let total_tasks: usize =
         queries.iter().flat_map(|q| &q.jobs).map(|j| j.maps.len() + j.reduces.len()).sum();
     assert!(prof.counter(Counter::TasksLaunched) > total_tasks as u64);
+    assert_eq!(prof.counter(Counter::TasksLaunched), report.total_attempts() as u64);
+    assert!(report.faults.speculative_launches > 0);
     assert!(report.faults.task_failures > 0);
     assert!(prof.balanced());
 }
@@ -1057,7 +1060,11 @@ fn finished_and_failed_jobs_hold_no_per_spec_lists() {
                         failed += usize::from(rs.qstate[q].failed);
                         assert!(lists.is_freed(), "cut {at}: job {j} of query {q} kept its lists");
                     } else if rs.jobs.submitted[i] {
-                        assert_eq!(lists.map_attempt_no.len(), job.maps.len(), "cut {at}");
+                        assert_eq!(
+                            lists.lanes[TaskKind::Map].attempt_no.len(),
+                            job.maps.len(),
+                            "cut {at}"
+                        );
                         assert_eq!(lists.map_node.len(), job.maps.len(), "cut {at}");
                     }
                 }

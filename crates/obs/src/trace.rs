@@ -139,18 +139,6 @@ impl ChromeTraceSink {
         w.write_all(doc.as_bytes())?;
         w.flush()
     }
-
-    /// Serialize the trace to a file through a `BufWriter`, flushing before
-    /// return, so the (potentially large) document costs buffered writes
-    /// instead of one syscall per chunk.
-    ///
-    /// # Errors
-    /// Propagates file creation and write errors.
-    #[cfg(test)]
-    pub fn write_to_path<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        self.write(std::io::BufWriter::new(file))
-    }
 }
 
 impl EventSink for ChromeTraceSink {
@@ -440,20 +428,6 @@ mod tests {
         assert!(doc.contains("node 1 up"));
         assert!(doc.contains("speculate 0.1"));
         assert!(doc.contains("lost maps 0.1"));
-    }
-
-    #[test]
-    fn write_to_path_produces_valid_flushed_file() {
-        let mut sink = ChromeTraceSink::new();
-        sink.emit(&Event::QueryArrive { t: 0.0, query: QueryId(0), name: "q".into() });
-        sink.emit(&Event::QueryFinish { t: 1.0, query: QueryId(0) });
-        let path =
-            std::env::temp_dir().join(format!("sapred_trace_test_{}.json", std::process::id()));
-        sink.write_to_path(&path).unwrap();
-        let doc = std::fs::read_to_string(&path).unwrap();
-        validate(&doc).unwrap();
-        assert!(doc.contains("\"traceEvents\""));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
